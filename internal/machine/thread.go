@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"iter"
 
 	"ghostwriter/internal/approx"
 	"ghostwriter/internal/coherence"
@@ -25,7 +26,8 @@ const (
 	reqDone
 )
 
-// threadReq is one kernel→engine request. fold carries the compute cycles
+// threadReq is one kernel→engine request, yielded by the thread's coroutine
+// and received by Machine.issue. fold carries the compute cycles
 // accumulated since the previous request (Thread.Compute is folded into the
 // next request rather than round-tripping through the engine): the engine
 // advances the core by fold cycles before applying the request, which is
@@ -52,8 +54,6 @@ type Thread struct {
 	core     int
 	nthreads int
 	m        *Machine
-	req      chan threadReq
-	res      chan uint64
 	ddist    int
 	pending  uint64 // kernel-side compute cycles awaiting the next request
 	barrier  bool
@@ -76,11 +76,32 @@ type Thread struct {
 	// applyFn applies it when they have. One slot suffices: the core is
 	// blocking, so at most one request is in flight.
 	hold threadReq
+	// The kernel runs as a coroutine of the engine (iter.Pull): it yields
+	// one request at a time, Machine.issue resumes it with next, and it
+	// finds the outcome of its previous request in result.
+	yield  func(threadReq) bool
+	next   func() (threadReq, bool)
+	result uint64
 	// Callbacks bound once per run.
-	doneFn   func(uint64)
-	issueFn  sim.Event
-	resumeFn sim.Event
-	applyFn  sim.Event
+	doneFn  func(uint64)
+	issueFn sim.Event
+	applyFn sim.Event
+}
+
+// kernelStopped is the panic that unwinds a kernel parked in yield when Run
+// exits without it (another thread or the model panicked); the coroutine
+// wrapper in Run recovers it.
+type kernelStopped struct{}
+
+// call hands one request to the engine, with the compute cycles accumulated
+// since the previous one folded in, parks the kernel until the engine has
+// carried it out, and returns its result.
+func (t *Thread) call(r threadReq) uint64 {
+	r.fold, t.pending = t.pending, 0
+	if !t.yield(r) {
+		panic(kernelStopped{})
+	}
+	return t.result
 }
 
 // ID returns the thread's index in [0, N).
@@ -108,8 +129,7 @@ func (t *Thread) ApproxDist() int { return t.ddist }
 // forfeited from its point of view. The target core must not be running
 // another live thread. Migration charges a fixed context-switch cost.
 func (t *Thread) Migrate(core int) {
-	t.req <- threadReq{kind: reqMigrate, n: uint64(core), fold: t.takePending()}
-	<-t.res
+	t.call(threadReq{kind: reqMigrate, n: uint64(core)})
 }
 
 // Core returns the core the thread currently runs on.
@@ -122,28 +142,20 @@ func (t *Thread) Core() int { return t.core }
 // round-trip per Compute would simulate, without the host-side handshake.
 func (t *Thread) Compute(n uint64) { t.pending += n }
 
-// takePending drains the folded-compute accumulator for an outgoing request.
-func (t *Thread) takePending() uint64 {
-	n := t.pending
-	t.pending = 0
-	return n
-}
-
 // Barrier blocks until every live thread has reached a barrier.
 func (t *Thread) Barrier() {
-	t.req <- threadReq{kind: reqBarrier, fold: t.takePending()}
-	<-t.res
+	t.call(threadReq{kind: reqBarrier})
 }
 
-// Sync blocks until every prior operation of this thread — run-ahead
-// stores and folded compute cycles included — has taken effect in the
-// simulator, at zero simulated cost: the next operation issues on exactly
-// the cycle it would have without the Sync. While the caller is between
-// Sync and its next Thread call, the thread's tile is quiescent, which is
-// what test kernels need to peek at cache or statistics state mid-run.
+// Sync blocks until every prior operation of this thread — folded compute
+// cycles included — has taken effect in the simulator, at zero simulated
+// cost: the next operation issues on exactly the cycle it would have without
+// the Sync. A kernel only ever runs while its tile's engine waits for its
+// next request, so between Sync and the next Thread call the tile is
+// quiescent at the cycle of the Sync, which is what test kernels need to
+// peek at cache or statistics state mid-run.
 func (t *Thread) Sync() {
-	t.req <- threadReq{kind: reqSync, fold: t.takePending()}
-	<-t.res
+	t.call(threadReq{kind: reqSync})
 }
 
 func (t *Thread) mem(op coherence.OpKind, a mem.Addr, width int, v uint64) uint64 {
@@ -154,16 +166,7 @@ func (t *Thread) mem(op coherence.OpKind, a mem.Addr, width int, v uint64) uint6
 		// scribbled ("an undesirable level of approximation").
 		d = 8*width - 1
 	}
-	t.req <- threadReq{kind: reqMem, op: op, addr: a, width: width, value: v, d: d, fold: t.takePending()}
-	if op == coherence.OpLoad || op == coherence.OpAtomicAdd {
-		return <-t.res
-	}
-	// Stores and scribbles return no data, so the kernel goroutine runs
-	// ahead instead of blocking for the completion. The simulated core
-	// still blocks: the engine picks up the next queued request only one
-	// cycle after this one completes, so timing is identical — the host
-	// just saves a goroutine wakeup per store.
-	return 0
+	return t.call(threadReq{kind: reqMem, op: op, addr: a, width: width, value: v, d: d})
 }
 
 // Load8 loads one byte.
@@ -251,7 +254,10 @@ func (t *Thread) eng() *sim.Engine { return t.m.clu.Tile(t.core) }
 
 // Run executes kernel on nthreads simulated threads (thread i pinned to
 // core i) until all of them return, then drains in-flight protocol traffic.
-// It returns the elapsed simulated cycles.
+// It returns the elapsed simulated cycles. Kernels run as coroutines of the
+// engine, never concurrently with their own tile: a panic in a kernel
+// surfaces from Run on the caller's goroutine like any model panic, and no
+// kernel outlives Run on any exit path.
 func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	if nthreads <= 0 || nthreads > m.cfg.Cores {
 		panic(fmt.Sprintf("machine: %d threads on %d cores", nthreads, m.cfg.Cores))
@@ -263,30 +269,28 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 			core:     i,
 			nthreads: nthreads,
 			m:        m,
-			// Capacity 1 lets the kernel goroutine hand a request (and the
-			// engine hand a result) over without a blocking rendezvous: a
-			// blocking core has at most one request in flight, so the
-			// buffer never changes ordering — only the number of host
-			// context switches per memory op.
-			req:   make(chan threadReq, 1),
-			res:   make(chan uint64, 1),
-			ddist: -1,
+			ddist:    -1,
 		}
+		next, stop := iter.Pull(func(yield func(threadReq) bool) {
+			t.yield = yield
+			defer func() {
+				if r := recover(); r != nil && r != (kernelStopped{}) {
+					panic(r)
+				}
+			}()
+			kernel(t)
+		})
+		// Deferred per thread, to run when Run exits: unwinds a kernel that
+		// a panic elsewhere left parked in yield.
+		defer stop()
+		t.next = next
 		t.issueFn = func() { m.issue(t) }
 		t.doneFn = func(v uint64) {
 			t.ops++
 			eng := t.eng()
 			t.memCycles += eng.Now() - t.issuedAt
-			// Only value-returning ops have a kernel goroutine waiting;
-			// stores and scribbles ran ahead (see Thread.mem).
-			if k := t.op.Kind; k == coherence.OpLoad || k == coherence.OpAtomicAdd {
-				t.res <- v
-			}
+			t.result = v
 			eng.After(1, t.issueFn)
-		}
-		t.resumeFn = func() {
-			t.res <- 0
-			m.issue(t)
 		}
 		t.applyFn = func() { m.apply(t, t.hold) }
 		m.threads = append(m.threads, t)
@@ -298,11 +302,6 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	}
 	start := m.clu.Now()
 	for _, t := range m.threads {
-		t := t
-		go func() {
-			kernel(t)
-			t.req <- threadReq{kind: reqDone}
-		}()
 		t.eng().After(0, t.issueFn)
 	}
 	m.clu.RunUntil(func() bool { return m.active == 0 })
@@ -340,14 +339,19 @@ const (
 	auxThreadMigrate
 )
 
-// issue receives the thread's next request; this is the strict engine ↔
-// kernel handoff that keeps the simulation deterministic. It runs on the
-// worker of the thread's current tile, so it may touch the thread and the
-// tile freely but machine-global thread state only via staging. A request
+// issue resumes the thread's kernel until it yields its next request; this
+// is the strict engine ↔ kernel handoff that keeps the simulation
+// deterministic, and a direct coroutine switch on the host. The kernel
+// returning is its done request. issue runs on the worker of the thread's
+// current tile, so it (and the kernel) may touch the thread and the tile
+// freely but machine-global thread state only via staging. A request
 // carrying folded compute cycles is parked and applied once they elapse,
 // reproducing the timing of a separate compute step exactly.
 func (m *Machine) issue(t *Thread) {
-	r := <-t.req
+	r, ok := t.next()
+	if !ok {
+		r = threadReq{kind: reqDone, fold: t.pending}
+	}
 	if r.fold > 0 {
 		t.computeCyc += sim.Cycle(r.fold)
 		t.hold = r
@@ -385,9 +389,7 @@ func (m *Machine) apply(t *Thread, r threadReq) {
 		m.clu.Stage(t.core, m.threadMerge, t, auxThreadBarrier)
 	case reqSync:
 		// Everything the thread issued earlier has completed (requests are
-		// applied one at a time); release the kernel and wait for its next
-		// request at the same cycle.
-		t.res <- 0
+		// applied one at a time); take its next request at the same cycle.
 		m.issue(t)
 	case reqDone:
 		t.done = true
@@ -420,7 +422,7 @@ func (m *Machine) threadMerge(at sim.Cycle, arg any, aux uint64) {
 		// Resume on the new core's tile. The migration cost dwarfs the
 		// lookahead window (checked at construction), so the resume cycle
 		// is always at or past the merge horizon.
-		m.clu.Tile(t.core).At(at+migrationCost, t.resumeFn)
+		m.clu.Tile(t.core).At(at+migrationCost, t.issueFn)
 	}
 }
 
@@ -438,7 +440,6 @@ func (m *Machine) releaseBarrier(at sim.Cycle) {
 		}
 		u.barrier = false
 		u.barrierCyc += at - u.barrierSince
-		u.res <- 0
 		// Schedule at the absolute merge horizon, not relative to the
 		// tile's clock: a tile idle while its thread waited may have been
 		// skipped by recent window drains, leaving its clock behind the

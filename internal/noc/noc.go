@@ -88,6 +88,9 @@ type Network struct {
 	clu        *sim.Cluster
 	tileMeters []*energy.Meter
 	tileStats  []*stats.Stats
+	// mergeSendFn is n.mergeSend bound once: evaluating the method value at
+	// every Stage call would allocate a closure per cross-tile send.
+	mergeSendFn sim.StagedHandler
 }
 
 // New builds a network in immediate mode. meter and st may not be nil.
@@ -117,6 +120,7 @@ func NewSharded(clu *sim.Cluster, cfg Config, tileMeters []*energy.Meter, tileSt
 	n.tileStats = tileStats
 	n.meter = mergeMeter
 	n.st = mergeSt
+	n.mergeSendFn = n.mergeSend
 	return n
 }
 
@@ -218,7 +222,7 @@ func (n *Network) Send(src, dst NodeID, payloadBytes int, payload any) sim.Cycle
 		// Cross-tile: stage for the window merge. The route, the link
 		// arbitration, and the destination tile's queue are all shared
 		// state that only the merge phase may touch.
-		n.clu.Stage(int(src), n.mergeSend, payload, uint64(src)|uint64(dst)<<16|uint64(flits)<<32)
+		n.clu.Stage(int(src), n.mergeSendFn, payload, uint64(src)|uint64(dst)<<16|uint64(flits)<<32)
 		return 0
 	}
 	t := n.eng.Now()
