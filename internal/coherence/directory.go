@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/dram"
@@ -70,6 +71,7 @@ type dirLine struct {
 	busy        bool
 	cur         *Msg
 	queue       []*Msg
+	grant       proto.DirAction // the data grant cur waits to make once withData has the block
 	pendingAck  int
 	onAcksDone  func()
 	needUnblock bool // awaiting the requestor's Unblock
@@ -105,10 +107,18 @@ type Directory struct {
 	// dispatchFn is bound once; the scheduled argument is the busy line,
 	// whose cur field carries the request being dispatched.
 	dispatchFn func(any)
-	// resident tracks the addresses whose lines hold L2 data, in fill
-	// order; the eviction scan walks it round-robin.
+	// grantFn is bound once too; the scheduled argument is the busy line,
+	// whose grant field names the grant to make.
+	grantFn func(any)
+	// resident lists the addresses whose lines were filled into the L2
+	// bank, in fill order, and clock is the index the eviction scan last
+	// stopped at, walking it round-robin. A line that evictLine empties
+	// stays listed until the next ensureSpace compacts the list; dead
+	// records those addresses, so a list with nothing to drop costs
+	// nothing. Compaction shifts entries under clock without adjusting it.
 	resident []mem.Addr
 	clock    int
+	dead     []mem.Addr
 }
 
 // NewDirectory builds a directory at the given mesh node, backed by a DRAM
@@ -130,6 +140,7 @@ func NewDirectory(id int, node noc.NodeID, eng *sim.Engine, net *noc.Network,
 		dram:  ch,
 	}
 	d.dispatchFn = d.dispatchLine
+	d.grantFn = d.grantLine
 	return d
 }
 
@@ -437,37 +448,9 @@ func (d *Directory) runAction(a proto.DirAction, e *dirLine, m *Msg) {
 		if e.owner == m.From {
 			panic(fmt.Sprintf("dir %d: owner %v for %#x", d.id, m.Type, m.Addr))
 		}
-	case proto.DGrantFreshS:
-		a := m.Addr
-		d.withData(e, a, func() {
-			d.replyData(m.From, DataS, e, a)
-			e.state = dirShared
-			e.sharers = SharerSetOf(m.From)
-			e.needUnblock = true
-		})
-	case proto.DGrantFreshE:
-		a := m.Addr
-		d.withData(e, a, func() {
-			d.replyData(m.From, DataE, e, a)
-			e.state = dirOwned
-			e.owner = m.From
-			e.needUnblock = true
-		})
-	case proto.DGrantFreshM:
-		a := m.Addr
-		d.withData(e, a, func() {
-			d.replyData(m.From, DataM, e, a)
-			e.state = dirOwned
-			e.owner = m.From
-			e.needUnblock = true
-		})
-	case proto.DGrantSharedS:
-		a := m.Addr
-		d.withData(e, a, func() {
-			d.replyData(m.From, DataS, e, a)
-			e.sharers.Add(m.From)
-			e.needUnblock = true
-		})
+	case proto.DGrantFreshS, proto.DGrantFreshE, proto.DGrantFreshM, proto.DGrantSharedS:
+		e.grant = a
+		d.withData(e)
 	case proto.DFwdGETSOwner:
 		// Ask the owner to forward data and downgrade; the transaction
 		// completes when both the owner's writeback and the requestor's
@@ -552,8 +535,12 @@ func (d *Directory) finish(e *dirLine) {
 	e.needData = false
 	e.recallDone = nil
 	if len(e.queue) > 0 {
+		// Pop by copying down, so the slice keeps its capacity for the
+		// line's next burst of queued requests.
 		next := e.queue[0]
-		e.queue = e.queue[1:]
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = nil
+		e.queue = e.queue[:n]
 		d.begin(e, next)
 	}
 }
@@ -567,15 +554,18 @@ func (d *Directory) maybeFinish(e *dirLine) {
 }
 
 // withData ensures the block's data is in the L2 bank (fetching from DRAM
-// if needed, evicting a victim line first when the bank is full), then runs
-// k after the access latency.
-func (d *Directory) withData(e *dirLine, a mem.Addr, k func()) {
+// if needed, evicting a victim line first when the bank is full), then
+// makes the grant e.grant names after the access latency. The line is busy
+// until the transaction finishes, so the grant rides in the line itself and
+// an L2 hit schedules the bound grantFn instead of a fresh closure.
+func (d *Directory) withData(e *dirLine) {
 	if e.hasData {
 		d.meter.L2Access()
 		d.st.L2Accesses++
-		d.eng.After(d.cfg.L2Latency, k)
+		d.eng.AfterArg(d.cfg.L2Latency, d.grantFn, e)
 		return
 	}
+	a := e.cur.Addr
 	d.ensureSpace(a, func() {
 		d.dram.ReadBlock(a, d.cfg.BlockSize, func(data []byte) {
 			e.data = data
@@ -583,20 +573,34 @@ func (d *Directory) withData(e *dirLine, a mem.Addr, k func()) {
 			d.resident = append(d.resident, a)
 			d.meter.L2Access() // fill write
 			d.st.L2Accesses++
-			k()
+			d.grantLine(e)
 		})
 	})
 }
 
-// occupancy returns the number of lines holding L2 data.
-func (d *Directory) occupancy() int {
-	n := 0
-	for _, a := range d.resident {
-		if e := d.lines.get(a); e != nil && e.hasData {
-			n++
-		}
+// grantLine sends the data grant a DGrant* action deferred behind
+// withData, to the requestor of the line's current transaction.
+func (d *Directory) grantLine(arg any) {
+	e := arg.(*dirLine)
+	m := e.cur
+	switch e.grant {
+	case proto.DGrantFreshS:
+		d.replyData(m.From, DataS, e, m.Addr)
+		e.state = dirShared
+		e.sharers = SharerSetOf(m.From)
+	case proto.DGrantFreshE:
+		d.replyData(m.From, DataE, e, m.Addr)
+		e.state = dirOwned
+		e.owner = m.From
+	case proto.DGrantFreshM:
+		d.replyData(m.From, DataM, e, m.Addr)
+		e.state = dirOwned
+		e.owner = m.From
+	case proto.DGrantSharedS:
+		d.replyData(m.From, DataS, e, m.Addr)
+		e.sharers.Add(m.From)
 	}
-	return n
+	e.needUnblock = true
 }
 
 // ensureSpace evicts one victim line if the bank is at capacity, then runs
@@ -609,14 +613,7 @@ func (d *Directory) ensureSpace(requesting mem.Addr, k func()) {
 		k()
 		return
 	}
-	// Compact the resident list lazily (lines whose data was dropped).
-	live := d.resident[:0]
-	for _, a := range d.resident {
-		if e := d.lines.get(a); e != nil && e.hasData {
-			live = append(live, a)
-		}
-	}
-	d.resident = live
+	d.compactResident()
 	if len(d.resident) < d.cfg.CapacityBlocks {
 		k()
 		return
@@ -635,6 +632,21 @@ func (d *Directory) ensureSpace(requesting mem.Addr, k func()) {
 	k()
 }
 
+// compactResident drops from the resident list the lines evictLine has
+// emptied since the last call, keeping the order of the rest. A line a
+// writeback refilled in the meantime holds data again and stays listed.
+func (d *Directory) compactResident() {
+	for _, a := range d.dead {
+		if d.lines.get(a).hasData {
+			continue
+		}
+		if i := slices.Index(d.resident, a); i >= 0 {
+			d.resident = slices.Delete(d.resident, i, i+1)
+		}
+	}
+	d.dead = d.dead[:0]
+}
+
 // evictLine recalls all cached copies of the victim, writes its data back
 // to DRAM, drops it from the bank, and then runs k.
 func (d *Directory) evictLine(va mem.Addr, v *dirLine, k func()) {
@@ -643,6 +655,7 @@ func (d *Directory) evictLine(va mem.Addr, v *dirLine, k func()) {
 	finish := func(data []byte) {
 		d.dram.WriteBlock(va, data, nil)
 		v.hasData = false
+		d.dead = append(d.dead, va)
 		v.data = nil
 		v.state = dirInvalid
 		v.owner = -1

@@ -1,8 +1,8 @@
 // Cluster shards the discrete-event engine by mesh tile for conservative
 // parallel simulation.
 //
-// Each tile owns a private Engine (PR 4's 256-slot timing wheel + overflow
-// heap + free list) and fires only its own events. Time advances in
+// Each tile owns a private Engine (sim.go's two-level timing wheel, heap
+// and free list) and fires only its own events. Time advances in
 // lockstep windows of width = the cluster lookahead, the minimum cross-tile
 // message latency: within a window [W, W+L) a tile may schedule freely into
 // itself, but every cross-tile effect is *staged* into the source tile's
@@ -498,7 +498,7 @@ const inlineWaveMax = 2
 // tiny — or deals it into the per-worker deques and releases the pool.
 // Tiles whose cached next event lies past the deadline are skipped
 // entirely — their clocks lag behind, which is safe: a tile's clock only
-// gates its own scheduling (monotonic, so the wheel/overflow pop-order
+// gates its own scheduling (monotonic, so the engine's tier pop-order
 // invariants hold), and every cross-tile effect lands at an absolute cycle
 // ≥ the merge horizon. A panic on any worker is re-raised here on the
 // coordinator once the wave completes, so model violations surface on the

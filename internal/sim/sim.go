@@ -6,12 +6,15 @@
 // order, so a simulation is a pure function of its inputs: re-running a
 // configuration reproduces every cycle count and every byte of output.
 //
-// The scheduler is a hierarchical timing wheel sized for the protocol's
-// short fixed latencies (cache probes, link hops, DRAM), with a typed
-// min-heap overflow tier for far events such as the periodic GI sweep.
-// Event records come from an intrusive free list and are recycled as they
-// fire, so steady-state scheduling performs no heap allocation. See
-// DESIGN.md §9 for the layout and the determinism argument.
+// The scheduler is a two-level hierarchical timing wheel: a cycle-granular
+// wheel sized for the protocol's short fixed latencies (cache probes, link
+// hops, DRAM), a second level of wheelSize-cycle epochs for far events such
+// as the periodic GI sweep, whose slots cascade into the first level as
+// their epoch comes due, and a typed min-heap for the rare event beyond the
+// second level's horizon. Event records come from an intrusive free list
+// and are recycled as they fire, so steady-state scheduling performs no
+// heap allocation. See DESIGN.md §9 for the layout and the determinism
+// argument.
 package sim
 
 import (
@@ -27,15 +30,15 @@ type Event func()
 
 const (
 	wheelBits  = 8
-	wheelSize  = 1 << wheelBits // wheel horizon, in cycles
+	wheelSize  = 1 << wheelBits // wheel horizon in cycles; also the level-2 epoch length and slot count
 	wheelMask  = wheelSize - 1
-	wheelWords = wheelSize / 64 // occupancy bitmap words
+	wheelWords = wheelSize / 64 // occupancy bitmap words (either level)
 	chunkSize  = 256            // free-list growth increment
 )
 
 // event is one scheduled callback. Exactly one of fn or h is set: fn for
 // closure events (At/After), h+arg for pre-bound events (AtArg/AfterArg).
-// next links bucket FIFOs and the free list.
+// next links wheel-slot FIFOs, far-slot stacks and the free list.
 type event struct {
 	at   Cycle
 	seq  uint64
@@ -50,17 +53,36 @@ type event struct {
 // append order is seq order and no per-slot sorting is needed.
 type bucket struct{ head, tail *event }
 
+// farBucket is one level-2 slot: a stack, youngest (highest seq) on top,
+// of events that all lie in the same wheelSize-cycle epoch, at any cycle
+// of it. min is the earliest of those cycles, valid while the slot is
+// occupied.
+type farBucket struct {
+	top *event
+	min Cycle
+}
+
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // ready to use.
 //
-// Near-future events (within wheelSize cycles of the schedule-time clock)
-// go to the wheel slot `cycle & wheelMask`; farther events go to a min-heap
-// ordered by (at, seq). Overflow events are never migrated into the wheel:
-// an overflow event at cycle T was scheduled while now ≤ T-wheelSize,
-// whereas any wheel event at T was scheduled while now > T-wheelSize —
-// strictly later, hence with a larger seq. Popping the overflow head
-// whenever overflow[0].at ≤ (earliest wheel cycle) therefore reproduces
-// exact (at, seq) order with no promotion pass.
+// An event is filed by its distance from the schedule-time clock, in three
+// tiers:
+//
+//   - wheel: at < now+wheelSize goes to slot `at & wheelMask`.
+//   - level 2: otherwise, if at's epoch (at >> wheelBits) is fewer than
+//     wheelSize epochs past now's, to far slot `epoch & wheelMask`. Every
+//     far event lies 0..wheelSize-1 epochs ahead of now (at least one when
+//     filed), so each slot holds one epoch and the first occupied slot,
+//     scanning circularly from now's epoch, holds the earliest far event.
+//   - heap: anything farther, in a min-heap ordered by (at, seq).
+//
+// A far slot is cascaded into the wheel just before its earliest event
+// would fire (see cascade); heap events are never migrated. For a given
+// cycle T the tiers hold strictly older records the farther they are: a
+// heap event at T was scheduled in an earlier epoch than any far event at
+// T, and a far event at T while now ≤ T-wheelSize, a wheel-native event
+// at T while now > T-wheelSize. Older means smaller seq, so taking ties
+// heap first, then far slot, then wheel reproduces exact (at, seq) order.
 type Engine struct {
 	now   Cycle
 	seq   uint64
@@ -71,7 +93,16 @@ type Engine struct {
 	occ        [wheelWords]uint64 // occupancy bitmap over slots
 	wheelCount int
 
-	overflow []*event // min-heap on (at, seq)
+	// far is the level-2 wheel, allocated with the engine's first far
+	// event: engines that never schedule that far ahead — the model checker
+	// builds tens of thousands — neither clear nor carry it. The bitmap
+	// stays in the engine, next to the fields every schedule touches.
+	far      *[wheelSize]farBucket
+	farOcc   [wheelWords]uint64 // occupancy bitmap over far
+	farCount int
+	farMin   Cycle // earliest far event (the first occupied slot's min); valid while farCount > 0
+
+	overflow []*event // min-heap on (at, seq), beyond the level-2 horizon
 	free     *event   // intrusive free list of recycled records
 
 	// minSched is the lowest cycle scheduled since the last takeMinSched
@@ -146,7 +177,8 @@ func (e *Engine) schedule(at Cycle) *event {
 	ev := e.alloc()
 	ev.at = at
 	ev.seq = e.seq
-	if at < e.now+wheelSize {
+	switch {
+	case at < e.now+wheelSize:
 		s := int(at) & wheelMask
 		b := &e.slots[s]
 		if b.tail == nil {
@@ -157,7 +189,25 @@ func (e *Engine) schedule(at Cycle) *event {
 			b.tail = ev
 		}
 		e.wheelCount++
-	} else {
+	case at>>wheelBits-e.now>>wheelBits < wheelSize:
+		if e.far == nil {
+			e.far = new([wheelSize]farBucket)
+		}
+		s := int(at>>wheelBits) & wheelMask
+		b := &e.far[s]
+		if b.top == nil {
+			b.min = at
+			e.farOcc[s>>6] |= 1 << (s & 63)
+		} else if at < b.min {
+			b.min = at
+		}
+		ev.next = b.top
+		b.top = ev
+		if e.farCount == 0 || at < e.farMin {
+			e.farMin = at
+		}
+		e.farCount++
+	default:
 		e.pushOverflow(ev)
 	}
 	return ev
@@ -184,60 +234,132 @@ func (e *Engine) AtArg(at Cycle, h func(any), arg any) {
 func (e *Engine) AfterArg(delay Cycle, h func(any), arg any) { e.AtArg(e.now+delay, h, arg) }
 
 // Pending reports the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return e.wheelCount + len(e.overflow) }
+func (e *Engine) Pending() int { return e.wheelCount + e.farCount + len(e.overflow) }
 
-// nextWheel locates the earliest occupied wheel slot, scanning the
-// occupancy bitmap circularly from the current cycle's slot. Wheel events
-// always lie in [now, now+wheelSize): at ≥ now because events fire in
-// order, at < now+wheelSize because the horizon only tightens as now
-// advances past the insertion clock. Circular slot distance from now's
-// slot therefore equals at-now, so the first occupied slot holds the
-// minimum cycle.
-func (e *Engine) nextWheel() (Cycle, int, bool) {
-	if e.wheelCount == 0 {
-		return 0, 0, false
-	}
-	start := int(e.now) & wheelMask
+// firstSet returns the first set bit of occ at or circularly after start.
+// The caller guarantees one is set.
+func firstSet(occ *[wheelWords]uint64, start int) int {
 	wi := start >> 6
-	w := e.occ[wi] &^ (1<<(start&63) - 1) // mask off slots before start
+	w := occ[wi] &^ (1<<(start&63) - 1) // mask off slots before start
 	for i := 0; i <= wheelWords; i++ {
 		if w != 0 {
-			s := wi<<6 + bits.TrailingZeros64(w)
-			return e.slots[s].head.at, s, true
+			return wi<<6 + bits.TrailingZeros64(w)
 		}
 		wi = (wi + 1) & (wheelWords - 1)
-		w = e.occ[wi]
+		w = occ[wi]
 	}
 	panic("sim: wheel count/bitmap mismatch")
+}
+
+// tier names where the next event waits.
+type tier uint8
+
+const (
+	tierNone  tier = iota // nothing pending
+	tierWheel             // head of a wheel slot
+	tierFar               // in a far slot not yet cascaded
+	tierHeap              // head of the overflow heap
+)
+
+// peek locates the next event to fire without touching any state: its
+// cycle, its tier, and for the wheel and far tiers its slot.
+//
+// Wheel events always lie in [now, now+wheelSize): at ≥ now because events
+// fire in order, at < now+wheelSize because the horizon only tightens as
+// now advances past the insertion clock. Circular slot distance from now's
+// slot therefore equals at-now, so the first occupied slot holds the
+// minimum cycle. Ties between tiers go to the farther one, whose records
+// are always older (see the Engine comment).
+func (e *Engine) peek() (at Cycle, t tier, slot int) {
+	if e.wheelCount > 0 {
+		slot = firstSet(&e.occ, int(e.now)&wheelMask)
+		at, t = e.slots[slot].head.at, tierWheel
+	}
+	if e.farCount > 0 && (t == tierNone || e.farMin <= at) {
+		at, t, slot = e.farMin, tierFar, int(e.farMin>>wheelBits)&wheelMask
+	}
+	if len(e.overflow) > 0 && (t == tierNone || e.overflow[0].at <= at) {
+		at, t = e.overflow[0].at, tierHeap
+	}
+	return at, t, slot
+}
+
+// next is peek for the paths that fire events: when the next event waits
+// in a far slot and is due at or before limit, the slot is cascaded first
+// and the event reported where it now sits, at the head of its wheel slot.
+// A far event beyond limit is reported as tierFar and left alone (a
+// cascade advances the clock, which RunTo must not carry past its
+// deadline).
+func (e *Engine) next(limit Cycle) (at Cycle, t tier, slot int) {
+	at, t, slot = e.peek()
+	if t == tierFar && at <= limit {
+		e.cascade(slot)
+		return at, tierWheel, int(at) & wheelMask
+	}
+	return at, t, slot
+}
+
+// noLimit is next's limit for callers that fire whatever comes next.
+const noLimit = ^Cycle(0)
+
+// cascade empties far slot s into the wheel. The caller has established
+// that the slot's earliest event, at cycle b.min, is the next to fire, so
+// no pending event precedes b.min and the clock can advance to it; every
+// event of the slot then lies within [now, now+wheelSize) — one epoch is
+// wheelSize cycles — which is the wheel invariant. Each record goes to the
+// *front* of its wheel slot, ahead of the wheel-native events of its cycle
+// (all younger: see the Engine comment); taking them off the stack
+// youngest first leaves the cascaded records of one cycle in seq order
+// among themselves. Events scheduled from here on append behind both
+// groups.
+func (e *Engine) cascade(s int) {
+	b := &e.far[s]
+	e.now = b.min
+	n := 0
+	for ev := b.top; ev != nil; n++ {
+		nx := ev.next
+		ws := int(ev.at) & wheelMask
+		w := &e.slots[ws]
+		ev.next = w.head
+		w.head = ev
+		if w.tail == nil {
+			w.tail = ev
+			e.occ[ws>>6] |= 1 << (ws & 63)
+		}
+		ev = nx
+	}
+	b.top = nil
+	e.farOcc[s>>6] &^= 1 << (s & 63)
+	e.farCount -= n
+	e.wheelCount += n
+	if e.farCount > 0 {
+		e.farMin = e.far[firstSet(&e.farOcc, int(e.now>>wheelBits)&wheelMask)].min
+	}
 }
 
 // NextAt peeks the cycle of the next event to fire without firing it. The
 // window scheduler in Cluster uses it to skip empty lookahead windows.
 func (e *Engine) NextAt() (Cycle, bool) {
-	wAt, _, wOk := e.nextWheel()
-	if len(e.overflow) > 0 && (!wOk || e.overflow[0].at <= wAt) {
-		return e.overflow[0].at, true
-	}
-	return wAt, wOk
+	at, t, _ := e.peek()
+	return at, t != tierNone
 }
 
 // pop removes and returns the globally next event in (at, seq) order, or
-// nil when none are pending. Ties between tiers go to the overflow heap,
-// whose records are always older (see the Engine comment).
+// nil when none are pending.
 func (e *Engine) pop() *event {
-	wAt, wSlot, wOk := e.nextWheel()
-	if len(e.overflow) > 0 && (!wOk || e.overflow[0].at <= wAt) {
+	_, t, slot := e.next(noLimit)
+	switch t {
+	case tierNone:
+		return nil
+	case tierHeap:
 		return e.popOverflow()
 	}
-	if !wOk {
-		return nil
-	}
-	b := &e.slots[wSlot]
+	b := &e.slots[slot]
 	ev := b.head
 	b.head = ev.next
 	if b.head == nil {
 		b.tail = nil
-		e.occ[wSlot>>6] &^= 1 << (wSlot & 63)
+		e.occ[slot>>6] &^= 1 << (slot & 63)
 	}
 	e.wheelCount--
 	return ev
@@ -277,27 +399,14 @@ func (e *Engine) RunTo(deadline Cycle) { e.runTo(deadline) }
 // are skipped without rescanning their queues.
 func (e *Engine) runTo(deadline Cycle) (next Cycle, ok bool) {
 	for {
-		wAt, wSlot, wOk := e.nextWheel()
-		var at Cycle
-		fromOverflow := false
-		switch {
-		case len(e.overflow) > 0 && (!wOk || e.overflow[0].at <= wAt):
-			at, fromOverflow = e.overflow[0].at, true
-		case wOk:
-			at = wAt
-		default:
+		at, t, slot := e.next(deadline)
+		if t == tierNone || at > deadline {
 			if deadline > e.now {
 				e.now = deadline
 			}
-			return 0, false
+			return at, t != tierNone
 		}
-		if at > deadline {
-			if deadline > e.now {
-				e.now = deadline
-			}
-			return at, true
-		}
-		if fromOverflow {
+		if t == tierHeap {
 			ev := e.popOverflow()
 			e.now = ev.at
 			e.fired++
@@ -313,16 +422,16 @@ func (e *Engine) runTo(deadline Cycle) (next Cycle, ok bool) {
 		// Fire the slot's whole bucket without rescanning: within the
 		// horizon exactly one cycle maps to each slot, so every event here
 		// — including ones a callback appends mid-loop — is at cycle at,
-		// and the overflow tier cannot interleave (overflow events are
-		// strictly later: ties were drained above, and a callback can push
-		// overflow events only at or beyond now+wheelSize).
-		b := &e.slots[wSlot]
+		// and the farther tiers cannot interleave (their events are
+		// strictly later: ties were taken above, and a callback can file
+		// far or heap events only at or beyond now+wheelSize).
+		b := &e.slots[slot]
 		for {
 			ev := b.head
 			b.head = ev.next
 			if b.head == nil {
 				b.tail = nil
-				e.occ[wSlot>>6] &^= 1 << (wSlot & 63)
+				e.occ[slot>>6] &^= 1 << (slot & 63)
 			}
 			e.wheelCount--
 			e.now = ev.at
@@ -366,8 +475,9 @@ func (e *Engine) Drain(limit uint64) (fired uint64, drained bool) {
 	return fired, true
 }
 
-// Overflow min-heap on (at, seq). Hand-written to keep records typed —
-// container/heap would box every push and pop through interface{}.
+// Overflow min-heap on (at, seq), for events beyond the level-2 horizon.
+// Hand-written to keep records typed — container/heap would box every push
+// and pop through interface{}.
 
 func overflowLess(a, b *event) bool {
 	if a.at != b.at {

@@ -224,13 +224,13 @@ func TestEngineDrainExactLimit(t *testing.T) {
 }
 
 func TestEngineWheelOverflowBoundary(t *testing.T) {
-	// Events exactly at, just below, and far past the wheel horizon
+	// Events exactly at, just below, and past the wheel horizon (level 2)
 	// interleave correctly with near events, preserving (cycle, seq) order.
 	var e Engine
 	var got []Cycle
 	rec := func() { got = append(got, e.Now()) }
 	e.At(wheelSize-1, rec) // last wheel-resident cycle
-	e.At(wheelSize, rec)   // first overflow cycle
+	e.At(wheelSize, rec)   // first level-2 cycle
 	e.At(wheelSize+1, rec)
 	e.At(3*wheelSize+7, rec) // far future
 	e.At(0, rec)
@@ -247,12 +247,12 @@ func TestEngineWheelOverflowBoundary(t *testing.T) {
 }
 
 func TestEngineOverflowWheelSameCycleOrder(t *testing.T) {
-	// An overflow-resident event and a later-inserted wheel-resident event
-	// at the same cycle must fire in insertion (seq) order: overflow first.
+	// A level-2 event and a later-inserted wheel-resident event at the same
+	// cycle must fire in insertion (seq) order: the cascaded one first.
 	var e Engine
 	const target = Cycle(2 * wheelSize)
 	var got []string
-	e.At(target, func() { got = append(got, "overflow") }) // far: overflow tier
+	e.At(target, func() { got = append(got, "overflow") }) // far: level 2
 	var step func()
 	step = func() {
 		if e.Now() == target-10 {
@@ -344,7 +344,7 @@ func TestEngineFiredCounter(t *testing.T) {
 }
 
 // TestEngineRecycleStress drives enough schedule/fire cycles through both
-// tiers to exercise free-list recycling under interleaved load.
+// wheel levels to exercise free-list recycling under interleaved load.
 func TestEngineRecycleStress(t *testing.T) {
 	var e Engine
 	rng := rand.New(rand.NewSource(42))
