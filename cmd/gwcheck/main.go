@@ -36,7 +36,7 @@ func realMain() int {
 		doMutate  = flag.Bool("mutate", false, "run the mutation-kill matrix instead of a plain check")
 		budget    = flag.Duration("budget", 0, "time budget per protocol for -mutate (0 = unlimited)")
 		workers   = flag.Int("workers", 0, "parallel mutant evaluations (0 = GOMAXPROCS)")
-		verbose   = flag.Bool("v", false, "list equivalent mutants in the -mutate report")
+		verbose   = flag.Bool("v", false, "list every mutant's class and killer in the -mutate report")
 	)
 	flag.Parse()
 
@@ -60,10 +60,15 @@ func realMain() int {
 			}
 			fmt.Print(rep.Matrix())
 			if *verbose {
+				// One line per mutant, in enumeration order and free of timing:
+				// two runs' listings diff empty exactly when every outcome
+				// matches (the EXPERIMENTS.md outcome pin).
 				for _, o := range rep.Outcomes {
-					if o.Class == mutate.Equivalent {
-						fmt.Printf("  equivalent: %s\n", o.Desc)
+					by := ""
+					if o.KilledBy != "" {
+						by = " by " + o.KilledBy
 					}
+					fmt.Printf("  %s%s: %s\n", o.Class, by, o.Desc)
 				}
 			}
 			if len(rep.Survivors()) > 0 {

@@ -174,6 +174,18 @@ func New(cfg Config) *Cache {
 	return c
 }
 
+// Reset returns the cache to its just-constructed state, keeping its
+// storage: every frame empty, the data slab zeroed, every PLRU tree
+// cleared.
+func (c *Cache) Reset() {
+	for i := range c.blocks {
+		b := &c.blocks[i]
+		clear(b.Data)
+		*b = Block{Data: b.Data}
+	}
+	clear(c.plru)
+}
+
 // set returns the frames of set si.
 func (c *Cache) set(si int) []Block {
 	return c.blocks[si*c.cfg.Ways : (si+1)*c.cfg.Ways]

@@ -1,9 +1,10 @@
 // Package check is an exhaustive protocol model checker for tiny machine
 // configurations. It enumerates every schedule of core operations up to a
 // bounded depth (2–3 cores, 1–3 block addresses, 4–5 op variants), runs
-// each schedule on a fresh two-level testbed (real L1 controllers, real
-// directory, real mesh — the same components the simulator uses), and
-// asserts the protocol invariants:
+// each schedule from cycle 0 on a two-level testbed (real L1 controllers,
+// real directory, real mesh — the same components the simulator uses) that
+// an exploration builds once and rewinds between schedules, and asserts the
+// protocol invariants:
 //
 //  1. Single writer: at most one L1 holds a block in M or E.
 //  2. Directory agreement: the sharer list covers every S/GS copy and
@@ -36,8 +37,9 @@
 //     into GS/GI always runs the scribe comparator.
 //
 // The state space is (cores × ops × addrs)^depth schedules; the shipped
-// test configurations stay in the tens of thousands, each a sub-millisecond
-// simulation, so the whole sweep fits in a CI smoke job. Result.Fingerprint
+// test configurations stay in the tens of thousands, each a few
+// microseconds of simulation on the rewound testbed (DESIGN.md §10), so
+// the whole sweep fits in a CI smoke job. Result.Fingerprint
 // digests the architectural outcome of a violation-free sweep; the mutation
 // runner (internal/coherence/mutate) compares it against the golden
 // protocol's to detect behaviourally equivalent mutants.
@@ -193,32 +195,56 @@ func CoverageErr(p *proto.Protocol, r Result) error {
 	return nil
 }
 
+// schedules returns the size of the exploration's schedule space.
+func (c Config) schedules() int {
+	alphabet := c.Cores * len(c.ops()) * len(c.Addrs)
+	total := 1
+	for i := 0; i < c.Depth; i++ {
+		total *= alphabet
+	}
+	return total
+}
+
+// schedule decodes the idx-th schedule of the enumeration into steps
+// (len(steps) == Depth): idx read as a base-alphabet number, least
+// significant digit first.
+func (c Config) schedule(idx int, steps []Step) {
+	ops := c.ops()
+	alphabet := c.Cores * len(ops) * len(c.Addrs)
+	for i := range steps {
+		k := idx % alphabet
+		idx /= alphabet
+		steps[i] = Step{
+			Core: k % c.Cores,
+			Op:   ops[(k/c.Cores)%len(ops)],
+			Addr: k / (c.Cores * len(ops)),
+		}
+	}
+}
+
 // Explore enumerates every (cores × ops × addrs)^depth schedule and runs
-// each on a fresh testbed, collecting violations up to the configured cap.
+// each from cycle 0, collecting violations up to the configured cap. The
+// testbed is built once and rewound before every later schedule; a rewound
+// testbed is indistinguishable from a new one (see harness.reset). Rewinding
+// needs a quiesced machine, which only a violation-free run guarantees — a
+// failed schedule may leave pending events, a busy line or a deferred
+// forward — so after any violation the testbed is dropped and the next
+// schedule builds a new one.
 func Explore(cfg Config) Result {
 	if cfg.MaxViolations == 0 {
 		cfg.MaxViolations = 8
 	}
-	ops := cfg.ops()
-	alphabet := cfg.Cores * len(ops) * len(cfg.Addrs)
-	total := 1
-	for i := 0; i < cfg.Depth; i++ {
-		total *= alphabet
-	}
+	total := cfg.schedules()
 	res := Result{Schedules: total, Fingerprint: fnvOffset}
 	steps := make([]Step, cfg.Depth)
+	var h *harness
 	for idx := 0; idx < total; idx++ {
-		n := idx
-		for i := range steps {
-			k := n % alphabet
-			n /= alphabet
-			steps[i] = Step{
-				Core: k % cfg.Cores,
-				Op:   ops[(k/cfg.Cores)%len(ops)],
-				Addr: k / (cfg.Cores * len(ops)),
-			}
+		cfg.schedule(idx, steps)
+		if h == nil {
+			h = newHarness(cfg)
+		} else {
+			h.reset()
 		}
-		h := newHarness(cfg)
 		v := h.run(steps)
 		res.GSEntries += h.st.GSEntries
 		res.GIEntries += h.st.GIEntries
@@ -229,6 +255,7 @@ func Explore(cfg Config) Result {
 			if len(res.Violations) >= cfg.MaxViolations {
 				break
 			}
+			h = nil
 		} else {
 			res.Fingerprint = mix(res.Fingerprint, h.fingerprint())
 		}
@@ -273,14 +300,17 @@ const stepLimit = 200_000
 // from the core nodes (ids 0..cores-1).
 const dirNode = noc.NodeID(5)
 
-// harness is one fresh testbed: real controllers on a real mesh, plus the
+// harness is one testbed: real controllers on a real mesh, plus the
 // checker's write log and missing-transition recorder.
 type harness struct {
 	cfg    Config
 	eng    *sim.Engine
+	net    *noc.Network
+	ch     *dram.Channel
 	dir    *coherence.Directory
 	l1s    []*coherence.L1
 	st     *stats.Stats
+	meter  *energy.Meter
 	back   *mem.Memory
 	done   int
 	issued int
@@ -289,10 +319,13 @@ type harness struct {
 	// alone clears one latency-cycle earlier, while the completion event is
 	// still in flight).
 	coreBusy []bool
-	missing  []string
+	// ops holds each core's operation record: a blocking core has one
+	// outstanding, so issue overwrites it in place.
+	ops     []coherence.CoreOp
+	missing []string
 	// written logs every value the schedule stored or scribbled per address
-	// index; initial[i] seeds it. Valid cached words must come from here.
-	initial []uint64
+	// index, seeded with the address's initial value. Valid cached words
+	// must come from here.
 	written [][]uint64
 	// expected tracks the last conventionally stored value per address; in
 	// precise sequential schedules it is the unique coherent value after
@@ -319,21 +352,20 @@ type harness struct {
 }
 
 func newHarness(cfg Config) *harness {
-	h := &harness{cfg: cfg, eng: &sim.Engine{}, st: &stats.Stats{}, back: mem.New()}
-	meter := &energy.Meter{}
-	net := noc.New(h.eng, noc.DefaultConfig(), meter, h.st)
-	ch := dram.NewChannel(h.eng, dram.DefaultConfig(), h.back, meter, h.st)
-	h.dir = coherence.NewDirectory(0, dirNode, h.eng, net, coherence.DirConfig{
+	h := &harness{cfg: cfg, eng: &sim.Engine{}, st: &stats.Stats{}, meter: &energy.Meter{}, back: mem.New()}
+	h.net = noc.New(h.eng, noc.DefaultConfig(), h.meter, h.st)
+	h.ch = dram.NewChannel(h.eng, dram.DefaultConfig(), h.back, h.meter, h.st)
+	h.dir = coherence.NewDirectory(0, dirNode, h.eng, h.net, coherence.DirConfig{
 		Latency: 6, L2Latency: 10, BlockSize: 64,
 		Proto: cfg.Protocol,
 		OnMissing: func(s proto.DirState, ev proto.Event) {
 			h.missing = append(h.missing, fmt.Sprintf("dir: %v/%v", s, ev))
 		},
-	}, ch, meter, h.st)
+	}, h.ch, h.meter, h.st)
 	home := func(mem.Addr) noc.NodeID { return dirNode }
 	for i := 0; i < cfg.Cores; i++ {
 		i := i
-		h.l1s = append(h.l1s, coherence.NewL1(i, h.eng, net, coherence.L1Config{
+		h.l1s = append(h.l1s, coherence.NewL1(i, h.eng, h.net, coherence.L1Config{
 			Cache:      cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64},
 			HitLatency: 2,
 			Proto:      cfg.Protocol,
@@ -341,11 +373,11 @@ func newHarness(cfg Config) *harness {
 			OnMissing: func(s cache.State, ev proto.Event) {
 				h.missing = append(h.missing, fmt.Sprintf("l1 %d: %v/%v", i, proto.L1StateName(s), ev))
 			},
-		}, home, meter, h.st))
+		}, home, h.meter, h.st))
 	}
-	for node := 0; node < net.Nodes(); node++ {
+	for node := 0; node < h.net.Nodes(); node++ {
 		node := noc.NodeID(node)
-		net.Register(node, func(p any) {
+		h.net.Register(node, func(p any) {
 			m := p.(*coherence.Msg)
 			if m.ToDir {
 				h.dir.HandleMsg(m)
@@ -354,16 +386,53 @@ func newHarness(cfg Config) *harness {
 			h.l1s[int(node)].HandleMsg(m)
 		})
 	}
-	for ai, a := range cfg.Addrs {
-		v := baseValue(ai)
-		h.back.WriteUint(a, 4, v)
-		h.initial = append(h.initial, v)
-		h.written = append(h.written, []uint64{v})
-		h.expected = append(h.expected, v)
-	}
+	h.written = make([][]uint64, len(cfg.Addrs))
+	h.expected = make([]uint64, len(cfg.Addrs))
 	h.approxStored = make([]bool, len(cfg.Addrs))
 	h.coreBusy = make([]bool, cfg.Cores)
+	h.ops = make([]coherence.CoreOp, cfg.Cores)
+	h.seed()
 	return h
+}
+
+// seed writes each address's initial value to backing memory and starts
+// the write log and the last-store record from it.
+func (h *harness) seed() {
+	for ai, a := range h.cfg.Addrs {
+		v := baseValue(ai)
+		h.back.WriteUint(a, 4, v)
+		h.written[ai] = append(h.written[ai][:0], v)
+		h.expected[ai] = v
+	}
+}
+
+// reset rewinds a testbed whose last schedule ran violation-free — so the
+// event queue is empty, the directory quiesced, no L1 busy or holding a
+// deferred forward — to the state newHarness leaves, keeping every
+// allocation. Equality with a new testbed holds per component: the engine
+// is back at cycle 0 with its counters zeroed, every link and the DRAM
+// channel free at cycle 0, backing memory zero but for the seeds, every
+// cache frame empty over zeroed data with cleared PLRU bits, every
+// transaction field of the controllers zero, no directory line tracked, and
+// the statistics and energy the components share zeroed.
+func (h *harness) reset() {
+	h.eng.Reset()
+	h.net.Reset()
+	h.ch.Reset()
+	h.back.Reset()
+	h.dir.Reset()
+	for _, l1 := range h.l1s {
+		l1.Reset()
+	}
+	*h.st = stats.Stats{}
+	*h.meter = energy.Meter{}
+	h.done, h.issued = 0, 0
+	clear(h.coreBusy)
+	h.missing = h.missing[:0]
+	clear(h.approxStored)
+	h.valueViol = nil
+	h.prevGS, h.prevGI = 0, 0
+	h.seed()
 }
 
 // baseValue spaces the addresses' value bands far apart (bit 24 and up), so
@@ -431,7 +500,7 @@ func (h *harness) run(steps []Step) (viol *Violation) {
 			viol = &Violation{Kind: "panic", Detail: fmt.Sprint(r)}
 		}
 	}()
-	h.stepVals = make([]uint64, len(steps))
+	h.stepVals = append(h.stepVals[:0], make([]uint64, len(steps))...)
 	h.precise = true
 	for _, s := range steps {
 		if s.Op != Load && s.Op != Store {
@@ -488,7 +557,8 @@ func (h *harness) missingSuffix() string {
 }
 
 func (h *harness) issue(s Step, stepIdx int) {
-	op := &coherence.CoreOp{Addr: h.cfg.Addrs[s.Addr], Width: 4, DDist: -1,
+	op := &h.ops[s.Core]
+	*op = coherence.CoreOp{Addr: h.cfg.Addrs[s.Addr], Width: 4, DDist: -1,
 		Done: func(val uint64) {
 			h.done++
 			h.coreBusy[s.Core] = false

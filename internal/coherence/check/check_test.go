@@ -132,6 +132,61 @@ func TestDepth4(t *testing.T) {
 	})
 }
 
+// seededBugs are the one-rule table bugs the demonstrations below plant in
+// a ghostwriter clone; each demonstration says what its bug breaks and
+// which invariant catches it.
+var seededBugs = []struct {
+	name  string
+	plant func(bug *proto.Protocol)
+}{
+	{"dropped-inv", func(bug *proto.Protocol) {
+		bug.L1[cache.Shared][proto.EvInv] = nil
+	}},
+	{"dropped-upgrade", func(bug *proto.Protocol) {
+		bug.Dir[proto.DirShared][proto.EvUPGRADE-proto.EvGETS] = nil
+	}},
+	{"wrong-completion-value", func(bug *proto.Protocol) {
+		bug.L1[cache.Exclusive][proto.EvLoad][0].Actions =
+			[]proto.Action{proto.ACountLoadHit, proto.AMeterRead, proto.ATouch, proto.ACompleteWrite}
+	}},
+	{"lost-writeback", func(bug *proto.Protocol) {
+		bug.L1[cache.Exclusive][proto.EvStore][0].Next = proto.Stay
+	}},
+	{"stuck-deferred-forward", func(bug *proto.Protocol) {
+		bug.L1[cache.Modified][proto.EvFwdGETS][0].Actions =
+			[]proto.Action{proto.AServeFwd, proto.ADeferFwd}
+	}},
+	{"phantom-sharer", func(bug *proto.Protocol) {
+		rules := bug.Dir.Rules(proto.DirShared, proto.EvPUTS)
+		bug.Dir[proto.DirShared][proto.EvPUTS-proto.EvGETS] = rules[1:] // keep only the stale-ack rule
+	}},
+	{"dirty-exclusive", func(bug *proto.Protocol) {
+		bug.L1[cache.Modified][proto.EvLoad][0].Next = cache.Exclusive
+	}},
+	{"uncounted-residency", func(bug *proto.Protocol) {
+		bug.L1[cache.Shared][proto.EvLoad][0].Next = cache.GS
+	}},
+	{"unguarded-entry", func(bug *proto.Protocol) {
+		bug.L1[cache.Invalid][proto.EvScribble][0].Guards = nil
+	}},
+	{"double-inv-ack", func(bug *proto.Protocol) {
+		r := &bug.L1[cache.Shared][proto.EvInv][0]
+		r.Actions = append(r.Actions[:len(r.Actions):len(r.Actions)], proto.AAckInv)
+	}},
+}
+
+// seededBug returns a ghostwriter clone with the named bug planted.
+func seededBug(name string) *proto.Protocol {
+	for _, b := range seededBugs {
+		if b.name == name {
+			bug := proto.MustLookup("ghostwriter").Clone()
+			b.plant(bug)
+			return bug
+		}
+	}
+	panic("no seeded bug named " + name)
+}
+
 func violationsMention(res Result, substr string) bool {
 	for _, v := range res.Violations {
 		if strings.Contains(v.Detail, substr) {
@@ -146,8 +201,7 @@ func violationsMention(res Result, substr string) bool {
 // invalidation, so the invalidating store never collects its ack — the
 // checker reports the deadlock and names the dropped pair.
 func TestSeededL1BugDetected(t *testing.T) {
-	bug := proto.MustLookup("ghostwriter").Clone()
-	bug.L1[cache.Shared][proto.EvInv] = nil
+	bug := seededBug("dropped-inv")
 	res := Explore(Config{
 		Protocol: bug,
 		Cores:    2,
@@ -168,8 +222,7 @@ func TestSeededL1BugDetected(t *testing.T) {
 // (DS, UPGRADE) row the upgrade request is dropped with the line busy, and
 // the upgrading core hangs.
 func TestSeededDirBugDetected(t *testing.T) {
-	bug := proto.MustLookup("ghostwriter").Clone()
-	bug.Dir[proto.DirShared][proto.EvUPGRADE-proto.EvGETS] = nil
+	bug := seededBug("dropped-upgrade")
 	res := Explore(Config{
 		Protocol: bug,
 		Cores:    2,
@@ -223,9 +276,7 @@ func wantViolation(t *testing.T, cfg Config, steps []Step, kind, substr string) 
 // load-value membership check (new invariant: data-value coherence)
 // catches it.
 func TestSeededBugWrongCompletionValue(t *testing.T) {
-	bug := proto.MustLookup("ghostwriter").Clone()
-	bug.L1[cache.Exclusive][proto.EvLoad][0].Actions =
-		[]proto.Action{proto.ACountLoadHit, proto.AMeterRead, proto.ATouch, proto.ACompleteWrite}
+	bug := seededBug("wrong-completion-value")
 	wantViolation(t, seqCfg(bug, 1),
 		[]Step{
 			{Core: 0, Op: Load, Addr: 0}, // miss: a0 granted Exclusive
@@ -242,8 +293,7 @@ func TestSeededBugWrongCompletionValue(t *testing.T) {
 // (new invariant: the coherent word must equal the last store) catches the
 // lost write, at the eviction step.
 func TestSeededBugLostWriteback(t *testing.T) {
-	bug := proto.MustLookup("ghostwriter").Clone()
-	bug.L1[cache.Exclusive][proto.EvStore][0].Next = proto.Stay
+	bug := seededBug("lost-writeback")
 	wantViolation(t, seqCfg(bug, 1),
 		[]Step{
 			{Core: 0, Op: Load, Addr: 0},  // a0 granted Exclusive
@@ -261,9 +311,7 @@ func TestSeededBugLostWriteback(t *testing.T) {
 // The pre-existing invariants audit only states and words, so this leak was
 // invisible; the no-stuck-pending check (new invariant: liveness) fails it.
 func TestSeededBugStuckDeferredForward(t *testing.T) {
-	bug := proto.MustLookup("ghostwriter").Clone()
-	bug.L1[cache.Modified][proto.EvFwdGETS][0].Actions =
-		[]proto.Action{proto.AServeFwd, proto.ADeferFwd}
+	bug := seededBug("stuck-deferred-forward")
 	wantViolation(t, seqCfg(bug, 2),
 		[]Step{
 			{Core: 0, Op: Store, Addr: 0}, // c0 owns a0 in M
@@ -279,9 +327,7 @@ func TestSeededBugStuckDeferredForward(t *testing.T) {
 // phantom-sharer check (new invariant: directory/cache state agreement)
 // fails it.
 func TestSeededBugPhantomSharer(t *testing.T) {
-	bug := proto.MustLookup("ghostwriter").Clone()
-	rules := bug.Dir.Rules(proto.DirShared, proto.EvPUTS)
-	bug.Dir[proto.DirShared][proto.EvPUTS-proto.EvGETS] = rules[1:] // keep only the stale-ack rule
+	bug := seededBug("phantom-sharer")
 	wantViolation(t, seqCfg(bug, 2),
 		[]Step{
 			{Core: 0, Op: Load, Addr: 0}, // c0: a0 Exclusive
@@ -299,8 +345,7 @@ func TestSeededBugPhantomSharer(t *testing.T) {
 // The clean-exclusivity check (new invariant: an E copy must match the
 // line it was granted from) catches the latent loss at quiescence.
 func TestSeededBugDirtyExclusive(t *testing.T) {
-	bug := proto.MustLookup("ghostwriter").Clone()
-	bug.L1[cache.Modified][proto.EvLoad][0].Next = cache.Exclusive
+	bug := seededBug("dirty-exclusive")
 	wantViolation(t, seqCfg(bug, 1),
 		[]Step{
 			{Core: 0, Op: Store, Addr: 0}, // a0 Modified, word dirty
@@ -316,8 +361,7 @@ func TestSeededBugDirtyExclusive(t *testing.T) {
 // agreement check (new invariant: residency accounting) notices the copy
 // that no entry accounts for.
 func TestSeededBugUncountedResidency(t *testing.T) {
-	bug := proto.MustLookup("ghostwriter").Clone()
-	bug.L1[cache.Shared][proto.EvLoad][0].Next = cache.GS
+	bug := seededBug("uncounted-residency")
 	wantViolation(t, seqCfg(bug, 2),
 		[]Step{
 			{Core: 0, Op: Load, Addr: 0}, // c0: a0 Exclusive
@@ -335,8 +379,7 @@ func TestSeededBugUncountedResidency(t *testing.T) {
 // comparator) rejects a far scribble that neither published nor landed on
 // a pre-existing residency.
 func TestSeededBugUnguardedEntry(t *testing.T) {
-	bug := proto.MustLookup("ghostwriter").Clone()
-	bug.L1[cache.Invalid][proto.EvScribble][0].Guards = nil
+	bug := seededBug("unguarded-entry")
 	wantViolation(t, seqCfg(bug, 2),
 		[]Step{
 			{Core: 0, Op: Load, Addr: 0},        // c0: a0 Exclusive
@@ -344,6 +387,41 @@ func TestSeededBugUnguardedEntry(t *testing.T) {
 			{Core: 0, Op: ScribbleFar, Addr: 0}, // absorbed into GI unchecked
 		},
 		"invariant", "neither published")
+}
+
+// TestSeededBugDoubleAck makes (S, Inv) acknowledge twice: the directory
+// counts the first ack, grants, and panics on the stray second one with the
+// grant still in flight. The run reports the panic as a violation instead
+// of crashing the sweep (invariant 7), and leaves events pending — the
+// failed testbed Explore must not rewind.
+func TestSeededBugDoubleAck(t *testing.T) {
+	bug := seededBug("double-inv-ack")
+	wantViolation(t, seqCfg(bug, 2),
+		[]Step{
+			{Core: 0, Op: Load, Addr: 0},  // c0: a0 Exclusive
+			{Core: 1, Op: Load, Addr: 0},  // downgrade: both Shared
+			{Core: 1, Op: Store, Addr: 0}, // UPGRADE: Inv to c0, acked twice
+		},
+		"panic", "stray InvAck")
+}
+
+// TestResetKeepsStorage pins the point of rewinding: after a schedule that
+// filled caches, created directory lines and evicted, reset allocates
+// nothing — every component rewinds in place.
+func TestResetKeepsStorage(t *testing.T) {
+	h := newHarness(seqCfg(proto.MustLookup("ghostwriter"), 2))
+	v := h.run([]Step{
+		{Core: 0, Op: Store, Addr: 0},
+		{Core: 1, Op: ScribbleNear, Addr: 0},
+		{Core: 0, Op: Load, Addr: 1},
+		{Core: 0, Op: Load, Addr: 2}, // evicts a0 from c0
+	})
+	if v != nil {
+		t.Fatal(v)
+	}
+	if n := testing.AllocsPerRun(10, h.reset); n != 0 {
+		t.Errorf("reset allocates %v objects, want 0", n)
+	}
 }
 
 // TestFingerprintDeterministic pins the classification oracle: the same

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"ghostwriter/internal/coherence"
@@ -13,7 +15,10 @@ import (
 // sequential issue and the scribble policy, the rest decode one step each,
 // up to 24 steps over 3 cores × 5 opcodes × 3 same-set addresses) and every
 // registered protocol must run it violation-free. Any violation here is a
-// real table bug or a checker false positive — both are failures.
+// real table bug or a checker false positive — both are failures. Each
+// input is also replayed on a testbed that first ran a different schedule
+// (the input reversed) and was rewound: Explore's rewind must hold beyond
+// the depths and issue orders the exhaustive differential enumerates.
 func FuzzCheckerSchedules(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3})
 	f.Add([]byte{1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41})
@@ -47,10 +52,23 @@ func FuzzCheckerSchedules(f *testing.F) {
 				Addr: k / (cores * int(NumOpcodes)),
 			}
 		}
+		reversed := slices.Clone(steps)
+		slices.Reverse(reversed)
 		for _, name := range proto.Names() {
 			cfg.Protocol = proto.MustLookup(name)
 			if v := RunSchedule(cfg, steps); v != nil {
 				t.Errorf("protocol %s: %s", name, v)
+			}
+			fresh, rewound := newHarness(cfg), newHarness(cfg)
+			if v := rewound.run(reversed); v != nil {
+				t.Errorf("protocol %s: %s", name, v)
+				continue // a failed testbed is not rewound
+			}
+			rewound.reset()
+			if vf, vr := fresh.run(steps), rewound.run(steps); !reflect.DeepEqual(vf, vr) {
+				t.Errorf("protocol %s: new testbed: %v, rewound testbed: %v", name, vf, vr)
+			} else if d := testbedDiff(fresh, rewound); vf == nil && d != "" {
+				t.Errorf("protocol %s: new vs rewound testbed: %s", name, d)
 			}
 		}
 	})

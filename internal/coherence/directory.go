@@ -155,7 +155,7 @@ type lineTable struct {
 	vals  []*dirLine
 	shift uint // 64 - log2(len(vals)), for Fibonacci hashing
 	n     int
-	all   []*dirLine // every line ever created, for whole-table scans
+	all   []*dirLine // every line ever created, for whole-table scans; all[:n] are in the table
 	chunk []dirLine  // arena tail lines are carved from
 }
 
@@ -192,16 +192,32 @@ func (t *lineTable) getOrCreate(a mem.Addr) *dirLine {
 		}
 		i = (i + 1) & mask
 	}
-	if len(t.chunk) == 0 {
-		t.chunk = make([]dirLine, lineChunk)
+	var e *dirLine
+	if t.n < len(t.all) {
+		e = t.all[t.n] // cleared by reset; reused in creation order
+	} else {
+		if len(t.chunk) == 0 {
+			t.chunk = make([]dirLine, lineChunk)
+		}
+		e = &t.chunk[0]
+		t.chunk = t.chunk[1:]
+		t.all = append(t.all, e)
 	}
-	e := &t.chunk[0]
-	t.chunk = t.chunk[1:]
 	e.owner = -1
 	t.keys[i], t.vals[i] = a, e
 	t.n++
-	t.all = append(t.all, e)
 	return e
+}
+
+// reset empties the table, keeping its slots and its lines: every line is
+// cleared and getOrCreate hands them out again, in creation order, before
+// carving new ones. No caller may still hold a line.
+func (t *lineTable) reset() {
+	for _, e := range t.all[:t.n] {
+		*e = dirLine{}
+	}
+	clear(t.vals)
+	t.n = 0
 }
 
 // grow doubles the table (initially 64 slots) and reinserts every entry.
@@ -225,6 +241,16 @@ func (t *lineTable) grow() {
 		}
 		t.keys[i], t.vals[i] = oldKeys[oi], v
 	}
+}
+
+// Reset returns a quiesced directory (no transaction in flight, no DRAM
+// access pending) to its just-constructed state: no line tracked, an empty
+// L2 bank. Wiring, configuration and the line storage are kept.
+func (d *Directory) Reset() {
+	d.lines.reset()
+	d.resident = d.resident[:0]
+	d.clock = 0
+	d.dead = d.dead[:0]
 }
 
 // Node returns the directory's mesh node.

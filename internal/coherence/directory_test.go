@@ -73,3 +73,51 @@ func TestEnsureSpaceCompactsEvictedLines(t *testing.T) {
 		t.Fatalf("%d lines hold data, %d are listed resident", held, capacity)
 	}
 }
+
+// TestDirectoryResetReusesLines: Reset forgets every block — state, data,
+// bank residency, the eviction clock — and the lines it cleared are handed
+// out again in the order they were first created, before any new line is
+// carved, so lines.all (what Quiesced scans) is what a new directory builds.
+func TestDirectoryResetReusesLines(t *testing.T) {
+	r := newRig(t, 2, false)
+	r.dir.cfg.CapacityBlocks = 2
+	addrs := []mem.Addr{0x000, 0x040, 0x080}
+	for i, a := range addrs {
+		r.do(t, i%2, OpStore, a, 4, uint64(i+1), -1) // the third fill evicts
+	}
+	if r.st.L2Recalls == 0 || r.dir.clock == 0 || len(r.dir.resident) == 0 {
+		t.Fatalf("the walk left the bank trivial: recalls=%d clock=%d resident=%#x",
+			r.st.L2Recalls, r.dir.clock, r.dir.resident)
+	}
+	created := append([]*dirLine(nil), r.dir.lines.all...)
+
+	r.dir.Reset()
+	if r.dir.lines.n != 0 || len(r.dir.resident) != 0 || r.dir.clock != 0 || len(r.dir.dead) != 0 {
+		t.Fatalf("after Reset: %d lines, resident=%#x clock=%d dead=%#x",
+			r.dir.lines.n, r.dir.resident, r.dir.clock, r.dir.dead)
+	}
+	for _, a := range addrs {
+		if _, ok := r.dir.LineData(a); ok || r.dir.State(a) != dirInvalid || r.dir.Owner(a) != -1 {
+			t.Fatalf("after Reset the directory still knows %#x", a)
+		}
+	}
+	if !r.dir.Quiesced() {
+		t.Fatal("a reset directory is not quiesced")
+	}
+	// New addresses, so reuse cannot be a lookup hit.
+	for i, want := range created {
+		got := r.dir.line(mem.Addr(0x1000 + 64*i))
+		if got != want {
+			t.Fatalf("line %d after Reset is not the line created %d-th before it", i, i)
+		}
+		if got.owner != -1 || got.state != dirInvalid || got.hasData || got.data != nil || got.busy || got.cur != nil {
+			t.Fatalf("reused line %d is not cleared: %+v", i, *got)
+		}
+	}
+	if n := len(r.dir.lines.all); n != len(created) {
+		t.Fatalf("reusing %d lines grew lines.all to %d", len(created), n)
+	}
+	if extra := r.dir.line(0x2000); len(r.dir.lines.all) != len(created)+1 || r.dir.lines.all[len(created)] != extra {
+		t.Fatal("the first line past the reused ones was not carved and appended")
+	}
+}

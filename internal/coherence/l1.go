@@ -226,6 +226,24 @@ func NewL1(id int, eng *sim.Engine, net *noc.Network, cfg L1Config,
 	return l
 }
 
+// Reset returns a quiesced controller (no core op, eviction or completion
+// in flight, sweep timer not pending) to its just-constructed state: an
+// empty array, every transaction field zeroed, the sweep stopped at the
+// configured period. Wiring, configuration and the bound callbacks are
+// kept.
+func (l *L1) Reset() {
+	l.arr.Reset()
+	l.giBlocks = 0
+	l.cur, l.curMsg, l.actVal = nil, nil, 0
+	l.invAfterFill, l.upgradeInvalidated = false, false
+	l.pendingFwd = nil
+	l.stopped = true
+	l.curTimeout = l.cfg.GITimeout
+	l.evActive, l.evAddr = false, 0
+	l.fillVictim, l.fillAddr, l.fillState, l.fillReq = nil, 0, 0, 0
+	l.pendingDone, l.pendingVal = nil, 0
+}
+
 // UsePool makes the controller draw its outbound messages from p (shared
 // machine-wide; see MsgPool for the ownership discipline). Without a pool
 // every message is a fresh allocation.

@@ -146,10 +146,12 @@ type Msg struct {
 }
 
 // MsgPool recycles Msg records. Each pool is only ever touched from one
-// goroutine at a time — the machine gives every mesh tile its own pool,
-// and a tile's components run on a single shard worker per window — so
-// the free list needs no locking. Records drift between pools as messages
-// cross tiles (the receiver frees into its own pool), which is harmless.
+// goroutine at a time — the machine gives every engine its own pool: one
+// for the whole machine when every tile aliases the single-shard engine,
+// one per tile in windowed mode, where a tile's components run on a single
+// shard worker per window — so the free list needs no locking. In windowed
+// mode records drift between pools as messages cross tiles (the receiver
+// frees into its own pool), which is harmless.
 // A nil *MsgPool is valid and degrades to plain allocation, which keeps
 // test rigs that build controllers directly working unchanged.
 //

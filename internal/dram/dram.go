@@ -40,6 +40,10 @@ func NewChannel(eng *sim.Engine, cfg Config, backing *mem.Memory, meter *energy.
 	return &Channel{cfg: cfg, eng: eng, mem: backing, meter: meter, st: st}
 }
 
+// Reset returns an idle channel (no access in flight) to its
+// just-constructed state: free at cycle 0.
+func (c *Channel) Reset() { c.free = 0 }
+
 // ReadBlock schedules a block read of size bytes at addr; done receives the
 // data at the completion cycle.
 func (c *Channel) ReadBlock(addr mem.Addr, size int, done func(data []byte)) {

@@ -203,21 +203,29 @@ func New(cfg Config) *Machine {
 	if cfg.L2PerCoreBytes > 0 {
 		dirCfg.CapacityBlocks = cfg.L2PerCoreBytes * cfg.Cores / len(cfg.DirNodes) / cfg.L1.BlockSize
 	}
-	// One message pool per mesh node: a tile's components allocate and
-	// free only from their own worker goroutine (the receiver frees, and a
+	// One message pool per engine: components allocate and free only from
+	// the goroutine that runs their engine (the receiver frees, and a
 	// delivered message belongs to the receiving tile), so the intrusive
-	// free lists stay lock-free. Records drift between pools as messages
-	// cross tiles, which is harmless — a pool is just a recycling bin.
-	pools := make([]*coherence.MsgPool, nodes)
-	for i := range pools {
-		pools[i] = &coherence.MsgPool{}
+	// free lists stay lock-free. On the single-shard fast path every tile
+	// aliases one engine and the machine has one recycling bin, so what the
+	// directories hand out comes back to where they draw from. In windowed
+	// mode each tile has its own engine and pool, and records drift between
+	// pools as messages cross tiles, which is harmless — a pool is just a
+	// recycling bin.
+	pools := make(map[*sim.Engine]*coherence.MsgPool)
+	poolAt := func(node int) *coherence.MsgPool {
+		eng := m.clu.Tile(node)
+		if pools[eng] == nil {
+			pools[eng] = &coherence.MsgPool{}
+		}
+		return pools[eng]
 	}
 	dirAt := make(map[noc.NodeID]*coherence.Directory)
 	for i, n := range m.dirNode {
 		eng, meter, st := m.clu.Tile(int(n)), m.tileMeters[n], m.tileStats[n]
 		ch := dram.NewChannel(eng, cfg.DRAM, m.backing, meter, st)
 		d := coherence.NewDirectory(i, n, eng, m.net, dirCfg, ch, meter, st)
-		d.UsePool(pools[n])
+		d.UsePool(poolAt(int(n)))
 		m.dirs = append(m.dirs, d)
 		dirAt[n] = d
 	}
@@ -236,7 +244,7 @@ func New(cfg Config) *Machine {
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		l1 := coherence.NewL1(i, m.clu.Tile(i), m.net, l1Cfg, home, m.tileMeters[i], m.tileStats[i])
-		l1.UsePool(pools[i])
+		l1.UsePool(poolAt(i))
 		m.l1s = append(m.l1s, l1)
 	}
 

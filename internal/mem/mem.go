@@ -45,6 +45,17 @@ type Memory struct {
 // New returns an empty memory.
 func New() *Memory { return &Memory{pages: make(map[Addr]*[pageSize]byte)} }
 
+// Reset returns the memory to all-zero contents, keeping its storage: every
+// touched page is zeroed and stays mapped, which reads exactly like a page
+// never written.
+func (m *Memory) Reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, p := range m.pages {
+		*p = [pageSize]byte{}
+	}
+}
+
 func (m *Memory) page(a Addr, create bool) *[pageSize]byte {
 	base := a &^ (pageSize - 1)
 	if m.lastPage != nil && base == m.lastBase {

@@ -140,6 +140,15 @@ func newNetwork(cfg Config) *Network {
 	}
 }
 
+// Reset returns an idle network (no message in flight) to its
+// just-constructed state: every link free at cycle 0, the per-link
+// utilization counters zeroed. Geometry and handlers are kept.
+func (n *Network) Reset() {
+	clear(n.linkFree)
+	clear(n.linkBusy)
+	clear(n.linkMsgs)
+}
+
 // Topology returns the network's topology model.
 func (n *Network) Topology() Topology { return n.topo }
 

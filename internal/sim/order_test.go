@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -263,11 +264,18 @@ func (d *diffRun) run(prog []byte) {
 	}
 }
 
-// diffProgram runs prog on the engine and on the reference model and
+// diffProgram runs prog on a new engine and on the reference model and
 // reports the first point where what a caller sees differs.
 func diffProgram(tb testing.TB, seed uint64, prog []byte, cov *tierCoverage) {
 	tb.Helper()
-	real := &diffRun{tb: tb, s: &Engine{}, seed: seed, cov: cov}
+	diffProgramOn(tb, &Engine{}, seed, prog, cov)
+}
+
+// diffProgramOn is diffProgram on the caller's engine, which must read as
+// new: at cycle 0 with nothing pending and nothing fired.
+func diffProgramOn(tb testing.TB, e *Engine, seed uint64, prog []byte, cov *tierCoverage) {
+	tb.Helper()
+	real := &diffRun{tb: tb, s: e, seed: seed, cov: cov}
 	real.run(prog)
 	ref := &diffRun{tb: tb, s: &refEngine{}, seed: seed}
 	ref.run(prog)
@@ -303,6 +311,57 @@ func TestEngineDifferential(t *testing.T) {
 	}
 	if !cov.heap || !cov.far || !cov.allThree || !cov.midEpochDeadline {
 		t.Errorf("programs did not reach every corner: %+v", cov)
+	}
+}
+
+// TestEngineResetDifferential runs the same programs on one engine, rewound
+// by Reset between them: with its recycled free list, its far array already
+// allocated and its heap slice grown, it must match the model from cycle 0
+// exactly as a new engine does.
+func TestEngineResetDifferential(t *testing.T) {
+	e := &Engine{}
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		prog := make([]byte, 2*(20+rng.Intn(200)))
+		rng.Read(prog)
+		diffProgramOn(t, e, seed, prog, nil)
+		e.Reset()
+		if e.Now() != 0 || e.Fired() != 0 || e.Pending() != 0 {
+			t.Fatalf("after Reset: now=%d fired=%d pending=%d", e.Now(), e.Fired(), e.Pending())
+		}
+	}
+	if e.far == nil || e.free == nil || cap(e.overflow) == 0 {
+		t.Errorf("the programs left no storage for Reset to keep: far=%v free=%v cap(overflow)=%d",
+			e.far != nil, e.free != nil, cap(e.overflow))
+	}
+}
+
+// TestEngineResetPendingPanics pins Reset's precondition in every tier: an
+// event left on the wheel, in a far slot or in the heap would sit at the
+// wrong distance from the rewound clock.
+func TestEngineResetPendingPanics(t *testing.T) {
+	for _, tc := range []struct {
+		tier  string
+		delay Cycle
+		held  func(e *Engine) int
+	}{
+		{"wheel", 3, func(e *Engine) int { return e.wheelCount }},
+		{"far", 1024, func(e *Engine) int { return e.farCount }},
+		{"heap", 1 << 20, func(e *Engine) int { return len(e.overflow) }},
+	} {
+		t.Run(tc.tier, func(t *testing.T) {
+			var e Engine
+			e.After(tc.delay, func() {})
+			if tc.held(&e) != 1 {
+				t.Fatalf("delay %d did not land in the %s tier", tc.delay, tc.tier)
+			}
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1 events pending") {
+					t.Fatalf("Reset with a pending %s event: recovered %v, want a pending-events panic", tc.tier, r)
+				}
+			}()
+			e.Reset()
+		})
 	}
 }
 

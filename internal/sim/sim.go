@@ -94,9 +94,10 @@ type Engine struct {
 	wheelCount int
 
 	// far is the level-2 wheel, allocated with the engine's first far
-	// event: engines that never schedule that far ahead — the model checker
-	// builds tens of thousands — neither clear nor carry it. The bitmap
-	// stays in the engine, next to the fields every schedule touches.
+	// event: an engine that never schedules that far ahead — the model
+	// checker's, one per exploration and rewound between schedules — never
+	// carries it. The bitmap stays in the engine, next to the fields every
+	// schedule touches.
 	far      *[wheelSize]farBucket
 	farOcc   [wheelWords]uint64 // occupancy bitmap over far
 	farCount int
@@ -138,6 +139,21 @@ func (e *Engine) SetLabel(label string) { e.label = label }
 // Fired returns the total number of events fired since construction (the
 // denominator of the events/sec throughput metric).
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// Reset rewinds a drained engine to cycle 0 with its sequence and fired
+// counters zeroed, keeping the label, the free list and the far array (and
+// minSched, which is the cluster's to manage). A drained engine's slots,
+// bitmaps and heap are already empty, so what runs next is
+// indistinguishable from a run on a new engine (record identity never
+// orders events). Resetting with events pending is a programming error and
+// panics: their cycles would lie at the wrong distance from the rewound
+// clock.
+func (e *Engine) Reset() {
+	if p := e.Pending(); p != 0 {
+		panic(fmt.Sprintf("sim: Reset with %d events pending", p))
+	}
+	e.now, e.seq, e.fired = 0, 0, 0
+}
 
 // alloc takes a record from the free list, growing it a chunk at a time.
 func (e *Engine) alloc() *event {
