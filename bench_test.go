@@ -86,58 +86,6 @@ func suiteResults(b *testing.B) []harness.SuiteResult {
 	return suiteCache
 }
 
-// BenchmarkSweep_SerialRunner measures the full Table 2 suite grid (6 apps
-// × d ∈ {0,4,8}) on a single worker — the pre-runner execution model and
-// the baseline for the parallel speedup.
-func BenchmarkSweep_SerialRunner(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.NewRunner(1).RunSuite(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweep_ParallelRunner measures the same grid fanned out across
-// all CPUs. Results are byte-identical to the serial run (the determinism
-// battery in internal/harness asserts this); only the wall clock changes.
-func BenchmarkSweep_ParallelRunner(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.NewRunner(0).RunSuite(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweep_WarmCache measures re-running the suite grid against a
-// warm on-disk result cache: every cell must be served without simulating.
-func BenchmarkSweep_WarmCache(b *testing.B) {
-	dir := b.TempDir()
-	prime, err := harness.OpenCache(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := harness.NewRunner(0)
-	r.Cache = prime
-	if _, err := r.RunSuite(benchOptions()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := harness.OpenCache(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		warm := harness.NewRunner(0)
-		warm.Cache = c
-		if _, err := warm.RunSuite(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
-		if warm.Simulated() != 0 {
-			b.Fatalf("warm cache still simulated %d cells", warm.Simulated())
-		}
-	}
-}
-
 // BenchmarkFig07_ApproxStateUtilization regenerates Fig. 7: the share of
 // would-be store misses on S/I serviced by GS/GI at d ∈ {4, 8}.
 func BenchmarkFig07_ApproxStateUtilization(b *testing.B) {
@@ -370,21 +318,6 @@ func runLinregWithPolicy(b *testing.B, p ghostwriter.ScribblePolicy) (cycles, ms
 // runAppWithPolicy mirrors harness.RunApp with an explicit policy.
 func runAppWithPolicy(name string, d int, p ghostwriter.ScribblePolicy) (harness.RunResult, error) {
 	return harness.RunAppPolicy(name, benchOptions(), d, p)
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed: simulated
-// cycles per wall second on the busiest workload.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	var total uint64
-	for i := 0; i < b.N; i++ {
-		r, err := harness.RunApp("linear_regression", benchOptions(), 8, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += r.Cycles
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "simcycles/s")
-	_ = fmt.Sprintf("%d", total)
 }
 
 // BenchmarkSensitivity_DDistance sweeps the d-distance on the headline

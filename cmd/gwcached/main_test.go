@@ -27,7 +27,7 @@ func TestServerRoundTripOnDisk(t *testing.T) {
 	var logBuf bytes.Buffer
 	log.SetOutput(&logBuf)
 	defer log.SetOutput(io.Discard)
-	ts := httptest.NewServer(logRequests(harness.NewCacheServer(cache)))
+	ts := httptest.NewServer(logRequests(harness.NewServer(harness.ServerConfig{Backend: cache})))
 	defer ts.Close()
 
 	want := harness.RunResult{App: "stub", Cycles: 1234}
@@ -71,7 +71,7 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(harness.NewCacheServer(cache))
+	ts := httptest.NewServer(harness.NewServer(harness.ServerConfig{Backend: cache}))
 	defer ts.Close()
 
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
@@ -113,7 +113,7 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(harness.NewCacheServer(cache))
+	ts := httptest.NewServer(harness.NewServer(harness.ServerConfig{Backend: cache}))
 	defer ts.Close()
 
 	for _, key := range []string{"x", "..", strings.Repeat("Z", 64)} {
@@ -145,7 +145,7 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 // TestServerHealthzContentType: probes get an explicit text Content-Type,
 // not Go's sniffed default.
 func TestServerHealthzContentType(t *testing.T) {
-	ts := httptest.NewServer(harness.NewCacheServer(harness.NewMemCache()))
+	ts := httptest.NewServer(harness.NewServer(harness.ServerConfig{Backend: harness.NewMemCache()}))
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -162,7 +162,7 @@ func TestServerHealthzContentType(t *testing.T) {
 // object, so monitoring scripts never special-case the status code.
 func TestServerStatsWithoutCounters(t *testing.T) {
 	backend := harness.NewTieredCache(harness.NewMemCache())
-	ts := httptest.NewServer(harness.NewCacheServer(backend))
+	ts := httptest.NewServer(harness.NewServer(harness.ServerConfig{Backend: backend}))
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -189,7 +189,7 @@ func TestServerRejectsEmptyResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(harness.NewCacheServer(cache))
+	ts := httptest.NewServer(harness.NewServer(harness.ServerConfig{Backend: cache}))
 	defer ts.Close()
 
 	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/cell/"+testKey, strings.NewReader("{}"))
@@ -215,7 +215,7 @@ func TestServerDispatchProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	disp := harness.NewDispatcher(harness.DefaultLeaseTTL)
-	ts := httptest.NewServer(harness.NewDispatchServer(cache, disp))
+	ts := httptest.NewServer(harness.NewServer(harness.ServerConfig{Backend: cache, Dispatcher: disp}))
 	defer ts.Close()
 	rc, err := harness.NewRemoteCache(harness.RemoteConfig{URL: ts.URL, Log: io.Discard})
 	if err != nil {

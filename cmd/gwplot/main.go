@@ -1,11 +1,9 @@
 // Command gwplot renders the paper's figures as terminal bar charts, either
 // from a JSON report produced by `gwsweep -json` or by running the
-// evaluation directly. With -bench it instead charts the simulator's own
-// performance trajectory across committed gwbench snapshots.
+// evaluation directly.
 //
 //	gwsweep -json report.json && gwplot -in report.json
 //	gwplot -threads 8            # run + plot in one go
-//	gwplot -bench 'BENCH_*.json' # host-performance trajectory across PRs
 package main
 
 import (
@@ -13,90 +11,25 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
-	"ghostwriter/internal/bench"
 	"ghostwriter/internal/harness"
 	"ghostwriter/internal/plot"
 )
 
 func main() {
 	var (
-		in       = flag.String("in", "", "JSON report from gwsweep -json (empty = run the evaluation now)")
-		scale    = flag.Int("scale", 1, "input scale when running the evaluation")
-		threads  = flag.Int("threads", 24, "threads when running the evaluation")
-		benchPat = flag.String("bench", "", "glob of gwbench snapshots (e.g. 'BENCH_*.json'); plots the performance trajectory instead of the paper figures")
+		in      = flag.String("in", "", "JSON report from gwsweep -json (empty = run the evaluation now)")
+		scale   = flag.Int("scale", 1, "input scale when running the evaluation")
+		threads = flag.Int("threads", 24, "threads when running the evaluation")
 	)
 	flag.Parse()
-	if *benchPat != "" {
-		if err := renderBench(os.Stdout, *benchPat); err != nil {
-			fmt.Fprintln(os.Stderr, "gwplot:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	rep, err := load(*in, harness.Options{Scale: *scale, Threads: *threads})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gwplot:", err)
 		os.Exit(1)
 	}
 	render(rep)
-}
-
-// renderBench charts the gwbench trajectory: one section per benchmark case,
-// with a bar per snapshot (in glob order — BENCH_1, BENCH_2, ... when the
-// convention is followed) for simulated-cycle throughput and allocations.
-func renderBench(w *os.File, pattern string) error {
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no snapshots match %q", pattern)
-	}
-	sort.Strings(paths)
-	var snaps []*bench.Snapshot
-	var names []string
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return err
-		}
-		var s bench.Snapshot
-		err = json.NewDecoder(f).Decode(&s)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		if s.Schema != bench.Schema {
-			return fmt.Errorf("%s: schema %q, want %q", p, s.Schema, bench.Schema)
-		}
-		snaps = append(snaps, &s)
-		names = append(names, filepath.Base(p))
-	}
-	// Case order of the newest snapshot; older snapshots may lack some cases.
-	last := snaps[len(snaps)-1]
-	fmt.Fprintf(w, "gwbench trajectory — %d snapshot(s), newest generated %s (%s/%s, %d CPUs)\n",
-		len(snaps), last.Generated, last.Host.OS, last.Host.Arch, last.Host.CPUs)
-	for _, r := range last.Results {
-		var thr, alloc []plot.Bar
-		for i, s := range snaps {
-			for _, sr := range s.Results {
-				if sr.Name != r.Name {
-					continue
-				}
-				thr = append(thr, plot.Bar{Label: names[i], Value: sr.SimCyclesPerSec / 1e6})
-				alloc = append(alloc, plot.Bar{Label: names[i], Value: float64(sr.AllocsPerOp)})
-			}
-		}
-		fmt.Fprintln(w)
-		plot.HBar(w, plot.Config{Title: r.Name + " — sim-cycle throughput", Unit: "Mcyc/s"}, thr)
-		if len(alloc) > 1 {
-			plot.HBar(w, plot.Config{Title: r.Name + " — allocations per run", Unit: "allocs"}, alloc)
-		}
-	}
-	return nil
 }
 
 func load(path string, opt harness.Options) (*harness.Report, error) {

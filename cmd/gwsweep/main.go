@@ -379,10 +379,6 @@ func run(r *harness.Runner, exp string, opt harness.Options) error {
 	return fmt.Errorf("unknown experiment %q", exp)
 }
 
-// parseShards resolves the -shards flag: "auto" means one shard worker per
-// host CPU (the simulated schedule is shard-count-invariant, so auto never
-// changes results, only wall-clock). Explicit counts must be positive; the
-// machine clamps them to the tile count.
 // splitURLs parses the -remote flag: comma-separated server URLs in
 // preference order, blanks dropped.
 func splitURLs(s string) []string {
@@ -395,6 +391,10 @@ func splitURLs(s string) []string {
 	return urls
 }
 
+// parseShards resolves the -shards flag: "auto" means one shard worker per
+// host CPU (the simulated schedule is shard-count-invariant, so auto never
+// changes results, only wall-clock). Explicit counts must be positive; the
+// machine clamps them to the tile count.
 func parseShards(s string) (int, error) {
 	if s == "auto" {
 		return runtime.GOMAXPROCS(0), nil

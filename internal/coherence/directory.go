@@ -38,7 +38,7 @@ type DirConfig struct {
 	// invalidation.
 	MigratoryOpt bool
 	// Proto is the transition-table protocol the directory interprets for
-	// request dispatch. When nil, "mesi" is used (the shipped protocols
+	// request dispatch. Required, not defaulted (the shipped protocols
 	// share one directory table: the Ghostwriter states are invisible at
 	// the directory).
 	Proto *proto.Protocol
@@ -126,7 +126,7 @@ type Directory struct {
 func NewDirectory(id int, node noc.NodeID, eng *sim.Engine, net *noc.Network,
 	cfg DirConfig, ch *dram.Channel, meter *energy.Meter, st *stats.Stats) *Directory {
 	if cfg.Proto == nil {
-		cfg.Proto = proto.MustLookup("mesi")
+		panic("coherence: NewDirectory: DirConfig.Proto is nil")
 	}
 	d := &Directory{
 		id:    id,

@@ -1,9 +1,12 @@
 package coherence
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ghostwriter/internal/mem"
+	"ghostwriter/internal/sim"
 )
 
 // TestEnsureSpaceBelowCapacityLeavesResidentAlone: with no evicted line to
@@ -119,5 +122,30 @@ func TestDirectoryResetReusesLines(t *testing.T) {
 	}
 	if extra := r.dir.line(0x2000); len(r.dir.lines.all) != len(created)+1 || r.dir.lines.all[len(created)] != extra {
 		t.Fatal("the first line past the reused ones was not carved and appended")
+	}
+}
+
+// panicText runs f and returns the message it panicked with ("" if it
+// returned).
+func panicText(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestNewDirectoryNilProtoPanics: the directory resolves no protocol name
+// itself (machine.New does), so a config without a table must fail at
+// construction with a message that names the field, not at the first
+// request with a nil dereference.
+func TestNewDirectoryNilProtoPanics(t *testing.T) {
+	msg := panicText(func() {
+		NewDirectory(0, 5, &sim.Engine{}, nil, DirConfig{Latency: 6, L2Latency: 10, BlockSize: 64}, nil, nil, nil)
+	})
+	if !strings.Contains(msg, "DirConfig.Proto") {
+		t.Fatalf("NewDirectory with a nil Proto panicked with %q, want a message naming DirConfig.Proto", msg)
 	}
 }

@@ -102,13 +102,9 @@ type L1Config struct {
 	HitLatency sim.Cycle // Table 1: 2 cycles
 	GITimeout  sim.Cycle // Table 1: 1024 cycles; 0 disables the sweep
 	// Proto is the transition-table protocol the controller interprets.
-	// When nil, the legacy Ghostwriter bool selects "ghostwriter" or
-	// "mesi" from the registry.
-	Proto *proto.Protocol
-	// Ghostwriter enables the GS/GI protocol when Proto is nil (legacy
-	// selector; false = baseline MESI).
-	Ghostwriter bool
-	Policy      ScribblePolicy
+	// Required: machine.New resolves the name, the checker holds a table.
+	Proto  *proto.Protocol
+	Policy ScribblePolicy
 	// ErrorBound caps the hidden writes absorbed during one GS/GI
 	// residency (§3.5's error-bounding extension, after Rumba-style
 	// runtime monitors): when a block has absorbed ErrorBound writes, the
@@ -201,11 +197,7 @@ type L1 struct {
 func NewL1(id int, eng *sim.Engine, net *noc.Network, cfg L1Config,
 	home func(mem.Addr) noc.NodeID, meter *energy.Meter, st *stats.Stats) *L1 {
 	if cfg.Proto == nil {
-		if cfg.Ghostwriter {
-			cfg.Proto = proto.MustLookup("ghostwriter")
-		} else {
-			cfg.Proto = proto.MustLookup("mesi")
-		}
+		panic("coherence: NewL1: L1Config.Proto is nil")
 	}
 	l := &L1{
 		id:    id,

@@ -1,9 +1,11 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"ghostwriter/internal/cache"
+	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/energy"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/noc"
@@ -23,7 +25,7 @@ func sweepL1(t *testing.T, giTimeout sim.Cycle, adaptive bool) *L1 {
 		Cache:             cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64},
 		HitLatency:        2,
 		GITimeout:         giTimeout,
-		Ghostwriter:       true,
+		Proto:             proto.MustLookup("ghostwriter"),
 		AdaptiveGITimeout: adaptive,
 	}, func(mem.Addr) noc.NodeID { return 5 }, meter, st)
 	l.UsePool(&MsgPool{})
@@ -115,5 +117,19 @@ func TestGISweepFixedWithoutAdaptive(t *testing.T) {
 	l.giSweep() // empty
 	if got := l.CurrentGITimeout(); got != 1024 {
 		t.Fatalf("timeout %d, want 1024", got)
+	}
+}
+
+// TestNewL1NilProtoPanics: an L1 resolves no protocol name itself
+// (machine.New does), so a config without a table must fail at
+// construction with a message that names the field.
+func TestNewL1NilProtoPanics(t *testing.T) {
+	msg := panicText(func() {
+		NewL1(0, &sim.Engine{}, nil, L1Config{
+			Cache: cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64},
+		}, func(mem.Addr) noc.NodeID { return 5 }, nil, nil)
+	})
+	if !strings.Contains(msg, "L1Config.Proto") {
+		t.Fatalf("NewL1 with a nil Proto panicked with %q, want a message naming L1Config.Proto", msg)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ghostwriter/internal/cache"
+	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/dram"
 	"ghostwriter/internal/energy"
 	"ghostwriter/internal/mem"
@@ -33,16 +34,21 @@ func newRig(t *testing.T, n int, gw bool) *rig {
 	r.net = noc.New(r.eng, noc.DefaultConfig(), meter, r.st)
 	dirNode := noc.NodeID(5)
 	ch := dram.NewChannel(r.eng, dram.DefaultConfig(), r.back, meter, r.st)
+	prot := proto.MustLookup("mesi")
+	if gw {
+		prot = proto.MustLookup("ghostwriter")
+	}
 	r.dir = NewDirectory(0, dirNode, r.eng, r.net, DirConfig{
 		Latency: 6, L2Latency: 10, BlockSize: 64,
+		Proto: prot,
 	}, ch, meter, r.st)
 	home := func(mem.Addr) noc.NodeID { return dirNode }
 	for i := 0; i < n; i++ {
 		r.l1s = append(r.l1s, NewL1(i, r.eng, r.net, L1Config{
-			Cache:       cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64},
-			HitLatency:  2,
-			GITimeout:   4096,
-			Ghostwriter: gw,
+			Cache:      cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64},
+			HitLatency: 2,
+			GITimeout:  4096,
+			Proto:      prot,
 		}, home, meter, r.st))
 	}
 	for node := 0; node < r.net.Nodes(); node++ {

@@ -88,7 +88,7 @@ func waitWorker(t *testing.T, name string, done chan workerResult) workerResult 
 func TestChaosWorkerKilledMidCellRecovers(t *testing.T) {
 	store := NewMemCache()
 	disp := NewDispatcher(150 * time.Millisecond)
-	ts := httptest.NewServer(NewDispatchServer(store, disp))
+	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store, Dispatcher: disp}))
 	defer ts.Close()
 	rc := newChaosClient(t, ts.URL)
 
@@ -249,7 +249,7 @@ func TestChaosServerRestartMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	ts := httptest.NewUnstartedServer(NewDispatchServer(cache1, NewDispatcher(250*time.Millisecond)))
+	ts := httptest.NewUnstartedServer(NewServer(ServerConfig{Backend: cache1, Dispatcher: NewDispatcher(250 * time.Millisecond)}))
 	ts.Listener.Close()
 	ts.Listener = ln
 	ts.Start()
@@ -307,7 +307,7 @@ func TestChaosServerRestartMidSweep(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	ts2 := httptest.NewUnstartedServer(NewDispatchServer(cache2, NewDispatcher(250*time.Millisecond)))
+	ts2 := httptest.NewUnstartedServer(NewServer(ServerConfig{Backend: cache2, Dispatcher: NewDispatcher(250 * time.Millisecond)}))
 	ts2.Listener.Close()
 	ts2.Listener = ln2
 	ts2.Start()
@@ -348,7 +348,7 @@ func TestChaosServerRestartMidSweep(t *testing.T) {
 func TestChaosCompleteAfterExpiryHTTP(t *testing.T) {
 	store := NewMemCache()
 	disp := NewDispatcher(40 * time.Millisecond)
-	ts := httptest.NewServer(NewDispatchServer(store, disp))
+	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store, Dispatcher: disp}))
 	defer ts.Close()
 	rc := newChaosClient(t, ts.URL)
 
@@ -397,7 +397,7 @@ func TestChaosCompleteAfterExpiryHTTP(t *testing.T) {
 func TestChaosSlowWorkerHeartbeatKeepsLease(t *testing.T) {
 	store := NewMemCache()
 	disp := NewDispatcher(250 * time.Millisecond)
-	ts := httptest.NewServer(NewDispatchServer(store, disp))
+	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store, Dispatcher: disp}))
 	defer ts.Close()
 	rc := newChaosClient(t, ts.URL)
 
@@ -429,7 +429,7 @@ func TestChaosSlowWorkerHeartbeatKeepsLease(t *testing.T) {
 // built without a dispatcher fail with ErrNoDispatcher — a clear operator
 // error, not a mysterious 404 retry loop.
 func TestDispatchAgainstCacheOnlyServer(t *testing.T) {
-	ts := httptest.NewServer(NewCacheServer(NewMemCache()))
+	ts := httptest.NewServer(NewServer(ServerConfig{Backend: NewMemCache()}))
 	defer ts.Close()
 	rc := newChaosClient(t, ts.URL)
 	if _, err := rc.SubmitSweep(manifestItems(1)); !errors.Is(err, ErrNoDispatcher) {

@@ -48,7 +48,7 @@ func TestRemoteCacheReadoptsRestartedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	ts := httptest.NewUnstartedServer(NewCacheServer(store))
+	ts := httptest.NewUnstartedServer(NewServer(ServerConfig{Backend: store}))
 	ts.Listener.Close()
 	ts.Listener = ln
 	ts.Start()
@@ -83,7 +83,7 @@ func TestRemoteCacheReadoptsRestartedServer(t *testing.T) {
 	}
 
 	// Bring it back on the same address: the prober must readopt it.
-	ts2 := restartOn(t, addr, NewCacheServer(store))
+	ts2 := restartOn(t, addr, NewServer(ServerConfig{Backend: store}))
 	defer ts2.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for rc.Degraded() {
@@ -106,8 +106,8 @@ func TestRemoteCacheReadoptsRestartedServer(t *testing.T) {
 // degradation, no lost sweep state (the store is shared).
 func TestRemoteCacheFailsOverToStandby(t *testing.T) {
 	store := NewMemCache() // shared: standby sees the primary's entries
-	primary := httptest.NewServer(NewCacheServer(store))
-	standby := httptest.NewServer(NewCacheServer(store))
+	primary := httptest.NewServer(NewServer(ServerConfig{Backend: store}))
+	standby := httptest.NewServer(NewServer(ServerConfig{Backend: store}))
 	defer standby.Close()
 
 	var logBuf bytes.Buffer
@@ -163,7 +163,7 @@ func TestDispatchHedgedFailover(t *testing.T) {
 	}))
 	defer wedged.Close()
 	defer close(release)
-	standby := httptest.NewServer(NewDispatchServer(NewMemCache(), NewDispatcher(time.Minute)))
+	standby := httptest.NewServer(NewServer(ServerConfig{Backend: NewMemCache(), Dispatcher: NewDispatcher(time.Minute)}))
 	defer standby.Close()
 
 	rc, err := NewRemoteCache(RemoteConfig{

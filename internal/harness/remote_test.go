@@ -15,7 +15,7 @@ import (
 func newTestRemote(t *testing.T) (*httptest.Server, *MemCache, *RemoteCache) {
 	t.Helper()
 	store := NewMemCache()
-	ts := httptest.NewServer(NewCacheServer(store))
+	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store}))
 	t.Cleanup(ts.Close)
 	rc, err := NewRemoteCache(RemoteConfig{
 		URL:     ts.URL,
@@ -119,7 +119,7 @@ func TestRemoteCacheUnreachableDegradesOnce(t *testing.T) {
 // with backoff until the server recovers within the retry budget.
 func TestRemoteCacheRetriesFlakyServer(t *testing.T) {
 	store := NewMemCache()
-	inner := NewCacheServer(store)
+	inner := NewServer(ServerConfig{Backend: store})
 	var attempts atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if attempts.Add(1) <= 2 {

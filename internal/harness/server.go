@@ -156,25 +156,16 @@ type HeartbeatResponse struct {
 	TTLMS   int64    `json:"ttlMs"`
 }
 
-// NewCacheServer returns the storage-only gwcached HTTP handler: a
-// content-addressed key→result store over backend. The protocol is two
-// verbs on one resource —
+// NewServer builds the gwcached handler from cfg: a content-addressed
+// key→result store over cfg.Backend —
 //
 //	GET  /v1/cell/<key>  → 200 + RunResult JSON, or 404
 //	PUT  /v1/cell/<key>  → 204 on store, 400 on malformed key/body
+//	GET  /v1/stats       → backend counters (zeros when it tracks none)
+//	GET  /healthz        → load-balancer probe
 //
-// plus GET /v1/stats (backend counters; zero counters when the backend
-// tracks none) and GET /healthz for load-balancer probes. Keys are
-// validated to the Spec.Key() shape at the boundary, and PUT bodies must
-// decode as a non-empty RunResult, so a buggy or hostile client can plant
-// neither undecodable entries nor vacuous all-zero results the whole fleet
-// would then trust.
-func NewCacheServer(backend CacheBackend) http.Handler {
-	return NewServer(ServerConfig{Backend: backend})
-}
-
-// NewDispatchServer is NewCacheServer plus the fleet work-dispatch
-// protocol over d (skipped when d is nil):
+// and, when a (possibly durable) dispatcher is configured, the fleet
+// work-dispatch protocol —
 //
 //	POST /v1/sweep      → submit a grid manifest (cells not already stored
 //	                      are queued; cached ones are marked done)
@@ -182,18 +173,14 @@ func NewCacheServer(backend CacheBackend) http.Handler {
 //	POST /v1/heartbeat  → renew leases mid-simulation
 //	GET  /v1/sweep      → sweep status counters
 //
-// Completion needs no endpoint of its own: the existing idempotent
-// PUT /v1/cell/<key> both stores the result and marks the cell done, so
-// at-least-once execution (a lease can expire and redispatch a cell that
-// is still being simulated) converges on exactly-once-observable results.
-func NewDispatchServer(backend CacheBackend, d *Dispatcher) http.Handler {
-	return NewServer(ServerConfig{Backend: backend, Dispatcher: d})
-}
-
-// NewServer builds the gwcached handler from cfg — the storage protocol
-// over cfg.Backend, the dispatch protocol when a (possibly durable)
-// dispatcher is configured, the drain gate, and the fault-injection
-// middleware. With cfg.Durable, the handler persists the WAL on the three
+// plus the drain gate and the fault-injection middleware. Keys are
+// validated to the Spec.Key() shape and PUT bodies must decode as a
+// non-empty RunResult, so no client can plant undecodable or all-zero
+// results the fleet would then trust. Completion has no endpoint of its
+// own: the idempotent PUT both stores the result and marks the cell done,
+// so at-least-once execution (a lease can expire and redispatch a cell
+// still being simulated) converges on exactly-once-observable results.
+// With cfg.Durable, the handler persists the WAL on the three
 // boundaries a client acts on: a submission is acknowledged only once its
 // cells are durable, a claim only once its leases are (so a restarted
 // server re-grants rather than double-dispatches them), and a completion

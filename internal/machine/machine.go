@@ -234,7 +234,6 @@ func New(cfg Config) *Machine {
 		Cache:             cfg.L1,
 		HitLatency:        cfg.L1HitLatency,
 		GITimeout:         cfg.GITimeout,
-		Ghostwriter:       cfg.Ghostwriter,
 		Proto:             prot,
 		Policy:            cfg.Policy,
 		ErrorBound:        cfg.ErrorBound,

@@ -78,24 +78,3 @@ func HBar(w io.Writer, cfg Config, bars []Bar) {
 		fmt.Fprintf(w, "%-*s │%-*s│ %.2f%s\n", labelW, b.Label, cfg.Width, sb.String(), b.Value, cfg.Unit)
 	}
 }
-
-// Grouped renders one chart per group label, sharing a scale across groups
-// so bars are visually comparable.
-func Grouped(w io.Writer, cfg Config, groups []string, series map[string][]Bar) {
-	lo, hi := cfg.Min, cfg.Max
-	if lo == 0 && hi == 0 {
-		for _, bars := range series {
-			for _, b := range bars {
-				lo = math.Min(lo, b.Value)
-				hi = math.Max(hi, b.Value)
-			}
-		}
-	}
-	cfg.Min, cfg.Max = lo, hi
-	title := cfg.Title
-	for _, g := range groups {
-		cfg.Title = title + " — " + g
-		HBar(w, cfg, series[g])
-		fmt.Fprintln(w)
-	}
-}

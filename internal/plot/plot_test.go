@@ -58,28 +58,3 @@ func TestHBarDegenerateScale(t *testing.T) {
 		t.Error("all-zero data must still render")
 	}
 }
-
-func TestGroupedSharesScale(t *testing.T) {
-	var buf bytes.Buffer
-	Grouped(&buf, Config{Title: "t", Width: 10}, []string{"g1", "g2"}, map[string][]Bar{
-		"g1": {{"x", 100}},
-		"g2": {{"y", 50}},
-	})
-	out := buf.String()
-	if !strings.Contains(out, "t — g1") || !strings.Contains(out, "t — g2") {
-		t.Fatal("group titles missing")
-	}
-	lines := strings.Split(out, "\n")
-	var xCells, yCells int
-	for _, l := range lines {
-		if strings.HasPrefix(l, "x") {
-			xCells = strings.Count(l, "█")
-		}
-		if strings.HasPrefix(l, "y") {
-			yCells = strings.Count(l, "█")
-		}
-	}
-	if xCells != 10 || yCells != 5 {
-		t.Fatalf("shared scale broken: x=%d y=%d", xCells, yCells)
-	}
-}

@@ -171,10 +171,7 @@ type Cluster struct {
 // every tile aliases one shared engine and the window machinery reduces to
 // fused runTo drains (see the package comment and DESIGN.md §12.7).
 func NewCluster(tiles int, lookahead Cycle, shards int) *Cluster {
-	if shards > tiles {
-		shards = tiles
-	}
-	return newCluster(tiles, lookahead, shards, shards <= 1)
+	return newCluster(tiles, lookahead, shards, true)
 }
 
 // newCluster is NewCluster with the fast path explicitly selectable, so

@@ -49,7 +49,7 @@ type Stats struct {
 
 	// Events is the total number of discrete events the engine fired over
 	// the run, drain included (set by the machine; the events/sec
-	// denominator of the gwbench throughput metrics).
+	// denominator of throughput figures and part of every fingerprint).
 	Events uint64
 
 	// Msgs counts coherence messages injected into the NoC, by class.
