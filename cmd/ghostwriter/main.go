@@ -52,7 +52,7 @@ func realMain() int {
 		migOpt  = flag.Bool("migratory", false, "enable the Stenström-style migratory optimization in the base protocol")
 		bound   = flag.Uint("bound", 0, "error-bound monitor: max hidden writes per GS/GI residency (0 = off)")
 		adaptGI = flag.Bool("adaptive-gi", false, "let each controller adapt its GI sweep period")
-		shards  = flag.String("shards", "auto", "simulator shard workers: a count, or auto = all host CPUs (results are identical for every value)")
+		shards  = flag.String("shards", defaultShards, "engine per simulated machine: 1 = shared-wheel engine (fastest on every host measured); N > 1 or auto (= GOMAXPROCS) = windowed engine with N drain workers; results are identical for every value")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -145,8 +145,11 @@ type extraKnobs struct {
 	nodes                      int
 }
 
+// defaultShards is -shards' default: the shared-wheel engine, one per cell.
+const defaultShards = "1"
+
 // parseShards resolves the -shards flag: "auto" means one shard worker per
-// host CPU (the simulated schedule is shard-count-invariant, so auto never
+// host CPU (the simulated schedule is shard-count-invariant, so no value
 // changes results, only wall-clock). Explicit counts must be positive; the
 // machine clamps them to the tile count.
 func parseShards(s string) (int, error) {

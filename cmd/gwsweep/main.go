@@ -65,8 +65,8 @@ func realMain() int {
 		protocol = flag.String("protocol", "", "coherence protocol table for every cell: mesi|ghostwriter|gw-noGI (empty = d-distance decides)")
 		topo     = flag.String("topo", "", "interconnect topology for every cell: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
 		nodes    = flag.Int("nodes", 0, "interconnect node count (0 = the Table 1 24; mesh/torus fold it into the most square grid)")
-		jobs     = flag.Int("jobs", 0, "parallel simulation workers (0 = all CPUs)")
-		shards   = flag.String("shards", "auto", "shard workers per simulated machine: a count, or auto = all host CPUs (results are identical for every value)")
+		jobs     = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+		shards   = flag.String("shards", defaultShards, "engine per simulated machine: 1 = shared-wheel engine (fastest on every host measured); N > 1 or auto (= GOMAXPROCS) = windowed engine with N drain workers; results and cache keys are identical for every value")
 		cacheDir = flag.String("cache", harness.DefaultCacheDir, "result cache directory")
 		noCache  = flag.Bool("nocache", false, "disable the on-disk result cache")
 		remote   = flag.String("remote", "", "comma-separated gwcached base URLs in preference order (e.g. http://primary:8344,http://standby:8344); the client fails over and readopts automatically")
@@ -391,8 +391,11 @@ func splitURLs(s string) []string {
 	return urls
 }
 
+// defaultShards is -shards' default: the shared-wheel engine, one per cell.
+const defaultShards = "1"
+
 // parseShards resolves the -shards flag: "auto" means one shard worker per
-// host CPU (the simulated schedule is shard-count-invariant, so auto never
+// host CPU (the simulated schedule is shard-count-invariant, so no value
 // changes results, only wall-clock). Explicit counts must be positive; the
 // machine clamps them to the tile count.
 func parseShards(s string) (int, error) {

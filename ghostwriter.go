@@ -179,8 +179,8 @@ type Config struct {
 	// Shards is the number of host worker goroutines that drain the
 	// sharded simulator's per-tile timing wheels (0 or 1 = sequential).
 	// Purely a host-parallelism knob: results are bit-identical for every
-	// value (see DESIGN.md §12). Omitted from JSON when zero so cache keys
-	// minted before sharding stay valid.
+	// value (see DESIGN.md §12), so harness.Spec.Key zeroes it before
+	// hashing; omitempty makes that the key minted before sharding.
 	Shards int `json:"Shards,omitempty"`
 }
 

@@ -33,8 +33,8 @@ type Options struct {
 	// baseline.
 	Protocol string
 	// Shards is the host-parallelism degree of each simulated machine's
-	// sharded engine (0 = sequential). Simulation results are
-	// shard-count-invariant; this only trades host cores for wall-clock.
+	// sharded engine (0 = sequential, the shared-wheel fast path).
+	// Simulation results and cache keys are shard-count-invariant.
 	Shards int
 	// Topo names the interconnect topology every cell runs on ("mesh",
 	// "ring", "torus", "xbar"). Empty keeps the Table 1 6x4 mesh.

@@ -60,10 +60,10 @@ type CellTiming struct {
 // with repeated cells costs one simulation per distinct Spec even before
 // the memo is populated.
 //
-// The zero value runs on runtime.NumCPU() workers with no disk cache and no
+// The zero value runs on GOMAXPROCS workers with no disk cache and no
 // progress output.
 type Runner struct {
-	// Jobs is the worker count; values <= 0 select runtime.NumCPU().
+	// Jobs is the worker count; values <= 0 select runtime.GOMAXPROCS(0).
 	Jobs int
 	// Cache, when non-nil, persists results across processes (and, for
 	// remote-backed tiers, across hosts).
@@ -103,7 +103,7 @@ type inflightCell struct {
 	err  error
 }
 
-// NewRunner returns a Runner with the given worker count (0 = all CPUs).
+// NewRunner returns a Runner with the given worker count (0 = GOMAXPROCS).
 func NewRunner(jobs int) *Runner { return &Runner{Jobs: jobs} }
 
 // workers returns the effective worker-pool size.
@@ -111,7 +111,7 @@ func (r *Runner) workers() int {
 	if r.Jobs > 0 {
 		return r.Jobs
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // Simulated returns how many cells this Runner simulated to completion.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -121,6 +122,19 @@ func stubJobs(n int) []Job {
 		}
 	}
 	return jobs
+}
+
+// TestRunnerWorkersFollowGOMAXPROCS: the default pool is one simulation per
+// schedulable P, not per physical core — under GOMAXPROCS=1 (or a CPU
+// quota) a sweep must not start NumCPU cells on one P.
+func TestRunnerWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := NewRunner(0).workers(); got != 1 {
+		t.Errorf("workers() = %d under GOMAXPROCS=1, want 1", got)
+	}
+	if got := NewRunner(3).workers(); got != 3 {
+		t.Errorf("workers() = %d with Jobs=3, want 3", got)
+	}
 }
 
 // TestRunnerPanicRecovery: a panicking cell must surface as that cell's

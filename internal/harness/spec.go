@@ -41,11 +41,9 @@ type Spec struct {
 	// old-format key (no protocol field) means exactly the legacy rule.
 	Protocol string `json:"protocol,omitempty"`
 	// Shards is the host-parallelism degree of the sharded simulator
-	// (0 = sequential). Results are shard-count-invariant, but the knob is
-	// still part of the key — the key's contract is "any field change
-	// produces a different key", and keeping it is what the differential
-	// determinism tests verify against. Omitted when zero so pre-sharding
-	// cache keys stay valid.
+	// (0 = sequential). It selects the engine (see effective) and travels
+	// to fleet workers, but results are shard-count-invariant (DESIGN.md
+	// §12), so Key ignores it: a cell has one cache key at every value.
 	Shards int `json:"shards,omitempty"`
 	// Topo names the interconnect topology ("mesh", "ring", "torus",
 	// "xbar") and Nodes its node count. Empty/zero keep the Table 1 6x4
@@ -120,15 +118,19 @@ type keyMaterial struct {
 // Key returns the content-addressed result-cache key of the cell: a
 // SHA-256 over the code version, the workload spec, and the full derived
 // machine.Config, hex-encoded. Equal Specs on equal code produce equal
-// keys; any field change produces a different key (cachekey_test.go holds
-// the litmus battery and golden hashes guarding this).
+// keys; any field change produces a different key, except the
+// execution-only shard count, which produces the same one (cachekey_test.go
+// holds the litmus battery and golden hashes guarding both).
 func (s Spec) Key() string {
 	return hashKey(codeVersion, s, s.effective().MachineConfig())
 }
 
 // hashKey is Key with every input explicit, so tests can perturb the
-// machine configuration independently of the spec.
+// machine configuration independently of the spec. The shard count is
+// zeroed in all three places it appears: it picks the engine, never the
+// result, and being omitempty it leaves the pre-sharding key.
 func hashKey(version string, s Spec, mc machine.Config) string {
+	s.Shards, s.Config.Shards, mc.Shards = 0, 0, 0
 	b, err := json.Marshal(keyMaterial{Version: version, Spec: s, Machine: mc})
 	if err != nil {
 		// All key fields are plain exported data; failure here is a

@@ -9,9 +9,11 @@ import (
 // RunResult.Window, the shard count selects the scheduler, and the
 // runner-level summary aggregates across cells. The counters are
 // host-dependent by design, so nothing here asserts magnitudes — only
-// liveness and mode selection.
+// liveness and mode selection. The two shard modes share one cache key, so
+// each gets its own Runner (one Runner would memo-hit the second) and the
+// summary is asserted on their sum.
 func TestWindowStatsFlow(t *testing.T) {
-	r := NewRunner(1)
+	r, rs := NewRunner(1), NewRunner(1)
 
 	opt := fastOptions()
 	res, err := r.RunApp("bad_dot_product", opt, 4, false)
@@ -26,7 +28,7 @@ func TestWindowStatsFlow(t *testing.T) {
 	}
 
 	opt.Shards = 4
-	sharded, err := r.RunApp("bad_dot_product", opt, 4, false)
+	sharded, err := rs.RunApp("bad_dot_product", opt, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,30 +42,33 @@ func TestWindowStatsFlow(t *testing.T) {
 			res.Window, sharded.Window)
 	}
 
-	sum := r.WindowSummary()
-	if sum.Cells != 2 {
-		t.Fatalf("WindowSummary.Cells = %d, want 2", sum.Cells)
+	fast, win := r.WindowSummary(), rs.WindowSummary()
+	if got := fast.Cells + win.Cells; got != 2 {
+		t.Fatalf("WindowSummary.Cells sum to %d, want 2", got)
 	}
-	if sum.FastCells != 1 {
-		t.Errorf("WindowSummary.FastCells = %d, want 1", sum.FastCells)
+	if fast.FastCells != 1 || win.FastCells != 0 {
+		t.Errorf("WindowSummary.FastCells = %d (unsharded) + %d (shards=4), want 1 + 0", fast.FastCells, win.FastCells)
 	}
-	if want := res.Window.Windows + sharded.Window.Windows; sum.Windows != want {
-		t.Errorf("WindowSummary.Windows = %d, want %d", sum.Windows, want)
+	if want := res.Window.Windows + sharded.Window.Windows; fast.Windows+win.Windows != want {
+		t.Errorf("WindowSummary.Windows sum to %d, want %d", fast.Windows+win.Windows, want)
 	}
-	if sum.Events == 0 || sum.MaxWindow == 0 {
-		t.Errorf("summary counters dead: %+v", sum)
+	if win.Events == 0 || win.MaxWindow == 0 {
+		t.Errorf("summary counters dead: %+v", win)
 	}
-	if sum.EventsPerWindow() <= 0 {
-		t.Errorf("EventsPerWindow = %v, want > 0", sum.EventsPerWindow())
+	if win.EventsPerWindow() <= 0 {
+		t.Errorf("EventsPerWindow = %v, want > 0", win.EventsPerWindow())
 	}
 
 	// A memoized re-run must not inflate the aggregate: the cache hit
-	// reports a zero Window (no simulation happened), which is accurate.
-	if _, err := r.RunApp("bad_dot_product", opt, 4, false); err != nil {
-		t.Fatal(err)
-	}
-	again := r.WindowSummary()
-	if again != sum {
-		t.Errorf("cache hit changed the summary:\n before %+v\n after  %+v", sum, again)
+	// reports a zero Window (no simulation happened), which is accurate —
+	// and the memo is keyed shard-free, so the other mode's Spec hits too.
+	for _, run := range []*Runner{r, rs} {
+		before := run.WindowSummary()
+		if _, err := run.RunApp("bad_dot_product", opt, 4, false); err != nil {
+			t.Fatal(err)
+		}
+		if again := run.WindowSummary(); again != before {
+			t.Errorf("cache hit changed the summary:\n before %+v\n after  %+v", before, again)
+		}
 	}
 }

@@ -78,8 +78,8 @@ type Config struct {
 	// caller's goroutine drains everything itself. The simulated schedule
 	// — every cycle count, every stat, every byte of output — is
 	// shard-count-invariant by construction (see DESIGN.md §12), so this
-	// is purely a host-parallelism knob. Omitted from JSON when zero so
-	// pre-sharding cache keys stay valid.
+	// is purely a host-parallelism knob and the harness cache key zeroes
+	// it before hashing; omitempty makes that the pre-sharding key.
 	Shards int `json:",omitempty"`
 }
 
