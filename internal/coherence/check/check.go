@@ -42,11 +42,14 @@
 // the whole sweep fits in a CI smoke job. Result.Fingerprint
 // digests the architectural outcome of a violation-free sweep; the mutation
 // runner (internal/coherence/mutate) compares it against the golden
-// protocol's to detect behaviourally equivalent mutants.
+// protocol's to detect behaviourally equivalent mutants, and consults
+// Result.Reach — the table rows the sweep dispatched — to skip sweeps that
+// cannot tell a mutant from the golden protocol at all.
 package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ghostwriter/internal/approx"
@@ -171,6 +174,9 @@ func (v Violation) String() string {
 // Fingerprints from sequential sweeps are race-free and comparable across
 // protocol variants; concurrent sweeps embed race outcomes, which are
 // timing-sensitive, so only compare them between identical tables.
+//
+// Reach is coverage of the tables themselves: which (state, event) rows the
+// sweep's schedules dispatched.
 type Result struct {
 	Schedules   int
 	Violations  []Violation
@@ -178,6 +184,60 @@ type Result struct {
 	GIEntries   uint64
 	Fallbacks   uint64
 	Fingerprint uint64
+	Reach       Reach
+}
+
+// Reach marks the table rows an exploration dispatched: L1[s][e] is set once
+// any L1 looks up row (s, e), Dir[s][e] once the directory does (e counted
+// from EvGETS, as proto.DirTable indexes it) — whether or not the table
+// defines the row. A schedule runs identically under two tables that differ
+// only in rows it never dispatches, which is what lets the mutation runner
+// skip a sweep that cannot see a mutant.
+type Reach struct {
+	L1  [proto.NumL1States][proto.NumL1Events]bool
+	Dir [proto.NumDirStates][proto.NumDirEvents]bool
+}
+
+// Add marks in r every row o marks.
+func (r *Reach) Add(o *Reach) {
+	for s := range o.L1 {
+		for e, hit := range o.L1[s] {
+			r.L1[s][e] = r.L1[s][e] || hit
+		}
+	}
+	for s := range o.Dir {
+		for e, hit := range o.Dir[s] {
+			r.Dir[s][e] = r.Dir[s][e] || hit
+		}
+	}
+}
+
+// Unreached names, in table order, the rows p defines that r does not mark
+// ("GS/Load", "DS/PUTS"), and counts the rows p defines.
+func (r *Reach) Unreached(p *proto.Protocol) (rows []string, defined int) {
+	for s := range p.L1 {
+		for e, rules := range p.L1[s] {
+			if rules == nil {
+				continue
+			}
+			defined++
+			if !r.L1[s][e] {
+				rows = append(rows, fmt.Sprintf("%s/%v", proto.L1StateName(cache.State(s)), proto.Event(e)))
+			}
+		}
+	}
+	for s := range p.Dir {
+		for e, rules := range p.Dir[s] {
+			if rules == nil {
+				continue
+			}
+			defined++
+			if !r.Dir[s][e] {
+				rows = append(rows, fmt.Sprintf("%v/%v", proto.DirState(s), proto.EvGETS+proto.Event(e)))
+			}
+		}
+	}
+	return rows, defined
 }
 
 // CoverageErr reports an error when the sweep never entered an approximate
@@ -241,7 +301,7 @@ func Explore(cfg Config) Result {
 	for idx := 0; idx < total; idx++ {
 		cfg.schedule(idx, steps)
 		if h == nil {
-			h = newHarness(cfg)
+			h = newHarness(cfg, &res.Reach)
 		} else {
 			h.reset()
 		}
@@ -267,7 +327,7 @@ func Explore(cfg Config) Result {
 // returns its violation, if any. This is the fuzzing entry point: issue
 // orders and depths beyond the exhaustive enumeration come in here.
 func RunSchedule(cfg Config, steps []Step) *Violation {
-	h := newHarness(cfg)
+	h := newHarness(cfg, &Reach{})
 	if v := h.run(steps); v != nil {
 		v.Schedule = append([]Step(nil), steps...)
 		return v
@@ -320,9 +380,13 @@ type harness struct {
 	// still in flight).
 	coreBusy []bool
 	// ops holds each core's operation record: a blocking core has one
-	// outstanding, so issue overwrites it in place.
-	ops     []coherence.CoreOp
-	missing []string
+	// outstanding, so issue overwrites it in place. inflight is the schedule
+	// step that record carries, and doneFns the core's completion callback,
+	// bound once here rather than per issue.
+	ops      []coherence.CoreOp
+	inflight []issuedStep
+	doneFns  []func(uint64)
+	missing  []string
 	// written logs every value the schedule stored or scribbled per address
 	// index, seeded with the address's initial value. Valid cached words
 	// must come from here.
@@ -349,23 +413,40 @@ type harness struct {
 	// sequential step, so the per-step audit can tie a counted entry to the
 	// copy it must have installed.
 	prevGS, prevGI uint64
+	// sharers is checkQuiescent's scratch list of one block's read copies.
+	sharers []int
 }
 
-func newHarness(cfg Config) *harness {
+// issuedStep is a schedule step in flight at a core.
+type issuedStep struct {
+	step Step
+	idx  int
+}
+
+// newHarness builds a testbed whose controllers mark every table row they
+// dispatch in reach. The controllers share one message pool, as a machine's
+// do: a quiesced testbed has handed every message back, so a rewound one
+// sends from the pool instead of allocating, and a testbed dropped after a
+// violation takes its pool — and whatever a half-run schedule left out of
+// it — along.
+func newHarness(cfg Config, reach *Reach) *harness {
 	h := &harness{cfg: cfg, eng: &sim.Engine{}, st: &stats.Stats{}, meter: &energy.Meter{}, back: mem.New()}
 	h.net = noc.New(h.eng, noc.DefaultConfig(), h.meter, h.st)
 	h.ch = dram.NewChannel(h.eng, dram.DefaultConfig(), h.back, h.meter, h.st)
+	pool := &coherence.MsgPool{}
 	h.dir = coherence.NewDirectory(0, dirNode, h.eng, h.net, coherence.DirConfig{
 		Latency: 6, L2Latency: 10, BlockSize: 64,
 		Proto: cfg.Protocol,
 		OnMissing: func(s proto.DirState, ev proto.Event) {
 			h.missing = append(h.missing, fmt.Sprintf("dir: %v/%v", s, ev))
 		},
+		OnDispatch: func(s proto.DirState, ev proto.Event) { reach.Dir[s][ev-proto.EvGETS] = true },
 	}, h.ch, h.meter, h.st)
+	h.dir.UsePool(pool)
 	home := func(mem.Addr) noc.NodeID { return dirNode }
 	for i := 0; i < cfg.Cores; i++ {
 		i := i
-		h.l1s = append(h.l1s, coherence.NewL1(i, h.eng, h.net, coherence.L1Config{
+		l1 := coherence.NewL1(i, h.eng, h.net, coherence.L1Config{
 			Cache:      cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64},
 			HitLatency: 2,
 			Proto:      cfg.Protocol,
@@ -373,7 +454,11 @@ func newHarness(cfg Config) *harness {
 			OnMissing: func(s cache.State, ev proto.Event) {
 				h.missing = append(h.missing, fmt.Sprintf("l1 %d: %v/%v", i, proto.L1StateName(s), ev))
 			},
-		}, home, h.meter, h.st))
+			OnDispatch: func(s cache.State, ev proto.Event) { reach.L1[s][ev] = true },
+		}, home, h.meter, h.st)
+		l1.UsePool(pool)
+		h.l1s = append(h.l1s, l1)
+		h.doneFns = append(h.doneFns, func(val uint64) { h.opDone(i, val) })
 	}
 	for node := 0; node < h.net.Nodes(); node++ {
 		node := noc.NodeID(node)
@@ -391,6 +476,8 @@ func newHarness(cfg Config) *harness {
 	h.approxStored = make([]bool, len(cfg.Addrs))
 	h.coreBusy = make([]bool, cfg.Cores)
 	h.ops = make([]coherence.CoreOp, cfg.Cores)
+	h.inflight = make([]issuedStep, cfg.Cores)
+	h.sharers = make([]int, 0, cfg.Cores)
 	h.seed()
 	return h
 }
@@ -500,7 +587,8 @@ func (h *harness) run(steps []Step) (viol *Violation) {
 			viol = &Violation{Kind: "panic", Detail: fmt.Sprint(r)}
 		}
 	}()
-	h.stepVals = append(h.stepVals[:0], make([]uint64, len(steps))...)
+	h.stepVals = slices.Grow(h.stepVals[:0], len(steps))[:len(steps)]
+	clear(h.stepVals)
 	h.precise = true
 	for _, s := range steps {
 		if s.Op != Load && s.Op != Store {
@@ -556,18 +644,23 @@ func (h *harness) missingSuffix() string {
 	return "; dropped: " + strings.Join(h.missing, ", ")
 }
 
+// opDone is core c's completion callback: it retires the step in flight
+// there with the value the L1 completed it with.
+func (h *harness) opDone(c int, val uint64) {
+	s, stepIdx := h.inflight[c].step, h.inflight[c].idx
+	h.done++
+	h.coreBusy[c] = false
+	h.stepVals[stepIdx] = val
+	if s.Op == Load && h.valueViol == nil && !h.member(s.Addr, val) {
+		h.valueViol = &Violation{Kind: "value", Detail: fmt.Sprintf(
+			"step %d (%s): load returned %#x, never written to a%d", stepIdx, s, val, s.Addr)}
+	}
+}
+
 func (h *harness) issue(s Step, stepIdx int) {
 	op := &h.ops[s.Core]
-	*op = coherence.CoreOp{Addr: h.cfg.Addrs[s.Addr], Width: 4, DDist: -1,
-		Done: func(val uint64) {
-			h.done++
-			h.coreBusy[s.Core] = false
-			h.stepVals[stepIdx] = val
-			if s.Op == Load && h.valueViol == nil && !h.member(s.Addr, val) {
-				h.valueViol = &Violation{Kind: "value", Detail: fmt.Sprintf(
-					"step %d (%s): load returned %#x, never written to a%d", stepIdx, s, val, s.Addr)}
-			}
-		}}
+	*op = coherence.CoreOp{Addr: h.cfg.Addrs[s.Addr], Width: 4, DDist: -1, Done: h.doneFns[s.Core]}
+	h.inflight[s.Core] = issuedStep{s, stepIdx}
 	switch s.Op {
 	case Load:
 		op.Kind = coherence.OpLoad
@@ -754,7 +847,7 @@ func (h *harness) checkQuiescent() *Violation {
 	}
 	for ai, a := range h.cfg.Addrs {
 		owner, sharerMask := -1, h.dir.Sharers(a)
-		var sharers []int
+		sharers := h.sharers[:0]
 		for c, l1 := range h.l1s {
 			b := l1.Array().Lookup(a)
 			if b == nil {

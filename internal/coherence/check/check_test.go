@@ -409,7 +409,7 @@ func TestSeededBugDoubleAck(t *testing.T) {
 // filled caches, created directory lines and evicted, reset allocates
 // nothing — every component rewinds in place.
 func TestResetKeepsStorage(t *testing.T) {
-	h := newHarness(seqCfg(proto.MustLookup("ghostwriter"), 2))
+	h := newHarness(seqCfg(proto.MustLookup("ghostwriter"), 2), &Reach{})
 	v := h.run([]Step{
 		{Core: 0, Op: Store, Addr: 0},
 		{Core: 1, Op: ScribbleNear, Addr: 0},

@@ -34,17 +34,19 @@ func testbedDiff(a, b *harness) string {
 
 // RewindDifferential runs every schedule of cfg, which must be
 // violation-free, on a new testbed and on one testbed rewound between
-// schedules, and fails on the first schedule where the two differ.
+// schedules, and fails on the first schedule where the two differ — in
+// outcome, or in the table rows the two sides have dispatched so far.
 func RewindDifferential(t *testing.T, cfg Config) {
 	t.Helper()
 	steps := make([]Step, cfg.Depth)
-	rewound := newHarness(cfg)
+	var freshReach, rewoundReach Reach
+	rewound := newHarness(cfg, &rewoundReach)
 	for idx, total := 0, cfg.schedules(); idx < total; idx++ {
 		cfg.schedule(idx, steps)
 		if idx > 0 {
 			rewound.reset()
 		}
-		fresh := newHarness(cfg)
+		fresh := newHarness(cfg, &freshReach)
 		if vf, vr := fresh.run(steps), rewound.run(steps); vf != nil || vr != nil {
 			t.Fatalf("[%s]: violation on the new testbed: %v, on the rewound one: %v",
 				formatSchedule(steps), vf, vr)
@@ -52,7 +54,32 @@ func RewindDifferential(t *testing.T, cfg Config) {
 		if d := testbedDiff(fresh, rewound); d != "" {
 			t.Fatalf("[%s] (schedule %d): new vs rewound testbed: %s", formatSchedule(steps), idx, d)
 		}
+		if freshReach != rewoundReach {
+			t.Fatalf("[%s] (schedule %d): new and rewound testbeds dispatched different rows:\n%+v\n%+v",
+				formatSchedule(steps), idx, freshReach, rewoundReach)
+		}
 	}
+}
+
+// RewoundAllocs runs every schedule of cfg, which must be violation-free,
+// on one testbed rewound between schedules — a first pass so its pools and
+// free lists hold what the schedules need, then a measured one — and returns
+// the measured pass's heap allocations.
+func RewoundAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	steps := make([]Step, cfg.Depth)
+	h := newHarness(cfg, &Reach{})
+	total := cfg.schedules()
+	pass := func() {
+		for idx := 0; idx < total; idx++ {
+			cfg.schedule(idx, steps)
+			h.reset()
+			if v := h.run(steps); v != nil {
+				t.Fatalf("[%s]: %v", formatSchedule(steps), v)
+			}
+		}
+	}
+	return testing.AllocsPerRun(1, pass)
 }
 
 // ExploreFresh is the reference Explore is compared against: the same
@@ -65,7 +92,7 @@ func ExploreFresh(cfg Config) Result {
 	steps := make([]Step, cfg.Depth)
 	for idx := 0; idx < res.Schedules; idx++ {
 		cfg.schedule(idx, steps)
-		h := newHarness(cfg)
+		h := newHarness(cfg, &res.Reach)
 		v := h.run(steps)
 		res.GSEntries += h.st.GSEntries
 		res.GIEntries += h.st.GIEntries

@@ -59,7 +59,7 @@ func FuzzCheckerSchedules(f *testing.F) {
 			if v := RunSchedule(cfg, steps); v != nil {
 				t.Errorf("protocol %s: %s", name, v)
 			}
-			fresh, rewound := newHarness(cfg), newHarness(cfg)
+			fresh, rewound := newHarness(cfg, &Reach{}), newHarness(cfg, &Reach{})
 			if v := rewound.run(reversed); v != nil {
 				t.Errorf("protocol %s: %s", name, v)
 				continue // a failed testbed is not rewound

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence/check"
 	"ghostwriter/internal/coherence/mutate"
 	"ghostwriter/internal/coherence/proto"
@@ -22,6 +23,51 @@ func TestRewindDifferential(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestRewoundSchedulesAllocationFree guards the count the checker's speed
+// rests on: on a rewound testbed a schedule sends from the testbed's message
+// pool, completes through callbacks bound once per core, and fills directory
+// lines through bound handlers into the buffers the last rewind handed back
+// — a whole pass over any stage of the kill grid allocates nothing. Each of
+// the old costs (a message, a completion closure, a fill's three closures
+// and buffer, a grant closure per invalidation round) was at least one
+// allocation per schedule that has the operation.
+func TestRewoundSchedulesAllocationFree(t *testing.T) {
+	for _, name := range []string{"mesi", "ghostwriter", "gw-noGI"} {
+		for _, g := range mutate.Grid(proto.MustLookup(name)) {
+			if n := check.RewoundAllocs(t, g.Cfg); n != 0 {
+				t.Errorf("%s/%s: a pass over the stage's rewound schedules allocates %v objects, want 0", name, g.Name, n)
+			}
+		}
+	}
+}
+
+// TestReachOfSeqMixed pins what Result.Reach means on the stage whose
+// coverage counters are the easiest to misread: seq-mixed scribbles on
+// Shared copies, and it counts GS entries — but at depth 3 a block is in GS
+// after the last step at the earliest, so no GS row is ever looked up.
+func TestReachOfSeqMixed(t *testing.T) {
+	for _, g := range mutate.Grid(proto.MustLookup("ghostwriter")) {
+		if g.Name != "seq-mixed" {
+			continue
+		}
+		res := check.Explore(g.Cfg)
+		if res.GSEntries == 0 {
+			t.Error("seq-mixed no longer enters GS")
+		}
+		if !res.Reach.L1[cache.Shared][proto.EvScribble] {
+			t.Error("seq-mixed does not report S/Scribble as dispatched")
+		}
+		if res.Reach.L1[cache.GS][proto.EvLoad] {
+			t.Error("seq-mixed reports GS/Load as dispatched")
+		}
+		if !res.Reach.Dir[proto.DirInvalid][0] { // directory events count from GETS
+			t.Error("seq-mixed does not report DI/GETS as dispatched")
+		}
+		return
+	}
+	t.Fatal("the kill grid has no seq-mixed stage")
 }
 
 // TestRewindAfterViolation covers the other half of the testbed's

@@ -47,6 +47,11 @@ type DirConfig struct {
 	// leaving the line busy — the model checker surfaces the resulting
 	// deadlock instead of crashing.
 	OnMissing func(s proto.DirState, ev proto.Event)
+	// OnDispatch, when set, observes every table lookup: the (state,
+	// request) row about to be interpreted, defined or not. Like OnMissing
+	// it belongs to the model checker, which records the rows a sweep
+	// reaches.
+	OnDispatch func(s proto.DirState, ev proto.Event)
 }
 
 // The directory's view of a block is a proto.DirState; the short aliases
@@ -73,9 +78,10 @@ type dirLine struct {
 	queue       []*Msg
 	grant       proto.DirAction // the data grant cur waits to make once withData has the block
 	pendingAck  int
-	onAcksDone  func()
-	needUnblock bool // awaiting the requestor's Unblock
-	needData    bool // awaiting the owner's DataToDir writeback
+	onAcksDone  func(*dirLine) // called with this line when the last InvAck arrives
+	upgradeOK   bool           // cur is an UPGRADE from a core still on the sharer list
+	needUnblock bool           // awaiting the requestor's Unblock
+	needData    bool           // awaiting the owner's DataToDir writeback
 	// recallDone receives the owner's surrendered data during an
 	// L2-capacity recall of this line.
 	recallDone func(data []byte)
@@ -108,8 +114,17 @@ type Directory struct {
 	// whose cur field carries the request being dispatched.
 	dispatchFn func(any)
 	// grantFn is bound once too; the scheduled argument is the busy line,
-	// whose grant field names the grant to make.
+	// whose grant field names the grant to make. So is fillFn, which the
+	// DRAM channel calls with the line it has just filled.
 	grantFn func(any)
+	fillFn  func(any)
+	// ownFn is grantOwnership bound once, for a line's onAcksDone.
+	ownFn func(*dirLine)
+	// bufs holds the block buffers of lines that lost their data — a
+	// capacity victim's, every line's at Reset — for the next fills to read
+	// into, so a bank at capacity and a rewound directory fill without
+	// allocating.
+	bufs [][]byte
 	// resident lists the addresses whose lines were filled into the L2
 	// bank, in fill order, and clock is the index the eviction scan last
 	// stopped at, walking it round-robin. A line that evictLine empties
@@ -141,6 +156,8 @@ func NewDirectory(id int, node noc.NodeID, eng *sim.Engine, net *noc.Network,
 	}
 	d.dispatchFn = d.dispatchLine
 	d.grantFn = d.grantLine
+	d.fillFn = d.fillLine
+	d.ownFn = d.grantOwnership
 	return d
 }
 
@@ -210,11 +227,12 @@ func (t *lineTable) getOrCreate(a mem.Addr) *dirLine {
 }
 
 // reset empties the table, keeping its slots and its lines: every line is
-// cleared and getOrCreate hands them out again, in creation order, before
-// carving new ones. No caller may still hold a line.
+// cleared but for the capacity of its (empty) request queue, and getOrCreate
+// hands them out again, in creation order, before carving new ones. No caller
+// may still hold a line.
 func (t *lineTable) reset() {
 	for _, e := range t.all[:t.n] {
-		*e = dirLine{}
+		*e = dirLine{queue: e.queue[:0]}
 	}
 	clear(t.vals)
 	t.n = 0
@@ -245,8 +263,12 @@ func (t *lineTable) grow() {
 
 // Reset returns a quiesced directory (no transaction in flight, no DRAM
 // access pending) to its just-constructed state: no line tracked, an empty
-// L2 bank. Wiring, configuration and the line storage are kept.
+// L2 bank. Wiring, configuration and the line storage are kept, the lines'
+// block buffers among it: they go to the next fills.
 func (d *Directory) Reset() {
+	for _, e := range d.lines.all[:d.lines.n] {
+		d.releaseData(e)
+	}
 	d.lines.reset()
 	d.resident = d.resident[:0]
 	d.clock = 0
@@ -412,6 +434,9 @@ func (d *Directory) dispatch(e *dirLine, m *Msg) {
 	d.meter.DirAccess()
 	d.st.DirAccesses++
 	ev := dirEventOf(m.Type)
+	if d.cfg.OnDispatch != nil {
+		d.cfg.OnDispatch(e.state, ev)
+	}
 	rules := d.proto.Dir.Rules(e.state, ev)
 	for i := range rules {
 		t := &rules[i]
@@ -505,28 +530,16 @@ func (d *Directory) runAction(a proto.DirAction, e *dirLine, m *Msg) {
 		// An UPGRADE from a cache that has since been invalidated (a
 		// raced, stale upgrade) is promoted to a GETX and answered with
 		// data.
-		a := m.Addr
-		upgradeValid := m.Type == UPGRADE && e.sharers.Has(m.From)
+		e.upgradeOK = m.Type == UPGRADE && e.sharers.Has(m.From)
 		others := e.sharers.Without(m.From)
-		grant := func() {
-			if upgradeValid {
-				d.sendCtl(m.From, UpgAck, a, m.From)
-			} else {
-				d.replyData(m.From, DataM, e, a)
-			}
-			e.state = dirOwned
-			e.owner = m.From
-			e.sharers = SharerSet{}
-			e.needUnblock = true
-		}
 		if others.None() {
-			grant()
+			d.grantOwnership(e)
 			return
 		}
 		// Invalidate every other sharer and collect acks before granting.
 		e.pendingAck = others.Count()
-		e.onAcksDone = grant
-		from := m.From
+		e.onAcksDone = d.ownFn
+		a, from := m.Addr, m.From
 		others.ForEach(func(id int) { d.sendCtl(id, Inv, a, from) })
 	case proto.DDropSharer:
 		e.sharers.Del(m.From)
@@ -548,6 +561,22 @@ func (d *Directory) runAction(a proto.DirAction, e *dirLine, m *Msg) {
 	default:
 		panic(fmt.Sprintf("dir %d: unknown action %v", d.id, a))
 	}
+}
+
+// grantOwnership makes the requestor of the line's current transaction the
+// owner once no other sharer is left: a still-valid UPGRADE gets its ack,
+// anything else the data.
+func (d *Directory) grantOwnership(e *dirLine) {
+	m := e.cur
+	if e.upgradeOK {
+		d.sendCtl(m.From, UpgAck, m.Addr, m.From)
+	} else {
+		d.replyData(m.From, DataM, e, m.Addr)
+	}
+	e.state = dirOwned
+	e.owner = m.From
+	e.sharers = SharerSet{}
+	e.needUnblock = true
 }
 
 // finish completes the current transaction, recycling its request, and
@@ -591,17 +620,40 @@ func (d *Directory) withData(e *dirLine) {
 		d.eng.AfterArg(d.cfg.L2Latency, d.grantFn, e)
 		return
 	}
-	a := e.cur.Addr
-	d.ensureSpace(a, func() {
-		d.dram.ReadBlock(a, d.cfg.BlockSize, func(data []byte) {
-			e.data = data
-			e.hasData = true
-			d.resident = append(d.resident, a)
-			d.meter.L2Access() // fill write
-			d.st.L2Accesses++
-			d.grantLine(e)
-		})
-	})
+	d.ensureSpace(e)
+}
+
+// fetch reads the block of e's current request from DRAM into the line; the
+// channel calls fillFn when the data is there. Like the grant, the fill's
+// context is the busy line, so the only thing a fill may have to allocate is
+// the line's block buffer, when no dropped line has left one in bufs.
+func (d *Directory) fetch(e *dirLine) {
+	if n := len(d.bufs); n > 0 {
+		e.data, d.bufs = d.bufs[n-1], d.bufs[:n-1]
+	} else {
+		e.data = make([]byte, d.cfg.BlockSize)
+	}
+	d.dram.ReadBlock(e.cur.Addr, e.data, d.fillFn, e)
+}
+
+// fillLine installs the block fetch asked for in the L2 bank and makes the
+// grant that was waiting for it.
+func (d *Directory) fillLine(arg any) {
+	e := arg.(*dirLine)
+	e.hasData = true
+	d.resident = append(d.resident, e.cur.Addr)
+	d.meter.L2Access() // fill write
+	d.st.L2Accesses++
+	d.grantLine(e)
+}
+
+// releaseData empties the line's L2 entry, keeping its block buffer — if it
+// ever got one — for a later fill.
+func (d *Directory) releaseData(e *dirLine) {
+	if cap(e.data) >= d.cfg.BlockSize {
+		d.bufs = append(d.bufs, e.data[:d.cfg.BlockSize])
+	}
+	e.data, e.hasData = nil, false
 }
 
 // grantLine sends the data grant a DGrant* action deferred behind
@@ -629,21 +681,22 @@ func (d *Directory) grantLine(arg any) {
 	e.needUnblock = true
 }
 
-// ensureSpace evicts one victim line if the bank is at capacity, then runs
-// k. Victims with cached copies are recalled first: sharers are
-// invalidated, an owner surrenders its (possibly dirty) data. Victims that
-// are busy (mid-transaction) are skipped; if nothing is evictable the bank
-// briefly overflows rather than deadlocking.
-func (d *Directory) ensureSpace(requesting mem.Addr, k func()) {
+// ensureSpace evicts one victim line if the bank is at capacity, then
+// fetches e's block. Victims with cached copies are recalled first: sharers
+// are invalidated, an owner surrenders its (possibly dirty) data. Victims
+// that are busy (mid-transaction) are skipped; if nothing is evictable the
+// bank briefly overflows rather than deadlocking.
+func (d *Directory) ensureSpace(e *dirLine) {
 	if d.cfg.CapacityBlocks <= 0 {
-		k()
+		d.fetch(e)
 		return
 	}
 	d.compactResident()
 	if len(d.resident) < d.cfg.CapacityBlocks {
-		k()
+		d.fetch(e)
 		return
 	}
+	requesting := e.cur.Addr
 	for tries := 0; tries < len(d.resident); tries++ {
 		d.clock = (d.clock + 1) % len(d.resident)
 		va := d.resident[d.clock]
@@ -651,11 +704,11 @@ func (d *Directory) ensureSpace(requesting mem.Addr, k func()) {
 		if va == requesting || v == nil || !v.hasData || v.busy {
 			continue
 		}
-		d.evictLine(va, v, k)
+		d.evictLine(va, v, e)
 		return
 	}
 	// Every candidate is busy: allow a transient overflow.
-	k()
+	d.fetch(e)
 }
 
 // compactResident drops from the resident list the lines evictLine has
@@ -674,20 +727,20 @@ func (d *Directory) compactResident() {
 }
 
 // evictLine recalls all cached copies of the victim, writes its data back
-// to DRAM, drops it from the bank, and then runs k.
-func (d *Directory) evictLine(va mem.Addr, v *dirLine, k func()) {
+// to DRAM, drops it from the bank, and then fetches the block of the line
+// that was waiting for the space.
+func (d *Directory) evictLine(va mem.Addr, v *dirLine, waiter *dirLine) {
 	v.busy = true
 	d.st.L2Recalls++
 	finish := func(data []byte) {
-		d.dram.WriteBlock(va, data, nil)
-		v.hasData = false
+		d.dram.WriteBlock(va, data, nil) // copies data, which may be v's buffer
+		d.releaseData(v)
 		d.dead = append(d.dead, va)
-		v.data = nil
 		v.state = dirInvalid
 		v.owner = -1
 		v.sharers = SharerSet{}
 		d.finish(v) // unbusy and restart anything queued on the victim
-		k()
+		d.fetch(waiter)
 	}
 	switch v.state {
 	case dirInvalid:
@@ -696,7 +749,7 @@ func (d *Directory) evictLine(va mem.Addr, v *dirLine, k func()) {
 		sharers := v.sharers
 		v.pendingAck = sharers.Count()
 		data := v.data
-		v.onAcksDone = func() { finish(data) }
+		v.onAcksDone = func(*dirLine) { finish(data) }
 		sharers.ForEach(func(id int) { d.sendCtl(id, Inv, va, -1) })
 	case dirOwned:
 		// The owner's copy is authoritative; RecallData completes the
@@ -749,7 +802,7 @@ func (d *Directory) handleInvAck(e *dirLine, m *Msg) {
 	if e.pendingAck == 0 {
 		done := e.onAcksDone
 		e.onAcksDone = nil
-		done()
+		done(e)
 	}
 }
 

@@ -21,15 +21,24 @@ func TestEnsureSpaceBelowCapacityLeavesResidentAlone(t *testing.T) {
 	for i := 0; i < planted; i++ {
 		r.dir.resident = append(r.dir.resident, mem.Addr(1<<40+64*i))
 	}
-	for i := 0; i < 100; i++ {
-		ran := false
-		r.dir.ensureSpace(mem.Addr(64*i), func() { ran = true })
-		if !ran {
-			t.Fatalf("fill %d: continuation did not run", i)
+	const fills = 100
+	for i := 0; i < fills; i++ {
+		// A line of the test's own, so the table stays empty.
+		e := &dirLine{cur: &Msg{Addr: mem.Addr(64 * i)}}
+		r.dir.ensureSpace(e)
+		r.eng.Drain(10)
+		if !e.hasData {
+			t.Fatalf("fill %d: the block was not fetched", i)
 		}
 	}
-	if len(r.dir.resident) != planted {
-		t.Fatalf("resident list has %d entries after fills below capacity, want the %d planted", len(r.dir.resident), planted)
+	if len(r.dir.resident) != planted+fills {
+		t.Fatalf("resident list has %d entries after %d fills below capacity, want them after the %d planted",
+			len(r.dir.resident), fills, planted)
+	}
+	for i := 0; i < planted; i++ {
+		if r.dir.resident[i] != mem.Addr(1<<40+64*i) {
+			t.Fatalf("planted resident entry %d was moved or dropped", i)
+		}
 	}
 	if r.dir.lines.n != 0 {
 		t.Fatalf("ensureSpace created or probed %d directory lines", r.dir.lines.n)

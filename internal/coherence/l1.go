@@ -132,6 +132,10 @@ type L1Config struct {
 	// checker uses it to turn silent protocol holes into detectable
 	// deadlocks instead of crashes.
 	OnMissing func(s cache.State, ev proto.Event)
+	// OnDispatch, when set, observes every table lookup: the (state, event)
+	// row about to be interpreted, defined or not. Like OnMissing it belongs
+	// to the model checker, which records the rows a sweep reaches.
+	OnDispatch func(s cache.State, ev proto.Event)
 }
 
 // L1 is one private L1 data cache controller with its core-facing port and
@@ -349,6 +353,9 @@ func (l *L1) dispatch(ev proto.Event, b *cache.Block) {
 	s := proto.Absent
 	if b != nil {
 		s = b.State
+	}
+	if l.cfg.OnDispatch != nil {
+		l.cfg.OnDispatch(s, ev)
 	}
 	rules := l.proto.L1[s][ev]
 	for i := range rules {

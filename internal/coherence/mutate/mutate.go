@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"ghostwriter/internal/cache"
+	"ghostwriter/internal/coherence/check"
 	"ghostwriter/internal/coherence/proto"
 )
 
@@ -88,6 +89,14 @@ type Mutation struct {
 	R   int  // rule index within the row
 	I   int  // guard/action index within the rule (operator-specific)
 	Arg int  // swap-next target state / dup-conflict state / substitute action
+}
+
+// reached reports whether r marks the table row m rewrites.
+func (m Mutation) reached(r *check.Reach) bool {
+	if m.Dir {
+		return r.Dir[m.S][m.E]
+	}
+	return r.L1[m.S][m.E]
 }
 
 // The enumerator deliberately skips mutation targets whose perturbation is

@@ -1,9 +1,12 @@
 package mutate
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"ghostwriter/internal/cache"
+	"ghostwriter/internal/coherence/check"
 	"ghostwriter/internal/coherence/proto"
 )
 
@@ -120,7 +123,7 @@ func TestDecodeAppliesCleanly(t *testing.T) {
 // sound-but-different, the classification), never this test.
 func TestMutationMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("mutation matrix is minutes of CPU; run without -short (CI runs it via gwcheck -mutate)")
+		t.Skip("mutation matrix is about ten seconds of CPU, several times that under -race; run without -short (CI runs it via gwcheck -mutate)")
 	}
 	for _, name := range proto.Names() {
 		name := name
@@ -144,5 +147,116 @@ func TestMutationMatrix(t *testing.T) {
 				t.Error("no mutant killed; the grid is not running")
 			}
 		})
+	}
+}
+
+// TestPruneMatchesFullGrid holds classify's pruning to the grid it prunes:
+// a sample of every protocol's mutants — every 8th in enumeration order,
+// plus every mutant of a row the grid dispatches (S/Scribble) and of one it
+// never does (GS/Load) — must classify the same, killer included, when every
+// stage is told it reaches every row and so runs in full.
+func TestPruneMatchesFullGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a few hundred mutants through the unpruned grid")
+	}
+	var everywhere check.Reach
+	for s := range everywhere.L1 {
+		for e := range everywhere.L1[s] {
+			everywhere.L1[s][e] = true
+		}
+	}
+	for s := range everywhere.Dir {
+		for e := range everywhere.Dir[s] {
+			everywhere.Dir[s][e] = true
+		}
+	}
+	inRow := func(m Mutation, s cache.State, ev proto.Event) bool {
+		return !m.Dir && m.S == int(s) && m.E == int(ev)
+	}
+	for _, name := range proto.Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			p := proto.MustLookup(name)
+			grid := Grid(p)
+			golden, err := goldenRuns(p, grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := slices.Clone(golden)
+			for i := range full {
+				full[i].Reach = everywhere
+			}
+			sampled, skippedStages := 0, 0
+			for i, m := range Enumerate(p) {
+				if i%8 != 0 && !inRow(m, cache.Shared, proto.EvScribble) && !inRow(m, cache.GS, proto.EvLoad) {
+					continue
+				}
+				sampled++
+				for gi := range golden {
+					if !m.reached(&golden[gi].Reach) {
+						skippedStages++
+					}
+				}
+				class, by := classify(p, m, grid, golden)
+				wantClass, wantBy := classify(p, m, grid, full)
+				if class != wantClass || by != wantBy {
+					t.Errorf("%s: pruned grid says %s %q, full grid %s %q", m.Describe(p), class, by, wantClass, wantBy)
+				}
+			}
+			if skippedStages == 0 {
+				t.Error("no sampled mutant had a stage pruned: the comparison is vacuous")
+			}
+			t.Logf("%d mutants, %d of %d stage sweeps pruned", sampled, skippedStages, sampled*len(grid))
+		})
+	}
+}
+
+// neverDispatched pins, per protocol, the table rows no sweep of the kill
+// grid dispatches — every mutant there classifies as equivalent unseen. The
+// grid is depth 3 with an unbounded L2: a block enters GS or GI on a
+// schedule's last step at the earliest, so the resident rows of the paper's
+// own two states are all here, next to the capacity recalls and the races
+// that need a fourth step or a second block in flight.
+var neverDispatched = map[string]string{
+	"mesi": "E/RecallOwn M/RecallOwn IS_D/Inv IM_D/FwdGETS IM_D/FwdGETX" +
+		" SM_A/Inv SM_A/FwdGETS SM_A/FwdGETX SM_A/DataM SM_A/DataC2C" +
+		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
+		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS",
+	"gw-noGI": "E/RecallOwn M/RecallOwn GS/Load GS/Store GS/Scribble GS/Inv" +
+		" IS_D/Inv IM_D/FwdGETS IM_D/FwdGETX" +
+		" SM_A/Inv SM_A/FwdGETS SM_A/FwdGETX SM_A/DataM SM_A/DataC2C" +
+		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
+		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS",
+	"ghostwriter": "E/RecallOwn M/RecallOwn GS/Load GS/Store GS/Scribble GS/Inv" +
+		" GI/Load GI/Store GI/Scribble IS_D/Inv IM_D/FwdGETS IM_D/FwdGETX" +
+		" SM_A/Inv SM_A/FwdGETS SM_A/FwdGETX SM_A/DataM SM_A/DataC2C" +
+		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
+		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS",
+}
+
+// TestKillGridRowCoverage fails when the grid stops dispatching a row it
+// used to (coverage shrank silently) and when it starts dispatching one
+// (coverage grew: take the row off the list, so the gain is recorded and
+// defended from then on).
+func TestKillGridRowCoverage(t *testing.T) {
+	for _, name := range proto.Names() {
+		p := proto.MustLookup(name)
+		golden, err := goldenRuns(p, Grid(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reach := gridReach(golden)
+		got, _ := reach.Unreached(p)
+		want := strings.Fields(neverDispatched[name])
+		for _, row := range got {
+			if !slices.Contains(want, row) {
+				t.Errorf("%s: the grid no longer dispatches %s", name, row)
+			}
+		}
+		for _, row := range want {
+			if !slices.Contains(got, row) {
+				t.Errorf("%s: the grid now dispatches %s: drop it from neverDispatched", name, row)
+			}
+		}
 	}
 }

@@ -33,26 +33,56 @@ type Channel struct {
 	free  sim.Cycle
 	meter *energy.Meter
 	st    *stats.Stats
+	// readFn is bound once; the scheduled argument is the read completing.
+	// idle chains the records of completed reads for the next ones to use.
+	readFn func(any)
+	idle   *read
+}
+
+// read is one block read in flight.
+type read struct {
+	addr mem.Addr
+	buf  []byte
+	done func(any)
+	arg  any
+	next *read
 }
 
 // NewChannel builds a channel over the shared backing memory.
 func NewChannel(eng *sim.Engine, cfg Config, backing *mem.Memory, meter *energy.Meter, st *stats.Stats) *Channel {
-	return &Channel{cfg: cfg, eng: eng, mem: backing, meter: meter, st: st}
+	c := &Channel{cfg: cfg, eng: eng, mem: backing, meter: meter, st: st}
+	c.readFn = c.finishRead
+	return c
 }
 
 // Reset returns an idle channel (no access in flight) to its
 // just-constructed state: free at cycle 0.
 func (c *Channel) Reset() { c.free = 0 }
 
-// ReadBlock schedules a block read of size bytes at addr; done receives the
-// data at the completion cycle.
-func (c *Channel) ReadBlock(addr mem.Addr, size int, done func(data []byte)) {
-	at := c.schedule()
-	c.eng.At(at, func() {
-		buf := make([]byte, size)
-		c.mem.Read(addr, buf)
-		done(buf)
-	})
+// ReadBlock schedules a block read of len(buf) bytes at addr into buf, which
+// the caller must leave alone until then; at the completion cycle buf holds
+// the data and done(arg) runs. A caller that binds done once and passes its
+// context as arg pays no allocation per read.
+func (c *Channel) ReadBlock(addr mem.Addr, buf []byte, done func(any), arg any) {
+	r := c.idle
+	if r == nil {
+		r = &read{}
+	} else {
+		c.idle = r.next
+	}
+	*r = read{addr: addr, buf: buf, done: done, arg: arg}
+	c.eng.AtArg(c.schedule(), c.readFn, r)
+}
+
+// finishRead completes a read: it fetches the data, retires the record and
+// hands over to the caller.
+func (c *Channel) finishRead(arg any) {
+	r := arg.(*read)
+	c.mem.Read(r.addr, r.buf)
+	done, doneArg := r.done, r.arg
+	*r = read{next: c.idle}
+	c.idle = r
+	done(doneArg)
 }
 
 // WriteBlock schedules a block write (an L2 victim writeback); done, if

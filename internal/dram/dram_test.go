@@ -21,12 +21,9 @@ func newChannel() (*sim.Engine, *Channel, *mem.Memory, *stats.Stats, *energy.Met
 func TestReadLatency(t *testing.T) {
 	eng, ch, backing, _, _ := newChannel()
 	backing.Write(0x100, []byte{1, 2, 3, 4})
-	var got []byte
+	got := make([]byte, 4)
 	var at sim.Cycle
-	ch.ReadBlock(0x100, 4, func(data []byte) {
-		got = data
-		at = eng.Now()
-	})
+	ch.ReadBlock(0x100, got, func(any) { at = eng.Now() }, nil)
 	eng.Drain(10)
 	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
 		t.Fatalf("read %v", got)
@@ -40,7 +37,7 @@ func TestChannelOccupancySerializes(t *testing.T) {
 	eng, ch, _, _, _ := newChannel()
 	var times []sim.Cycle
 	for i := 0; i < 3; i++ {
-		ch.ReadBlock(mem.Addr(i*64), 64, func([]byte) { times = append(times, eng.Now()) })
+		ch.ReadBlock(mem.Addr(i*64), make([]byte, 64), func(any) { times = append(times, eng.Now()) }, nil)
 	}
 	eng.Drain(10)
 	cfg := DefaultConfig()
@@ -82,7 +79,7 @@ func TestWriteNilDone(t *testing.T) {
 
 func TestAccounting(t *testing.T) {
 	eng, ch, _, st, m := newChannel()
-	ch.ReadBlock(0, 64, func([]byte) {})
+	ch.ReadBlock(0, make([]byte, 64), func(any) {}, nil)
 	ch.WriteBlock(64, make([]byte, 64), nil)
 	eng.Drain(10)
 	if st.DRAMAccesses != 2 {

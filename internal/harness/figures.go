@@ -336,9 +336,9 @@ const protoGridDist = 8
 
 // ProtocolRow is one (application × protocol) cell of the ablation grid.
 type ProtocolRow struct {
-	App      string  `json:"app"`
-	Protocol string  `json:"protocol"`
-	Cycles   uint64  `json:"cycles"`
+	App      string `json:"app"`
+	Protocol string `json:"protocol"`
+	Cycles   uint64 `json:"cycles"`
 	// TrafficNorm is total coherence messages normalized to the
 	// application's mesi run.
 	TrafficNorm float64 `json:"trafficNorm"`

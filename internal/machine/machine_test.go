@@ -196,6 +196,33 @@ func TestEvictionWriteback(t *testing.T) {
 	}
 }
 
+// TestDRAMFillAllocatesOnlyItsLine: a cold miss that the L2 bank has room
+// for costs the host one allocation, the 64-byte buffer the new line keeps —
+// the request, the grant and the DRAM read run on pooled messages and bound
+// handlers. (The slack covers what is amortised over many fills: line
+// arenas, the line table and the resident list growing.)
+func TestDRAMFillAllocatesOnlyItsLine(t *testing.T) {
+	m := New(smallConfig())
+	const blocks, passes = 2048, 4
+	next := m.AllocPadded(64 * blocks * passes)
+	stream := func() {
+		base := next
+		next += 64 * blocks
+		m.Run(1, func(th *Thread) {
+			for b := 0; b < blocks; b++ {
+				th.Load32(base + mem.Addr(64*b))
+			}
+		})
+	}
+	perPass := testing.AllocsPerRun(passes-1, stream) // plus one unmeasured pass first
+	if got := m.Stats().DRAMAccesses; got != passes*blocks {
+		t.Fatalf("%d DRAM accesses, want one per block streamed (%d)", got, passes*blocks)
+	}
+	if perFill := perPass / blocks; perFill > 1.1 {
+		t.Errorf("%.2f allocations per DRAM fill, want the line buffer alone", perFill)
+	}
+}
+
 func TestScribbleEntersGSAndHidesUpdate(t *testing.T) {
 	m := New(gwConfig())
 	a := m.AllocPadded(64)

@@ -246,7 +246,7 @@ func (t *gridTopo) axisSteps(c, dc, size int) (neg bool, steps int) {
 		}
 		return true, c - dc
 	}
-	fwd := ((dc - c) % size + size) % size
+	fwd := ((dc-c)%size + size) % size
 	bwd := size - fwd
 	if fwd == 0 {
 		return false, 0
