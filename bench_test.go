@@ -30,7 +30,7 @@ func benchOptions() harness.Options { return harness.Options{Scale: 1, Threads: 
 func BenchmarkFig01_FalseSharingSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		pts, err := harness.Fig1(&buf, benchOptions())
+		pts, err := harness.NewRunner(0).Fig1(&buf, benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func BenchmarkFig01_FalseSharingSpeedup(b *testing.B) {
 func BenchmarkFig02_ValueSimilarityCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		rows, err := harness.Fig2(&buf, benchOptions())
+		rows, err := harness.NewRunner(0).Fig2(&buf, benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func BenchmarkFig11_OutputError(b *testing.B) {
 func BenchmarkFig12_TimeoutSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		pts, err := harness.Fig12(&buf, benchOptions())
+		pts, err := harness.NewRunner(0).Fig12(&buf, benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func BenchmarkTable01_Configuration(b *testing.B) {
 // the registry-level smoke benchmark.
 func BenchmarkTable02_Workloads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.RunApp("histogram", benchOptions(), 0, false)
+		r, err := harness.NewRunner(0).RunApp("histogram", benchOptions(), 0, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,9 +315,13 @@ func runLinregWithPolicy(b *testing.B, p ghostwriter.ScribblePolicy) (cycles, ms
 	return res.Cycles, res.Stats.TotalMsgs(), res.ErrorPct
 }
 
-// runAppWithPolicy mirrors harness.RunApp with an explicit policy.
+// runAppWithPolicy mirrors Runner.RunApp with an explicit policy.
 func runAppWithPolicy(name string, d int, p ghostwriter.ScribblePolicy) (harness.RunResult, error) {
-	return harness.RunAppPolicy(name, benchOptions(), d, p)
+	opt := benchOptions()
+	return harness.NewRunner(0).RunSpec(harness.Spec{
+		App: name, Scale: opt.Scale, Threads: opt.Threads, DDist: d,
+		Config: ghostwriter.Config{Policy: p},
+	})
 }
 
 // BenchmarkSensitivity_DDistance sweeps the d-distance on the headline
@@ -328,7 +332,7 @@ func BenchmarkSensitivity_DDistance(b *testing.B) {
 		d := d
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := harness.RunApp("linear_regression", benchOptions(), d, false)
+				r, err := harness.NewRunner(0).RunApp("linear_regression", benchOptions(), d, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -348,11 +352,11 @@ func BenchmarkSensitivity_Threads(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := harness.Options{Scale: 1, Threads: n}
-				base, err := harness.RunApp("linear_regression", opt, 0, false)
+				base, err := harness.NewRunner(0).RunApp("linear_regression", opt, 0, false)
 				if err != nil {
 					b.Fatal(err)
 				}
-				gw, err := harness.RunApp("linear_regression", opt, 8, false)
+				gw, err := harness.NewRunner(0).RunApp("linear_regression", opt, 8, false)
 				if err != nil {
 					b.Fatal(err)
 				}

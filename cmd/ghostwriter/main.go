@@ -115,7 +115,7 @@ func realMain() int {
 // meeting the error target (the §3.5 PGO/auto-tuning hook).
 func autotune(name string, scale, threads int, targetPct float64) error {
 	opt := harness.Options{Scale: scale, Threads: threads}
-	best, runs, err := harness.AutoTune(name, opt, targetPct)
+	best, runs, err := harness.NewRunner(0).AutoTune(name, opt, targetPct)
 	if err != nil {
 		return err
 	}

@@ -34,7 +34,7 @@ func main() {
 
 func load(path string, opt harness.Options) (*harness.Report, error) {
 	if path == "" {
-		return harness.BuildReport(opt)
+		return harness.NewRunner(0).BuildReport(opt)
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -23,15 +23,16 @@ func main() {
 	)
 	flag.Parse()
 	opt := harness.Options{Scale: *scale, Threads: *threads}
+	runner := harness.NewRunner(0)
 
 	if *app == "" {
-		if _, err := harness.Fig2(os.Stdout, opt); err != nil {
+		if _, err := runner.Fig2(os.Stdout, opt); err != nil {
 			fmt.Fprintln(os.Stderr, "gwprof:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	r, err := harness.RunApp(*app, opt, 0, true)
+	r, err := runner.RunApp(*app, opt, 0, true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gwprof:", err)
 		os.Exit(1)

@@ -59,7 +59,7 @@ func main() {
 
 func realMain() int {
 	var (
-		exp      = flag.String("exp", "all", "experiment: all|fig1|fig2|fig7|fig8|fig9|fig10|fig11|fig12|protocols|topologies|tab1|tab2|ext|trend")
+		exp      = flag.String("exp", "all", "experiment: "+strings.Join(harness.ExperimentNames(), "|"))
 		scale    = flag.Int("scale", 1, "input scale factor")
 		threads  = flag.Int("threads", 24, "worker threads")
 		protocol = flag.String("protocol", "", "coherence protocol table for every cell: mesi|ghostwriter|gw-noGI (empty = d-distance decides)")
@@ -81,6 +81,10 @@ func realMain() int {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if err := harness.ValidateExperiment(*exp); err != nil {
+		fmt.Fprintln(os.Stderr, "gwsweep:", err)
+		return 2
+	}
 	if *protocol != "" {
 		if _, err := ghostwriter.ParseProtocol(*protocol); err != nil {
 			fmt.Fprintln(os.Stderr, "gwsweep:", err)
@@ -169,7 +173,7 @@ func realMain() int {
 		r.Cache = disk
 	}
 
-	if err := run(r, *exp, opt); err != nil {
+	if err := r.RunExperiment(os.Stdout, *exp, opt); err != nil {
 		fmt.Fprintln(os.Stderr, "gwsweep:", err)
 		return 1
 	}
@@ -270,8 +274,8 @@ func fleet(r *harness.Runner, rc *harness.RemoteCache, exp string, opt harness.O
 }
 
 // writeJSON dumps the full evaluation for plotting. The runner's in-process
-// memo and disk cache mean every cell already resolved by run is reused
-// here instead of being simulated a second time.
+// memo and disk cache mean every cell the text run already resolved is
+// reused here instead of being simulated a second time.
 func writeJSON(r *harness.Runner, path string, opt harness.Options) error {
 	rep, err := r.BuildReport(opt)
 	if err != nil {
@@ -287,96 +291,6 @@ func writeJSON(r *harness.Runner, path string, opt harness.Options) error {
 	}
 	fmt.Println("wrote", path)
 	return nil
-}
-
-func run(r *harness.Runner, exp string, opt harness.Options) error {
-	w := os.Stdout
-	needSuite := false
-	switch exp {
-	case "all", "fig7", "fig8", "fig9", "fig10", "fig11":
-		needSuite = true
-	}
-
-	if exp == "all" || exp == "tab1" {
-		harness.Table1(w, opt)
-		fmt.Fprintln(w)
-	}
-	if exp == "all" || exp == "tab2" {
-		harness.Table2(w, opt)
-		fmt.Fprintln(w)
-	}
-	if exp == "all" || exp == "fig1" {
-		if _, err := r.Fig1(w, opt); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if exp == "all" || exp == "fig2" {
-		if _, err := r.Fig2(w, opt); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if needSuite {
-		suite, err := r.RunSuite(opt)
-		if err != nil {
-			return err
-		}
-		if exp == "all" || exp == "fig7" {
-			harness.Fig7(w, suite)
-			fmt.Fprintln(w)
-		}
-		if exp == "all" || exp == "fig8" {
-			harness.Fig8(w, suite)
-			fmt.Fprintln(w)
-		}
-		if exp == "all" || exp == "fig9" {
-			harness.Fig9(w, suite)
-			fmt.Fprintln(w)
-		}
-		if exp == "all" || exp == "fig10" {
-			harness.Fig10(w, suite)
-			fmt.Fprintln(w)
-		}
-		if exp == "all" || exp == "fig11" {
-			harness.Fig11(w, suite)
-			fmt.Fprintln(w)
-		}
-	}
-	if exp == "all" || exp == "fig12" {
-		if _, err := r.Fig12(w, opt); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if exp == "all" || exp == "protocols" {
-		if _, err := r.ProtocolGrid(w, opt); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if exp == "all" || exp == "topologies" {
-		if _, err := r.TopologyGrid(w, opt); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if exp == "all" || exp == "ext" {
-		if _, err := r.Extensions(w, opt); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if exp == "trend" {
-		if _, err := r.ScaleTrend(w, opt, []int{1, 2, 4}); err != nil {
-			return err
-		}
-	}
-	switch exp {
-	case "all", "fig1", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "protocols", "topologies", "tab1", "tab2", "ext", "trend":
-		return nil
-	}
-	return fmt.Errorf("unknown experiment %q", exp)
 }
 
 // splitURLs parses the -remote flag: comma-separated server URLs in

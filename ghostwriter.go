@@ -252,10 +252,6 @@ func New(cfg Config) *System {
 	return &System{m: machine.New(cfg.MachineConfig()), cfg: cfg}
 }
 
-// ParseTopology validates an interconnect topology name, mapping "" to
-// "mesh" (re-exported for flag parsing).
-func ParseTopology(name string) (string, error) { return noc.ParseTopology(name) }
-
 // ValidateTopology checks a topology name and node count the way New does
 // (re-exported so the harness can reject bad specs with an error instead of
 // a panic).

@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ghostwriter/internal/mem"
 )
@@ -80,19 +81,6 @@ func (s State) ReadableLocally() bool {
 	return false
 }
 
-// WritableLocally reports whether a store may complete locally without a
-// coherence transaction. GS and GI have full local write permission.
-func (s State) WritableLocally() bool {
-	switch s {
-	case Exclusive, Modified, GS, GI:
-		return true
-	}
-	return false
-}
-
-// Approximate reports whether s is one of Ghostwriter's approximate states.
-func (s State) Approximate() bool { return s == GS || s == GI }
-
 // Block is one cache frame: a tag, a coherence state, and a copy of the
 // block's data. Approximate execution is functionally modelled, so each L1
 // genuinely holds (possibly divergent) data.
@@ -135,7 +123,8 @@ type Cache struct {
 	cfg       Config
 	blocks    []Block
 	plru      []uint64 // one PLRU tree (bit field) per set
-	setShift  uint
+	setShift  uint     // log2(BlockSize): where the set index starts
+	tagShift  uint     // log2(BlockSize × sets): where the tag starts
 	setMask   uint64
 	blockMask uint64
 }
@@ -164,9 +153,8 @@ func New(cfg Config) *Cache {
 		setMask:   uint64(nsets - 1),
 		blockMask: uint64(cfg.BlockSize - 1),
 	}
-	for shift := uint(0); 1<<shift < cfg.BlockSize; shift++ {
-		c.setShift = shift + 1
-	}
+	c.setShift = uint(bits.TrailingZeros(uint(cfg.BlockSize)))
+	c.tagShift = c.setShift + uint(bits.TrailingZeros(uint(nsets)))
 	slab := make([]byte, len(c.blocks)*cfg.BlockSize)
 	for i := range c.blocks {
 		c.blocks[i].Data = slab[i*cfg.BlockSize : (i+1)*cfg.BlockSize : (i+1)*cfg.BlockSize]
@@ -206,7 +194,7 @@ func (c *Cache) SetIndex(a mem.Addr) int {
 }
 
 // tag returns the tag bits of an address.
-func (c *Cache) tag(a mem.Addr) uint64 { return uint64(a) >> c.setShift >> trailingZeros(c.setMask+1) }
+func (c *Cache) tag(a mem.Addr) uint64 { return uint64(a) >> c.tagShift }
 
 // Lookup returns the frame holding the block containing a, if the tag is
 // present (in any state, including Invalid). It does not update PLRU.
@@ -319,15 +307,5 @@ func (c *Cache) ForEach(fn func(setIndex int, b *Block)) {
 
 // AddrOf reconstructs the block base address of a frame in set si.
 func (c *Cache) AddrOf(si int, b *Block) mem.Addr {
-	setBits := trailingZeros(c.setMask + 1)
-	return mem.Addr(b.Tag<<setBits<<c.setShift | uint64(si)<<c.setShift)
-}
-
-func trailingZeros(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+	return mem.Addr(b.Tag<<c.tagShift | uint64(si)<<c.setShift)
 }

@@ -130,17 +130,6 @@ func TestStatePredicates(t *testing.T) {
 	if Invalid.ReadableLocally() || ISD.ReadableLocally() {
 		t.Error("I/transient must not be readable")
 	}
-	for _, s := range []State{Exclusive, Modified, GS, GI} {
-		if !s.WritableLocally() {
-			t.Errorf("%v should be locally writable", s)
-		}
-	}
-	if Shared.WritableLocally() || Invalid.WritableLocally() {
-		t.Error("S/I must not be locally writable")
-	}
-	if !GS.Approximate() || !GI.Approximate() || Modified.Approximate() {
-		t.Error("Approximate predicate wrong")
-	}
 	if !Modified.Stable() || SMA.Stable() {
 		t.Error("Stable predicate wrong")
 	}

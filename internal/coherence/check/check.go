@@ -4,7 +4,8 @@
 // each schedule from cycle 0 on a two-level testbed (real L1 controllers,
 // real directory, real mesh — the same components the simulator uses) that
 // an exploration builds once and rewinds between schedules, and asserts the
-// protocol invariants:
+// protocol invariants (1–3 and 8 are stated once, in coherence.AuditBlock,
+// which Machine.CheckInvariants applies to every simulated run as well):
 //
 //  1. Single writer: at most one L1 holds a block in M or E.
 //  2. Directory agreement: the sharer list covers every S/GS copy and
@@ -413,8 +414,6 @@ type harness struct {
 	// sequential step, so the per-step audit can tie a counted entry to the
 	// copy it must have installed.
 	prevGS, prevGI uint64
-	// sharers is checkQuiescent's scratch list of one block's read copies.
-	sharers []int
 }
 
 // issuedStep is a schedule step in flight at a core.
@@ -477,7 +476,6 @@ func newHarness(cfg Config, reach *Reach) *harness {
 	h.coreBusy = make([]bool, cfg.Cores)
 	h.ops = make([]coherence.CoreOp, cfg.Cores)
 	h.inflight = make([]issuedStep, cfg.Cores)
-	h.sharers = make([]int, 0, cfg.Cores)
 	h.seed()
 	return h
 }
@@ -814,19 +812,10 @@ func (h *harness) auditStep(s Step, i int, prior cache.State) *Violation {
 		i, s, v, coh, proto.L1StateName(st))
 }
 
-// transient reports whether a state marks an in-flight transaction; none
-// may survive quiescence.
-func transient(s cache.State) bool {
-	return s == cache.ISD || s == cache.IMD || s == cache.SMA || s == cache.EVA
-}
-
-// readable reports whether a state lets the core read the cached word.
-func readable(s cache.State) bool {
-	return s == cache.Shared || s == cache.Exclusive || s == cache.Modified ||
-		s == cache.GS || s == cache.GI
-}
-
-// checkQuiescent audits the drained machine against the invariants.
+// checkQuiescent audits the drained machine against the invariants: what
+// the run left undone first, then per address the structural audit every
+// simulated machine is also held to (coherence.AuditBlock: invariants 1–3
+// and 8) and the value audits only a schedule's write log can make.
 func (h *harness) checkQuiescent() *Violation {
 	fail := func(format string, args ...any) *Violation {
 		return &Violation{Kind: "invariant", Detail: fmt.Sprintf(format, args...)}
@@ -846,45 +835,13 @@ func (h *harness) checkQuiescent() *Violation {
 		}
 	}
 	for ai, a := range h.cfg.Addrs {
-		owner, sharerMask := -1, h.dir.Sharers(a)
-		sharers := h.sharers[:0]
+		if err := coherence.AuditBlock(h.l1s, h.dir, a); err != nil {
+			return fail("a%d: %v", ai, err)
+		}
 		for c, l1 := range h.l1s {
 			b := l1.Array().Lookup(a)
 			if b == nil {
 				continue
-			}
-			if transient(b.State) {
-				return fail("core %d holds a%d in transient state %v at quiescence", c, ai, b.State)
-			}
-			switch b.State {
-			case cache.Modified, cache.Exclusive:
-				if owner >= 0 {
-					return fail("a%d has two writable copies (cores %d and %d)", ai, owner, c)
-				}
-				owner = c
-				if b.State == cache.Exclusive {
-					// E is granted fresh from the L2 line and never written
-					// (a store moves the block to M), so a divergent word in
-					// E is dirty data a silent PUTE eviction would lose.
-					w := b.ReadWord(h.l1s[c].Array().Offset(a), 4)
-					if lw := h.backingWord(a); w != lw {
-						return fail("core %d a%d: Exclusive copy %#x diverges from the backing line %#x (dirty data in a clean state)",
-							c, ai, w, lw)
-					}
-				}
-			case cache.Shared, cache.GS:
-				sharers = append(sharers, c)
-				if !sharerMask.Has(c) {
-					return fail("core %d holds a%d in %v but is not on the sharer list (%v)",
-						c, ai, b.State, sharerMask.IDs())
-				}
-			case cache.GI:
-				if sharerMask.Has(c) {
-					return fail("core %d holds a%d in GI yet rides the sharer list", c, ai)
-				}
-				if h.dir.Owner(a) == c {
-					return fail("core %d holds a%d in GI yet is the recorded owner", c, ai)
-				}
 			}
 			switch {
 			case b.State == cache.GS && h.st.GSEntries == 0:
@@ -895,45 +852,6 @@ func (h *harness) checkQuiescent() *Violation {
 			if v := h.checkWord(ai, a, c, b); v != nil {
 				return v
 			}
-		}
-		// Phantom sharers: every core the directory lists must actually
-		// hold a tracked read copy (a list entry for a core that dropped or
-		// upgraded its copy would invalidate a bystander later, or worse,
-		// stall an UPGRADE's ack collection forever).
-		for c := range h.l1s {
-			if !sharerMask.Has(c) {
-				continue
-			}
-			b := h.l1s[c].Array().Lookup(a)
-			if b == nil || (b.State != cache.Shared && b.State != cache.GS) {
-				st := "no tag"
-				if b != nil {
-					st = proto.L1StateName(b.State)
-				}
-				return fail("a%d: directory lists core %d as sharer but it holds %s", ai, c, st)
-			}
-		}
-		// Directory self-consistency: the state record must agree with the
-		// line's own owner/sharer bookkeeping.
-		switch h.dir.State(a) {
-		case proto.DirShared:
-			if sharerMask.None() {
-				return fail("a%d: directory state DS with an empty sharer list", ai)
-			}
-		case proto.DirOwned:
-			if h.dir.Owner(a) < 0 {
-				return fail("a%d: directory state DM without a recorded owner", ai)
-			}
-		}
-		if owner >= 0 {
-			if got := h.dir.Owner(a); got != owner {
-				return fail("a%d owned by core %d but the directory records %d", ai, owner, got)
-			}
-			if len(sharers) > 0 {
-				return fail("a%d has sharers %v alongside owner %d", ai, sharers, owner)
-			}
-		} else if got := h.dir.Owner(a); got >= 0 {
-			return fail("a%d: directory records owner %d but no L1 holds M/E", ai, got)
 		}
 	}
 	return nil
@@ -967,7 +885,7 @@ func (h *harness) backingWord(a mem.Addr) uint64 {
 // word, and a GS copy (whose residency re-runs the comparator under the
 // hybrid and escalate policies) must stay within d-distance of it.
 func (h *harness) checkWord(ai int, a mem.Addr, c int, b *cache.Block) *Violation {
-	if !readable(b.State) {
+	if !b.State.ReadableLocally() {
 		return nil
 	}
 	w := b.ReadWord(h.l1s[c].Array().Offset(a), 4)
@@ -1031,7 +949,7 @@ func (h *harness) fingerprint() uint64 {
 				st = cache.Modified
 			}
 			f = mix(f, 1+uint64(st))
-			if readable(b.State) {
+			if b.State.ReadableLocally() {
 				f = mix(f, b.ReadWord(l1.Array().Offset(a), 4))
 			}
 		}

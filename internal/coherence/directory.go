@@ -275,9 +275,6 @@ func (d *Directory) Reset() {
 	d.dead = d.dead[:0]
 }
 
-// Node returns the directory's mesh node.
-func (d *Directory) Node() noc.NodeID { return d.node }
-
 // UsePool makes the directory draw its outbound messages from p (shared
 // machine-wide; see MsgPool for the ownership discipline). Without a pool
 // every message is a fresh allocation.

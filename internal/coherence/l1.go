@@ -248,9 +248,6 @@ func (l *L1) UsePool(p *MsgPool) { l.pool = p }
 // CurrentGITimeout returns the controller's (possibly adapted) sweep period.
 func (l *L1) CurrentGITimeout() sim.Cycle { return l.curTimeout }
 
-// Protocol returns the transition-table protocol the controller interprets.
-func (l *L1) Protocol() *proto.Protocol { return l.proto }
-
 // StartSweep arms the periodic GI timeout (a no-op for protocols without
 // GI). The machine arms it at the start of a run and stops it at the end so
 // the event queue can drain.

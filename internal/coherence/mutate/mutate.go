@@ -282,143 +282,96 @@ func enumerateDirRule(si, ei, ri int, r proto.DirTransition) []Mutation {
 // arbitrary coordinates through here, so every index is bounds-checked
 // rather than trusted.
 func (m Mutation) Apply(p *proto.Protocol) (*proto.Protocol, bool) {
+	if m.S < 0 || m.E < 0 {
+		return nil, false
+	}
+	var (
+		q  *proto.Protocol
+		ok bool
+	)
 	if m.Dir {
-		return m.applyDir(p)
+		if m.S >= int(proto.NumDirStates) || m.E >= proto.NumDirEvents || p.Dir[m.S][m.E] == nil {
+			return nil, false
+		}
+		q = p.Clone()
+		ok = mutateRow(m, &q.Dir[m.S][m.E], validDirNext, proto.NumDirActions)
+	} else {
+		if m.S >= proto.NumL1States || m.E >= proto.NumL1Events || p.L1[m.S][m.E] == nil {
+			return nil, false
+		}
+		// Absent rows have no block to write a next state into, and
+		// OpCorruptSharer is directory-only: no L1 action is a substitute.
+		absent := cache.State(m.S) == proto.Absent
+		nextOK := func(s cache.State) bool { return !absent && validL1Next(s) }
+		q = p.Clone()
+		ok = mutateRow(m, &q.L1[m.S][m.E], nextOK, 0)
 	}
-	if m.S < 0 || m.S >= proto.NumL1States || m.E < 0 || m.E >= proto.NumL1Events {
+	if !ok {
 		return nil, false
-	}
-	if p.L1[m.S][m.E] == nil {
-		return nil, false
-	}
-	q := p.Clone()
-	if m.Op == OpDropRow {
-		q.L1[m.S][m.E] = nil
-		return q, true
-	}
-	rules := q.L1[m.S][m.E]
-	if m.R < 0 || m.R >= len(rules) {
-		return nil, false
-	}
-	r := &rules[m.R]
-	switch m.Op {
-	case OpSwapNext:
-		nxt := cache.State(m.Arg)
-		if cache.State(m.S) == proto.Absent || !validL1Next(nxt) || nxt == r.Next {
-			return nil, false
-		}
-		r.Next = nxt
-	case OpDelAction:
-		if m.I < 0 || m.I >= len(r.Actions) {
-			return nil, false
-		}
-		r.Actions = append(r.Actions[:m.I:m.I], r.Actions[m.I+1:]...)
-	case OpSwapActions:
-		if m.I < 0 || m.Arg <= m.I || m.Arg >= len(r.Actions) {
-			return nil, false
-		}
-		r.Actions[m.I], r.Actions[m.Arg] = r.Actions[m.Arg], r.Actions[m.I]
-	case OpDelGuard:
-		if m.I < 0 || m.I >= len(r.Guards) {
-			return nil, false
-		}
-		r.Guards = append(r.Guards[:m.I:m.I], r.Guards[m.I+1:]...)
-	case OpNegGuard:
-		if m.I < 0 || m.I >= len(r.Guards) {
-			return nil, false
-		}
-		g := r.Guards[m.I]
-		r.Guards = append(r.Guards[:m.I:m.I], r.Guards[m.I+1:]...)
-		r.NegGuards = append(r.NegGuards, g)
-	case OpDupConflict:
-		nxt := cache.State(m.Arg)
-		if cache.State(m.S) == proto.Absent || !validL1Next(nxt) {
-			return nil, false
-		}
-		dup := proto.Transition{
-			Guards:    append([]proto.Guard(nil), r.Guards...),
-			NegGuards: append([]proto.Guard(nil), r.NegGuards...),
-			Next:      nxt,
-			Actions:   append([]proto.Action(nil), r.Actions...),
-		}
-		q.L1[m.S][m.E] = append([]proto.Transition{dup}, rules...)
-	default:
-		return nil, false // OpCorruptSharer is directory-only
 	}
 	return q, true
 }
 
-func (m Mutation) applyDir(p *proto.Protocol) (*proto.Protocol, bool) {
-	if m.S < 0 || m.S >= int(proto.NumDirStates) || m.E < 0 || m.E >= proto.NumDirEvents {
-		return nil, false
-	}
-	if p.Dir[m.S][m.E] == nil {
-		return nil, false
-	}
-	q := p.Clone()
+// mutateRow applies m's operator to one table entry of a cloned protocol,
+// in place; false means m names no valid target in it. nextOK is the side's
+// next-state range check; substitutes bounds the actions OpCorruptSharer
+// may write.
+func mutateRow[S, G, A ~uint8](m Mutation, row *[]proto.Rule[S, G, A], nextOK func(S) bool, substitutes A) bool {
 	if m.Op == OpDropRow {
-		q.Dir[m.S][m.E] = nil
-		return q, true
+		*row = nil
+		return true
 	}
-	rules := q.Dir[m.S][m.E]
+	rules := *row
 	if m.R < 0 || m.R >= len(rules) {
-		return nil, false
+		return false
 	}
 	r := &rules[m.R]
 	switch m.Op {
 	case OpSwapNext:
-		nxt := proto.DirState(m.Arg)
-		if !validDirNext(nxt) || nxt == r.Next {
-			return nil, false
+		nxt := S(m.Arg)
+		if !nextOK(nxt) || nxt == r.Next {
+			return false
 		}
 		r.Next = nxt
 	case OpDelAction:
 		if m.I < 0 || m.I >= len(r.Actions) {
-			return nil, false
+			return false
 		}
 		r.Actions = append(r.Actions[:m.I:m.I], r.Actions[m.I+1:]...)
 	case OpSwapActions:
 		if m.I < 0 || m.Arg <= m.I || m.Arg >= len(r.Actions) {
-			return nil, false
+			return false
 		}
 		r.Actions[m.I], r.Actions[m.Arg] = r.Actions[m.Arg], r.Actions[m.I]
-	case OpDelGuard:
+	case OpDelGuard, OpNegGuard:
 		if m.I < 0 || m.I >= len(r.Guards) {
-			return nil, false
-		}
-		r.Guards = append(r.Guards[:m.I:m.I], r.Guards[m.I+1:]...)
-	case OpNegGuard:
-		if m.I < 0 || m.I >= len(r.Guards) {
-			return nil, false
+			return false
 		}
 		g := r.Guards[m.I]
 		r.Guards = append(r.Guards[:m.I:m.I], r.Guards[m.I+1:]...)
-		r.NegGuards = append(r.NegGuards, g)
+		if m.Op == OpNegGuard {
+			r.NegGuards = append(r.NegGuards, g)
+		}
 	case OpDupConflict:
-		nxt := proto.DirState(m.Arg)
-		if !validDirNext(nxt) {
-			return nil, false
+		dup := r.Clone()
+		dup.Next = S(m.Arg)
+		if !nextOK(dup.Next) {
+			return false
 		}
-		dup := proto.DirTransition{
-			Guards:    append([]proto.DirGuard(nil), r.Guards...),
-			NegGuards: append([]proto.DirGuard(nil), r.NegGuards...),
-			Next:      nxt,
-			Actions:   append([]proto.DirAction(nil), r.Actions...),
-		}
-		q.Dir[m.S][m.E] = append([]proto.DirTransition{dup}, rules...)
+		*row = append([]proto.Rule[S, G, A]{dup}, rules...)
 	case OpCorruptSharer:
 		if m.I < 0 || m.I >= len(r.Actions) {
-			return nil, false
+			return false
 		}
-		sub := proto.DirAction(m.Arg)
-		if sub >= proto.NumDirActions || sub == r.Actions[m.I] {
-			return nil, false
+		sub := A(m.Arg)
+		if sub >= substitutes || sub == r.Actions[m.I] {
+			return false
 		}
 		r.Actions[m.I] = sub
 	default:
-		return nil, false
+		return false
 	}
-	return q, true
+	return true
 }
 
 func validL1Next(s cache.State) bool {
@@ -432,42 +385,58 @@ func validDirNext(s proto.DirState) bool {
 // Describe renders m against its original protocol, e.g.
 // "l1 GS/Scribble r0: next GS->I" or "dir DS/PUTS r1: drop action drop sharer".
 func (m Mutation) Describe(p *proto.Protocol) string {
-	side, row := "l1", ""
 	if m.Dir {
-		side = "dir"
-		row = fmt.Sprintf("%v/%v", proto.DirState(m.S), proto.Event(m.E)+proto.EvGETS)
-	} else {
-		row = fmt.Sprintf("%s/%v", proto.L1StateName(cache.State(m.S)), proto.Event(m.E))
+		row := fmt.Sprintf("dir %v/%v", proto.DirState(m.S), proto.Event(m.E)+proto.EvGETS)
+		return describe(m, row, p.Dir[m.S][m.E], dirNextName)
 	}
-	at := fmt.Sprintf("%s %s r%d", side, row, m.R)
+	row := fmt.Sprintf("l1 %s/%v", proto.L1StateName(cache.State(m.S)), proto.Event(m.E))
+	return describe(m, row, p.L1[m.S][m.E], l1NextName)
+}
+
+// stringer is an enum that names its values.
+type stringer interface {
+	~uint8
+	fmt.Stringer
+}
+
+// describe renders m against the table entry it rewrites.
+func describe[S ~uint8, G, A stringer](m Mutation, row string, rules []proto.Rule[S, G, A], nextName func(S) string) string {
+	if m.Op == OpDropRow {
+		return row + ": drop row"
+	}
+	// With m.R outside the entry the rule stays empty and its guards and
+	// actions are named by index.
+	var r proto.Rule[S, G, A]
+	if m.R < len(rules) {
+		r = rules[m.R]
+	}
 	detail := "?"
 	switch m.Op {
-	case OpDropRow:
-		return fmt.Sprintf("%s %s: drop row", side, row)
 	case OpSwapNext:
-		if m.Dir {
-			detail = fmt.Sprintf("next -> %s", dirNextName(proto.DirState(m.Arg)))
-		} else {
-			detail = fmt.Sprintf("next -> %s", l1NextName(cache.State(m.Arg)))
-		}
+		detail = "next -> " + nextName(S(m.Arg))
 	case OpDelAction:
-		detail = fmt.Sprintf("drop action %s", m.actionName(p))
+		detail = "drop action " + nameAt(r.Actions, m.I)
 	case OpSwapActions:
 		detail = fmt.Sprintf("swap actions @%d,%d", m.I, m.Arg)
 	case OpDelGuard:
-		detail = fmt.Sprintf("drop guard %s", m.guardName(p))
+		detail = "drop guard " + nameAt(r.Guards, m.I)
 	case OpNegGuard:
-		detail = fmt.Sprintf("negate guard %s", m.guardName(p))
+		detail = "negate guard " + nameAt(r.Guards, m.I)
 	case OpDupConflict:
-		if m.Dir {
-			detail = fmt.Sprintf("shadow with next %s", dirNextName(proto.DirState(m.Arg)))
-		} else {
-			detail = fmt.Sprintf("shadow with next %s", l1NextName(cache.State(m.Arg)))
-		}
+		detail = "shadow with next " + nextName(S(m.Arg))
 	case OpCorruptSharer:
-		detail = fmt.Sprintf("%s -> %s", m.actionName(p), proto.DirAction(m.Arg))
+		detail = fmt.Sprintf("%s -> %v", nameAt(r.Actions, m.I), A(m.Arg))
 	}
-	return at + ": " + detail
+	return fmt.Sprintf("%s r%d: %s", row, m.R, detail)
+}
+
+// nameAt names element i of a rule's guard or action list, or the index
+// itself when the list has no such element.
+func nameAt[E fmt.Stringer](list []E, i int) string {
+	if i < len(list) {
+		return list[i].String()
+	}
+	return fmt.Sprintf("@%d", i)
 }
 
 func l1NextName(s cache.State) string {
@@ -482,32 +451,6 @@ func dirNextName(s proto.DirState) string {
 		return "stay"
 	}
 	return s.String()
-}
-
-func (m Mutation) actionName(p *proto.Protocol) string {
-	if m.Dir {
-		if rs := p.Dir[m.S][m.E]; m.R < len(rs) && m.I < len(rs[m.R].Actions) {
-			return rs[m.R].Actions[m.I].String()
-		}
-	} else {
-		if rs := p.L1[m.S][m.E]; m.R < len(rs) && m.I < len(rs[m.R].Actions) {
-			return rs[m.R].Actions[m.I].String()
-		}
-	}
-	return fmt.Sprintf("@%d", m.I)
-}
-
-func (m Mutation) guardName(p *proto.Protocol) string {
-	if m.Dir {
-		if rs := p.Dir[m.S][m.E]; m.R < len(rs) && m.I < len(rs[m.R].Guards) {
-			return rs[m.R].Guards[m.I].String()
-		}
-	} else {
-		if rs := p.L1[m.S][m.E]; m.R < len(rs) && m.I < len(rs[m.R].Guards) {
-			return rs[m.R].Guards[m.I].String()
-		}
-	}
-	return fmt.Sprintf("@%d", m.I)
 }
 
 // Decode interprets data as a mutation program: each 7-byte chunk is
@@ -553,56 +496,47 @@ func Decode(data []byte) []Mutation {
 // The interpreters index tables blindly, so an out-of-range value would be
 // a factory bug, not a protocol bug.
 func Validate(p *proto.Protocol) error {
-	for si := 0; si < proto.NumL1States; si++ {
-		for ei := 0; ei < proto.NumL1Events; ei++ {
-			for ri, r := range p.L1[si][ei] {
-				at := fmt.Sprintf("l1 %s/%v r%d", proto.L1StateName(cache.State(si)), proto.Event(ei), ri)
-				if !validL1Next(r.Next) {
-					return fmt.Errorf("%s: next %d out of range", at, r.Next)
-				}
-				if cache.State(si) == proto.Absent && r.Next != proto.Stay {
-					return fmt.Errorf("%s: Absent row must keep Stay", at)
-				}
-				for _, g := range r.Guards {
-					if g >= proto.NumGuards {
-						return fmt.Errorf("%s: guard %d out of range", at, g)
-					}
-				}
-				for _, g := range r.NegGuards {
-					if g >= proto.NumGuards {
-						return fmt.Errorf("%s: neg-guard %d out of range", at, g)
-					}
-				}
-				for _, a := range r.Actions {
-					if a >= proto.NumActions {
-						return fmt.Errorf("%s: action %d out of range", at, a)
-					}
-				}
+	for si := range p.L1 {
+		nextOK := validL1Next
+		if cache.State(si) == proto.Absent {
+			// No block to write a next state into: Stay is the whole range.
+			nextOK = func(s cache.State) bool { return s == proto.Stay }
+		}
+		for ei, rules := range p.L1[si] {
+			if err := lintRules(rules, nextOK, proto.NumGuards, proto.NumActions); err != nil {
+				return fmt.Errorf("l1 %s/%v %w", proto.L1StateName(cache.State(si)), proto.Event(ei), err)
 			}
 		}
 	}
-	for si := 0; si < int(proto.NumDirStates); si++ {
-		for ei := 0; ei < proto.NumDirEvents; ei++ {
-			for ri, r := range p.Dir[si][ei] {
-				at := fmt.Sprintf("dir %v/%v r%d", proto.DirState(si), proto.Event(ei)+proto.EvGETS, ri)
-				if !validDirNext(r.Next) {
-					return fmt.Errorf("%s: next %d out of range", at, r.Next)
-				}
-				for _, g := range r.Guards {
-					if g >= proto.NumDirGuards {
-						return fmt.Errorf("%s: guard %d out of range", at, g)
-					}
-				}
-				for _, g := range r.NegGuards {
-					if g >= proto.NumDirGuards {
-						return fmt.Errorf("%s: neg-guard %d out of range", at, g)
-					}
-				}
-				for _, a := range r.Actions {
-					if a >= proto.NumDirActions {
-						return fmt.Errorf("%s: action %d out of range", at, a)
-					}
-				}
+	for si := range p.Dir {
+		for ei, rules := range p.Dir[si] {
+			if err := lintRules(rules, validDirNext, proto.NumDirGuards, proto.NumDirActions); err != nil {
+				return fmt.Errorf("dir %v/%v %w", proto.DirState(si), proto.Event(ei)+proto.EvGETS, err)
+			}
+		}
+	}
+	return nil
+}
+
+// lintRules range-checks one table entry against its side's enums.
+func lintRules[S, G, A ~uint8](rules []proto.Rule[S, G, A], nextOK func(S) bool, guards G, actions A) error {
+	for ri, r := range rules {
+		if !nextOK(r.Next) {
+			return fmt.Errorf("r%d: next %d out of range", ri, r.Next)
+		}
+		for _, g := range r.Guards {
+			if g >= guards {
+				return fmt.Errorf("r%d: guard %d out of range", ri, g)
+			}
+		}
+		for _, g := range r.NegGuards {
+			if g >= guards {
+				return fmt.Errorf("r%d: neg-guard %d out of range", ri, g)
+			}
+		}
+		for _, a := range r.Actions {
+			if a >= actions {
+				return fmt.Errorf("r%d: action %d out of range", ri, a)
 			}
 		}
 	}

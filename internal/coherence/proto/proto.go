@@ -332,19 +332,45 @@ func (a Action) String() string {
 	return fmt.Sprintf("Action(%d)", uint8(a))
 }
 
-// Transition is one guarded L1 table rule. Within a (state, event) entry
-// rules are tried in order; the first whose guards all pass — and whose
-// NegGuards all fail — fires. Next is applied before the actions run (Stay
-// keeps the state).
-type Transition struct {
-	Guards []Guard
+// Rule is one guarded table rule over one side's state, guard and action
+// enums. Within a (state, event) entry rules are tried in order; the first
+// whose guards all pass — and whose NegGuards all fail — fires. Next is
+// applied before the actions run (the side's Stay sentinel keeps the state).
+type Rule[S, G, A ~uint8] struct {
+	Guards []G
 	// NegGuards are guards that must evaluate false for the rule to fire.
 	// The shipped tables leave this empty; it exists as a mutation hook so
 	// internal/coherence/mutate can express guard negation as data.
-	NegGuards []Guard
-	Next      cache.State
-	Actions   []Action
+	NegGuards []G
+	Next      S
+	Actions   []A
 }
+
+// Clone deep-copies the rule.
+func (r Rule[S, G, A]) Clone() Rule[S, G, A] {
+	return Rule[S, G, A]{
+		Guards:    append([]G(nil), r.Guards...),
+		NegGuards: append([]G(nil), r.NegGuards...),
+		Next:      r.Next,
+		Actions:   append([]A(nil), r.Actions...),
+	}
+}
+
+// cloneRules deep-copies one table entry; a nil (unreachable) entry stays
+// nil.
+func cloneRules[S, G, A ~uint8](rules []Rule[S, G, A]) []Rule[S, G, A] {
+	if rules == nil {
+		return nil
+	}
+	out := make([]Rule[S, G, A], len(rules))
+	for i, r := range rules {
+		out[i] = r.Clone()
+	}
+	return out
+}
+
+// Transition is one guarded L1 table rule.
+type Transition = Rule[cache.State, Guard, Action]
 
 // L1Table is the L1 transition relation, indexed [state][event]. A nil
 // entry means the pair is unreachable under the protocol (it must then
@@ -494,14 +520,7 @@ func (a DirAction) String() string {
 }
 
 // DirTransition is one guarded directory table rule.
-type DirTransition struct {
-	Guards []DirGuard
-	// NegGuards are guards that must evaluate false for the rule to fire
-	// (mutation hook; empty in the shipped tables).
-	NegGuards []DirGuard
-	Next      DirState
-	Actions   []DirAction
-}
+type DirTransition = Rule[DirState, DirGuard, DirAction]
 
 // DirTable is the directory transition relation, indexed
 // [state][event-EvGETS].
@@ -555,7 +574,7 @@ func (p *Protocol) Clone() *Protocol {
 	}
 	for s := range p.Dir {
 		for e := range p.Dir[s] {
-			q.Dir[s][e] = cloneDirRules(p.Dir[s][e])
+			q.Dir[s][e] = cloneRules(p.Dir[s][e])
 		}
 	}
 	q.L1Unreachable = make(map[L1Key]string, len(p.L1Unreachable))
@@ -567,36 +586,4 @@ func (p *Protocol) Clone() *Protocol {
 		q.DirUnreachable[k] = v
 	}
 	return q
-}
-
-func cloneRules(rules []Transition) []Transition {
-	if rules == nil {
-		return nil
-	}
-	out := make([]Transition, len(rules))
-	for i, r := range rules {
-		out[i] = Transition{
-			Guards:    append([]Guard(nil), r.Guards...),
-			NegGuards: append([]Guard(nil), r.NegGuards...),
-			Next:      r.Next,
-			Actions:   append([]Action(nil), r.Actions...),
-		}
-	}
-	return out
-}
-
-func cloneDirRules(rules []DirTransition) []DirTransition {
-	if rules == nil {
-		return nil
-	}
-	out := make([]DirTransition, len(rules))
-	for i, r := range rules {
-		out[i] = DirTransition{
-			Guards:    append([]DirGuard(nil), r.Guards...),
-			NegGuards: append([]DirGuard(nil), r.NegGuards...),
-			Next:      r.Next,
-			Actions:   append([]DirAction(nil), r.Actions...),
-		}
-	}
-	return out
 }

@@ -44,14 +44,14 @@ func Markdown(p *Protocol) string {
 					next = r.Next.String()
 				}
 				fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n",
-					s, ev, dirGuardList(r.Guards, r.NegGuards), next, dirActionList(r.Actions))
+					s, ev, guardList(r.Guards, r.NegGuards), next, actionList(r.Actions))
 			}
 		}
 	}
 	return b.String()
 }
 
-func guardList(gs, neg []Guard) string {
+func guardList[G fmt.Stringer](gs, neg []G) string {
 	if len(gs) == 0 && len(neg) == 0 {
 		return "—"
 	}
@@ -65,29 +65,7 @@ func guardList(gs, neg []Guard) string {
 	return strings.Join(parts, " ∧ ")
 }
 
-func actionList(as []Action) string {
-	parts := make([]string, len(as))
-	for i, a := range as {
-		parts[i] = a.String()
-	}
-	return strings.Join(parts, ", ")
-}
-
-func dirGuardList(gs, neg []DirGuard) string {
-	if len(gs) == 0 && len(neg) == 0 {
-		return "—"
-	}
-	parts := make([]string, 0, len(gs)+len(neg))
-	for _, g := range gs {
-		parts = append(parts, g.String())
-	}
-	for _, g := range neg {
-		parts = append(parts, "¬"+g.String())
-	}
-	return strings.Join(parts, " ∧ ")
-}
-
-func dirActionList(as []DirAction) string {
+func actionList[A fmt.Stringer](as []A) string {
 	parts := make([]string, len(as))
 	for i, a := range as {
 		parts[i] = a.String()

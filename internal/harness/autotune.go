@@ -18,13 +18,9 @@ var autoTuneCandidates = []int{1, 2, 3, 4, 6, 8, 10, 12}
 //
 // This is profile-guided tuning: the chosen d is only as good as the
 // profiling input's representativeness, exactly as the paper cautions.
-func AutoTune(name string, opt Options, targetPct float64) (int, []RunResult, error) {
-	return NewRunner(0).AutoTune(name, opt, targetPct)
-}
-
-// AutoTune is AutoTune on this Runner: the candidate sweep fans out across
-// the worker pool (the candidates are independent cells), then the winner
-// is selected in candidate order.
+//
+// The candidate sweep fans out across the worker pool (the candidates are
+// independent cells), then the winner is selected in candidate order.
 func (r *Runner) AutoTune(name string, opt Options, targetPct float64) (int, []RunResult, error) {
 	if targetPct < 0 {
 		return 0, nil, fmt.Errorf("harness: negative error target %v", targetPct)

@@ -22,12 +22,6 @@ type Fig1Point struct {
 	PrivatizedCycles uint64
 }
 
-// Fig1 reproduces Fig. 1: speedup of the naive (Listing 1) and privatized
-// (Listing 2) dot products vs thread count under baseline MESI.
-func Fig1(w io.Writer, opt Options) ([]Fig1Point, error) {
-	return NewRunner(0).Fig1(w, opt)
-}
-
 // fig1Jobs lays out the Fig. 1 (kernel × thread-count) grid.
 func fig1Jobs(opt Options) []Job {
 	apps := []string{"bad_dot_product", "priv_dot_product"}
@@ -45,8 +39,10 @@ func fig1Jobs(opt Options) []Job {
 	return jobs
 }
 
-// Fig1 is Fig1 on this Runner: the (kernel × thread-count) grid runs on the
-// worker pool, then the table prints in sweep order.
+// Fig1 reproduces Fig. 1: speedup of the naive (Listing 1) and privatized
+// (Listing 2) dot products vs thread count under baseline MESI. The (kernel
+// × thread-count) grid runs on the worker pool, then the table prints in
+// sweep order.
 func (r *Runner) Fig1(w io.Writer, opt Options) ([]Fig1Point, error) {
 	cells := r.Run(fig1Jobs(opt))
 	if err := firstErr(cells); err != nil {
@@ -83,13 +79,6 @@ type Fig2Row struct {
 	Samples uint64
 }
 
-// Fig2 reproduces Fig. 2: the cumulative distribution of d-distances
-// between store values and the values they overwrite, per application,
-// measured on baseline runs with the similarity profiler enabled.
-func Fig2(w io.Writer, opt Options) ([]Fig2Row, error) {
-	return NewRunner(0).Fig2(w, opt)
-}
-
 // fig2Jobs lays out the Fig. 2 profiler grid: one baseline run per suite
 // application with the similarity profiler on.
 func fig2Jobs(opt Options) []Job {
@@ -104,7 +93,9 @@ func fig2Jobs(opt Options) []Job {
 	return jobs
 }
 
-// Fig2 is Fig2 on this Runner.
+// Fig2 reproduces Fig. 2: the cumulative distribution of d-distances
+// between store values and the values they overwrite, per application,
+// measured on baseline runs with the similarity profiler enabled.
 func (r *Runner) Fig2(w io.Writer, opt Options) ([]Fig2Row, error) {
 	suite := workloads.Suite()
 	cells := r.Run(fig2Jobs(opt))
@@ -229,13 +220,6 @@ type Fig12Point struct {
 // fig12Timeouts are the GI timeout periods of Fig. 12.
 var fig12Timeouts = []uint64{128, 512, 1024}
 
-// Fig12 reproduces Fig. 12: GI utilization and output error of the
-// bad_dot_product microbenchmark (4-distance scribbles) across GI timeout
-// periods.
-func Fig12(w io.Writer, opt Options) ([]Fig12Point, error) {
-	return NewRunner(0).Fig12(w, opt)
-}
-
 // fig12Jobs lays out the Fig. 12 GI-timeout sensitivity grid.
 func fig12Jobs(opt Options) []Job {
 	jobs := make([]Job, 0, len(fig12Timeouts))
@@ -247,7 +231,9 @@ func fig12Jobs(opt Options) []Job {
 	return jobs
 }
 
-// Fig12 is Fig12 on this Runner.
+// Fig12 reproduces Fig. 12: GI utilization and output error of the
+// bad_dot_product microbenchmark (4-distance scribbles) across GI timeout
+// periods.
 func (r *Runner) Fig12(w io.Writer, opt Options) ([]Fig12Point, error) {
 	cells := r.Run(fig12Jobs(opt))
 	if err := firstErr(cells); err != nil {
@@ -304,11 +290,6 @@ func Table2(w io.Writer, opt Options) {
 
 // Extensions runs the beyond-Table-2 applications (kmeans, sobel, fft) at
 // d ∈ {0, 4, 8} and prints the same columns the suite figures use.
-func Extensions(w io.Writer, opt Options) ([]SuiteResult, error) {
-	return NewRunner(0).Extensions(w, opt)
-}
-
-// Extensions is Extensions on this Runner.
 func (r *Runner) Extensions(w io.Writer, opt Options) ([]SuiteResult, error) {
 	out, err := r.runSuiteApps(workloads.Extensions(), opt)
 	if err != nil {
@@ -347,13 +328,6 @@ type ProtocolRow struct {
 	ErrorPct    float64 `json:"errorPct"`
 }
 
-// ProtocolGrid compares the registered protocol tables on the Table 2
-// suite at d = 8: baseline mesi (scribbles escalate to stores), the full
-// Ghostwriter protocol, and the GS-only gw-noGI ablation.
-func ProtocolGrid(w io.Writer, opt Options) ([]ProtocolRow, error) {
-	return NewRunner(0).ProtocolGrid(w, opt)
-}
-
 // protoJobs lays out the (application × protocol) ablation grid. Every
 // cell names its protocol explicitly, overriding whatever Options carries.
 func protoJobs(opt Options) []Job {
@@ -372,7 +346,9 @@ func protoJobs(opt Options) []Job {
 	return jobs
 }
 
-// ProtocolGrid is ProtocolGrid on this Runner.
+// ProtocolGrid compares the registered protocol tables on the Table 2
+// suite at d = 8: baseline mesi (scribbles escalate to stores), the full
+// Ghostwriter protocol, and the GS-only gw-noGI ablation.
 func (r *Runner) ProtocolGrid(w io.Writer, opt Options) ([]ProtocolRow, error) {
 	suite := workloads.Suite()
 	cells := r.Run(protoJobs(opt))
@@ -428,16 +404,6 @@ type TopologyRow struct {
 	ErrorPct          float64 `json:"errorPct"`
 }
 
-// TopologyGrid compares the registered interconnect topologies on the
-// Table 2 suite: for each (application, topology) pair it runs d = 0 and
-// d = 8 on that network and reports the within-topology gains — whether the
-// protocol's traffic reduction still buys speedup when the network is a
-// ring (serialized), a torus (shorter routes), or an ideal crossbar (no
-// path contention).
-func TopologyGrid(w io.Writer, opt Options) ([]TopologyRow, error) {
-	return NewRunner(0).TopologyGrid(w, opt)
-}
-
 // topoJobs lays out the (application × topology × {0, d}) ablation grid.
 // The mesh cell keeps Topo empty — the canonical spelling of the default —
 // so its cells share cache entries (and keys) with the main suite grids.
@@ -463,7 +429,12 @@ func topoJobs(opt Options) []Job {
 	return jobs
 }
 
-// TopologyGrid is TopologyGrid on this Runner.
+// TopologyGrid compares the registered interconnect topologies on the
+// Table 2 suite: for each (application, topology) pair it runs d = 0 and
+// d = 8 on that network and reports the within-topology gains — whether the
+// protocol's traffic reduction still buys speedup when the network is a
+// ring (serialized), a torus (shorter routes), or an ideal crossbar (no
+// path contention).
 func (r *Runner) TopologyGrid(w io.Writer, opt Options) ([]TopologyRow, error) {
 	suite := workloads.Suite()
 	topos := ghostwriter.Topologies()
@@ -512,13 +483,6 @@ type TrendPoint struct {
 	ErrorPct8    float64
 }
 
-// ScaleTrend measures linear_regression across input scales, supporting the
-// EXPERIMENTS.md analysis that the reproduction's shapes are stable under
-// scaling while residency-window error shrinks with input size.
-func ScaleTrend(w io.Writer, opt Options, scales []int) ([]TrendPoint, error) {
-	return NewRunner(0).ScaleTrend(w, opt, scales)
-}
-
 // trendJobs lays out the scale-trend (scale × d) grid.
 func trendJobs(opt Options, scales []int) []Job {
 	var jobs []Job
@@ -535,8 +499,10 @@ func trendJobs(opt Options, scales []int) []Job {
 	return jobs
 }
 
-// ScaleTrend is ScaleTrend on this Runner: all (scale × d) cells run on the
-// pool before the table prints.
+// ScaleTrend measures linear_regression across input scales, supporting the
+// EXPERIMENTS.md analysis that the reproduction's shapes are stable under
+// scaling while residency-window error shrinks with input size. All (scale
+// × d) cells run on the pool before the table prints.
 func (r *Runner) ScaleTrend(w io.Writer, opt Options, scales []int) ([]TrendPoint, error) {
 	cells := r.Run(trendJobs(opt, scales))
 	if err := firstErr(cells); err != nil {

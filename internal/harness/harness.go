@@ -7,9 +7,10 @@
 // configuration) cells, each a pure function of its Spec. The Runner fans a
 // grid out across a bounded worker pool and can persist results in a
 // content-addressed on-disk Cache, so sweeps scale with the host's cores
-// and re-runs only simulate cells whose inputs changed. The package-level
-// functions (RunApp, RunSuite, Fig1, ...) are convenience wrappers that use
-// a fresh all-CPUs Runner without a disk cache.
+// and re-runs only simulate cells whose inputs changed. Every experiment is
+// a Runner method, and the one table in experiments.go names them all: it is
+// what `gwsweep -exp`, RunExperiment and Manifest read. The zero Runner runs
+// on every CPU with no disk cache.
 package harness
 
 import (
@@ -92,22 +93,12 @@ func (r *RunResult) GIFrac() float64 {
 	return float64(r.Stats.ServicedByGI) / float64(r.Stats.StoresOnI)
 }
 
-// RunApp executes one application once. ddist 0 selects the baseline MESI
-// protocol; positive values run Ghostwriter with that d-distance. profile
-// enables the Fig. 2 store-similarity profiler.
-func RunApp(name string, opt Options, ddist int, profile bool) (RunResult, error) {
-	return NewRunner(0).RunApp(name, opt, ddist, profile)
-}
-
-// RunApp is RunApp routed through this Runner's worker pool and caches.
+// RunApp executes one application once, through this Runner's memo and
+// caches. ddist 0 selects the baseline MESI protocol; positive values run
+// Ghostwriter with that d-distance. profile enables the Fig. 2
+// store-similarity profiler.
 func (r *Runner) RunApp(name string, opt Options, ddist int, profile bool) (RunResult, error) {
 	return r.RunSpec(specFor(name, opt, ddist, profile, ghostwriter.PolicyHybrid))
-}
-
-// RunAppPolicy is RunApp with an explicit scribble residency policy (used
-// by the ablation benchmarks).
-func RunAppPolicy(name string, opt Options, ddist int, policy ghostwriter.ScribblePolicy) (RunResult, error) {
-	return NewRunner(0).RunSpec(specFor(name, opt, ddist, false, policy))
 }
 
 // SuiteResult bundles the baseline, d=4, and d=8 runs of one application —
@@ -172,31 +163,8 @@ func (r *Runner) runSuiteApps(apps []workloads.Factory, opt Options) ([]SuiteRes
 	return out, nil
 }
 
-// RunSuiteApp runs one application at d ∈ {0, 4, 8} and derives the
-// figure metrics.
-func RunSuiteApp(name string, opt Options) (SuiteResult, error) {
-	return NewRunner(0).RunSuiteApp(name, opt)
-}
-
-// RunSuiteApp is RunSuiteApp on this Runner.
-func (r *Runner) RunSuiteApp(name string, opt Options) (SuiteResult, error) {
-	f, err := workloads.Lookup(name)
-	if err != nil {
-		return SuiteResult{}, err
-	}
-	res, err := r.runSuiteApps([]workloads.Factory{f}, opt)
-	if err != nil {
-		return SuiteResult{}, err
-	}
-	return res[0], nil
-}
-
-// RunSuite runs the whole Table 2 suite.
-func RunSuite(opt Options) ([]SuiteResult, error) {
-	return NewRunner(0).RunSuite(opt)
-}
-
-// RunSuite is RunSuite on this Runner.
+// RunSuite runs the whole Table 2 suite at d ∈ {0, 4, 8} and derives the
+// metrics of Figs. 7 through 11.
 func (r *Runner) RunSuite(opt Options) ([]SuiteResult, error) {
 	return r.runSuiteApps(workloads.Suite(), opt)
 }

@@ -11,7 +11,7 @@ func fastOptions() Options { return Options{Scale: 1, Threads: 8} }
 
 func TestFig1Shape(t *testing.T) {
 	var buf bytes.Buffer
-	pts, err := Fig1(&buf, fastOptions())
+	pts, err := NewRunner(0).Fig1(&buf, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFig1Shape(t *testing.T) {
 
 func TestFig2CDFMonotone(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Fig2(&buf, fastOptions())
+	rows, err := NewRunner(0).Fig2(&buf, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFig2CDFMonotone(t *testing.T) {
 // no application slows down meaningfully; errors stay very low; traffic
 // never increases.
 func TestSuiteShapes(t *testing.T) {
-	suite, err := RunSuite(fastOptions())
+	suite, err := NewRunner(0).RunSuite(fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSuiteShapes(t *testing.T) {
 
 func TestFig12TimeoutSensitivity(t *testing.T) {
 	var buf bytes.Buffer
-	pts, err := Fig12(&buf, fastOptions())
+	pts, err := NewRunner(0).Fig12(&buf, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestTablesRender(t *testing.T) {
 }
 
 func TestRunAppUnknown(t *testing.T) {
-	if _, err := RunApp("nope", fastOptions(), 0, false); err == nil {
+	if _, err := NewRunner(0).RunApp("nope", fastOptions(), 0, false); err == nil {
 		t.Fatal("unknown app must error")
 	}
 }
@@ -154,7 +154,7 @@ func TestAutoTune(t *testing.T) {
 	opt := fastOptions()
 	// jpeg has measurable error growth with d, so the tuner has a real
 	// trade-off to navigate.
-	best, runs, err := AutoTune("jpeg", opt, 1.0)
+	best, runs, err := NewRunner(0).AutoTune("jpeg", opt, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +171,12 @@ func TestAutoTune(t *testing.T) {
 		}
 	}
 	// An impossible target must select the baseline.
-	bestStrict, _, err := AutoTune("jpeg", opt, -0.0)
+	bestStrict, _, err := NewRunner(0).AutoTune("jpeg", opt, -0.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("jpeg: best d for 1%% = %d; for 0%% = %d", best, bestStrict)
-	if _, _, err := AutoTune("jpeg", opt, -1); err == nil {
+	if _, _, err := NewRunner(0).AutoTune("jpeg", opt, -1); err == nil {
 		t.Fatal("negative target accepted")
 	}
 }
@@ -191,7 +191,7 @@ func errorsOf(runs []RunResult) []float64 {
 
 func TestBuildReportJSON(t *testing.T) {
 	opt := Options{Scale: 1, Threads: 4}
-	rep, err := BuildReport(opt)
+	rep, err := NewRunner(0).BuildReport(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestBuildReportJSON(t *testing.T) {
 
 func TestExtensionsRun(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Extensions(&buf, fastOptions())
+	res, err := NewRunner(0).Extensions(&buf, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestExtensionsRun(t *testing.T) {
 
 func TestScaleTrendStable(t *testing.T) {
 	var buf bytes.Buffer
-	pts, err := ScaleTrend(&buf, fastOptions(), []int{1, 2})
+	pts, err := NewRunner(0).ScaleTrend(&buf, fastOptions(), []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

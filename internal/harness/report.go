@@ -125,15 +125,11 @@ func record(s SuiteResult) SuiteRecord {
 	}
 }
 
-// BuildReport runs the full evaluation and assembles the report.
-func BuildReport(opt Options) (*Report, error) {
-	return NewRunner(0).BuildReport(opt)
-}
-
-// BuildReport is BuildReport on this Runner. Cells already resolved by this
-// Runner (or present in its disk cache) are reused rather than resimulated,
-// so building a report right after printing the text evaluation — the
-// `gwsweep -exp all -json` path — costs no extra simulations.
+// BuildReport runs the full evaluation and assembles the report. Cells
+// already resolved by this Runner (or present in its disk cache) are reused
+// rather than resimulated, so building a report right after printing the
+// text evaluation — the `gwsweep -exp all -json` path — costs no extra
+// simulations.
 func (r *Runner) BuildReport(opt Options) (*Report, error) {
 	var (
 		start      = time.Now()

@@ -72,7 +72,7 @@ func TestCacheKeyTopologyCompat(t *testing.T) {
 // every network — traffic never increases and errors stay small.
 func TestTopologyAblationSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := TopologyGrid(&buf, Options{Scale: 1, Threads: 4})
+	rows, err := NewRunner(0).TopologyGrid(&buf, Options{Scale: 1, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestTopologyAblationSmoke(t *testing.T) {
 // baseline against d=8, with the protocol still paying off.
 func TestTopologySweep64TileTorus(t *testing.T) {
 	opt := Options{Scale: 1, Threads: 8, Topo: "torus", Nodes: 64}
-	base, err := RunApp("linear_regression", opt, 0, false)
+	base, err := NewRunner(0).RunApp("linear_regression", opt, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d8, err := RunApp("linear_regression", opt, 8, false)
+	d8, err := NewRunner(0).RunApp("linear_regression", opt, 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestTopologySweep64TileTorus(t *testing.T) {
 // TestRunAppRejectsBadTopology: an unknown interconnect must fail loudly
 // before any simulation, not fall back to the mesh.
 func TestRunAppRejectsBadTopology(t *testing.T) {
-	if _, err := RunApp("histogram", Options{Scale: 1, Threads: 4, Topo: "hypercube"}, 0, false); err == nil {
+	if _, err := NewRunner(0).RunApp("histogram", Options{Scale: 1, Threads: 4, Topo: "hypercube"}, 0, false); err == nil {
 		t.Fatal("unknown topology must error")
 	}
-	if _, err := RunApp("histogram", Options{Scale: 1, Threads: 4, Topo: "mesh", Nodes: 5000}, 0, false); err == nil {
+	if _, err := NewRunner(0).RunApp("histogram", Options{Scale: 1, Threads: 4, Topo: "mesh", Nodes: 5000}, 0, false); err == nil {
 		t.Fatal("oversized node count must error")
 	}
 }

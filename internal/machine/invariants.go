@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence"
@@ -26,95 +27,34 @@ func (m *Machine) Quiesced() bool {
 }
 
 // CheckInvariants validates the protocol's coherence invariants across all
-// caches and directories. The machine must be quiesced. With strictData set
-// (baseline runs with no scribbles), it additionally checks that every
-// Shared copy holds the same bytes as the L2 home — a property Ghostwriter
-// deliberately relaxes for GS blocks.
+// caches and directories: every block some L1 holds a tag for passes
+// coherence.AuditBlock, the audit the model checker holds its schedules to.
+// The machine must be quiesced. With strictData set (baseline runs with no
+// scribbles), it additionally checks that every Shared copy holds the same
+// bytes as the L2 home — a property Ghostwriter deliberately relaxes for GS
+// blocks.
 func (m *Machine) CheckInvariants(strictData bool) error {
 	if !m.Quiesced() {
 		return fmt.Errorf("machine: invariant check while not quiesced")
 	}
-	type holder struct {
-		l1    int
-		state cache.State
-		data  []byte
-	}
-	copies := make(map[mem.Addr][]holder)
+	var blocks []mem.Addr
 	for _, l := range m.l1s {
 		arr := l.Array()
-		id := l.ID()
-		arr.ForEach(func(si int, b *cache.Block) {
-			base := arr.AddrOf(si, b)
-			copies[base] = append(copies[base], holder{l1: id, state: b.State, data: b.Data})
-		})
+		arr.ForEach(func(si int, b *cache.Block) { blocks = append(blocks, arr.AddrOf(si, b)) })
 	}
-	for base, hs := range copies {
-		owners := 0
-		ownerID := -1
-		var sharers coherence.SharerSet
-		for _, h := range hs {
-			switch h.state {
-			case cache.Modified, cache.Exclusive:
-				owners++
-				ownerID = h.l1
-			case cache.Shared, cache.GS:
-				sharers.Add(h.l1)
-			case cache.Invalid, cache.GI:
-				// Untracked; no constraint.
-			default:
-				return fmt.Errorf("block %#x: transient state %v in l1 %d while quiesced",
-					base, h.state, h.l1)
-			}
-		}
-		// Single-writer: at most one owner, and no read copies beside it.
-		if owners > 1 {
-			return fmt.Errorf("block %#x: %d owners", base, owners)
-		}
-		if owners == 1 && !sharers.None() {
-			return fmt.Errorf("block %#x: owner %d coexists with sharers %v", base, ownerID, sharers.IDs())
-		}
+	slices.Sort(blocks)
+	for _, base := range slices.Compact(blocks) {
 		d := m.dirFor(base)
-		if owners == 1 {
-			if got := d.Owner(base); got != ownerID {
-				return fmt.Errorf("block %#x: directory owner %d, cache owner %d", base, got, ownerID)
-			}
+		if err := coherence.AuditBlock(m.l1s, d, base); err != nil {
+			return err
 		}
-		if got := d.Owner(base); got >= 0 && owners == 0 {
-			return fmt.Errorf("block %#x: directory names owner %d but no cache owns it", base, got)
+		l2, ok := d.Peek(base)
+		if !strictData || !ok {
+			continue
 		}
-		// Every S/GS copy must be on the sharer list (GI copies must not).
-		dirSharers := d.Sharers(base)
-		for _, id := range sharers.IDs() {
-			if !dirSharers.Has(id) {
-				return fmt.Errorf("block %#x: cached sharers %v not covered by directory %v",
-					base, sharers.IDs(), dirSharers.IDs())
-			}
-		}
-		if strictData {
-			l2, ok := d.Peek(base)
-			for _, h := range hs {
-				if h.state == cache.Shared && ok && !bytes.Equal(h.data, l2) {
-					return fmt.Errorf("block %#x: shared copy in l1 %d diverges from L2", base, h.l1)
-				}
-			}
-		}
-	}
-	// Directory sharer lists may legitimately include caches that silently
-	// dropped... they may not: evictions of S/GS send PUTS. Check that every
-	// directory-listed sharer actually holds the block in S/GS/Invalid-
-	// transitional form.
-	for base := range copies {
-		d := m.dirFor(base)
-		for _, id := range d.Sharers(base).IDs() {
-			arr := m.l1s[id].Array()
-			b := arr.Lookup(base)
-			if b == nil || (b.State != cache.Shared && b.State != cache.GS) {
-				st := cache.State(0)
-				if b != nil {
-					st = b.State
-				}
-				return fmt.Errorf("block %#x: directory lists l1 %d as sharer but cache state is %v (present=%v)",
-					base, id, st, b != nil)
+		for id, l := range m.l1s {
+			if b := l.Array().Lookup(base); b != nil && b.State == cache.Shared && !bytes.Equal(b.Data, l2) {
+				return fmt.Errorf("block %#x: shared copy in l1 %d diverges from L2", base, id)
 			}
 		}
 	}

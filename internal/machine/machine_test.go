@@ -2,8 +2,10 @@ package machine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/stats"
@@ -633,5 +635,47 @@ func TestReadCoherentOracle(t *testing.T) {
 		if !f(seed) {
 			t.Fatalf("oracle mismatch at seed %d", seed)
 		}
+	}
+}
+
+// TestCheckInvariantsIsTheCheckersAudit: a machine run is held to the same
+// per-block audit as a model-checker schedule (coherence.AuditBlock), so
+// the two corruptions only the checker used to see — dirty data under a
+// clean Exclusive label, a GI holder left on the sharer list — fail here too.
+func TestCheckInvariantsIsTheCheckersAudit(t *testing.T) {
+	m := New(gwConfig())
+	a := m.Alloc(128, 64)
+	m.Run(2, func(th *Thread) {
+		th.Load32(a + 64) // both cores share the second block
+		if th.ID() == 0 {
+			th.Load32(a) // core 0 alone reads the first: granted Exclusive
+		}
+	})
+	if err := m.CheckInvariants(true); err != nil {
+		t.Fatal(err)
+	}
+	plant := func(name, want string, corrupt, restore func()) {
+		t.Helper()
+		corrupt()
+		err := m.CheckInvariants(false)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error mentioning %q", name, err, want)
+		}
+		restore()
+	}
+	e := m.l1s[0].Array().Lookup(a)
+	if e == nil || e.State != cache.Exclusive {
+		t.Fatalf("core 0 holds %#x as %+v, want Exclusive", a, e)
+	}
+	plant("dirty exclusive", "dirty data in a clean state",
+		func() { e.Data[0] ^= 0xFF }, func() { e.Data[0] ^= 0xFF })
+	s := m.l1s[1].Array().Lookup(a + 64)
+	if s == nil || s.State != cache.Shared {
+		t.Fatalf("core 1 holds %#x as %+v, want Shared", a+64, s)
+	}
+	plant("listed GI", "as sharer but it holds GI",
+		func() { s.State = cache.GI }, func() { s.State = cache.Shared })
+	if err := m.CheckInvariants(true); err != nil {
+		t.Fatalf("after restoring both copies: %v", err)
 	}
 }

@@ -160,11 +160,11 @@ func (t *Thread) Sync() {
 
 func (t *Thread) mem(op coherence.OpKind, a mem.Addr, width int, v uint64) uint64 {
 	d := t.ddist
-	if op == coherence.OpScribble && d >= 8*width {
+	if op == coherence.OpScribble {
 		// The compiler legality rule of §3.1: the d-distance must be
 		// strictly below the access width, otherwise any value could be
 		// scribbled ("an undesirable level of approximation").
-		d = 8*width - 1
+		d = min(d, approx.MaxLegalDistance(approx.Width(8*width)))
 	}
 	return t.call(threadReq{kind: reqMem, op: op, addr: a, width: width, value: v, d: d})
 }

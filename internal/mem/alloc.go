@@ -53,6 +53,3 @@ func (al *Allocator) AllocPadded(size int) Addr {
 	}
 	return a
 }
-
-// Brk returns the next unallocated address (the high-water mark).
-func (al *Allocator) Brk() Addr { return al.next }

@@ -149,9 +149,6 @@ func (n *Network) Reset() {
 	clear(n.linkMsgs)
 }
 
-// Topology returns the network's topology model.
-func (n *Network) Topology() Topology { return n.topo }
-
 // Nodes returns the node count.
 func (n *Network) Nodes() int { return n.topo.Nodes() }
 
@@ -314,11 +311,4 @@ func (n *Network) TopLinks(k int) []LinkUtil {
 		all = all[:k]
 	}
 	return all
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

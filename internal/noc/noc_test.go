@@ -235,3 +235,10 @@ func TestWindowZeroLookaheadStagedGuard(t *testing.T) {
 	NewSharded(clu, cfg, nil, nil, nil, nil)
 	t.Error("NewSharded accepted a zero-lookahead config")
 }
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}

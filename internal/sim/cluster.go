@@ -94,14 +94,6 @@ type WindowStats struct {
 	FastPath    bool   // single-shard fast path active (one shared engine)
 }
 
-// EventsPerWindow returns the mean events fired per drained window.
-func (ws WindowStats) EventsPerWindow() float64 {
-	if ws.Windows == 0 {
-		return 0
-	}
-	return float64(ws.Events) / float64(ws.Windows)
-}
-
 // Cluster is a set of per-tile Engines advancing in lockstep lookahead
 // windows. Shards sets only the number of worker goroutines that drain
 // tiles during a window — the simulated schedule is shard-count-invariant
@@ -261,20 +253,6 @@ func (c *Cluster) Fired() uint64 {
 	var n uint64
 	for _, t := range c.tiles {
 		n += t.Fired()
-	}
-	return n
-}
-
-// Pending returns the number of scheduled-but-unfired events across all
-// tiles. Staged effects are always empty at window boundaries, so they do
-// not contribute.
-func (c *Cluster) Pending() int {
-	if c.fast {
-		return c.shared.Pending()
-	}
-	n := 0
-	for _, t := range c.tiles {
-		n += t.Pending()
 	}
 	return n
 }

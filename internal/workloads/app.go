@@ -20,16 +20,9 @@ import (
 )
 
 // App is one runnable benchmark. Use: Prepare once on a fresh System, Run,
-// then Output/Golden for the quality metric.
+// then Output/Golden for the quality metric. What Table 2 says about it —
+// name, suite, domain, error metric — is on its Factory.
 type App interface {
-	// Name is the Table 2 application name.
-	Name() string
-	// Suite is "Phoenix", "AxBench", or "Micro".
-	Suite() string
-	// Domain is the Table 2 application domain.
-	Domain() string
-	// Metric is the Table 2 error metric.
-	Metric() quality.MetricKind
 	// Prepare allocates and preloads the application's input and output
 	// structures on the system.
 	Prepare(sys *ghostwriter.System)
@@ -46,10 +39,11 @@ type App interface {
 	SetDDist(d int)
 }
 
-// Factory describes one registry entry.
+// Factory describes one registry entry: the application's Table 2 row and
+// how to build it.
 type Factory struct {
 	Name   string
-	Suite  string
+	Suite  string // "Phoenix", "AxBench", or "Micro"
 	Domain string
 	Metric quality.MetricKind
 	// Input describes the paper's input and this reproduction's scaled

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	ghostwriter "ghostwriter"
-	"ghostwriter/internal/quality"
 )
 
 // BlackScholes is the AxBench blackscholes benchmark: price European call
@@ -63,18 +62,6 @@ func callPrice(s, k, v, t float32) float32 {
 
 // cndf is the cumulative normal distribution function.
 func cndf(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
-
-// Name implements App.
-func (b *BlackScholes) Name() string { return "blackscholes" }
-
-// Suite implements App.
-func (b *BlackScholes) Suite() string { return "AxBench" }
-
-// Domain implements App.
-func (b *BlackScholes) Domain() string { return "Financial Analysis" }
-
-// Metric implements App.
-func (b *BlackScholes) Metric() quality.MetricKind { return quality.MPE }
 
 // SetDDist implements App.
 func (b *BlackScholes) SetDDist(d int) { b.ddist = d }

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	ghostwriter "ghostwriter"
-	"ghostwriter/internal/quality"
-)
+import ghostwriter "ghostwriter"
 
 // DotProduct is the Listing 1 / Listing 2 microbenchmark pair from §2 of
 // the paper. The naive version (Listing 1) writes each thread's running
@@ -42,28 +39,6 @@ func NewDotProduct(scale int, privatized bool) *DotProduct {
 	d.golden = []float64{sum}
 	return d
 }
-
-// Name implements App.
-func (d *DotProduct) Name() string {
-	if d.privatized {
-		return "priv_dot_product"
-	}
-	return "bad_dot_product"
-}
-
-// Suite implements App.
-func (d *DotProduct) Suite() string { return "Micro" }
-
-// Domain implements App.
-func (d *DotProduct) Domain() string {
-	if d.privatized {
-		return "Listing 2"
-	}
-	return "Listing 1"
-}
-
-// Metric implements App.
-func (d *DotProduct) Metric() quality.MetricKind { return quality.MPE }
 
 // SetDDist implements App.
 func (d *DotProduct) SetDDist(dd int) { d.ddist = dd }

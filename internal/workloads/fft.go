@@ -4,7 +4,6 @@ import (
 	"math"
 
 	ghostwriter "ghostwriter"
-	"ghostwriter/internal/quality"
 )
 
 // FFT is an AxBench-style fft benchmark, included as an extension: an
@@ -89,18 +88,6 @@ func (f *FFT) goldenOutput() []float64 {
 	}
 	return out
 }
-
-// Name implements App.
-func (f *FFT) Name() string { return "fft" }
-
-// Suite implements App.
-func (f *FFT) Suite() string { return "AxBench" }
-
-// Domain implements App.
-func (f *FFT) Domain() string { return "Signal Processing (extension)" }
-
-// Metric implements App.
-func (f *FFT) Metric() quality.MetricKind { return quality.NRMSE }
 
 // SetDDist implements App.
 func (f *FFT) SetDDist(d int) { f.ddist = d }

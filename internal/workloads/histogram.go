@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	ghostwriter "ghostwriter"
-	"ghostwriter/internal/quality"
-)
+import ghostwriter "ghostwriter"
 
 // Histogram is the Phoenix histogram benchmark: count the occurrences of
 // every red, green, and blue intensity in an RGB image. As in Phoenix, each
@@ -49,18 +46,6 @@ func NewHistogram(scale int) *Histogram {
 	}
 	return h
 }
-
-// Name implements App.
-func (h *Histogram) Name() string { return "histogram" }
-
-// Suite implements App.
-func (h *Histogram) Suite() string { return "Phoenix" }
-
-// Domain implements App.
-func (h *Histogram) Domain() string { return "Image Processing" }
-
-// Metric implements App.
-func (h *Histogram) Metric() quality.MetricKind { return quality.MPE }
 
 // SetDDist implements App.
 func (h *Histogram) SetDDist(d int) { h.ddist = d }

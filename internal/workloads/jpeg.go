@@ -4,7 +4,6 @@ import (
 	"math"
 
 	ghostwriter "ghostwriter"
-	"ghostwriter/internal/quality"
 )
 
 // JPEG is the AxBench jpeg benchmark: a DCT + quantization image
@@ -189,18 +188,6 @@ func (j *JPEG) goldenOutput() []float64 {
 	}
 	return out
 }
-
-// Name implements App.
-func (j *JPEG) Name() string { return "jpeg" }
-
-// Suite implements App.
-func (j *JPEG) Suite() string { return "AxBench" }
-
-// Domain implements App.
-func (j *JPEG) Domain() string { return "Image Compression" }
-
-// Metric implements App.
-func (j *JPEG) Metric() quality.MetricKind { return quality.NRMSE }
 
 // SetDDist implements App.
 func (j *JPEG) SetDDist(d int) { j.ddist = d }

@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	ghostwriter "ghostwriter"
-	"ghostwriter/internal/quality"
-)
+import ghostwriter "ghostwriter"
 
 // KMeans is the Phoenix kmeans benchmark, included as an extension beyond
 // the paper's Table 2 (it is part of the same suite and equally
@@ -112,18 +109,6 @@ func (km *KMeans) goldenOutput() []float64 {
 	}
 	return out
 }
-
-// Name implements App.
-func (km *KMeans) Name() string { return "kmeans" }
-
-// Suite implements App.
-func (km *KMeans) Suite() string { return "Phoenix" }
-
-// Domain implements App.
-func (km *KMeans) Domain() string { return "Machine Learning (extension)" }
-
-// Metric implements App.
-func (km *KMeans) Metric() quality.MetricKind { return quality.NRMSE }
 
 // SetDDist implements App.
 func (km *KMeans) SetDDist(d int) { km.ddist = d }

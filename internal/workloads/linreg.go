@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	ghostwriter "ghostwriter"
-	"ghostwriter/internal/quality"
-)
+import ghostwriter "ghostwriter"
 
 // LinearRegression is the Phoenix linear_regression benchmark: fit
 // y = slope*x + intercept over a stream of (x, y) byte pairs. Each thread
@@ -86,18 +83,6 @@ func regress(s [lregFields]uint64, n int) []float64 {
 	intercept := (sy - slope*sx) / fn
 	return []float64{slope, intercept}
 }
-
-// Name implements App.
-func (l *LinearRegression) Name() string { return "linear_regression" }
-
-// Suite implements App.
-func (l *LinearRegression) Suite() string { return "Phoenix" }
-
-// Domain implements App.
-func (l *LinearRegression) Domain() string { return "Machine Learning" }
-
-// Metric implements App.
-func (l *LinearRegression) Metric() quality.MetricKind { return quality.MPE }
 
 // SetDDist implements App.
 func (l *LinearRegression) SetDDist(d int) { l.ddist = d }

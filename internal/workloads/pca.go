@@ -1,9 +1,6 @@
 package workloads
 
-import (
-	ghostwriter "ghostwriter"
-	"ghostwriter/internal/quality"
-)
+import ghostwriter "ghostwriter"
 
 // PCA is the Phoenix pca benchmark: compute the row means and the
 // covariance matrix of a data matrix. Threads write means and covariance
@@ -74,18 +71,6 @@ func (p *PCA) goldenOutput() []float64 {
 	}
 	return out
 }
-
-// Name implements App.
-func (p *PCA) Name() string { return "pca" }
-
-// Suite implements App.
-func (p *PCA) Suite() string { return "Phoenix" }
-
-// Domain implements App.
-func (p *PCA) Domain() string { return "Machine Learning" }
-
-// Metric implements App.
-func (p *PCA) Metric() quality.MetricKind { return quality.NRMSE }
 
 // SetDDist implements App.
 func (p *PCA) SetDDist(d int) { p.ddist = d }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	ghostwriter "ghostwriter"
-	"ghostwriter/internal/quality"
 )
 
 // Sobel is the AxBench sobel benchmark, included as an extension beyond the
@@ -60,18 +59,6 @@ func (s *Sobel) goldenOutput() []float64 {
 	}
 	return out
 }
-
-// Name implements App.
-func (s *Sobel) Name() string { return "sobel" }
-
-// Suite implements App.
-func (s *Sobel) Suite() string { return "AxBench" }
-
-// Domain implements App.
-func (s *Sobel) Domain() string { return "Image Processing (extension)" }
-
-// Metric implements App.
-func (s *Sobel) Metric() quality.MetricKind { return quality.NRMSE }
 
 // SetDDist implements App.
 func (s *Sobel) SetDDist(d int) { s.ddist = d }

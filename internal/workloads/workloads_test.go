@@ -15,7 +15,7 @@ func runApp(t *testing.T, app App, proto ghostwriter.Protocol, threads, d int) *
 	app.Prepare(sys)
 	sys.Run(threads, app.Kernel)
 	if !sys.Machine().Quiesced() {
-		t.Fatalf("%s: not quiesced after run", app.Name())
+		t.Fatalf("%T: not quiesced after run", app)
 	}
 	return sys
 }
@@ -157,11 +157,10 @@ func TestRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		app := f.New(1)
-		if app.Name() != name {
-			t.Errorf("factory %q built app %q", name, app.Name())
+		if f.Name != name {
+			t.Errorf("Lookup(%q) returned factory %q", name, f.Name)
 		}
-		if app.Suite() == "" || app.Domain() == "" {
+		if f.Suite == "" || f.Domain == "" {
 			t.Errorf("%s missing suite/domain metadata", name)
 		}
 	}
