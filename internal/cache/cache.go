@@ -83,16 +83,19 @@ func (s State) ReadableLocally() bool {
 
 // Block is one cache frame: a tag, a coherence state, and a copy of the
 // block's data. Approximate execution is functionally modelled, so each L1
-// genuinely holds (possibly divergent) data.
+// genuinely holds (possibly divergent) data. The fields are ordered widest
+// first: 40 bytes a frame, 256 L1s × 512 frames on the largest machine.
 type Block struct {
-	Valid bool // tag valid; false means the frame is empty
-	Tag   uint64
-	State State
-	Data  []byte
+	Tag uint64
+	// Data is nil until Install first claims the frame; from then on the
+	// frame keeps its buffer, through eviction and Reset.
+	Data []byte
 	// Hidden counts the writes absorbed during the current GS/GI residency
 	// (the drift monitor of §3.5's error-bounding extension; unused when
 	// the bound is disabled).
 	Hidden uint32
+	State  State
+	Valid  bool // tag valid; false means the frame is empty
 }
 
 // ReadWord reads a little-endian value of widthBytes at byte offset off.
@@ -116,15 +119,21 @@ type Config struct {
 func (c Config) Sets() int { return c.SizeBytes / (c.Ways * c.BlockSize) }
 
 // Cache is a set-associative array with tree pseudo-LRU replacement. All
-// frames live in one flat slice (set si spans blocks[si*Ways:(si+1)*Ways])
-// and all block data in one slab, sliced per frame at construction — two
-// allocations total, cache-friendly iteration.
+// frames live in one flat slice (set si spans blocks[si*Ways:(si+1)*Ways]).
+// Block data follows use: a frame gets its buffer the first time Install
+// claims it, carved from a slab that grows a chunk at a time, so a cache
+// costs host memory in proportion to the frames its run touches, not to
+// its capacity.
 type Cache struct {
-	cfg       Config
-	blocks    []Block
-	plru      []uint64 // one PLRU tree (bit field) per set
-	setShift  uint     // log2(BlockSize): where the set index starts
-	tagShift  uint     // log2(BlockSize × sets): where the tag starts
+	cfg    Config
+	blocks []Block
+	plru   []uint64 // one PLRU tree (bit field) per set
+	// slab is the uncarved tail of the newest data chunk and carved the
+	// number of frames given a buffer so far, which sizes the next chunk.
+	slab      []byte
+	carved    int
+	setShift  uint // log2(BlockSize): where the set index starts
+	tagShift  uint // log2(BlockSize × sets): where the tag starts
 	setMask   uint64
 	blockMask uint64
 }
@@ -155,16 +164,32 @@ func New(cfg Config) *Cache {
 	}
 	c.setShift = uint(bits.TrailingZeros(uint(cfg.BlockSize)))
 	c.tagShift = c.setShift + uint(bits.TrailingZeros(uint(nsets)))
-	slab := make([]byte, len(c.blocks)*cfg.BlockSize)
-	for i := range c.blocks {
-		c.blocks[i].Data = slab[i*cfg.BlockSize : (i+1)*cfg.BlockSize : (i+1)*cfg.BlockSize]
-	}
 	return c
 }
 
+// firstChunk is the number of frames in a cache's first data chunk. Each
+// later chunk holds as many frames as all before it plus firstChunk — 8,
+// 16, 32, … — and the last only what is left, so a fully touched 512-frame
+// L1 makes seven allocations and one that fills a few dozen frames two or
+// three.
+const firstChunk = 8
+
+// carve returns a zeroed block buffer for a frame that has none.
+func (c *Cache) carve() []byte {
+	bs := c.cfg.BlockSize
+	if len(c.slab) == 0 {
+		c.slab = make([]byte, min(c.carved+firstChunk, len(c.blocks)-c.carved)*bs)
+	}
+	buf := c.slab[:bs:bs]
+	c.slab = c.slab[bs:]
+	c.carved++
+	return buf
+}
+
 // Reset returns the cache to its just-constructed state, keeping its
-// storage: every frame empty, the data slab zeroed, every PLRU tree
-// cleared.
+// storage: every frame empty, every buffer a frame was given zeroed and
+// still that frame's (a second run over the same frames carves nothing),
+// every PLRU tree cleared.
 func (c *Cache) Reset() {
 	for i := range c.blocks {
 		b := &c.blocks[i]
@@ -275,17 +300,19 @@ func (c *Cache) VictimWay(a mem.Addr) *Block {
 
 // Install claims frame b (which must belong to the set of address a) for
 // the block containing a, setting its tag and state and copying data (which
-// may be nil to zero-fill). It marks the frame most-recently used.
+// may be nil to zero-fill). A frame claimed for the first time gets its
+// buffer here. It marks the frame most-recently used.
 func (c *Cache) Install(b *Block, a mem.Addr, st State, data []byte) {
 	b.Valid = true
 	b.Tag = c.tag(a)
 	b.State = st
+	if b.Data == nil {
+		b.Data = c.carve()
+	}
 	if data != nil {
 		copy(b.Data, data)
 	} else {
-		for i := range b.Data {
-			b.Data[i] = 0
-		}
+		clear(b.Data)
 	}
 	c.Touch(a)
 }

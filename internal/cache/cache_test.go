@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ghostwriter/internal/mem"
 )
@@ -192,5 +193,131 @@ func Test4WayPLRUCoversAllWays(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("PLRU used %d distinct frames, want 4", len(seen))
+	}
+}
+
+// TestBlockSize pins the frame layout: 40 bytes, fields widest first. A
+// field added in the wrong place pads each of a 256-node machine's 131 072
+// frames back out.
+func TestBlockSize(t *testing.T) {
+	if got := unsafe.Sizeof(Block{}); got != 40 {
+		t.Fatalf("Block is %d bytes, want 40", got)
+	}
+}
+
+// dirty fills a block buffer with a non-zero pattern.
+func dirty(b *Block) {
+	for i := range b.Data {
+		b.Data[i] = byte(i) | 0x80
+	}
+}
+
+func zeroed(b *Block) bool {
+	for _, x := range b.Data {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFramesGetDataOnFirstInstall: a frame has no buffer until Install
+// claims it and a zero-filled one of its own afterwards; a reused frame is
+// zeroed; an Invalid frame keeps its (stale) bytes for the scribe
+// comparator.
+func TestFramesGetDataOnFirstInstall(t *testing.T) {
+	c := New(l1Config())
+	a := mem.Addr(0x4000)
+	b := c.VictimWay(a)
+	if b.Data != nil {
+		t.Fatal("a never-used frame already holds a buffer")
+	}
+	c.Install(b, a, Shared, nil)
+	if len(b.Data) != 64 || cap(b.Data) != 64 || !zeroed(b) {
+		t.Fatalf("first install: len %d cap %d, zeroed %v; want one zero-filled 64-byte block", len(b.Data), cap(b.Data), zeroed(b))
+	}
+
+	dirty(b)
+	b.State = Invalid
+	if got := c.Lookup(a); got != b || got.Data[5] != 5|0x80 {
+		t.Fatal("an Invalid frame must keep its stale data")
+	}
+
+	buf := &b.Data[0]
+	c.Evict(b)
+	other := a + 256*64*2 // same set, different tag
+	if v := c.VictimWay(other); v != b {
+		t.Fatal("the evicted frame should be the victim")
+	}
+	c.Install(b, other, Modified, nil)
+	if &b.Data[0] != buf {
+		t.Error("a reinstalled frame should keep its buffer")
+	}
+	if !zeroed(b) {
+		t.Error("a reinstalled frame must be zero-filled")
+	}
+
+	// Neighbouring frames never share bytes.
+	n := c.VictimWay(a)
+	c.Install(n, a, Shared, nil)
+	dirty(n)
+	if !zeroed(b) {
+		t.Error("writing one frame's data changed another's")
+	}
+}
+
+// TestChunkedSlabBoundsAllocations: New allocates the cache, its frames and
+// its PLRU trees and no data; touching every frame of a Table 1 L1 then
+// costs seven data allocations (chunks of 8, 16, … frames, the last cut to
+// what is left), touching a few dozen costs three.
+func TestChunkedSlabBoundsAllocations(t *testing.T) {
+	for _, tc := range []struct{ frames, chunks int }{{0, 0}, {40, 3}, {512, 7}} {
+		var c *Cache
+		got := testing.AllocsPerRun(1, func() {
+			c = New(l1Config())
+			for i := 0; i < tc.frames; i++ {
+				a := mem.Addr(i * 64)
+				c.Install(c.VictimWay(a), a, Shared, nil)
+			}
+		})
+		if want := float64(3 + tc.chunks); got > want {
+			t.Errorf("building a cache and filling %d frames allocates %v objects, want at most 3 + %d data chunks", tc.frames, got, tc.chunks)
+		}
+		n := 0
+		c.ForEach(func(int, *Block) { n++ })
+		if n != tc.frames {
+			t.Errorf("%d frames valid, want %d", n, tc.frames)
+		}
+	}
+}
+
+// TestResetKeepsBuffers: Reset empties the cache, zeroes every buffer a
+// frame was given and leaves it with that frame, so a second pass over the
+// same addresses allocates nothing (the model checker's rewind contract).
+func TestResetKeepsBuffers(t *testing.T) {
+	c := New(l1Config())
+	pass := func() {
+		for i := 0; i < 40; i++ {
+			a := mem.Addr(i * 64)
+			b := c.VictimWay(a)
+			c.Install(b, a, Modified, nil)
+			dirty(b)
+		}
+	}
+	pass()
+	b := c.Lookup(0)
+	buf := &b.Data[0]
+	c.Reset()
+	if c.Lookup(0) != nil {
+		t.Fatal("Reset left a block resident")
+	}
+	if b.Valid || b.State != Invalid || b.Hidden != 0 || b.Tag != 0 {
+		t.Errorf("Reset left frame metadata behind: %+v", *b)
+	}
+	if &b.Data[0] != buf || !zeroed(b) {
+		t.Error("Reset must keep a frame's buffer and zero it")
+	}
+	if got := testing.AllocsPerRun(3, func() { pass(); c.Reset() }); got != 0 {
+		t.Errorf("a pass over already-carved frames allocates %v objects, want 0", got)
 	}
 }

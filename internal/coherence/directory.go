@@ -123,8 +123,11 @@ type Directory struct {
 	// bufs holds the block buffers of lines that lost their data — a
 	// capacity victim's, every line's at Reset — for the next fills to read
 	// into, so a bank at capacity and a rewound directory fill without
-	// allocating.
+	// allocating. When it is empty a fill carves its buffer from slab, the
+	// uncarved tail of the newest chunk of lineChunk block buffers: like
+	// the lines themselves, L2 data is allocated once per 64 lines filled.
 	bufs [][]byte
+	slab []byte
 	// resident lists the addresses whose lines were filled into the L2
 	// bank, in fill order, and clock is the index the eviction scan last
 	// stopped at, walking it round-robin. A line that evictLine empties
@@ -622,13 +625,18 @@ func (d *Directory) withData(e *dirLine) {
 
 // fetch reads the block of e's current request from DRAM into the line; the
 // channel calls fillFn when the data is there. Like the grant, the fill's
-// context is the busy line, so the only thing a fill may have to allocate is
-// the line's block buffer, when no dropped line has left one in bufs.
+// context is the busy line, and the line's block buffer is one a dropped
+// line left in bufs or the next of the slab, so a fill allocates only when
+// it opens a new chunk.
 func (d *Directory) fetch(e *dirLine) {
+	bs := d.cfg.BlockSize
 	if n := len(d.bufs); n > 0 {
 		e.data, d.bufs = d.bufs[n-1], d.bufs[:n-1]
 	} else {
-		e.data = make([]byte, d.cfg.BlockSize)
+		if len(d.slab) == 0 {
+			d.slab = make([]byte, lineChunk*bs)
+		}
+		e.data, d.slab = d.slab[:bs:bs], d.slab[bs:]
 	}
 	d.dram.ReadBlock(e.cur.Addr, e.data, d.fillFn, e)
 }

@@ -164,10 +164,21 @@ type MsgPool struct {
 	free *Msg
 }
 
-// Get returns a zeroed message (its Data buffer keeps prior capacity).
+// msgChunk is the number of records a pool adds to an empty free list.
+const msgChunk = 64
+
+// Get returns a zeroed message (its Data buffer keeps prior capacity). An
+// empty free list grows a chunk at a time, as the engine's event list does.
 func (p *MsgPool) Get() *Msg {
-	if p == nil || p.free == nil {
+	if p == nil {
 		return &Msg{}
+	}
+	if p.free == nil {
+		chunk := make([]Msg, msgChunk)
+		for i := range chunk[:msgChunk-1] {
+			chunk[i].next = &chunk[i+1]
+		}
+		p.free = &chunk[0]
 	}
 	m := p.free
 	p.free = m.next

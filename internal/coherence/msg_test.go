@@ -80,3 +80,35 @@ func TestStateCoverage(t *testing.T) {
 		t.Error("grant kinds must be distinct")
 	}
 }
+
+// TestMsgPoolGrowsByTheChunk: an empty pool allocates msgChunk records at
+// once and hands each out exactly once, zeroed; a Put record comes back
+// before the pool allocates again.
+func TestMsgPoolGrowsByTheChunk(t *testing.T) {
+	p := &MsgPool{}
+	got := make([]*Msg, 0, 2*msgChunk) // AllocsPerRun runs the loop twice
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < msgChunk; i++ {
+			m := p.Get()
+			if m.next != nil || m.Data != nil || m.Type != 0 || m.Addr != 0 {
+				t.Fatalf("record %d not zeroed: %+v", i, *m)
+			}
+			m.Addr = 1 // a live message; the pool must not hand it out again
+			got = append(got, m)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("%d messages cost %v allocations, want one chunk", msgChunk, allocs)
+	}
+	seen := map[*Msg]bool{}
+	for _, m := range got {
+		seen[m] = true
+		p.Put(m)
+	}
+	if len(seen) != len(got) {
+		t.Errorf("%d distinct records over %d Gets", len(seen), len(got))
+	}
+	if got := testing.AllocsPerRun(1, func() { p.Put(p.Get()) }); got != 0 {
+		t.Errorf("a recycled message costs %v allocations", got)
+	}
+}

@@ -34,10 +34,14 @@ type Channel struct {
 	meter *energy.Meter
 	st    *stats.Stats
 	// readFn is bound once; the scheduled argument is the read completing.
-	// idle chains the records of completed reads for the next ones to use.
+	// idle chains the records of completed reads for the next ones to use,
+	// growing a chunk at a time when every record is in flight.
 	readFn func(any)
 	idle   *read
 }
+
+// readChunk is the number of records a channel adds to an empty idle list.
+const readChunk = 16
 
 // read is one block read in flight.
 type read struct {
@@ -64,12 +68,15 @@ func (c *Channel) Reset() { c.free = 0 }
 // the data and done(arg) runs. A caller that binds done once and passes its
 // context as arg pays no allocation per read.
 func (c *Channel) ReadBlock(addr mem.Addr, buf []byte, done func(any), arg any) {
-	r := c.idle
-	if r == nil {
-		r = &read{}
-	} else {
-		c.idle = r.next
+	if c.idle == nil {
+		chunk := make([]read, readChunk)
+		for i := range chunk[:readChunk-1] {
+			chunk[i].next = &chunk[i+1]
+		}
+		c.idle = &chunk[0]
 	}
+	r := c.idle
+	c.idle = r.next
 	*r = read{addr: addr, buf: buf, done: done, arg: arg}
 	c.eng.AtArg(c.schedule(), c.readFn, r)
 }

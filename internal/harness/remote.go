@@ -91,11 +91,17 @@ type RemoteCache struct {
 	hedge   time.Duration
 	log     io.Writer
 
+	// healthMu serializes health transitions (markDead on request
+	// goroutines, revive on the prober) and their notices. Each transition
+	// writes its notice before it publishes the target's dead bit, so
+	// notices never interleave and whoever observes the new state — through
+	// Degraded, say — finds its notice already in Log. Readers of the bit
+	// take no lock.
+	healthMu sync.Mutex
+
 	closed    chan struct{}
 	closeOnce sync.Once
 	probing   atomic.Bool
-	// allDeadLogged dedups the local-only degradation notice per outage.
-	allDeadLogged atomic.Bool
 
 	// hits/misses count server answers; errors counts failed requests
 	// (after retries) and malformed responses.
@@ -191,26 +197,42 @@ func (c *RemoteCache) candidates() []*remoteTarget {
 	return append(alive, c.targets...)
 }
 
+// logf writes one health notice. The caller holds healthMu.
+func (c *RemoteCache) logf(format string, args ...any) {
+	fmt.Fprintf(c.log, "harness: remote cache "+format+"\n", args...)
+}
+
 // markDead records a transport-level failure of t, logs the transition,
-// and wakes the re-probe loop.
+// and wakes the re-probe loop. The local-only notice appears once per
+// outage: only the transition that kills the last live server writes it.
 func (c *RemoteCache) markDead(t *remoteTarget, cause error) {
-	if t.dead.CompareAndSwap(false, true) {
-		if next := c.firstAlive(); next != nil {
-			fmt.Fprintf(c.log, "harness: remote cache %s unreachable (%v); failing over to %s\n",
-				t.base, cause, next.base)
-		} else if c.allDeadLogged.CompareAndSwap(false, true) {
-			fmt.Fprintf(c.log, "harness: remote cache %s unreachable (%v); continuing with local tiers only\n",
-				t.base, cause)
+	c.healthMu.Lock()
+	if !t.dead.Load() {
+		var next *remoteTarget
+		for _, o := range c.targets {
+			if o != t && !o.dead.Load() {
+				next = o
+				break
+			}
 		}
+		if next != nil {
+			c.logf("%s unreachable (%v); failing over to %s", t.base, cause, next.base)
+		} else {
+			c.logf("%s unreachable (%v); continuing with local tiers only", t.base, cause)
+		}
+		t.dead.Store(true)
 	}
+	c.healthMu.Unlock()
 	c.ensureProber()
 }
 
 // revive readopts a recovered server.
 func (c *RemoteCache) revive(t *remoteTarget) {
-	if t.dead.CompareAndSwap(true, false) {
-		c.allDeadLogged.Store(false)
-		fmt.Fprintf(c.log, "harness: remote cache %s recovered; readopted\n", t.base)
+	c.healthMu.Lock()
+	defer c.healthMu.Unlock()
+	if t.dead.Load() {
+		c.logf("%s recovered; readopted", t.base)
+		t.dead.Store(false)
 	}
 }
 

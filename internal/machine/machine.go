@@ -133,6 +133,10 @@ type Machine struct {
 	threads []*Thread
 	active  int
 	arrived int
+	// threadMergeFn is m.threadMerge bound once: evaluating the method value
+	// at every Stage call would allocate a closure per barrier, migration
+	// and thread exit.
+	threadMergeFn sim.StagedHandler
 }
 
 // New builds a machine from cfg.
@@ -165,6 +169,7 @@ func New(cfg Config) *Machine {
 		meter:      &energy.Meter{},
 		st:         &stats.Stats{},
 	}
+	m.threadMergeFn = m.threadMerge
 	for i := 0; i < nodes; i++ {
 		m.tileMeters[i] = &energy.Meter{}
 		m.tileStats[i] = &stats.Stats{}

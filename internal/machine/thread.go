@@ -382,11 +382,11 @@ func (m *Machine) apply(t *Thread, r threadReq) {
 		if target < 0 || target >= m.cfg.Cores {
 			panic(fmt.Sprintf("machine: migration to invalid core %d", target))
 		}
-		m.clu.Stage(t.core, m.threadMerge, t, auxThreadMigrate|uint64(target)<<8)
+		m.clu.Stage(t.core, m.threadMergeFn, t, auxThreadMigrate|uint64(target)<<8)
 	case reqBarrier:
 		t.barrier = true
 		t.barrierSince = t.eng().Now()
-		m.clu.Stage(t.core, m.threadMerge, t, auxThreadBarrier)
+		m.clu.Stage(t.core, m.threadMergeFn, t, auxThreadBarrier)
 	case reqSync:
 		// Everything the thread issued earlier has completed (requests are
 		// applied one at a time); take its next request at the same cycle.
@@ -394,7 +394,7 @@ func (m *Machine) apply(t *Thread, r threadReq) {
 	case reqDone:
 		t.done = true
 		t.finish = t.eng().Now()
-		m.clu.Stage(t.core, m.threadMerge, t, auxThreadDone)
+		m.clu.Stage(t.core, m.threadMergeFn, t, auxThreadDone)
 	}
 }
 
