@@ -13,8 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 
 	ghostwriter "ghostwriter"
 	ptable "ghostwriter/internal/coherence/proto"
@@ -52,17 +50,11 @@ func realMain() int {
 		migOpt  = flag.Bool("migratory", false, "enable the Stenström-style migratory optimization in the base protocol")
 		bound   = flag.Uint("bound", 0, "error-bound monitor: max hidden writes per GS/GI residency (0 = off)")
 		adaptGI = flag.Bool("adaptive-gi", false, "let each controller adapt its GI sweep period")
-		shards  = flag.String("shards", defaultShards, "engine per simulated machine: 1 = shared-wheel engine (fastest on every host measured); N > 1 or auto (= GOMAXPROCS) = windowed engine with N drain workers; results are identical for every value")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 	if err := ghostwriter.ValidateTopology(*topo, *nodes); err != nil {
-		fmt.Fprintln(os.Stderr, "ghostwriter:", err)
-		return 2
-	}
-	nshards, err := parseShards(*shards)
-	if err != nil {
 		fmt.Fprintln(os.Stderr, "ghostwriter:", err)
 		return 2
 	}
@@ -103,7 +95,7 @@ func realMain() int {
 		return 0
 	}
 	knobs := extraKnobs{msi: *msi, migratory: *migOpt, bound: uint32(*bound), adaptiveGI: *adaptGI,
-		shards: nshards, topo: *topo, nodes: *nodes}
+		topo: *topo, nodes: *nodes}
 	if err := run(*app, *d, *threads, *scale, *policy, *proto, *timeout, *cores, *nocHot, knobs); err != nil {
 		fmt.Fprintln(os.Stderr, "ghostwriter:", err)
 		return 1
@@ -140,27 +132,8 @@ func autotune(name string, scale, threads int, targetPct float64) error {
 type extraKnobs struct {
 	msi, migratory, adaptiveGI bool
 	bound                      uint32
-	shards                     int
 	topo                       string
 	nodes                      int
-}
-
-// defaultShards is -shards' default: the shared-wheel engine, one per cell.
-const defaultShards = "1"
-
-// parseShards resolves the -shards flag: "auto" means one shard worker per
-// host CPU (the simulated schedule is shard-count-invariant, so no value
-// changes results, only wall-clock). Explicit counts must be positive; the
-// machine clamps them to the tile count.
-func parseShards(s string) (int, error) {
-	if s == "auto" {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("invalid -shards %q: want a positive count or auto", s)
-	}
-	return n, nil
 }
 
 func run(name string, d, threads, scale int, policyName, protoName string, timeout uint64, cores, nocHot bool, knobs extraKnobs) error {
@@ -180,7 +153,6 @@ func run(name string, d, threads, scale int, policyName, protoName string, timeo
 		MigratoryOpt:      knobs.migratory,
 		ErrorBound:        knobs.bound,
 		AdaptiveGITimeout: knobs.adaptiveGI,
-		Shards:            knobs.shards,
 		Topo:              knobs.topo,
 		Nodes:             knobs.nodes,
 	}

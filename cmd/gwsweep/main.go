@@ -40,8 +40,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -66,7 +64,6 @@ func realMain() int {
 		topo     = flag.String("topo", "", "interconnect topology for every cell: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
 		nodes    = flag.Int("nodes", 0, "interconnect node count (0 = the Table 1 24; mesh/torus fold it into the most square grid)")
 		jobs     = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		shards   = flag.String("shards", defaultShards, "engine per simulated machine: 1 = shared-wheel engine (fastest on every host measured); N > 1 or auto (= GOMAXPROCS) = windowed engine with N drain workers; results and cache keys are identical for every value")
 		cacheDir = flag.String("cache", harness.DefaultCacheDir, "result cache directory")
 		noCache  = flag.Bool("nocache", false, "disable the on-disk result cache")
 		remote   = flag.String("remote", "", "comma-separated gwcached base URLs in preference order (e.g. http://primary:8344,http://standby:8344); the client fails over and readopts automatically")
@@ -95,13 +92,8 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "gwsweep:", err)
 		return 2
 	}
-	nshards, err := parseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gwsweep:", err)
-		return 2
-	}
 	opt := harness.Options{Scale: *scale, Threads: *threads, Protocol: *protocol,
-		Shards: nshards, Topo: *topo, Nodes: *nodes}
+		Topo: *topo, Nodes: *nodes}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -197,12 +189,8 @@ func realMain() int {
 		}
 		if ws := r.WindowSummary(); ws.Windows > 0 {
 			fmt.Fprintf(os.Stderr,
-				"gwsweep: windows: %d drained, %d merged barriers, %.1f events/window (max %d)",
+				"gwsweep: windows: %d drained, %d merged barriers, %.1f events/window (max %d)\n",
 				ws.Windows, ws.Merges, ws.EventsPerWindow(), ws.MaxWindow)
-			if ws.Steals > 0 {
-				fmt.Fprintf(os.Stderr, ", %d steals", ws.Steals)
-			}
-			fmt.Fprintf(os.Stderr, ", fast path on %d/%d cells\n", ws.FastCells, ws.Cells)
 		}
 		if rc != nil {
 			s, _ := rc.RemoteStats()
@@ -303,22 +291,4 @@ func splitURLs(s string) []string {
 		}
 	}
 	return urls
-}
-
-// defaultShards is -shards' default: the shared-wheel engine, one per cell.
-const defaultShards = "1"
-
-// parseShards resolves the -shards flag: "auto" means one shard worker per
-// host CPU (the simulated schedule is shard-count-invariant, so no value
-// changes results, only wall-clock). Explicit counts must be positive; the
-// machine clamps them to the tile count.
-func parseShards(s string) (int, error) {
-	if s == "auto" {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("invalid -shards %q: want a positive count or auto", s)
-	}
-	return n, nil
 }

@@ -145,13 +145,9 @@ type Msg struct {
 	next *Msg
 }
 
-// MsgPool recycles Msg records. Each pool is only ever touched from one
-// goroutine at a time — the machine gives every engine its own pool: one
-// for the whole machine when every tile aliases the single-shard engine,
-// one per tile in windowed mode, where a tile's components run on a single
-// shard worker per window — so the free list needs no locking. In windowed
-// mode records drift between pools as messages cross tiles (the receiver
-// frees into its own pool), which is harmless.
+// MsgPool recycles Msg records. A pool is only ever touched from the
+// goroutine that runs its engine — the machine has one engine and gives it
+// one pool — so the free list needs no locking.
 // A nil *MsgPool is valid and degrades to plain allocation, which keeps
 // test rigs that build controllers directly working unchanged.
 //

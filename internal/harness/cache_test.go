@@ -149,47 +149,3 @@ func TestCacheRepairedEntryNotDeleted(t *testing.T) {
 		t.Errorf("repaired entry = %+v/%v, want a hit with cycles 5", r, ok)
 	}
 }
-
-// TestCachePortableAcrossShards: a disk cache filled at one shard count
-// serves every other — the engine is not part of the content address, so a
-// cache written by `-shards 4` (or on a host where auto meant 8) replays
-// under the default without simulating, byte for byte.
-func TestCachePortableAcrossShards(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	withShards := func(n int) []Job {
-		o := fastOptions()
-		o.Shards = n
-		return protoJobs(o)[:3] // one application under every protocol table
-	}
-	fingerprints := func(cells []CellResult) []string {
-		fps := make([]string, len(cells))
-		for i, cell := range cells {
-			if cell.Err != nil {
-				t.Fatalf("%s: %v", cell.Job.Label, cell.Err)
-			}
-			fps[i] = resultFingerprint(t, cell.Result)
-		}
-		return fps
-	}
-
-	fill := &Runner{Jobs: 2, Cache: c}
-	want := fingerprints(fill.Run(withShards(4)))
-	if got := fill.Simulated(); got != uint64(len(want)) {
-		t.Fatalf("filling run simulated %d cells, want %d", got, len(want))
-	}
-	for _, n := range []int{0, 1} {
-		replay := &Runner{Jobs: 2, Cache: c}
-		got := fingerprints(replay.Run(withShards(n)))
-		if sim := replay.Simulated(); sim != 0 {
-			t.Errorf("Shards=%d: simulated %d cells against a cache filled at Shards=4, want 0", n, sim)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("Shards=%d cell %d: fingerprint %s, want %s", n, i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	ghostwriter "ghostwriter"
@@ -64,26 +63,11 @@ func perturbLeaves(t *testing.T, v reflect.Value, path string, visit func(path s
 	}
 }
 
-// executionOnlyPaths names, as perturbLeaves spells them, every field the
-// cache key must NOT depend on: the shard count in its three guises. It
-// picks the engine, never the result (DESIGN.md §12; shard_test.go holds
-// the differential proof), so a cell has one key on every host. The litmus
-// walks assert the opposite for exactly these paths — a new field is
-// still content by default, and nothing is exempted without a name here.
-var executionOnlyPaths = map[string]bool{
-	"Spec.Shards":        true,
-	"Spec.Config.Shards": true,
-	"Config.Shards":      true,
-}
-
-// checkLitmus is one leaf's verdict: content fields must move the key,
-// execution-only fields must not.
+// checkLitmus is one leaf's verdict: every field is content, so perturbing
+// it must move the key.
 func checkLitmus(t *testing.T, path string, changed bool) {
 	t.Helper()
-	switch {
-	case executionOnlyPaths[path] && changed:
-		t.Errorf("%s: perturbing an execution-only field changed the cache key — a host-dependent knob leaked into the content address", path)
-	case !executionOnlyPaths[path] && !changed:
+	if !changed {
 		t.Errorf("%s: perturbing the field left the cache key unchanged — the field is missing from the key", path)
 	}
 }
@@ -92,7 +76,7 @@ func checkLitmus(t *testing.T, path string, changed bool) {
 // changing any single machine.Config field — nested ones included — must
 // change the cache hash, or stale results would be served for a different
 // machine. The reflective walk means a field added to machine.Config is
-// covered automatically. executionOnlyPaths lists the inverted cases.
+// covered automatically.
 func TestCacheKeyMachineFieldSensitivity(t *testing.T) {
 	spec := specFor("histogram", Options{Scale: 1, Threads: 8}, 4, false, ghostwriter.PolicyHybrid)
 	base := spec.effective().MachineConfig()
@@ -115,8 +99,7 @@ func TestCacheKeyMachineFieldSensitivity(t *testing.T) {
 
 // TestCacheKeySpecFieldSensitivity applies the same litmus to the workload
 // half of the key: every Spec field (App, Scale, Threads, DDist, Profile,
-// and each ghostwriter.Config knob) must reach the hash, except the
-// executionOnlyPaths, which must not.
+// and each ghostwriter.Config knob) must reach the hash.
 func TestCacheKeySpecFieldSensitivity(t *testing.T) {
 	spec := specFor("histogram", Options{Scale: 1, Threads: 8}, 4, false, ghostwriter.PolicyHybrid)
 	baseKey := spec.Key()
@@ -244,37 +227,5 @@ func TestCacheKeyGolden(t *testing.T) {
 			t.Errorf("%s collides with %s", g.name, prev)
 		}
 		seen[got] = g.name
-	}
-}
-
-// TestKeyIgnoresShards: the shard count is how a cell is executed, not what
-// it is. Every golden cell keeps its committed hash at every shard count,
-// set through either knob, so a cache filled on an 8-core host hits on a
-// 2-core one; and the dispatcher, which re-derives keys at submit time,
-// accepts a sharded Spec under the shard-free key.
-func TestKeyIgnoresShards(t *testing.T) {
-	var items []WorkItem
-	for _, g := range goldenKeys {
-		for _, n := range []int{0, 1, 2, 4, runtime.GOMAXPROCS(0)} {
-			s := g.spec()
-			s.Shards = n
-			if got := s.Key(); got != g.want {
-				t.Errorf("%s: Shards=%d key %s, golden %s", g.name, n, got, g.want)
-			}
-			s = g.spec()
-			s.Config.Shards = n
-			if got := s.Key(); got != g.want {
-				t.Errorf("%s: Config.Shards=%d key %s, golden %s", g.name, n, got, g.want)
-			}
-		}
-		s := g.spec()
-		s.Shards = 4
-		if got := s.effective().MachineConfig().Shards; got != 4 {
-			t.Errorf("%s: Shards=4 builds a machine with Shards=%d — the knob must still select the engine", g.name, got)
-		}
-		items = append(items, WorkItem{Key: g.want, Label: g.name, Spec: s})
-	}
-	if sum := NewDispatcher(0).Submit(items, nil); sum.Queued != len(items) || sum.Rejected != 0 {
-		t.Errorf("Submit of Shards=4 specs under shard-free keys: %+v, want %d queued", sum, len(items))
 	}
 }

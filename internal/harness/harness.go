@@ -33,9 +33,10 @@ type Options struct {
 	// legacy rule: positive d-distances run Ghostwriter, d = 0 runs the
 	// baseline.
 	Protocol string
-	// Shards is the host-parallelism degree of each simulated machine's
-	// sharded engine (0 = sequential, the shared-wheel fast path).
-	// Simulation results and cache keys are shard-count-invariant.
+	// Shards is ignored: there is one engine.
+	//
+	// Deprecated: kept only because benchmark/ still sets it (ROADMAP
+	// item 2(e)).
 	Shards int
 	// Topo names the interconnect topology every cell runs on ("mesh",
 	// "ring", "torus", "xbar"). Empty keeps the Table 1 6x4 mesh.
@@ -61,11 +62,11 @@ type RunResult struct {
 	// ErrorPct is the application's Table 2 metric, in percent.
 	ErrorPct float64
 	// Window holds the run's window-scheduling counters. It is excluded
-	// from JSON deliberately: the values are host-dependent observability
-	// (steals vary with OS scheduling), so they must not change cache
-	// entries, cache keys, or determinism fingerprints — all of which are
-	// derived from this struct's JSON form. Cache hits therefore report a
-	// zero Window, which is accurate: a hit drained no windows.
+	// from JSON deliberately: the values describe how the run was driven,
+	// so they must not change cache entries, cache keys, or determinism
+	// fingerprints — all of which are derived from this struct's JSON
+	// form. Cache hits therefore report a zero Window, which is accurate:
+	// a hit drained no windows.
 	Window ghostwriter.WindowStats `json:"-"`
 }
 

@@ -54,8 +54,8 @@ type TimingReport struct {
 	// including how many crashed leases the dispatcher reclaimed.
 	Fleet *SweepStatus `json:"fleet,omitempty"`
 	// Window carries the window-occupancy aggregates of the freshly
-	// simulated cells (windows drained, merge barriers, steals, fast-path
-	// engagement) — the "why" behind the throughput numbers above. Like
+	// simulated cells (windows drained, merge barriers, events per window)
+	// — the "why" behind the throughput numbers above. Like
 	// everything else in TimingReport it measures the host, not the
 	// simulation, and is absent when every cell was a cache hit.
 	Window *WindowSummary `json:"window,omitempty"`

@@ -85,8 +85,6 @@ type Runner struct {
 	winWindows   atomic.Uint64
 	winMerges    atomic.Uint64
 	winEvents    atomic.Uint64
-	winSteals    atomic.Uint64
-	winFastCells atomic.Uint64
 	winMaxWindow atomic.Uint64
 
 	mu       sync.Mutex
@@ -131,17 +129,17 @@ func (r *Runner) SimCycles() uint64 { return r.simCycles.Load() }
 
 // WindowSummary aggregates the window-scheduling counters of every cell a
 // sweep actually simulated: how many lookahead windows were drained, how
-// many of their barriers merged cross-tile effects, how densely windows
-// were packed, how often workers stole tile drains, and how many cells ran
-// on the single-shard fast path. Pure observability — host-dependent,
-// never part of a fingerprint or cached result.
+// many of their barriers merged cross-tile effects, and how densely windows
+// were packed. Pure observability — never part of a fingerprint or cached
+// result. Steals and FastCells are constants kept for benchmark/, which
+// reads them (ROADMAP item 2(e)).
 type WindowSummary struct {
 	Windows   uint64 `json:"windows"`   // lookahead windows drained
 	Merges    uint64 `json:"merges"`    // barriers that applied staged effects
 	Events    uint64 `json:"events"`    // events fired inside window drains
 	MaxWindow uint64 `json:"maxWindow"` // most events fired in one window
-	Steals    uint64 `json:"steals"`    // whole-tile drains stolen across workers
-	FastCells uint64 `json:"fastCells"` // cells that ran on the fast path
+	Steals    uint64 `json:"steals"`    // always 0
+	FastCells uint64 `json:"fastCells"` // always Cells
 	Cells     uint64 `json:"cells"`     // simulated cells contributing
 }
 
@@ -156,14 +154,14 @@ func (w WindowSummary) EventsPerWindow() float64 {
 // WindowSummary returns the aggregated window counters for this Runner's
 // simulated cells.
 func (r *Runner) WindowSummary() WindowSummary {
+	cells := r.simulated.Load()
 	return WindowSummary{
 		Windows:   r.winWindows.Load(),
 		Merges:    r.winMerges.Load(),
 		Events:    r.winEvents.Load(),
 		MaxWindow: r.winMaxWindow.Load(),
-		Steals:    r.winSteals.Load(),
-		FastCells: r.winFastCells.Load(),
-		Cells:     r.simulated.Load(),
+		FastCells: cells,
+		Cells:     cells,
 	}
 }
 
@@ -177,7 +175,6 @@ func (w WindowSummary) since(prev WindowSummary) WindowSummary {
 		Merges:    w.Merges - prev.Merges,
 		Events:    w.Events - prev.Events,
 		MaxWindow: w.MaxWindow,
-		Steals:    w.Steals - prev.Steals,
 		FastCells: w.FastCells - prev.FastCells,
 		Cells:     w.Cells - prev.Cells,
 	}
@@ -189,10 +186,6 @@ func (r *Runner) addWindowStats(w ghostwriter.WindowStats) {
 	r.winWindows.Add(w.Windows)
 	r.winMerges.Add(w.Merges)
 	r.winEvents.Add(w.Events)
-	r.winSteals.Add(w.Steals)
-	if w.FastPath {
-		r.winFastCells.Add(1)
-	}
 	for {
 		cur := r.winMaxWindow.Load()
 		if w.MaxWindow <= cur || r.winMaxWindow.CompareAndSwap(cur, w.MaxWindow) {

@@ -40,11 +40,6 @@ type Spec struct {
 	// keys minted before protocols were selectable stay valid: an
 	// old-format key (no protocol field) means exactly the legacy rule.
 	Protocol string `json:"protocol,omitempty"`
-	// Shards is the host-parallelism degree of the sharded simulator
-	// (0 = sequential). It selects the engine (see effective) and travels
-	// to fleet workers, but results are shard-count-invariant (DESIGN.md
-	// §12), so Key ignores it: a cell has one cache key at every value.
-	Shards int `json:"shards,omitempty"`
 	// Topo names the interconnect topology ("mesh", "ring", "torus",
 	// "xbar") and Nodes its node count. Empty/zero keep the Table 1 6x4
 	// mesh and are omitted from JSON, so cache keys minted before the
@@ -67,7 +62,6 @@ func specFor(name string, opt Options, ddist int, profile bool, policy ghostwrit
 		DDist:    ddist,
 		Profile:  profile,
 		Protocol: opt.Protocol,
-		Shards:   opt.Shards,
 		Topo:     opt.Topo,
 		Nodes:    opt.Nodes,
 		Config:   ghostwriter.Config{Policy: policy},
@@ -84,9 +78,6 @@ func specFor(name string, opt Options, ddist int, profile bool, policy ghostwrit
 func (s Spec) effective() ghostwriter.Config {
 	cfg := s.Config
 	cfg.ProfileSimilarity = s.Profile
-	if s.Shards != 0 {
-		cfg.Shards = s.Shards
-	}
 	if s.Topo != "" {
 		cfg.Topo = s.Topo
 	}
@@ -118,19 +109,15 @@ type keyMaterial struct {
 // Key returns the content-addressed result-cache key of the cell: a
 // SHA-256 over the code version, the workload spec, and the full derived
 // machine.Config, hex-encoded. Equal Specs on equal code produce equal
-// keys; any field change produces a different key, except the
-// execution-only shard count, which produces the same one (cachekey_test.go
-// holds the litmus battery and golden hashes guarding both).
+// keys; any field change produces a different key (cachekey_test.go holds
+// the litmus battery and golden hashes guarding both).
 func (s Spec) Key() string {
 	return hashKey(codeVersion, s, s.effective().MachineConfig())
 }
 
 // hashKey is Key with every input explicit, so tests can perturb the
-// machine configuration independently of the spec. The shard count is
-// zeroed in all three places it appears: it picks the engine, never the
-// result, and being omitempty it leaves the pre-sharding key.
+// machine configuration independently of the spec.
 func hashKey(version string, s Spec, mc machine.Config) string {
-	s.Shards, s.Config.Shards, mc.Shards = 0, 0, 0
 	b, err := json.Marshal(keyMaterial{Version: version, Spec: s, Machine: mc})
 	if err != nil {
 		// All key fields are plain exported data; failure here is a

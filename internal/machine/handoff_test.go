@@ -51,8 +51,8 @@ func runRecovered(m *Machine, nthreads int, kernel Kernel) (r any) {
 }
 
 // waitGoroutines waits for the goroutine count to fall back to base: the
-// kernels are unwound before Run returns, the cluster's shard workers exit
-// on their own shortly after it.
+// kernels are unwound before Run returns, and the runtime retires their
+// coroutines shortly after it.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -97,42 +97,34 @@ func TestRunPanicSurfacesAndUnwinds(t *testing.T) {
 		}, "machine: core 0 already runs thread 0"},
 	}
 	for _, c := range cases {
-		for _, shards := range []int{0, 2} {
-			t.Run(fmt.Sprintf("%s/shards%d", c.name, shards), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Shards = shards
-				m := New(cfg)
-				a := m.AllocPadded(64)
-				base := runtime.NumGoroutine()
-				if got := runRecovered(m, 4, c.kernel(a)); got != c.want {
-					t.Errorf("Run panicked with %v, want %v", got, c.want)
-				}
-				waitGoroutines(t, base)
-			})
-		}
+		t.Run(c.name, func(t *testing.T) {
+			m := New(DefaultConfig())
+			a := m.AllocPadded(64)
+			base := runtime.NumGoroutine()
+			if got := runRecovered(m, 4, c.kernel(a)); got != c.want {
+				t.Errorf("Run panicked with %v, want %v", got, c.want)
+			}
+			waitGoroutines(t, base)
+		})
 	}
 }
 
 // TestRunTwice: a machine is reusable after a clean Run — the second run's
 // threads start fresh and see the first run's memory.
 func TestRunTwice(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		cfg := DefaultConfig()
-		cfg.Shards = shards
-		m := New(cfg)
-		a := m.AllocPadded(64)
-		kernel := func(th *Thread) {
-			th.FetchAdd32(a, 1)
-			th.Barrier()
-		}
-		m.Run(4, kernel)
-		m.Run(3, kernel)
-		if got := m.ReadCoherent(a, 4); got != 7 {
-			t.Errorf("shards=%d: counter %d after runs of 4 and 3 threads, want 7", shards, got)
-		}
-		if n := len(m.CoreReport()); n != 3 {
-			t.Errorf("shards=%d: CoreReport has %d threads after the second run, want 3", shards, n)
-		}
+	m := New(DefaultConfig())
+	a := m.AllocPadded(64)
+	kernel := func(th *Thread) {
+		th.FetchAdd32(a, 1)
+		th.Barrier()
+	}
+	m.Run(4, kernel)
+	m.Run(3, kernel)
+	if got := m.ReadCoherent(a, 4); got != 7 {
+		t.Errorf("counter %d after runs of 4 and 3 threads, want 7", got)
+	}
+	if n := len(m.CoreReport()); n != 3 {
+		t.Errorf("CoreReport has %d threads after the second run, want 3", n)
 	}
 }
 
@@ -141,11 +133,10 @@ func TestRunTwice(t *testing.T) {
 // a peek at the thread's own L1 — with the op stream depending on the values
 // loads and atomics return, and hashes everything observable plus the
 // peeked states.
-func mixedFingerprint(tb testing.TB, protocol string, shards int) string {
+func mixedFingerprint(tb testing.TB, protocol string) string {
 	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.Protocol = protocol
-	cfg.Shards = shards
 	m := New(cfg)
 
 	const (
@@ -227,9 +218,7 @@ func mixedFingerprint(tb testing.TB, protocol string, shards int) string {
 }
 
 // TestShardHandoffMixedKernel pins the mixed kernel's fingerprint, per
-// protocol, to the value the channel-based handoff produced, at every shard
-// mode: the caller's goroutine (0, 1) and the worker pool (2, 4), where
-// kernels are resumed from whichever worker drains their tile.
+// protocol, to the value the channel-based handoff produced.
 func TestShardHandoffMixedKernel(t *testing.T) {
 	pinned := map[string]string{
 		"mesi":        "09256e07b8838c8490b4d3bbc99771cb60b598d22aade66e4424ad56d1dc1ac0",
@@ -237,10 +226,8 @@ func TestShardHandoffMixedKernel(t *testing.T) {
 		"gw-noGI":     "53d8dbbeda0d8390705211fc870af0eb4acdaa9e92d3e793e6e7ed60a5ac36c9",
 	}
 	for _, p := range shardProtocols {
-		for _, shards := range []int{0, 1, 2, 4} {
-			if got := mixedFingerprint(t, p, shards); got != pinned[p] {
-				t.Errorf("%s shards=%d: fingerprint %s, want %s", p, shards, got, pinned[p])
-			}
+		if got := mixedFingerprint(t, p); got != pinned[p] {
+			t.Errorf("%s: fingerprint %s, want %s", p, got, pinned[p])
 		}
 	}
 }

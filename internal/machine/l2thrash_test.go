@@ -17,12 +17,11 @@ import (
 // while L1 evictions race them with writebacks — and hashes everything
 // observable: cycles, the Stats JSON and the coherent memory image. The
 // op stream depends on the values loads return.
-func thrashFingerprint(tb testing.TB, protocol string, l2Blocks, shards int) string {
+func thrashFingerprint(tb testing.TB, protocol string, l2Blocks int) string {
 	tb.Helper()
 	cfg := tinyConfig(false)
 	cfg.Protocol = protocol
 	cfg.L2PerCoreBytes = l2Blocks * 64
-	cfg.Shards = shards
 	m := New(cfg)
 
 	const (
@@ -85,8 +84,7 @@ func thrashFingerprint(tb testing.TB, protocol string, l2Blocks, shards int) str
 // before ensureSpace stopped re-filtering the whole list on every fill
 // (recorded by running this file on that commit). A victim chosen in a
 // different order moves the cycle count and the recall counters, so equal
-// fingerprints mean the same victims in the same order — at every shard
-// mode.
+// fingerprints mean the same victims in the same order.
 func TestShardL2ThrashVictimOrder(t *testing.T) {
 	pinned := map[string]string{
 		"mesi/l2=2":        "32af9bc30909661842ec75ad869f253beb7db2ee2cb8854e81cc8f4b017fba96",
@@ -99,10 +97,8 @@ func TestShardL2ThrashVictimOrder(t *testing.T) {
 	for _, p := range []string{"mesi", "ghostwriter"} {
 		for _, l2Blocks := range []int{2, 3, 4} {
 			key := fmt.Sprintf("%s/l2=%d", p, l2Blocks)
-			for _, shards := range []int{0, 1, 2, 4} {
-				if got := thrashFingerprint(t, p, l2Blocks, shards); got != pinned[key] {
-					t.Errorf("%s shards=%d: fingerprint %s, want %s", key, shards, got, pinned[key])
-				}
+			if got := thrashFingerprint(t, p, l2Blocks); got != pinned[key] {
+				t.Errorf("%s: fingerprint %s, want %s", key, got, pinned[key])
 			}
 		}
 	}

@@ -73,14 +73,6 @@ type Config struct {
 	MigratoryOpt bool
 	// ProfileSimilarity turns on the Fig. 2 store-value d-distance profiler.
 	ProfileSimilarity bool
-	// Shards is the number of worker goroutines that drain the per-tile
-	// timing wheels inside each lookahead window. 0 and 1 both mean the
-	// caller's goroutine drains everything itself. The simulated schedule
-	// — every cycle count, every stat, every byte of output — is
-	// shard-count-invariant by construction (see DESIGN.md §12), so this
-	// is purely a host-parallelism knob and the harness cache key zeroes
-	// it before hashing; omitempty makes that the pre-sharding key.
-	Shards int `json:",omitempty"`
 }
 
 // DefaultConfig mirrors Table 1 of the paper: 24 in-order cores at 1 GHz,
@@ -116,11 +108,11 @@ type Machine struct {
 	backing *mem.Memory
 	alloc   *mem.Allocator
 
-	// Counters are sharded like the engine: each tile's components write
-	// only their own meter/stats, and the window merge phase writes the
-	// merge pair (link arbitration). Stats()/Energy() fold everything into
-	// the merged views in fixed tile order, so the totals are identical
-	// for every shard count.
+	// Counters are kept per tile: each tile's components write only their
+	// own meter/stats, and the window barrier writes the merge pair (link
+	// arbitration). Stats()/Energy() fold everything into the merged views
+	// in fixed tile order; energy is a float sum, so that order is part of
+	// every fingerprint.
 	tileMeters []*energy.Meter
 	tileStats  []*stats.Stats
 	mergeMeter *energy.Meter
@@ -159,7 +151,7 @@ func New(cfg Config) *Machine {
 	}
 	m := &Machine{
 		cfg:        cfg,
-		clu:        sim.NewCluster(nodes, lookahead, cfg.Shards),
+		clu:        sim.NewCluster(nodes, lookahead, 0),
 		backing:    mem.New(),
 		alloc:      mem.NewAllocator(0x1_0000, cfg.L1.BlockSize),
 		tileMeters: make([]*energy.Meter, nodes),
@@ -208,29 +200,16 @@ func New(cfg Config) *Machine {
 	if cfg.L2PerCoreBytes > 0 {
 		dirCfg.CapacityBlocks = cfg.L2PerCoreBytes * cfg.Cores / len(cfg.DirNodes) / cfg.L1.BlockSize
 	}
-	// One message pool per engine: components allocate and free only from
-	// the goroutine that runs their engine (the receiver frees, and a
-	// delivered message belongs to the receiving tile), so the intrusive
-	// free lists stay lock-free. On the single-shard fast path every tile
-	// aliases one engine and the machine has one recycling bin, so what the
-	// directories hand out comes back to where they draw from. In windowed
-	// mode each tile has its own engine and pool, and records drift between
-	// pools as messages cross tiles, which is harmless — a pool is just a
-	// recycling bin.
-	pools := make(map[*sim.Engine]*coherence.MsgPool)
-	poolAt := func(node int) *coherence.MsgPool {
-		eng := m.clu.Tile(node)
-		if pools[eng] == nil {
-			pools[eng] = &coherence.MsgPool{}
-		}
-		return pools[eng]
-	}
+	// One message pool for the machine: every component runs on the one
+	// engine, the receiver frees, so what the directories hand out comes
+	// back to where they draw from and the free list needs no locking.
+	pool := &coherence.MsgPool{}
 	dirAt := make(map[noc.NodeID]*coherence.Directory)
 	for i, n := range m.dirNode {
 		eng, meter, st := m.clu.Tile(int(n)), m.tileMeters[n], m.tileStats[n]
 		ch := dram.NewChannel(eng, cfg.DRAM, m.backing, meter, st)
 		d := coherence.NewDirectory(i, n, eng, m.net, dirCfg, ch, meter, st)
-		d.UsePool(poolAt(int(n)))
+		d.UsePool(pool)
 		m.dirs = append(m.dirs, d)
 		dirAt[n] = d
 	}
@@ -248,7 +227,7 @@ func New(cfg Config) *Machine {
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		l1 := coherence.NewL1(i, m.clu.Tile(i), m.net, l1Cfg, home, m.tileMeters[i], m.tileStats[i])
-		l1.UsePool(poolAt(i))
+		l1.UsePool(pool)
 		m.l1s = append(m.l1s, l1)
 	}
 
@@ -372,8 +351,7 @@ func (m *Machine) ResetStats() {
 
 // Energy returns the run's energy meter, folded from the per-tile meters
 // (in tile order) plus the merge-phase meter. Floating-point accumulation
-// order is therefore fixed, keeping the joules deterministic and
-// shard-count-invariant.
+// order is therefore fixed, keeping the joules deterministic.
 func (m *Machine) Energy() *energy.Meter {
 	*m.meter = energy.Meter{}
 	for _, tm := range m.tileMeters {
@@ -387,10 +365,9 @@ func (m *Machine) Energy() *energy.Meter {
 func (m *Machine) Cycles() uint64 { return uint64(m.clu.Now()) }
 
 // WindowStats returns the cluster's window-scheduling counters (windows
-// drained, merge barriers, steals, fast-path engagement), cumulative since
-// construction. They describe how the run was driven, not what it
-// computed: the values are host- and shard-dependent, so they must never
-// enter Stats, a fingerprint, or a cached result.
+// drained, merge barriers), cumulative since construction. They describe
+// how the run was driven, not what it computed, so they must never enter
+// Stats, a fingerprint, or a cached result.
 func (m *Machine) WindowStats() sim.WindowStats { return m.clu.WindowStats() }
 
 // dirFor returns the home directory object for a block address.

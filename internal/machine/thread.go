@@ -342,7 +342,7 @@ const (
 // issue resumes the thread's kernel until it yields its next request; this
 // is the strict engine ↔ kernel handoff that keeps the simulation
 // deterministic, and a direct coroutine switch on the host. The kernel
-// returning is its done request. issue runs on the worker of the thread's
+// returning is its done request. issue runs as an event of the thread's
 // current tile, so it (and the kernel) may touch the thread and the tile
 // freely but machine-global thread state only via staging. A request
 // carrying folded compute cycles is parked and applied once they elapse,
@@ -399,9 +399,8 @@ func (m *Machine) apply(t *Thread, r threadReq) {
 }
 
 // threadMerge applies a staged done/barrier/migration request at the
-// window barrier. It runs on the coordinator with every tile quiescent;
-// panics (such as migration-target violations) therefore surface from Run
-// on the caller's goroutine.
+// window barrier, with the engine quiescent; panics (such as
+// migration-target violations) surface from Run.
 func (m *Machine) threadMerge(at sim.Cycle, arg any, aux uint64) {
 	t := arg.(*Thread)
 	switch aux & 0xff {
@@ -440,10 +439,8 @@ func (m *Machine) releaseBarrier(at sim.Cycle) {
 		}
 		u.barrier = false
 		u.barrierCyc += at - u.barrierSince
-		// Schedule at the absolute merge horizon, not relative to the
-		// tile's clock: a tile idle while its thread waited may have been
-		// skipped by recent window drains, leaving its clock behind the
-		// window grid.
+		// Schedule at the merge horizon, the first cycle of the next
+		// window; the clock still reads the last cycle of the drained one.
 		u.eng().At(m.clu.Horizon(), u.issueFn)
 	}
 }

@@ -7,7 +7,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Addr is a simulated physical byte address.
@@ -29,12 +28,6 @@ const arenaPages = 16
 // single-entry cache in front of it serves the common case without a map
 // lookup, and page storage comes from a growable arena.
 type Memory struct {
-	// mu guards the page index, the single-entry cache, and the arena. In
-	// a sharded run the per-home DRAM channels read and write the backing
-	// store from different tile workers concurrently; the data itself is
-	// conflict-free (each block address has exactly one home directory),
-	// but these bookkeeping structures are shared.
-	mu    sync.Mutex
 	pages map[Addr]*[pageSize]byte
 	// Last page resolved; lastPage is nil when lastBase is unset/missing.
 	lastBase Addr
@@ -49,8 +42,6 @@ func New() *Memory { return &Memory{pages: make(map[Addr]*[pageSize]byte)} }
 // touched page is zeroed and stays mapped, which reads exactly like a page
 // never written.
 func (m *Memory) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, p := range m.pages {
 		*p = [pageSize]byte{}
 	}
@@ -81,8 +72,6 @@ func (m *Memory) page(a Addr, create bool) *[pageSize]byte {
 
 // Read copies len(dst) bytes starting at a into dst.
 func (m *Memory) Read(a Addr, dst []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for len(dst) > 0 {
 		off := int(a & (pageSize - 1))
 		n := pageSize - off
@@ -103,8 +92,6 @@ func (m *Memory) Read(a Addr, dst []byte) {
 
 // Write copies src into memory starting at a.
 func (m *Memory) Write(a Addr, src []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for len(src) > 0 {
 		off := int(a & (pageSize - 1))
 		n := pageSize - off

@@ -52,7 +52,7 @@ func DefaultConfig() Config {
 // Lookahead returns the minimum cross-tile message latency — the cheapest
 // possible hop of cfg's topology. It lower-bounds how far in the future any
 // cross-tile send can take effect, which is exactly the conservative window
-// width the sharded simulator needs. Mesh, ring, and torus hops cost one
+// width sim.Cluster needs. Mesh, ring, and torus hops cost one
 // router plus one link traversal; a crossbar hop crosses the switch and both
 // wire segments, so its window is RouterDelay+2·LinkDelay. Total for every
 // Topo value (unknown names get the mesh bound) so cache-key derivation
@@ -64,11 +64,11 @@ func (cfg Config) Lookahead() sim.Cycle {
 	return cfg.RouterDelay + cfg.LinkDelay
 }
 
-// Network is an interconnect bound either to a single simulation engine
-// (immediate mode: every Send schedules its delivery right away) or to a
-// sharded Cluster (staged mode: cross-tile sends are queued into the source
-// tile's outbox and routed at the window-barrier merge, where the shared
-// link-arbitration state is touched single-threadedly in canonical order).
+// Network is an interconnect bound either to a bare simulation engine
+// (immediate mode: every Send schedules its delivery right away; only the
+// model checker uses it) or to a sim.Cluster (staged mode: cross-tile sends
+// are staged and replayed at the window barrier, where link arbitration
+// sees them in canonical (at, source tile, staging index) order).
 type Network struct {
 	cfg      Config
 	topo     Topology
@@ -77,7 +77,7 @@ type Network struct {
 	linkFree []sim.Cycle // indexed by directed link id
 	linkBusy []sim.Cycle // cumulative flit-cycles per directed link
 	linkMsgs []uint64    // messages per directed link
-	routeBuf []int       // scratch for route(); only touched single-threadedly
+	routeBuf []int       // scratch for route()
 
 	// Immediate mode charges meter/st directly; staged mode charges the
 	// per-tile meters for local sends and the merge-phase meter/stats for
@@ -102,11 +102,11 @@ func New(eng *sim.Engine, cfg Config, meter *energy.Meter, st *stats.Stats) *Net
 	return n
 }
 
-// NewSharded builds a network in staged mode on a tile cluster. Local
-// (src == dst) sends schedule directly on the source tile's engine and
-// charge its meter; cross-tile sends are staged and routed at the window
-// merge, charging mergeMeter/mergeSt. One tile resource triple per node is
-// required.
+// NewSharded builds a network in staged mode on a tile cluster (the name
+// predates the single engine; benchmark/ imports it). Local (src == dst)
+// sends schedule directly on the engine and charge the source tile's
+// meter; cross-tile sends are staged and routed at the window barrier,
+// charging mergeMeter/mergeSt. One tile resource pair per node is required.
 func NewSharded(clu *sim.Cluster, cfg Config, tileMeters []*energy.Meter, tileStats []*stats.Stats, mergeMeter *energy.Meter, mergeSt *stats.Stats) *Network {
 	n := newNetwork(cfg)
 	if clu.Tiles() != n.Nodes() {
@@ -195,10 +195,7 @@ func (n *Network) Flits(payloadBytes int) int {
 
 // route returns the topology's route as a sequence of directed-link ids. The
 // returned slice aliases the network's scratch buffer and is only valid
-// until the next route call. Routing happens only where link arbitration
-// does — in immediate-mode Send (single-threaded engine) or in the staged
-// merge phase (coordinator goroutine) — so the scratch buffer needs no
-// locking.
+// until the next route call.
 func (n *Network) route(src, dst NodeID) []int {
 	n.routeBuf = n.topo.Route(n.routeBuf[:0], src, dst)
 	return n.routeBuf
@@ -225,9 +222,8 @@ func (n *Network) Send(src, dst NodeID, payloadBytes int, payload any) sim.Cycle
 			eng.AtArg(t, h, payload)
 			return t
 		}
-		// Cross-tile: stage for the window merge. The route, the link
-		// arbitration, and the destination tile's queue are all shared
-		// state that only the merge phase may touch.
+		// Cross-tile: stage for the window barrier, which arbitrates links
+		// in canonical order rather than firing order.
 		n.clu.Stage(int(src), n.mergeSendFn, payload, uint64(src)|uint64(dst)<<16|uint64(flits)<<32)
 		return 0
 	}

@@ -63,7 +63,7 @@ func pricingTraffic(nodes int) []pricedSend {
 
 // TestImmediateAndStagedPriceAlike pins the claim in deliverAt's comment:
 // noc.New on a bare engine (what the model checker and the mutation matrix
-// run on) and noc.NewSharded on a one-shard cluster (what ships) price the
+// run on) and noc.NewSharded on a sim.Cluster (what ships) price the
 // same tile-ordered traffic identically — every delivery cycle, the flit-hop
 // count, every link's occupancy, and the network energy up to the order in
 // which staged mode's per-tile meters are summed. What it does not cover is

@@ -22,8 +22,8 @@ import (
 //   - HopDelay is the latency a message pays per route link (router pipeline
 //     plus wire traversal).
 //   - Lookahead lower-bounds the delivery latency of any cross-node message:
-//     Lookahead() ≤ Hops(s,d)·HopDelay() for all s ≠ d. The sharded
-//     simulator uses it as the conservative window width (DESIGN.md §12/§14),
+//     Lookahead() ≤ Hops(s,d)·HopDelay() for all s ≠ d. The simulator
+//     uses it as the conservative window width (DESIGN.md §12/§14),
 //     so a topology that violates the bound breaks causality, and one whose
 //     Lookahead is zero cannot be staged at all (NewSharded refuses it).
 type Topology interface {

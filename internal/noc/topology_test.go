@@ -221,7 +221,7 @@ func TestTopologyRouteChainConsistency(t *testing.T) {
 // TestTopologyLookaheadBounds checks the staged-window contract on every
 // topology: a positive lookahead that never exceeds the cheapest possible
 // cross-node delivery, and Config.Lookahead agreeing with the model (the
-// sharded machine derives its window width from the former).
+// machine derives its window width from the former).
 func TestTopologyLookaheadBounds(t *testing.T) {
 	for _, name := range Topologies() {
 		cfg := topoConfig(t, name, 24)

@@ -7,15 +7,9 @@ import (
 	"testing"
 )
 
-// TestClusterConstruction pins the constructor contracts: shard clamping to
-// [1, tiles] and the tile/lookahead validation panics.
+// TestClusterConstruction pins the constructor contracts: the accessors
+// and the tile/lookahead validation panics.
 func TestClusterConstruction(t *testing.T) {
-	if got := NewCluster(4, 2, 0).Shards(); got != 1 {
-		t.Errorf("shards=0 clamped to %d, want 1", got)
-	}
-	if got := NewCluster(4, 2, 99).Shards(); got != 4 {
-		t.Errorf("shards=99 clamped to %d, want 4 (tiles)", got)
-	}
 	c := NewCluster(6, 3, 2)
 	if c.Tiles() != 6 || c.Lookahead() != 3 {
 		t.Errorf("Tiles/Lookahead = %d/%d, want 6/3", c.Tiles(), c.Lookahead())
@@ -130,25 +124,6 @@ func TestClusterStageDuringMergePanics(t *testing.T) {
 	c.Drain(100)
 }
 
-// TestClusterPanicForwarding pins that a panic inside a shard worker is
-// re-raised on the goroutine that drives the cluster — with sharding, the
-// model violation must not kill a worker silently or crash the process.
-func TestClusterPanicForwarding(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		c := NewCluster(4, 2, shards)
-		c.Tile(3).At(5, func() { panic("model violation on tile 3") })
-		func() {
-			defer func() {
-				if r := recover(); r != "model violation on tile 3" {
-					t.Errorf("shards=%d: recovered %v, want the tile-3 panic", shards, r)
-				}
-			}()
-			c.Drain(100)
-			t.Errorf("shards=%d: Drain returned, want panic", shards)
-		}()
-	}
-}
-
 // TestClusterAlign pins the between-runs contract: after Drain + Align
 // every tile's clock sits on the window grid, so At(Now()+k) scheduling
 // between runs lands identically on all tiles and a second Drain works.
@@ -215,59 +190,38 @@ func TestClusterRunUntil(t *testing.T) {
 	}
 }
 
-// TestClusterShardInvariantFiringLog is the unit-level determinism
-// differential: a fixed cross-tile event graph produces identical per-tile
-// firing logs and an identical merge log at every shard count.
+// TestClusterShardInvariantFiringLog is the unit-level differential: a
+// fixed cross-tile event graph produces identical per-tile firing logs and
+// an identical merge log on Cluster and on the naive refCluster.
 func TestClusterShardInvariantFiringLog(t *testing.T) {
-	type logs struct {
-		tiles [][]Cycle
-		merge []string
-	}
-	run := func(shards int) logs {
-		const tiles, lookahead = 8, 2
-		c := NewCluster(tiles, lookahead, shards)
-		l := logs{tiles: make([][]Cycle, tiles)}
+	const tiles = 8
+	assertWindowInvariant(t, tiles, 2, func(c windowed, l *winLog) {
 		// Each tile runs a self-rescheduling pump that periodically stages a
 		// cross-tile ping; the merge handler schedules the delivery on the
 		// destination tile at the horizon. Everything is a pure function of
 		// the initial schedule.
 		var pump func(ti int, hops int) func()
 		deliver := func(at Cycle, arg any, aux uint64) {
-			src, dst := int(aux>>8), int(aux&0xff)
+			src, dst := int(aux>>8&0xff), int(aux&0xff)
 			l.merge = append(l.merge, fmt.Sprintf("%d->%d@%d", src, dst, at))
-			h := c.Horizon()
-			hops := int(aux >> 16)
-			c.Tile(dst).At(h, pump(dst, hops))
+			c.tile(dst).At(c.Horizon(), pump(dst, int(aux>>16)))
 		}
 		pump = func(ti, hops int) func() {
 			return func() {
-				now := c.Tile(ti).Now()
-				l.tiles[ti] = append(l.tiles[ti], now)
+				l.tiles[ti] = append(l.tiles[ti], fmt.Sprint(c.tile(ti).Now()))
 				if hops == 0 {
 					return
 				}
 				dst := (ti*5 + hops) % tiles
 				if dst == ti {
-					c.Tile(ti).After(3, pump(ti, hops-1))
+					c.tile(ti).After(3, pump(ti, hops-1))
 					return
 				}
 				c.Stage(ti, deliver, nil, uint64(hops-1)<<16|uint64(ti)<<8|uint64(dst))
 			}
 		}
 		for ti := 0; ti < tiles; ti++ {
-			c.Tile(ti).At(Cycle(ti%3), pump(ti, 6))
+			c.tile(ti).At(Cycle(ti%3), pump(ti, 6))
 		}
-		if _, drained := c.Drain(10_000); !drained {
-			t.Fatalf("shards=%d: did not drain", shards)
-		}
-		return l
-	}
-	want := run(1)
-	for _, shards := range []int{2, 3, 8} {
-		got := run(shards)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: firing logs diverge from sequential:\n got %+v\nwant %+v",
-				shards, got, want)
-		}
-	}
+	})
 }

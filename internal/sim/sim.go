@@ -87,7 +87,6 @@ type Engine struct {
 	now   Cycle
 	seq   uint64
 	fired uint64
-	label string // identifies this engine (tile/shard) in panic messages
 
 	slots      [wheelSize]bucket
 	occ        [wheelWords]uint64 // occupancy bitmap over slots
@@ -108,14 +107,14 @@ type Engine struct {
 
 	// minSched is the lowest cycle scheduled since the last takeMinSched
 	// (noMinSched when none). The cluster's window scheduler uses it to
-	// update its per-tile next-event cache after a merge without rescanning
-	// the wheel: merge handlers run while the tile is quiescent, so any
+	// update its cached next-event cycle after a barrier without rescanning
+	// the wheel: barrier handlers run while the engine is quiescent, so any
 	// cycle they schedule is captured here.
 	minSched Cycle
 }
 
 // noMinSched is minSched's "nothing scheduled" sentinel: the maximum
-// cycle, unreachable by real events. NewCluster arms each tile with it; a
+// cycle, unreachable by real events. NewCluster arms its engine with it; a
 // standalone zero-valued Engine leaves minSched at 0, which is harmless
 // because only the cluster reads the tracker.
 const noMinSched = ^Cycle(0)
@@ -131,18 +130,13 @@ func (e *Engine) takeMinSched() Cycle {
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// SetLabel attaches an identifying label (for example "tile 7") that is
-// included in scheduling-error panics, so a violation inside a sharded run
-// names the engine it occurred on.
-func (e *Engine) SetLabel(label string) { e.label = label }
-
 // Fired returns the total number of events fired since construction (the
 // denominator of the events/sec throughput metric).
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Reset rewinds a drained engine to cycle 0 with its sequence and fired
-// counters zeroed, keeping the label, the free list and the far array (and
-// minSched, which is the cluster's to manage). A drained engine's slots,
+// counters zeroed, keeping the free list and the far array (and minSched,
+// which is the cluster's to manage). A drained engine's slots,
 // bitmaps and heap are already empty, so what runs next is
 // indistinguishable from a run on a new engine (record identity never
 // orders events). Resetting with events pending is a programming error and
@@ -180,11 +174,7 @@ func (e *Engine) recycle(ev *event) {
 // schedule allocates, stamps, and enqueues a record for cycle at.
 func (e *Engine) schedule(at Cycle) *event {
 	if at < e.now {
-		where := ""
-		if e.label != "" {
-			where = " on " + e.label
-		}
-		panic(fmt.Sprintf("sim: event scheduled in the past%s (event at cycle %d, now cycle %d)", where, at, e.now))
+		panic(fmt.Sprintf("sim: event scheduled in the past (event at cycle %d, now cycle %d)", at, e.now))
 	}
 	e.seq++
 	if at < e.minSched {
@@ -410,9 +400,9 @@ func (e *Engine) RunTo(deadline Cycle) { e.runTo(deadline) }
 // runTo is RunTo fused with the follow-up NextAt: it fires every event at
 // or before deadline with a single queue scan per event (Step via NextAt
 // would scan twice), advances the clock to deadline, and returns the cycle
-// of the next pending event. The window scheduler in Cluster drains every
-// tile of a window through this, caching the returned cycle so idle tiles
-// are skipped without rescanning their queues.
+// of the next pending event. The window scheduler in Cluster drains each
+// window through this, caching the returned cycle so empty windows are
+// skipped without rescanning the queue.
 func (e *Engine) runTo(deadline Cycle) (next Cycle, ok bool) {
 	for {
 		at, t, slot := e.next(deadline)

@@ -404,30 +404,3 @@ func TestEngineScheduleAtNowAtWheelWrap(t *testing.T) {
 		}
 	}
 }
-
-// TestEnginePastPanicNamesShard pins that a labeled engine's past-schedule
-// panic names the scheduling tile and shard — in a sharded run the label is
-// the only way to tell which worker misbehaved.
-func TestEnginePastPanicNamesShard(t *testing.T) {
-	c := NewCluster(4, 2, 2)
-	e := c.Tile(3)
-	e.At(9, func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("scheduling in the past did not panic")
-			}
-			msg, ok := r.(string)
-			if !ok {
-				t.Fatalf("panic value %T, want string", r)
-			}
-			for _, want := range []string{"tile 3", "shard 1 of 2", "cycle 2", "cycle 9"} {
-				if !strings.Contains(msg, want) {
-					t.Fatalf("panic %q missing %q", msg, want)
-				}
-			}
-		}()
-		e.At(2, func() {})
-	})
-	e.Drain(10)
-}

@@ -11,49 +11,50 @@ import (
 // lookahead of a single cycle, zero-lookahead construction guards, and
 // same-cycle cross-tile effects landing on the barrier boundary. Each
 // event graph must produce identical per-tile firing logs and an
-// identical merge log on the single-shard fast path, the windowed
-// sequential layout (the PR-7 oracle), and sharded worker pools — the
-// windowed-schedule contract of DESIGN.md §12.
+// identical merge log on Cluster and on refCluster, the naive per-tile
+// model of the windowed-schedule contract of DESIGN.md §12.
 
-// winLog records what a cluster run did: per-tile firing logs (tiles are
-// drained concurrently under sharding, so logs must be tile-private) and
-// the coordinator-only merge log.
+// windowed is the surface the event graphs drive; Cluster and refCluster
+// implement it.
+type windowed interface {
+	tile(i int) sched
+	Stage(tile int, h StagedHandler, arg any, aux uint64)
+	Horizon() Cycle
+	Drain(limit uint64) (uint64, bool)
+}
+
+func (c *Cluster) tile(i int) sched { return c.Tile(i) }
+
+// winLog records what a cluster run did: per-tile firing logs (the
+// reference drains tile by tile, so only tile-private order is comparable),
+// the barrier merge log, and the events Drain counted.
 type winLog struct {
 	tiles [][]string
 	merge []string
+	fired uint64
 }
 
-// runWindowGraph builds a cluster in the given mode, lets build schedule
-// the event graph, drains it, and returns the logs.
-func runWindowGraph(t *testing.T, tiles int, lookahead Cycle, shards int, fast bool, build func(c *Cluster, l *winLog)) winLog {
+// runWindowGraph lets build schedule the event graph on c, drains it, and
+// returns the logs.
+func runWindowGraph(t *testing.T, c windowed, tiles int, build func(c windowed, l *winLog)) winLog {
 	t.Helper()
-	c := newCluster(tiles, lookahead, shards, fast)
 	l := winLog{tiles: make([][]string, tiles)}
 	build(c, &l)
-	if _, drained := c.Drain(1_000_000); !drained {
+	var drained bool
+	if l.fired, drained = c.Drain(1_000_000); !drained {
 		t.Fatal("did not drain")
 	}
 	return l
 }
 
-// assertWindowInvariant runs the graph on the fast path and then on the
-// windowed layouts, requiring identical logs everywhere. The fast path is
-// the "want" side deliberately: any divergence names the mode that broke.
-func assertWindowInvariant(t *testing.T, tiles int, lookahead Cycle, build func(c *Cluster, l *winLog)) {
+// assertWindowInvariant runs the graph on the reference and on Cluster,
+// requiring identical logs.
+func assertWindowInvariant(t *testing.T, tiles int, lookahead Cycle, build func(c windowed, l *winLog)) {
 	t.Helper()
-	want := runWindowGraph(t, tiles, lookahead, 1, true, build)
-	for _, cf := range []struct {
-		name   string
-		shards int
-	}{
-		{"windowed-seq", 1},
-		{"shards-2", 2},
-		{"shards-4", 4},
-	} {
-		got := runWindowGraph(t, tiles, lookahead, cf.shards, false, build)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s diverges from fast path:\n got %+v\nwant %+v", cf.name, got, want)
-		}
+	want := runWindowGraph(t, newRefCluster(tiles, lookahead), tiles, build)
+	got := runWindowGraph(t, NewCluster(tiles, lookahead, 0), tiles, build)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Cluster diverges from refCluster:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -65,29 +66,29 @@ func assertWindowInvariant(t *testing.T, tiles int, lookahead Cycle, build func(
 func TestWindowEdgeEvents(t *testing.T) {
 	const tiles = 4
 	const L = Cycle(4)
-	assertWindowInvariant(t, tiles, L, func(c *Cluster, l *winLog) {
+	assertWindowInvariant(t, tiles, L, func(c windowed, l *winLog) {
 		rec := func(ti int, tag string) {
-			l.tiles[ti] = append(l.tiles[ti], fmt.Sprintf("%s@%d", tag, c.Tile(ti).Now()))
+			l.tiles[ti] = append(l.tiles[ti], fmt.Sprintf("%s@%d", tag, c.tile(ti).Now()))
 		}
 		deliver := func(at Cycle, arg any, aux uint64) {
 			src, dst := int(aux>>8), int(aux&0xff)
 			l.merge = append(l.merge, fmt.Sprintf("%d->%d@%d (h=%d)", src, dst, at, c.Horizon()))
 			dst2 := dst
-			c.Tile(dst).At(c.Horizon(), func() { rec(dst2, "deliver") })
+			c.tile(dst).At(c.Horizon(), func() { rec(dst2, "deliver") })
 		}
 		for ti := 0; ti < tiles; ti++ {
 			ti := ti
 			// Last cycle of window 0: fire, stage a ping to the next tile,
 			// and schedule locally onto the first cycle of window 1.
-			c.Tile(ti).At(L-1, func() {
+			c.tile(ti).At(L-1, func() {
 				rec(ti, "edge-1")
 				c.Stage(ti, deliver, nil, uint64(ti)<<8|uint64((ti+1)%tiles))
-				c.Tile(ti).At(L, func() { rec(ti, "edge") })
+				c.tile(ti).At(L, func() { rec(ti, "edge") })
 			})
 			// An event scheduled directly on the window edge, before the run.
-			c.Tile(ti).At(L, func() { rec(ti, "pre-edge") })
+			c.tile(ti).At(L, func() { rec(ti, "pre-edge") })
 			// And one a full window later, to cross a skip-ahead.
-			c.Tile(ti).At(3*L, func() { rec(ti, "far") })
+			c.tile(ti).At(3*L, func() { rec(ti, "far") })
 		}
 	})
 }
@@ -97,16 +98,16 @@ func TestWindowEdgeEvents(t *testing.T) {
 // a boundary event.
 func TestWindowLookaheadOne(t *testing.T) {
 	const tiles = 4
-	assertWindowInvariant(t, tiles, 1, func(c *Cluster, l *winLog) {
+	assertWindowInvariant(t, tiles, 1, func(c windowed, l *winLog) {
 		rec := func(ti int, tag string) {
-			l.tiles[ti] = append(l.tiles[ti], fmt.Sprintf("%s@%d", tag, c.Tile(ti).Now()))
+			l.tiles[ti] = append(l.tiles[ti], fmt.Sprintf("%s@%d", tag, c.tile(ti).Now()))
 		}
 		var hop StagedHandler
 		hop = func(at Cycle, arg any, aux uint64) {
 			src, dst, hops := int(aux>>16), int(aux>>8&0xff), int(aux&0xff)
 			l.merge = append(l.merge, fmt.Sprintf("%d->%d@%d", src, dst, at))
 			dst2, hops2 := dst, hops
-			c.Tile(dst).At(c.Horizon(), func() {
+			c.tile(dst).At(c.Horizon(), func() {
 				rec(dst2, "hop")
 				if hops2 > 0 {
 					c.Stage(dst2, hop, nil, uint64(dst2)<<16|uint64((dst2+1)%tiles)<<8|uint64(hops2-1))
@@ -115,7 +116,7 @@ func TestWindowLookaheadOne(t *testing.T) {
 		}
 		for ti := 0; ti < tiles; ti++ {
 			ti := ti
-			c.Tile(ti).At(Cycle(ti), func() {
+			c.tile(ti).At(Cycle(ti), func() {
 				rec(ti, "start")
 				c.Stage(ti, hop, nil, uint64(ti)<<16|uint64((ti+1)%tiles)<<8|3)
 			})
@@ -131,13 +132,13 @@ func TestWindowLookaheadOne(t *testing.T) {
 func TestWindowSameCycleCrossTileAtBarrier(t *testing.T) {
 	const tiles = 4
 	const L = Cycle(2)
-	assertWindowInvariant(t, tiles, L, func(c *Cluster, l *winLog) {
+	assertWindowInvariant(t, tiles, L, func(c windowed, l *winLog) {
 		deliver := func(at Cycle, arg any, aux uint64) {
 			src, dst := int(aux>>8), int(aux&0xff)
 			l.merge = append(l.merge, fmt.Sprintf("%d->%d@%d", src, dst, at))
 			src2, dst2 := src, dst
-			c.Tile(dst).At(c.Horizon(), func() {
-				l.tiles[dst2] = append(l.tiles[dst2], fmt.Sprintf("from%d@%d", src2, c.Tile(dst2).Now()))
+			c.tile(dst).At(c.Horizon(), func() {
+				l.tiles[dst2] = append(l.tiles[dst2], fmt.Sprintf("from%d@%d", src2, c.tile(dst2).Now()))
 			})
 		}
 		// Every tile stages two effects to tile 0 on the last cycle of
@@ -146,7 +147,7 @@ func TestWindowSameCycleCrossTileAtBarrier(t *testing.T) {
 		// deliveries on tile 0 fire in exactly that scheduling order.
 		for ti := 0; ti < tiles; ti++ {
 			ti := ti
-			c.Tile(ti).At(L-1, func() {
+			c.tile(ti).At(L-1, func() {
 				c.Stage(ti, deliver, nil, uint64(ti)<<8|0)
 				c.Stage(ti, deliver, nil, uint64(ti)<<8|0)
 			})
@@ -155,64 +156,38 @@ func TestWindowSameCycleCrossTileAtBarrier(t *testing.T) {
 }
 
 // TestWindowZeroLookaheadPanics pins the construction guard by name: a
-// windowless cluster cannot exist, in any mode, and the panic says why.
+// windowless cluster cannot exist, and the panic says why.
 func TestWindowZeroLookaheadPanics(t *testing.T) {
-	for _, build := range []struct {
-		name string
-		fn   func()
-	}{
-		{"fast", func() { NewCluster(4, 0, 1) }},
-		{"windowed", func() { newCluster(4, 0, 1, false) }},
-		{"sharded", func() { NewCluster(4, 0, 4) }},
-	} {
-		func() {
-			defer func() {
-				r := recover()
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, "lookahead must be at least one cycle") {
-					t.Errorf("%s: panic %v, want the named lookahead guard", build.name, r)
-				}
-			}()
-			build.fn()
-			t.Errorf("%s: zero-lookahead construction did not panic", build.name)
-		}()
-	}
+	defer func() {
+		r := recover()
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "lookahead must be at least one cycle") {
+			t.Errorf("panic %v, want the named lookahead guard", r)
+		}
+	}()
+	NewCluster(4, 0, 1)
+	t.Error("zero-lookahead construction did not panic")
 }
 
-// TestWindowStatsCounters pins the observability counters on both paths:
-// windows and merges are schedule-determined (identical across modes),
-// the fast-path flag reflects the mode, and steals only ever appear on
-// worker pools.
+// TestWindowStatsCounters pins the observability counters: one window and
+// one merge per staged effect here, every event counted, and the two
+// constants benchmark/ still reads.
 func TestWindowStatsCounters(t *testing.T) {
-	build := func(c *Cluster) {
-		noop := func(Cycle, any, uint64) {}
-		for i := 0; i < 4; i++ {
-			i := i
-			c.Tile(i).At(Cycle(2*i+1), func() { c.Stage(i, noop, nil, 0) })
-		}
+	c := NewCluster(4, 2, 1)
+	noop := func(Cycle, any, uint64) {}
+	for i := 0; i < 4; i++ {
+		i := i
+		c.Tile(i).At(Cycle(2*i+1), func() { c.Stage(i, noop, nil, 0) })
 	}
-	fast := newCluster(4, 2, 1, true)
-	build(fast)
-	fast.Drain(1000)
-	fs := fast.WindowStats()
-	if !fs.FastPath {
-		t.Error("fast cluster reports FastPath=false")
+	c.Drain(1000)
+	ws := c.WindowStats()
+	if ws.Windows != 4 || ws.Merges != 4 || ws.Staged != 4 {
+		t.Errorf("windows/merges/staged = %d/%d/%d, want 4/4/4", ws.Windows, ws.Merges, ws.Staged)
 	}
-	if fs.Merges != 4 || fs.Staged != 4 {
-		t.Errorf("fast: merges/staged = %d/%d, want 4/4", fs.Merges, fs.Staged)
+	if ws.Events != 4 || ws.MaxWindow != 1 {
+		t.Errorf("events/maxWindow = %d/%d, want 4/1", ws.Events, ws.MaxWindow)
 	}
-	if fs.Events != 4 || fs.Windows == 0 || fs.Steals != 0 {
-		t.Errorf("fast: events/windows/steals = %d/%d/%d, want 4/>0/0", fs.Events, fs.Windows, fs.Steals)
-	}
-
-	win := newCluster(4, 2, 1, false)
-	build(win)
-	win.Drain(1000)
-	ws := win.WindowStats()
-	if ws.FastPath {
-		t.Error("windowed cluster reports FastPath=true")
-	}
-	if ws.Windows != fs.Windows || ws.Merges != fs.Merges || ws.Events != fs.Events {
-		t.Errorf("windowed counters %+v diverge from fast %+v", ws, fs)
+	if !ws.FastPath || ws.Steals != 0 {
+		t.Errorf("FastPath/Steals = %v/%d, want the constants true/0", ws.FastPath, ws.Steals)
 	}
 }
