@@ -401,105 +401,119 @@ func runMicroWithBound(b *testing.B, bound uint32) (cycles, msgs uint64, errPct 
 		quality.Measure(quality.MPE, app.Output(sys), app.Golden())
 }
 
+// variantRow is one design of a protocol-variant benchmark: a registered
+// protocol table at a d-distance (-1 runs every operation precisely).
+type variantRow struct {
+	name     string
+	protocol ghostwriter.Protocol
+	d        int
+}
+
+// variantResult is what a variant benchmark measures of one row.
+type variantResult struct {
+	cycles, msgs, absorbed, stale uint64
+	errPct                        float64
+}
+
+// measure reads a finished run's variant metrics.
+func measure(sys *ghostwriter.System, cycles uint64, errPct float64) variantResult {
+	st := sys.Stats()
+	return variantResult{cycles: cycles, msgs: st.TotalMsgs(),
+		absorbed: st.ServicedByGS + st.ServicedByGI, stale: st.StaleLoadHits, errPct: errPct}
+}
+
+// runLinreg runs the headline application under the row's table.
+func runLinreg(r variantRow) variantResult {
+	f, err := workloads.Lookup("linear_regression")
+	if err != nil {
+		panic(err)
+	}
+	app := f.New(1)
+	app.SetDDist(r.d)
+	sys := ghostwriter.New(ghostwriter.Config{Protocol: r.protocol})
+	app.Prepare(sys)
+	cycles := sys.Run(24, app.Kernel)
+	return measure(sys, cycles, quality.Measure(quality.MPE, app.Output(sys), app.Golden()))
+}
+
+// runMigratory replays the paper's migratory false-sharing pattern under the
+// row's table.
+func runMigratory(r variantRow) variantResult {
+	sys := ghostwriter.New(ghostwriter.Config{Protocol: r.protocol})
+	base := sys.AllocPadded(64)
+	tr := trace.Migratory(trace.PatternConfig{
+		Threads: 8, Rounds: 400, Base: base, DDist: r.d,
+		Scribble: r.d > 0,
+	})
+	return measure(sys, sys.Run(tr.NumThreads(), tr.Kernel()), 0)
+}
+
+// msiBaseRows run the headline app over the MESI and MSI bases.
+var msiBaseRows = []variantRow{{"mesi", ghostwriter.Ghostwriter, 8}, {"msi", "gw-msi", 8}}
+
 // BenchmarkAblation_MSIBase runs the headline app over the MSI base
 // protocol, demonstrating that the GS/GI retrofit is protocol-agnostic.
 func BenchmarkAblation_MSIBase(b *testing.B) {
-	for _, msi := range []bool{false, true} {
-		msi := msi
-		name := "mesi"
-		if msi {
-			name = "msi"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, row := range msiBaseRows {
+		b.Run(row.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f, err := workloads.Lookup("linear_regression")
-				if err != nil {
-					b.Fatal(err)
-				}
-				app := f.New(1)
-				app.SetDDist(8)
-				sys := ghostwriter.New(ghostwriter.Config{
-					Protocol: ghostwriter.Ghostwriter,
-					MSI:      msi,
-				})
-				app.Prepare(sys)
-				cycles := sys.Run(24, app.Kernel)
-				b.ReportMetric(float64(cycles), "cycles")
-				b.ReportMetric(float64(sys.Stats().ServicedByGS+sys.Stats().ServicedByGI), "absorbed")
+				r := runLinreg(row)
+				b.ReportMetric(float64(r.cycles), "cycles")
+				b.ReportMetric(float64(r.absorbed), "absorbed")
 			}
 		})
 	}
 }
 
-// BenchmarkRelatedWork_MigratoryBaselines compares three designs on the
-// paper's migratory false-sharing pattern: baseline MESI, MESI with the
-// Stenström-style migratory optimization (§5's conventional alternative),
-// and Ghostwriter — the comparison the paper's related-work section frames.
-// The migratory optimization helps *true* migratory sharing but cannot help
-// false sharing (different addresses in one block still force ownership
-// transfers); Ghostwriter absorbs the false-sharing stores entirely.
+// migratoryRows are baseline MESI, MESI with the Stenström-style migratory
+// optimization (§5's conventional alternative), and Ghostwriter.
+var migratoryRows = []variantRow{
+	{"mesi", ghostwriter.Baseline, -1},
+	{"mesi+migratory-opt", "mesi-mig", -1},
+	{"ghostwriter-d8", ghostwriter.Ghostwriter, 8},
+}
+
+// BenchmarkRelatedWork_MigratoryBaselines compares the migratoryRows designs
+// on the paper's migratory false-sharing pattern — the comparison the
+// paper's related-work section frames. The migratory optimization helps
+// *true* migratory sharing but cannot help false sharing (different
+// addresses in one block still force ownership transfers); Ghostwriter
+// absorbs the false-sharing stores entirely.
 func BenchmarkRelatedWork_MigratoryBaselines(b *testing.B) {
-	designs := []struct {
-		name string
-		cfg  ghostwriter.Config
-		d    int
-	}{
-		{"mesi", ghostwriter.Config{}, -1},
-		{"mesi+migratory-opt", ghostwriter.Config{MigratoryOpt: true}, -1},
-		{"ghostwriter-d8", ghostwriter.Config{Protocol: ghostwriter.Ghostwriter}, 8},
-	}
-	for _, dz := range designs {
-		dz := dz
-		b.Run(dz.name, func(b *testing.B) {
+	for _, row := range migratoryRows {
+		b.Run(row.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sys := ghostwriter.New(dz.cfg)
-				base := sys.AllocPadded(64)
-				tr := trace.Migratory(trace.PatternConfig{
-					Threads: 8, Rounds: 400, Base: base, DDist: dz.d,
-					Scribble: dz.d > 0,
-				})
-				cycles := sys.Run(tr.NumThreads(), tr.Kernel())
-				b.ReportMetric(float64(cycles), "cycles")
-				b.ReportMetric(float64(sys.Stats().TotalMsgs()), "messages")
+				r := runMigratory(row)
+				b.ReportMetric(float64(r.cycles), "cycles")
+				b.ReportMetric(float64(r.msgs), "messages")
 			}
 		})
 	}
 }
 
-// BenchmarkRelatedWork_ApproxCoherence compares the approximate-coherence
-// design space §5 frames: baseline MESI, the prior load-side approximation
-// (Rengasamy-style stale loads), Ghostwriter's store-side states, and both
-// combined — on the headline application.
+// approxRows are the approximate-coherence design space §5 frames: baseline
+// MESI, the prior load-side approximation (Rengasamy-style stale loads; the
+// base protocol stays MESI, so scribbles run as plain stores, but armed
+// regions may execute on stale loads), Ghostwriter's store-side states, and
+// both combined.
+var approxRows = []variantRow{
+	{"mesi", ghostwriter.Baseline, -1},
+	{"stale-loads", "mesi-stale", 8},
+	{"ghostwriter", ghostwriter.Ghostwriter, 8},
+	{"both", "gw-stale", 8},
+}
+
+// BenchmarkRelatedWork_ApproxCoherence compares the approxRows designs on
+// the headline application.
 func BenchmarkRelatedWork_ApproxCoherence(b *testing.B) {
-	designs := []struct {
-		name  string
-		cfg   ghostwriter.Config
-		ddist int
-	}{
-		{"mesi", ghostwriter.Config{}, -1},
-		// Load-side only: the base protocol stays MESI (scribbles run as
-		// plain stores), but armed regions may execute on stale loads.
-		{"stale-loads", ghostwriter.Config{StaleLoads: true}, 8},
-		{"ghostwriter", ghostwriter.Config{Protocol: ghostwriter.Ghostwriter}, 8},
-		{"both", ghostwriter.Config{Protocol: ghostwriter.Ghostwriter, StaleLoads: true}, 8},
-	}
-	for _, dz := range designs {
-		dz := dz
-		b.Run(dz.name, func(b *testing.B) {
+	for _, row := range approxRows {
+		b.Run(row.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f, err := workloads.Lookup("linear_regression")
-				if err != nil {
-					b.Fatal(err)
-				}
-				app := f.New(1)
-				app.SetDDist(dz.ddist)
-				sys := ghostwriter.New(dz.cfg)
-				app.Prepare(sys)
-				cycles := sys.Run(24, app.Kernel)
-				b.ReportMetric(float64(cycles), "cycles")
-				b.ReportMetric(float64(sys.Stats().TotalMsgs()), "messages")
-				b.ReportMetric(quality.Measure(quality.MPE, app.Output(sys), app.Golden()), "error-pct")
-				b.ReportMetric(float64(sys.Stats().StaleLoadHits), "stale-loads")
+				r := runLinreg(row)
+				b.ReportMetric(float64(r.cycles), "cycles")
+				b.ReportMetric(float64(r.msgs), "messages")
+				b.ReportMetric(r.errPct, "error-pct")
+				b.ReportMetric(float64(r.stale), "stale-loads")
 			}
 		})
 	}

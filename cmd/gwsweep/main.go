@@ -45,6 +45,7 @@ import (
 	"time"
 
 	ghostwriter "ghostwriter"
+	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/harness"
 	"ghostwriter/internal/prof"
 )
@@ -60,7 +61,7 @@ func realMain() int {
 		exp      = flag.String("exp", "all", "experiment: "+strings.Join(harness.ExperimentNames(), "|"))
 		scale    = flag.Int("scale", 1, "input scale factor")
 		threads  = flag.Int("threads", 24, "worker threads")
-		protocol = flag.String("protocol", "", "coherence protocol table for every cell: mesi|ghostwriter|gw-noGI (empty = d-distance decides)")
+		protocol = flag.String("protocol", "", "coherence protocol table for every cell: "+strings.Join(proto.Names(), "|")+" (empty = d-distance decides)")
 		topo     = flag.String("topo", "", "interconnect topology for every cell: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
 		nodes    = flag.Int("nodes", 0, "interconnect node count (0 = the Table 1 24; mesh/torus fold it into the most square grid)")
 		jobs     = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")

@@ -62,50 +62,43 @@ type (
 	WindowStats = sim.WindowStats
 )
 
-// Protocol selects the coherence protocol. Each value names a registered
-// transition table in internal/coherence/proto; String and ParseProtocol
-// round-trip through those registry names.
-type Protocol int
+// Protocol names a registered coherence protocol table
+// (internal/coherence/proto): the value is the registry name itself, so a
+// new table needs no edit here. The zero value selects Baseline.
+type Protocol string
 
-// Protocols.
+// The protocols the evaluation names. Every other registered table
+// ("gw-msi", "mesi-mig", "mesi-stale", "gw-stale") is selected the same way,
+// through ParseProtocol or a Protocol conversion.
 const (
 	// Baseline is the unmodified MESI write-invalidate directory protocol
 	// (the paper's d-distance 0 reference); scribbles escalate to stores.
-	Baseline Protocol = iota
+	Baseline Protocol = "mesi"
 	// Ghostwriter adds the GS and GI approximate states of Fig. 3.
-	Ghostwriter
+	Ghostwriter Protocol = "ghostwriter"
 	// GWNoGI is the GS-only ablation: scribbles on shared blocks may hide
 	// in GS, but invalid blocks never enter GI (isolating how much of the
 	// win the invalid-side state contributes).
-	GWNoGI
+	GWNoGI Protocol = "gw-noGI"
 )
 
-// String returns the registered protocol-table name ("mesi",
-// "ghostwriter", "gw-noGI"). It round-trips through ParseProtocol.
+// String returns the registered protocol-table name, Baseline's for the
+// zero value. It round-trips through ParseProtocol.
 func (p Protocol) String() string {
-	switch p {
-	case Ghostwriter:
-		return "ghostwriter"
-	case GWNoGI:
-		return "gw-noGI"
+	if p == "" {
+		return string(Baseline)
 	}
-	return "mesi"
+	return string(p)
 }
 
-// ParseProtocol is the inverse of Protocol.String: it maps a registered
-// protocol-table name to the Protocol value, rejecting unknown names with
-// an error that lists the registered alternatives.
+// ParseProtocol looks a protocol-table name up in the registry, rejecting
+// unknown names with an error that lists the registered alternatives.
 func ParseProtocol(name string) (Protocol, error) {
-	switch name {
-	case "mesi":
-		return Baseline, nil
-	case "ghostwriter":
-		return Ghostwriter, nil
-	case "gw-noGI":
-		return GWNoGI, nil
+	if _, ok := proto.Lookup(name); !ok {
+		return "", fmt.Errorf("unknown protocol %q (registered: %s)",
+			name, strings.Join(proto.Names(), ", "))
 	}
-	return 0, fmt.Errorf("unknown protocol %q (registered: %s)",
-		name, strings.Join(proto.Names(), ", "))
+	return Protocol(name), nil
 }
 
 // ScribblePolicy selects how scribbles behave on blocks already resident
@@ -132,8 +125,7 @@ func ParsePolicy(name string) (ScribblePolicy, error) {
 // Config selects a simulated system. The zero value gives the paper's
 // Table 1 machine with the baseline protocol.
 type Config struct {
-	// Protocol picks the coherence protocol table: Baseline MESI,
-	// Ghostwriter, or the GS-only GWNoGI ablation.
+	// Protocol names the coherence protocol table (default Baseline).
 	Protocol Protocol
 	// Policy selects the scribble residency policy (default PolicyHybrid).
 	Policy ScribblePolicy
@@ -143,13 +135,11 @@ type Config struct {
 	Cores int
 	// Topo names the interconnect topology: "mesh" (Table 1 default),
 	// "ring", "torus", or "xbar" (single-hop crossbar — the idealized-
-	// network ablation). Empty selects the mesh and is omitted from JSON so
-	// cache keys minted before the topology layer stay valid.
-	Topo string `json:"Topo,omitempty"`
+	// network ablation). Empty selects the mesh.
+	Topo string
 	// Nodes overrides the interconnect node count (default 24); mesh and
-	// torus fold it into the most square grid (64 → 8x8). Omitted from
-	// JSON when zero for the same key-compatibility reason as Topo.
-	Nodes int `json:"Nodes,omitempty"`
+	// torus fold it into the most square grid (64 → 8x8).
+	Nodes int
 	// GITimeout is the GI→I periodic timeout in cycles (default 1024).
 	GITimeout uint64
 	// ErrorBound caps the hidden writes absorbed during one GS/GI
@@ -159,20 +149,6 @@ type Config struct {
 	// period at runtime (a §3.5 auto-tuning extension): frequent
 	// discarded residencies shorten it, idle sweeps lengthen it.
 	AdaptiveGITimeout bool
-	// StaleLoads enables the load-side approximation of Rengasamy et al.
-	// (the prior approximate-coherence work §5 cites): inside an
-	// approximate region, loads to invalidated blocks execute on the stale
-	// data without refetching. Composes with the Ghostwriter protocol.
-	StaleLoads bool
-	// MSI uses an MSI base protocol instead of MESI (no Exclusive state),
-	// demonstrating that the approximate states retrofit onto other
-	// write-invalidate protocols.
-	MSI bool
-	// MigratoryOpt enables a Stenström-style migratory-sharing
-	// optimization in the base protocol — the conventional-architecture
-	// alternative §5 of the paper positions Ghostwriter against. It
-	// composes with either protocol.
-	MigratoryOpt bool
 	// ProfileSimilarity records the d-distance between every store value
 	// and the value it overwrites (the Fig. 2 methodology). Off by default.
 	ProfileSimilarity bool
@@ -199,12 +175,10 @@ func (c Config) MachineConfig() machine.Config {
 	if c.Topo != "" || c.Nodes > 0 {
 		// Non-default geometry: derive the interconnect config and re-place
 		// the directory homes on it. Geometry("mesh", 24) is DefaultConfig()
-		// exactly, so only genuinely new machines change here — the default
-		// mesh keeps its pre-topology derived config byte-for-byte. Unknown
-		// names are left for New/callers to reject: key derivation stays
-		// total.
+		// exactly, so only genuinely new machines change here. Unknown names
+		// are left for New/callers to reject: key derivation stays total.
 		if geo, err := noc.Geometry(c.Topo, c.Nodes); err == nil {
-			mc.Mesh = geo
+			mc.NoC = geo
 			mc.DirNodes = noc.DefaultHomes(geo, len(mc.DirNodes))
 			if c.Cores == 0 {
 				// One core per node: a grown interconnect runs fully
@@ -219,20 +193,12 @@ func (c Config) MachineConfig() machine.Config {
 	if c.GITimeout > 0 {
 		mc.GITimeout = sim.Cycle(c.GITimeout)
 	}
-	mc.Ghostwriter = c.Protocol == Ghostwriter
-	if c.Protocol == GWNoGI {
-		// Only the non-default table is named explicitly: mesi and
-		// ghostwriter resolve from the legacy bool, which keeps the derived
-		// machine.Config — and every content-addressed cache key over it —
-		// byte-identical for the two protocols that predate the table.
-		mc.Protocol = c.Protocol.String()
-	}
+	// An unknown name passes through for New to reject: key derivation
+	// stays total.
+	mc.Protocol = c.Protocol.String()
 	mc.Policy = c.Policy
 	mc.ErrorBound = c.ErrorBound
-	mc.MSI = c.MSI
-	mc.MigratoryOpt = c.MigratoryOpt
 	mc.AdaptiveGITimeout = c.AdaptiveGITimeout
-	mc.StaleLoads = c.StaleLoads
 	mc.ProfileSimilarity = c.ProfileSimilarity
 	return mc
 }
@@ -242,6 +208,7 @@ func New(cfg Config) *System {
 	if err := ValidateTopology(cfg.Topo, cfg.Nodes); err != nil {
 		panic("ghostwriter: " + err.Error())
 	}
+	cfg.Protocol = Protocol(cfg.Protocol.String())
 	return &System{m: machine.New(cfg.MachineConfig()), cfg: cfg}
 }
 

@@ -19,28 +19,15 @@ type DirConfig struct {
 	Latency   sim.Cycle // directory lookup/update latency
 	L2Latency sim.Cycle // Table 1: 10 cycles
 	BlockSize int
-	// NoExclusive degrades the base protocol from MESI to MSI: a GETS on
-	// an uncached block is granted Shared rather than Exclusive. The paper
-	// notes the Ghostwriter states "can be added to most existing
-	// protocols"; this knob demonstrates it.
-	NoExclusive bool
 	// CapacityBlocks bounds the L2 bank's data capacity (Table 1:
 	// 128 kB x cores / banks worth of blocks). When a DRAM fill would
 	// overflow it, the bank evicts a victim line, recalling any L1 copies
 	// first (inclusive hierarchy). 0 means unbounded.
 	CapacityBlocks int
-	// MigratoryOpt enables a Stenström-style migratory-sharing
-	// optimization in the *baseline* protocol (§5 of the paper discusses
-	// this family as the conventional-architecture alternative to
-	// Ghostwriter): once a block is classified as migratory — consecutive
-	// generations of read-then-write by a single core — a read request is
-	// granted ownership directly, saving the follow-up UPGRADE and its
-	// invalidation.
-	MigratoryOpt bool
 	// Proto is the transition-table protocol the directory interprets for
-	// request dispatch. Required, not defaulted (the shipped protocols
-	// share one directory table: the Ghostwriter states are invisible at
-	// the directory).
+	// request dispatch. Required, not defaulted (the base protocols share
+	// one directory table: the Ghostwriter states are invisible at the
+	// directory).
 	Proto *proto.Protocol
 	// OnMissing, when set, replaces the panic on a (state, request) pair
 	// with no table entry: the event is recorded and the request dropped,
@@ -86,10 +73,10 @@ type dirLine struct {
 	// L2-capacity recall of this line.
 	recallDone func(data []byte)
 
-	// Migratory-sharing detector state (MigratoryOpt): lastReader is the
-	// core whose GETS opened the current generation; generations counts
-	// consecutive read-then-write handoffs; migratory marks the block as
-	// classified.
+	// Migratory-sharing detector state (run only under a table with a
+	// DGMigratory rule): lastReader is the core whose GETS opened the
+	// current generation; generations counts consecutive read-then-write
+	// handoffs; migratory marks the block as classified.
 	lastReader  int
 	generations int
 	migratory   bool
@@ -137,6 +124,11 @@ type Directory struct {
 	resident []mem.Addr
 	clock    int
 	dead     []mem.Addr
+
+	// detect runs the migratory-sharing detector: NewDirectory sets it when
+	// some rule of the table reads DGMigratory, the only reader of what the
+	// detector learns.
+	detect bool
 }
 
 // NewDirectory builds a directory at the given mesh node, backed by a DRAM
@@ -161,7 +153,22 @@ func NewDirectory(id int, node noc.NodeID, eng *sim.Engine, net *noc.Network,
 	d.grantFn = d.grantLine
 	d.fillFn = d.fillLine
 	d.ownFn = d.grantOwnership
+	d.detect = readsGuard(cfg.Proto, proto.DGMigratory)
 	return d
+}
+
+// readsGuard reports whether some rule of p's directory table reads g.
+func readsGuard(p *proto.Protocol, g proto.DirGuard) bool {
+	for s := range p.Dir {
+		for _, rules := range p.Dir[s] {
+			for _, r := range rules {
+				if slices.Contains(r.Guards, g) || slices.Contains(r.NegGuards, g) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // lineTable maps block addresses to directory lines: open addressing with
@@ -479,10 +486,8 @@ func (d *Directory) dispatch(e *dirLine, m *Msg) {
 
 func (d *Directory) evalGuard(g proto.DirGuard, e *dirLine, m *Msg) bool {
 	switch g {
-	case proto.DGNoExclusive:
-		return d.cfg.NoExclusive
 	case proto.DGMigratory:
-		return d.cfg.MigratoryOpt && e.migratory
+		return e.migratory
 	case proto.DGOwnerIsFrom:
 		return e.owner == m.From
 	case proto.DGFromListed:
@@ -783,7 +788,7 @@ func (d *Directory) replyData(l1 int, t MsgType, e *dirLine, a mem.Addr) {
 // migratory streak; two streaks classify the block. A write by a different
 // core (or a generation with multiple readers) resets the detector.
 func (d *Directory) noteWrite(e *dirLine, writer int) {
-	if !d.cfg.MigratoryOpt {
+	if !d.detect {
 		return
 	}
 	if writer == e.lastReader && e.sharers.Count() <= 2 {

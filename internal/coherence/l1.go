@@ -117,12 +117,6 @@ type L1Config struct {
 	// lost per residency), an empty sweep doubles it (recovering the
 	// traffic savings), within [GITimeout/8, 4*GITimeout].
 	AdaptiveGITimeout bool
-	// StaleLoads enables the Rengasamy-style load-side approximation the
-	// paper's §5 describes as the prior approximate-coherence work: inside
-	// an approximate region (setaprx active), a load to an Invalid block
-	// with its tag present returns the stale data immediately, without a
-	// GETS. Composable with the Ghostwriter store-side states.
-	StaleLoads bool
 	// ProfileSimilarity records the d-distance between every store's value
 	// and the value currently in the cache block, irrespective of
 	// coherence state (the Fig. 2 methodology).
@@ -419,7 +413,7 @@ func (l *L1) evalGuard(g proto.Guard, b *cache.Block) bool {
 	case proto.GNotEscalateOrWithin:
 		return l.cfg.Policy != PolicyEscalate || l.within(b)
 	case proto.GStaleLoad:
-		return l.cfg.StaleLoads && l.cur.DDist >= 0
+		return l.cur.DDist >= 0
 	case proto.GGrantIsS:
 		return l.curMsg.Grant == GrantS
 	case proto.GGrantIsM:

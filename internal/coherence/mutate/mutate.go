@@ -105,10 +105,15 @@ func (m Mutation) reached(r *check.Reach) bool {
 //
 //   - statistics counters, energy-meter calls, and the LRU touch are not
 //     architectural (the fingerprint excludes them by design);
-//   - GUnderBound, DGNoExclusive, and DGMigratory are configuration knobs
-//     (drift bound, MSI ablation, migratory optimization) that the
-//     checker's testbed leaves disabled — mutating them selects a
-//     different, but still sound, configuration;
+//   - GUnderBound reads the §3.5 drift bound, which the checker's testbed
+//     leaves off, so the guard always passes there: dropping it changes
+//     nothing, and negating it escalates every GS/GI store — a stricter but
+//     sound protocol the checker must not kill. Checking it needs a stage
+//     with a bound on, which check.Config has no field for;
+//   - DGMigratory guards a performance policy, not a safety property:
+//     granting a reader ownership is coherent whether or not the block is
+//     migratory, so dropping or negating the guard ("always migratory")
+//     yields a sound protocol the checker must not kill;
 //   - EvRecallOwn rows require L2 capacity recalls, which the checker's
 //     unbounded L2 never issues (the machine-level tests exercise them).
 func semanticAction(a proto.Action) bool {
@@ -124,10 +129,8 @@ func semanticAction(a proto.Action) bool {
 	return true
 }
 
-func mutableGuard(g proto.Guard) bool { return g != proto.GUnderBound }
-func mutableDirGuard(g proto.DirGuard) bool {
-	return g != proto.DGNoExclusive && g != proto.DGMigratory
-}
+func mutableGuard(g proto.Guard) bool       { return g != proto.GUnderBound }
+func mutableDirGuard(g proto.DirGuard) bool { return g != proto.DGMigratory }
 
 // swapTargets are the next-state candidates for OpSwapNext: the stable
 // states plus Stay. A typo'd transient target dies trivially (transient at

@@ -7,7 +7,10 @@
 // `mesi` baseline, today's `ghostwriter`, and the `gw-noGI` ablation differ
 // only in table rows), rendered into documentation, checked for
 // completeness against an unreachable-pair allowlist, and explored
-// exhaustively by the model checker in internal/coherence/check.
+// exhaustively by the model checker in internal/coherence/check. A protocol
+// variant — no Exclusive state, the migratory optimisation, stale loads — is
+// one more registered table, cloned from its base with a one-row edit, so
+// one name selects a protocol everywhere and the checker checks every one.
 package proto
 
 import (
@@ -147,8 +150,8 @@ const (
 	// GNotEscalateOrWithin: every policy but PolicyEscalate skips the
 	// comparator; otherwise GWithin.
 	GNotEscalateOrWithin
-	// GStaleLoad: stale-load approximation enabled and the op is inside an
-	// approximate region.
+	// GStaleLoad: the op is inside an approximate region (d-distance
+	// resolved >= 0). Only the stale-load tables have a rule that reads it.
 	GStaleLoad
 	// GGrantIsS: the arriving data message grants Shared.
 	GGrantIsS
@@ -412,11 +415,10 @@ type DirGuard uint8
 
 // Directory guards.
 const (
-	// DGNoExclusive: the base protocol is MSI (no E grants).
-	DGNoExclusive DirGuard = iota
-	// DGMigratory: the migratory optimization is on and the detector has
-	// classified this block.
-	DGMigratory
+	// DGMigratory: the migratory-sharing detector has classified this
+	// block. The directory runs the detector only for a table with a rule
+	// that reads this guard.
+	DGMigratory DirGuard = iota
 	// DGOwnerIsFrom: the requestor is the recorded owner.
 	DGOwnerIsFrom
 	// DGFromListed: the requestor is on the sharer list.
@@ -428,8 +430,6 @@ const (
 // String names the directory guard.
 func (g DirGuard) String() string {
 	switch g {
-	case DGNoExclusive:
-		return "msi"
 	case DGMigratory:
 		return "migratory"
 	case DGOwnerIsFrom:

@@ -2,7 +2,7 @@ package proto
 
 import "ghostwriter/internal/cache"
 
-// The three shipped protocols share one directory table (the Ghostwriter
+// The three base protocols share one directory table (the Ghostwriter
 // states are invisible to the directory: GS rides the sharer list, GI is
 // untracked) and differ only in the L1 rows that enter and service GS/GI:
 //
@@ -10,17 +10,56 @@ import "ghostwriter/internal/cache"
 //   - ghostwriter: the paper's Fig. 3 — GS and GI.
 //   - gw-noGI:     the GS-only ablation; scribbles on Invalid blocks run
 //     conventionally (no comparator, no fallback counted).
+//
+// Each variant is its base cloned with one row edited:
+//
+//   - gw-msi:     ghostwriter over a base with no Exclusive state — a GETS
+//     on an uncached block is granted S, not E (the GS/GI retrofit is not
+//     MESI-specific).
+//   - mesi-mig:   mesi with the Stenström-style migratory optimisation (§5's
+//     conventional alternative): a read of a block the detector classified
+//     as migratory is granted ownership, saving the follow-up UPGRADE.
+//   - mesi-stale: mesi with Rengasamy-style stale loads (§5's prior
+//     approximate-coherence work): inside an approximate region a load to an
+//     Invalid block with its tag present hits the stale data, without a GETS.
+//   - gw-stale:   ghostwriter with the same stale loads.
 func init() {
 	dir, dirUn := buildDir()
 	mesiL1, mesiUn := buildL1(false, false)
-	Register(&Protocol{Name: "mesi", L1: mesiL1, Dir: dir,
-		L1Unreachable: mesiUn, DirUnreachable: dirUn})
+	mesi := &Protocol{Name: "mesi", L1: mesiL1, Dir: dir,
+		L1Unreachable: mesiUn, DirUnreachable: dirUn}
 	gwL1, gwUn := buildL1(true, true)
-	Register(&Protocol{Name: "ghostwriter", HasGI: true, L1: gwL1, Dir: dir,
-		L1Unreachable: gwUn, DirUnreachable: dirUn})
+	gw := &Protocol{Name: "ghostwriter", HasGI: true, L1: gwL1, Dir: dir,
+		L1Unreachable: gwUn, DirUnreachable: dirUn}
 	noGIL1, noGIUn := buildL1(true, false)
+	Register(mesi)
+	Register(gw)
 	Register(&Protocol{Name: "gw-noGI", L1: noGIL1, Dir: dir,
 		L1Unreachable: noGIUn, DirUnreachable: dirUn})
+
+	msi := variant(gw, "gw-msi")
+	msi.Dir[DirInvalid][EvGETS-EvGETS] = []DirTransition{dtr(DGrantFreshS)}
+	Register(msi)
+
+	mig := variant(mesi, "mesi-mig")
+	mig.Dir[DirOwned][EvGETS-EvGETS] = append([]DirTransition{
+		dtrg(dg(DGMigratory), DAssertNotOwner, DMigratoryGrant),
+	}, mig.Dir[DirOwned][EvGETS-EvGETS]...)
+	Register(mig)
+
+	staleHit := trg(g(GStaleLoad), Stay, ACountLoadHit, ACountStaleHit, AMeterRead, ATouch, ACompleteHitLoad)
+	for name, base := range map[string]*Protocol{"mesi-stale": mesi, "gw-stale": gw} {
+		stale := variant(base, name)
+		stale.L1[cache.Invalid][EvLoad] = append([]Transition{staleHit}, stale.L1[cache.Invalid][EvLoad]...)
+		Register(stale)
+	}
+}
+
+// variant clones base under a new name, for a one-row edit.
+func variant(base *Protocol, name string) *Protocol {
+	p := base.Clone()
+	p.Name = name
+	return p
 }
 
 // tr builds an unguarded rule; trg a guarded one.
@@ -57,8 +96,8 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 	}
 
 	// Load: hits on every locally readable state (GS/GI read the divergent
-	// local data — approximate execution); Invalid may hit stale under the
-	// StaleLoads extension, else it is a coherence miss reusing the frame.
+	// local data — approximate execution); Invalid is a coherence miss
+	// reusing the frame (the stale-load variants prepend a hit rule).
 	hitLoad := tr(Stay, ACountLoadHit, AMeterRead, ATouch, ACompleteHitLoad)
 	row(cache.Shared, EvLoad, hitLoad)
 	row(cache.Exclusive, EvLoad, hitLoad)
@@ -69,9 +108,7 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 	if gi {
 		row(cache.GI, EvLoad, hitLoad)
 	}
-	row(cache.Invalid, EvLoad,
-		trg(g(GStaleLoad), Stay, ACountLoadHit, ACountStaleHit, AMeterRead, ATouch, ACompleteHitLoad),
-		tr(cache.ISD, ACountLoadMiss, AMeterTag, ASendGETS))
+	row(cache.Invalid, EvLoad, tr(cache.ISD, ACountLoadMiss, AMeterTag, ASendGETS))
 	row(Absent, EvLoad, tr(Stay, ACountLoadMiss, AMeterTag, AAllocGETS))
 
 	// Store (also the target of scribble escalation via AAsStore). The
@@ -254,23 +291,18 @@ func dtrg(guards []DirGuard, actions ...DirAction) DirTransition {
 
 func dg(guards ...DirGuard) []DirGuard { return guards }
 
-// buildDir assembles the directory table, identical for all shipped
-// protocols: GS copies ride the sharer list and GI copies are invisible,
-// so the directory is plain MESI (with the MSI and migratory-sharing
-// config knobs expressed as guards).
+// buildDir assembles the directory table the three base protocols share: GS
+// copies ride the sharer list and GI copies are invisible, so the directory
+// is plain MESI.
 func buildDir() (DirTable, map[DirKey]string) {
 	var t DirTable
 	row := func(s DirState, ev Event, rules ...DirTransition) {
 		t[s][ev-EvGETS] = rules
 	}
 
-	row(DirInvalid, EvGETS,
-		dtrg(dg(DGNoExclusive), DGrantFreshS),
-		dtr(DGrantFreshE))
+	row(DirInvalid, EvGETS, dtr(DGrantFreshE))
 	row(DirShared, EvGETS, dtr(DGrantSharedS))
-	row(DirOwned, EvGETS,
-		dtrg(dg(DGMigratory), DAssertNotOwner, DMigratoryGrant),
-		dtr(DAssertNotOwner, DFwdGETSOwner))
+	row(DirOwned, EvGETS, dtr(DAssertNotOwner, DFwdGETSOwner))
 
 	for _, ev := range []Event{EvGETX, EvUPGRADE} {
 		row(DirInvalid, ev, dtr(DNoteWrite, DGrantFreshM))

@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"fmt"
-
-	ghostwriter "ghostwriter"
-)
+import "fmt"
 
 // autoTuneCandidates are the d-distances the tuner sweeps, in increasing
 // aggressiveness.
@@ -29,7 +25,7 @@ func (r *Runner) AutoTune(name string, opt Options, targetPct float64) (int, []R
 	for _, d := range autoTuneCandidates {
 		jobs = append(jobs, Job{
 			Label: fmt.Sprintf("autotune %s d=%d", name, d),
-			Spec:  specFor(name, opt, d, false, ghostwriter.PolicyHybrid),
+			Spec:  specFor(name, opt, d, false),
 		})
 	}
 	cells := r.Run(jobs)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	ghostwriter "ghostwriter"
+	"ghostwriter/internal/coherence/proto"
 )
 
 // perturbLeaves walks every leaf field reachable from v (a pointer to a
@@ -78,7 +79,7 @@ func checkLitmus(t *testing.T, path string, changed bool) {
 // machine. The reflective walk means a field added to machine.Config is
 // covered automatically.
 func TestCacheKeyMachineFieldSensitivity(t *testing.T) {
-	spec := specFor("histogram", Options{Scale: 1, Threads: 8}, 4, false, ghostwriter.PolicyHybrid)
+	spec := specFor("histogram", Options{Scale: 1, Threads: 8}, 4, false)
 	base := spec.effective().MachineConfig()
 	baseKey := hashKey(codeVersion, spec, base)
 	leaves := 0
@@ -101,7 +102,7 @@ func TestCacheKeyMachineFieldSensitivity(t *testing.T) {
 // half of the key: every Spec field (App, Scale, Threads, DDist, Profile,
 // and each ghostwriter.Config knob) must reach the hash.
 func TestCacheKeySpecFieldSensitivity(t *testing.T) {
-	spec := specFor("histogram", Options{Scale: 1, Threads: 8}, 4, false, ghostwriter.PolicyHybrid)
+	spec := specFor("histogram", Options{Scale: 1, Threads: 8}, 4, false)
 	baseKey := spec.Key()
 	leaves := 0
 	s := spec
@@ -117,51 +118,35 @@ func TestCacheKeySpecFieldSensitivity(t *testing.T) {
 	}
 }
 
-// TestCacheKeyProtocol pins the protocol plumbing's compatibility
-// contract. A Spec that names no protocol serializes without the field, so
-// it hashes exactly as it did before protocols were selectable — every
-// pre-existing .gwcache / gwcached entry stays valid and means the legacy
-// rule (d > 0 runs Ghostwriter). Explicitly naming "ghostwriter" builds the
-// same machine but is a distinct cache cell, and each registered table gets
-// its own key space.
+// TestCacheKeyProtocol: every registered table gets its own key space, and
+// the machine.Config a cell derives names its table. Naming "ghostwriter" on
+// a d>0 cell builds the machine the unnamed cell resolves to, but is a
+// distinct cache cell.
 func TestCacheKeyProtocol(t *testing.T) {
-	legacy := specFor("linear_regression", Options{Scale: 1, Threads: 24}, 8, false, ghostwriter.PolicyHybrid)
-	named := legacy
-	named.Protocol = "ghostwriter"
-	if legacy.effective() != named.effective() {
+	unnamed := specFor("linear_regression", Options{Scale: 1, Threads: 24}, 8, false)
+	named := unnamed
+	named.Config.Protocol = ghostwriter.Ghostwriter
+	if unnamed.effective() != named.effective() {
 		t.Fatal("naming \"ghostwriter\" on a d>0 cell changed the effective config")
 	}
-	if legacy.Key() == named.Key() {
-		t.Fatal("the protocol field does not reach the cache key")
-	}
-
-	mesi, nogi := legacy, legacy
-	mesi.Protocol = "mesi"
-	nogi.Protocol = "gw-noGI"
-	keys := map[string]string{legacy.Key(): "legacy", named.Key(): "ghostwriter"}
-	for s, n := range map[string]Spec{"mesi": mesi, "gw-noGI": nogi} {
-		k := n.Key()
-		if prev, dup := keys[k]; dup {
-			t.Errorf("%s collides with %s", s, prev)
+	keys := map[string]string{unnamed.Key(): "unnamed"}
+	for _, name := range proto.Names() {
+		s := unnamed
+		s.Config.Protocol = ghostwriter.Protocol(name)
+		if got := s.effective().MachineConfig().Protocol; got != name {
+			t.Errorf("%s spec derives machine.Config.Protocol %q", name, got)
 		}
-		keys[k] = s
-	}
-	if got := nogi.effective().MachineConfig().Protocol; got != "gw-noGI" {
-		t.Errorf("gw-noGI spec derives machine.Config.Protocol %q", got)
-	}
-	// mesi and ghostwriter resolve through the legacy bool so the derived
-	// machine.Config (and with it the old goldenKeys) stays byte-identical.
-	if got := mesi.effective().MachineConfig().Protocol; got != "" {
-		t.Errorf("mesi spec derives machine.Config.Protocol %q, want empty (legacy bool)", got)
-	}
-	if got := named.effective().MachineConfig().Protocol; got != "" {
-		t.Errorf("ghostwriter spec derives machine.Config.Protocol %q, want empty (legacy bool)", got)
+		k := s.Key()
+		if prev, dup := keys[k]; dup {
+			t.Errorf("%s collides with %s", name, prev)
+		}
+		keys[k] = name
 	}
 }
 
 // TestCacheKeyCodeVersion: bumping codeVersion must invalidate everything.
 func TestCacheKeyCodeVersion(t *testing.T) {
-	spec := specFor("histogram", Options{Scale: 1, Threads: 8}, 0, false, ghostwriter.PolicyHybrid)
+	spec := specFor("histogram", Options{Scale: 1, Threads: 8}, 0, false)
 	mc := spec.effective().MachineConfig()
 	if hashKey(codeVersion, spec, mc) == hashKey(codeVersion+"x", spec, mc) {
 		t.Fatal("code version does not reach the cache key")
@@ -183,36 +168,36 @@ var goldenKeys = []struct {
 	{
 		name: "histogram-baseline-t24",
 		spec: func() Spec {
-			return specFor("histogram", Options{Scale: 1, Threads: 24}, 0, false, ghostwriter.PolicyHybrid)
+			return specFor("histogram", Options{Scale: 1, Threads: 24}, 0, false)
 		},
-		want: "ad76085fd797adbc7476bf302ad317048d8cfb5ee4e53737d9635f394e231aa6",
+		want: "84f1825d2d6619b48f30550ac79b4a816d14ce42de7f4460f1a390e77c8479d6",
 	},
 	{
 		name: "linear_regression-d8-t24",
 		spec: func() Spec {
-			return specFor("linear_regression", Options{Scale: 1, Threads: 24}, 8, false, ghostwriter.PolicyHybrid)
+			return specFor("linear_regression", Options{Scale: 1, Threads: 24}, 8, false)
 		},
-		want: "0790af643a99966b7bf2ac3e329747bbc6b26c24b2ddfd69eb00fbd1a371ca6e",
+		want: "afce53738df4398b3fd0f0148026d7c360f55a5dde19a61148bce0149f88504b",
 	},
 	{
 		name: "bad_dot_product-d4-timeout512",
 		spec: func() Spec {
-			s := specFor("bad_dot_product", Options{Scale: 1, Threads: 24}, 4, false, ghostwriter.PolicyHybrid)
+			s := specFor("bad_dot_product", Options{Scale: 1, Threads: 24}, 4, false)
 			s.Config.GITimeout = 512
 			return s
 		},
-		want: "d38c4ed20e44dbdf6d3441949cd021e49d78ec2e47b83259a55bb0a078aa81b1",
+		want: "7f81c4aca7b049c485a5e7396a098f13beb19aff1f1b1e34e46f2f0c7fd4e3ba",
 	},
 	{
 		// A named protocol table: both the spec's protocol field and the
 		// derived machine.Config.Protocol reach the hash.
 		name: "histogram-gw-noGI-t24",
 		spec: func() Spec {
-			s := specFor("histogram", Options{Scale: 1, Threads: 24}, 8, false, ghostwriter.PolicyHybrid)
-			s.Protocol = "gw-noGI"
+			s := specFor("histogram", Options{Scale: 1, Threads: 24}, 8, false)
+			s.Config.Protocol = ghostwriter.GWNoGI
 			return s
 		},
-		want: "df2c34795b8c6c9cef3c271378c589d7e9297b9ab62b53549332f3076cb21ba1",
+		want: "2c7adb9234d6bc03ad3d994f4635d1da3fefdda4cf98fdd738369beacea3eaa2",
 	},
 }
 

@@ -32,7 +32,7 @@ func fig1Jobs(opt Options) []Job {
 			o.Threads = n
 			jobs = append(jobs, Job{
 				Label: fmt.Sprintf("fig1 %s t=%d", app, n),
-				Spec:  specFor(app, o, 0, false, ghostwriter.PolicyHybrid),
+				Spec:  specFor(app, o, 0, false),
 			})
 		}
 	}
@@ -87,7 +87,7 @@ func fig2Jobs(opt Options) []Job {
 	for _, f := range suite {
 		jobs = append(jobs, Job{
 			Label: "fig2 " + f.Name,
-			Spec:  specFor(f.Name, opt, 0, true, ghostwriter.PolicyHybrid),
+			Spec:  specFor(f.Name, opt, 0, true),
 		})
 	}
 	return jobs
@@ -224,7 +224,7 @@ var fig12Timeouts = []uint64{128, 512, 1024}
 func fig12Jobs(opt Options) []Job {
 	jobs := make([]Job, 0, len(fig12Timeouts))
 	for _, to := range fig12Timeouts {
-		s := specFor("bad_dot_product", opt, 4, false, ghostwriter.PolicyHybrid)
+		s := specFor("bad_dot_product", opt, 4, false)
 		s.Config.GITimeout = to
 		jobs = append(jobs, Job{Label: fmt.Sprintf("fig12 timeout=%d", to), Spec: s})
 	}
@@ -269,11 +269,11 @@ func Table1(w io.Writer, opt Options) {
 	fmt.Fprintf(w, "%-12s Ghostwriter over MESI directory; GI timeout %d cycles\n",
 		"Coherence", mc.GITimeout)
 	netDesc := "invalid topology"
-	if topo, err := mc.Mesh.Topology(); err == nil {
+	if topo, err := mc.NoC.Topology(); err == nil {
 		netDesc = topo.Describe()
 	}
 	fmt.Fprintf(w, "%-12s %s, %d-cycle router, %d-cycle link, %d directories at nodes %v\n",
-		"Network", netDesc, mc.Mesh.RouterDelay, mc.Mesh.LinkDelay,
+		"Network", netDesc, mc.NoC.RouterDelay, mc.NoC.LinkDelay,
 		len(mc.DirNodes), mc.DirNodes)
 	fmt.Fprintf(w, "%-12s %d-cycle access latency, %d-cycle channel occupancy\n",
 		"DRAM", mc.DRAM.AccessLatency, mc.DRAM.Occupancy)
@@ -335,8 +335,8 @@ func protoJobs(opt Options) []Job {
 	jobs := make([]Job, 0, len(suite)*len(protoGridNames))
 	for _, f := range suite {
 		for _, p := range protoGridNames {
-			s := specFor(f.Name, opt, protoGridDist, false, ghostwriter.PolicyHybrid)
-			s.Protocol = p
+			s := specFor(f.Name, opt, protoGridDist, false)
+			s.Config.Protocol = ghostwriter.Protocol(p)
 			jobs = append(jobs, Job{
 				Label: fmt.Sprintf("protocols %s %s", f.Name, p),
 				Spec:  s,
@@ -421,7 +421,7 @@ func topoJobs(opt Options) []Job {
 			for _, d := range []int{0, topoGridDist} {
 				jobs = append(jobs, Job{
 					Label: fmt.Sprintf("topologies %s %s d=%d", f.Name, tp, d),
-					Spec:  specFor(f.Name, o, d, false, ghostwriter.PolicyHybrid),
+					Spec:  specFor(f.Name, o, d, false),
 				})
 			}
 		}
@@ -444,7 +444,7 @@ func (r *Runner) TopologyGrid(w io.Writer, opt Options) ([]TopologyRow, error) {
 	}
 	nodes := opt.Nodes
 	if nodes == 0 {
-		nodes = ghostwriter.Config{}.MachineConfig().Mesh.NodeCount()
+		nodes = ghostwriter.Config{}.MachineConfig().NoC.NodeCount()
 	}
 	fmt.Fprintf(w, "Topology ablation — within-topology gains at d=%d (%d nodes)\n", topoGridDist, nodes)
 	fmt.Fprintf(w, "%-18s %-7s %12s %12s %12s %12s %10s\n",
@@ -492,7 +492,7 @@ func trendJobs(opt Options, scales []int) []Job {
 		for _, d := range suiteDists {
 			jobs = append(jobs, Job{
 				Label: fmt.Sprintf("trend scale=%d d=%d", sc, d),
-				Spec:  specFor("linear_regression", o, d, false, ghostwriter.PolicyHybrid),
+				Spec:  specFor("linear_regression", o, d, false),
 			})
 		}
 	}

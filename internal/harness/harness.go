@@ -29,9 +29,8 @@ type Options struct {
 	// Threads is the worker-thread count (the paper runs 24, one per core).
 	Threads int
 	// Protocol optionally names the coherence protocol table every cell
-	// runs under ("mesi", "ghostwriter", "gw-noGI"). Empty keeps the
-	// legacy rule: positive d-distances run Ghostwriter, d = 0 runs the
-	// baseline.
+	// runs under (any of proto.Names). Empty lets the d-distance decide:
+	// positive d-distances run Ghostwriter, d = 0 runs the baseline.
 	Protocol string
 	// Shards is ignored: there is one engine.
 	//
@@ -99,7 +98,7 @@ func (r *RunResult) GIFrac() float64 {
 // Ghostwriter with that d-distance. profile enables the Fig. 2
 // store-similarity profiler.
 func (r *Runner) RunApp(name string, opt Options, ddist int, profile bool) (RunResult, error) {
-	return r.RunSpec(specFor(name, opt, ddist, profile, ghostwriter.PolicyHybrid))
+	return r.RunSpec(specFor(name, opt, ddist, profile))
 }
 
 // SuiteResult bundles the baseline, d=4, and d=8 runs of one application —
@@ -129,7 +128,7 @@ func suiteJobs(apps []workloads.Factory, opt Options) []Job {
 		for _, d := range suiteDists {
 			jobs = append(jobs, Job{
 				Label: fmt.Sprintf("%s d=%d t=%d", f.Name, d, opt.Threads),
-				Spec:  specFor(f.Name, opt, d, false, ghostwriter.PolicyHybrid),
+				Spec:  specFor(f.Name, opt, d, false),
 			})
 		}
 	}

@@ -32,64 +32,34 @@ type Spec struct {
 	// DDist is the scribble d-distance; 0 runs the baseline protocol with
 	// scribbles demoted to conventional stores (the paper's d=0 bars).
 	DDist int `json:"ddist"`
-	// Profile enables the Fig. 2 store-similarity profiler.
-	Profile bool `json:"profile"`
-	// Protocol optionally names the coherence protocol table ("mesi",
-	// "ghostwriter", "gw-noGI"). Empty keeps the legacy rule — positive
-	// d-distances run Ghostwriter — and is omitted from JSON, so cache
-	// keys minted before protocols were selectable stay valid: an
-	// old-format key (no protocol field) means exactly the legacy rule.
-	Protocol string `json:"protocol,omitempty"`
-	// Topo names the interconnect topology ("mesh", "ring", "torus",
-	// "xbar") and Nodes its node count. Empty/zero keep the Table 1 6x4
-	// mesh and are omitted from JSON, so cache keys minted before the
-	// topology layer stay valid: an old-format key (no topo fields) means
-	// exactly the default mesh.
-	Topo  string `json:"topo,omitempty"`
-	Nodes int    `json:"nodes,omitempty"`
-	// Config carries the remaining system knobs (policy, GI timeout, MSI,
-	// error bound, ...). Protocol and ProfileSimilarity are derived from
-	// DDist and Profile — see effective.
+	// Config is the simulated system: protocol table, topology, profiler
+	// and every other knob. An unnamed protocol is resolved from DDist —
+	// see effective.
 	Config ghostwriter.Config `json:"config"`
 }
 
 // specFor builds the cell for a RunApp-style call.
-func specFor(name string, opt Options, ddist int, profile bool, policy ghostwriter.ScribblePolicy) Spec {
+func specFor(name string, opt Options, ddist int, profile bool) Spec {
 	return Spec{
-		App:      name,
-		Scale:    opt.Scale,
-		Threads:  opt.Threads,
-		DDist:    ddist,
-		Profile:  profile,
-		Protocol: opt.Protocol,
-		Topo:     opt.Topo,
-		Nodes:    opt.Nodes,
-		Config:   ghostwriter.Config{Policy: policy},
+		App:     name,
+		Scale:   opt.Scale,
+		Threads: opt.Threads,
+		DDist:   ddist,
+		Config: ghostwriter.Config{
+			Protocol:          ghostwriter.Protocol(opt.Protocol),
+			Topo:              opt.Topo,
+			Nodes:             opt.Nodes,
+			ProfileSimilarity: profile,
+		},
 	}
 }
 
 // effective returns the system configuration the cell actually builds:
-// Config with the profiler flag applied and the protocol resolved. A named
-// Protocol wins; otherwise the legacy rule applies — forced to Ghostwriter
-// for positive d-distances (a d of 0 keeps Config.Protocol, which defaults
-// to baseline MESI). Unknown names are rejected by executeSpec before any
-// simulation; here they fall back to the Config protocol so that Key()
-// stays total.
+// Config, with an unnamed protocol resolved to Ghostwriter for positive
+// d-distances (the figures' semantics; d = 0 keeps the baseline).
 func (s Spec) effective() ghostwriter.Config {
 	cfg := s.Config
-	cfg.ProfileSimilarity = s.Profile
-	if s.Topo != "" {
-		cfg.Topo = s.Topo
-	}
-	if s.Nodes != 0 {
-		cfg.Nodes = s.Nodes
-	}
-	switch {
-	case s.Protocol != "":
-		if p, err := ghostwriter.ParseProtocol(s.Protocol); err == nil {
-			cfg.Protocol = p
-		}
-	case s.DDist > 0:
+	if cfg.Protocol == "" && s.DDist > 0 {
 		cfg.Protocol = ghostwriter.Ghostwriter
 	}
 	return cfg
@@ -135,12 +105,12 @@ func executeSpec(s Spec) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	if s.Protocol != "" {
-		if _, err := ghostwriter.ParseProtocol(s.Protocol); err != nil {
+	if s.Config.Protocol != "" {
+		if _, err := ghostwriter.ParseProtocol(string(s.Config.Protocol)); err != nil {
 			return RunResult{}, err
 		}
 	}
-	if err := ghostwriter.ValidateTopology(s.Topo, s.Nodes); err != nil {
+	if err := ghostwriter.ValidateTopology(s.Config.Topo, s.Config.Nodes); err != nil {
 		return RunResult{}, err
 	}
 	app := f.New(s.Scale)

@@ -2,69 +2,11 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
 	ghostwriter "ghostwriter"
 )
-
-// TestCacheKeyTopologyCompat pins the topology plumbing's compatibility
-// contract, mirroring TestCacheKeyProtocol. A Spec that names no topology
-// serializes without the topo/nodes fields, so it hashes exactly as it did
-// before the interconnect was selectable — every pre-existing .gwcache /
-// gwcached entry stays valid and means the Table 1 mesh. Explicitly naming
-// "mesh" builds the byte-identical machine but is a distinct cache cell,
-// and each registered topology gets its own key space.
-func TestCacheKeyTopologyCompat(t *testing.T) {
-	legacy := specFor("histogram", Options{Scale: 1, Threads: 24}, 8, false, ghostwriter.PolicyHybrid)
-	b, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"topo"`, `"nodes"`} {
-		if strings.Contains(string(b), field) {
-			t.Errorf("default-mesh spec serializes %s — old-format cache keys would be orphaned", field)
-		}
-	}
-
-	named := legacy
-	named.Topo = "mesh"
-	if legacy.Key() == named.Key() {
-		t.Fatal("the topo field does not reach the cache key")
-	}
-	lm, err := json.Marshal(legacy.effective().MachineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nm, err := json.Marshal(named.effective().MachineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lm, nm) {
-		t.Fatalf("naming \"mesh\" changed the derived machine config:\n legacy: %s\n named:  %s", lm, nm)
-	}
-
-	keys := map[string]string{legacy.Key(): "legacy", named.Key(): "mesh"}
-	for _, topo := range ghostwriter.Topologies() {
-		for _, nodes := range []int{0, 64} {
-			if topo == "mesh" && nodes == 0 {
-				continue // the two spellings already in keys
-			}
-			s := legacy
-			s.Topo, s.Nodes = topo, nodes
-			k := s.Key()
-			label := s.Topo
-			if nodes != 0 {
-				label += "-64"
-			}
-			if prev, dup := keys[k]; dup {
-				t.Errorf("%s collides with %s", label, prev)
-			}
-			keys[k] = label
-		}
-	}
-}
 
 // TestTopologyAblationSmoke runs the full interconnect ablation grid once
 // at test scale: every registered topology must carry every Table 2

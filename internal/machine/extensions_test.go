@@ -16,7 +16,7 @@ import (
 func TestErrorBoundCapsResidency(t *testing.T) {
 	run := func(bound uint32) (serviced, escalations uint64, coherent uint32) {
 		cfg := DefaultConfig()
-		cfg.Ghostwriter = true
+		cfg.Protocol = "ghostwriter"
 		cfg.ErrorBound = bound
 		m := New(cfg)
 		a := m.AllocPadded(64)
@@ -62,16 +62,17 @@ func TestErrorBoundCapsResidency(t *testing.T) {
 	}
 }
 
-// TestMSIBaseProtocol checks the MSI variant: a cold load is granted S (no
-// Exclusive state), so the following store needs an UPGRADE even with no
-// other sharers — and Ghostwriter still retrofits on top.
+// TestMSIBaseProtocol checks the gw-msi table, ghostwriter over an MSI base:
+// a cold load is granted S (no Exclusive state), so the following store
+// needs an UPGRADE even with no other sharers. The end state is pinned at
+// the numbers this program measured when MSI was a flag on the ghostwriter
+// table.
 func TestMSIBaseProtocol(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MSI = true
-	cfg.Ghostwriter = true
+	cfg.Protocol = "gw-msi"
 	m := New(cfg)
 	a := m.AllocPadded(64)
-	m.Run(1, func(th *Thread) {
+	cycles := m.Run(1, func(th *Thread) {
 		th.Load32(a)
 		if st, _ := stateOf(m, 0, a); st != cache.Shared {
 			t.Errorf("cold load under MSI: %v, want S", st)
@@ -85,11 +86,14 @@ func TestMSIBaseProtocol(t *testing.T) {
 		// exactly as under MESI.
 		th.SetApproxDist(4)
 	})
-	if m.Stats().Msgs[0 /* GETS */] == 0 {
-		t.Error("no GETS recorded")
-	}
 	if err := m.CheckInvariants(false); err != nil {
 		t.Fatal(err)
+	}
+	st := m.Stats()
+	got := [6]uint64{cycles, st.TotalMsgs(), st.Msgs[stats.MsgGETS], st.Msgs[stats.MsgUPGRADE],
+		st.L1StoreMisses, m.ReadCoherent(a, 4)}
+	if want := [6]uint64{121, 6, 1, 1, 1, 5}; got != want {
+		t.Errorf("cycles, msgs, GETS, UPGRADEs, store misses, value = %v, want %v", got, want)
 	}
 
 	// The same single-threaded program under MESI needs no UPGRADE (E→M is
@@ -97,9 +101,6 @@ func TestMSIBaseProtocol(t *testing.T) {
 	mesi := New(DefaultConfig())
 	b := mesi.AllocPadded(64)
 	mesi.Run(1, func(th *Thread) { th.Load32(b); th.Store32(b, 5) })
-	if got := m.Stats().L1StoreMisses; got == 0 {
-		t.Error("MSI store on S must miss")
-	}
 	if got := mesi.Stats().L1StoreMisses; got != 0 {
 		t.Errorf("MESI store on E must hit, got %d misses", got)
 	}
@@ -110,7 +111,7 @@ func TestMSIBaseProtocol(t *testing.T) {
 // from the new core.
 func TestMigrationForfeitsApproxState(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ghostwriter = true
+	cfg.Protocol = "ghostwriter"
 	m := New(cfg)
 	a := m.AllocPadded(64)
 	var beforeMig, afterMig uint32
@@ -244,7 +245,7 @@ func TestL2RecallStress(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Cores = 8
-			cfg.Ghostwriter = gw
+			cfg.Protocol = protocolFor(gw)
 			cfg.GITimeout = 256
 			cfg.L2PerCoreBytes = 2 * 64
 			m := New(cfg)
@@ -282,16 +283,18 @@ func TestL2RecallStress(t *testing.T) {
 	}
 }
 
-// TestMigratoryOptimization checks the §5 related-work baseline: with the
-// Stenström-style optimization on, a classified migratory block's reader is
-// granted ownership directly, eliminating the follow-up UPGRADE.
+// TestMigratoryOptimization checks the §5 related-work baseline: under the
+// mesi-mig table a classified migratory block's reader is granted ownership
+// directly, eliminating the follow-up UPGRADE. Both end states are pinned at
+// the numbers this program measured when the optimization was a flag on the
+// mesi table.
 func TestMigratoryOptimization(t *testing.T) {
-	run := func(opt bool) (upgrades, msgs uint64, v uint32) {
+	run := func(protocol string) [4]uint64 {
 		cfg := DefaultConfig()
-		cfg.MigratoryOpt = opt
+		cfg.Protocol = protocol
 		m := New(cfg)
 		a := m.AllocPadded(64)
-		m.Run(2, func(th *Thread) {
+		cycles := m.Run(2, func(th *Thread) {
 			// Strict read-then-write handoff between the two cores.
 			for round := 0; round < 30; round++ {
 				if round%2 == th.ID() {
@@ -301,28 +304,26 @@ func TestMigratoryOptimization(t *testing.T) {
 				th.Barrier()
 			}
 		})
-		return m.Stats().Msgs[stats.MsgUPGRADE], m.Stats().TotalMsgs(),
-			uint32(m.ReadCoherent(a, 4))
+		return [4]uint64{cycles, m.Stats().Msgs[stats.MsgUPGRADE], m.Stats().TotalMsgs(), m.ReadCoherent(a, 4)}
 	}
-	baseUpg, baseMsgs, baseVal := run(false)
-	optUpg, optMsgs, optVal := run(true)
-	if baseVal != 30 || optVal != 30 {
-		t.Fatalf("migratory counters wrong: base=%d opt=%d", baseVal, optVal)
+	for _, c := range []struct {
+		protocol string
+		want     [4]uint64
+	}{
+		{"mesi", [4]uint64{1070, 29, 293, 30}},
+		{"mesi-mig", [4]uint64{774, 2, 131, 30}},
+	} {
+		if got := run(c.protocol); got != c.want {
+			t.Errorf("%s: cycles, UPGRADEs, msgs, value = %v, want %v", c.protocol, got, c.want)
+		}
 	}
-	if optUpg >= baseUpg {
-		t.Errorf("optimization did not cut UPGRADEs: %d vs %d", optUpg, baseUpg)
-	}
-	if optMsgs >= baseMsgs {
-		t.Errorf("optimization did not cut traffic: %d vs %d", optMsgs, baseMsgs)
-	}
-	t.Logf("migratory: UPGRADEs %d→%d, traffic %d→%d", baseUpg, optUpg, baseMsgs, optMsgs)
 }
 
 // TestMigratoryOptDoesNotBreakSharing: a genuinely read-shared block must
 // not be monopolized by the optimization.
 func TestMigratoryOptDoesNotBreakSharing(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MigratoryOpt = true
+	cfg.Protocol = "mesi-mig"
 	m := New(cfg)
 	a := m.AllocPadded(64)
 	bad := false
@@ -353,7 +354,7 @@ func TestMigratoryOptDoesNotBreakSharing(t *testing.T) {
 func TestFetchAddIsAtomic(t *testing.T) {
 	for _, gw := range []bool{false, true} {
 		cfg := DefaultConfig()
-		cfg.Ghostwriter = gw
+		cfg.Protocol = protocolFor(gw)
 		m := New(cfg)
 		a := m.AllocPadded(8)
 		const perThread = 150
@@ -414,7 +415,7 @@ func TestTicketLock(t *testing.T) {
 // its sweep period; with no GI activity it backs off.
 func TestAdaptiveGITimeout(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ghostwriter = true
+	cfg.Protocol = "ghostwriter"
 	cfg.GITimeout = 512
 	cfg.AdaptiveGITimeout = true
 	m := New(cfg)
@@ -454,16 +455,17 @@ func TestAdaptiveGITimeout(t *testing.T) {
 }
 
 // TestStaleLoads checks the Rengasamy-style load-side approximation (§5's
-// prior work): inside an approximate region, a load to an invalidated block
-// executes on stale data without a GETS; outside the region it refetches.
+// prior work) of the gw-stale table: inside an approximate region, a load to
+// an invalidated block executes on stale data without a GETS; outside the
+// region it refetches. The end state is pinned at the numbers this program
+// measured when stale loads were a flag on the ghostwriter table.
 func TestStaleLoads(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ghostwriter = true
-	cfg.StaleLoads = true
+	cfg.Protocol = "gw-stale"
 	m := New(cfg)
 	a := m.AllocPadded(64)
 	var staleRead, preciseRead uint32
-	m.Run(2, func(th *Thread) {
+	cycles := m.Run(2, func(th *Thread) {
 		switch th.ID() {
 		case 0:
 			th.Store32(a, 5)
@@ -490,16 +492,18 @@ func TestStaleLoads(t *testing.T) {
 	if preciseRead != 9 {
 		t.Fatalf("precise load read %d, want coherent 9", preciseRead)
 	}
-	if m.Stats().StaleLoadHits != 1 {
-		t.Fatalf("StaleLoadHits = %d, want 1", m.Stats().StaleLoadHits)
+	st := m.Stats()
+	got := [5]uint64{cycles, st.TotalMsgs(), st.Msgs[stats.MsgGETS], st.L1LoadMisses, st.StaleLoadHits}
+	if want := [5]uint64{170, 18, 2, 2, 1}; got != want {
+		t.Errorf("cycles, msgs, GETS, load misses, stale hits = %v, want %v", got, want)
 	}
 }
 
-// TestStaleLoadsOffByDefault: without the knob, invalidated blocks always
-// refetch.
+// TestStaleLoadsOffByDefault: under the ghostwriter table, which has no
+// stale-load rule, invalidated blocks always refetch.
 func TestStaleLoadsOffByDefault(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ghostwriter = true
+	cfg.Protocol = "ghostwriter"
 	m := New(cfg)
 	a := m.AllocPadded(64)
 	var got uint32

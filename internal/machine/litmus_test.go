@@ -93,7 +93,7 @@ func TestLitmusCoherencePrecise(t *testing.T) {
 // construction.
 func TestLitmusApproximateMayViolateMP(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ghostwriter = true
+	cfg.Protocol = "ghostwriter"
 	m := New(cfg)
 	data := m.AllocPadded(4)
 	flag := m.AllocPadded(4)
@@ -131,7 +131,7 @@ func TestLitmusApproximateMayViolateMP(t *testing.T) {
 // neighbours in the same block.
 func TestLitmusAtomicFences(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ghostwriter = true
+	cfg.Protocol = "ghostwriter"
 	m := New(cfg)
 	a := m.AllocPadded(64)
 	counter := a      // atomic word

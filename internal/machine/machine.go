@@ -25,10 +25,10 @@ import (
 type Config struct {
 	Cores int // number of cores (= interconnect nodes used for L1s)
 
-	// Mesh is the interconnect configuration. The name is historical (and
-	// load-bearing for cache keys): it selects any registered noc topology
-	// via its Topo field, with the paper's 6x4 XY mesh as the default.
-	Mesh noc.Config
+	// NoC is the interconnect configuration: any registered noc topology,
+	// selected by its Topo field, with the paper's 6x4 XY mesh as the
+	// default.
+	NoC noc.Config
 
 	L1           cache.Config
 	L1HitLatency sim.Cycle
@@ -43,16 +43,10 @@ type Config struct {
 	DRAM dram.Config
 
 	// Protocol names a registered coherence transition table
-	// (internal/coherence/proto): "mesi", "ghostwriter", or "gw-noGI".
-	// Empty selects the legacy mapping from the Ghostwriter bool —
-	// "ghostwriter" when set, "mesi" otherwise — and, being omitted from
-	// JSON, keeps pre-table cache keys valid: an old-format key (no
-	// protocol field) means exactly that legacy rule.
-	Protocol string `json:",omitempty"`
-	// Ghostwriter enables the approximate protocol states; false gives the
-	// baseline MESI directory protocol (the paper's d-distance 0 bars).
-	// Subsumed by Protocol when that is non-empty.
-	Ghostwriter bool
+	// (internal/coherence/proto.Names): "mesi" is the baseline of the
+	// paper's d-distance 0 bars, "ghostwriter" adds GS and GI, and every
+	// protocol variant is a table of its own.
+	Protocol string
 	// Policy selects how scribbles behave on blocks already in GS/GI
 	// (PolicyResident reproduces the paper's Fig. 3; PolicyEscalate is the
 	// bounded-drift ablation).
@@ -64,13 +58,6 @@ type Config struct {
 	ErrorBound uint32
 	// AdaptiveGITimeout lets each L1 tune its sweep period at runtime.
 	AdaptiveGITimeout bool
-	// StaleLoads enables the Rengasamy-style load-side approximation.
-	StaleLoads bool
-	// MSI degrades the base protocol from MESI to MSI (no E state).
-	MSI bool
-	// MigratoryOpt enables the Stenström-style migratory-sharing
-	// optimization in the baseline protocol (a §5 related-work baseline).
-	MigratoryOpt bool
 	// ProfileSimilarity turns on the Fig. 2 store-value d-distance profiler.
 	ProfileSimilarity bool
 }
@@ -82,7 +69,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Cores:          24,
-		Mesh:           noc.DefaultConfig(),
+		NoC:            noc.DefaultConfig(),
 		L1:             cache.Config{SizeBytes: 32 << 10, Ways: 2, BlockSize: 64},
 		L1HitLatency:   2,
 		DirLatency:     6,
@@ -90,7 +77,7 @@ func DefaultConfig() Config {
 		L2PerCoreBytes: 128 << 10,
 		DirNodes:       []int{0, 5, 18, 23}, // the 6x4 mesh corners
 		DRAM:           dram.DefaultConfig(),
-		Ghostwriter:    false,
+		Protocol:       "mesi",
 		GITimeout:      1024,
 	}
 }
@@ -136,14 +123,14 @@ func New(cfg Config) *Machine {
 	if cfg.Cores <= 0 || cfg.Cores > coherence.MaxCores {
 		panic(fmt.Sprintf("machine: unsupported core count %d", cfg.Cores))
 	}
-	if cfg.Cores > cfg.Mesh.NodeCount() {
+	if cfg.Cores > cfg.NoC.NodeCount() {
 		panic("machine: more cores than interconnect nodes")
 	}
 	if len(cfg.DirNodes) == 0 {
 		panic("machine: no directory nodes")
 	}
-	nodes := cfg.Mesh.NodeCount()
-	lookahead := cfg.Mesh.Lookahead()
+	nodes := cfg.NoC.NodeCount()
+	lookahead := cfg.NoC.Lookahead()
 	if lookahead > migrationCost {
 		// The merge phase schedules migration resumes at stage-cycle +
 		// migrationCost and relies on that landing at or past the horizon.
@@ -166,7 +153,7 @@ func New(cfg Config) *Machine {
 		m.tileMeters[i] = &energy.Meter{}
 		m.tileStats[i] = &stats.Stats{}
 	}
-	m.net = noc.NewSharded(m.clu, cfg.Mesh, m.tileMeters, m.tileStats, m.mergeMeter, m.mergeSt)
+	m.net = noc.NewSharded(m.clu, cfg.NoC, m.tileMeters, m.tileStats, m.mergeMeter, m.mergeSt)
 
 	for _, n := range cfg.DirNodes {
 		m.dirNode = append(m.dirNode, noc.NodeID(n))
@@ -175,27 +162,17 @@ func New(cfg Config) *Machine {
 		return m.dirNode[int(uint64(a)/uint64(cfg.L1.BlockSize))%len(m.dirNode)]
 	}
 
-	protoName := cfg.Protocol
-	if protoName == "" {
-		if cfg.Ghostwriter {
-			protoName = "ghostwriter"
-		} else {
-			protoName = "mesi"
-		}
-	}
-	prot, ok := proto.Lookup(protoName)
+	prot, ok := proto.Lookup(cfg.Protocol)
 	if !ok {
 		panic(fmt.Sprintf("machine: unknown protocol %q (registered: %v)",
-			protoName, proto.Names()))
+			cfg.Protocol, proto.Names()))
 	}
 
 	dirCfg := coherence.DirConfig{
-		Latency:      cfg.DirLatency,
-		L2Latency:    cfg.L2Latency,
-		BlockSize:    cfg.L1.BlockSize,
-		NoExclusive:  cfg.MSI,
-		MigratoryOpt: cfg.MigratoryOpt,
-		Proto:        prot,
+		Latency:   cfg.DirLatency,
+		L2Latency: cfg.L2Latency,
+		BlockSize: cfg.L1.BlockSize,
+		Proto:     prot,
 	}
 	if cfg.L2PerCoreBytes > 0 {
 		dirCfg.CapacityBlocks = cfg.L2PerCoreBytes * cfg.Cores / len(cfg.DirNodes) / cfg.L1.BlockSize
@@ -222,7 +199,6 @@ func New(cfg Config) *Machine {
 		Policy:            cfg.Policy,
 		ErrorBound:        cfg.ErrorBound,
 		AdaptiveGITimeout: cfg.AdaptiveGITimeout,
-		StaleLoads:        cfg.StaleLoads,
 		ProfileSimilarity: cfg.ProfileSimilarity,
 	}
 	for i := 0; i < cfg.Cores; i++ {

@@ -18,8 +18,17 @@ func smallConfig() Config { return DefaultConfig() }
 
 func gwConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Ghostwriter = true
+	cfg.Protocol = "ghostwriter"
 	return cfg
+}
+
+// protocolFor names the ghostwriter table when gw is set, the mesi baseline
+// otherwise.
+func protocolFor(gw bool) string {
+	if gw {
+		return "ghostwriter"
+	}
+	return "mesi"
 }
 
 func TestSingleThreadStoreLoad(t *testing.T) {
@@ -419,7 +428,7 @@ func TestRandomStress(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Ghostwriter = gw
+			cfg.Protocol = protocolFor(gw)
 			cfg.GITimeout = 256
 			m := New(cfg)
 			const words = 32 // two blocks, heavily contended
@@ -492,7 +501,7 @@ func TestGhostwriterReducesTrafficOnFalseSharing(t *testing.T) {
 	// store deltas stay within the d-distance.
 	run := func(gw bool) *stats.Stats {
 		cfg := DefaultConfig()
-		cfg.Ghostwriter = gw
+		cfg.Protocol = protocolFor(gw)
 		m := New(cfg)
 		a := m.AllocPadded(4 * 8)
 		m.Run(4, func(th *Thread) {
@@ -520,7 +529,7 @@ func TestGhostwriterReducesTrafficOnFalseSharing(t *testing.T) {
 func TestGhostwriterSpeedsUpFalseSharing(t *testing.T) {
 	run := func(gw bool) uint64 {
 		cfg := DefaultConfig()
-		cfg.Ghostwriter = gw
+		cfg.Protocol = protocolFor(gw)
 		m := New(cfg)
 		a := m.AllocPadded(4 * 24)
 		return m.Run(8, func(th *Thread) {
@@ -604,7 +613,7 @@ func TestResetStatsKeepsArchitecturalState(t *testing.T) {
 func TestPoliciesAgreeWithoutScribbles(t *testing.T) {
 	run := func(policy coherence.ScribblePolicy, bound uint32) (uint64, uint64) {
 		cfg := DefaultConfig()
-		cfg.Ghostwriter = true
+		cfg.Protocol = "ghostwriter"
 		cfg.Policy = policy
 		cfg.ErrorBound = bound
 		m := New(cfg)

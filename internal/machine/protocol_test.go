@@ -23,7 +23,7 @@ func stateOf(m *Machine, core int, a mem.Addr) (cache.State, bool) {
 // state machine, one scenario per edge, asserting the observed L1 states.
 func TestFig3Transitions(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ghostwriter = true
+	cfg.Protocol = "ghostwriter"
 	cfg.GITimeout = 512
 
 	t.Run("I_load_E_then_store_M", func(t *testing.T) {
@@ -221,7 +221,7 @@ func TestFig3Transitions(t *testing.T) {
 func TestFig4MigratorySharing(t *testing.T) {
 	scenario := func(gw bool) (loadHits uint64, upgrades uint64, c0Reads uint32) {
 		cfg := DefaultConfig()
-		cfg.Ghostwriter = gw
+		cfg.Protocol = protocolFor(gw)
 		m := New(cfg)
 		a := m.AllocPadded(64) // offsets 0 and 4 within one block
 		m.Run(2, func(th *Thread) {
@@ -269,7 +269,7 @@ func TestFig4MigratorySharing(t *testing.T) {
 // and the GI timeout later restores coherence, losing the hidden update.
 func TestFig5ProducerConsumer(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ghostwriter = true
+	cfg.Protocol = "ghostwriter"
 	cfg.GITimeout = 512
 	m := New(cfg)
 	a := m.AllocPadded(64)

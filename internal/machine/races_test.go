@@ -7,6 +7,7 @@ import (
 
 	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence"
+	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/sim"
 )
@@ -19,7 +20,7 @@ func tinyConfig(gw bool) Config {
 	cfg.Cores = 8
 	cfg.L1 = cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64} // 2 sets x 2 ways
 	cfg.L2PerCoreBytes = 2 * 64                                      // 4 blocks per bank
-	cfg.Ghostwriter = gw
+	cfg.Protocol = protocolFor(gw)
 	cfg.GITimeout = 128
 	return cfg
 }
@@ -196,9 +197,10 @@ func TestDeterminismUnderPressure(t *testing.T) {
 }
 
 // TestConfigFuzz runs the stress kernel across randomized machine
-// geometries (cores, L1 shape, L2 size, policies) and validates the
-// protocol invariants for each — configuration-dependent protocol bugs
-// (set-index aliasing, sharer-bitmask overflow, bank mapping) die here.
+// geometries (cores, L1 shape, L2 size, protocol tables, policies) and
+// validates the protocol invariants for each — configuration-dependent
+// protocol bugs (set-index aliasing, sharer-bitmask overflow, bank mapping)
+// die here.
 func TestConfigFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	meshes := []struct {
@@ -209,6 +211,7 @@ func TestConfigFuzz(t *testing.T) {
 		{4, 2, []int{0, 7}},
 		{2, 2, []int{0, 3}},
 	}
+	tables := proto.Names()
 	for trial := 0; trial < 12; trial++ {
 		mesh := meshes[rng.Intn(len(meshes))]
 		cores := 2 + rng.Intn(mesh.w*mesh.h-1)
@@ -217,15 +220,16 @@ func TestConfigFuzz(t *testing.T) {
 		blockSize := 64
 		cfg := DefaultConfig()
 		cfg.Cores = cores
-		cfg.Mesh.Width, cfg.Mesh.Height = mesh.w, mesh.h
+		cfg.NoC.Width, cfg.NoC.Height = mesh.w, mesh.h
 		cfg.DirNodes = mesh.dirs
 		cfg.L1 = cache.Config{SizeBytes: sets * ways * blockSize, Ways: ways, BlockSize: blockSize}
 		cfg.L2PerCoreBytes = (1 + rng.Intn(4)) * blockSize
-		cfg.Ghostwriter = rng.Intn(2) == 1
+		cfg.Protocol = tables[rng.Intn(len(tables))]
 		cfg.GITimeout = sim.Cycle(64 << rng.Intn(4))
 		cfg.Policy = coherence.ScribblePolicy(rng.Intn(3))
-		cfg.MSI = rng.Intn(2) == 1
-		cfg.MigratoryOpt = rng.Intn(2) == 1
+		// Shared copies match the L2 home byte-for-byte unless GS can hide
+		// writes in them.
+		strict := proto.MustLookup(cfg.Protocol).L1[cache.GS][proto.EvLoad] == nil
 
 		m := New(cfg)
 		const words = 192
@@ -234,9 +238,7 @@ func TestConfigFuzz(t *testing.T) {
 		seed := rng.Int63()
 		m.Run(nthreads, func(th *Thread) {
 			r := rand.New(rand.NewSource(seed + int64(th.ID())))
-			if cfg.Ghostwriter {
-				th.SetApproxDist(1 + r.Intn(10))
-			}
+			th.SetApproxDist(1 + r.Intn(10))
 			for i := 0; i < 150; i++ {
 				addr := a + mem.Addr(4*r.Intn(words))
 				switch r.Intn(3) {
@@ -249,9 +251,9 @@ func TestConfigFuzz(t *testing.T) {
 				}
 			}
 		})
-		if err := m.CheckInvariants(!cfg.Ghostwriter); err != nil {
-			t.Fatalf("trial %d (cores=%d mesh=%dx%d ways=%d sets=%d gw=%v msi=%v policy=%v): %v",
-				trial, cores, mesh.w, mesh.h, ways, sets, cfg.Ghostwriter, cfg.MSI, cfg.Policy, err)
+		if err := m.CheckInvariants(strict); err != nil {
+			t.Fatalf("trial %d (%s, cores=%d mesh=%dx%d ways=%d sets=%d policy=%v): %v",
+				trial, cfg.Protocol, cores, mesh.w, mesh.h, ways, sets, cfg.Policy, err)
 		}
 	}
 }

@@ -18,7 +18,7 @@ func topoMachineConfig(tb testing.TB, topo string, nodes int) Config {
 	if err != nil {
 		tb.Fatalf("Geometry(%q, %d): %v", topo, nodes, err)
 	}
-	cfg.Mesh = geo
+	cfg.NoC = geo
 	cfg.DirNodes = noc.DefaultHomes(geo, len(cfg.DirNodes))
 	cfg.Cores = geo.NodeCount()
 	if cfg.Cores > coherence.MaxCores {
@@ -50,7 +50,7 @@ func TestTopologyShardDeterminism(t *testing.T) {
 			if name == "xbar" {
 				wantWidth = 3
 			}
-			if got := cfg.Mesh.Lookahead(); got != wantWidth {
+			if got := cfg.NoC.Lookahead(); got != wantWidth {
 				t.Fatalf("window width %d, want %d — the per-topology lookahead must drive the barrier", got, wantWidth)
 			}
 			if got := configFingerprint(t, cfg, 0xD00D, 8); got != pinned[name] {

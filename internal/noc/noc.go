@@ -29,15 +29,12 @@ type Handler func(payload any)
 // Config describes the interconnect geometry and timing.
 type Config struct {
 	// Topo names the topology ("mesh", "ring", "torus", "xbar"). Empty
-	// selects the mesh and — being omitted from JSON — keeps every config
-	// minted before the topology layer byte-identical, so pre-topology
-	// content-addressed cache keys stay valid.
-	Topo          string `json:",omitempty"`
-	Width, Height int    // grid dimensions for mesh/torus (paper: 6x4 = 24 nodes)
+	// selects the mesh.
+	Topo          string
+	Width, Height int // grid dimensions for mesh/torus (paper: 6x4 = 24 nodes)
 	// Nodes is the node count for topologies without grid geometry (ring,
-	// xbar); 0 defers to Width×Height. Omitted from JSON when zero for the
-	// same key-compatibility reason as Topo.
-	Nodes       int       `json:",omitempty"`
+	// xbar); 0 defers to Width×Height.
+	Nodes       int
 	RouterDelay sim.Cycle // per-hop router pipeline latency (paper: 1)
 	LinkDelay   sim.Cycle // per-hop link latency (paper: 1)
 	FlitBytes   int       // flit width in bytes (16)

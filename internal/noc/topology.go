@@ -51,8 +51,7 @@ type Topology interface {
 // Topologies returns the registered topology names, sorted.
 func Topologies() []string { return []string{"mesh", "ring", "torus", "xbar"} }
 
-// canonicalTopo maps the empty name (legacy configs predating the topology
-// layer) to the mesh.
+// canonicalTopo maps the empty name (the zero Config) to the mesh.
 func canonicalTopo(name string) string {
 	if name == "" {
 		return "mesh"
@@ -135,10 +134,9 @@ func squarest(n int) (w, h int) {
 
 // Geometry returns the Config for a named topology at a node count, with the
 // Table 1 timing defaults. An empty name selects the mesh; nodes 0 keeps the
-// default 24. Geometry("mesh", 24) is exactly DefaultConfig(), so the
-// default-size mesh derives the same machine configuration — and the same
-// content-addressed cache keys — as every config minted before the topology
-// layer existed.
+// default 24. Geometry("mesh", 24) is exactly DefaultConfig(), so naming the
+// default-size mesh derives the same machine configuration as naming no
+// topology.
 func Geometry(name string, nodes int) (Config, error) {
 	cfg := DefaultConfig()
 	canonical, err := ParseTopology(name)
@@ -153,8 +151,8 @@ func Geometry(name string, nodes int) (Config, error) {
 	}
 	switch canonical {
 	case "mesh", "torus":
-		// Grid geometry lives in Width×Height; the mesh keeps Topo empty so
-		// the legacy JSON form (and every key over it) is byte-identical.
+		// Grid geometry lives in Width×Height; the mesh keeps Topo empty, as
+		// DefaultConfig does.
 		cfg.Width, cfg.Height = squarest(nodes)
 		if canonical == "torus" {
 			cfg.Topo = "torus"

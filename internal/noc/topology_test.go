@@ -41,8 +41,8 @@ func TestTopologyParse(t *testing.T) {
 }
 
 func TestTopologyGeometryDefaults(t *testing.T) {
-	// The default-size mesh must spell exactly like the pre-topology config:
-	// that identity is what keeps legacy cache keys valid.
+	// The default-size mesh must spell exactly like DefaultConfig, so naming
+	// it builds the machine that naming no topology builds.
 	if got := topoConfig(t, "mesh", 24); got != DefaultConfig() {
 		t.Fatalf("Geometry(mesh, 24) = %+v, want DefaultConfig %+v", got, DefaultConfig())
 	}
