@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -229,5 +230,89 @@ func TestShardHandoffMixedKernel(t *testing.T) {
 		if got := mixedFingerprint(t, p); got != pinned[p] {
 			t.Errorf("%s: fingerprint %s, want %s", p, got, pinned[p])
 		}
+	}
+}
+
+// drainParked stops every parked worker, leaving a cold pool.
+func drainParked() {
+	parked.Lock()
+	ws := parked.free
+	parked.free = nil
+	parked.Unlock()
+	for _, w := range ws {
+		w.stop()
+	}
+}
+
+// TestPooledWorkersStartFresh: a worker parked by one System carries none
+// of its state into the next. The scribble fingerprint is the same on a
+// cold pool and on one warmed by a different System whose kernels ended
+// with approximation on, compute pending and a migration behind them.
+func TestPooledWorkersStartFresh(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Protocol = "ghostwriter"
+	drainParked()
+	cold := configFingerprint(t, cfg, 0xD00D, 8)
+	mixedFingerprint(t, "mesi")
+	parked.Lock()
+	warm := len(parked.free)
+	parked.Unlock()
+	if warm == 0 {
+		t.Fatal("no worker parked after a clean Run")
+	}
+	if got := configFingerprint(t, cfg, 0xD00D, 8); got != cold {
+		t.Errorf("fingerprint on a warm pool %s, on a cold one %s", got, cold)
+	}
+}
+
+// errorOnly reports Fatal as Error, so a helper that calls Fatal can run
+// off the test's goroutine.
+type errorOnly struct{ testing.TB }
+
+func (e errorOnly) Fatal(args ...any) { e.TB.Error(args...) }
+
+// TestPooledWorkersConcurrentSystems: Systems on separate goroutines share
+// the pool and each computes what it computes alone (run under -race).
+func TestPooledWorkersConcurrentSystems(t *testing.T) {
+	const n = 4
+	want := make([]string, n)
+	for i := range want {
+		want[i] = scribbleFingerprint(t, shardProtocols[i%len(shardProtocols)], uint64(i), 4)
+	}
+	got := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				got[i] = scribbleFingerprint(errorOnly{t}, shardProtocols[i%len(shardProtocols)], uint64(i), 4)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("System %d: concurrent fingerprint %s, alone %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestWarmRunAllocations: once the pool holds enough workers, a 24-thread
+// Run builds no coroutine; what it still allocates is engine and protocol
+// state, under one object per thread.
+func TestWarmRunAllocations(t *testing.T) {
+	m := New(DefaultConfig())
+	const threads = 24
+	a := m.AllocPadded(threads * 64)
+	kernel := func(th *Thread) {
+		p := a + mem.Addr(64*th.ID())
+		th.Store32(p, th.Load32(p)+1)
+		th.Compute(5)
+		th.Barrier()
+	}
+	m.Run(threads, kernel)
+	if got := testing.AllocsPerRun(5, func() { m.Run(threads, kernel) }); got > threads {
+		t.Errorf("a warm %d-thread Run allocates %.0f objects, want <= %d", threads, got, threads)
 	}
 }

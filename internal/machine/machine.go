@@ -8,6 +8,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence"
@@ -109,7 +110,8 @@ type Machine struct {
 	lastCycles uint64        // end cycle of the last Run
 	lastEvents uint64        // cumulative events fired as of the last Run
 
-	threads []*Thread
+	workers []*worker  // the running kernels' workers, empty between Runs
+	report  []CoreUtil // the last Run's per-thread accounting
 	active  int
 	arrived int
 	// threadMergeFn is m.threadMerge bound once: evaluating the method value
@@ -158,8 +160,14 @@ func New(cfg Config) *Machine {
 	for _, n := range cfg.DirNodes {
 		m.dirNode = append(m.dirNode, noc.NodeID(n))
 	}
-	home := func(a mem.Addr) noc.NodeID {
-		return m.dirNode[int(uint64(a)/uint64(cfg.L1.BlockSize))%len(m.dirNode)]
+	// Blocks interleave across the homes. The block size is a power of two
+	// (cache.New checks), so the block number is a shift; the home index is
+	// a mask when the home count is one too.
+	shift := uint(bits.TrailingZeros(uint(cfg.L1.BlockSize)))
+	nd := uint64(len(m.dirNode))
+	home := func(a mem.Addr) noc.NodeID { return m.dirNode[(uint64(a)>>shift)%nd] }
+	if nd&(nd-1) == 0 {
+		home = func(a mem.Addr) noc.NodeID { return m.dirNode[(uint64(a)>>shift)&(nd-1)] }
 	}
 
 	prot, ok := proto.Lookup(cfg.Protocol)
@@ -276,19 +284,7 @@ type CoreUtil struct {
 // buckets need not sum to the wall time: issue gaps and migration costs are
 // unattributed.)
 func (m *Machine) CoreReport() []CoreUtil {
-	out := make([]CoreUtil, len(m.threads))
-	for i, t := range m.threads {
-		out[i] = CoreUtil{
-			Thread:        t.id,
-			Core:          t.core,
-			Ops:           t.ops,
-			MemCycles:     uint64(t.memCycles),
-			ComputeCycles: uint64(t.computeCyc),
-			BarrierCycles: uint64(t.barrierCyc),
-			FinishCycle:   uint64(t.finish),
-		}
-	}
-	return out
+	return append(make([]CoreUtil, 0, len(m.report)), m.report...)
 }
 
 // Network exposes the mesh (for link-utilization reporting).

@@ -210,6 +210,7 @@ func TestConfigFuzz(t *testing.T) {
 		{6, 4, []int{0, 5, 18, 23}},
 		{4, 2, []int{0, 7}},
 		{2, 2, []int{0, 3}},
+		{3, 3, []int{0, 4, 8}}, // a home count that is no power of two
 	}
 	tables := proto.Names()
 	for trial := 0; trial < 12; trial++ {

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"iter"
+	"sync"
 
 	"ghostwriter/internal/approx"
 	"ghostwriter/internal/coherence"
@@ -76,22 +77,108 @@ type Thread struct {
 	// applyFn applies it when they have. One slot suffices: the core is
 	// blocking, so at most one request is in flight.
 	hold threadReq
-	// The kernel runs as a coroutine of the engine (iter.Pull): it yields
-	// one request at a time, Machine.issue resumes it with next, and it
-	// finds the outcome of its previous request in result.
+	// The kernel runs on its worker's coroutine (iter.Pull): it yields one
+	// request at a time, Machine.issue resumes it with next, and it finds
+	// the outcome of its previous request in result.
 	yield  func(threadReq) bool
 	next   func() (threadReq, bool)
 	result uint64
-	// Callbacks bound once per run.
+	// Callbacks bound once per worker; they reach the machine through m.
 	doneFn  func(uint64)
 	issueFn sim.Event
 	applyFn sim.Event
 }
 
 // kernelStopped is the panic that unwinds a kernel parked in yield when Run
-// exits without it (another thread or the model panicked); the coroutine
-// wrapper in Run recovers it.
+// exits without it (another thread or the model panicked); the worker's
+// coroutine body recovers it.
 type kernelStopped struct{}
+
+// worker is one kernel coroutine and the thread record it serves. Its body
+// loops: run the assigned kernel, yield the done request (the kernel's
+// trailing compute folded in), and park in that yield until a later Run
+// resumes it with the next kernel. The coroutine and the three callbacks are
+// built once per worker, not once per Run.
+type worker struct {
+	Thread
+	kernel Kernel
+	stop   func()
+}
+
+// parked is the process-wide free list of workers between Runs. Systems run
+// concurrently (a sweep simulates cells on several goroutines), so a mutex
+// guards it. A parked worker holds no kernel and no machine.
+var parked struct {
+	sync.Mutex
+	free []*worker
+}
+
+// maxParked caps the free list at the largest interconnect a machine can
+// build (noc's 4 096 nodes); a worker returned beyond it is stopped.
+const maxParked = 4096
+
+// newWorker builds a worker whose coroutine has not started; the first
+// next runs the kernel Run assigned it.
+func newWorker() *worker {
+	w := &worker{}
+	t := &w.Thread
+	t.next, w.stop = iter.Pull(func(yield func(threadReq) bool) {
+		t.yield = yield
+		defer func() {
+			if r := recover(); r != nil && r != (kernelStopped{}) {
+				panic(r)
+			}
+		}()
+		for {
+			w.kernel(t)
+			r := threadReq{kind: reqDone, fold: t.pending}
+			t.pending = 0
+			if !yield(r) {
+				return
+			}
+		}
+	})
+	t.issueFn = func() { t.m.issue(t) }
+	t.doneFn = func(v uint64) {
+		t.ops++
+		eng := t.eng()
+		t.memCycles += eng.Now() - t.issuedAt
+		t.result = v
+		eng.After(1, t.issueFn)
+	}
+	t.applyFn = func() { t.m.apply(t, t.hold) }
+	return w
+}
+
+// takeWorkers appends n workers to ws, parked ones first.
+func takeWorkers(ws []*worker, n int) []*worker {
+	parked.Lock()
+	k := min(n, len(parked.free))
+	rest := len(parked.free) - k
+	ws = append(ws, parked.free[rest:]...)
+	clear(parked.free[rest:])
+	parked.free = parked.free[:rest]
+	parked.Unlock()
+	for ; k < n; k++ {
+		ws = append(ws, newWorker())
+	}
+	return ws
+}
+
+// parkWorkers returns workers whose kernels have all returned to the free
+// list, stopping any beyond its cap.
+func parkWorkers(ws []*worker) {
+	for _, w := range ws {
+		w.kernel, w.m = nil, nil
+	}
+	parked.Lock()
+	k := min(len(ws), maxParked-len(parked.free))
+	parked.free = append(parked.free, ws[:k]...)
+	parked.Unlock()
+	for _, w := range ws[k:] {
+		w.stop()
+	}
+}
 
 // call hands one request to the engine, with the compute cycles accumulated
 // since the previous one folded in, parks the kernel until the engine has
@@ -254,46 +341,58 @@ func (t *Thread) eng() *sim.Engine { return t.m.clu.Tile(t.core) }
 
 // Run executes kernel on nthreads simulated threads (thread i pinned to
 // core i) until all of them return, then drains in-flight protocol traffic.
-// It returns the elapsed simulated cycles. Kernels run as coroutines of the
+// It returns the elapsed simulated cycles. Kernels run on coroutines of the
 // engine, never concurrently with their own tile: a panic in a kernel
-// surfaces from Run on the caller's goroutine like any model panic, and no
-// kernel outlives Run on any exit path.
+// surfaces from Run on the caller's goroutine like any model panic. No
+// kernel outlives Run on any exit path, but its coroutine may: Run takes
+// its workers from a process-wide free list and, after a clean run, parks
+// them there again with neither kernel nor machine attached, so a cell
+// pays for no coroutine set-up. On a panic path every worker Run took is
+// stopped, which unwinds its kernel, and none is parked.
 func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	if nthreads <= 0 || nthreads > m.cfg.Cores {
 		panic(fmt.Sprintf("machine: %d threads on %d cores", nthreads, m.cfg.Cores))
 	}
-	m.threads = m.threads[:0]
-	for i := 0; i < nthreads; i++ {
-		t := &Thread{
+	m.workers = takeWorkers(m.workers[:0], nthreads)
+	clean := false
+	defer func() {
+		m.report = m.report[:0]
+		for _, w := range m.workers {
+			m.report = append(m.report, CoreUtil{
+				Thread:        w.id,
+				Core:          w.core,
+				Ops:           w.ops,
+				MemCycles:     uint64(w.memCycles),
+				ComputeCycles: uint64(w.computeCyc),
+				BarrierCycles: uint64(w.barrierCyc),
+				FinishCycle:   uint64(w.finish),
+			})
+		}
+		if clean {
+			parkWorkers(m.workers)
+		} else {
+			for _, w := range m.workers {
+				w.stop()
+			}
+		}
+		clear(m.workers)
+		m.workers = m.workers[:0]
+	}()
+	for i, w := range m.workers {
+		t := &w.Thread
+		*t = Thread{
 			id:       i,
 			core:     i,
 			nthreads: nthreads,
 			m:        m,
 			ddist:    -1,
+			yield:    t.yield,
+			next:     t.next,
+			doneFn:   t.doneFn,
+			issueFn:  t.issueFn,
+			applyFn:  t.applyFn,
 		}
-		next, stop := iter.Pull(func(yield func(threadReq) bool) {
-			t.yield = yield
-			defer func() {
-				if r := recover(); r != nil && r != (kernelStopped{}) {
-					panic(r)
-				}
-			}()
-			kernel(t)
-		})
-		// Deferred per thread, to run when Run exits: unwinds a kernel that
-		// a panic elsewhere left parked in yield.
-		defer stop()
-		t.next = next
-		t.issueFn = func() { m.issue(t) }
-		t.doneFn = func(v uint64) {
-			t.ops++
-			eng := t.eng()
-			t.memCycles += eng.Now() - t.issuedAt
-			t.result = v
-			eng.After(1, t.issueFn)
-		}
-		t.applyFn = func() { m.apply(t, t.hold) }
-		m.threads = append(m.threads, t)
+		w.kernel = kernel
 	}
 	m.active = nthreads
 	m.arrived = 0
@@ -301,8 +400,8 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 		l.StartSweep()
 	}
 	start := m.clu.Now()
-	for _, t := range m.threads {
-		t.eng().After(0, t.issueFn)
+	for _, w := range m.workers {
+		w.eng().After(0, w.issueFn)
 	}
 	m.clu.RunUntil(func() bool { return m.active == 0 })
 	// The run ends when the last thread finishes (recorded at its done
@@ -310,9 +409,9 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	// and disarmed GI sweeps, whose event timestamps must not count as
 	// execution time.
 	var end sim.Cycle
-	for _, t := range m.threads {
-		if t.finish > end {
-			end = t.finish
+	for _, w := range m.workers {
+		if w.finish > end {
+			end = w.finish
 		}
 	}
 	for _, l := range m.l1s {
@@ -321,6 +420,7 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	if _, drained := m.clu.Drain(100_000_000); !drained {
 		panic("machine: protocol failed to drain after run")
 	}
+	clean = true
 	m.clu.Align()
 	elapsed := uint64(end - start)
 	m.lastCycles = uint64(end)
@@ -342,16 +442,14 @@ const (
 // issue resumes the thread's kernel until it yields its next request; this
 // is the strict engine ↔ kernel handoff that keeps the simulation
 // deterministic, and a direct coroutine switch on the host. The kernel
-// returning is its done request. issue runs as an event of the thread's
-// current tile, so it (and the kernel) may touch the thread and the tile
-// freely but machine-global thread state only via staging. A request
-// carrying folded compute cycles is parked and applied once they elapse,
-// reproducing the timing of a separate compute step exactly.
+// returning is its done request, which its worker yields. issue runs as an
+// event of the thread's current tile, so it (and the kernel) may touch the
+// thread and the tile freely but machine-global thread state only via
+// staging. A request carrying folded compute cycles is parked and applied
+// once they elapse, reproducing the timing of a separate compute step
+// exactly.
 func (m *Machine) issue(t *Thread) {
-	r, ok := t.next()
-	if !ok {
-		r = threadReq{kind: reqDone, fold: t.pending}
-	}
+	r, _ := t.next() // a worker's body returns only once stopped
 	if r.fold > 0 {
 		t.computeCyc += sim.Cycle(r.fold)
 		t.hold = r
@@ -412,8 +510,8 @@ func (m *Machine) threadMerge(at sim.Cycle, arg any, aux uint64) {
 		m.releaseBarrier(at)
 	case auxThreadMigrate:
 		target := int(aux >> 8)
-		for _, u := range m.threads {
-			if u != t && u.core == target && !u.done {
+		for _, u := range m.workers {
+			if &u.Thread != t && u.core == target && !u.done {
 				panic(fmt.Sprintf("machine: core %d already runs thread %d", target, u.id))
 			}
 		}
@@ -433,7 +531,7 @@ func (m *Machine) releaseBarrier(at sim.Cycle) {
 		return
 	}
 	m.arrived = 0
-	for _, u := range m.threads {
+	for _, u := range m.workers {
 		if !u.barrier {
 			continue
 		}

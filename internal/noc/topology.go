@@ -87,8 +87,14 @@ func (cfg Config) Topology() (Topology, error) {
 			// square grid (24 → 6x4, the paper's Table 1 shape).
 			w, h = squarest(n)
 		}
-		return &gridTopo{name: name, w: w, h: h, wrap: name == "torus",
-			router: cfg.RouterDelay, link: cfg.LinkDelay}, nil
+		g := &gridTopo{name: name, w: w, h: h, wrap: name == "torus",
+			router: cfg.RouterDelay, link: cfg.LinkDelay}
+		coords := make([]int, 2*w*h) // both tables in one allocation
+		g.xs, g.ys = coords[:w*h:w*h], coords[w*h:]
+		for id := range g.xs {
+			g.xs[id], g.ys[id] = id%w, id/w
+		}
+		return g, nil
 	case "ring":
 		return &ringTopo{n: n, router: cfg.RouterDelay, link: cfg.LinkDelay}, nil
 	case "xbar":
@@ -212,6 +218,7 @@ type gridTopo struct {
 	name   string
 	w, h   int
 	wrap   bool
+	xs, ys []int // node id → grid coordinates, so routing divides nothing
 	router sim.Cycle
 	link   sim.Cycle
 }
@@ -227,7 +234,7 @@ func (t *gridTopo) Lookahead() sim.Cycle {
 	return t.router + t.link
 }
 
-func (t *gridTopo) xy(id NodeID) (x, y int) { return int(id) % t.w, int(id) / t.w }
+func (t *gridTopo) xy(id NodeID) (x, y int) { return t.xs[id], t.ys[id] }
 func (t *gridTopo) at(x, y int) NodeID      { return NodeID(y*t.w + x) }
 func (t *gridTopo) linkID(from NodeID, dir int) int {
 	return int(from)*4 + dir
@@ -238,21 +245,31 @@ func (t *gridTopo) linkID(from NodeID, dir int) int {
 // length size from c to dc. The torus takes the shorter way around, breaking
 // exact ties toward the positive direction.
 func (t *gridTopo) axisSteps(c, dc, size int) (neg bool, steps int) {
-	if !t.wrap {
-		if dc >= c {
-			return false, dc - c
+	if dc >= c {
+		fwd := dc - c
+		if t.wrap && size-fwd < fwd {
+			return true, size - fwd
 		}
-		return true, c - dc
+		return false, fwd
 	}
-	fwd := ((dc-c)%size + size) % size
-	bwd := size - fwd
-	if fwd == 0 {
-		return false, 0
+	bwd := c - dc
+	if t.wrap && size-bwd <= bwd {
+		return false, size - bwd
 	}
-	if bwd < fwd {
-		return true, bwd
+	return true, bwd
+}
+
+// wrapStep moves coordinate c one step (±1) along an axis of length size,
+// wrapping at either end.
+func wrapStep(c, step, size int) int {
+	c += step
+	if c == size {
+		return 0
 	}
-	return false, fwd
+	if c < 0 {
+		return size - 1
+	}
+	return c
 }
 
 func (t *gridTopo) Hops(src, dst NodeID) int {
@@ -273,7 +290,7 @@ func (t *gridTopo) Route(buf []int, src, dst NodeID) []int {
 			dir, step = 1, -1
 		}
 		buf = append(buf, t.linkID(t.at(x, y), dir))
-		x = ((x+step)%t.w + t.w) % t.w
+		x = wrapStep(x, step, t.w)
 	}
 	negY, hy := t.axisSteps(y, dy, t.h)
 	for ; hy > 0; hy-- {
@@ -282,7 +299,7 @@ func (t *gridTopo) Route(buf []int, src, dst NodeID) []int {
 			dir, step = 3, -1
 		}
 		buf = append(buf, t.linkID(t.at(x, y), dir))
-		y = ((y+step)%t.h + t.h) % t.h
+		y = wrapStep(y, step, t.h)
 	}
 	return buf
 }
@@ -291,8 +308,8 @@ func (t *gridTopo) LinkEnds(link int) (from, to NodeID) {
 	from = NodeID(link / 4)
 	dir := link % 4
 	x, y := t.xy(from)
-	x = ((x+dirDelta[dir][0])%t.w + t.w) % t.w
-	y = ((y+dirDelta[dir][1])%t.h + t.h) % t.h
+	x = wrapStep(x, dirDelta[dir][0], t.w)
+	y = wrapStep(y, dirDelta[dir][1], t.h)
 	return from, t.at(x, y)
 }
 

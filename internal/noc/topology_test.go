@@ -359,3 +359,77 @@ func TestTopologyLargeGrids(t *testing.T) {
 		})
 	}
 }
+
+// refGridRoute is the modulo-arithmetic XY route the grid topology used to
+// compute, kept as the reference for its division-free form: the shorter
+// way around on a torus, exact ties toward the positive direction.
+func refGridRoute(w, h int, wrap bool, src, dst int) []int {
+	steps := func(c, dc, size int) (neg bool, n int) {
+		if !wrap {
+			if dc >= c {
+				return false, dc - c
+			}
+			return true, c - dc
+		}
+		fwd := ((dc-c)%size + size) % size
+		if fwd == 0 {
+			return false, 0
+		}
+		if bwd := size - fwd; bwd < fwd {
+			return true, bwd
+		}
+		return false, fwd
+	}
+	x, y := src%w, src/w
+	var route []int
+	neg, n := steps(x, dst%w, w)
+	for ; n > 0; n-- {
+		dir, step := 0, 1
+		if neg {
+			dir, step = 1, -1
+		}
+		route = append(route, (y*w+x)*4+dir)
+		x = ((x+step)%w + w) % w
+	}
+	neg, n = steps(y, dst/w, h)
+	for ; n > 0; n-- {
+		dir, step := 2, 1
+		if neg {
+			dir, step = 3, -1
+		}
+		route = append(route, (y*w+x)*4+dir)
+		y = ((y+step)%h + h) % h
+	}
+	return route
+}
+
+// TestGridRouteMatchesModuloReference checks every (src, dst) pair on the
+// Table 1 mesh, a 16x16 torus and tori with exact half-way ties (6x4) and
+// without (5x3, 7x5): Route and Hops equal the modulo reference, link for
+// link.
+func TestGridRouteMatchesModuloReference(t *testing.T) {
+	for _, g := range []struct {
+		topo string
+		w, h int
+	}{{"", 6, 4}, {"torus", 16, 16}, {"torus", 6, 4}, {"torus", 5, 3}, {"torus", 7, 5}} {
+		cfg := DefaultConfig()
+		cfg.Topo, cfg.Width, cfg.Height = g.topo, g.w, g.h
+		topo, err := cfg.Topology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.w * g.h
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				want := refGridRoute(g.w, g.h, g.topo == "torus", src, dst)
+				got := topo.Route(nil, NodeID(src), NodeID(dst))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Route(%d, %d) = %v, reference %v", topo.Describe(), src, dst, got, want)
+				}
+				if h := topo.Hops(NodeID(src), NodeID(dst)); h != len(want) {
+					t.Fatalf("%s: Hops(%d, %d) = %d, reference route has %d links", topo.Describe(), src, dst, h, len(want))
+				}
+			}
+		}
+	}
+}

@@ -155,7 +155,12 @@ func (c *Cluster) stepFast() (merged, idle bool) {
 		// Skip empty windows: jump to the grid-aligned window containing
 		// the earliest event. The grid is anchored at cycle 0 in multiples
 		// of the lookahead, so the jump target is independent of history.
-		c.base = c.next / c.lookahead * c.lookahead
+		// Most often that is the very next window, which needs no division.
+		if c.next < c.base+2*c.lookahead {
+			c.base += c.lookahead
+		} else {
+			c.base = c.next / c.lookahead * c.lookahead
+		}
 	}
 	end := c.base + c.lookahead
 	f0 := e.fired
