@@ -242,26 +242,25 @@ func BenchmarkTable02_Workloads(b *testing.B) {
 	b.Log("\n" + buf.String())
 }
 
-// BenchmarkAblation_ScribblePolicy compares the three scribble residency
-// policies (DESIGN.md §4.2) on linear_regression at d=8: the literal Fig. 3
-// residency, the default hybrid, and full escalation.
+// scribblePolicyRows are the three readings of a scribble on a block already
+// in GS/GI (DESIGN.md §4.2), each a table: the default hybrid, the literal
+// Fig. 3 residency, and full escalation.
+var scribblePolicyRows = []variantRow{
+	{"hybrid", ghostwriter.Ghostwriter, 8},
+	{"resident", "gw-resident", 8},
+	{"escalate", "gw-escalate", 8},
+}
+
+// BenchmarkAblation_ScribblePolicy compares the scribblePolicyRows tables on
+// linear_regression at d=8.
 func BenchmarkAblation_ScribblePolicy(b *testing.B) {
-	policies := []struct {
-		name string
-		p    ghostwriter.ScribblePolicy
-	}{
-		{"hybrid", ghostwriter.PolicyHybrid},
-		{"resident", ghostwriter.PolicyResident},
-		{"escalate", ghostwriter.PolicyEscalate},
-	}
-	for _, pol := range policies {
-		pol := pol
-		b.Run(pol.name, func(b *testing.B) {
+	for _, row := range scribblePolicyRows {
+		b.Run(row.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cycles, msgs, errPct := runLinregWithPolicy(b, pol.p)
-				b.ReportMetric(float64(cycles), "cycles")
-				b.ReportMetric(float64(msgs), "messages")
-				b.ReportMetric(errPct, "error-pct")
+				r := runLinreg(row)
+				b.ReportMetric(float64(r.cycles), "cycles")
+				b.ReportMetric(float64(r.msgs), "messages")
+				b.ReportMetric(r.errPct, "error-pct")
 			}
 		})
 	}
@@ -303,25 +302,6 @@ func BenchmarkAblation_Padding(b *testing.B) {
 			}
 		})
 	}
-}
-
-// runLinregWithPolicy runs linear_regression d=8 under a policy.
-func runLinregWithPolicy(b *testing.B, p ghostwriter.ScribblePolicy) (cycles, msgs uint64, errPct float64) {
-	b.Helper()
-	res, err := runAppWithPolicy("linear_regression", 8, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.Cycles, res.Stats.TotalMsgs(), res.ErrorPct
-}
-
-// runAppWithPolicy mirrors Runner.RunApp with an explicit policy.
-func runAppWithPolicy(name string, d int, p ghostwriter.ScribblePolicy) (harness.RunResult, error) {
-	opt := benchOptions()
-	return harness.NewRunner(0).RunSpec(harness.Spec{
-		App: name, Scale: opt.Scale, Threads: opt.Threads, DDist: d,
-		Config: ghostwriter.Config{Policy: p},
-	})
 }
 
 // BenchmarkSensitivity_DDistance sweeps the d-distance on the headline

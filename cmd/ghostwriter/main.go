@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ghostwriter -app linear_regression -d 8 -threads 24
-//	ghostwriter -app jpeg -d 4 -policy resident
+//	ghostwriter -app jpeg -d 4 -protocol gw-resident
 //	ghostwriter -app linear_regression -protocol gw-msi   # any registered table
 //	ghostwriter -tables -protocol mesi-mig                # print its tables
 //	ghostwriter -config            # print the Table 1 configuration
@@ -44,7 +44,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		d       = fs.Int("d", 8, "d-distance (0 = baseline MESI)")
 		threads = fs.Int("threads", 24, "worker threads (one per core)")
 		scale   = fs.Int("scale", 1, "input scale factor")
-		policy  = fs.String("policy", "hybrid", "scribble policy: hybrid|resident|escalate")
 		proto   = fs.String("protocol", "", "coherence protocol table: "+strings.Join(ptable.Names(), "|")+" (empty = d-distance decides)")
 		topo    = fs.String("topo", "", "interconnect topology: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
 		nodes   = fs.Int("nodes", 0, "interconnect node count (0 = the Table 1 24; mesh/torus fold it into the most square grid)")
@@ -116,7 +115,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		Topo:              *topo,
 		Nodes:             *nodes,
 	}
-	if err := run(stdout, *app, *d, *threads, *scale, *policy, cfg, *cores, *nocHot); err != nil {
+	if err := run(stdout, *app, *d, *threads, *scale, cfg, *cores, *nocHot); err != nil {
 		fmt.Fprintln(stderr, "ghostwriter:", err)
 		return 1
 	}
@@ -150,12 +149,9 @@ func autotune(w io.Writer, name string, scale, threads int, targetPct float64) e
 
 // run simulates one application under cfg and prints its report. An unnamed
 // protocol is the d-distance's: ghostwriter for d > 0, mesi for d = 0.
-func run(w io.Writer, name string, d, threads, scale int, policyName string, cfg ghostwriter.Config, cores, nocHot bool) error {
+func run(w io.Writer, name string, d, threads, scale int, cfg ghostwriter.Config, cores, nocHot bool) error {
 	f, err := workloads.Lookup(name)
 	if err != nil {
-		return err
-	}
-	if cfg.Policy, err = ghostwriter.ParsePolicy(policyName); err != nil {
 		return err
 	}
 	if cfg.Protocol == "" && d > 0 {

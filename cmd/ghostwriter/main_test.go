@@ -52,13 +52,14 @@ func TestProtocolHelpListsTables(t *testing.T) {
 	}
 }
 
-// TestVariantFlagsAreGone: MSI and the migratory optimization are tables
-// (-protocol gw-msi, -protocol mesi-mig), not flags.
+// TestVariantFlagsAreGone: MSI, the migratory optimization and the scribble
+// residency policies are tables (-protocol gw-msi, -protocol mesi-mig,
+// -protocol gw-resident), not flags.
 func TestVariantFlagsAreGone(t *testing.T) {
-	for _, flag := range []string{"-msi", "-migratory"} {
-		code, out, errs := runCmd(flag)
-		if code != 2 || out != "" || !strings.Contains(errs, "flag provided but not defined: "+flag) {
-			t.Errorf("%s: exit %d, stdout %q, stderr %q; want 2 as an unknown flag", flag, code, out, errs)
+	for _, args := range [][]string{{"-msi"}, {"-migratory"}, {"-policy", "resident"}} {
+		code, out, errs := runCmd(args...)
+		if code != 2 || out != "" || !strings.Contains(errs, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 as an unknown flag", args, code, out, errs)
 		}
 	}
 }

@@ -68,8 +68,9 @@ type (
 type Protocol string
 
 // The protocols the evaluation names. Every other registered table
-// ("gw-msi", "mesi-mig", "mesi-stale", "gw-stale") is selected the same way,
-// through ParseProtocol or a Protocol conversion.
+// ("gw-msi", "mesi-mig", "mesi-stale", "gw-stale", "gw-resident",
+// "gw-escalate") is selected the same way, through ParseProtocol or a
+// Protocol conversion.
 const (
 	// Baseline is the unmodified MESI write-invalidate directory protocol
 	// (the paper's d-distance 0 reference); scribbles escalate to stores.
@@ -101,34 +102,11 @@ func ParseProtocol(name string) (Protocol, error) {
 	return Protocol(name), nil
 }
 
-// ScribblePolicy selects how scribbles behave on blocks already resident
-// in an approximate state. PolicyHybrid (the default; the paper's best-fit
-// semantics) re-compares on GS and escalates dissimilar values while GI
-// residency is disciplined by the timeout; PolicyResident is the literal
-// Fig. 3 diagram (entry-gated only); PolicyEscalate re-compares in both
-// approximate states.
-type ScribblePolicy = coherence.ScribblePolicy
-
-// Scribble policies.
-const (
-	PolicyHybrid   = coherence.PolicyHybrid
-	PolicyResident = coherence.PolicyResident
-	PolicyEscalate = coherence.PolicyEscalate
-)
-
-// ParsePolicy is the inverse of ScribblePolicy.String, re-exported for
-// flag parsing.
-func ParsePolicy(name string) (ScribblePolicy, error) {
-	return coherence.ParsePolicy(name)
-}
-
 // Config selects a simulated system. The zero value gives the paper's
 // Table 1 machine with the baseline protocol.
 type Config struct {
 	// Protocol names the coherence protocol table (default Baseline).
 	Protocol Protocol
-	// Policy selects the scribble residency policy (default PolicyHybrid).
-	Policy ScribblePolicy
 	// Cores is the core count (default 24, as in Table 1; defaults to one
 	// core per node when Topo/Nodes grow the interconnect). Threads are
 	// pinned one per core.
@@ -196,7 +174,6 @@ func (c Config) MachineConfig() machine.Config {
 	// An unknown name passes through for New to reject: key derivation
 	// stays total.
 	mc.Protocol = c.Protocol.String()
-	mc.Policy = c.Policy
 	mc.ErrorBound = c.ErrorBound
 	mc.AdaptiveGITimeout = c.AdaptiveGITimeout
 	mc.ProfileSimilarity = c.ProfileSimilarity

@@ -124,7 +124,6 @@ type Config struct {
 	Addrs    []mem.Addr // distinct block-aligned addresses
 	Depth    int        // schedule length
 	DDist    int        // d-distance for scribbles and approximate stores
-	Policy   coherence.ScribblePolicy
 	// Ops restricts the opcode alphabet (nil = all five). A restricted
 	// alphabet buys depth: {Load, Store} over three same-set addresses
 	// exercises evictions at the same schedule count a one-address
@@ -449,7 +448,6 @@ func newHarness(cfg Config, reach *Reach) *harness {
 			Cache:      cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64},
 			HitLatency: 2,
 			Proto:      cfg.Protocol,
-			Policy:     cfg.Policy,
 			OnMissing: func(s cache.State, ev proto.Event) {
 				h.missing = append(h.missing, fmt.Sprintf("l1 %d: %v/%v", i, proto.L1StateName(s), ev))
 			},
@@ -716,7 +714,7 @@ func (h *harness) approxCopies() (anyGS, anyGI bool) {
 // its last store, and a load must have returned it exactly — this is the
 // "load returns the last globally-visible store" obligation, and it
 // catches lost writebacks the state audits cannot see. Mixed schedules may
-// hide values in GS (within d of coherent unless a policy exempts it) or
+// hide values in GS (within d of coherent unless the table is Resident) or
 // GI copies; anything else returning a non-coherent value is a violation.
 // It also ties the residency-entry counters to the machine's structure:
 // a GS/GI copy without a counted entry (or a counted entry that installed
@@ -746,14 +744,14 @@ func (h *harness) auditStep(s Step, i int, prior cache.State) *Violation {
 	if s.Op == ScribbleFar {
 		// A dissimilar scribble fails the scribe comparator, so it may not
 		// *enter* GS/GI: it either escalates to a coherent store or is
-		// absorbed by a residency that already existed (the hybrid policy
-		// skips the comparator on GI-resident blocks, and PolicyResident
-		// skips it on GS).
+		// absorbed by a residency that already existed (every table but
+		// gw-escalate skips the comparator on GI-resident blocks, and a
+		// Resident table skips it on GS).
 		cur := h.stateOf(s.Core, s.Addr)
 		if coh := h.coherentWord(h.cfg.Addrs[s.Addr]); coh != v {
 			switch {
 			case cur == cache.GI && prior == cache.GI:
-			case cur == cache.GS && h.cfg.Policy == coherence.PolicyResident && prior == cache.GS:
+			case cur == cache.GS && h.cfg.Protocol.Resident && prior == cache.GS:
 			default:
 				return failInv("step %d (%s): far scribble %#x neither published (coherent %#x) nor absorbed by a pre-existing residency (%v -> %v)",
 					i, s, v, coh, proto.L1StateName(prior), proto.L1StateName(cur))
@@ -799,7 +797,7 @@ func (h *harness) auditStep(s Step, i int, prior cache.State) *Violation {
 	case cache.GI:
 		return nil // hidden GI value; bounded only by the timeout policy
 	case cache.GS:
-		if h.cfg.Policy == coherence.PolicyResident || h.approxStored[s.Addr] {
+		if h.cfg.Protocol.Resident || h.approxStored[s.Addr] {
 			return nil
 		}
 		if approx.Within(v, coh, 32, h.cfg.DDist) {
@@ -882,8 +880,8 @@ func (h *harness) backingWord(a mem.Addr) uint64 {
 
 // checkWord audits one cached copy's data: any readable word must be a
 // value the schedule wrote there, coherent copies must equal the coherent
-// word, and a GS copy (whose residency re-runs the comparator under the
-// hybrid and escalate policies) must stay within d-distance of it.
+// word, and a GS copy (whose residency re-runs the comparator unless the
+// table is Resident) must stay within d-distance of it.
 func (h *harness) checkWord(ai int, a mem.Addr, c int, b *cache.Block) *Violation {
 	if !b.State.ReadableLocally() {
 		return nil
@@ -900,8 +898,8 @@ func (h *harness) checkWord(ai int, a mem.Addr, c int, b *cache.Block) *Violatio
 				"core %d a%d: Shared copy %#x diverges from coherent %#x", c, ai, w, coh)}
 		}
 	case cache.GS:
-		if h.cfg.Policy == coherence.PolicyResident || h.approxStored[ai] {
-			// PolicyResident skips the comparator during residency, and
+		if h.cfg.Protocol.Resident || h.approxStored[ai] {
+			// A Resident table skips the comparator during residency, and
 			// approximate conventional stores are absorbed without it
 			// (§3.2): drift is unbounded by design on those paths.
 			return nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ghostwriter/internal/cache"
-	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/mem"
 )
@@ -50,7 +49,6 @@ func TestRegisteredProtocols(t *testing.T) {
 				Addrs:    twoBlocks,
 				Depth:    3,
 				DDist:    8,
-				Policy:   coherence.PolicyHybrid,
 			}
 			explore(t, cfg)
 			cfg.Sequential = true
@@ -79,7 +77,6 @@ func TestThreeCores(t *testing.T) {
 		Addrs:    []mem.Addr{0x000},
 		Depth:    3,
 		DDist:    8,
-		Policy:   coherence.PolicyHybrid,
 	})
 }
 
@@ -93,24 +90,36 @@ func TestEvictionPressure(t *testing.T) {
 		Addrs:    sameSet,
 		Depth:    3,
 		DDist:    8,
-		Policy:   coherence.PolicyHybrid,
 	})
 }
 
-// TestScribblePolicies re-runs the contention sweep under the resident and
-// escalate policies, which flip which comparator guards fire during GS/GI
-// residencies.
+// TestScribblePolicies sweeps the two other residency readings, gw-resident
+// and gw-escalate, which change the comparator guard of a scribble on a GS or
+// GI block. Depth 4 on one block is the first depth at which a schedule
+// scribbles on a block already resident, in both issue modes: concurrent for
+// the races, sequential for the per-step value and residency audits, with
+// the coverage gate and a check that both changed rows were dispatched.
 func TestScribblePolicies(t *testing.T) {
-	for _, p := range []coherence.ScribblePolicy{coherence.PolicyResident, coherence.PolicyEscalate} {
-		t.Run(p.String(), func(t *testing.T) {
-			explore(t, Config{
-				Protocol: proto.MustLookup("ghostwriter"),
+	for _, name := range []string{"gw-resident", "gw-escalate"} {
+		t.Run(strings.TrimPrefix(name, "gw-"), func(t *testing.T) {
+			cfg := Config{
+				Protocol: proto.MustLookup(name),
 				Cores:    2,
 				Addrs:    []mem.Addr{0x000},
 				Depth:    4,
 				DDist:    8,
-				Policy:   p,
-			})
+			}
+			explore(t, cfg)
+			cfg.Sequential = true
+			res := explore(t, cfg)
+			if err := CoverageErr(cfg.Protocol, res); err != nil {
+				t.Error(err)
+			}
+			for _, s := range []cache.State{cache.GS, cache.GI} {
+				if !res.Reach.L1[s][proto.EvScribble] {
+					t.Errorf("the sequential sweep never dispatched %v/Scribble", s)
+				}
+			}
 		})
 	}
 }
@@ -128,7 +137,6 @@ func TestDepth4(t *testing.T) {
 		Addrs:    twoBlocks,
 		Depth:    4,
 		DDist:    8,
-		Policy:   coherence.PolicyHybrid,
 	})
 }
 
@@ -208,7 +216,6 @@ func TestSeededL1BugDetected(t *testing.T) {
 		Addrs:    []mem.Addr{0x000},
 		Depth:    3,
 		DDist:    8,
-		Policy:   coherence.PolicyHybrid,
 	})
 	if len(res.Violations) == 0 {
 		t.Fatal("removing the (S, Inv) transition went undetected")
@@ -229,7 +236,6 @@ func TestSeededDirBugDetected(t *testing.T) {
 		Addrs:    []mem.Addr{0x000},
 		Depth:    3,
 		DDist:    8,
-		Policy:   coherence.PolicyHybrid,
 	})
 	if len(res.Violations) == 0 {
 		t.Fatal("removing the (DS, UPGRADE) row went undetected")
@@ -248,7 +254,6 @@ func seqCfg(p *proto.Protocol, cores int) Config {
 		Addrs:      sameSet,
 		Depth:      5,
 		DDist:      8,
-		Policy:     coherence.PolicyHybrid,
 		Sequential: true,
 	}
 }
@@ -435,7 +440,6 @@ func TestFingerprintDeterministic(t *testing.T) {
 		Addrs:      []mem.Addr{0x000},
 		Depth:      3,
 		DDist:      8,
-		Policy:     coherence.PolicyHybrid,
 		Sequential: true,
 	}
 	a, b := Explore(cfg), Explore(cfg)
@@ -457,7 +461,6 @@ func TestOpsRestriction(t *testing.T) {
 		Addrs:      sameSet,
 		Depth:      3,
 		DDist:      8,
-		Policy:     coherence.PolicyHybrid,
 		Ops:        []Opcode{Load, Store},
 		Sequential: true,
 	})

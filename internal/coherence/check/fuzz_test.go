@@ -5,16 +5,16 @@ import (
 	"slices"
 	"testing"
 
-	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/mem"
 )
 
 // FuzzCheckerSchedules randomizes issue orders past the exhaustive sweep's
-// depth: arbitrary bytes become one explicit schedule (first byte selects
-// sequential issue and the scribble policy, the rest decode one step each,
-// up to 24 steps over 3 cores × 5 opcodes × 3 same-set addresses) and every
-// registered protocol must run it violation-free. Any violation here is a
+// depth: arbitrary bytes become one explicit schedule (bit 0 of the first
+// byte selects sequential issue, the rest decode one step each, up to 24
+// steps over 3 cores × 5 opcodes × 3 same-set addresses) and every
+// registered protocol — the scribble residency readings among them — must
+// run it violation-free. Any violation here is a
 // real table bug or a checker false positive — both are failures. Each
 // input is also replayed on a testbed that first ran a different schedule
 // (the input reversed) and was rewound: Explore's rewind must hold beyond
@@ -25,9 +25,6 @@ func FuzzCheckerSchedules(f *testing.F) {
 	f.Add([]byte{2, 44, 21, 9, 30, 14, 5, 40, 22, 13, 36, 27, 8, 44, 1, 19, 33, 6, 42, 25, 11, 38, 17, 2, 29})
 	f.Add([]byte{3, 0, 15, 30, 44, 15, 0, 30, 15, 44, 0})
 	addrs := []mem.Addr{0x000, 0x080, 0x100}
-	policies := []coherence.ScribblePolicy{
-		coherence.PolicyHybrid, coherence.PolicyResident, coherence.PolicyEscalate,
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -37,7 +34,6 @@ func FuzzCheckerSchedules(f *testing.F) {
 		cfg := Config{
 			Cores: cores, Addrs: addrs, DDist: 8,
 			Sequential: data[0]&1 == 1,
-			Policy:     policies[int(data[0]>>1)%len(policies)],
 		}
 		body := data[1:]
 		if len(body) > 24 {

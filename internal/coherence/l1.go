@@ -45,57 +45,6 @@ type CoreOp struct {
 	Done func(value uint64)
 }
 
-// ScribblePolicy selects how scribbles behave on a block already resident
-// in an approximate state.
-type ScribblePolicy uint8
-
-// Scribble policies.
-const (
-	// PolicyHybrid is the default and our best-fit reading of the paper:
-	// scribbles on a GS block keep running the scribe comparison and a
-	// dissimilar value falls back to the conventional mechanism (an
-	// UPGRADE that publishes the locally accumulated block as the coherent
-	// M copy — §3.1's "otherwise falling back to the conventional
-	// coherence mechanisms"), while GI residency is disciplined purely by
-	// the periodic timeout, as §3.2 specifies. Without the GS fallback, a
-	// set of caches can absorb into an all-GS state that nothing ever
-	// publishes or invalidates — unbounded divergence that would
-	// contradict the paper's own Fig. 11 error numbers.
-	PolicyHybrid ScribblePolicy = iota
-	// PolicyResident is the literal Fig. 3 state diagram: the scribe gates
-	// only the *entry* into GS/GI; once resident, everything hits until an
-	// invalidation, eviction, or GI timeout ends the residency.
-	PolicyResident
-	// PolicyEscalate re-runs the scribe comparison on every scribble in
-	// both GS and GI, escalating dissimilar values to the conventional
-	// protocol. Tightest error bound, most traffic.
-	PolicyEscalate
-)
-
-// String names the policy.
-func (p ScribblePolicy) String() string {
-	switch p {
-	case PolicyResident:
-		return "resident"
-	case PolicyEscalate:
-		return "escalate"
-	}
-	return "hybrid"
-}
-
-// ParsePolicy is the inverse of ScribblePolicy.String.
-func ParsePolicy(name string) (ScribblePolicy, error) {
-	switch name {
-	case "hybrid":
-		return PolicyHybrid, nil
-	case "resident":
-		return PolicyResident, nil
-	case "escalate":
-		return PolicyEscalate, nil
-	}
-	return PolicyHybrid, fmt.Errorf("unknown scribble policy %q (want hybrid, resident, or escalate)", name)
-}
-
 // L1Config parametrizes an L1 controller.
 type L1Config struct {
 	Cache      cache.Config
@@ -103,8 +52,7 @@ type L1Config struct {
 	GITimeout  sim.Cycle // Table 1: 1024 cycles; 0 disables the sweep
 	// Proto is the transition-table protocol the controller interprets.
 	// Required: machine.New resolves the name, the checker holds a table.
-	Proto  *proto.Protocol
-	Policy ScribblePolicy
+	Proto *proto.Protocol
 	// ErrorBound caps the hidden writes absorbed during one GS/GI
 	// residency (§3.5's error-bounding extension, after Rumba-style
 	// runtime monitors): when a block has absorbed ErrorBound writes, the
@@ -408,10 +356,6 @@ func (l *L1) evalGuard(g proto.Guard, b *cache.Block) bool {
 		return !l.boundExceeded(b)
 	case proto.GWithin:
 		return l.within(b)
-	case proto.GResidentOrWithin:
-		return l.cfg.Policy == PolicyResident || l.within(b)
-	case proto.GNotEscalateOrWithin:
-		return l.cfg.Policy != PolicyEscalate || l.within(b)
 	case proto.GStaleLoad:
 		return l.cur.DDist >= 0
 	case proto.GGrantIsS:

@@ -66,14 +66,6 @@ func TestMsgNames(t *testing.T) {
 	}
 }
 
-func TestPolicyNames(t *testing.T) {
-	if PolicyHybrid.String() != "hybrid" ||
-		PolicyResident.String() != "resident" ||
-		PolicyEscalate.String() != "escalate" {
-		t.Error("policy names wrong")
-	}
-}
-
 func TestStateCoverage(t *testing.T) {
 	// A protocol-table sanity net: grant kinds exist and differ.
 	if GrantS == GrantM || GrantNone == GrantS {

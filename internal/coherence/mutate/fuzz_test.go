@@ -3,7 +3,6 @@ package mutate
 import (
 	"testing"
 
-	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/coherence/check"
 	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/mem"
@@ -49,7 +48,7 @@ func FuzzMutateTables(f *testing.F) {
 		}
 		res := check.Explore(check.Config{
 			Protocol: cur, Cores: 2, Addrs: []mem.Addr{0x000}, Depth: 2,
-			DDist: 8, Policy: coherence.PolicyHybrid, MaxViolations: 1,
+			DDist: 8, MaxViolations: 1,
 		})
 		_ = res // violations are expected; surviving the sweep is the property
 	})

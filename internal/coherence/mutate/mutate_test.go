@@ -1,6 +1,7 @@
 package mutate
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence/check"
 	"ghostwriter/internal/coherence/proto"
+	"ghostwriter/internal/mem"
 )
 
 // TestEnumerateDeterministic: the factory must be a pure function of the
@@ -232,6 +234,8 @@ var neverDispatched = map[string]string{
 	"mesi-stale":  neverMESI,
 	"ghostwriter": neverGhostwriter,
 	"gw-stale":    neverGhostwriter,
+	"gw-resident": neverGhostwriter,
+	"gw-escalate": neverGhostwriter,
 	"gw-noGI": "E/RecallOwn M/RecallOwn GS/Load GS/Store GS/Scribble GS/Inv" +
 		" IS_D/Inv IM_D/FwdGETS IM_D/FwdGETX" +
 		" SM_A/Inv SM_A/FwdGETS SM_A/FwdGETX SM_A/DataM SM_A/DataC2C" +
@@ -255,6 +259,33 @@ const (
 		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
 		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS"
 )
+
+// TestResidentIsDeclared: the ghostwriter mutant that drops GS/Scribble's
+// comparator guard has exactly gw-resident's L1 rows, but not its declared
+// Resident, so the checker still holds its GS copies to the d-distance bound.
+// The kill grid never dispatches GS/Scribble; the depth-4 sequential sweep
+// that check.TestScribblePolicies passes gw-resident through does, and
+// kills the mutant. Were residency read off the rows, the mutant would pass
+// too.
+func TestResidentIsDeclared(t *testing.T) {
+	gw, resident := proto.MustLookup("ghostwriter"), proto.MustLookup("gw-resident")
+	m := Mutation{Op: OpDelGuard, S: int(cache.GS), E: int(proto.EvScribble)}
+	if d := m.Describe(gw); d != "l1 GS/Scribble r0: drop guard within" {
+		t.Fatalf("mutation is %q", d)
+	}
+	mut, ok := m.Apply(gw)
+	if !ok {
+		t.Fatal("mutation does not apply")
+	}
+	if mut.Resident || !reflect.DeepEqual(mut.L1, resident.L1) {
+		t.Fatal("the mutant is not gw-resident's rows without its declaration")
+	}
+	res := check.Explore(check.Config{Protocol: mut, Cores: 2, Addrs: []mem.Addr{0x000}, Depth: 4,
+		DDist: 8, Sequential: true, MaxViolations: 1})
+	if len(res.Violations) == 0 {
+		t.Fatal("the mutant passed the sweep that dispatches GS/Scribble")
+	}
+}
 
 // TestKillGridRowCoverage fails when the grid stops dispatching a row it
 // used to (coverage shrank silently) and when it starts dispatching one

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/coherence/check"
 	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/mem"
@@ -80,7 +79,6 @@ func Grid(p *proto.Protocol) []GridConfig {
 	mk := func(name string, cfg check.Config) GridConfig {
 		cfg.Protocol = p
 		cfg.DDist = 8
-		cfg.Policy = coherence.PolicyHybrid
 		cfg.MaxViolations = 1
 		return GridConfig{Name: name, Cfg: cfg}
 	}

@@ -8,7 +8,8 @@
 // only in table rows), rendered into documentation, checked for
 // completeness against an unreachable-pair allowlist, and explored
 // exhaustively by the model checker in internal/coherence/check. A protocol
-// variant — no Exclusive state, the migratory optimisation, stale loads — is
+// variant — no Exclusive state, the migratory optimisation, stale loads, a
+// reading of what a scribble does on a block already in GS or GI — is
 // one more registered table, cloned from its base with a one-row edit, so
 // one name selects a protocol everywhere and the checker checks every one.
 package proto
@@ -144,12 +145,6 @@ const (
 	// d-distance of the block's current word. Impure: charges comparator
 	// energy.
 	GWithin
-	// GResidentOrWithin: PolicyResident skips the comparator; otherwise
-	// GWithin.
-	GResidentOrWithin
-	// GNotEscalateOrWithin: every policy but PolicyEscalate skips the
-	// comparator; otherwise GWithin.
-	GNotEscalateOrWithin
 	// GStaleLoad: the op is inside an approximate region (d-distance
 	// resolved >= 0). Only the stale-load tables have a rule that reads it.
 	GStaleLoad
@@ -170,10 +165,6 @@ func (g Guard) String() string {
 		return "underBound"
 	case GWithin:
 		return "within"
-	case GResidentOrWithin:
-		return "resident|within"
-	case GNotEscalateOrWithin:
-		return "!escalate|within"
 	case GStaleLoad:
 		return "staleLoad"
 	case GGrantIsS:
@@ -546,10 +537,15 @@ type DirKey struct {
 // Protocol is one registered coherence protocol: its name, its transition
 // tables, and the allowlist of (state, event) pairs its tables deliberately
 // omit (with the reason each is unreachable). HasGI arms the periodic GI
-// timeout sweep.
+// timeout sweep. Resident declares that a scribble on a GS block skips the
+// scribe comparator, so a GS copy may drift past d-distance by design; the
+// model checker relaxes its GS drift audits for such a table. It is stated,
+// not read off the rows: a mutant that loses GS/Scribble's comparator guard
+// has the rows of a resident table but is still held to the bound.
 type Protocol struct {
-	Name  string
-	HasGI bool
+	Name     string
+	HasGI    bool
+	Resident bool
 
 	L1  L1Table
 	Dir DirTable
@@ -566,7 +562,7 @@ type Protocol struct {
 // can mutate a variant — e.g. seed a missing-transition bug — without
 // corrupting the registered original.
 func (p *Protocol) Clone() *Protocol {
-	q := &Protocol{Name: p.Name, HasGI: p.HasGI}
+	q := &Protocol{Name: p.Name, HasGI: p.HasGI, Resident: p.Resident}
 	for s := range p.L1 {
 		for e := range p.L1[s] {
 			q.L1[s][e] = cloneRules(p.L1[s][e])

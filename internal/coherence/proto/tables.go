@@ -23,6 +23,11 @@ import "ghostwriter/internal/cache"
 //     approximate-coherence work): inside an approximate region a load to an
 //     Invalid block with its tag present hits the stale data, without a GETS.
 //   - gw-stale:   ghostwriter with the same stale loads.
+//   - gw-resident: ghostwriter read literally off Fig. 3 — a scribble on a
+//     GS block hits without the scribe comparator (only the drift bound
+//     gates it), so the table declares itself Resident.
+//   - gw-escalate: ghostwriter re-running the comparator on a scribble to a
+//     GI block as well; a dissimilar value refetches with GETX.
 func init() {
 	dir, dirUn := buildDir()
 	mesiL1, mesiUn := buildL1(false, false)
@@ -53,6 +58,15 @@ func init() {
 		stale.L1[cache.Invalid][EvLoad] = append([]Transition{staleHit}, stale.L1[cache.Invalid][EvLoad]...)
 		Register(stale)
 	}
+
+	resident := variant(gw, "gw-resident")
+	resident.Resident = true
+	resident.L1[cache.GS][EvScribble][0].Guards = g(GUnderBound)
+	Register(resident)
+
+	escalate := variant(gw, "gw-escalate")
+	escalate.L1[cache.GI][EvScribble][0].Guards = g(GWithin, GUnderBound)
+	Register(escalate)
 }
 
 // variant clones base under a new name, for a one-row edit.
@@ -134,10 +148,11 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 			escalateI)
 	}
 
-	// Scribble: the scribe comparator gates entry into GS/GI (Fig. 3);
-	// residency behavior is policy-dependent (hybrid re-compares on GS
-	// only, resident never, escalate in both states). Dissimilar values
-	// fall back to the conventional store path.
+	// Scribble: the scribe comparator gates entry into GS/GI (Fig. 3).
+	// Dissimilar values fall back to the conventional store path. On a block
+	// already resident the base rows take the hybrid reading (DESIGN.md
+	// §4.2): GS re-runs the comparator, GI hits and only the timeout bounds
+	// it; gw-resident and gw-escalate are the other two readings.
 	asStore := tr(Stay, AAsStore)
 	row(Absent, EvScribble, asStore)
 	row(cache.Modified, EvScribble, asStore)
@@ -147,7 +162,7 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 			trg(g(GWithin), cache.GS, ACountStoresOnS, ACountServicedGS, ACountGSEntry, ASetHidden1, AWriteHit),
 			tr(Stay, ACountFallback, AAsStore))
 		row(cache.GS, EvScribble,
-			trg(g(GResidentOrWithin, GUnderBound), Stay, ACountStoresOnS, ACountServicedGS, AWriteHit),
+			trg(g(GWithin, GUnderBound), Stay, ACountStoresOnS, ACountServicedGS, AWriteHit),
 			tr(cache.SMA, ACountFallback, ACountStoresOnS, ACountStoreMiss, AMeterTag, AClearUpgInv, ASendUPGRADE))
 	} else {
 		row(cache.Shared, EvScribble, asStore)
@@ -157,7 +172,7 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 			trg(g(GWithin), cache.GI, ACountStoresOnI, ACountServicedGI, ACountGIEntry, ASetHidden1, AWriteHit),
 			tr(Stay, ACountFallback, AAsStore))
 		row(cache.GI, EvScribble,
-			trg(g(GNotEscalateOrWithin, GUnderBound), Stay, ACountStoresOnI, ACountServicedGI, AWriteHit),
+			trg(g(GUnderBound), Stay, ACountStoresOnI, ACountServicedGI, AWriteHit),
 			tr(cache.IMD, ACountFallback, ACountStoresOnI, ACountStoreMiss, AMeterTag, ASendGETX))
 	} else {
 		row(cache.Invalid, EvScribble, asStore)

@@ -170,14 +170,14 @@ var goldenKeys = []struct {
 		spec: func() Spec {
 			return specFor("histogram", Options{Scale: 1, Threads: 24}, 0, false)
 		},
-		want: "84f1825d2d6619b48f30550ac79b4a816d14ce42de7f4460f1a390e77c8479d6",
+		want: "d00f121ad7a1e08754b16da08d165687947a3e3dfbaa47a56da0d072fe503200",
 	},
 	{
 		name: "linear_regression-d8-t24",
 		spec: func() Spec {
 			return specFor("linear_regression", Options{Scale: 1, Threads: 24}, 8, false)
 		},
-		want: "afce53738df4398b3fd0f0148026d7c360f55a5dde19a61148bce0149f88504b",
+		want: "a31579b8eda68ddc23962944988d81e8553885b050f93ae5870d7111c1a15d39",
 	},
 	{
 		name: "bad_dot_product-d4-timeout512",
@@ -186,7 +186,7 @@ var goldenKeys = []struct {
 			s.Config.GITimeout = 512
 			return s
 		},
-		want: "7f81c4aca7b049c485a5e7396a098f13beb19aff1f1b1e34e46f2f0c7fd4e3ba",
+		want: "94685ad328e618844be8cccdea4670a474aa0ddfcb8eabb65f45be80b56749d0",
 	},
 	{
 		// A named protocol table: both the spec's protocol field and the
@@ -197,7 +197,7 @@ var goldenKeys = []struct {
 			s.Config.Protocol = ghostwriter.GWNoGI
 			return s
 		},
-		want: "2c7adb9234d6bc03ad3d994f4635d1da3fefdda4cf98fdd738369beacea3eaa2",
+		want: "16d83864cac3aaccbe4e530db1fb19437092aa8861efe8bf54599afae0394b56",
 	},
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ghostwriter/internal/cache"
-	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/stats"
 )
@@ -163,8 +162,9 @@ func TestMigrationToOccupiedCorePanics(t *testing.T) {
 	})
 }
 
-// TestBaselineUnaffectedByKnobs: the error bound and policy knobs must not
-// change baseline (non-Ghostwriter) executions at all.
+// TestBaselineUnaffectedByKnobs: the error bound must not change baseline
+// (non-Ghostwriter) executions at all. (A residency policy is a table of its
+// own — gw-escalate — so there is none left to set on the baseline.)
 func TestBaselineUnaffectedByKnobs(t *testing.T) {
 	run := func(cfg Config) (uint64, uint64) {
 		m := New(cfg)
@@ -183,7 +183,6 @@ func TestBaselineUnaffectedByKnobs(t *testing.T) {
 	base := DefaultConfig()
 	withKnobs := DefaultConfig()
 	withKnobs.ErrorBound = 3
-	withKnobs.Policy = coherence.PolicyEscalate
 	c1, m1 := run(base)
 	c2, m2 := run(withKnobs)
 	if c1 != c2 || m1 != m2 {

@@ -48,10 +48,6 @@ type Config struct {
 	// paper's d-distance 0 bars, "ghostwriter" adds GS and GI, and every
 	// protocol variant is a table of its own.
 	Protocol string
-	// Policy selects how scribbles behave on blocks already in GS/GI
-	// (PolicyResident reproduces the paper's Fig. 3; PolicyEscalate is the
-	// bounded-drift ablation).
-	Policy coherence.ScribblePolicy
 	// GITimeout is the periodic GI→I timeout in cycles (Table 1: 1024).
 	GITimeout sim.Cycle
 	// ErrorBound caps hidden writes per GS/GI residency (§3.5 monitor;
@@ -204,7 +200,6 @@ func New(cfg Config) *Machine {
 		HitLatency:        cfg.L1HitLatency,
 		GITimeout:         cfg.GITimeout,
 		Proto:             prot,
-		Policy:            cfg.Policy,
 		ErrorBound:        cfg.ErrorBound,
 		AdaptiveGITimeout: cfg.AdaptiveGITimeout,
 		ProfileSimilarity: cfg.ProfileSimilarity,

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ghostwriter/internal/cache"
-	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/stats"
 )
@@ -606,15 +605,14 @@ func TestResetStatsKeepsArchitecturalState(t *testing.T) {
 	}
 }
 
-// TestPoliciesAgreeWithoutScribbles: with no scribbles in the program, all
-// residency policies and monitor knobs must produce identical executions
-// even under the Ghostwriter protocol — the approximate machinery is
-// strictly opt-in per instruction.
+// TestPoliciesAgreeWithoutScribbles: with no scribbles in the program, the
+// three residency-policy tables and the monitor knob must produce identical
+// executions — the approximate machinery is strictly opt-in per
+// instruction.
 func TestPoliciesAgreeWithoutScribbles(t *testing.T) {
-	run := func(policy coherence.ScribblePolicy, bound uint32) (uint64, uint64) {
+	run := func(protocol string, bound uint32) (uint64, uint64) {
 		cfg := DefaultConfig()
-		cfg.Protocol = "ghostwriter"
-		cfg.Policy = policy
+		cfg.Protocol = protocol
 		cfg.ErrorBound = bound
 		m := New(cfg)
 		a := m.AllocPadded(4 * 16)
@@ -627,9 +625,9 @@ func TestPoliciesAgreeWithoutScribbles(t *testing.T) {
 		})
 		return cycles, m.Stats().TotalMsgs()
 	}
-	c0, m0 := run(coherence.PolicyHybrid, 0)
-	c1, m1 := run(coherence.PolicyResident, 0)
-	c2, m2 := run(coherence.PolicyEscalate, 5)
+	c0, m0 := run("ghostwriter", 0)
+	c1, m1 := run("gw-resident", 0)
+	c2, m2 := run("gw-escalate", 5)
 	if c0 != c1 || c0 != c2 || m0 != m1 || m0 != m2 {
 		t.Fatalf("scribble-free runs diverged: cycles %d/%d/%d msgs %d/%d/%d",
 			c0, c1, c2, m0, m1, m2)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ghostwriter/internal/cache"
-	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/sim"
@@ -197,8 +196,9 @@ func TestDeterminismUnderPressure(t *testing.T) {
 }
 
 // TestConfigFuzz runs the stress kernel across randomized machine
-// geometries (cores, L1 shape, L2 size, protocol tables, policies) and
-// validates the protocol invariants for each — configuration-dependent
+// geometries (cores, L1 shape, L2 size, protocol tables, the residency
+// policies among them) and validates the protocol invariants for each —
+// configuration-dependent
 // protocol bugs (set-index aliasing, sharer-bitmask overflow, bank mapping)
 // die here.
 func TestConfigFuzz(t *testing.T) {
@@ -227,7 +227,6 @@ func TestConfigFuzz(t *testing.T) {
 		cfg.L2PerCoreBytes = (1 + rng.Intn(4)) * blockSize
 		cfg.Protocol = tables[rng.Intn(len(tables))]
 		cfg.GITimeout = sim.Cycle(64 << rng.Intn(4))
-		cfg.Policy = coherence.ScribblePolicy(rng.Intn(3))
 		// Shared copies match the L2 home byte-for-byte unless GS can hide
 		// writes in them.
 		strict := proto.MustLookup(cfg.Protocol).L1[cache.GS][proto.EvLoad] == nil
@@ -253,8 +252,8 @@ func TestConfigFuzz(t *testing.T) {
 			}
 		})
 		if err := m.CheckInvariants(strict); err != nil {
-			t.Fatalf("trial %d (%s, cores=%d mesh=%dx%d ways=%d sets=%d policy=%v): %v",
-				trial, cfg.Protocol, cores, mesh.w, mesh.h, ways, sets, cfg.Policy, err)
+			t.Fatalf("trial %d (%s, cores=%d mesh=%dx%d ways=%d sets=%d): %v",
+				trial, cfg.Protocol, cores, mesh.w, mesh.h, ways, sets, err)
 		}
 	}
 }

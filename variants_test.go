@@ -2,11 +2,12 @@ package ghostwriter_test
 
 import "testing"
 
-// variantPins are the measured numbers of every row of the three variant
+// variantPins are the measured numbers of every row of the four variant
 // benchmarks, each selecting its design by table name. The values are the
-// ones the same rows measured when MSI, the migratory optimization and stale
-// loads were configuration flags bending the base tables, so they pin that
-// turning each flag into a table of its own changed no simulated number.
+// ones the same rows measured when MSI, the migratory optimization, stale
+// loads and the scribble residency policy were configuration knobs bending
+// the base tables, so they pin that turning each knob into a table of its
+// own changed no simulated number.
 var variantPins = []struct {
 	bench string
 	row   variantRow
@@ -22,6 +23,9 @@ var variantPins = []struct {
 	{"RelatedWork_ApproxCoherence", variantRow{"stale-loads", "mesi-stale", 8}, runLinreg, variantResult{41740, 35026, 0, 1837, 0}},
 	{"RelatedWork_ApproxCoherence", variantRow{"ghostwriter", "ghostwriter", 8}, runLinreg, variantResult{29315, 10796, 22208, 0, 0}},
 	{"RelatedWork_ApproxCoherence", variantRow{"both", "gw-stale", 8}, runLinreg, variantResult{19697, 3274, 24058, 1519, 0}},
+	{"Ablation_ScribblePolicy", variantRow{"hybrid", "ghostwriter", 8}, runLinreg, variantResult{29315, 10796, 22208, 0, 0}},
+	{"Ablation_ScribblePolicy", variantRow{"resident", "gw-resident", 8}, runLinreg, variantResult{20200, 3727, 39662, 0, 0}},
+	{"Ablation_ScribblePolicy", variantRow{"escalate", "gw-escalate", 8}, runLinreg, variantResult{44173, 43939, 3308, 0, 0}},
 }
 
 // TestVariantPins runs every pinned row and checks that the benchmarks run
@@ -38,6 +42,7 @@ func TestVariantPins(t *testing.T) {
 		"Ablation_MSIBase":               msiBaseRows,
 		"RelatedWork_MigratoryBaselines": migratoryRows,
 		"RelatedWork_ApproxCoherence":    approxRows,
+		"Ablation_ScribblePolicy":        scribblePolicyRows,
 	}
 	n := 0
 	for bench, rows := range benches {
