@@ -16,13 +16,12 @@
 // A reaper returns expired leases to the queue, so cells held by a crashed
 // or partitioned worker are re-dispatched automatically.
 //
-// The dispatcher's lease table is journaled to a write-ahead log (-wal,
-// default <dir>/wal) and fsynced on every acknowledged submission, claim,
-// and completion, so a killed server recovers its mid-sweep state on the
-// next boot — no manifest resubmission, no lost completions, no cell
-// double-dispatched inside its lease. -wal off reverts to memory-only
-// dispatch (restart recovery then goes through resubmitting the manifest;
-// already-stored cells are skipped).
+// The dispatcher's lease table is always journaled to a write-ahead log in
+// the -wal directory (default <dir>/wal) and fsynced on every acknowledged
+// submission, claim, and completion, so a killed server recovers its
+// mid-sweep state on the next boot — no manifest resubmission, no lost
+// completions, no cell double-dispatched inside its lease. A WAL written by
+// an older build is refused at boot; point -wal at a fresh directory.
 //
 // Endpoints: GET/PUT /v1/cell/<key>, POST /v1/sweep, POST /v1/claim,
 // POST /v1/heartbeat, GET /v1/sweep, GET /v1/stats, GET /healthz.
@@ -52,63 +51,57 @@ import (
 // main delegates to realMain so the deferred WAL flush-and-close runs on
 // every exit path before the process status is decided.
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:]))
 }
 
-func realMain() int {
+func realMain(args []string) int {
+	fs := flag.NewFlagSet("gwcached", flag.ExitOnError)
 	var (
-		addr     = flag.String("addr", ":8344", "listen address")
-		dir      = flag.String("dir", harness.DefaultCacheDir, "cache data directory")
-		walDir   = flag.String("wal", "", `write-ahead-log directory for crash-safe dispatch state (default "<dir>/wal"; "off" disables durability)`)
-		leaseTTL = flag.Duration("lease-ttl", harness.DefaultLeaseTTL, "work-dispatch lease duration (heartbeats renew it)")
-		reap     = flag.Duration("reap", 5*time.Second, "expired-lease reaper period")
-		drain    = flag.Duration("drain", 10*time.Second, "shutdown drain timeout for in-flight requests")
-		quiet    = flag.Bool("q", false, "suppress the per-request log")
+		addr     = fs.String("addr", ":8344", "listen address")
+		dir      = fs.String("dir", harness.DefaultCacheDir, "cache data directory")
+		walDir   = fs.String("wal", "", `write-ahead-log directory for the dispatch lease table (default "<dir>/wal")`)
+		leaseTTL = fs.Duration("lease-ttl", harness.DefaultLeaseTTL, "work-dispatch lease duration (heartbeats renew it)")
+		reap     = fs.Duration("reap", 5*time.Second, "expired-lease reaper period")
+		drain    = fs.Duration("drain", 10*time.Second, "shutdown drain timeout for in-flight requests")
+		quiet    = fs.Bool("q", false, "suppress the per-request log")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	if *walDir == "off" {
+		fmt.Fprintln(os.Stderr, `gwcached: -wal names the write-ahead-log directory; dispatch is always journaled, so "off" is not a mode`)
+		return 2
+	}
 	cache, err := harness.OpenCache(*dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gwcached:", err)
 		return 1
 	}
-	gate := &harness.DrainGate{}
-	cfg := harness.ServerConfig{Backend: cache, Gate: gate}
-	var disp *harness.Dispatcher
-	if *walDir == "off" {
-		// Memory-only dispatch: a restart loses the lease table and the
-		// operator resubmits the manifest (cells already stored are skipped).
-		disp = harness.NewDispatcher(*leaseTTL)
-		cfg.Dispatcher = disp
-	} else {
-		wd := *walDir
-		if wd == "" {
-			wd = filepath.Join(cache.Dir(), "wal")
-		}
-		cached := func(key string) bool {
-			_, ok := cache.Get(key)
-			return ok
-		}
-		dd, stats, err := harness.OpenDurableDispatcher(wd, *leaseTTL, nil, cached)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gwcached: WAL recovery:", err)
-			return 1
-		}
-		if stats.Cells > 0 || stats.TornBytes > 0 {
-			log.Printf("gwcached: recovered %d cell(s) from WAL (%d pending, %d leased, %d done; %d record(s), %d snapshot cell(s), %d backfilled, %d torn byte(s) discarded)",
-				stats.Cells, stats.Pending, stats.Leased, stats.Done,
-				stats.Records, stats.SnapshotCells, stats.Backfilled, stats.TornBytes)
-		}
-		cfg.Durable = dd
-		disp = dd.Dispatcher
-		// Flush and close the journal after the drain, so the last in-flight
-		// completions are durable before the process exits.
-		defer func() {
-			if err := dd.Close(); err != nil {
-				log.Printf("gwcached: WAL close: %v", err)
-			}
-		}()
+	wd := *walDir
+	if wd == "" {
+		wd = filepath.Join(cache.Dir(), "wal")
 	}
-	h := harness.NewServer(cfg)
+	cached := func(key string) bool {
+		_, ok := cache.Get(key)
+		return ok
+	}
+	disp, stats, err := harness.OpenDurableDispatcher(wd, *leaseTTL, nil, cached)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gwcached: WAL recovery:", err)
+		return 1
+	}
+	if stats.Cells > 0 || stats.TornBytes > 0 {
+		log.Printf("gwcached: recovered %d cell(s) from WAL (%d pending, %d leased, %d done; %d record(s), %d snapshot cell(s), %d backfilled, %d torn byte(s) discarded)",
+			stats.Cells, stats.Pending, stats.Leased, stats.Done,
+			stats.Records, stats.SnapshotCells, stats.Backfilled, stats.TornBytes)
+	}
+	// Flush and close the journal after the drain, so the last in-flight
+	// completions are durable before the process exits.
+	defer func() {
+		if err := disp.Close(); err != nil {
+			log.Printf("gwcached: WAL close: %v", err)
+		}
+	}()
+	gate := &harness.DrainGate{}
+	h := harness.NewServer(harness.ServerConfig{Backend: cache, Durable: disp, Gate: gate})
 	if !*quiet {
 		h = logRequests(h)
 	}

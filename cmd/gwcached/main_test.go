@@ -7,6 +7,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -214,8 +216,12 @@ func TestServerDispatchProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disp := harness.NewDispatcher(harness.DefaultLeaseTTL)
-	ts := httptest.NewServer(harness.NewServer(harness.ServerConfig{Backend: cache, Dispatcher: disp}))
+	disp, _, err := harness.OpenDurableDispatcher(t.TempDir(), harness.DefaultLeaseTTL, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disp.Close()
+	ts := httptest.NewServer(harness.NewServer(harness.ServerConfig{Backend: cache, Durable: disp}))
 	defer ts.Close()
 	rc, err := harness.NewRemoteCache(harness.RemoteConfig{URL: ts.URL, Log: io.Discard})
 	if err != nil {
@@ -346,6 +352,21 @@ func TestServerDurableRecoveryAcrossRestart(t *testing.T) {
 			if it.Key == done.Key {
 				t.Fatalf("completed cell %s re-dispatched after recovery", it.Key)
 			}
+		}
+	}
+}
+
+// TestWalOffIsAUsageError: -wal names the WAL directory and dispatch is
+// always journaled, so "-wal off" exits 2 before creating anything instead
+// of journaling to a directory called off.
+func TestWalOffIsAUsageError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	if code := realMain([]string{"-dir", dir, "-wal", "off"}); code != 2 {
+		t.Fatalf("gwcached -wal off exited %d, want 2", code)
+	}
+	for _, p := range []string{dir, "off"} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("gwcached -wal off created %s", p)
 		}
 	}
 }

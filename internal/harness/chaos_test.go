@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,8 +88,8 @@ func waitWorker(t *testing.T, name string, done chan workerResult) workerResult 
 // and the grid ends exactly-once-observable with no hung workers.
 func TestChaosWorkerKilledMidCellRecovers(t *testing.T) {
 	store := NewMemCache()
-	disp := NewDispatcher(150 * time.Millisecond)
-	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store, Dispatcher: disp}))
+	disp := newTable(t, 150*time.Millisecond)
+	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store, Durable: disp}))
 	defer ts.Close()
 	rc := newChaosClient(t, ts.URL)
 
@@ -166,13 +167,13 @@ func TestChaosWorkerKilledMidCellRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosLeaseExpiryUnderConcurrentClaims hammers one Dispatcher from
+// TestChaosLeaseExpiryUnderConcurrentClaims hammers one lease table from
 // eight goroutines with a tiny TTL; each claimant abandons its first few
 // cells (simulated crashes) and completes the rest. The sweep must still
 // converge with every cell done exactly once and the state partition intact
 // throughout — this is the -race workout for the lease table itself.
 func TestChaosLeaseExpiryUnderConcurrentClaims(t *testing.T) {
-	d := NewDispatcher(25 * time.Millisecond)
+	d := newTable(t, 25*time.Millisecond)
 	items := manifestItems(40)
 	d.Submit(items, nil)
 
@@ -249,7 +250,12 @@ func TestChaosServerRestartMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	ts := httptest.NewUnstartedServer(NewServer(ServerConfig{Backend: cache1, Dispatcher: NewDispatcher(250 * time.Millisecond)}))
+	dd1, _, err := OpenDurableDispatcher(filepath.Join(dir, "wal"), 250*time.Millisecond, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dd1.Close()
+	ts := httptest.NewUnstartedServer(NewServer(ServerConfig{Backend: cache1, Durable: dd1}))
 	ts.Listener.Close()
 	ts.Listener = ln
 	ts.Start()
@@ -290,12 +296,18 @@ func TestChaosServerRestartMidSweep(t *testing.T) {
 	ts.Close()
 	time.Sleep(50 * time.Millisecond) // a real outage, not an instant flip
 
-	// Restart on the same address with a fresh (empty) dispatcher over the
-	// same data directory.
+	// Restart on the same address over the same data directory, with a
+	// fresh WAL directory: the lease table starts empty, as after losing
+	// the journal, and only the kept store carries the sweep's progress.
 	cache2, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dd2, _, err := OpenDurableDispatcher(filepath.Join(dir, "wal-fresh"), 250*time.Millisecond, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dd2.Close()
 	var ln2 net.Listener
 	for i := 0; ; i++ {
 		ln2, err = net.Listen("tcp", addr)
@@ -307,7 +319,7 @@ func TestChaosServerRestartMidSweep(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	ts2 := httptest.NewUnstartedServer(NewServer(ServerConfig{Backend: cache2, Dispatcher: NewDispatcher(250 * time.Millisecond)}))
+	ts2 := httptest.NewUnstartedServer(NewServer(ServerConfig{Backend: cache2, Durable: dd2}))
 	ts2.Listener.Close()
 	ts2.Listener = ln2
 	ts2.Start()
@@ -347,8 +359,8 @@ func TestChaosServerRestartMidSweep(t *testing.T) {
 // done exactly once, and the slow worker's heartbeat reports the lease lost.
 func TestChaosCompleteAfterExpiryHTTP(t *testing.T) {
 	store := NewMemCache()
-	disp := NewDispatcher(40 * time.Millisecond)
-	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store, Dispatcher: disp}))
+	disp := newTable(t, 40*time.Millisecond)
+	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store, Durable: disp}))
 	defer ts.Close()
 	rc := newChaosClient(t, ts.URL)
 
@@ -396,8 +408,8 @@ func TestChaosCompleteAfterExpiryHTTP(t *testing.T) {
 // no reclaim, no lost lease, no duplicated work.
 func TestChaosSlowWorkerHeartbeatKeepsLease(t *testing.T) {
 	store := NewMemCache()
-	disp := NewDispatcher(250 * time.Millisecond)
-	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store, Dispatcher: disp}))
+	disp := newTable(t, 250*time.Millisecond)
+	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store, Durable: disp}))
 	defer ts.Close()
 	rc := newChaosClient(t, ts.URL)
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"container/list"
 	"sort"
 	"sync"
 	"time"
@@ -16,7 +17,7 @@ const DefaultLeaseTTL = 90 * time.Second
 // WorkItem is one cell of a distributed sweep manifest: the
 // content-addressed key plus the Spec a worker needs to simulate it. The
 // key is redundant with the Spec (it must equal Spec.Key()) and the
-// Dispatcher verifies the pair at submit time, so a manifest produced by a
+// dispatcher verifies the pair at submit time, so a manifest produced by a
 // client on incompatible code is rejected loudly instead of producing
 // cells that can never complete.
 type WorkItem struct {
@@ -70,83 +71,124 @@ const (
 	stateDone
 )
 
-// dispatchCell is one tracked cell.
+// dispatchCell is one tracked cell. worker and expiry are set only while
+// the cell is leased.
 type dispatchCell struct {
 	item   WorkItem
 	state  cellState
 	worker string
 	expiry time.Time
+	// queued is the cell's place in the pending queue, nil unless pending.
+	queued *list.Element
 }
 
-// eventKind tags one dispatch state transition for the observer.
-type eventKind uint8
-
-const (
-	evSubmit eventKind = iota
-	evLease
-	evExpire
-	evComplete
-)
-
-// dispatchEvent is one state transition of the lease table, emitted
-// synchronously under the dispatcher lock to an optional observer — the
-// journal hook the durable server uses to write its WAL. Heartbeat
-// renewals are deliberately not events: journaling every renewal would
-// bloat the log, and losing one merely shortens a recovered lease to its
-// last journaled expiry (the reaper then requeues it, which is safe).
-type dispatchEvent struct {
-	kind   eventKind
-	item   WorkItem // evSubmit only
-	key    string
-	worker string
-	expiry time.Time
-	done   bool // evSubmit: the cell entered done directly (already cached)
-}
-
-// Dispatcher is the server-side work queue of a distributed sweep: a lease
-// table over the cells of one or more submitted manifests. Workers claim
-// batches of pending cells, renew their leases by heartbeat, and complete
-// cells implicitly by publishing results (the PUT /v1/cell path calls
-// Complete). Leases that expire — crashed worker, network partition, a
-// stall longer than the TTL — are returned to the queue by the reaper, so
-// every cell is eventually simulated by *some* worker: at-least-once
-// execution, made exactly-once-observable by the content-addressed store.
+// DurableDispatcher is the server-side work queue of a distributed sweep: a
+// lease table over the cells of one or more submitted manifests, journaled
+// to a write-ahead log so it survives a crash. Workers claim batches of
+// pending cells, renew their leases by heartbeat, and complete cells
+// implicitly by publishing results (the PUT /v1/cell path calls Complete).
+// Leases that expire — crashed worker, network partition, a stall longer
+// than the TTL — are returned to the queue by the reaper, so every cell is
+// eventually simulated by *some* worker: at-least-once execution, made
+// exactly-once-observable by the content-addressed store.
 //
-// A Dispatcher is mutex-guarded and safe for concurrent use; it has no
-// HTTP dependencies so the whole lease lifecycle is unit-testable.
-type Dispatcher struct {
+// Every transition is a walRecord and apply is the only code that makes
+// one: the methods below decide which records to make, apply changes the
+// table and journals the record, and OpenDurableDispatcher rebuilds the
+// table after a restart by applying the same records again. Callers that
+// need durability call Persist after the mutations they acknowledge (the
+// dispatch server does this on submit, claim, and completion boundaries).
+//
+// A DurableDispatcher is mutex-guarded and safe for concurrent use; it has
+// no HTTP dependencies so the whole lease lifecycle is unit-testable.
+type DurableDispatcher struct {
 	mu  sync.Mutex
 	ttl time.Duration
 	// now is the clock; tests substitute a manual one to drive expiry
 	// deterministically.
 	now func() time.Time
-	// observer, when set, receives every state transition under the lock —
-	// the DurableDispatcher's journal. It must not call back into the
-	// Dispatcher.
-	observer func(dispatchEvent)
+	// journal receives every record apply accepts. It is nil only while
+	// OpenDurableDispatcher rebuilds the table (replay and the store
+	// backfill), whose result its startup compaction writes back.
+	journal *Journal
 
 	cells map[string]*dispatchCell
-	// queue holds pending keys in FIFO order. Entries can go stale (a
-	// queued cell completed by an out-of-band PUT stays in the slice);
-	// popLocked skips anything no longer pending.
-	queue []string
+	// queue holds the pending cells, and only those, in dispatch order.
+	queue *list.List
 
 	leased   int
 	done     int
 	reclaims uint64
 }
 
-// NewDispatcher returns an empty dispatcher granting leases of the given
-// TTL (<= 0 selects DefaultLeaseTTL).
-func NewDispatcher(ttl time.Duration) *Dispatcher {
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	return &Dispatcher{ttl: ttl, now: time.Now, cells: make(map[string]*dispatchCell)}
-}
-
 // TTL returns the lease duration granted to claimed cells.
-func (d *Dispatcher) TTL() time.Duration { return d.ttl }
+func (dd *DurableDispatcher) TTL() time.Duration { return dd.ttl }
+
+// Journal returns the dispatcher's WAL journal.
+func (dd *DurableDispatcher) Journal() *Journal { return dd.journal }
+
+// apply is the lease table's only transition: it changes the cell r names
+// and the counters as r says, journals r, and reports whether r changed
+// anything. The live methods make a record only for a transition they have
+// decided is legal; replay may offer one that no longer is — a duplicate
+// left by a crash mid-compaction or a retried publish — and apply ignores
+// it, so replay is idempotent and monotone toward done. Callers hold dd.mu.
+func (dd *DurableDispatcher) apply(r walRecord) bool {
+	var c *dispatchCell
+	if r.T != recSubmit {
+		if c = dd.cells[r.Key]; c == nil {
+			return false
+		}
+	}
+	switch r.T {
+	case recSubmit:
+		if r.Item == nil || dd.cells[r.Item.Key] != nil {
+			return false
+		}
+		c = &dispatchCell{item: *r.Item}
+		dd.cells[r.Item.Key] = c
+		if r.Done {
+			c.state = stateDone
+			dd.done++
+		} else {
+			c.queued = dd.queue.PushBack(c)
+		}
+	case recLease:
+		if c.state != statePending {
+			return false
+		}
+		dd.queue.Remove(c.queued)
+		c.queued = nil
+		c.state, c.worker, c.expiry = stateLeased, r.Worker, time.UnixMilli(r.Exp)
+		dd.leased++
+	case recExpire:
+		if c.state != stateLeased {
+			return false
+		}
+		c.state, c.worker, c.expiry = statePending, "", time.Time{}
+		c.queued = dd.queue.PushBack(c)
+		dd.leased--
+		dd.reclaims++
+	case recComplete:
+		switch c.state {
+		case stateDone:
+			return false
+		case stateLeased:
+			dd.leased--
+		case statePending:
+			dd.queue.Remove(c.queued)
+			c.queued = nil
+		}
+		c.state, c.worker, c.expiry = stateDone, "", time.Time{}
+		dd.done++
+	default:
+		return false
+	}
+	if dd.journal != nil {
+		dd.journal.append(r)
+	}
+	return true
+}
 
 // Submit registers a manifest's cells. New cells are queued unless cached
 // reports their result already exists in the store, in which case they are
@@ -155,39 +197,27 @@ func (d *Dispatcher) TTL() time.Duration { return d.ttl }
 // already tracked are left untouched, so duplicate submissions (every
 // worker host running with -submit, say) are harmless. Cells whose key is
 // malformed or does not match their Spec are rejected and counted.
-func (d *Dispatcher) Submit(items []WorkItem, cached func(key string) bool) SubmitSummary {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (dd *DurableDispatcher) Submit(items []WorkItem, cached func(key string) bool) SubmitSummary {
+	dd.mu.Lock()
+	defer dd.mu.Unlock()
 	var sum SubmitSummary
 	for _, it := range items {
-		if !ValidKey(it.Key) || it.Spec.Key() != it.Key {
+		switch {
+		case !ValidKey(it.Key) || it.Spec.Key() != it.Key:
 			sum.Rejected++
-			continue
-		}
-		if _, ok := d.cells[it.Key]; ok {
+		case dd.cells[it.Key] != nil:
 			sum.Known++
-			continue
+		default:
+			done := cached != nil && cached(it.Key)
+			dd.apply(walRecord{T: recSubmit, Key: it.Key, Item: &it, Done: done})
+			if done {
+				sum.Cached++
+			} else {
+				sum.Queued++
+			}
 		}
-		c := &dispatchCell{item: it}
-		if cached != nil && cached(it.Key) {
-			c.state = stateDone
-			d.done++
-			sum.Cached++
-		} else {
-			d.queue = append(d.queue, it.Key)
-			sum.Queued++
-		}
-		d.cells[it.Key] = c
-		d.notify(dispatchEvent{kind: evSubmit, item: it, key: it.Key, done: c.state == stateDone})
 	}
 	return sum
-}
-
-// notify forwards one transition to the observer; callers hold d.mu.
-func (d *Dispatcher) notify(ev dispatchEvent) {
-	if d.observer != nil {
-		d.observer(ev)
-	}
 }
 
 // Claim leases up to max pending cells to worker and returns them with the
@@ -195,41 +225,39 @@ func (d *Dispatcher) notify(ev dispatchEvent) {
 // after a worker crash hands out the crashed worker's cells. An empty item
 // list with an incomplete status means every remaining cell is leased
 // elsewhere: back off and claim again.
-func (d *Dispatcher) Claim(worker string, max int) ([]WorkItem, SweepStatus) {
+func (dd *DurableDispatcher) Claim(worker string, max int) ([]WorkItem, SweepStatus) {
 	if max <= 0 {
 		max = 1
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.reapLocked()
+	dd.mu.Lock()
+	defer dd.mu.Unlock()
+	dd.reapLocked()
+	exp := dd.now().Add(dd.ttl).UnixMilli()
 	var out []WorkItem
-	for len(out) < max {
-		c, ok := d.popLocked()
-		if !ok {
-			break
-		}
-		c.state = stateLeased
-		c.worker = worker
-		c.expiry = d.now().Add(d.ttl)
-		d.leased++
-		d.notify(dispatchEvent{kind: evLease, key: c.item.Key, worker: worker, expiry: c.expiry})
+	for len(out) < max && dd.queue.Len() > 0 {
+		c := dd.queue.Front().Value.(*dispatchCell)
+		dd.apply(walRecord{T: recLease, Key: c.item.Key, Worker: worker, Exp: exp})
 		out = append(out, c.item)
 	}
-	return out, d.statusLocked()
+	return out, dd.statusLocked()
 }
 
 // Heartbeat renews worker's leases on keys and reports which were renewed
 // and which are lost — expired and reclaimed by another worker, or already
 // complete. A worker keeps simulating lost cells (the result is still
 // valid and idempotent to publish) but learns its lease is gone.
-func (d *Dispatcher) Heartbeat(worker string, keys []string) (renewed, lost []string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.reapLocked()
+//
+// Renewals are deliberately not records: journaling every renewal would
+// bloat the log, and losing one merely shortens a recovered lease to its
+// last journaled expiry (the reaper then requeues it, which is safe).
+func (dd *DurableDispatcher) Heartbeat(worker string, keys []string) (renewed, lost []string) {
+	dd.mu.Lock()
+	defer dd.mu.Unlock()
+	dd.reapLocked()
 	for _, k := range keys {
-		c, ok := d.cells[k]
+		c, ok := dd.cells[k]
 		if ok && c.state == stateLeased && c.worker == worker {
-			c.expiry = d.now().Add(d.ttl)
+			c.expiry = dd.now().Add(dd.ttl)
 			renewed = append(renewed, k)
 		} else {
 			lost = append(lost, k)
@@ -242,91 +270,62 @@ func (d *Dispatcher) Heartbeat(worker string, keys []string) (renewed, lost []st
 // published the result), leased (the normal path), or leased-by-someone-
 // else after an expiry reclaim (completion-after-expiry; the second result
 // is byte-identical, last write wins). It reports whether the call changed
-// state; unknown keys — results outside any sweep — are a no-op.
-func (d *Dispatcher) Complete(key string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c, ok := d.cells[key]
-	if !ok || c.state == stateDone {
-		return false
-	}
-	if c.state == stateLeased {
-		d.leased--
-	}
-	c.state = stateDone
-	c.worker = ""
-	d.done++
-	d.notify(dispatchEvent{kind: evComplete, key: key})
-	return true
+// state; an unknown key — a result outside any sweep — or a done one is a
+// no-op that journals nothing.
+func (dd *DurableDispatcher) Complete(key string) bool {
+	dd.mu.Lock()
+	defer dd.mu.Unlock()
+	return dd.apply(walRecord{T: recComplete, Key: key})
 }
 
 // Reap returns every expired lease to the pending queue and reports how
 // many it reclaimed. Claims and heartbeats reap lazily as well, so a
 // background reaper is an operational nicety (status accuracy, prompt
 // requeue while no worker is claiming), not a correctness requirement.
-func (d *Dispatcher) Reap() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.reapLocked()
+func (dd *DurableDispatcher) Reap() int {
+	dd.mu.Lock()
+	defer dd.mu.Unlock()
+	return dd.reapLocked()
 }
 
 // Status returns the sweep's current counters.
-func (d *Dispatcher) Status() SweepStatus {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.reapLocked()
-	return d.statusLocked()
+func (dd *DurableDispatcher) Status() SweepStatus {
+	dd.mu.Lock()
+	defer dd.mu.Unlock()
+	dd.reapLocked()
+	return dd.statusLocked()
 }
 
-func (d *Dispatcher) reapLocked() int {
-	now := d.now()
+func (dd *DurableDispatcher) reapLocked() int {
+	now := dd.now()
 	// Collect expired leases first, then requeue in (expiry, key) order:
 	// iterating the cell map directly would requeue in map order, handing a
 	// mass expiry's cells back out in a different order on every run.
-	var expired []string
-	for k, c := range d.cells {
+	var expired []*dispatchCell
+	for _, c := range dd.cells {
 		if c.state == stateLeased && c.expiry.Before(now) {
-			expired = append(expired, k)
+			expired = append(expired, c)
 		}
 	}
 	sort.Slice(expired, func(i, j int) bool {
-		a, b := d.cells[expired[i]], d.cells[expired[j]]
+		a, b := expired[i], expired[j]
 		if !a.expiry.Equal(b.expiry) {
 			return a.expiry.Before(b.expiry)
 		}
-		return expired[i] < expired[j]
+		return a.item.Key < b.item.Key
 	})
-	for _, k := range expired {
-		c := d.cells[k]
-		c.state = statePending
-		c.worker = ""
-		d.leased--
-		d.queue = append(d.queue, k)
-		d.reclaims++
-		d.notify(dispatchEvent{kind: evExpire, key: k})
+	for _, c := range expired {
+		dd.apply(walRecord{T: recExpire, Key: c.item.Key})
 	}
 	return len(expired)
 }
 
-// popLocked pops the next pending cell, discarding stale queue entries.
-func (d *Dispatcher) popLocked() (*dispatchCell, bool) {
-	for len(d.queue) > 0 {
-		k := d.queue[0]
-		d.queue = d.queue[1:]
-		if c, ok := d.cells[k]; ok && c.state == statePending {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
-func (d *Dispatcher) statusLocked() SweepStatus {
-	total := len(d.cells)
+func (dd *DurableDispatcher) statusLocked() SweepStatus {
 	return SweepStatus{
-		Total:    total,
-		Pending:  total - d.leased - d.done,
-		Leased:   d.leased,
-		Done:     d.done,
-		Reclaims: d.reclaims,
+		Total:    len(dd.cells),
+		Pending:  dd.queue.Len(),
+		Leased:   dd.leased,
+		Done:     dd.done,
+		Reclaims: dd.reclaims,
 	}
 }

@@ -17,10 +17,22 @@ func manifestItems(n int) []WorkItem {
 	return items
 }
 
-// newManualDispatcher returns a dispatcher on a hand-cranked clock so
+// newTable opens a journaled lease table in a fresh temporary directory,
+// closed when the test ends.
+func newTable(t testing.TB, ttl time.Duration) *DurableDispatcher {
+	t.Helper()
+	dd, _, err := OpenDurableDispatcher(t.TempDir(), ttl, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dd.Close() })
+	return dd
+}
+
+// newManualDispatcher returns a lease table on a hand-cranked clock so
 // lease expiry is driven deterministically.
-func newManualDispatcher(ttl time.Duration) (*Dispatcher, *time.Time) {
-	d := NewDispatcher(ttl)
+func newManualDispatcher(t testing.TB, ttl time.Duration) (*DurableDispatcher, *time.Time) {
+	d := newTable(t, ttl)
 	now := time.Unix(1_700_000_000, 0)
 	d.now = func() time.Time { return now }
 	return d, &now
@@ -38,7 +50,7 @@ func checkInvariant(t *testing.T, s SweepStatus) {
 // return no work and a zero, non-complete status; claiming after the sweep
 // drains must return no work and a complete status.
 func TestDispatcherClaimEmptyQueue(t *testing.T) {
-	d, _ := newManualDispatcher(time.Minute)
+	d, _ := newManualDispatcher(t, time.Minute)
 	items, st := d.Claim("w1", 4)
 	if len(items) != 0 {
 		t.Fatalf("empty dispatcher handed out %d items", len(items))
@@ -65,7 +77,7 @@ func TestDispatcherClaimEmptyQueue(t *testing.T) {
 // TestDispatcherDoubleClaim: a leased cell is never handed to a second
 // worker while its lease is live — including to its own holder.
 func TestDispatcherDoubleClaim(t *testing.T) {
-	d, _ := newManualDispatcher(time.Minute)
+	d, _ := newManualDispatcher(t, time.Minute)
 	d.Submit(manifestItems(1), nil)
 	one, st := d.Claim("w1", 4)
 	if len(one) != 1 || st.Leased != 1 {
@@ -83,7 +95,7 @@ func TestDispatcherDoubleClaim(t *testing.T) {
 // heartbeat, the next claim — from any worker — receives the cell, and the
 // reclaim is counted.
 func TestDispatcherLeaseExpiryReclaim(t *testing.T) {
-	d, now := newManualDispatcher(100 * time.Millisecond)
+	d, now := newManualDispatcher(t, 100*time.Millisecond)
 	d.Submit(manifestItems(1), nil)
 	one, _ := d.Claim("w1", 1)
 	if len(one) != 1 {
@@ -105,7 +117,7 @@ func TestDispatcherLeaseExpiryReclaim(t *testing.T) {
 // expired-and-reclaimed lease reports the key lost; heartbeating unknown
 // keys or completed cells is lost, never a panic.
 func TestDispatcherHeartbeatLifecycle(t *testing.T) {
-	d, now := newManualDispatcher(100 * time.Millisecond)
+	d, now := newManualDispatcher(t, 100*time.Millisecond)
 	d.Submit(manifestItems(2), nil)
 	one, _ := d.Claim("w1", 1)
 	key := one[0].Key
@@ -147,7 +159,7 @@ func TestDispatcherHeartbeatLifecycle(t *testing.T) {
 // (including the reclaiming worker's) are no-ops, and the done count never
 // double-counts a cell.
 func TestDispatcherCompleteAfterExpiryIdempotent(t *testing.T) {
-	d, now := newManualDispatcher(50 * time.Millisecond)
+	d, now := newManualDispatcher(t, 50*time.Millisecond)
 	d.Submit(manifestItems(1), nil)
 	one, _ := d.Claim("slow", 1)
 	key := one[0].Key
@@ -177,7 +189,7 @@ func TestDispatcherCompleteAfterExpiryIdempotent(t *testing.T) {
 // are marked done without dispatch — the server-restart recovery path —
 // and resubmitting a manifest never duplicates or resets cells.
 func TestDispatcherSubmitSkipsCachedAndResubmits(t *testing.T) {
-	d, _ := newManualDispatcher(time.Minute)
+	d, _ := newManualDispatcher(t, time.Minute)
 	items := manifestItems(4)
 	cachedKey := items[1].Key
 	sum := d.Submit(items, func(key string) bool { return key == cachedKey })
@@ -205,7 +217,7 @@ func TestDispatcherSubmitSkipsCachedAndResubmits(t *testing.T) {
 // dispatch cells whose completion PUT lands under a different key, so the
 // sweep could never finish.
 func TestDispatcherSubmitRejectsBadItems(t *testing.T) {
-	d, _ := newManualDispatcher(time.Minute)
+	d, _ := newManualDispatcher(t, time.Minute)
 	good := manifestItems(2)
 	bad := []WorkItem{
 		{Key: "short", Spec: good[0].Spec},
@@ -224,7 +236,7 @@ func TestDispatcherSubmitRejectsBadItems(t *testing.T) {
 // TestDispatcherClaimBatching: one claim hands out at most max cells, in
 // FIFO manifest order, and max <= 0 degrades to a single cell.
 func TestDispatcherClaimBatching(t *testing.T) {
-	d, _ := newManualDispatcher(time.Minute)
+	d, _ := newManualDispatcher(t, time.Minute)
 	items := manifestItems(5)
 	d.Submit(items, nil)
 	batch, st := d.Claim("w1", 3)
@@ -249,7 +261,7 @@ func TestDispatcherReapCompleteSameTick(t *testing.T) {
 	// Interleaving 1: the result PUT (Complete) lands first, the reaper
 	// fires in the same tick. The completed cell must not be reclaimed back
 	// to pending.
-	d, now := newManualDispatcher(50 * time.Millisecond)
+	d, now := newManualDispatcher(t, 50*time.Millisecond)
 	d.Submit(manifestItems(1), nil)
 	one, _ := d.Claim("w1", 1)
 	key := one[0].Key
@@ -269,7 +281,7 @@ func TestDispatcherReapCompleteSameTick(t *testing.T) {
 	// Interleaving 2: the reaper fires first in the tick, then the worker's
 	// Complete arrives. The reclaim moves the cell to pending; Complete
 	// finishes it from there — once.
-	d, now = newManualDispatcher(50 * time.Millisecond)
+	d, now = newManualDispatcher(t, 50*time.Millisecond)
 	d.Submit(manifestItems(1), nil)
 	one, _ = d.Claim("w1", 1)
 	key = one[0].Key
@@ -291,7 +303,7 @@ func TestDispatcherReapCompleteSameTick(t *testing.T) {
 
 	// Interleaving 3: reclaim, re-claim by a second worker, then both
 	// workers publish. One done, one state change, reclaim counted once.
-	d, now = newManualDispatcher(50 * time.Millisecond)
+	d, now = newManualDispatcher(t, 50*time.Millisecond)
 	d.Submit(manifestItems(1), nil)
 	one, _ = d.Claim("w1", 1)
 	key = one[0].Key
@@ -317,7 +329,7 @@ func TestDispatcherReapCompleteSameTick(t *testing.T) {
 // in map-iteration order, so crash recovery dispatches identically on
 // every run.
 func TestDispatcherReapRequeueDeterministic(t *testing.T) {
-	d, now := newManualDispatcher(50 * time.Millisecond)
+	d, now := newManualDispatcher(t, 50*time.Millisecond)
 	d.Submit(manifestItems(6), nil)
 	// Two claim waves 10ms apart: wave 1 (4 cells) expires before wave 2
 	// (2 cells), so wave-1 keys must requeue first — sorted within a wave.

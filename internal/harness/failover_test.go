@@ -163,7 +163,7 @@ func TestDispatchHedgedFailover(t *testing.T) {
 	}))
 	defer wedged.Close()
 	defer close(release)
-	standby := httptest.NewServer(NewServer(ServerConfig{Backend: NewMemCache(), Dispatcher: NewDispatcher(time.Minute)}))
+	standby := httptest.NewServer(NewServer(ServerConfig{Backend: NewMemCache(), Durable: newTable(t, time.Minute)}))
 	defer standby.Close()
 
 	rc, err := NewRemoteCache(RemoteConfig{
@@ -201,9 +201,9 @@ func TestServerDrainGateRejectsNewWork(t *testing.T) {
 	store := NewMemCache()
 	gate := &DrainGate{}
 	ts := httptest.NewServer(NewServer(ServerConfig{
-		Backend:    store,
-		Dispatcher: NewDispatcher(time.Minute),
-		Gate:       gate,
+		Backend: store,
+		Durable: newTable(t, time.Minute),
+		Gate:    gate,
 	}))
 	defer ts.Close()
 	rc := newChaosClient(t, ts.URL)

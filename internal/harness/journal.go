@@ -1,9 +1,10 @@
 package harness
 
 import (
+	"bytes"
+	"container/list"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -13,8 +14,8 @@ import (
 	"ghostwriter/internal/wal"
 )
 
-// DefaultCompactEvery is how many WAL records accumulate before the
-// journal folds them into a snapshot. Compaction rewrites the whole lease
+// DefaultCompactEvery is how many WAL records accumulate before Persist
+// folds them into a compaction image. Compaction rewrites the whole lease
 // table, so it is amortized over many appends; the threshold only bounds
 // replay time and log size, never correctness.
 const DefaultCompactEvery = 4096
@@ -23,13 +24,15 @@ const DefaultCompactEvery = 4096
 // tag keeps records compact: a sweep of 10k cells writes one submit record
 // per cell plus a lease and a completion each.
 const (
-	recSubmit   = "s" // a cell entered the lease table (Done: already cached)
-	recLease    = "l" // a cell was leased to Worker until Exp
+	recSubmit   = "s" // Item entered the lease table (Done: already cached)
+	recLease    = "l" // a pending cell was leased to Worker until Exp
 	recExpire   = "x" // a lease expired and the cell was requeued
 	recComplete = "c" // a cell completed (result stored)
-	recPut      = "p" // a result outside any sweep was stored (PUT metadata)
 )
 
+// walRecord is one transition of the lease table (see
+// DurableDispatcher.apply): the unit the WAL journals, replay applies, and
+// a compaction image is made of.
 type walRecord struct {
 	T      string    `json:"t"`
 	Key    string    `json:"k,omitempty"`
@@ -39,84 +42,42 @@ type walRecord struct {
 	Item   *WorkItem `json:"i,omitempty"`
 }
 
-// walSnapshot is the compaction image: the full lease table plus the
-// pending queue order, so recovery reproduces not just the states but the
-// dispatch order of the remaining work.
-type walSnapshot struct {
-	Cells    []walSnapCell `json:"cells"`
-	Queue    []string      `json:"queue,omitempty"`
-	Reclaims uint64        `json:"reclaims,omitempty"`
+// walImage is the compaction image: the records that rebuild the current
+// table through apply — one submit per cell, the pending cells first and
+// in dispatch order, each leased cell's submit followed by its lease —
+// plus the reclaim counter, which no record carries.
+type walImage struct {
+	Records  []walRecord `json:"records"`
+	Reclaims uint64      `json:"reclaims,omitempty"`
 }
 
-type walSnapCell struct {
-	Item   WorkItem `json:"item"`
-	State  uint8    `json:"state"`
-	Worker string   `json:"worker,omitempty"`
-	Exp    int64    `json:"exp,omitempty"`
-}
-
-// Journal writes the dispatcher's state transitions to a WAL. Appends are
-// buffered in the OS page cache; Sync fsyncs them — the server calls it on
+// Journal writes the dispatcher's records to a WAL. Appends are buffered
+// in the OS page cache; Sync fsyncs them — the server calls it on
 // submission, claim, and completion boundaries, so anything it has
 // acknowledged survives a kill -9. An append failure is sticky until the
 // next Sync reports it, which maps it onto the request that must fail.
 type Journal struct {
 	store *wal.Store
-	// CompactEvery overrides DefaultCompactEvery when positive; tests set
-	// it low to exercise compaction. Read once at Persist time.
-	CompactEvery uint64
-	// Log receives compaction-failure notices (default os.Stderr); a failed
-	// compaction is safe (the WAL still holds everything) but worth seeing.
-	Log io.Writer
 
 	mu  sync.Mutex
 	err error // sticky append error, reported and cleared by Sync
 }
 
-// noteErr records the first append failure since the last Sync.
-func (j *Journal) noteErr(err error) {
+// append journals one record. apply calls it under the dispatcher lock, so
+// appends are already serialized.
+func (j *Journal) append(r walRecord) {
+	b, err := json.Marshal(r)
+	if err == nil {
+		err = j.store.Append(b, false)
+	}
 	if err == nil {
 		return
 	}
 	j.mu.Lock()
 	if j.err == nil {
-		j.err = err
+		j.err = fmt.Errorf("harness: journal %q record: %w", r.T, err)
 	}
 	j.mu.Unlock()
-}
-
-// record is the Dispatcher's observer hook; it runs under the dispatcher
-// lock, so appends are already serialized.
-func (j *Journal) record(ev dispatchEvent) {
-	r := walRecord{Key: ev.key}
-	switch ev.kind {
-	case evSubmit:
-		r.T, r.Done = recSubmit, ev.done
-		item := ev.item
-		r.Item = &item
-	case evLease:
-		r.T, r.Worker, r.Exp = recLease, ev.worker, ev.expiry.UnixMilli()
-	case evExpire:
-		r.T = recExpire
-	case evComplete:
-		r.T = recComplete
-	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		j.noteErr(fmt.Errorf("harness: journal encode: %w", err))
-		return
-	}
-	j.noteErr(j.store.Append(b, false))
-}
-
-// RecordPut journals the metadata of a result-cache PUT for a key outside
-// any sweep, so the WAL is a full account of what the store accepted.
-func (j *Journal) RecordPut(key string) {
-	b, err := json.Marshal(walRecord{T: recPut, Key: key})
-	if err != nil {
-		return
-	}
-	j.noteErr(j.store.Append(b, false))
 }
 
 // Sync makes every append so far durable. It returns the first append
@@ -139,61 +100,31 @@ func (j *Journal) Appends() uint64 { return j.store.Appends() }
 // Close flushes and closes the underlying WAL.
 func (j *Journal) Close() error { return j.store.Close() }
 
-func (j *Journal) compactEvery() uint64 {
-	if j.CompactEvery > 0 {
-		return j.CompactEvery
-	}
-	return DefaultCompactEvery
-}
-
-func (j *Journal) logf(format string, args ...any) {
-	w := j.Log
-	if w == nil {
-		w = os.Stderr
-	}
-	fmt.Fprintf(w, "harness: "+format+"\n", args...)
-}
-
-// DurableDispatcher is a Dispatcher whose lease table survives a crash:
-// every transition is journaled to a WAL and the whole state is rebuilt by
-// OpenDurableDispatcher after a restart. The embedded Dispatcher is used
-// exactly as before; callers that need durability call Persist after the
-// mutations they acknowledge (the dispatch server does this on submit,
-// claim, and completion boundaries).
-type DurableDispatcher struct {
-	*Dispatcher
-	journal *Journal
-}
-
-// Journal returns the dispatcher's WAL journal.
-func (dd *DurableDispatcher) Journal() *Journal { return dd.journal }
-
-// Persist makes every journaled transition durable and opportunistically
-// compacts the WAL once enough records accumulate. A compaction failure is
+// Persist makes every journaled transition durable and compacts the WAL
+// once DefaultCompactEvery records accumulate. A compaction failure is
 // logged, not returned: the un-compacted WAL still holds the full state.
 func (dd *DurableDispatcher) Persist() error {
 	if err := dd.journal.Sync(); err != nil {
 		return err
 	}
-	if dd.journal.Appends() >= dd.journal.compactEvery() {
+	if dd.journal.Appends() >= DefaultCompactEvery {
 		if err := dd.Compact(); err != nil {
-			dd.journal.logf("journal compaction failed (state remains in the WAL): %v", err)
+			fmt.Fprintf(os.Stderr, "harness: journal compaction failed (state remains in the WAL): %v\n", err)
 		}
 	}
 	return nil
 }
 
-// Compact folds the WAL into a snapshot of the current lease table. The
-// dispatcher lock is held across the snapshot and the truncate, so no
-// transition can be journaled after the snapshot yet truncated with the
-// old log.
+// Compact folds the WAL into an image of the current lease table. The
+// dispatcher lock is held across the image and the truncate, so no
+// transition can be journaled after the image yet truncated with the old
+// log.
 func (dd *DurableDispatcher) Compact() error {
-	d := dd.Dispatcher
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b, err := json.Marshal(d.snapshotLocked())
+	dd.mu.Lock()
+	defer dd.mu.Unlock()
+	b, err := json.Marshal(dd.imageLocked())
 	if err != nil {
-		return fmt.Errorf("harness: journal snapshot: %w", err)
+		return fmt.Errorf("harness: journal image: %w", err)
 	}
 	return dd.journal.store.Compact(b)
 }
@@ -202,36 +133,36 @@ func (dd *DurableDispatcher) Compact() error {
 // memory but no further transitions are made durable.
 func (dd *DurableDispatcher) Close() error { return dd.journal.Close() }
 
-// snapshotLocked captures the lease table; callers hold d.mu.
-func (d *Dispatcher) snapshotLocked() walSnapshot {
-	snap := walSnapshot{Reclaims: d.reclaims}
-	keys := make([]string, 0, len(d.cells))
-	for k := range d.cells {
-		keys = append(keys, k)
+// imageLocked captures the lease table as a walImage; callers hold dd.mu.
+func (dd *DurableDispatcher) imageLocked() walImage {
+	img := walImage{Records: make([]walRecord, 0, len(dd.cells)+dd.leased), Reclaims: dd.reclaims}
+	submit := func(c *dispatchCell) {
+		img.Records = append(img.Records, walRecord{T: recSubmit, Item: &c.item, Done: c.state == stateDone})
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		c := d.cells[k]
-		sc := walSnapCell{Item: c.item, State: uint8(c.state), Worker: c.worker}
-		if !c.expiry.IsZero() {
-			sc.Exp = c.expiry.UnixMilli()
-		}
-		snap.Cells = append(snap.Cells, sc)
+	for e := dd.queue.Front(); e != nil; e = e.Next() {
+		submit(e.Value.(*dispatchCell))
 	}
-	// Pending keys in dispatch order, skipping entries gone stale.
-	seen := make(map[string]bool, len(d.queue))
-	for _, k := range d.queue {
-		if c, ok := d.cells[k]; ok && c.state == statePending && !seen[k] {
-			seen[k] = true
-			snap.Queue = append(snap.Queue, k)
+	var rest []string
+	for k, c := range dd.cells {
+		if c.state != statePending {
+			rest = append(rest, k)
 		}
 	}
-	return snap
+	sort.Strings(rest)
+	for _, k := range rest {
+		c := dd.cells[k]
+		submit(c)
+		if c.state == stateLeased {
+			img.Records = append(img.Records, walRecord{T: recLease, Key: k, Worker: c.worker, Exp: c.expiry.UnixMilli()})
+		}
+	}
+	return img
 }
 
 // RecoveryStats summarizes what OpenDurableDispatcher rebuilt.
 type RecoveryStats struct {
-	// SnapshotCells and Records are what the WAL held on disk.
+	// SnapshotCells is how many cells the compaction image held; Records
+	// is how many log records followed it on disk.
 	SnapshotCells int `json:"snapshotCells"`
 	Records       int `json:"records"`
 	// TornBytes counts discarded tail bytes of an interrupted append.
@@ -248,11 +179,13 @@ type RecoveryStats struct {
 }
 
 // OpenDurableDispatcher opens (creating if needed) the WAL in dir and
-// rebuilds the lease table it describes: snapshot first, then the log
-// records in order, both applied idempotently so the duplication a crash
-// mid-compaction leaves behind is harmless. cached, when non-nil, is the
-// result store's membership test: any rebuilt cell that is not done but
-// whose result is already stored is marked done — the belt-and-braces
+// rebuilds the lease table it describes by applying the compaction image's
+// records and then the log's, in order, through the same apply the live
+// table uses — so the rebuilt table equals the one that wrote the WAL,
+// pending-queue order included, up to heartbeat renewals (which are not
+// journaled). ttl <= 0 selects DefaultLeaseTTL. cached, when non-nil, is
+// the result store's membership test: any rebuilt cell that is not done
+// but whose result is already stored is marked done — the belt-and-braces
 // guarantee that a completion whose WAL record was lost (torn tail, failed
 // fsync) is never re-dispatched. The rebuilt state is compacted
 // immediately, so restart cost is proportional to the table, not the
@@ -262,16 +195,26 @@ func OpenDurableDispatcher(dir string, ttl time.Duration, inj *fault.Injector, c
 	if err != nil {
 		return nil, RecoveryStats{}, err
 	}
-	d := NewDispatcher(ttl)
+	if ttl <= 0 {
+		ttl = DefaultLeaseTTL
+	}
+	dd := &DurableDispatcher{ttl: ttl, now: time.Now, cells: make(map[string]*dispatchCell), queue: list.New()}
 	stats := RecoveryStats{Records: len(rec.Records), TornBytes: rec.TornBytes}
 	if rec.Snapshot != nil {
-		var snap walSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
+		// An image written by another format must fail loudly: a plain
+		// Unmarshal would skip its unknown fields and rebuild an empty table.
+		var img walImage
+		dec := json.NewDecoder(bytes.NewReader(rec.Snapshot))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&img); err != nil {
 			store.Close()
-			return nil, stats, fmt.Errorf("harness: recover snapshot: %w", err)
+			return nil, stats, fmt.Errorf(`harness: %s holds a WAL snapshot that is not a lease-record image {"records":[…],"reclaims":n} (a WAL written by an older build needs a fresh -wal directory): %w`, dir, err)
 		}
-		stats.SnapshotCells = len(snap.Cells)
-		d.restoreSnapshot(snap)
+		for _, r := range img.Records {
+			dd.apply(r)
+		}
+		dd.reclaims = img.Reclaims
+		stats.SnapshotCells = len(dd.cells)
 	}
 	for _, b := range rec.Records {
 		var r walRecord
@@ -281,133 +224,36 @@ func OpenDurableDispatcher(dir string, ttl time.Duration, inj *fault.Injector, c
 			store.Close()
 			return nil, stats, fmt.Errorf("harness: recover record: %w", err)
 		}
-		d.applyRecord(r)
+		dd.apply(r)
 	}
 	if cached != nil {
-		stats.Backfilled = d.completeCached(cached)
+		stats.Backfilled = dd.completeCached(cached)
 	}
-	st := d.Status()
+	dd.journal = &Journal{store: store}
+	st := dd.statusLocked()
 	stats.Cells, stats.Pending, stats.Leased, stats.Done = st.Total, st.Pending, st.Leased, st.Done
 
-	j := &Journal{store: store}
-	d.observer = j.record
-	dd := &DurableDispatcher{Dispatcher: d, journal: j}
 	if len(rec.Records) > 0 || rec.Snapshot != nil {
 		if err := dd.Compact(); err != nil {
-			j.logf("startup compaction failed (state remains in the WAL): %v", err)
+			fmt.Fprintf(os.Stderr, "harness: startup compaction failed (state remains in the WAL): %v\n", err)
 		}
 	}
 	return dd, stats, nil
 }
 
-// restoreSnapshot loads a compaction image into an empty dispatcher.
-func (d *Dispatcher) restoreSnapshot(snap walSnapshot) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.reclaims = snap.Reclaims
-	for _, sc := range snap.Cells {
-		c := &dispatchCell{item: sc.Item, state: cellState(sc.State), worker: sc.Worker}
-		if sc.Exp != 0 {
-			c.expiry = time.UnixMilli(sc.Exp)
-		}
-		switch c.state {
-		case stateLeased:
-			d.leased++
-		case stateDone:
-			d.done++
-		}
-		d.cells[sc.Item.Key] = c
-	}
-	d.queue = append(d.queue, snap.Queue...)
-	// A pending cell the queue list somehow missed must still be
-	// dispatchable; append any stragglers in sorted order.
-	inQueue := make(map[string]bool, len(snap.Queue))
-	for _, k := range snap.Queue {
-		inQueue[k] = true
-	}
-	var stragglers []string
-	for k, c := range d.cells {
-		if c.state == statePending && !inQueue[k] {
-			stragglers = append(stragglers, k)
-		}
-	}
-	sort.Strings(stragglers)
-	d.queue = append(d.queue, stragglers...)
-}
-
-// applyRecord replays one WAL record. Every transition is idempotent and
-// monotone toward done: duplicated records (crash mid-compaction, retried
-// appends) and records for already-done cells are no-ops.
-func (d *Dispatcher) applyRecord(r walRecord) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch r.T {
-	case recSubmit:
-		if r.Item == nil || r.Item.Key == "" {
-			return
-		}
-		if _, ok := d.cells[r.Item.Key]; ok {
-			return
-		}
-		c := &dispatchCell{item: *r.Item}
-		if r.Done {
-			c.state = stateDone
-			d.done++
-		} else {
-			d.queue = append(d.queue, r.Item.Key)
-		}
-		d.cells[r.Item.Key] = c
-	case recLease:
-		c, ok := d.cells[r.Key]
-		if !ok || c.state == stateDone {
-			return
-		}
-		if c.state == statePending {
-			c.state = stateLeased
-			d.leased++
-		}
-		c.worker = r.Worker
-		c.expiry = time.UnixMilli(r.Exp)
-	case recExpire:
-		c, ok := d.cells[r.Key]
-		if !ok || c.state != stateLeased {
-			return
-		}
-		c.state = statePending
-		c.worker = ""
-		d.leased--
-		d.queue = append(d.queue, r.Key)
-		d.reclaims++
-	case recComplete, recPut:
-		c, ok := d.cells[r.Key]
-		if !ok || c.state == stateDone {
-			return
-		}
-		if c.state == stateLeased {
-			d.leased--
-		}
-		c.state = stateDone
-		c.worker = ""
-		d.done++
-	}
-}
-
 // completeCached marks done every rebuilt cell whose result is already in
 // the store, reporting how many completions were recovered that way.
-func (d *Dispatcher) completeCached(cached func(key string) bool) int {
-	d.mu.Lock()
+func (dd *DurableDispatcher) completeCached(cached func(key string) bool) int {
 	var candidates []string
-	for k, c := range d.cells {
+	for k, c := range dd.cells {
 		if c.state != stateDone {
 			candidates = append(candidates, k)
 		}
 	}
-	d.mu.Unlock()
 	sort.Strings(candidates)
 	n := 0
 	for _, k := range candidates {
-		// cached may hit the disk; never call it under the lock.
-		if cached(k) && d.Complete(k) {
+		if cached(k) && dd.Complete(k) {
 			n++
 		}
 	}

@@ -2,10 +2,15 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"ghostwriter/internal/fault"
+	"ghostwriter/internal/wal"
 )
 
 // openDurable opens a DurableDispatcher in dir with a long TTL (so real-
@@ -21,7 +26,7 @@ func openDurable(t *testing.T, dir string, inj *fault.Injector, cached func(stri
 
 // drainKeys claims every pending cell from d (one at a time, so the claim
 // order is observable) and returns the keys in dispatch order.
-func drainKeys(d *Dispatcher, worker string) []string {
+func drainKeys(d *DurableDispatcher, worker string) []string {
 	var keys []string
 	for {
 		items, _ := d.Claim(worker, 1)
@@ -29,6 +34,37 @@ func drainKeys(d *Dispatcher, worker string) []string {
 			return keys
 		}
 		keys = append(keys, items[0].Key)
+	}
+}
+
+// reopenEqual closes dd, recovers a second table from its WAL in dir on
+// dd's clock, and fails unless the two are equal: status, every cell's
+// state, worker and expiry, and the order in which both hand out their
+// pending cells. dd is drained after its journal is closed, so the drain's
+// leases stay out of the WAL the recovered table was read from.
+func reopenEqual(t testing.TB, dd *DurableDispatcher, dir string) {
+	t.Helper()
+	if err := dd.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	rec, stats, err := OpenDurableDispatcher(dir, dd.ttl, nil, nil)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer rec.Close()
+	rec.now = dd.now
+	if live, got := dd.statusLocked(), rec.statusLocked(); got != live {
+		t.Fatalf("recovered status %+v, live %+v (recovery stats %+v)", got, live, stats)
+	}
+	for k, c := range dd.cells {
+		r := rec.cells[k]
+		if r == nil || r.state != c.state || r.worker != c.worker || !r.expiry.Equal(c.expiry) {
+			t.Fatalf("cell %.8s: recovered %+v, live %+v", k, r, c)
+		}
+	}
+	live, got := drainKeys(dd, "drain"), drainKeys(rec, "drain")
+	if !slices.Equal(got, live) {
+		t.Fatalf("recovered dispatch order %.8q, live %.8q", got, live)
 	}
 }
 
@@ -77,7 +113,7 @@ func TestDurableDispatcherRecoversAcrossReopen(t *testing.T) {
 	}
 	// The queue must come back in FIFO order: the four never-claimed cells.
 	wantOrder := []string{items[2].Key, items[3].Key, items[4].Key, items[5].Key}
-	gotOrder := drainKeys(dd2.Dispatcher, "w2")
+	gotOrder := drainKeys(dd2, "w2")
 	if len(gotOrder) != len(wantOrder) {
 		t.Fatalf("recovered queue has %d cells, want %d", len(gotOrder), len(wantOrder))
 	}
@@ -185,8 +221,8 @@ func TestDurableCompactionEquivalence(t *testing.T) {
 	if sA != sB || sA != stA {
 		t.Fatalf("recovered states diverge: snapshot %+v, log %+v, original %+v", sA, sB, stA)
 	}
-	oA := drainKeys(ddA.Dispatcher, "wx")
-	oB := drainKeys(ddB.Dispatcher, "wx")
+	oA := drainKeys(ddA, "wx")
+	oB := drainKeys(ddB, "wx")
 	if len(oA) != len(oB) {
 		t.Fatalf("dispatch order lengths diverge: %d vs %d", len(oA), len(oB))
 	}
@@ -276,7 +312,7 @@ func TestDurableLeaseExpiryReplays(t *testing.T) {
 
 	dd, _ := openDurable(t, dir, nil, nil)
 	now := time.Unix(1_700_000_000, 0)
-	dd.Dispatcher.now = func() time.Time { return now }
+	dd.now = func() time.Time { return now }
 	dd.Submit(items, nil)
 	dd.Claim("w1", 1)
 	now = now.Add(2 * time.Hour) // past the TTL
@@ -295,7 +331,7 @@ func TestDurableLeaseExpiryReplays(t *testing.T) {
 	if st.Leased != 0 || st.Pending != 2 || st.Reclaims != 1 {
 		t.Fatalf("recovered status %+v, want both cells pending with 1 reclaim", st)
 	}
-	if got := drainKeys(dd2.Dispatcher, "w2"); len(got) != 2 {
+	if got := drainKeys(dd2, "w2"); len(got) != 2 {
 		t.Fatalf("recovered queue holds %d cells, want both", len(got))
 	}
 }
@@ -381,4 +417,179 @@ func TestDurableCrashAtEveryRecord(t *testing.T) {
 		}
 		dd2.Close()
 	}
+}
+
+// TestDurableReplayKeepsDispatchOrder: an expired lease sends its cell to
+// the back of the pending queue, and the recovered table must hand the
+// cells out in the live table's order — the expired cell last, not first.
+func TestDurableReplayKeepsDispatchOrder(t *testing.T) {
+	dir := t.TempDir()
+	items := manifestItems(3)
+
+	dd, _ := openDurable(t, dir, nil, nil)
+	now := time.Unix(1_700_000_000, 0)
+	dd.now = func() time.Time { return now }
+	dd.Submit(items, nil)
+	claimed, _ := dd.Claim("w1", 1)
+	now = now.Add(2 * time.Hour) // past the TTL
+	if n := dd.Reap(); n != 1 {
+		t.Fatalf("reaped %d leases, want 1", n)
+	}
+	if err := dd.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	dd.Close()
+
+	rec, _ := openDurable(t, dir, nil, nil)
+	defer rec.Close()
+	rec.now = dd.now
+	// The live order is drained from the same state; with its journal
+	// closed, the drain cannot reach the WAL just recovered.
+	live := drainKeys(dd, "w2")
+	want := []string{items[1].Key, items[2].Key, claimed[0].Key}
+	if !slices.Equal(live, want) {
+		t.Fatalf("live dispatch order %.8q, want %.8q (the expired cell last)", live, want)
+	}
+	if got := drainKeys(rec, "w2"); !slices.Equal(got, live) {
+		t.Fatalf("recovered dispatch order %.8q, live %.8q", got, live)
+	}
+}
+
+// TestDurablePutOutsideSweepJournalsNothing: a PUT that completes nothing —
+// a key no sweep tracks, or a cell already done — appends no record, and
+// the table recovered afterwards equals the one before the PUT.
+func TestDurablePutOutsideSweepJournalsNothing(t *testing.T) {
+	dir := t.TempDir()
+	dd, _ := openDurable(t, dir, nil, nil)
+	items := manifestItems(3)
+	dd.Submit(items, nil)
+	dd.Claim("w1", 1)
+	ts := httptest.NewServer(NewServer(ServerConfig{Backend: NewMemCache(), Durable: dd}))
+	defer ts.Close()
+	rc := newChaosClient(t, ts.URL)
+	res := RunResult{App: "stub", Cycles: 1}
+	if err := rc.CompleteWork(items[0].Key, &res); err != nil {
+		t.Fatal(err)
+	}
+	before := dd.Journal().Appends()
+	for _, key := range []string{strings.Repeat("a", 64), items[0].Key} {
+		if err := rc.CompleteWork(key, &res); err != nil {
+			t.Fatal(err)
+		}
+		if got := dd.Journal().Appends(); got != before {
+			t.Fatalf("PUT of %.8s that completed nothing appended %d record(s)", key, got-before)
+		}
+	}
+	ts.Close()
+	reopenEqual(t, dd, dir)
+}
+
+// TestDurablePersistCompacts: Persist folds the log into a compaction
+// image once DefaultCompactEvery records accumulate, and the table
+// recovered from the image equals the live one.
+func TestDurablePersistCompacts(t *testing.T) {
+	dir := t.TempDir()
+	dd, _ := openDurable(t, dir, nil, nil)
+	dd.Submit(manifestItems(DefaultCompactEvery+1), nil)
+	dd.Claim("w1", 3)
+	if got := dd.Journal().Appends(); got < DefaultCompactEvery {
+		t.Fatalf("%d appends before Persist, want at least %d", got, DefaultCompactEvery)
+	}
+	if err := dd.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dd.Journal().Appends(); got != 0 {
+		t.Fatalf("%d appends after Persist, want 0: the log never compacted", got)
+	}
+	reopenEqual(t, dd, dir)
+}
+
+// TestDurableRefusesOlderSnapshot: a WAL whose snapshot has the shape an
+// older build wrote — {"cells","queue","reclaims"} — fails to open with an
+// error naming the expected format; it never rebuilds an empty table.
+func TestDurableRefusesOlderSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	it := manifestItems(1)[0]
+	old, err := json.Marshal(map[string]any{
+		"cells":    []map[string]any{{"item": it, "state": 0}},
+		"queue":    []string{it.Key},
+		"reclaims": 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, _, err := wal.Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Compact(old); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	dd, _, err := OpenDurableDispatcher(dir, time.Hour, nil, nil)
+	if err == nil {
+		dd.Close()
+		t.Fatalf("an older build's snapshot opened as %+v", dd.Status())
+	}
+	for _, want := range []string{"lease-record image", "fresh -wal directory", `"cells"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+}
+
+// FuzzLeaseReplay is the differential test of the journal: a script of
+// submits (with and without a cached probe), claims of 1–4 cells, clock
+// advances in whole milliseconds followed by a reap, completions and
+// compactions runs against a journaled table on a manual clock, and the
+// table recovered from its WAL must equal the live one (reopenEqual).
+// Heartbeats are left out: renewals are not journaled by design.
+func FuzzLeaseReplay(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 16, 1, 0, 2, 200}) // the expired cell goes last
+	pool := manifestItems(8)
+	index := make(map[string]int, len(pool))
+	for i, it := range pool {
+		index[it.Key] = i
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 512 {
+			script = script[:512]
+		}
+		dir := t.TempDir()
+		dd, _, err := OpenDurableDispatcher(dir, 100*time.Millisecond, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Unix(1_700_000_000, 0)
+		dd.now = func() time.Time { return now }
+		for i := 0; i+1 < len(script); i += 2 {
+			op, arg := script[i], script[i+1]
+			switch op % 5 {
+			case 0:
+				// Submit 1–4 pool cells from arg%8; arg>>5 is the set of
+				// pool indexes (mod 3) the cached probe reports stored, 0
+				// meaning no probe.
+				start := int(arg % 8)
+				run := pool[start:min(start+1+int(arg>>3)%4, len(pool))]
+				var cached func(string) bool
+				if mask := arg >> 5; mask != 0 {
+					cached = func(key string) bool { return mask>>(index[key]%3)&1 != 0 }
+				}
+				dd.Submit(run, cached)
+			case 1:
+				dd.Claim(fmt.Sprintf("w%d", arg%3), 1+int(arg>>2)%4)
+			case 2:
+				now = now.Add(time.Duration(arg) * time.Millisecond)
+				dd.Reap()
+			case 3:
+				dd.Complete(pool[int(arg)%len(pool)].Key)
+			case 4:
+				if err := dd.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		reopenEqual(t, dd, dir)
+	})
 }

@@ -467,8 +467,8 @@ type RemoteStats struct {
 }
 
 // ErrNoDispatcher reports a gwcached that serves only the storage
-// protocol: its /v1 sweep endpoints answer 404 because it was built
-// without a Dispatcher.
+// protocol: its /v1 sweep endpoints answer 404 because its ServerConfig
+// has no Durable lease table.
 var ErrNoDispatcher = errors.New("harness: remote server has no work dispatcher")
 
 // dispatchResult is one server's answer to a (possibly hedged) RPC.

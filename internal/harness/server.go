@@ -46,12 +46,10 @@ func reject503(w http.ResponseWriter) {
 type ServerConfig struct {
 	// Backend is the content-addressed key→result store.
 	Backend CacheBackend
-	// Dispatcher enables the fleet work-dispatch protocol.
-	Dispatcher *Dispatcher
-	// Durable supersedes Dispatcher: its lease table is journaled to a WAL
-	// and the handler persists (fsyncs) on submission, claim, and
-	// completion boundaries, failing the request when the journal does so
-	// the client retries instead of trusting a lost record.
+	// Durable enables the fleet work-dispatch protocol over its lease
+	// table; the handler persists (fsyncs) its WAL on submission, claim,
+	// and completion boundaries, failing the request when the journal does
+	// so the client retries instead of trusting a lost record.
 	Durable *DurableDispatcher
 	// Gate, when set, lets a draining process reject work-creating
 	// requests with 503 + Retry-After (see DrainGate).
@@ -164,8 +162,7 @@ type HeartbeatResponse struct {
 //	GET  /v1/stats       → backend counters (zeros when it tracks none)
 //	GET  /healthz        → load-balancer probe
 //
-// and, when a (possibly durable) dispatcher is configured, the fleet
-// work-dispatch protocol —
+// and, when cfg.Durable is set, the fleet work-dispatch protocol —
 //
 //	POST /v1/sweep      → submit a grid manifest (cells not already stored
 //	                      are queued; cached ones are marked done)
@@ -180,24 +177,14 @@ type HeartbeatResponse struct {
 // own: the idempotent PUT both stores the result and marks the cell done,
 // so at-least-once execution (a lease can expire and redispatch a cell
 // still being simulated) converges on exactly-once-observable results.
-// With cfg.Durable, the handler persists the WAL on the three
-// boundaries a client acts on: a submission is acknowledged only once its
-// cells are durable, a claim only once its leases are (so a restarted
-// server re-grants rather than double-dispatches them), and a completion
-// only once its record is — the property that makes kill -9 lose nothing.
+// The handler persists the WAL on the three boundaries a client acts on:
+// a submission is acknowledged only once its cells are durable, a claim
+// only once its leases are (so a restarted server re-grants rather than
+// double-dispatches them), and a completion only once its record is — the
+// property that makes kill -9 lose nothing.
 func NewServer(cfg ServerConfig) http.Handler {
 	backend := cfg.Backend
-	d := cfg.Dispatcher
-	if cfg.Durable != nil {
-		d = cfg.Durable.Dispatcher
-	}
-	// persist makes acknowledged state durable; without a WAL it is free.
-	persist := func() error {
-		if cfg.Durable == nil {
-			return nil
-		}
-		return cfg.Durable.Persist()
-	}
+	d := cfg.Durable
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
 		// A draining server reports unhealthy so failover clients elect a
@@ -251,17 +238,12 @@ func NewServer(cfg ServerConfig) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		completed := false
 		if d != nil {
-			completed = d.Complete(key)
-		}
-		if cfg.Durable != nil {
-			if !completed {
-				// A result outside any sweep (or a duplicate): journal the
-				// PUT metadata so the WAL is a full account of the store.
-				cfg.Durable.Journal().RecordPut(key)
-			}
-			if err := persist(); err != nil {
+			// A result outside any sweep, or a duplicate, completes nothing
+			// and journals nothing; Persist still flushes whatever the
+			// journal holds before the PUT is acknowledged.
+			d.Complete(key)
+			if err := d.Persist(); err != nil {
 				// The store took the result but its completion record is not
 				// durable. Fail the request: the publish is idempotent, the
 				// worker retries, and recovery's store backstop covers a
@@ -291,7 +273,7 @@ func NewServer(cfg ServerConfig) http.Handler {
 			_, ok := backend.Get(key)
 			return ok
 		})
-		if err := persist(); err != nil {
+		if err := d.Persist(); err != nil {
 			// The manifest is in memory but not durable; make the client
 			// resubmit (idempotent) rather than trust a lossy acceptance.
 			log.Printf("harness: submission journal failed: %v", err)
@@ -312,7 +294,7 @@ func NewServer(cfg ServerConfig) http.Handler {
 			return
 		}
 		items, status := d.Claim(cr.Worker, cr.Max)
-		if err := persist(); err != nil {
+		if err := d.Persist(); err != nil {
 			// Un-journaled leases would be re-dispatched by a restarted
 			// server while the claimant still works them — the double-
 			// simulation the WAL exists to prevent. Refuse the claim; the

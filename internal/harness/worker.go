@@ -22,7 +22,8 @@ const (
 )
 
 // WorkClient is the fleet-dispatch surface a WorkerPool drives. RemoteCache
-// implements it over HTTP; tests implement it directly over a Dispatcher.
+// implements it over HTTP; tests implement it directly over a
+// DurableDispatcher.
 type WorkClient interface {
 	// ClaimWork leases up to max pending cells.
 	ClaimWork(worker string, max int) (ClaimResponse, error)

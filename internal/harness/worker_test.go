@@ -10,11 +10,11 @@ import (
 	"time"
 )
 
-// localWorkClient implements WorkClient directly over a Dispatcher and a
+// localWorkClient implements WorkClient directly over a lease table and a
 // MemCache — the server's behaviour without the HTTP layer, so WorkerPool
 // logic is testable in-process.
 type localWorkClient struct {
-	d     *Dispatcher
+	d     *DurableDispatcher
 	store *MemCache
 }
 
@@ -64,7 +64,7 @@ func newStubWorker(id string, client WorkClient, batch int) *WorkerPool {
 // TestWorkerPoolDrainsSweep: one worker drains a whole manifest, publishes
 // every result, and exits on its own when the sweep status reads complete.
 func TestWorkerPoolDrainsSweep(t *testing.T) {
-	d := NewDispatcher(time.Minute)
+	d := newTable(t, time.Minute)
 	store := NewMemCache()
 	items := manifestItems(10)
 	d.Submit(items, nil)
@@ -92,7 +92,7 @@ func TestWorkerPoolDrainsSweep(t *testing.T) {
 // not a side effect of simulating, or locally-cached cells would be
 // re-dispatched forever.
 func TestWorkerPoolPublishesLocalCacheHits(t *testing.T) {
-	d := NewDispatcher(time.Minute)
+	d := newTable(t, time.Minute)
 	store := NewMemCache()
 	items := manifestItems(4)
 	d.Submit(items, nil)
@@ -129,7 +129,7 @@ func TestWorkerPoolPublishesLocalCacheHits(t *testing.T) {
 // TestWorkerPoolIdleExit: with no manifest ever submitted, a worker with
 // IdleExit set exits cleanly instead of polling forever.
 func TestWorkerPoolIdleExit(t *testing.T) {
-	d := NewDispatcher(time.Minute)
+	d := newTable(t, time.Minute)
 	p := newStubWorker("idle", &localWorkClient{d: d, store: NewMemCache()}, 1)
 	p.IdleExit = 30 * time.Millisecond
 	done := make(chan error, 1)
