@@ -40,7 +40,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		protoName = fs.String("protocol", "", "protocol to check (empty = all registered)")
 		doMutate  = fs.Bool("mutate", false, "run the mutation-kill matrix instead of a plain check")
 		budget    = fs.Duration("budget", 0, "time budget per protocol for -mutate (0 = unlimited)")
-		workers   = fs.Int("workers", 0, "parallel mutant evaluations (0 = GOMAXPROCS)")
+		workers   = fs.Int("workers", 0, "mutants evaluated at once for -mutate (0 = GOMAXPROCS); each exploration also runs on every core")
 		verbose   = fs.Bool("v", false, "list every mutant's class and killer in the -mutate report")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -2,10 +2,13 @@
 // configurations. It enumerates every schedule of core operations up to a
 // bounded depth (2–3 cores, 1–3 block addresses, 4–5 op variants), runs
 // each schedule from cycle 0 on a two-level testbed (real L1 controllers,
-// real directory, real mesh — the same components the simulator uses) that
-// an exploration builds once and rewinds between schedules, and asserts the
-// protocol invariants (1–3 and 8 are stated once, in coherence.AuditBlock,
-// which Machine.CheckInvariants applies to every simulated run as well):
+// real directory, real mesh — the same components the simulator uses), and
+// asserts the protocol invariants (1–3 and 8 are stated once, in
+// coherence.AuditBlock, which Machine.CheckInvariants applies to every
+// simulated run as well). An exploration deals its schedules in chunks to
+// one worker per core; each worker rewinds its testbed between schedules,
+// and testbeds outlive explorations, parked in a process-wide free list for
+// the next one (DESIGN.md §10):
 //
 //  1. Single writer: at most one L1 holds a block in M or E.
 //  2. Directory agreement: the sharer list covers every S/GS copy and
@@ -50,8 +53,11 @@ package check
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"ghostwriter/internal/approx"
 	"ghostwriter/internal/cache"
@@ -283,44 +289,245 @@ func (c Config) schedule(idx int, steps []Step) {
 }
 
 // Explore enumerates every (cores × ops × addrs)^depth schedule and runs
-// each from cycle 0, collecting violations up to the configured cap. The
-// testbed is built once and rewound before every later schedule; a rewound
-// testbed is indistinguishable from a new one (see harness.reset). Rewinding
-// needs a quiesced machine, which only a violation-free run guarantees — a
-// failed schedule may leave pending events, a busy line or a deferred
-// forward — so after any violation the testbed is dropped and the next
-// schedule builds a new one.
+// each from cycle 0, collecting violations up to the configured cap.
+//
+// The schedules are dealt out in chunks of chunkSize, in increasing index
+// order, to min(GOMAXPROCS, chunks) workers; the caller's goroutine is
+// worker 0, so on one core no goroutine starts. Each worker takes a testbed
+// from the free list of parked ones (or builds one) and rewinds it before
+// every later schedule; a rewound testbed is indistinguishable from a new
+// one (see harness.reset), so each schedule's outcome is a pure function of
+// its index. Rewinding needs a quiesced machine, which only a
+// violation-free run guarantees — a failed schedule may leave pending
+// events, a busy line or a deferred forward — so after any violation the
+// worker drops its testbed and takes another. Once every worker is done the
+// caller folds the fingerprints and merges the chunks in index order, up to
+// the violation cap, so the Result is the one a single loop over the
+// indices returns, at any core count. A panic outside a schedule's run (a
+// nil Protocol, say) surfaces on the caller once every worker has stopped.
 func Explore(cfg Config) Result {
 	if cfg.MaxViolations == 0 {
 		cfg.MaxViolations = 8
 	}
 	total := cfg.schedules()
-	res := Result{Schedules: total, Fingerprint: fnvOffset}
-	steps := make([]Step, cfg.Depth)
-	var h *harness
-	for idx := 0; idx < total; idx++ {
-		cfg.schedule(idx, steps)
-		if h == nil {
-			h = newHarness(cfg, &res.Reach)
-		} else {
-			h.reset()
+	e := &exploration{
+		cfg:    cfg,
+		total:  total,
+		fps:    make([]uint64, total),
+		chunks: make([]chunk, (total+chunkSize-1)/chunkSize),
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(e.chunks))
+	steps := make([]Step, max(workers, 1)*cfg.Depth)
+	for w := 1; w < workers; w++ {
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			e.work(steps[w*cfg.Depth : (w+1)*cfg.Depth])
+		}()
+	}
+	e.work(steps[:cfg.Depth])
+	e.wg.Wait()
+	if e.stop.Load() {
+		panic(e.panicVal)
+	}
+	return e.merge()
+}
+
+// chunkSize is how many consecutive schedules a worker takes at a time: a
+// grid stage (729–1 728 schedules) splits into enough chunks to keep every
+// core busy to the end, and handing one out costs nothing beside running it.
+const chunkSize = 32
+
+// exploration is the state Explore's workers share.
+type exploration struct {
+	cfg   Config
+	total int
+	// fps holds each violation-free schedule's fingerprint, by index.
+	fps []uint64
+	// chunks holds what each chunk's schedules left for the merge.
+	chunks []chunk
+	// next is the next chunk to hand out; found counts the violations found
+	// so far over all chunks.
+	next, found atomic.Int64
+	wg          sync.WaitGroup
+	// stop ends the exploration early after a worker panicked; panicVal is
+	// the first such panic, re-raised on the caller.
+	stop     atomic.Bool
+	mu       sync.Mutex
+	panicVal any
+}
+
+// tally is what a run of schedules adds to a Result besides fingerprints and
+// violations: the coverage counters and the table rows dispatched.
+type tally struct {
+	gsEntries, giEntries, fallbacks uint64
+	reach                           Reach
+}
+
+// addTo folds t into res.
+func (t *tally) addTo(res *Result) {
+	res.GSEntries += t.gsEntries
+	res.GIEntries += t.giEntries
+	res.Fallbacks += t.fallbacks
+	res.Reach.Add(&t.reach)
+}
+
+// chunk is one chunk's tally, and each of its violations with the chunk's
+// tally as it stood right after that schedule — what the merge keeps when
+// the violation cap lands there.
+type chunk struct {
+	tally
+	viols []chunkViolation
+}
+
+type chunkViolation struct {
+	idx int
+	v   Violation
+	at  tally
+}
+
+// work runs chunks until none is left, steps being the worker's own
+// schedule buffer. It takes no new chunk once the exploration has found as
+// many violations as the cap: every chunk handed out later lies past all of
+// them, so past the cap. A panic (outside run, which reports its own as
+// violations) stops every worker and is kept for the caller.
+func (e *exploration) work(steps []Step) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.mu.Lock()
+			if !e.stop.Load() {
+				e.panicVal = r
+			}
+			e.stop.Store(true)
+			e.mu.Unlock()
 		}
-		v := h.run(steps)
-		res.GSEntries += h.st.GSEntries
-		res.GIEntries += h.st.GIEntries
-		res.Fallbacks += h.st.ScribbleFallbacks
-		if v != nil {
-			v.Schedule = append([]Step(nil), steps...)
-			res.Violations = append(res.Violations, *v)
-			if len(res.Violations) >= cfg.MaxViolations {
-				break
+	}()
+	limit := int64(e.cfg.MaxViolations)
+	var h *harness
+	for !e.stop.Load() && e.found.Load() < limit {
+		k := int(e.next.Add(1) - 1)
+		if k >= len(e.chunks) {
+			break
+		}
+		c := &e.chunks[k]
+		for idx := k * chunkSize; idx < min((k+1)*chunkSize, e.total); idx++ {
+			e.cfg.schedule(idx, steps)
+			if h == nil {
+				h = takeHarness(e.cfg, &c.reach)
+			} else {
+				h.reach = &c.reach
+				h.reset()
+			}
+			v := h.run(steps)
+			c.gsEntries += h.st.GSEntries
+			c.giEntries += h.st.GIEntries
+			c.fallbacks += h.st.ScribbleFallbacks
+			if v == nil {
+				e.fps[idx] = h.fingerprint()
+				continue
 			}
 			h = nil
-		} else {
-			res.Fingerprint = mix(res.Fingerprint, h.fingerprint())
+			v.Schedule = slices.Clone(steps)
+			c.viols = append(c.viols, chunkViolation{idx: idx, v: *v, at: c.tally})
+			e.found.Add(1)
+			if len(c.viols) >= e.cfg.MaxViolations {
+				break // the rest of the chunk lies past the cap
+			}
 		}
 	}
+	if h != nil {
+		h.park()
+	}
+}
+
+// merge assembles the Result a single loop over the indices returns: the
+// chunks in index order, each violation-free schedule's fingerprint folded
+// in order, and, if the violation cap is reached, everything up to and
+// including the schedule that reached it.
+func (e *exploration) merge() Result {
+	res := Result{Schedules: e.total, Fingerprint: fnvOffset}
+	for k := range e.chunks {
+		c := &e.chunks[k]
+		idx := k * chunkSize
+		for _, cv := range c.viols {
+			for ; idx < cv.idx; idx++ {
+				res.Fingerprint = mix(res.Fingerprint, e.fps[idx])
+			}
+			idx++ // a failed schedule adds no fingerprint
+			res.Violations = append(res.Violations, cv.v)
+			if len(res.Violations) >= e.cfg.MaxViolations {
+				cv.at.addTo(&res)
+				return res
+			}
+		}
+		for end := min((k+1)*chunkSize, e.total); idx < end; idx++ {
+			res.Fingerprint = mix(res.Fingerprint, e.fps[idx])
+		}
+		c.addTo(&res)
+	}
 	return res
+}
+
+// testbeds is the process-wide free list of parked testbeds, by core count:
+// a testbed outlives the exploration that built it, so neither the next
+// exploration's workers nor a mutant's sweep build their own. Explorations
+// run concurrently (the mutation runner evaluates mutants side by side), so
+// a mutex guards it.
+var testbeds = struct {
+	sync.Mutex
+	free map[int][]*harness
+}{free: map[int][]*harness{}}
+
+// maxParked caps the free list per core count; a testbed parked beyond it
+// is left to the collector.
+const maxParked = 64
+
+// takeHarness returns a testbed for cfg whose controllers mark the rows they
+// dispatch in reach, ready for its first schedule: a parked one re-pointed
+// at cfg and rewound, or a new one.
+func takeHarness(cfg Config, reach *Reach) *harness {
+	testbeds.Lock()
+	var h *harness
+	if free := testbeds.free[cfg.Cores]; len(free) > 0 {
+		h = free[len(free)-1]
+		free[len(free)-1] = nil
+		testbeds.free[cfg.Cores] = free[:len(free)-1]
+	}
+	testbeds.Unlock()
+	if h == nil {
+		return newHarness(cfg, reach)
+	}
+	h.retarget(cfg, reach)
+	return h
+}
+
+// park puts a testbed whose last schedule ran violation-free on the free
+// list. A testbed is parked as its last schedule left it and rewound when
+// taken, since only then is the next address set known.
+func (h *harness) park() {
+	h.reach = nil
+	testbeds.Lock()
+	defer testbeds.Unlock()
+	if free := testbeds.free[h.cfg.Cores]; len(free) < maxParked {
+		testbeds.free[h.cfg.Cores] = append(free, h)
+	}
+}
+
+// retarget points a parked testbed (same core count) at cfg and reach and
+// rewinds it: the address-indexed records are resized, every component is
+// reset and the new addresses seeded, and then — on reset controllers, the
+// only ones that may switch — the directory and the L1s take cfg's table.
+func (h *harness) retarget(cfg Config, reach *Reach) {
+	h.cfg, h.reach = cfg, reach
+	n := len(cfg.Addrs)
+	h.written = slices.Grow(h.written[:0], n)[:n]
+	h.expected = slices.Grow(h.expected[:0], n)[:n]
+	h.approxStored = slices.Grow(h.approxStored[:0], n)[:n]
+	h.reset()
+	h.dir.SetProtocol(cfg.Protocol)
+	for _, l1 := range h.l1s {
+		l1.SetProtocol(cfg.Protocol)
+	}
 }
 
 // RunSchedule runs one explicit schedule on a fresh testbed under cfg and
@@ -363,7 +570,10 @@ const dirNode = noc.NodeID(5)
 // harness is one testbed: real controllers on a real mesh, plus the
 // checker's write log and missing-transition recorder.
 type harness struct {
-	cfg    Config
+	cfg Config
+	// reach is where the controllers mark the rows they dispatch; Explore
+	// re-points it at each chunk's tally.
+	reach  *Reach
 	eng    *sim.Engine
 	net    *noc.Network
 	ch     *dram.Channel
@@ -413,6 +623,10 @@ type harness struct {
 	// sequential step, so the per-step audit can tie a counted entry to the
 	// copy it must have installed.
 	prevGS, prevGI uint64
+	// spoiled marks a testbed whose last schedule failed: it may hold
+	// pending events, a busy line or a deferred forward, so it is never
+	// rewound or parked.
+	spoiled bool
 }
 
 // issuedStep is a schedule step in flight at a core.
@@ -428,7 +642,7 @@ type issuedStep struct {
 // violation takes its pool — and whatever a half-run schedule left out of
 // it — along.
 func newHarness(cfg Config, reach *Reach) *harness {
-	h := &harness{cfg: cfg, eng: &sim.Engine{}, st: &stats.Stats{}, meter: &energy.Meter{}, back: mem.New()}
+	h := &harness{cfg: cfg, reach: reach, eng: &sim.Engine{}, st: &stats.Stats{}, meter: &energy.Meter{}, back: mem.New()}
 	h.net = noc.New(h.eng, noc.DefaultConfig(), h.meter, h.st)
 	h.ch = dram.NewChannel(h.eng, dram.DefaultConfig(), h.back, h.meter, h.st)
 	pool := &coherence.MsgPool{}
@@ -438,7 +652,7 @@ func newHarness(cfg Config, reach *Reach) *harness {
 		OnMissing: func(s proto.DirState, ev proto.Event) {
 			h.missing = append(h.missing, fmt.Sprintf("dir: %v/%v", s, ev))
 		},
-		OnDispatch: func(s proto.DirState, ev proto.Event) { reach.Dir[s][ev-proto.EvGETS] = true },
+		OnDispatch: func(s proto.DirState, ev proto.Event) { h.reach.Dir[s][ev-proto.EvGETS] = true },
 	}, h.ch, h.meter, h.st)
 	h.dir.UsePool(pool)
 	home := func(mem.Addr) noc.NodeID { return dirNode }
@@ -451,7 +665,7 @@ func newHarness(cfg Config, reach *Reach) *harness {
 			OnMissing: func(s cache.State, ev proto.Event) {
 				h.missing = append(h.missing, fmt.Sprintf("l1 %d: %v/%v", i, proto.L1StateName(s), ev))
 			},
-			OnDispatch: func(s cache.State, ev proto.Event) { reach.L1[s][ev] = true },
+			OnDispatch: func(s cache.State, ev proto.Event) { h.reach.L1[s][ev] = true },
 		}, home, h.meter, h.st)
 		l1.UsePool(pool)
 		h.l1s = append(h.l1s, l1)
@@ -499,6 +713,9 @@ func (h *harness) seed() {
 // transaction field of the controllers zero, no directory line tracked, and
 // the statistics and energy the components share zeroed.
 func (h *harness) reset() {
+	if h.spoiled {
+		panic("check: rewinding a testbed whose last schedule failed")
+	}
 	h.eng.Reset()
 	h.net.Reset()
 	h.ch.Reset()
@@ -582,6 +799,7 @@ func (h *harness) run(steps []Step) (viol *Violation) {
 		if r := recover(); r != nil {
 			viol = &Violation{Kind: "panic", Detail: fmt.Sprint(r)}
 		}
+		h.spoiled = viol != nil
 	}()
 	h.stepVals = slices.Grow(h.stepVals[:0], len(steps))[:len(steps)]
 	clear(h.stepVals)

@@ -2,6 +2,8 @@ package check
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ghostwriter/internal/coherence/proto"
@@ -32,32 +34,103 @@ func testbedDiff(a, b *harness) string {
 	return ""
 }
 
-// RewindDifferential runs every schedule of cfg, which must be
-// violation-free, on a new testbed and on one testbed rewound between
-// schedules, and fails on the first schedule where the two differ — in
-// outcome, or in the table rows the two sides have dispatched so far.
-func RewindDifferential(t *testing.T, cfg Config) {
+// RewindDifferential runs every schedule of each cfg in turn on a new
+// testbed and on one testbed carried the way Explore's workers carry
+// theirs: taken from the free list, rewound before every later schedule,
+// dropped after a failed one (the next schedule takes another), and parked
+// after the config's last schedule — to be taken back, under the next
+// config's table, by the next config. It fails on the first schedule where
+// the two sides differ (in violation, in outcome, or in the table rows
+// dispatched so far), if the parked testbed does not come back, or if a
+// testbed that failed a schedule is parked. It returns how many schedules
+// failed.
+func RewindDifferential(t *testing.T, cfgs ...Config) (failed int) {
+	t.Helper()
+	var parked *harness
+	for _, cfg := range cfgs {
+		steps := make([]Step, cfg.Depth)
+		var freshReach, rewoundReach Reach
+		var rewound *harness
+		for idx, total := 0, cfg.schedules(); idx < total; idx++ {
+			cfg.schedule(idx, steps)
+			if rewound == nil {
+				rewound = takeHarness(cfg, &rewoundReach)
+				if parked != nil && rewound != parked {
+					t.Fatalf("%s: the testbed parked after the previous config was not taken back", cfg.Protocol.Name)
+				}
+				parked = nil
+			} else {
+				rewound.reset()
+			}
+			fresh := newHarness(cfg, &freshReach)
+			vf, vr := fresh.run(steps), rewound.run(steps)
+			if !reflect.DeepEqual(vf, vr) {
+				t.Fatalf("%s [%s]: violation on the new testbed: %v, on the rewound one: %v",
+					cfg.Protocol.Name, formatSchedule(steps), vf, vr)
+			}
+			if d := testbedDiff(fresh, rewound); d != "" {
+				t.Fatalf("%s [%s] (schedule %d): new vs rewound testbed: %s",
+					cfg.Protocol.Name, formatSchedule(steps), idx, d)
+			}
+			if freshReach != rewoundReach {
+				t.Fatalf("%s [%s] (schedule %d): new and rewound testbeds dispatched different rows:\n%+v\n%+v",
+					cfg.Protocol.Name, formatSchedule(steps), idx, freshReach, rewoundReach)
+			}
+			if vr != nil {
+				failed++
+				rewound = nil
+			}
+		}
+		if rewound != nil {
+			rewound.park()
+			parked = rewound
+		}
+	}
+	ParkedAreClean(t)
+	return failed
+}
+
+// ParkedAreClean fails if a parked testbed ran a failed schedule last, or
+// was not left quiesced by its last schedule: nothing half-run is parked.
+func ParkedAreClean(t *testing.T) {
+	t.Helper()
+	testbeds.Lock()
+	defer testbeds.Unlock()
+	for cores, free := range testbeds.free {
+		for i, h := range free {
+			busy := false
+			for _, l1 := range h.l1s {
+				busy = busy || l1.Busy() || l1.HasDeferredFwd()
+			}
+			if h.spoiled || busy || h.eng.Pending() != 0 || !h.dir.Quiesced() {
+				t.Errorf("parked %d-core testbed #%d is not clean: spoiled %v, L1 busy %v, %d events pending, directory quiesced %v",
+					cores, i, h.spoiled, busy, h.eng.Pending(), h.dir.Quiesced())
+			}
+		}
+	}
+}
+
+// ParkWarm parks n testbeds that have each run every schedule of cfg, which
+// must be violation-free: an exploration of cfg on up to n workers then
+// takes only warm testbeds, whichever workers get chunks.
+func ParkWarm(t *testing.T, cfg Config, n int) {
 	t.Helper()
 	steps := make([]Step, cfg.Depth)
-	var freshReach, rewoundReach Reach
-	rewound := newHarness(cfg, &rewoundReach)
-	for idx, total := 0, cfg.schedules(); idx < total; idx++ {
-		cfg.schedule(idx, steps)
-		if idx > 0 {
-			rewound.reset()
+	hs := make([]*harness, n)
+	for i := range hs {
+		hs[i] = takeHarness(cfg, &Reach{})
+		for idx := 0; idx < cfg.schedules(); idx++ {
+			if idx > 0 {
+				hs[i].reset()
+			}
+			cfg.schedule(idx, steps)
+			if v := hs[i].run(steps); v != nil {
+				t.Fatalf("[%s]: %v", formatSchedule(steps), v)
+			}
 		}
-		fresh := newHarness(cfg, &freshReach)
-		if vf, vr := fresh.run(steps), rewound.run(steps); vf != nil || vr != nil {
-			t.Fatalf("[%s]: violation on the new testbed: %v, on the rewound one: %v",
-				formatSchedule(steps), vf, vr)
-		}
-		if d := testbedDiff(fresh, rewound); d != "" {
-			t.Fatalf("[%s] (schedule %d): new vs rewound testbed: %s", formatSchedule(steps), idx, d)
-		}
-		if freshReach != rewoundReach {
-			t.Fatalf("[%s] (schedule %d): new and rewound testbeds dispatched different rows:\n%+v\n%+v",
-				formatSchedule(steps), idx, freshReach, rewoundReach)
-		}
+	}
+	for _, h := range hs {
+		h.park()
 	}
 }
 
@@ -83,14 +156,35 @@ func RewoundAllocs(t *testing.T, cfg Config) float64 {
 }
 
 // ExploreFresh is the reference Explore is compared against: the same
-// enumeration with a new testbed for every schedule.
+// enumeration in one loop, in index order, with a new testbed for every
+// schedule.
 func ExploreFresh(cfg Config) Result {
-	if cfg.MaxViolations == 0 {
-		cfg.MaxViolations = 8
+	return ExploreFreshAtCaps(cfg, cfg.MaxViolations)[0]
+}
+
+// ExploreFreshAtCaps returns ExploreFresh's Result under each violation cap
+// in limits (0 = 8), from one loop: the Result under a cap is the loop's
+// state right after the schedule that reached it, or at the end if none
+// did.
+func ExploreFreshAtCaps(cfg Config, limits ...int) []Result {
+	out := make([]Result, len(limits))
+	open := len(limits)
+	limits = slices.Clone(limits)
+	for i, limit := range limits {
+		if limit == 0 {
+			limits[i] = 8
+		}
 	}
 	res := Result{Schedules: cfg.schedules(), Fingerprint: fnvOffset}
+	done := make([]bool, len(limits))
+	snapshot := func(i int) {
+		out[i] = res
+		out[i].Violations = slices.Clone(res.Violations)
+		done[i] = true
+		open--
+	}
 	steps := make([]Step, cfg.Depth)
-	for idx := 0; idx < res.Schedules; idx++ {
+	for idx := 0; idx < res.Schedules && open > 0; idx++ {
 		cfg.schedule(idx, steps)
 		h := newHarness(cfg, &res.Reach)
 		v := h.run(steps)
@@ -103,11 +197,18 @@ func ExploreFresh(cfg Config) Result {
 		}
 		v.Schedule = append([]Step(nil), steps...)
 		res.Violations = append(res.Violations, *v)
-		if len(res.Violations) >= cfg.MaxViolations {
-			break
+		for i, limit := range limits {
+			if !done[i] && len(res.Violations) >= limit {
+				snapshot(i)
+			}
 		}
 	}
-	return res
+	for i := range limits {
+		if !done[i] {
+			snapshot(i)
+		}
+	}
+	return out
 }
 
 // SeededBugNames lists check_test.go's seeded table bugs.

@@ -285,6 +285,21 @@ func (d *Directory) Reset() {
 	d.dead = d.dead[:0]
 }
 
+// SetProtocol makes the directory interpret p from its next request on,
+// with the migratory detector run as NewDirectory would run it for p. It is
+// legal only on a reset directory (see Reset): no line is tracked, so no
+// detector state or transaction of the old table carries over.
+func (d *Directory) SetProtocol(p *proto.Protocol) {
+	if p == nil {
+		panic("coherence: Directory.SetProtocol: protocol is nil")
+	}
+	if d.lines.n != 0 {
+		panic(fmt.Sprintf("directory %d: SetProtocol with %d lines tracked", d.id, d.lines.n))
+	}
+	d.proto, d.cfg.Proto = p, p
+	d.detect = readsGuard(p, proto.DGMigratory)
+}
+
 // UsePool makes the directory draw its outbound messages from p (shared
 // machine-wide; see MsgPool for the ownership discipline). Without a pool
 // every message is a fresh allocation.

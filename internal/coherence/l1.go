@@ -182,6 +182,19 @@ func (l *L1) Reset() {
 	l.pendingDone, l.pendingVal = nil, 0
 }
 
+// SetProtocol makes the controller interpret p from its next event on. It
+// is legal only on a reset controller (see Reset): no state a rule of the
+// old table left may meet a rule of the new one.
+func (l *L1) SetProtocol(p *proto.Protocol) {
+	if p == nil {
+		panic("coherence: L1.SetProtocol: protocol is nil")
+	}
+	if l.Busy() || l.pendingFwd != nil || l.giBlocks > 0 {
+		panic(fmt.Sprintf("l1 %d: SetProtocol on a controller that was not reset", l.id))
+	}
+	l.proto, l.cfg.Proto = p, p
+}
+
 // UsePool makes the controller draw its outbound messages from p (shared
 // machine-wide; see MsgPool for the ownership discipline). Without a pool
 // every message is a fresh allocation.

@@ -125,7 +125,8 @@ type Options struct {
 	// Budget stops launching new mutants once exceeded (0 = unlimited);
 	// unstarted mutants classify as Skipped.
 	Budget time.Duration
-	// Workers caps the parallel mutant evaluations (0 = GOMAXPROCS).
+	// Workers caps the mutants evaluated at once (0 = GOMAXPROCS); each
+	// evaluation's explorations also deal their schedules to every core.
 	Workers int
 	// Grid overrides the default kill grid (nil = Grid(p)).
 	Grid []GridConfig
