@@ -27,17 +27,7 @@ const chaosWait = 30 * time.Second
 // newChaosClient returns a RemoteCache with fast retries for chaos tests.
 func newChaosClient(t *testing.T, url string) *RemoteCache {
 	t.Helper()
-	rc, err := NewRemoteCache(RemoteConfig{
-		URL:     url,
-		Timeout: 2 * time.Second,
-		Retries: 1,
-		Backoff: time.Millisecond,
-		Log:     io.Discard,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rc
+	return newTimedRemote(t, RemoteConfig{URL: url}, timing{timeout: 2 * time.Second, retries: 1, backoff: time.Millisecond})
 }
 
 // newChaosPool builds a fast-polling worker over a stubbed simulation.
@@ -51,7 +41,7 @@ func newChaosPool(id string, client WorkClient, batch int, exec func(Spec) (RunR
 		Batch:   batch,
 		Poll:    2 * time.Millisecond,
 		MaxPoll: 20 * time.Millisecond,
-		GiveUp:  20 * time.Second,
+		giveUp:  20 * time.Second,
 		Log:     io.Discard,
 	}
 }
@@ -463,19 +453,7 @@ func TestDispatchAgainstCacheOnlyServer(t *testing.T) {
 // health prober readopting the restarted server quickly.
 func newDurableChaosClient(t *testing.T, urls ...string) *RemoteCache {
 	t.Helper()
-	rc, err := NewRemoteCache(RemoteConfig{
-		URLs:    urls,
-		Timeout: 2 * time.Second,
-		Retries: 6,
-		Backoff: 10 * time.Millisecond,
-		Reprobe: 10 * time.Millisecond,
-		Log:     io.Discard,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rc.Close)
-	return rc
+	return newTimedRemote(t, RemoteConfig{URLs: urls}, timing{timeout: 2 * time.Second, retries: 6, backoff: 10 * time.Millisecond, reprobe: 10 * time.Millisecond})
 }
 
 // simCounter counts simulations per cell key — the exactly-once probe.

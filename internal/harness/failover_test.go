@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,18 +55,8 @@ func TestRemoteCacheReadoptsRestartedServer(t *testing.T) {
 	ts.Start()
 
 	var logBuf bytes.Buffer
-	rc, err := NewRemoteCache(RemoteConfig{
-		URL:     "http://" + addr,
-		Timeout: time.Second,
-		Retries: 1,
-		Backoff: time.Millisecond,
-		Reprobe: 10 * time.Millisecond,
-		Log:     &logBuf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := newTimedRemote(t, RemoteConfig{URL: "http://" + addr, Log: &logBuf},
+		timing{timeout: time.Second, retries: 1, backoff: time.Millisecond, reprobe: 10 * time.Millisecond})
 
 	key := backendKey(21)
 	if err := rc.Put(key, &RunResult{App: "probe", Cycles: 9}); err != nil {
@@ -111,18 +102,8 @@ func TestRemoteCacheFailsOverToStandby(t *testing.T) {
 	defer standby.Close()
 
 	var logBuf bytes.Buffer
-	rc, err := NewRemoteCache(RemoteConfig{
-		URLs:    []string{primary.URL, standby.URL},
-		Timeout: time.Second,
-		Retries: 1,
-		Backoff: time.Millisecond,
-		Reprobe: -1, // keep the primary dead once it dies
-		Log:     &logBuf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	rc := newTimedRemote(t, RemoteConfig{URLs: []string{primary.URL, standby.URL}, Log: &logBuf},
+		timing{timeout: time.Second, retries: 1, backoff: time.Millisecond})
 
 	key := backendKey(22)
 	if err := rc.Put(key, &RunResult{App: "failover", Cycles: 4}); err != nil {
@@ -146,15 +127,20 @@ func TestRemoteCacheFailsOverToStandby(t *testing.T) {
 	}
 }
 
-// TestDispatchHedgedFailover: a dispatch RPC against a wedged (not dead)
-// primary must be answered by the standby via the hedge, far sooner than
-// the primary's timeout-and-retry cycle would allow.
-func TestDispatchHedgedFailover(t *testing.T) {
+// TestDispatchFailsOverFromWedgedPrimary: a dispatch RPC against a wedged
+// (not dead) primary lands on the standby once the primary's full retry
+// cycle has timed out; the primary is then marked dead, so the next RPC
+// goes straight to the standby without waiting out another timeout.
+func TestDispatchFailsOverFromWedgedPrimary(t *testing.T) {
 	// The wedged primary accepts requests and never answers. It blocks on
 	// release (not only the request context: with an unread body the server
 	// cannot see the client hang up) so teardown can always free it.
 	release := make(chan struct{})
+	var wedgedRPCs atomic.Int64
 	wedged := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/healthz" {
+			wedgedRPCs.Add(1)
+		}
 		io.Copy(io.Discard, req.Body)
 		select {
 		case <-req.Context().Done():
@@ -163,33 +149,71 @@ func TestDispatchHedgedFailover(t *testing.T) {
 	}))
 	defer wedged.Close()
 	defer close(release)
-	standby := httptest.NewServer(NewServer(ServerConfig{Backend: NewMemCache(), Durable: newTable(t, time.Minute)}))
+	table := newTable(t, time.Minute)
+	standby := httptest.NewServer(NewServer(ServerConfig{Backend: NewMemCache(), Durable: table}))
 	defer standby.Close()
 
-	rc, err := NewRemoteCache(RemoteConfig{
-		URLs:    []string{wedged.URL, standby.URL},
-		Timeout: time.Second,
-		Retries: 1,
-		Backoff: time.Millisecond,
-		Hedge:   10 * time.Millisecond,
-		Reprobe: -1,
-		Log:     io.Discard,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
+	const timeout = 100 * time.Millisecond
+	rc := newTimedRemote(t, RemoteConfig{URLs: []string{wedged.URL, standby.URL}},
+		timing{timeout: timeout, retries: 1, backoff: time.Millisecond})
 
 	start := time.Now()
 	resp, err := rc.SubmitSweep(manifestItems(2))
 	elapsed := time.Since(start)
-	if err != nil || resp.Queued != 2 {
-		t.Fatalf("hedged submit = %+v, %v; want 2 queued", resp, err)
+	if err != nil || resp.Queued != 2 || table.Status().Total != 2 {
+		t.Fatalf("submit = %+v, %v (standby Total %d); want 2 queued on the standby", resp, err, table.Status().Total)
 	}
-	// Without the hedge the client would sit out the wedged primary's full
-	// retry cycle (2 × 1s timeouts) before trying the standby.
-	if elapsed >= time.Second {
-		t.Errorf("hedged submit took %v — the hedge never fired", elapsed)
+	if elapsed < 2*timeout {
+		t.Errorf("submit took %v, less than the primary's retry cycle (2 × %v)", elapsed, timeout)
+	}
+	if !rc.targets[0].dead.Load() || rc.Degraded() {
+		t.Fatalf("after the retry cycle: primary dead %v, degraded %v; want the primary dead and the standby live",
+			rc.targets[0].dead.Load(), rc.Degraded())
+	}
+
+	before := wedgedRPCs.Load()
+	start = time.Now()
+	claimed, err := rc.ClaimWork("w1", 2)
+	elapsed = time.Since(start)
+	if err != nil || len(claimed.Items) != 2 {
+		t.Fatalf("claim = %+v, %v; want both cells from the standby", claimed, err)
+	}
+	if got := wedgedRPCs.Load() - before; got != 0 {
+		t.Errorf("claim sent %d requests to the dead primary, want 0", got)
+	}
+	if elapsed >= timeout {
+		t.Errorf("claim took %v, want under one timeout (%v)", elapsed, timeout)
+	}
+}
+
+// TestSlowPrimaryIsNotBypassed: a primary that is slow but answering (a
+// stalled fsync, say) must get the request alone. Every gwcached owns its
+// own lease table, so a duplicate sent to the live standby would queue the
+// sweep, and lease its cells, on both.
+func TestSlowPrimaryIsNotBypassed(t *testing.T) {
+	primaryTable := newTable(t, time.Minute)
+	standbyTable := newTable(t, time.Minute)
+	inner := NewServer(ServerConfig{Backend: NewMemCache(), Durable: primaryTable})
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		time.Sleep(400 * time.Millisecond)
+		inner.ServeHTTP(w, req)
+	}))
+	defer primary.Close()
+	standby := httptest.NewServer(NewServer(ServerConfig{Backend: NewMemCache(), Durable: standbyTable}))
+	defer standby.Close()
+	rc := newTimedRemote(t, RemoteConfig{URLs: []string{primary.URL, standby.URL}}, timing{})
+
+	if _, err := rc.SubmitSweep(manifestItems(4)); err != nil {
+		t.Fatal(err)
+	}
+	if p, s := primaryTable.Status().Total, standbyTable.Status().Total; p != 4 || s != 0 {
+		t.Errorf("after one submit: primary Total %d, standby Total %d; want 4 and 0", p, s)
+	}
+	if _, err := rc.ClaimWork("w1", 4); err != nil {
+		t.Fatal(err)
+	}
+	if p, s := primaryTable.Status().Leased, standbyTable.Status().Leased; p != 4 || s != 0 {
+		t.Errorf("after one claim: primary Leased %d, standby Leased %d; want 4 and 0", p, s)
 	}
 }
 

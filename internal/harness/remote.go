@@ -16,24 +16,27 @@ import (
 	"time"
 )
 
-// Remote-client defaults; every knob is overridable through RemoteConfig.
+// Remote-client timing. In-package tests shorten it on a fresh client.
 const (
-	defaultRemoteTimeout = 5 * time.Second
-	defaultRemoteRetries = 2
-	defaultRemoteBackoff = 50 * time.Millisecond
-	// defaultRemoteReprobe is how often a dead server is re-probed for
-	// recovery; a restarted gwcached is readopted within one period.
-	defaultRemoteReprobe = 2 * time.Second
-	// defaultRemoteHedge is the hedged-dispatch delay with multiple
-	// servers: if the preferred server has not answered a dispatch RPC
-	// within it, the same request also races against the next server.
-	defaultRemoteHedge = 250 * time.Millisecond
+	// remoteTimeout bounds one HTTP request.
+	remoteTimeout = 5 * time.Second
+	// remoteRetries is how often a failed request is retried against one
+	// server (3 attempts in all), with exponential backoff from
+	// remoteBackoff plus up to 100% jitter.
+	remoteRetries = 2
+	remoteBackoff = 50 * time.Millisecond
+	// remoteReprobe is how often a dead server is re-probed for recovery;
+	// a restarted gwcached is readopted within one period.
+	remoteReprobe = 2 * time.Second
 	// maxEntryBytes bounds one cache entry on the wire (a RunResult is a
 	// few KB of JSON; 16 MiB is far beyond any legitimate entry).
 	maxEntryBytes = 16 << 20
 )
 
-// RemoteConfig configures a RemoteCache client.
+// RemoteConfig configures a RemoteCache client: which servers it talks
+// to and where its notices go. Its timing is fixed — a 5 s request
+// timeout, three attempts per server with 50 ms exponential backoff, and a
+// 2 s re-probe of dead servers — because no deployment has needed another.
 type RemoteConfig struct {
 	// URL is the gwcached base URL, e.g. "http://cachehost:8344".
 	URL string
@@ -42,22 +45,6 @@ type RemoteConfig struct {
 	// over when it dies, and readopts it when a health probe sees it
 	// recover. When set, URL is ignored.
 	URLs []string
-	// Timeout bounds one HTTP request (default 5s).
-	Timeout time.Duration
-	// Retries is how many times a failed request is retried before the
-	// client gives up on it (default 2, so 3 attempts total). Retries use
-	// exponential backoff with jitter.
-	Retries int
-	// Backoff is the first retry's base delay (default 50ms); each further
-	// retry doubles it, and up to 100% jitter is added on top.
-	Backoff time.Duration
-	// Reprobe is the dead-server re-probe period (default 2s); negative
-	// disables re-probing (a dead server then stays dead, the pre-failover
-	// behaviour).
-	Reprobe time.Duration
-	// Hedge is the hedged-dispatch delay (default 250ms, meaningful only
-	// with several URLs); negative disables hedging.
-	Hedge time.Duration
 	// Log receives degradation/failover/readoption notices (default
 	// os.Stderr).
 	Log io.Writer
@@ -70,25 +57,29 @@ type remoteTarget struct {
 }
 
 // RemoteCache is a CacheBackend backed by one or more gwcached servers:
-// GET/PUT /v1/cell/<key> with JSON RunResult bodies against the first
-// healthy server in preference order. Requests are retried with
-// exponential backoff plus jitter; a server that stays unreachable through
-// a full retry cycle is marked dead and traffic fails over to the next.
-// Dead servers are re-probed in the background (GET /healthz) and
-// readopted when they recover, so a gwcached restart costs a sweep a brief
-// degradation, never the rest of the process. Only when every server is
-// dead does the client degrade to a local-only no-op — and even then the
-// prober keeps watching.
+// GET/PUT /v1/cell/<key> with JSON RunResult bodies, plus the fleet
+// dispatch RPCs. Every request takes one path, send: the servers are tried
+// one at a time in preference order, each through a full retry cycle
+// (exponential backoff plus jitter), and the first answer wins. A request
+// never goes to a second server while the first may still answer: every
+// gwcached owns its own lease table, so a duplicate would queue or lease
+// the same cells twice. A server that stays unreachable through its retry
+// cycle is marked dead. Dead servers are re-probed in the background
+// (GET /healthz) and readopted when they recover, so a gwcached restart
+// costs a sweep a brief degradation, never the rest of the process. Only
+// when every server is dead does cell traffic degrade to a local-only
+// no-op — and even then the prober keeps watching.
 //
 // A RemoteCache is safe for concurrent use by the Runner's workers.
 type RemoteCache struct {
 	base    string // preferred (first) server, for messages and stats
 	targets []*remoteTarget
+	// client (Timeout remoteTimeout), retries, backoff and reprobe start at
+	// the constants above; only in-package tests shorten them.
 	client  *http.Client
 	retries int
 	backoff time.Duration
 	reprobe time.Duration
-	hedge   time.Duration
 	log     io.Writer
 
 	// healthMu serializes health transitions (markDead on request
@@ -117,10 +108,10 @@ func NewRemoteCache(cfg RemoteConfig) (*RemoteCache, error) {
 		urls = []string{cfg.URL}
 	}
 	c := &RemoteCache{
-		retries: cfg.Retries,
-		backoff: cfg.Backoff,
-		reprobe: cfg.Reprobe,
-		hedge:   cfg.Hedge,
+		client:  &http.Client{Timeout: remoteTimeout},
+		retries: remoteRetries,
+		backoff: remoteBackoff,
+		reprobe: remoteReprobe,
 		log:     cfg.Log,
 		closed:  make(chan struct{}),
 	}
@@ -135,26 +126,9 @@ func NewRemoteCache(cfg RemoteConfig) (*RemoteCache, error) {
 		c.targets = append(c.targets, &remoteTarget{base: strings.TrimRight(raw, "/")})
 	}
 	c.base = c.targets[0].base
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = defaultRemoteTimeout
-	}
-	if c.retries <= 0 {
-		c.retries = defaultRemoteRetries
-	}
-	if c.backoff <= 0 {
-		c.backoff = defaultRemoteBackoff
-	}
-	if c.reprobe == 0 {
-		c.reprobe = defaultRemoteReprobe
-	}
-	if c.hedge == 0 {
-		c.hedge = defaultRemoteHedge
-	}
 	if c.log == nil {
 		c.log = os.Stderr
 	}
-	c.client = &http.Client{Timeout: timeout}
 	return c, nil
 }
 
@@ -177,24 +151,6 @@ func (c *RemoteCache) firstAlive() *remoteTarget {
 		}
 	}
 	return nil
-}
-
-// candidates returns targets in dispatch preference order: healthy ones
-// first (in configured order), then — only when none are healthy — every
-// target, because fleet-dispatch traffic must keep knocking through a
-// full outage rather than fail fast (the WorkerPool's patience window
-// rides on it).
-func (c *RemoteCache) candidates() []*remoteTarget {
-	alive := make([]*remoteTarget, 0, len(c.targets))
-	for _, t := range c.targets {
-		if !t.dead.Load() {
-			alive = append(alive, t)
-		}
-	}
-	if len(alive) > 0 {
-		return alive
-	}
-	return append(alive, c.targets...)
 }
 
 // logf writes one health notice. The caller holds healthMu.
@@ -239,9 +195,6 @@ func (c *RemoteCache) revive(t *remoteTarget) {
 // ensureProber starts the background health re-probe loop if it is not
 // already running; the loop exits once every server is healthy again.
 func (c *RemoteCache) ensureProber() {
-	if c.reprobe < 0 {
-		return
-	}
 	select {
 	case <-c.closed:
 		return
@@ -314,7 +267,7 @@ func (c *RemoteCache) Get(key string) (*RunResult, bool) {
 	if c.Degraded() || !ValidKey(key) {
 		return nil, false
 	}
-	body, status, err := c.do(http.MethodGet, key, nil)
+	body, status, err := c.send(http.MethodGet, "/v1/cell/"+key, nil, false)
 	if err != nil {
 		return nil, false
 	}
@@ -343,58 +296,69 @@ func (c *RemoteCache) Put(key string, r *RunResult) error {
 	if c.Degraded() {
 		return nil
 	}
+	return c.putCell("remote cache put", key, r, false)
+}
+
+// CompleteWork publishes a finished cell and thereby marks it done on the
+// dispatcher — the same idempotent PUT as Put, but patient, so a worker
+// keeps completing cells across a gwcached restart.
+func (c *RemoteCache) CompleteWork(key string, r *RunResult) error {
+	return c.putCell("complete", key, r, true)
+}
+
+// putCell marshals r and PUTs it under key; op names the caller in errors.
+func (c *RemoteCache) putCell(op, key string, r *RunResult, patient bool) error {
 	if !ValidKey(key) {
-		return fmt.Errorf("harness: remote cache put: malformed key %q", key)
+		return fmt.Errorf("harness: %s: malformed key %q", op, key)
 	}
 	b, err := json.Marshal(r)
 	if err != nil {
-		return fmt.Errorf("harness: remote cache put: %w", err)
+		return fmt.Errorf("harness: %s: %w", op, err)
 	}
-	_, status, err := c.do(http.MethodPut, key, b)
+	body, status, err := c.send(http.MethodPut, "/v1/cell/"+key, b, patient)
 	if err != nil {
-		return fmt.Errorf("harness: remote cache put: %w", err)
+		return fmt.Errorf("harness: %s: %w", op, err)
 	}
 	if status/100 != 2 {
 		c.errs.Add(1)
-		return fmt.Errorf("harness: remote cache put: server returned %d", status)
+		return fmt.Errorf("harness: %s: server returned %d: %s", op, status, strings.TrimSpace(string(body)))
 	}
 	c.puts.Add(1)
 	return nil
 }
 
-// do issues one cell request against the healthy servers in preference
-// order: a server that fails at the transport level is marked dead and the
-// next one is tried, so cell traffic follows the same election the
-// dispatch RPCs use. It fails only when every server has been marked dead
-// (local tiers take over) or a server answers with a decided error.
-func (c *RemoteCache) do(method, key string, body []byte) ([]byte, int, error) {
-	var lastErr error
-	for {
-		t := c.firstAlive()
-		if t == nil {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("harness: remote cache: no reachable server")
-			}
-			return nil, 0, lastErr
+// errNoServer is send's answer when no server was tried at all.
+var errNoServer = errors.New("harness: remote cache: no reachable server")
+
+// send is the one request path: it tries the live servers one at a time
+// in preference order, each through roundTrip's full retry cycle, and
+// returns the first answer. A server whose cycle fails hands the request
+// to the next; the cycle marks it dead when the failure was at the
+// transport level. Patient requests — the dispatch RPCs, whose worker has
+// no local fallback and must ride out an outage inside the WorkerPool's
+// patience window — try every server when all are dead; cell traffic then
+// fails at once and the local tiers take over.
+func (c *RemoteCache) send(method, path string, body []byte, patient bool) ([]byte, int, error) {
+	err := errNoServer
+	all := patient && c.Degraded()
+	for _, t := range c.targets {
+		if !all && t.dead.Load() {
+			continue
 		}
-		b, status, err := c.roundTrip(method, t, "/v1/cell/"+key, body)
-		if err == nil {
+		b, status, rerr := c.roundTrip(method, t, path, body)
+		if rerr == nil {
 			return b, status, nil
 		}
-		lastErr = err
-		if !t.dead.Load() {
-			// Decided failure (e.g. persistent 5xx) from a live server:
-			// failing over would retry a request the server understood.
-			return nil, 0, lastErr
-		}
+		err = rerr
 	}
+	return nil, 0, err
 }
 
 // roundTrip issues one request against t with bounded retries. Transport
 // errors and 5xx responses are retried with exponential backoff + jitter;
 // 2xx/4xx are returned to the caller. When the final failure was at the
 // transport level the server is unreachable: it is marked dead (waking the
-// re-probe loop) so callers fail over. A response from a dead-marked
+// re-probe loop) so later requests skip it. A response from a dead-marked
 // server readopts it — successful traffic is the strongest health probe.
 func (c *RemoteCache) roundTrip(method string, t *remoteTarget, path string, body []byte) ([]byte, int, error) {
 	endpoint := t.base + path
@@ -471,68 +435,8 @@ type RemoteStats struct {
 // has no Durable lease table.
 var ErrNoDispatcher = errors.New("harness: remote server has no work dispatcher")
 
-// dispatchResult is one server's answer to a (possibly hedged) RPC.
-type dispatchResult struct {
-	body   []byte
-	status int
-	err    error
-}
-
-// dispatchRoundTrip runs one fleet-dispatch RPC against the elected
-// server, with failover and hedging: the preferred candidate is tried
-// first; if it errors — or simply has not answered within the hedge delay
-// — the request also goes to the next candidate, and the first response
-// wins. Dispatch RPCs are safe to hedge: claims that double-grant are
-// healed by lease expiry, and completions are idempotent. Unlike cell
-// traffic this path never degrades permanently — a worker has no local
-// fallback and must ride out a full outage (its WorkerPool supplies the
-// patience window), so with every server dead it still knocks on each.
-func (c *RemoteCache) dispatchRoundTrip(method, path string, body []byte) ([]byte, int, error) {
-	cands := c.candidates()
-	results := make(chan dispatchResult, len(cands))
-	launched := 0
-	launch := func() {
-		t := cands[launched]
-		launched++
-		go func() {
-			b, status, err := c.roundTrip(method, t, path, body)
-			results <- dispatchResult{b, status, err}
-		}()
-	}
-	launch()
-	var hedgeC <-chan time.Time
-	if c.hedge > 0 && launched < len(cands) {
-		timer := time.NewTimer(c.hedge)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	var lastErr error
-	for pending := 1; pending > 0; {
-		select {
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				return r.body, r.status, nil
-			}
-			lastErr = r.err
-			if launched < len(cands) {
-				launch()
-				pending++
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < len(cands) {
-				launch()
-				pending++
-			}
-		}
-	}
-	return nil, 0, lastErr
-}
-
-// dispatchJSON runs one fleet-dispatch RPC: JSON in, JSON out, bounded
-// retries per server, failover + hedging across servers, no permanent
-// degradation (see dispatchRoundTrip).
+// dispatchJSON runs one fleet-dispatch RPC: JSON in, JSON out, through
+// send's patient failover.
 func (c *RemoteCache) dispatchJSON(method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -542,7 +446,7 @@ func (c *RemoteCache) dispatchJSON(method, path string, in, out any) error {
 		}
 		body = b
 	}
-	respBody, status, err := c.dispatchRoundTrip(method, path, body)
+	respBody, status, err := c.send(method, path, body, true)
 	if err != nil {
 		return fmt.Errorf("harness: dispatch %s: %w", path, err)
 	}
@@ -588,30 +492,6 @@ func (c *RemoteCache) SweepStatus() (SweepStatus, error) {
 	var out SweepStatus
 	err := c.dispatchJSON(http.MethodGet, "/v1/sweep", nil, &out)
 	return out, err
-}
-
-// CompleteWork publishes a finished cell and thereby marks it done on the
-// dispatcher — the same idempotent PUT as the cache tier's Put, but on the
-// non-degrading dispatch path (with failover and hedging) so a worker can
-// keep completing cells across a gwcached restart.
-func (c *RemoteCache) CompleteWork(key string, r *RunResult) error {
-	if !ValidKey(key) {
-		return fmt.Errorf("harness: complete: malformed key %q", key)
-	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("harness: complete: %w", err)
-	}
-	body, status, err := c.dispatchRoundTrip(http.MethodPut, "/v1/cell/"+key, b)
-	if err != nil {
-		return fmt.Errorf("harness: complete: %w", err)
-	}
-	if status/100 != 2 {
-		c.errs.Add(1)
-		return fmt.Errorf("harness: complete: server returned %d: %s", status, strings.TrimSpace(string(body)))
-	}
-	c.puts.Add(1)
-	return nil
 }
 
 // RemoteStats returns the client's counters; the bool is always true and

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,41 @@ import (
 	"time"
 )
 
+// timing is the RemoteCache timing a test shortens the production
+// constants to; a zero field keeps its constant.
+type timing struct {
+	timeout          time.Duration
+	retries          int
+	backoff, reprobe time.Duration
+}
+
+// newTimedRemote builds a client from cfg with the given timing, closed
+// when the test ends. Log defaults to io.Discard.
+func newTimedRemote(t *testing.T, cfg RemoteConfig, tm timing) *RemoteCache {
+	t.Helper()
+	if cfg.Log == nil {
+		cfg.Log = io.Discard
+	}
+	rc, err := NewRemoteCache(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rc.Close)
+	if tm.timeout > 0 {
+		rc.client.Timeout = tm.timeout
+	}
+	if tm.retries > 0 {
+		rc.retries = tm.retries
+	}
+	if tm.backoff > 0 {
+		rc.backoff = tm.backoff
+	}
+	if tm.reprobe > 0 {
+		rc.reprobe = tm.reprobe
+	}
+	return rc
+}
+
 // newTestRemote starts a gwcached-equivalent server over a MemCache and
 // returns a client for it with test-friendly (fast) retry settings.
 func newTestRemote(t *testing.T) (*httptest.Server, *MemCache, *RemoteCache) {
@@ -17,16 +53,7 @@ func newTestRemote(t *testing.T) (*httptest.Server, *MemCache, *RemoteCache) {
 	store := NewMemCache()
 	ts := httptest.NewServer(NewServer(ServerConfig{Backend: store}))
 	t.Cleanup(ts.Close)
-	rc, err := NewRemoteCache(RemoteConfig{
-		URL:     ts.URL,
-		Timeout: 2 * time.Second,
-		Retries: 2,
-		Backoff: time.Millisecond,
-		Log:     &bytes.Buffer{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := newTimedRemote(t, RemoteConfig{URL: ts.URL}, timing{timeout: 2 * time.Second, retries: 2, backoff: time.Millisecond})
 	return ts, store, rc
 }
 
@@ -80,16 +107,7 @@ func TestRemoteCacheUnreachableDegradesOnce(t *testing.T) {
 	ts.Close() // nothing listens here anymore
 
 	var logBuf bytes.Buffer
-	rc, err := NewRemoteCache(RemoteConfig{
-		URL:     url,
-		Timeout: time.Second,
-		Retries: 1,
-		Backoff: time.Millisecond,
-		Log:     &logBuf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := newTimedRemote(t, RemoteConfig{URL: url, Log: &logBuf}, timing{timeout: time.Second, retries: 1, backoff: time.Millisecond})
 	key := backendKey(11)
 	if _, ok := rc.Get(key); ok {
 		t.Fatal("dead server reported a hit")
@@ -129,15 +147,7 @@ func TestRemoteCacheRetriesFlakyServer(t *testing.T) {
 		inner.ServeHTTP(w, req)
 	}))
 	defer ts.Close()
-	rc, err := NewRemoteCache(RemoteConfig{
-		URL:     ts.URL,
-		Retries: 3,
-		Backoff: time.Millisecond,
-		Log:     &bytes.Buffer{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := newTimedRemote(t, RemoteConfig{URL: ts.URL}, timing{retries: 3, backoff: time.Millisecond})
 	key := backendKey(12)
 	if err := rc.Put(key, &RunResult{Cycles: 3}); err != nil {
 		t.Fatalf("Put through flaky server failed: %v", err)
@@ -182,10 +192,7 @@ func TestRunnerWarmRemoteColdDisk(t *testing.T) {
 	}
 
 	// Host B: cold local disk, same server → zero simulations.
-	rcB, err := NewRemoteCache(RemoteConfig{URL: rc.base, Backoff: time.Millisecond, Log: &bytes.Buffer{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rcB := newTimedRemote(t, RemoteConfig{URL: rc.base}, timing{backoff: time.Millisecond})
 	diskB, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -11,12 +11,15 @@ import (
 	"time"
 )
 
-// Worker-loop defaults; every knob is overridable on the WorkerPool.
+// Worker-loop defaults for the WorkerPool's fields, and its patience.
 const (
 	defaultWorkerBatch   = 4
 	defaultWorkerPoll    = 200 * time.Millisecond
 	defaultWorkerMaxPoll = 5 * time.Second
-	defaultWorkerGiveUp  = time.Minute
+	// workerGiveUp bounds how long consecutive claim failures are
+	// tolerated before the worker exits with an error. Failures within
+	// the window — a server restart, a network blip — are retried.
+	workerGiveUp = time.Minute
 	// maxBackoffShift caps the exponential poll growth.
 	maxBackoffShift = 6
 )
@@ -57,7 +60,7 @@ type WorkerStats struct {
 // a background heartbeat while a batch simulates. Empty claims (the queue
 // is drained or momentarily contended) back off exponentially with jitter;
 // the loop exits cleanly when the sweep completes, when ctx is cancelled,
-// or — after a patience window, so a gwcached restart never kills a
+// or — after a minute's patience, so a gwcached restart never kills a
 // worker — when the server stays unreachable.
 //
 // The zero value is not usable: Runner and Client are required. All other
@@ -76,10 +79,6 @@ type WorkerPool struct {
 	// up to 100% jitter so a fleet does not poll in lockstep.
 	Poll    time.Duration
 	MaxPoll time.Duration
-	// GiveUp bounds how long consecutive claim failures are tolerated
-	// before the worker exits with an error (default 1m). Failures within
-	// the window — a server restart, a network blip — are retried.
-	GiveUp time.Duration
 	// IdleExit, when positive, exits the worker after that long without
 	// receiving any work — e.g. no manifest was ever submitted, or the
 	// remaining cells are leased to other workers indefinitely. Zero waits
@@ -87,6 +86,10 @@ type WorkerPool struct {
 	IdleExit time.Duration
 	// Log receives worker lifecycle notices (default os.Stderr).
 	Log io.Writer
+
+	// giveUp, when positive, replaces workerGiveUp; in-package tests
+	// shorten it.
+	giveUp time.Duration
 
 	claimed, completed, failed, abandoned atomic.Uint64
 	lost                                  atomic.Uint64
@@ -113,7 +116,7 @@ func defaultWorkerID() string {
 }
 
 // Run claims and simulates cells until the sweep completes, ctx is
-// cancelled, or the server stays unreachable past GiveUp. The returned
+// cancelled, or the server stays unreachable past workerGiveUp. The returned
 // stats are valid in every case, so a dying worker still reports what it
 // finished.
 func (p *WorkerPool) Run(ctx context.Context) (WorkerStats, error) {
@@ -128,9 +131,9 @@ func (p *WorkerPool) Run(ctx context.Context) (WorkerStats, error) {
 	if batch <= 0 {
 		batch = defaultWorkerBatch
 	}
-	giveUp := p.GiveUp
+	giveUp := p.giveUp
 	if giveUp <= 0 {
-		giveUp = defaultWorkerGiveUp
+		giveUp = workerGiveUp
 	}
 	var (
 		emptyPolls   int

@@ -56,7 +56,7 @@ func newStubWorker(id string, client WorkClient, batch int) *WorkerPool {
 		Batch:   batch,
 		Poll:    time.Millisecond,
 		MaxPoll: 5 * time.Millisecond,
-		GiveUp:  5 * time.Second,
+		giveUp:  5 * time.Second,
 		Log:     io.Discard,
 	}
 }
@@ -165,7 +165,7 @@ func (failingClient) CompleteWork(string, *RunResult) error {
 // that never comes back ends the worker with an error, not a hang.
 func TestWorkerPoolGivesUpEventually(t *testing.T) {
 	p := newStubWorker("orphan", failingClient{}, 1)
-	p.GiveUp = 30 * time.Millisecond
+	p.giveUp = 30 * time.Millisecond
 	done := make(chan error, 1)
 	go func() {
 		_, err := p.Run(context.Background())
