@@ -23,7 +23,6 @@ import (
 	ptable "ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/harness"
 	"ghostwriter/internal/prof"
-	"ghostwriter/internal/quality"
 	"ghostwriter/internal/stats"
 	"ghostwriter/internal/workloads"
 )
@@ -107,15 +106,16 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	cfg := ghostwriter.Config{
-		Protocol:          ghostwriter.Protocol(*proto),
-		GITimeout:         *timeout,
-		ErrorBound:        uint32(*bound),
-		AdaptiveGITimeout: *adaptGI,
-		Topo:              *topo,
-		Nodes:             *nodes,
-	}
-	if err := run(stdout, *app, *d, *threads, *scale, cfg, *cores, *nocHot); err != nil {
+	spec := harness.Spec{App: *app, Scale: *scale, Threads: *threads, DDist: *d,
+		Config: ghostwriter.Config{
+			Protocol:          ghostwriter.Protocol(*proto),
+			GITimeout:         *timeout,
+			ErrorBound:        uint32(*bound),
+			AdaptiveGITimeout: *adaptGI,
+			Topo:              *topo,
+			Nodes:             *nodes,
+		}}
+	if err := run(stdout, spec, *cores, *nocHot); err != nil {
 		fmt.Fprintln(stderr, "ghostwriter:", err)
 		return 1
 	}
@@ -147,32 +147,20 @@ func autotune(w io.Writer, name string, scale, threads int, targetPct float64) e
 	return nil
 }
 
-// run simulates one application under cfg and prints its report. An unnamed
-// protocol is the d-distance's: ghostwriter for d > 0, mesi for d = 0.
-func run(w io.Writer, name string, d, threads, scale int, cfg ghostwriter.Config, cores, nocHot bool) error {
-	f, err := workloads.Lookup(name)
+// run simulates one cell through the harness's one execution path and
+// prints its report from the result; the system it ran on supplies only the
+// resolved protocol name and the -cores and -noc breakdowns.
+func run(w io.Writer, spec harness.Spec, cores, nocHot bool) error {
+	res, sys, err := harness.Simulate(spec)
 	if err != nil {
 		return err
 	}
-	if cfg.Protocol == "" && d > 0 {
-		cfg.Protocol = ghostwriter.Ghostwriter
-	}
-	appInst := f.New(scale)
-	ddist := d
-	if ddist == 0 {
-		ddist = -1
-	}
-	appInst.SetDDist(ddist)
-	sys := ghostwriter.New(cfg)
-	appInst.Prepare(sys)
-	cycles := sys.Run(threads, appInst.Kernel)
-	st := sys.Stats()
-	e := sys.Energy()
-	errPct := quality.Measure(f.Metric, appInst.Output(sys), appInst.Golden())
+	f, _ := workloads.Lookup(res.App) // Simulate found it
+	st, e := &res.Stats, &res.Energy
 
 	fmt.Fprintf(w, "%s (%s, %s) — %s, d-distance %d, %d threads, scale %d\n",
-		f.Name, f.Suite, f.Domain, cfg.Protocol, d, threads, scale)
-	fmt.Fprintf(w, "%-26s %d\n", "cycles", cycles)
+		res.App, res.Suite, f.Domain, sys.Protocol(), res.DDist, res.Threads, spec.Scale)
+	fmt.Fprintf(w, "%-26s %d\n", "cycles", res.Cycles)
 	fmt.Fprintf(w, "%-26s %d loads, %d stores, %d scribbles\n", "core ops",
 		st.Loads, st.Stores, st.Scribbles)
 	fmt.Fprintf(w, "%-26s %.2f%% loads, %.2f%% stores\n", "L1 miss rate",
@@ -183,7 +171,7 @@ func run(w io.Writer, name string, d, threads, scale int, cfg ghostwriter.Config
 	}
 	fmt.Fprintf(w, " total=%d\n", st.TotalMsgs())
 	fmt.Fprintf(w, "%-26s %d flit-hops\n", "NoC", st.FlitHops)
-	if d > 0 {
+	if res.DDist > 0 {
 		fmt.Fprintf(w, "%-26s %d entries, %d serviced (%.1f%% of S-store misses)\n", "GS",
 			st.GSEntries, st.ServicedByGS, pct(st.ServicedByGS, st.StoresOnS))
 		fmt.Fprintf(w, "%-26s %d entries, %d serviced (%.1f%% of I-store misses), %d timeouts\n", "GI",
@@ -192,7 +180,7 @@ func run(w io.Writer, name string, d, threads, scale int, cfg ghostwriter.Config
 	}
 	fmt.Fprintf(w, "%-26s %.1f nJ memory + %.1f nJ network = %.1f nJ\n", "dynamic energy",
 		e.MemoryPJ/1000, e.NetworkPJ/1000, e.TotalPJ()/1000)
-	fmt.Fprintf(w, "%-26s %.4f%% (%s)\n", "output error", errPct, f.Metric)
+	fmt.Fprintf(w, "%-26s %.4f%% (%s)\n", "output error", res.ErrorPct, res.Metric)
 	if cores {
 		fmt.Fprintf(w, "\n%6s %6s %10s %12s %12s %12s %12s\n",
 			"thread", "core", "ops", "mem cyc", "compute cyc", "barrier cyc", "finish")

@@ -1,6 +1,7 @@
 // Command gwplot renders the paper's figures as terminal bar charts, either
 // from a JSON report produced by `gwsweep -json` or by running the
-// evaluation directly.
+// evaluation directly. It draws the sections the report carries, so a report
+// of one experiment (`gwsweep -exp fig12 -json`) draws that figure alone.
 //
 //	gwsweep -json report.json && gwplot -in report.json
 //	gwplot -threads 8            # run + plot in one go
@@ -10,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -29,12 +31,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gwplot:", err)
 		os.Exit(1)
 	}
-	render(rep)
+	render(os.Stdout, rep)
 }
 
 func load(path string, opt harness.Options) (*harness.Report, error) {
 	if path == "" {
-		return harness.NewRunner(0).BuildReport(opt)
+		return harness.NewRunner(0).RunExperiment(io.Discard, "all", opt)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -48,8 +50,17 @@ func load(path string, opt harness.Options) (*harness.Report, error) {
 	return &rep, nil
 }
 
-func render(rep *harness.Report) {
-	w := os.Stdout
+// render draws, blank-line separated, every chart the report has bars
+// for, then the sweep cost.
+func render(w io.Writer, rep *harness.Report) {
+	sep := ""
+	draw := func(cfg plot.Config, bars []plot.Bar) {
+		if len(bars) > 0 {
+			fmt.Fprint(w, sep)
+			plot.HBar(w, cfg, bars)
+			sep = "\n"
+		}
+	}
 
 	var naive, priv []plot.Bar
 	for _, p := range rep.Fig1 {
@@ -57,17 +68,14 @@ func render(rep *harness.Report) {
 		naive = append(naive, plot.Bar{Label: label, Value: p.NaiveSpeedup})
 		priv = append(priv, plot.Bar{Label: label, Value: p.PrivatizedSpeed})
 	}
-	plot.HBar(w, plot.Config{Title: "Fig. 1a — naive dot product speedup (Listing 1)", Unit: "x"}, naive)
-	fmt.Fprintln(w)
-	plot.HBar(w, plot.Config{Title: "Fig. 1b — privatized dot product speedup (Listing 2)", Unit: "x"}, priv)
-	fmt.Fprintln(w)
+	draw(plot.Config{Title: "Fig. 1a — naive dot product speedup (Listing 1)", Unit: "x"}, naive)
+	draw(plot.Config{Title: "Fig. 1b — privatized dot product speedup (Listing 2)", Unit: "x"}, priv)
 
 	var sim8 []plot.Bar
 	for _, r := range rep.Fig2 {
 		sim8 = append(sim8, plot.Bar{Label: r.App, Value: r.CDF[8] * 100})
 	}
-	plot.HBar(w, plot.Config{Title: "Fig. 2 — stores within 8-distance of the overwritten value", Unit: "%", Max: 100}, sim8)
-	fmt.Fprintln(w)
+	draw(plot.Config{Title: "Fig. 2 — stores within 8-distance of the overwritten value", Unit: "%", Max: 100}, sim8)
 
 	var gs, gi, traffic, energy, speedup, errBars []plot.Bar
 	for _, s := range rep.Suite {
@@ -78,18 +86,12 @@ func render(rep *harness.Report) {
 		speedup = append(speedup, plot.Bar{Label: s.App, Value: s.Speedup8Pct})
 		errBars = append(errBars, plot.Bar{Label: s.App, Value: s.Error8Pct})
 	}
-	plot.HBar(w, plot.Config{Title: "Fig. 7a — S-store misses serviced by GS (d=8)", Unit: "%", Max: 100}, gs)
-	fmt.Fprintln(w)
-	plot.HBar(w, plot.Config{Title: "Fig. 7b — I-store misses serviced by GI (d=8)", Unit: "%", Max: 100}, gi)
-	fmt.Fprintln(w)
-	plot.HBar(w, plot.Config{Title: "Fig. 8 — coherence traffic reduction (d=8)", Unit: "%"}, traffic)
-	fmt.Fprintln(w)
-	plot.HBar(w, plot.Config{Title: "Fig. 9 — dynamic energy saved (d=8)", Unit: "%"}, energy)
-	fmt.Fprintln(w)
-	plot.HBar(w, plot.Config{Title: "Fig. 10 — speedup (d=8)", Unit: "%"}, speedup)
-	fmt.Fprintln(w)
-	plot.HBar(w, plot.Config{Title: "Fig. 11 — output error (d=8)", Unit: "%"}, errBars)
-	fmt.Fprintln(w)
+	draw(plot.Config{Title: "Fig. 7a — S-store misses serviced by GS (d=8)", Unit: "%", Max: 100}, gs)
+	draw(plot.Config{Title: "Fig. 7b — I-store misses serviced by GI (d=8)", Unit: "%", Max: 100}, gi)
+	draw(plot.Config{Title: "Fig. 8 — coherence traffic reduction (d=8)", Unit: "%"}, traffic)
+	draw(plot.Config{Title: "Fig. 9 — dynamic energy saved (d=8)", Unit: "%"}, energy)
+	draw(plot.Config{Title: "Fig. 10 — speedup (d=8)", Unit: "%"}, speedup)
+	draw(plot.Config{Title: "Fig. 11 — output error (d=8)", Unit: "%"}, errBars)
 
 	var giUtil, giErr []plot.Bar
 	for _, p := range rep.Fig12 {
@@ -97,28 +99,21 @@ func render(rep *harness.Report) {
 		giUtil = append(giUtil, plot.Bar{Label: label, Value: p.GIFracPct})
 		giErr = append(giErr, plot.Bar{Label: label, Value: p.ErrorPct})
 	}
-	plot.HBar(w, plot.Config{Title: "Fig. 12a — GI utilization vs timeout (bad_dot_product, d=4)", Unit: "%"}, giUtil)
-	fmt.Fprintln(w)
-	plot.HBar(w, plot.Config{Title: "Fig. 12b — output error vs timeout", Unit: "%"}, giErr)
+	draw(plot.Config{Title: "Fig. 12a — GI utilization vs timeout (bad_dot_product, d=4)", Unit: "%"}, giUtil)
+	draw(plot.Config{Title: "Fig. 12b — output error vs timeout", Unit: "%"}, giErr)
 
-	renderTiming(w, rep)
+	if rep.Timing != nil {
+		fmt.Fprint(w, sep)
+		renderTiming(w, rep)
+	}
 }
 
 // renderTiming charts the sweep-cost fields of the report: total wall
-// clock, the simulated/cached split, and the slowest cells (reports from
-// older gwsweep builds carry no timing section and are skipped).
-func renderTiming(w *os.File, rep *harness.Report) {
+// clock, the simulated/cached split, and the slowest cells.
+func renderTiming(w io.Writer, rep *harness.Report) {
 	t := rep.Timing
-	if t == nil {
-		return
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "Sweep cost — %.0f ms wall clock on %d workers (%d cells simulated, %d from cache",
+	fmt.Fprintf(w, "Sweep cost — %.0f ms wall clock on %d workers (%d cells simulated, %d from cache)\n",
 		t.WallMS, rep.Jobs, t.Simulated, t.CacheHits)
-	if t.Failures > 0 {
-		fmt.Fprintf(w, ", %d failed", t.Failures)
-	}
-	fmt.Fprintln(w, ")")
 	if t.SimCyclesPerSec > 0 {
 		fmt.Fprintf(w, "Throughput — %.2f cells/sec, %.3g sim-cycles/sec\n",
 			t.CellsPerSec, t.SimCyclesPerSec)
@@ -144,5 +139,7 @@ func renderTiming(w *os.File, rep *harness.Report) {
 		}
 		bars = append(bars, plot.Bar{Label: label, Value: c.MS})
 	}
-	plot.HBar(w, plot.Config{Title: "Slowest cells", Unit: "ms"}, bars)
+	if len(bars) > 0 {
+		plot.HBar(w, plot.Config{Title: "Slowest cells", Unit: "ms"}, bars)
+	}
 }

@@ -11,6 +11,7 @@
 //
 //	gwsweep                       # everything, paper configuration
 //	gwsweep -exp fig9 -threads 24 # one figure
+//	gwsweep -exp fig12 -json f.json # one figure, and its report as JSON
 //	gwsweep -scale 4              # larger inputs (slower, tighter shapes)
 //	gwsweep -jobs 4 -nocache      # bounded parallelism, no result cache
 //	gwsweep -remote http://cachehost:8344   # share results via gwcached
@@ -38,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -53,44 +55,53 @@ import (
 // main delegates to realMain so the deferred profile flush runs before the
 // process exits, on every exit path.
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain() int {
+// realMain runs the command on args: 0 on success, 1 on a failed run, 2 on a
+// usage error.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gwsweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment: "+strings.Join(harness.ExperimentNames(), "|"))
-		scale    = flag.Int("scale", 1, "input scale factor")
-		threads  = flag.Int("threads", 24, "worker threads")
-		protocol = flag.String("protocol", "", "coherence protocol table for every cell: "+strings.Join(proto.Names(), "|")+" (empty = d-distance decides)")
-		topo     = flag.String("topo", "", "interconnect topology for every cell: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
-		nodes    = flag.Int("nodes", 0, "interconnect node count (0 = the Table 1 24; mesh/torus fold it into the most square grid)")
-		jobs     = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache", harness.DefaultCacheDir, "result cache directory")
-		noCache  = flag.Bool("nocache", false, "disable the on-disk result cache")
-		remote   = flag.String("remote", "", "comma-separated gwcached base URLs in preference order (e.g. http://primary:8344,http://standby:8344); the client fails over and readopts automatically")
-		submit   = flag.Bool("submit", false, "post the -exp grid manifest to -remote for fleet dispatch")
-		worker   = flag.Bool("worker", false, "run as a fleet worker: claim cells from -remote, simulate, publish")
-		batch    = flag.Int("batch", 4, "cells per claim in -worker mode")
-		workerID = flag.String("worker-id", "", "worker identity for lease tracking (default host-pid)")
-		idleExit = flag.Duration("idle-exit", 0, "exit -worker mode after this long with no work (0 = wait indefinitely)")
-		quiet    = flag.Bool("q", false, "suppress the stderr progress line")
-		jsonPath = flag.String("json", "", "also write the full evaluation as JSON to this file")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		exp      = fs.String("exp", "all", "experiment: "+strings.Join(harness.ExperimentNames(), "|"))
+		scale    = fs.Int("scale", 1, "input scale factor")
+		threads  = fs.Int("threads", 24, "worker threads")
+		protocol = fs.String("protocol", "", "coherence protocol table for every cell: "+strings.Join(proto.Names(), "|")+" (empty = d-distance decides)")
+		topo     = fs.String("topo", "", "interconnect topology for every cell: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
+		nodes    = fs.Int("nodes", 0, "interconnect node count (0 = the Table 1 24; mesh/torus fold it into the most square grid)")
+		jobs     = fs.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+		cacheDir = fs.String("cache", harness.DefaultCacheDir, "result cache directory")
+		noCache  = fs.Bool("nocache", false, "disable the on-disk result cache")
+		remote   = fs.String("remote", "", "comma-separated gwcached base URLs in preference order (e.g. http://primary:8344,http://standby:8344); the client fails over and readopts automatically")
+		submit   = fs.Bool("submit", false, "post the -exp grid manifest to -remote for fleet dispatch")
+		worker   = fs.Bool("worker", false, "run as a fleet worker: claim cells from -remote, simulate, publish")
+		batch    = fs.Int("batch", 4, "cells per claim in -worker mode")
+		workerID = fs.String("worker-id", "", "worker identity for lease tracking (default host-pid)")
+		idleExit = fs.Duration("idle-exit", 0, "exit -worker mode after this long with no work (0 = wait indefinitely)")
+		quiet    = fs.Bool("q", false, "suppress the stderr progress line")
+		jsonPath = fs.String("json", "", "also write the report of the experiments -exp ran as JSON to this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if err := harness.ValidateExperiment(*exp); err != nil {
-		fmt.Fprintln(os.Stderr, "gwsweep:", err)
+		fmt.Fprintln(stderr, "gwsweep:", err)
 		return 2
 	}
 	if *protocol != "" {
 		if _, err := ghostwriter.ParseProtocol(*protocol); err != nil {
-			fmt.Fprintln(os.Stderr, "gwsweep:", err)
+			fmt.Fprintln(stderr, "gwsweep:", err)
 			return 2
 		}
 	}
 	if err := ghostwriter.ValidateTopology(*topo, *nodes); err != nil {
-		fmt.Fprintln(os.Stderr, "gwsweep:", err)
+		fmt.Fprintln(stderr, "gwsweep:", err)
 		return 2
 	}
 	opt := harness.Options{Scale: *scale, Threads: *threads, Protocol: *protocol,
@@ -98,22 +109,21 @@ func realMain() int {
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gwsweep:", err)
+		fmt.Fprintln(stderr, "gwsweep:", err)
 		return 1
 	}
 	defer stopProf()
-	start := time.Now()
 
 	r := harness.NewRunner(*jobs)
 	if !*quiet {
-		r.Progress = os.Stderr
+		r.Progress = stderr
 	}
 	var disk *harness.Cache
 	if !*noCache {
 		c, err := harness.OpenCache(*cacheDir)
 		if err != nil {
 			// An unwritable cache dir degrades to an uncached sweep.
-			fmt.Fprintln(os.Stderr, "gwsweep: cache disabled:", err)
+			fmt.Fprintln(stderr, "gwsweep: cache disabled:", err)
 		} else {
 			disk = c
 		}
@@ -122,7 +132,7 @@ func realMain() int {
 	if *remote != "" {
 		c, err := harness.NewRemoteCache(harness.RemoteConfig{URLs: splitURLs(*remote)})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gwsweep:", err)
+			fmt.Fprintln(stderr, "gwsweep:", err)
 			return 2
 		}
 		rc = c
@@ -130,7 +140,7 @@ func realMain() int {
 	}
 	if *submit || *worker {
 		if rc == nil {
-			fmt.Fprintln(os.Stderr, "gwsweep: -submit and -worker require -remote")
+			fmt.Fprintln(stderr, "gwsweep: -submit and -worker require -remote")
 			return 2
 		}
 		// A fleet worker resolves cells through its local disk tier only:
@@ -139,7 +149,7 @@ func realMain() int {
 		if disk != nil {
 			r.Cache = disk
 		}
-		if err := fleet(r, rc, *exp, opt, fleetConfig{
+		if err := fleet(r, rc, stderr, *exp, opt, fleetConfig{
 			submit:   *submit,
 			worker:   *worker,
 			batch:    *batch,
@@ -147,7 +157,7 @@ func realMain() int {
 			idleExit: *idleExit,
 			quiet:    *quiet,
 		}); err != nil {
-			fmt.Fprintln(os.Stderr, "gwsweep:", err)
+			fmt.Fprintln(stderr, "gwsweep:", err)
 			return 1
 		}
 		return 0
@@ -166,44 +176,45 @@ func realMain() int {
 		r.Cache = disk
 	}
 
-	if err := r.RunExperiment(os.Stdout, *exp, opt); err != nil {
-		fmt.Fprintln(os.Stderr, "gwsweep:", err)
+	rep, err := r.RunExperiment(stdout, *exp, opt)
+	if err != nil {
+		fmt.Fprintln(stderr, "gwsweep:", err)
 		return 1
 	}
 	if *jsonPath != "" {
-		if err := writeJSON(r, *jsonPath, opt); err != nil {
-			fmt.Fprintln(os.Stderr, "gwsweep:", err)
+		if err := writeJSON(rep, *jsonPath); err != nil {
+			fmt.Fprintln(stderr, "gwsweep:", err)
 			return 1
 		}
+		fmt.Fprintln(stderr, "gwsweep: wrote", *jsonPath)
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "gwsweep: %d cells simulated, %d served from cache",
-			r.Simulated(), r.CacheHits())
-		if f := r.Failures(); f > 0 {
-			fmt.Fprintf(os.Stderr, ", %d failed", f)
-		}
-		fmt.Fprintln(os.Stderr)
-		if wall := time.Since(start).Seconds(); wall > 0 && r.Simulated() > 0 {
-			fmt.Fprintf(os.Stderr, "gwsweep: %.2f cells/sec, %.3g sim-cycles/sec over %s wall\n",
-				float64(r.Simulated())/wall, float64(r.SimCycles())/wall,
-				time.Since(start).Round(time.Millisecond))
-		}
-		if ws := r.WindowSummary(); ws.Windows > 0 {
-			fmt.Fprintf(os.Stderr,
-				"gwsweep: windows: %d drained, %d merged barriers, %.1f events/window (max %d)\n",
-				ws.Windows, ws.Merges, ws.EventsPerWindow(), ws.MaxWindow)
-		}
-		if rc != nil {
-			s, _ := rc.RemoteStats()
-			fmt.Fprintf(os.Stderr, "gwsweep: remote cache: %d hits, %d misses, %d puts, %d errors",
-				s.Hits, s.Misses, s.Puts, s.Errors)
-			if s.Degraded {
-				fmt.Fprint(os.Stderr, " (server unreachable — finished local-only)")
-			}
-			fmt.Fprintln(os.Stderr)
-		}
+		epilogue(stderr, rep.Timing)
 	}
 	return 0
+}
+
+// epilogue prints the run's cost to stderr from its report's timing.
+func epilogue(w io.Writer, t *harness.TimingReport) {
+	fmt.Fprintf(w, "gwsweep: %d cells simulated, %d served from cache\n", t.Simulated, t.CacheHits)
+	if t.Simulated > 0 && t.WallMS > 0 {
+		fmt.Fprintf(w, "gwsweep: %.2f cells/sec, %.3g sim-cycles/sec over %s wall\n",
+			t.CellsPerSec, t.SimCyclesPerSec,
+			time.Duration(t.WallMS*float64(time.Millisecond)).Round(time.Millisecond))
+	}
+	if ws := t.Window; ws != nil && ws.Windows > 0 {
+		fmt.Fprintf(w,
+			"gwsweep: windows: %d drained, %d merged barriers, %.1f events/window (max %d)\n",
+			ws.Windows, ws.Merges, ws.EventsPerWindow(), ws.MaxWindow)
+	}
+	if s := t.Remote; s != nil {
+		fmt.Fprintf(w, "gwsweep: remote cache: %d hits, %d misses, %d puts, %d errors",
+			s.Hits, s.Misses, s.Puts, s.Errors)
+		if s.Degraded {
+			fmt.Fprint(w, " (server unreachable — finished local-only)")
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // fleetConfig bundles the -submit/-worker knobs.
@@ -220,7 +231,7 @@ type fleetConfig struct {
 // ^C lets the in-flight batch's simulations finish but abandons their
 // publication, leaving the cells to lease expiry — a stopped worker and a
 // crashed one look identical to the dispatcher by design.
-func fleet(r *harness.Runner, rc *harness.RemoteCache, exp string, opt harness.Options, cfg fleetConfig) error {
+func fleet(r *harness.Runner, rc *harness.RemoteCache, stderr io.Writer, exp string, opt harness.Options, cfg fleetConfig) error {
 	if cfg.submit {
 		manifest, err := harness.Manifest(exp, opt)
 		if err != nil {
@@ -230,12 +241,12 @@ func fleet(r *harness.Runner, rc *harness.RemoteCache, exp string, opt harness.O
 		if err != nil {
 			return fmt.Errorf("submit: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "gwsweep: submitted %q: %d queued, %d already cached, %d already tracked",
+		fmt.Fprintf(stderr, "gwsweep: submitted %q: %d queued, %d already cached, %d already tracked",
 			exp, resp.Queued, resp.Cached, resp.Known)
 		if resp.Rejected > 0 {
-			fmt.Fprintf(os.Stderr, ", %d REJECTED (client/server code versions differ?)", resp.Rejected)
+			fmt.Fprintf(stderr, ", %d REJECTED (client/server code versions differ?)", resp.Rejected)
 		}
-		fmt.Fprintf(os.Stderr, " · sweep %d/%d done\n", resp.Status.Done, resp.Status.Total)
+		fmt.Fprintf(stderr, " · sweep %d/%d done\n", resp.Status.Done, resp.Status.Total)
 	}
 	if !cfg.worker {
 		return nil
@@ -248,38 +259,31 @@ func fleet(r *harness.Runner, rc *harness.RemoteCache, exp string, opt harness.O
 		ID:       cfg.workerID,
 		Batch:    cfg.batch,
 		IdleExit: cfg.idleExit,
-		Log:      os.Stderr,
+		Log:      stderr,
 	}
 	stats, err := pool.Run(ctx)
 	if !cfg.quiet {
-		fmt.Fprintf(os.Stderr, "gwsweep: worker: %d cells claimed, %d published, %d failed, %d abandoned, %d leases lost\n",
+		fmt.Fprintf(stderr, "gwsweep: worker: %d cells claimed, %d published, %d failed, %d abandoned, %d leases lost\n",
 			stats.Claimed, stats.Completed, stats.Failed, stats.Abandoned, stats.LostLeases)
 	}
 	if errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "gwsweep: worker stopped by signal; unfinished cells will be re-dispatched on lease expiry")
+		fmt.Fprintln(stderr, "gwsweep: worker stopped by signal; unfinished cells will be re-dispatched on lease expiry")
 		return nil
 	}
 	return err
 }
 
-// writeJSON dumps the full evaluation for plotting. The runner's in-process
-// memo and disk cache mean every cell the text run already resolved is
-// reused here instead of being simulated a second time.
-func writeJSON(r *harness.Runner, path string, opt harness.Options) error {
-	rep, err := r.BuildReport(opt)
-	if err != nil {
-		return err
-	}
+// writeJSON writes the report to path.
+func writeJSON(rep *harness.Report, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Println("wrote", path)
-	return nil
+	return f.Close()
 }
 
 // splitURLs parses the -remote flag: comma-separated server URLs in

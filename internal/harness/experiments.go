@@ -9,19 +9,20 @@ import (
 )
 
 // experiment is one name `gwsweep -exp` accepts. The experiments table is
-// the only place the evaluation is listed: Manifest, RunExperiment,
-// ExperimentNames (the -exp help string) and the unknown-name error all
-// read it.
+// the only place the evaluation is listed: Manifest, RunExperiment (and so
+// the -json report), ExperimentNames (the -exp help string) and the
+// unknown-name error all read it.
 type experiment struct {
 	name string
 	// jobs lays out the cells the experiment resolves; nil for the static
 	// tables, which simulate nothing.
 	jobs func(Options) []Job
-	// print resolves the experiment's grid on r and writes its table to w.
-	print func(r *Runner, w io.Writer, opt Options) error
-	// suite stands in for print on Figs. 7–11, which render from the one
+	// run resolves the experiment's grid on r, writes its table to w and
+	// files its data series into rep.
+	run func(r *Runner, w io.Writer, opt Options, rep *Report) error
+	// suite stands in for run on Figs. 7–11, which render from the one
 	// Table 2 suite grid they share: RunExperiment resolves that grid once,
-	// however many of the five it prints.
+	// however many of the five it prints, and files it as Report.Suite.
 	suite func(w io.Writer, suite []SuiteResult)
 	// standalone keeps the experiment out of "all".
 	standalone bool
@@ -36,43 +37,47 @@ var trendScales = []int{1, 2, 4}
 
 // experiments is the evaluation, in the order "all" prints it.
 var experiments = []experiment{
-	{name: "tab1", print: static(Table1)},
-	{name: "tab2", print: static(Table2)},
-	{name: "fig1", jobs: fig1Jobs, print: figure((*Runner).Fig1)},
-	{name: "fig2", jobs: fig2Jobs, print: figure((*Runner).Fig2)},
+	{name: "tab1", run: static(Table1)},
+	{name: "tab2", run: static(Table2)},
+	{name: "fig1", jobs: fig1Jobs, run: figure((*Runner).Fig1, func(rep *Report, v []Fig1Point) { rep.Fig1 = v })},
+	{name: "fig2", jobs: fig2Jobs, run: figure((*Runner).Fig2, func(rep *Report, v []Fig2Row) { rep.Fig2 = v })},
 	{name: "fig7", jobs: suiteGrid, suite: Fig7},
 	{name: "fig8", jobs: suiteGrid, suite: Fig8},
 	{name: "fig9", jobs: suiteGrid, suite: Fig9},
 	{name: "fig10", jobs: suiteGrid, suite: Fig10},
 	{name: "fig11", jobs: suiteGrid, suite: Fig11},
-	{name: "fig12", jobs: fig12Jobs, print: figure((*Runner).Fig12)},
-	{name: "protocols", jobs: protoJobs, print: figure((*Runner).ProtocolGrid)},
-	{name: "topologies", jobs: topoJobs, print: figure((*Runner).TopologyGrid)},
-	{name: "ext", jobs: extGrid, print: figure((*Runner).Extensions)},
+	{name: "fig12", jobs: fig12Jobs, run: figure((*Runner).Fig12, func(rep *Report, v []Fig12Point) { rep.Fig12 = v })},
+	{name: "protocols", jobs: protoJobs, run: figure((*Runner).ProtocolGrid, func(rep *Report, v []ProtocolRow) { rep.Protocols = v })},
+	{name: "topologies", jobs: topoJobs, run: figure((*Runner).TopologyGrid, func(rep *Report, v []TopologyRow) { rep.Topologies = v })},
+	{name: "ext", jobs: extGrid, run: figure((*Runner).Extensions, func(rep *Report, v []SuiteResult) { rep.Extensions = records(v) })},
 	{
 		name:       "trend",
 		standalone: true,
 		jobs:       func(opt Options) []Job { return trendJobs(opt, trendScales) },
-		print: func(r *Runner, w io.Writer, opt Options) error {
-			_, err := r.ScaleTrend(w, opt, trendScales)
+		run: func(r *Runner, w io.Writer, opt Options, rep *Report) (err error) {
+			rep.Trend, err = r.ScaleTrend(w, opt, trendScales)
 			return err
 		},
 	},
 }
 
-// static adapts a table that simulates nothing to experiment.print.
-func static(table func(io.Writer, Options)) func(*Runner, io.Writer, Options) error {
-	return func(_ *Runner, w io.Writer, opt Options) error {
+// static adapts a table that simulates nothing to experiment.run; it files
+// nothing into the report.
+func static(table func(io.Writer, Options)) func(*Runner, io.Writer, Options, *Report) error {
+	return func(_ *Runner, w io.Writer, opt Options, _ *Report) error {
 		table(w, opt)
 		return nil
 	}
 }
 
-// figure adapts a Runner figure method to experiment.print, dropping the
-// data series it returns beside the table it writes.
-func figure[T any](fig func(*Runner, io.Writer, Options) (T, error)) func(*Runner, io.Writer, Options) error {
-	return func(r *Runner, w io.Writer, opt Options) error {
-		_, err := fig(r, w, opt)
+// figure adapts a Runner figure method to experiment.run: file puts the
+// data series the method returns beside its table into the report.
+func figure[T any](fig func(*Runner, io.Writer, Options) (T, error), file func(*Report, T)) func(*Runner, io.Writer, Options, *Report) error {
+	return func(r *Runner, w io.Writer, opt Options, rep *Report) error {
+		v, err := fig(r, w, opt)
+		if err == nil {
+			file(rep, v)
+		}
 		return err
 	}
 }
@@ -116,32 +121,39 @@ func selectExperiments(exp string) ([]experiment, error) {
 }
 
 // RunExperiment runs one experiment — or, for "all", the whole evaluation
-// in the paper's order — and writes its tables to w: what `gwsweep -exp`
-// prints. Every entry of the full listing ends on a blank separator line; a
-// standalone experiment is the whole output and gets none. An unknown name
-// fails before any cell is resolved.
-func (r *Runner) RunExperiment(w io.Writer, exp string, opt Options) error {
+// in the paper's order — writes its tables to w, and returns the report of
+// exactly what it ran: the data series of every selected entry and the
+// timing of the cells it submitted. The tables are what `gwsweep -exp`
+// prints and the report is what `gwsweep -json` writes. Every entry of the
+// full listing ends on a blank separator line; a standalone experiment is
+// the whole output and gets none. An unknown name fails before any cell is
+// resolved.
+func (r *Runner) RunExperiment(w io.Writer, exp string, opt Options) (*Report, error) {
 	sel, err := selectExperiments(exp)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	start := r.timingMark()
+	rep := &Report{Options: opt, Jobs: r.workers()}
 	var suite []SuiteResult
 	for _, e := range sel {
 		if e.suite != nil {
 			if suite == nil {
 				if suite, err = r.RunSuite(opt); err != nil {
-					return err
+					return nil, err
 				}
+				rep.Suite = records(suite)
 			}
 			e.suite(w, suite)
-		} else if err := e.print(r, w, opt); err != nil {
-			return err
+		} else if err := e.run(r, w, opt, rep); err != nil {
+			return nil, err
 		}
 		if !e.standalone {
 			fmt.Fprintln(w)
 		}
 	}
-	return nil
+	rep.Timing = r.timingSince(start)
+	return rep, nil
 }
 
 // Manifest enumerates the cells of one gwsweep experiment as dispatchable

@@ -41,8 +41,8 @@ func TestExperimentTable(t *testing.T) {
 		if !e.standalone {
 			want = append(want, e.name)
 		}
-		if (e.print == nil) == (e.suite == nil) {
-			t.Errorf("%s: want exactly one of print and suite", e.name)
+		if (e.run == nil) == (e.suite == nil) {
+			t.Errorf("%s: want exactly one of run and suite", e.name)
 		}
 		if e.suite != nil && e.jobs == nil {
 			t.Errorf("%s: a suite figure with no grid", e.name)
@@ -81,7 +81,7 @@ func TestRunExperimentResolvesItsManifest(t *testing.T) {
 			}
 			r, got := recordingRunner()
 			var out bytes.Buffer
-			if err := r.RunExperiment(&out, name, opt); err != nil {
+			if _, err := r.RunExperiment(&out, name, opt); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(*got, want) {
@@ -100,7 +100,7 @@ func TestRunExperimentResolvesItsManifest(t *testing.T) {
 func TestRunExperimentSubmitsSuiteOnce(t *testing.T) {
 	opt := Options{Scale: 1, Threads: 4}
 	r, _ := recordingRunner()
-	if err := r.RunExperiment(io.Discard, allExperiments, opt); err != nil {
+	if _, err := r.RunExperiment(io.Discard, allExperiments, opt); err != nil {
 		t.Fatal(err)
 	}
 	first := suiteGrid(opt)[0].Label
@@ -121,9 +121,10 @@ func TestRunExperimentSubmitsSuiteOnce(t *testing.T) {
 func TestRunExperimentUnknownName(t *testing.T) {
 	r, keys := recordingRunner()
 	var out bytes.Buffer
-	err, want := r.RunExperiment(&out, "fig99", DefaultOptions()), ValidateExperiment("fig99")
-	if err == nil || want == nil || err.Error() != want.Error() {
-		t.Errorf("RunExperiment(fig99) = %v, ValidateExperiment = %v; want the same error", err, want)
+	rep, err := r.RunExperiment(&out, "fig99", DefaultOptions())
+	want := ValidateExperiment("fig99")
+	if rep != nil || err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("RunExperiment(fig99) = %v, %v, ValidateExperiment = %v; want no report and the same error", rep, err, want)
 	}
 	if _, merr := Manifest("fig99", DefaultOptions()); merr == nil {
 		t.Error("Manifest(fig99) succeeded")
@@ -136,5 +137,87 @@ func TestRunExperimentUnknownName(t *testing.T) {
 		if err := ValidateExperiment(name); err != nil {
 			t.Errorf("ValidateExperiment(%q) = %v", name, err)
 		}
+	}
+}
+
+// reportSections names the data sections rep carries, in Report order.
+func reportSections(rep *Report) []string {
+	var out []string
+	for _, s := range []struct {
+		name string
+		n    int
+	}{
+		{"fig1", len(rep.Fig1)},
+		{"fig2", len(rep.Fig2)},
+		{"suite", len(rep.Suite)},
+		{"fig12", len(rep.Fig12)},
+		{"protocols", len(rep.Protocols)},
+		{"topologies", len(rep.Topologies)},
+		{"extensions", len(rep.Extensions)},
+		{"trend", len(rep.Trend)},
+	} {
+		if s.n > 0 {
+			out = append(out, s.name)
+		}
+	}
+	return out
+}
+
+// TestRunExperimentReportSections: the report of every -exp value carries
+// exactly the sections of the entries it ran, and its timing counts exactly
+// the cells the run simulated and submitted (the suite grid once, however
+// many of Figs. 7–11 printed).
+func TestRunExperimentReportSections(t *testing.T) {
+	want := map[string][]string{
+		"all":        {"fig1", "fig2", "suite", "fig12", "protocols", "topologies", "extensions"},
+		"tab1":       nil,
+		"tab2":       nil,
+		"fig1":       {"fig1"},
+		"fig2":       {"fig2"},
+		"fig7":       {"suite"},
+		"fig8":       {"suite"},
+		"fig9":       {"suite"},
+		"fig10":      {"suite"},
+		"fig11":      {"suite"},
+		"fig12":      {"fig12"},
+		"protocols":  {"protocols"},
+		"topologies": {"topologies"},
+		"ext":        {"extensions"},
+		"trend":      {"trend"},
+	}
+	opt := Options{Scale: 1, Threads: 4}
+	for _, name := range ExperimentNames() {
+		t.Run(name, func(t *testing.T) {
+			wantSections, ok := want[name]
+			if !ok {
+				t.Fatalf("no expected sections for %q", name)
+			}
+			r, keys := recordingRunner()
+			rep, err := r.RunExperiment(io.Discard, name, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reportSections(rep); !slices.Equal(got, wantSections) {
+				t.Errorf("sections %v, want %v", got, wantSections)
+			}
+			sel, _ := selectExperiments(name)
+			submitted, suite := 0, false
+			for _, e := range sel {
+				if e.jobs == nil || e.suite != nil && suite {
+					continue
+				}
+				suite = suite || e.suite != nil
+				submitted += len(e.jobs(opt))
+			}
+			tm := rep.Timing
+			if tm == nil {
+				t.Fatal("no timing section")
+			}
+			if tm.Simulated != uint64(len(*keys)) || len(tm.Cells) != submitted ||
+				tm.CacheHits != uint64(submitted-len(*keys)) {
+				t.Errorf("timing: %d simulated, %d cached, %d cells; ran %d simulations of %d submitted cells",
+					tm.Simulated, tm.CacheHits, len(tm.Cells), len(*keys), submitted)
+			}
+		})
 	}
 }

@@ -9,8 +9,8 @@
 // content-addressed on-disk Cache, so sweeps scale with the host's cores
 // and re-runs only simulate cells whose inputs changed. Every experiment is
 // a Runner method, and the one table in experiments.go names them all: it is
-// what `gwsweep -exp`, RunExperiment and Manifest read. The zero Runner runs
-// on every CPU with no disk cache.
+// what `gwsweep -exp`, RunExperiment (and so the Report it returns) and
+// Manifest read. The zero Runner runs on every CPU with no disk cache.
 package harness
 
 import (

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
@@ -189,21 +190,23 @@ func errorsOf(runs []RunResult) []float64 {
 	return out
 }
 
-func TestBuildReportJSON(t *testing.T) {
+// TestRunExperimentReportJSON: the report of the full evaluation encodes
+// every section, the extensions included.
+func TestRunExperimentReportJSON(t *testing.T) {
 	opt := Options{Scale: 1, Threads: 4}
-	rep, err := NewRunner(0).BuildReport(opt)
+	rep, err := NewRunner(0).RunExperiment(io.Discard, "all", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Suite) != 6 || len(rep.Fig1) == 0 || len(rep.Fig12) != 3 {
-		t.Fatalf("report shape wrong: %d suite, %d fig1, %d fig12",
-			len(rep.Suite), len(rep.Fig1), len(rep.Fig12))
+	if len(rep.Suite) != 6 || len(rep.Fig1) == 0 || len(rep.Fig12) != 3 || len(rep.Extensions) != 3 {
+		t.Fatalf("report shape wrong: %d suite, %d fig1, %d fig12, %d extensions",
+			len(rep.Suite), len(rep.Fig1), len(rep.Fig12), len(rep.Extensions))
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"\"gsPct8\"", "\"trafficNorm8\"", "linear_regression", "\"fig12\""} {
+	for _, want := range []string{"\"gsPct8\"", "\"trafficNorm8\"", "linear_regression", "\"fig12\"", "\"extensions\""} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("JSON missing %s", want)
 		}

@@ -257,12 +257,12 @@ func TestRunnerSurvivesServerDeathMidSweep(t *testing.T) {
 	}
 }
 
-// TestBuildReportCarriesRemoteStats: the JSON report's timing section
+// TestRunExperimentCarriesRemoteStats: the report's timing section
 // surfaces the remote counters when the backend has a remote tier.
-func TestBuildReportCarriesRemoteStats(t *testing.T) {
+func TestRunExperimentCarriesRemoteStats(t *testing.T) {
 	_, _, rc := newTestRemote(t)
 	r := &Runner{Jobs: 2, Cache: NewTieredCache(NewMemCache(), rc)}
-	rep, err := r.BuildReport(Options{Scale: 1, Threads: 2})
+	rep, err := r.RunExperiment(io.Discard, "fig12", Options{Scale: 1, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +270,9 @@ func TestBuildReportCarriesRemoteStats(t *testing.T) {
 		t.Fatal("report timing has no remote section despite a remote tier")
 	}
 	if rep.Timing.Remote.Puts == 0 {
-		t.Error("remote section shows zero puts after a cold build")
+		t.Error("remote section shows zero puts after a cold run")
 	}
-	if rep.Timing.Failures != 0 {
-		t.Errorf("report counted %d failures on a clean build", rep.Timing.Failures)
+	if rep.Timing.Simulated != 3 {
+		t.Errorf("report counted %d simulated cells, want fig12's 3", rep.Timing.Simulated)
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"ghostwriter/internal/stats"
 )
 
-// Report is the machine-readable form of a full evaluation run, suitable
-// for plotting the paper's figures with external tooling.
+// Report is the machine-readable form of one RunExperiment call, suitable
+// for plotting the paper's figures with external tooling: the data series
+// of the experiments it ran and the timing of the cells it submitted. A
+// section whose experiment did not run is empty.
 type Report struct {
 	Options Options       `json:"options"`
 	Jobs    int           `json:"jobs,omitempty"` // worker-pool size that produced the report
@@ -21,22 +23,26 @@ type Report struct {
 	Protocols []ProtocolRow `json:"protocols,omitempty"`
 	// Topologies is the (application × interconnect-topology) ablation grid.
 	Topologies []TopologyRow `json:"topologies,omitempty"`
+	// Extensions is the suite grid over the beyond-Table-2 applications.
+	Extensions []SuiteRecord `json:"extensions,omitempty"`
+	// Trend is the standalone input-scale trend of linear_regression.
+	Trend []TrendPoint `json:"trend,omitempty"`
 	// Timing records the sweep's wall clock and per-cell costs. Unlike the
 	// simulation results it is not deterministic — it measures the host.
 	Timing *TimingReport `json:"timing,omitempty"`
 }
 
-// TimingReport is the wall-clock accounting of one report build.
+// TimingReport is the wall-clock accounting of one RunExperiment call.
 type TimingReport struct {
-	// WallMS is the end-to-end wall-clock time of the build in
+	// WallMS is the end-to-end wall-clock time of the call in
 	// milliseconds (cells run concurrently, so it is far less than the sum
 	// of the cell times on a multi-core host).
 	WallMS float64 `json:"wallMs"`
 	// Simulated and CacheHits split the cells into fresh simulations and
-	// memo/disk-cache hits; Failures counts cells that errored or panicked.
+	// memo/disk-cache hits. A call with a failed cell returns an error
+	// instead of a report.
 	Simulated uint64 `json:"simulated"`
 	CacheHits uint64 `json:"cacheHits"`
-	Failures  uint64 `json:"failures,omitempty"`
 	// SimCycles is the aggregate simulated-cycle count of the freshly
 	// simulated cells; the *PerSec fields divide the fresh work by WallMS.
 	// Cache hits are excluded from all three — replayed cells cost no
@@ -46,7 +52,7 @@ type TimingReport struct {
 	SimCyclesPerSec float64 `json:"simCyclesPerSec,omitempty"`
 	// Remote carries the remote-tier traffic counters when the sweep ran
 	// against a gwcached server. The counters are cumulative for the
-	// Runner's backend (remote traffic is not bracketed per report build).
+	// Runner's backend (remote traffic is not bracketed per call).
 	Remote *RemoteStats `json:"remote,omitempty"`
 	// Fleet carries the dispatch counters of the server-side sweep when the
 	// backend fronts a dispatch-enabled gwcached with a submitted manifest —
@@ -59,7 +65,9 @@ type TimingReport struct {
 	// everything else in TimingReport it measures the host, not the
 	// simulation, and is absent when every cell was a cache hit.
 	Window *WindowSummary `json:"window,omitempty"`
-	// Cells lists every cell in grid order with its wall-clock cost.
+	// Cells lists every submitted cell in grid order with its wall-clock
+	// cost; a cell two grids share (the suite and topology grids' mesh
+	// cells) is listed once per submission.
 	Cells []CellTiming `json:"cells,omitempty"`
 }
 
@@ -99,99 +107,88 @@ func classMap(s *stats.Stats) map[string]uint64 {
 	return out
 }
 
-// record flattens one SuiteResult.
-func record(s SuiteResult) SuiteRecord {
-	return SuiteRecord{
-		App:             s.App,
-		Metric:          s.Base.Metric.String(),
-		GSPct4:          s.D4.GSFrac() * 100,
-		GSPct8:          s.D8.GSFrac() * 100,
-		GIPct4:          s.D4.GIFrac() * 100,
-		GIPct8:          s.D8.GIFrac() * 100,
-		TrafficNorm4:    s.TrafficNorm4,
-		TrafficNorm8:    s.TrafficNorm8,
-		EnergySaved4Pct: s.EnergySavedPct4,
-		EnergySaved8Pct: s.EnergySavedPct8,
-		Speedup4Pct:     s.SpeedupPct4,
-		Speedup8Pct:     s.SpeedupPct8,
-		Error4Pct:       s.D4.ErrorPct,
-		Error8Pct:       s.D8.ErrorPct,
-		BaseCycles:      s.Base.Cycles,
-		Msgs: TrafficSplit{
-			Base: classMap(&s.Base.Stats),
-			D4:   classMap(&s.D4.Stats),
-			D8:   classMap(&s.D8.Stats),
-		},
+// records flattens SuiteResults.
+func records(suite []SuiteResult) []SuiteRecord {
+	out := make([]SuiteRecord, 0, len(suite))
+	for _, s := range suite {
+		out = append(out, SuiteRecord{
+			App:             s.App,
+			Metric:          s.Base.Metric.String(),
+			GSPct4:          s.D4.GSFrac() * 100,
+			GSPct8:          s.D8.GSFrac() * 100,
+			GIPct4:          s.D4.GIFrac() * 100,
+			GIPct8:          s.D8.GIFrac() * 100,
+			TrafficNorm4:    s.TrafficNorm4,
+			TrafficNorm8:    s.TrafficNorm8,
+			EnergySaved4Pct: s.EnergySavedPct4,
+			EnergySaved8Pct: s.EnergySavedPct8,
+			Speedup4Pct:     s.SpeedupPct4,
+			Speedup8Pct:     s.SpeedupPct8,
+			Error4Pct:       s.D4.ErrorPct,
+			Error8Pct:       s.D8.ErrorPct,
+			BaseCycles:      s.Base.Cycles,
+			Msgs: TrafficSplit{
+				Base: classMap(&s.Base.Stats),
+				D4:   classMap(&s.D4.Stats),
+				D8:   classMap(&s.D8.Stats),
+			},
+		})
+	}
+	return out
+}
+
+// mark is a snapshot of a Runner's counters; timingSince reports what the
+// Runner did after it. RunExperiment brackets its grids with the pair, so a
+// report carries its own cells only.
+type mark struct {
+	at                              time.Time
+	cells                           int // length of the timing log
+	simulated, cacheHits, simCycles uint64
+	window                          WindowSummary
+}
+
+func (r *Runner) timingMark() mark {
+	r.mu.Lock()
+	cells := len(r.timings)
+	r.mu.Unlock()
+	return mark{
+		at:        time.Now(),
+		cells:     cells,
+		simulated: r.Simulated(),
+		cacheHits: r.CacheHits(),
+		simCycles: r.SimCycles(),
+		window:    r.WindowSummary(),
 	}
 }
 
-// BuildReport runs the full evaluation and assembles the report. Cells
-// already resolved by this Runner (or present in its disk cache) are reused
-// rather than resimulated, so building a report right after printing the
-// text evaluation — the `gwsweep -exp all -json` path — costs no extra
-// simulations.
-func (r *Runner) BuildReport(opt Options) (*Report, error) {
-	var (
-		start      = time.Now()
-		mark       = r.timingMark()
-		simBefore  = r.Simulated()
-		hitBefore  = r.CacheHits()
-		failBefore = r.Failures()
-		cycBefore  = r.SimCycles()
-		winBefore  = r.WindowSummary()
-	)
-	rep := &Report{Options: opt, Jobs: r.workers()}
-	var err error
-	if rep.Fig1, err = r.Fig1(io.Discard, opt); err != nil {
-		return nil, err
+func (r *Runner) timingSince(m mark) *TimingReport {
+	t := &TimingReport{
+		WallMS:    float64(time.Since(m.at).Microseconds()) / 1000,
+		Simulated: r.Simulated() - m.simulated,
+		CacheHits: r.CacheHits() - m.cacheHits,
+		SimCycles: r.SimCycles() - m.simCycles,
+		Cells:     r.timingLog(m.cells),
 	}
-	if rep.Fig2, err = r.Fig2(io.Discard, opt); err != nil {
-		return nil, err
+	if wallSec := t.WallMS / 1000; wallSec > 0 {
+		t.CellsPerSec = float64(t.Simulated) / wallSec
+		t.SimCyclesPerSec = float64(t.SimCycles) / wallSec
 	}
-	suite, err := r.RunSuite(opt)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range suite {
-		rep.Suite = append(rep.Suite, record(s))
-	}
-	if rep.Fig12, err = r.Fig12(io.Discard, opt); err != nil {
-		return nil, err
-	}
-	if rep.Protocols, err = r.ProtocolGrid(io.Discard, opt); err != nil {
-		return nil, err
-	}
-	if rep.Topologies, err = r.TopologyGrid(io.Discard, opt); err != nil {
-		return nil, err
-	}
-	rep.Timing = &TimingReport{
-		WallMS:    float64(time.Since(start).Microseconds()) / 1000,
-		Simulated: r.Simulated() - simBefore,
-		CacheHits: r.CacheHits() - hitBefore,
-		Failures:  r.Failures() - failBefore,
-		SimCycles: r.SimCycles() - cycBefore,
-		Cells:     r.timingsSince(mark),
-	}
-	if wallSec := rep.Timing.WallMS / 1000; wallSec > 0 {
-		rep.Timing.CellsPerSec = float64(rep.Timing.Simulated) / wallSec
-		rep.Timing.SimCyclesPerSec = float64(rep.Timing.SimCycles) / wallSec
-	}
-	if ws := r.WindowSummary().since(winBefore); ws.Cells > 0 {
-		rep.Timing.Window = &ws
+	if ws := r.WindowSummary().since(m.window); ws.Cells > 0 {
+		t.Window = &ws
 	}
 	if r.Cache != nil {
 		if rs, ok := remoteStatsOf(r.Cache); ok {
-			rep.Timing.Remote = &rs
+			t.Remote = &rs
 		}
 		// Best-effort: a cache-only server, a dead server, or a dispatcher
 		// with no submitted sweep all simply leave the section out.
 		if ss, ok := r.Cache.(sweepStatuser); ok {
 			if st, err := ss.SweepStatus(); err == nil && st.Total > 0 {
-				rep.Timing.Fleet = &st
+				t.Fleet = &st
 			}
 		}
 	}
-	return rep, nil
+	return t
 }
 
 // WriteJSON emits the report as indented JSON.

@@ -49,8 +49,8 @@ type CellTiming struct {
 // Two cache tiers sit in front of the simulator:
 //
 //   - an in-process memo (always on) so one process never simulates the
-//     same Spec twice — e.g. `gwsweep -exp all -json` reuses the text run's
-//     cells when assembling the JSON report;
+//     same Spec twice — e.g. `gwsweep -exp all` resolves the mesh cells
+//     the suite and topology grids share once;
 //   - an optional CacheBackend shared across processes: the on-disk Cache,
 //     or a TieredCache stacking disk in front of a RemoteCache so a fleet
 //     of hosts shares one result store.
@@ -72,7 +72,7 @@ type Runner struct {
 	// (typically os.Stderr).
 	Progress io.Writer
 
-	// execute lets tests stub the simulation (nil → executeSpec).
+	// execute lets tests stub the simulation (nil → Simulate).
 	execute func(Spec) (RunResult, error)
 
 	simulated atomic.Uint64
@@ -352,7 +352,8 @@ func (r *Runner) simulate(s Spec) (RunResult, error) {
 	if r.execute != nil {
 		return r.execute(s)
 	}
-	return executeSpec(s)
+	res, _, err := Simulate(s)
+	return res, err
 }
 
 func (r *Runner) memoize(key string, res RunResult) {
@@ -364,26 +365,18 @@ func (r *Runner) memoize(key string, res RunResult) {
 	r.mu.Unlock()
 }
 
-// timingMark returns a cursor into the timing log; timingsSince returns a
-// copy of everything recorded after a mark. BuildReport brackets its grids
-// with these so a report only carries its own cells.
-func (r *Runner) timingMark() int {
+// timingLog returns a copy of the timing log from index from on.
+func (r *Runner) timingLog(from int) []CellTiming {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.timings)
-}
-
-func (r *Runner) timingsSince(mark int) []CellTiming {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]CellTiming, len(r.timings)-mark)
-	copy(out, r.timings[mark:])
+	out := make([]CellTiming, len(r.timings)-from)
+	copy(out, r.timings[from:])
 	return out
 }
 
 // CellTimings returns every cell timing recorded by this Runner, in the
 // order the grids were submitted.
-func (r *Runner) CellTimings() []CellTiming { return r.timingsSince(0) }
+func (r *Runner) CellTimings() []CellTiming { return r.timingLog(0) }
 
 // progress emits the ticker line: completed/total, percent, elapsed, ETA,
 // and the simulated/cached split. It ends with \r so the line overwrites

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -334,26 +335,29 @@ func TestRunnerProgressLine(t *testing.T) {
 	}
 }
 
-// TestBuildReportReusesCells guards the gwsweep -json fix: building the
-// report twice on one Runner must not simulate anything the second time,
-// and both reports must agree on every data series.
-func TestBuildReportReusesCells(t *testing.T) {
+// TestRunExperimentReusesCells: running the evaluation twice on one Runner
+// simulates nothing the second time, and both reports agree on every data
+// series.
+func TestRunExperimentReusesCells(t *testing.T) {
 	r := NewRunner(8)
 	opt := Options{Scale: 1, Threads: 4}
-	rep1, err := r.BuildReport(opt)
+	rep1, err := r.RunExperiment(io.Discard, "all", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	simAfterFirst := r.Simulated()
 	if simAfterFirst == 0 {
-		t.Fatal("first report simulated nothing")
+		t.Fatal("first run simulated nothing")
 	}
-	rep2, err := r.BuildReport(opt)
+	if rep1.Timing == nil || rep1.Timing.Simulated != simAfterFirst {
+		t.Errorf("first report timing %+v, want the %d cells simulated", rep1.Timing, simAfterFirst)
+	}
+	rep2, err := r.RunExperiment(io.Discard, "all", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Simulated() != simAfterFirst {
-		t.Errorf("second report simulated %d extra cells, want 0", r.Simulated()-simAfterFirst)
+		t.Errorf("second run simulated %d extra cells, want 0", r.Simulated()-simAfterFirst)
 	}
 	if rep2.Timing == nil || rep2.Timing.Simulated != 0 {
 		t.Errorf("second report timing %+v, want 0 simulated", rep2.Timing)
@@ -368,7 +372,7 @@ func TestBuildReportReusesCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Error("reports built from fresh and memoized cells differ")
+		t.Error("reports of fresh and memoized cells differ")
 	}
 }
 

@@ -62,7 +62,7 @@ func TestShardDeterminismAblationGrid(t *testing.T) {
 		j := j
 		t.Run(j.Label, func(t *testing.T) {
 			t.Parallel()
-			res, err := executeSpec(j.Spec)
+			res, _, err := Simulate(j.Spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -98,20 +98,22 @@ func hashKey(version string, s Spec, mc machine.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// executeSpec simulates one cell. It is the single execution path under the
-// Runner; RunApp and every figure grid funnel through it.
-func executeSpec(s Spec) (RunResult, error) {
+// Simulate runs one cell and returns its result together with the system
+// it ran on, for callers that inspect the machine afterwards (ghostwriter
+// -cores/-noc). It is the single execution path: the Runner, RunApp, every
+// figure grid and the ghostwriter command all funnel through it.
+func Simulate(s Spec) (RunResult, *ghostwriter.System, error) {
 	f, err := workloads.Lookup(s.App)
 	if err != nil {
-		return RunResult{}, err
+		return RunResult{}, nil, err
 	}
 	if s.Config.Protocol != "" {
 		if _, err := ghostwriter.ParseProtocol(string(s.Config.Protocol)); err != nil {
-			return RunResult{}, err
+			return RunResult{}, nil, err
 		}
 	}
 	if err := ghostwriter.ValidateTopology(s.Config.Topo, s.Config.Nodes); err != nil {
-		return RunResult{}, err
+		return RunResult{}, nil, err
 	}
 	app := f.New(s.Scale)
 	sys := ghostwriter.New(s.effective())
@@ -133,5 +135,5 @@ func executeSpec(s Spec) (RunResult, error) {
 		Energy:   *sys.Energy(),
 		ErrorPct: quality.Measure(f.Metric, app.Output(sys), app.Golden()),
 		Window:   sys.WindowStats(),
-	}, nil
+	}, sys, nil
 }
