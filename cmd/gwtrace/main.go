@@ -12,8 +12,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	ghostwriter "ghostwriter"
@@ -22,29 +25,43 @@ import (
 )
 
 func main() {
-	var (
-		gen     = flag.String("gen", "", "generate a trace: migratory|producer-consumer|false-sharing|pathological-sharing|random")
-		out     = flag.String("o", "", "write the generated trace to this file")
-		replay  = flag.String("replay", "", "replay a trace file ('-' = the trace just generated)")
-		threads = flag.Int("threads", 8, "threads in a generated trace")
-		rounds  = flag.Int("rounds", 500, "rounds per thread in a generated trace")
-		d       = flag.Int("d", 8, "d-distance for replay (0 = baseline MESI)")
-		seed    = flag.Int64("seed", 42, "seed for random traces")
-		topo    = flag.String("topo", "", "interconnect topology for replay: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
-		nodes   = flag.Int("nodes", 0, "interconnect node count for replay (0 = the Table 1 24)")
-	)
-	flag.Parse()
-	if err := ghostwriter.ValidateTopology(*topo, *nodes); err != nil {
-		fmt.Fprintln(os.Stderr, "gwtrace:", err)
-		os.Exit(1)
-	}
-	if err := run(*gen, *out, *replay, *threads, *rounds, *d, *seed, *topo, *nodes); err != nil {
-		fmt.Fprintln(os.Stderr, "gwtrace:", err)
-		os.Exit(1)
-	}
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(gen, out, replay string, threads, rounds, d int, seed int64, topo string, nodes int) error {
+// realMain runs the command on args: 0 on success, 1 on a failed run (a bad
+// topology or thread count, an unreadable trace), 2 on an unknown flag.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gwtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		gen     = fs.String("gen", "", "generate a trace: migratory|producer-consumer|false-sharing|pathological-sharing|random")
+		out     = fs.String("o", "", "write the generated trace to this file")
+		replay  = fs.String("replay", "", "replay a trace file ('-' = the trace just generated)")
+		threads = fs.Int("threads", 8, "threads in a generated trace")
+		rounds  = fs.Int("rounds", 500, "rounds per thread in a generated trace")
+		d       = fs.Int("d", 8, "d-distance for replay (0 = baseline MESI)")
+		seed    = fs.Int64("seed", 42, "seed for random traces")
+		topo    = fs.String("topo", "", "interconnect topology for replay: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
+		nodes   = fs.Int("nodes", 0, "interconnect node count for replay (0 = the Table 1 24)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	err := ghostwriter.ValidateTopology(*topo, *nodes)
+	if err == nil {
+		err = run(stdout, *gen, *out, *replay, *threads, *rounds, *d, *seed, *topo, *nodes)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "gwtrace:", err)
+		return 1
+	}
+	return 0
+}
+
+func run(w io.Writer, gen, out, replay string, threads, rounds, d int, seed int64, topo string, nodes int) error {
 	// The generated trace targets a fixed block-aligned base; the replay
 	// machine allocates the same region, so traces are position-stable.
 	const base = 0x2_0000
@@ -52,6 +69,9 @@ func run(gen, out, replay string, threads, rounds, d int, seed int64, topo strin
 
 	var tr *trace.Trace
 	if gen != "" {
+		if threads < 1 {
+			return fmt.Errorf("-threads %d: a trace needs at least one thread", threads)
+		}
 		pc := trace.PatternConfig{
 			Threads: threads, Rounds: rounds, Base: base,
 			DDist: d, Scribble: d > 0,
@@ -70,20 +90,16 @@ func run(gen, out, replay string, threads, rounds, d int, seed int64, topo strin
 		default:
 			return fmt.Errorf("unknown pattern %q", gen)
 		}
-		fmt.Printf("generated %s trace: %d threads, %d ops\n", gen, tr.NumThreads(), tr.Ops())
+		fmt.Fprintf(w, "generated %s trace: %d threads, %d ops\n", gen, tr.NumThreads(), tr.Ops())
 		if out != "" {
-			f, err := os.Create(out)
-			if err != nil {
+			var buf bytes.Buffer
+			if err := tr.Save(&buf); err != nil {
 				return err
 			}
-			if err := tr.Save(f); err != nil {
-				f.Close()
+			if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
 				return err
 			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Println("wrote", out)
+			fmt.Fprintln(w, "wrote", out)
 		}
 	}
 
@@ -95,15 +111,14 @@ func run(gen, out, replay string, threads, rounds, d int, seed int64, topo strin
 			return fmt.Errorf("-replay - requires -gen")
 		}
 	default:
-		f, err := os.Open(replay)
+		data, err := os.ReadFile(replay)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if tr, err = trace.Load(f); err != nil {
+		if tr, err = trace.Load(bytes.NewReader(data)); err != nil {
 			return err
 		}
-		fmt.Printf("loaded trace: %d threads, %d ops\n", tr.NumThreads(), tr.Ops())
+		fmt.Fprintf(w, "loaded trace: %d threads, %d ops\n", tr.NumThreads(), tr.Ops())
 	}
 
 	cfg := ghostwriter.Config{Topo: topo, Nodes: nodes}
@@ -111,18 +126,22 @@ func run(gen, out, replay string, threads, rounds, d int, seed int64, topo strin
 		cfg.Protocol = ghostwriter.Ghostwriter
 	}
 	sys := ghostwriter.New(cfg)
+	// Threads are pinned one per core.
+	if n := tr.NumThreads(); n < 1 || n > sys.Cores() {
+		return fmt.Errorf("cannot replay a %d-thread trace on %d cores", n, sys.Cores())
+	}
 	// Reserve the trace's address region.
 	sys.Alloc(base+span, 64)
 	cycles := sys.Run(tr.NumThreads(), tr.Kernel())
 	st := sys.Stats()
-	fmt.Printf("replayed under %s (d=%d): %d cycles\n", cfg.Protocol, d, cycles)
-	fmt.Printf("%-20s", "messages:")
+	fmt.Fprintf(w, "replayed under %s (d=%d): %d cycles\n", cfg.Protocol, d, cycles)
+	fmt.Fprintf(w, "%-20s", "messages:")
 	for _, c := range stats.MsgClasses() {
-		fmt.Printf(" %s=%d", c, st.Msgs[c])
+		fmt.Fprintf(w, " %s=%d", c, st.Msgs[c])
 	}
-	fmt.Printf(" total=%d\n", st.TotalMsgs())
+	fmt.Fprintf(w, " total=%d\n", st.TotalMsgs())
 	if d > 0 {
-		fmt.Printf("%-20s GS=%d GI=%d fallbacks=%d\n", "approx:",
+		fmt.Fprintf(w, "%-20s GS=%d GI=%d fallbacks=%d\n", "approx:",
 			st.ServicedByGS, st.ServicedByGI, st.ScribbleFallbacks)
 	}
 	return nil

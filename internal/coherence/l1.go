@@ -207,7 +207,7 @@ func (l *L1) CurrentGITimeout() sim.Cycle { return l.curTimeout }
 // GI). The machine arms it at the start of a run and stops it at the end so
 // the event queue can drain.
 func (l *L1) StartSweep() {
-	if !l.proto.HasGI || l.cfg.GITimeout == 0 || !l.stopped {
+	if l.cfg.GITimeout == 0 || !l.stopped || !l.proto.HasGI() {
 		return
 	}
 	l.stopped = false

@@ -125,22 +125,16 @@ type Options struct {
 	// Budget stops launching new mutants once exceeded (0 = unlimited);
 	// unstarted mutants classify as Skipped.
 	Budget time.Duration
-	// Workers caps the mutants evaluated at once (0 = GOMAXPROCS); each
-	// evaluation's explorations also deal their schedules to every core.
-	Workers int
-	// Grid overrides the default kill grid (nil = Grid(p)).
-	Grid []GridConfig
 }
 
-// Run evaluates every mutant of p against the kill grid. It errors if the
-// golden protocol itself violates any sweep — a mutation matrix over an
-// unsound golden measures nothing.
+// Run evaluates every mutant of p against the kill grid, GOMAXPROCS
+// mutants at once; each evaluation's explorations also deal their
+// schedules to every core. It errors if the golden protocol itself
+// violates any sweep — a mutation matrix over an unsound golden measures
+// nothing.
 func Run(p *proto.Protocol, opt Options) (*Report, error) {
 	start := time.Now()
-	grid := opt.Grid
-	if grid == nil {
-		grid = Grid(p)
-	}
+	grid := Grid(p)
 	golden, err := goldenRuns(p, grid)
 	if err != nil {
 		return nil, err
@@ -149,10 +143,6 @@ func Run(p *proto.Protocol, opt Options) (*Report, error) {
 
 	muts := Enumerate(p)
 	rep.Outcomes = make([]Outcome, len(muts))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var (
 		wg   sync.WaitGroup
 		next int
@@ -162,7 +152,7 @@ func Run(p *proto.Protocol, opt Options) (*Report, error) {
 	if opt.Budget > 0 {
 		deadline = start.Add(opt.Budget)
 	}
-	for w := 0; w < workers; w++ {
+	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

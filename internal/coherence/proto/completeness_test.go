@@ -182,3 +182,28 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("Clone shares action slices with the registered protocol")
 	}
 }
+
+// TestHasGIArmsSweep pins which registered tables arm the periodic GI
+// sweep: exactly those with GI rows, every table built on ghostwriter's.
+func TestHasGIArmsSweep(t *testing.T) {
+	want := map[string]bool{
+		"ghostwriter": true, "gw-escalate": true, "gw-msi": true, "gw-resident": true, "gw-stale": true,
+		"gw-noGI": false, "mesi": false, "mesi-mig": false, "mesi-stale": false,
+	}
+	if len(Names()) != len(want) {
+		t.Fatalf("registered %v, want the %d tables pinned here", Names(), len(want))
+	}
+	for name, w := range want {
+		if got := MustLookup(name).HasGI(); got != w {
+			t.Errorf("%s: HasGI() = %v, want %v", name, got, w)
+		}
+	}
+	// Read off the rows: a clone with its GI rows cleared stops arming.
+	c := MustLookup("ghostwriter").Clone()
+	for ev := range c.L1[cache.GI] {
+		c.L1[cache.GI][ev] = nil
+	}
+	if c.HasGI() {
+		t.Error("a table without GI rows reports HasGI")
+	}
+}

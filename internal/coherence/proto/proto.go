@@ -16,6 +16,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 
 	"ghostwriter/internal/cache"
 )
@@ -536,15 +537,14 @@ type DirKey struct {
 
 // Protocol is one registered coherence protocol: its name, its transition
 // tables, and the allowlist of (state, event) pairs its tables deliberately
-// omit (with the reason each is unreachable). HasGI arms the periodic GI
-// timeout sweep. Resident declares that a scribble on a GS block skips the
-// scribe comparator, so a GS copy may drift past d-distance by design; the
-// model checker relaxes its GS drift audits for such a table. It is stated,
-// not read off the rows: a mutant that loses GS/Scribble's comparator guard
-// has the rows of a resident table but is still held to the bound.
+// omit (with the reason each is unreachable). Resident declares that a
+// scribble on a GS block skips the scribe comparator, so a GS copy may
+// drift past d-distance by design; the model checker relaxes its GS drift
+// audits for such a table. It is stated, not read off the rows: a mutant
+// that loses GS/Scribble's comparator guard has the rows of a resident
+// table but is still held to the bound.
 type Protocol struct {
 	Name     string
-	HasGI    bool
 	Resident bool
 
 	L1  L1Table
@@ -558,11 +558,18 @@ type Protocol struct {
 	DirUnreachable map[DirKey]string
 }
 
+// HasGI reports whether the L1 table defines any GI row; such a table
+// arms the periodic GI timeout sweep. It is read off the rows, so a table
+// and its sweep cannot disagree.
+func (p *Protocol) HasGI() bool {
+	return slices.ContainsFunc(p.L1[cache.GI][:], func(rules []Transition) bool { return len(rules) > 0 })
+}
+
 // Clone deep-copies the protocol (tables, rules, and allowlists) so tests
 // can mutate a variant — e.g. seed a missing-transition bug — without
 // corrupting the registered original.
 func (p *Protocol) Clone() *Protocol {
-	q := &Protocol{Name: p.Name, HasGI: p.HasGI, Resident: p.Resident}
+	q := &Protocol{Name: p.Name, Resident: p.Resident}
 	for s := range p.L1 {
 		for e := range p.L1[s] {
 			q.L1[s][e] = cloneRules(p.L1[s][e])

@@ -34,7 +34,7 @@ func init() {
 	mesi := &Protocol{Name: "mesi", L1: mesiL1, Dir: dir,
 		L1Unreachable: mesiUn, DirUnreachable: dirUn}
 	gwL1, gwUn := buildL1(true, true)
-	gw := &Protocol{Name: "ghostwriter", HasGI: true, L1: gwL1, Dir: dir,
+	gw := &Protocol{Name: "ghostwriter", L1: gwL1, Dir: dir,
 		L1Unreachable: gwUn, DirUnreachable: dirUn}
 	noGIL1, noGIUn := buildL1(true, false)
 	Register(mesi)

@@ -423,8 +423,8 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	clean = true
 	m.clu.Align()
 	elapsed := uint64(end - start)
-	m.lastCycles = uint64(end)
-	m.lastEvents = m.clu.Fired()
+	m.st.Cycles = uint64(end)
+	m.st.Events = m.clu.Fired()
 	return elapsed
 }
 

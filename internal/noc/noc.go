@@ -84,7 +84,6 @@ type Network struct {
 
 	clu        *sim.Cluster
 	tileMeters []*energy.Meter
-	tileStats  []*stats.Stats
 	// mergeSendFn is n.mergeSend bound once: evaluating the method value at
 	// every Stage call would allocate a closure per cross-tile send.
 	mergeSendFn sim.StagedHandler
@@ -103,8 +102,9 @@ func New(eng *sim.Engine, cfg Config, meter *energy.Meter, st *stats.Stats) *Net
 // predates the single engine; benchmark/ imports it). Local (src == dst)
 // sends schedule directly on the engine and charge the source tile's
 // meter; cross-tile sends are staged and routed at the window barrier,
-// charging mergeMeter/mergeSt. One tile resource pair per node is required.
-func NewSharded(clu *sim.Cluster, cfg Config, tileMeters []*energy.Meter, tileStats []*stats.Stats, mergeMeter *energy.Meter, mergeSt *stats.Stats) *Network {
+// charging mergeMeter/linkStats. One tile meter per node is required. The
+// fourth parameter is ignored; it stays until benchmark/ stops passing it.
+func NewSharded(clu *sim.Cluster, cfg Config, tileMeters []*energy.Meter, _ []*stats.Stats, mergeMeter *energy.Meter, linkStats *stats.Stats) *Network {
 	n := newNetwork(cfg)
 	if clu.Tiles() != n.Nodes() {
 		panic(fmt.Sprintf("noc: cluster has %d tiles for a %d-node %s", clu.Tiles(), n.Nodes(), n.topo.Name()))
@@ -114,9 +114,8 @@ func NewSharded(clu *sim.Cluster, cfg Config, tileMeters []*energy.Meter, tileSt
 	}
 	n.clu = clu
 	n.tileMeters = tileMeters
-	n.tileStats = tileStats
 	n.meter = mergeMeter
-	n.st = mergeSt
+	n.st = linkStats
 	n.mergeSendFn = n.mergeSend
 	return n
 }

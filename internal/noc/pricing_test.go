@@ -98,12 +98,12 @@ func TestImmediateAndStagedPriceAlike(t *testing.T) {
 			imAt := run(im, func(int) *sim.Engine { return eng }, eng.Drain)
 
 			clu := sim.NewCluster(nodes, cfg.Lookahead(), 1)
-			tileMeters, tileStats := make([]*energy.Meter, nodes), make([]*stats.Stats, nodes)
+			tileMeters := make([]*energy.Meter, nodes)
 			for i := range tileMeters {
-				tileMeters[i], tileStats[i] = &energy.Meter{}, &stats.Stats{}
+				tileMeters[i] = &energy.Meter{}
 			}
 			stSt, stMeter := &stats.Stats{}, &energy.Meter{}
-			st := NewSharded(clu, cfg, tileMeters, tileStats, stMeter, stSt)
+			st := NewSharded(clu, cfg, tileMeters, nil, stMeter, stSt)
 			stAt := run(st, clu.Tile, clu.Drain)
 			for _, m := range tileMeters {
 				stMeter.Add(m)

@@ -55,13 +55,6 @@ type Cluster struct {
 
 	box []staged // effects staged in the current window, in staging order
 
-	// next caches the engine's next pending cycle between steps; it goes
-	// stale (nextValid false) whenever events may have been scheduled
-	// outside a step — between runs.
-	next      Cycle
-	nextOK    bool
-	nextValid bool
-
 	windows         uint64
 	merges          uint64
 	stagedApplied   uint64
@@ -79,7 +72,7 @@ func NewCluster(tiles int, lookahead Cycle, _ int) *Cluster {
 	if lookahead < 1 {
 		panic("sim: cluster lookahead must be at least one cycle")
 	}
-	return &Cluster{eng: Engine{minSched: noMinSched}, tiles: tiles, lookahead: lookahead}
+	return &Cluster{tiles: tiles, lookahead: lookahead}
 }
 
 // Tiles returns the tile count.
@@ -137,37 +130,30 @@ func (c *Cluster) Stage(tile int, h StagedHandler, arg any, aux uint64) {
 	c.box = append(c.box, staged{at: c.eng.Now(), tile: int32(tile), h: h, arg: arg, aux: aux})
 }
 
-// stepFast drains one lookahead window — one fused runTo — and replays its
+// stepFast drains one lookahead window — one RunTo — and replays its
 // barrier if anything was staged. merged reports whether a barrier ran (the
 // only transitions where cross-tile state changes); idle reports a fully
 // drained cluster (nothing fired, nothing merged).
 func (c *Cluster) stepFast() (merged, idle bool) {
 	e := &c.eng
-	if !c.nextValid {
-		c.next, c.nextOK = e.NextAt()
-		e.minSched = noMinSched
-		c.nextValid = true
-	}
-	if !c.nextOK {
+	next, ok := e.NextAt()
+	if !ok {
 		return false, true
 	}
-	if c.next >= c.base+c.lookahead {
+	if next >= c.base+c.lookahead {
 		// Skip empty windows: jump to the grid-aligned window containing
 		// the earliest event. The grid is anchored at cycle 0 in multiples
 		// of the lookahead, so the jump target is independent of history.
 		// Most often that is the very next window, which needs no division.
-		if c.next < c.base+2*c.lookahead {
+		if next < c.base+2*c.lookahead {
 			c.base += c.lookahead
 		} else {
-			c.base = c.next / c.lookahead * c.lookahead
+			c.base = next / c.lookahead * c.lookahead
 		}
 	}
 	end := c.base + c.lookahead
 	f0 := e.fired
-	next, ok := e.runTo(end - 1)
-	// runTo's return is exact, so drop drain-phase scheduling tracking and
-	// re-arm for the barrier handlers.
-	e.minSched = noMinSched
+	e.RunTo(end - 1)
 	fired := e.fired - f0
 	c.windows++
 	c.events += fired
@@ -177,13 +163,9 @@ func (c *Cluster) stepFast() (merged, idle bool) {
 	if len(c.box) > 0 {
 		c.stagedApplied += uint64(len(c.box))
 		c.mergeFast(end)
-		if m := e.takeMinSched(); m != noMinSched && (!ok || m < next) {
-			next, ok = m, true
-		}
 		c.merges++
 		merged = true
 	}
-	c.next, c.nextOK = next, ok
 	c.base = end
 	return merged, false
 }
@@ -221,7 +203,6 @@ func (c *Cluster) mergeFast(end Cycle) {
 // after a successful Drain.
 func (c *Cluster) Align() {
 	c.eng.RunTo(c.base)
-	c.nextValid = false
 }
 
 // RunUntil advances windows until the predicate holds or the queue drains.
@@ -229,7 +210,6 @@ func (c *Cluster) Align() {
 // — the only points where cross-tile state changes, so the only points
 // where its value can flip. It returns true if the predicate was satisfied.
 func (c *Cluster) RunUntil(done func() bool) bool {
-	c.nextValid = false // events may have been scheduled since the last run
 	for !done() {
 		for {
 			merged, idle := c.stepFast()
@@ -248,7 +228,6 @@ func (c *Cluster) RunUntil(done func() bool) bool {
 // number of events fired to guard against livelock in a buggy model. It
 // returns the events fired and whether it fully drained.
 func (c *Cluster) Drain(limit uint64) (fired uint64, drained bool) {
-	c.nextValid = false // events may have been scheduled since the last run
 	start := c.events
 	for {
 		_, idle := c.stepFast()

@@ -19,7 +19,6 @@ type sched interface {
 	AfterArg(delay Cycle, h func(any), arg any)
 	Step() bool
 	RunTo(deadline Cycle)
-	runTo(deadline Cycle) (Cycle, bool)
 	Drain(limit uint64) (uint64, bool)
 	NextAt() (Cycle, bool)
 	Pending() int
@@ -99,20 +98,18 @@ func (r *refEngine) Step() bool {
 	return true
 }
 
-func (r *refEngine) runTo(deadline Cycle) (Cycle, bool) {
+func (r *refEngine) RunTo(deadline Cycle) {
 	for {
 		at, ok := r.NextAt()
 		if !ok || at > deadline {
 			if deadline > r.now {
 				r.now = deadline
 			}
-			return at, ok
+			return
 		}
 		r.Step()
 	}
 }
-
-func (r *refEngine) RunTo(deadline Cycle) { r.runTo(deadline) }
 
 func (r *refEngine) Drain(limit uint64) (fired uint64, drained bool) {
 	for len(r.pending) > 0 {
@@ -244,8 +241,10 @@ func (d *diffRun) run(prog []byte) {
 			d.observe(fmt.Sprintf("RunTo(%d)", dl))
 		case 5:
 			dl := d.deadline(arg)
-			next, ok := d.s.runTo(dl)
-			d.observe(fmt.Sprintf("runTo(%d)=%d,%v", dl, next, ok))
+			// The window scheduler's shape: drain, then peek the next cycle.
+			d.s.RunTo(dl)
+			next, ok := d.s.NextAt()
+			d.observe(fmt.Sprintf("RunTo(%d);NextAt=%d,%v", dl, next, ok))
 		case 6:
 			fired, drained := d.s.Drain(uint64(arg % 32))
 			d.observe(fmt.Sprintf("Drain(%d)=%d,%v", arg%32, fired, drained))
@@ -425,9 +424,10 @@ func TestEngineRunToInsideFarEpoch(t *testing.T) {
 	var got []string
 	rec := func(s string) Event { return func() { got = append(got, fmt.Sprintf("%s@%d", s, e.Now())) } }
 	e.At(600, rec("far"))
-	next, ok := e.runTo(520)
+	e.RunTo(520)
+	next, ok := e.NextAt()
 	if e.Now() != 520 || !ok || next != 600 || len(got) != 0 || e.farCount != 1 {
-		t.Fatalf("runTo(520): Now=%d next=%d,%v fired=%q farCount=%d; want 520, 600,true, none, 1",
+		t.Fatalf("RunTo(520): Now=%d next=%d,%v fired=%q farCount=%d; want 520, 600,true, none, 1",
 			e.Now(), next, ok, got, e.farCount)
 	}
 	e.At(600, rec("wheel"))

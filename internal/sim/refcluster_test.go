@@ -4,7 +4,7 @@ package sim
 // down with no data structure to get wrong: one naive refEngine per tile,
 // every tile drained to the last cycle of the window, then a K-way merge
 // of the per-tile outboxes, earliest head first and ties to the lowest
-// tile. It shares no code with runTo or mergeFast.
+// tile. It shares no code with stepFast or mergeFast.
 type refCluster struct {
 	tiles     []*refEngine
 	out       [][]refStaged // per source tile, in staging order

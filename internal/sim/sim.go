@@ -104,27 +104,6 @@ type Engine struct {
 
 	overflow []*event // min-heap on (at, seq), beyond the level-2 horizon
 	free     *event   // intrusive free list of recycled records
-
-	// minSched is the lowest cycle scheduled since the last takeMinSched
-	// (noMinSched when none). The cluster's window scheduler uses it to
-	// update its cached next-event cycle after a barrier without rescanning
-	// the wheel: barrier handlers run while the engine is quiescent, so any
-	// cycle they schedule is captured here.
-	minSched Cycle
-}
-
-// noMinSched is minSched's "nothing scheduled" sentinel: the maximum
-// cycle, unreachable by real events. NewCluster arms its engine with it; a
-// standalone zero-valued Engine leaves minSched at 0, which is harmless
-// because only the cluster reads the tracker.
-const noMinSched = ^Cycle(0)
-
-// takeMinSched returns the lowest cycle scheduled since the previous call
-// (or noMinSched) and resets the tracker.
-func (e *Engine) takeMinSched() Cycle {
-	m := e.minSched
-	e.minSched = noMinSched
-	return m
 }
 
 // Now returns the current simulated cycle.
@@ -135,9 +114,8 @@ func (e *Engine) Now() Cycle { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Reset rewinds a drained engine to cycle 0 with its sequence and fired
-// counters zeroed, keeping the free list and the far array (and minSched,
-// which is the cluster's to manage). A drained engine's slots,
-// bitmaps and heap are already empty, so what runs next is
+// counters zeroed, keeping the free list and the far array. A drained
+// engine's slots, bitmaps and heap are already empty, so what runs next is
 // indistinguishable from a run on a new engine (record identity never
 // orders events). Resetting with events pending is a programming error and
 // panics: their cycles would lie at the wrong distance from the rewound
@@ -177,9 +155,6 @@ func (e *Engine) schedule(at Cycle) *event {
 		panic(fmt.Sprintf("sim: event scheduled in the past (event at cycle %d, now cycle %d)", at, e.now))
 	}
 	e.seq++
-	if at < e.minSched {
-		e.minSched = at
-	}
 	ev := e.alloc()
 	ev.at = at
 	ev.seq = e.seq
@@ -394,35 +369,22 @@ func (e *Engine) Step() bool {
 // RunTo fires every event scheduled at or before deadline, then advances
 // the clock to deadline. Events scheduled later stay queued. Use this to
 // let in-flight activity settle for a bounded window without chasing
-// periodic self-rescheduling events.
-func (e *Engine) RunTo(deadline Cycle) { e.runTo(deadline) }
-
-// runTo is RunTo fused with the follow-up NextAt: it fires every event at
-// or before deadline with a single queue scan per event (Step via NextAt
-// would scan twice), advances the clock to deadline, and returns the cycle
-// of the next pending event. The window scheduler in Cluster drains each
-// window through this, caching the returned cycle so empty windows are
-// skipped without rescanning the queue.
-func (e *Engine) runTo(deadline Cycle) (next Cycle, ok bool) {
+// periodic self-rescheduling events. It takes one queue scan per event
+// (Step via NextAt would take two); the window scheduler in Cluster drains
+// each window through it.
+func (e *Engine) RunTo(deadline Cycle) {
 	for {
 		at, t, slot := e.next(deadline)
 		if t == tierNone || at > deadline {
 			if deadline > e.now {
 				e.now = deadline
 			}
-			return at, t != tierNone
+			return
 		}
 		if t == tierHeap {
-			ev := e.popOverflow()
-			e.now = ev.at
-			e.fired++
-			fn, h, arg := ev.fn, ev.h, ev.arg
-			e.recycle(ev)
-			if fn != nil {
-				fn()
-			} else {
-				h(arg)
-			}
+			// Rare (nothing the machine schedules goes that far): Step
+			// finds the same heap head and fires it.
+			e.Step()
 			continue
 		}
 		// Fire the slot's whole bucket without rescanning: within the

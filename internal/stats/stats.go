@@ -142,39 +142,3 @@ func (s *Stats) DistCDF() ([65]float64, uint64) {
 	}
 	return cdf, total
 }
-
-// Add accumulates o into s (used to aggregate per-component stats).
-func (s *Stats) Add(o *Stats) {
-	s.Cycles += o.Cycles
-	s.Events += o.Events
-	for i := range s.Msgs {
-		s.Msgs[i] += o.Msgs[i]
-	}
-	s.FlitHops += o.FlitHops
-	s.Loads += o.Loads
-	s.Stores += o.Stores
-	s.Scribbles += o.Scribbles
-	s.L1LoadHits += o.L1LoadHits
-	s.L1LoadMisses += o.L1LoadMisses
-	s.L1StoreHits += o.L1StoreHits
-	s.L1StoreMisses += o.L1StoreMisses
-	s.StoresOnS += o.StoresOnS
-	s.ServicedByGS += o.ServicedByGS
-	s.StoresOnI += o.StoresOnI
-	s.ServicedByGI += o.ServicedByGI
-	s.GSEntries += o.GSEntries
-	s.GIEntries += o.GIEntries
-	s.GITimeouts += o.GITimeouts
-	s.GSInvalidations += o.GSInvalidations
-	s.ScribbleFallbacks += o.ScribbleFallbacks
-	s.BoundEscalations += o.BoundEscalations
-	s.StaleLoadHits += o.StaleLoadHits
-	s.L2Recalls += o.L2Recalls
-	s.L1Accesses += o.L1Accesses
-	s.L2Accesses += o.L2Accesses
-	s.DirAccesses += o.DirAccesses
-	s.DRAMAccesses += o.DRAMAccesses
-	for i := range s.DistHist {
-		s.DistHist[i] += o.DistHist[i]
-	}
-}

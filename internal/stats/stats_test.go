@@ -88,20 +88,3 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAddMergesEverything(t *testing.T) {
-	var a, b Stats
-	a.Loads = 5
-	a.Msgs[MsgGETX] = 2
-	a.RecordDistance(3)
-	b.Loads = 7
-	b.ServicedByGS = 9
-	b.Msgs[MsgGETX] = 1
-	b.RecordDistance(3)
-	b.FlitHops = 11
-	a.Add(&b)
-	if a.Loads != 12 || a.ServicedByGS != 9 || a.Msgs[MsgGETX] != 3 ||
-		a.DistHist[3] != 2 || a.FlitHops != 11 {
-		t.Fatalf("Add produced %+v", a)
-	}
-}

@@ -111,12 +111,23 @@ func (t *Trace) Kernel() machine.Kernel {
 // traceMagic identifies the serialized format.
 const traceMagic = uint32(0x47575452) // "GWTR"
 
+// A trace file is a header, then per thread an op count (uint64) and that
+// many records. encoding/binary packs struct fields with no padding.
+type header struct{ Magic, Threads uint32 }
+
+// record is one Op as serialized, 23 bytes.
+type record struct {
+	Kind  uint8
+	Addr  uint64
+	Width uint8
+	Value uint64
+	Gap   uint32
+	DDist int8
+}
+
 // Save writes the trace in a compact little-endian binary format.
 func (t *Trace) Save(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, traceMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(t.Threads))); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, header{traceMagic, uint32(len(t.Threads))}); err != nil {
 		return err
 	}
 	for _, ops := range t.Threads {
@@ -124,11 +135,9 @@ func (t *Trace) Save(w io.Writer) error {
 			return err
 		}
 		for _, op := range ops {
-			rec := []any{uint8(op.Kind), uint64(op.Addr), op.Width, op.Value, op.Gap, op.DDist}
-			for _, f := range rec {
-				if err := binary.Write(w, binary.LittleEndian, f); err != nil {
-					return err
-				}
+			rec := record{uint8(op.Kind), uint64(op.Addr), op.Width, op.Value, op.Gap, op.DDist}
+			if err := binary.Write(w, binary.LittleEndian, &rec); err != nil {
+				return err
 			}
 		}
 	}
@@ -137,37 +146,31 @@ func (t *Trace) Save(w io.Writer) error {
 
 // Load reads a trace written by Save.
 func Load(r io.Reader) (*Trace, error) {
-	var magic, nthreads uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+	var h header
+	if err := binary.Read(r, binary.LittleEndian, &h); err != nil {
 		return nil, err
 	}
-	if magic != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %#x", magic)
+	if h.Magic != traceMagic {
+		return nil, fmt.Errorf("trace: bad magic %#x", h.Magic)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &nthreads); err != nil {
-		return nil, err
+	if h.Threads > 1024 {
+		return nil, fmt.Errorf("trace: implausible thread count %d", h.Threads)
 	}
-	if nthreads > 1024 {
-		return nil, fmt.Errorf("trace: implausible thread count %d", nthreads)
-	}
-	t := &Trace{Threads: make([][]Op, nthreads)}
+	t := &Trace{Threads: make([][]Op, h.Threads)}
 	for i := range t.Threads {
 		var n uint64
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
-		ops := make([]Op, n)
-		for j := range ops {
-			var kind uint8
-			var addr uint64
-			op := &ops[j]
-			for _, f := range []any{&kind, &addr, &op.Width, &op.Value, &op.Gap, &op.DDist} {
-				if err := binary.Read(r, binary.LittleEndian, f); err != nil {
-					return nil, err
-				}
+		// n comes from the input: the slice grows as records decode, so a
+		// corrupt count fails at the end of the data, not in make.
+		ops := make([]Op, 0, min(n, 1024))
+		for ; n > 0; n-- {
+			var rec record
+			if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {
+				return nil, err
 			}
-			op.Kind = coherence.OpKind(kind)
-			op.Addr = mem.Addr(addr)
+			ops = append(ops, Op{coherence.OpKind(rec.Kind), mem.Addr(rec.Addr), rec.Width, rec.Value, rec.Gap, rec.DDist})
 		}
 		t.Threads[i] = ops
 	}
