@@ -4,8 +4,9 @@
 // them. Entries are location-independent (the key hashes the code version,
 // the workload spec, and the full machine configuration — see
 // internal/harness), so the server needs no invalidation logic and its
-// data directory is an ordinary on-disk cache: seeding it from a laptop's
-// .gwcache and deleting it are both always safe.
+// data directory is an ordinary on-disk cache: the server appends every
+// result to one pack file of its own (<dir>/<unique>.pack), and copying a
+// laptop's .gwcache packs into it or deleting it are both always safe.
 //
 //	gwcached -addr :8344 -dir /srv/gwcache        # on the cache host
 //	gwsweep -remote http://cachehost:8344 -submit # once, to post the grid

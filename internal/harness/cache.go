@@ -1,37 +1,121 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
+	"time"
+
+	"ghostwriter/internal/wal"
 )
 
 // DefaultCacheDir is where gwsweep and the benchmarks keep cached cells.
 const DefaultCacheDir = ".gwcache"
 
-// Cache is the content-addressed on-disk result store. Each entry is one
-// RunResult serialized as JSON under
+const (
+	// packExt names the cache's pack files.
+	packExt = ".pack"
+	// keyLen is the length of a key, which opens every record's payload.
+	keyLen = 64
+	// scanChunk is how much of a pack one read takes while indexing.
+	scanChunk = 1 << 20
+	// racyListing is how close to the directory's mtime a listing must
+	// start to count as racy: a pack created in the same mtime tick would
+	// leave the mtime unchanged, so the next miss lists again. It covers
+	// file systems with one-second timestamps.
+	racyListing = time.Second
+)
+
+// Cache is the content-addressed on-disk result store. Its entries live in
+// append-only pack files directly under its directory:
 //
-//	<dir>/<key[:2]>/<key>.json
+//	<dir>/<unique>.pack
 //
-// where key is Spec.Key() — a SHA-256 over the code version, the workload
-// spec, and the full machine configuration. There is no invalidation logic:
-// a cell that would simulate differently necessarily has a different key
-// (codeVersion covers code changes), so stale entries are simply never read
-// again. Deleting the directory is always safe.
+// Each record is one write-ahead-log frame (package wal), [u32 length]
+// [u32 CRC32-C][payload], whose payload is the 64-byte key followed by the
+// RunResult as JSON. The key is Spec.Key() — a SHA-256 over the code
+// version, the workload spec, and the full machine configuration. There is
+// no invalidation logic: a cell that would simulate differently
+// necessarily has a different key (codeVersion covers code changes), so
+// stale entries are simply never read again. Deleting the directory is
+// always safe.
 //
-// A Cache is safe for concurrent use by the Runner's workers: writes go
-// through a temp file plus rename, so readers never observe partial JSON.
+// Each Cache appends to one pack of its own, created on its first Put, so
+// a warm replay creates no file, and no pack is ever written by two
+// processes or rewritten by anyone. OpenCache indexes every pack; a miss
+// indexes what other writers appended since (one fstat per pack) and
+// lists the directory again only when its mtime moved. A frame that is not
+// whole yet is left for a later scan and never truncated: its writer may
+// still be at work. A frame that fails its CRC or key check is a miss and
+// leaves the index, so the caller's re-Put appends a fresh copy.
+//
+// A Cache is safe for concurrent use by the Runner's workers. Put does not
+// fsync: the cache is a memo, and a lost entry is resimulated.
 type Cache struct {
-	dir                string
+	dir string
+
+	mu     sync.RWMutex
+	index  map[cacheKey]entry
+	packs  map[string]*pack // by file name; own included
+	own    *pack            // the pack this Cache appends to; nil before the first Put
+	dirMod time.Time        // the directory's mtime when it was last listed
+	racy   bool             // that listing may have missed a pack; list again
+
 	hits, misses, puts atomic.Uint64
 }
 
-// OpenCache opens (creating if needed) the cache rooted at dir; an empty
-// dir selects DefaultCacheDir.
+// cacheKey is a key's 32 bytes, which the index holds in place of its 64
+// hex characters.
+type cacheKey [keyLen / 2]byte
+
+// parseKey decodes key if it has the shape Spec.Key produces.
+func parseKey[T string | []byte](key T) (k cacheKey, ok bool) {
+	if len(key) != keyLen {
+		return k, false
+	}
+	for i := range k {
+		hi, ok1 := nibble(key[2*i])
+		lo, ok2 := nibble(key[2*i+1])
+		if !ok1 || !ok2 {
+			return k, false
+		}
+		k[i] = hi<<4 | lo
+	}
+	return k, true
+}
+
+// nibble decodes one lowercase hex digit.
+func nibble(b byte) (byte, bool) {
+	switch {
+	case '0' <= b && b <= '9':
+		return b - '0', true
+	case 'a' <= b && b <= 'f':
+		return b - 'a' + 10, true
+	}
+	return 0, false
+}
+
+// pack is one pack file and how far the index covers it.
+type pack struct {
+	f    *os.File
+	next int64 // offset of the first frame not yet indexed
+	seen int64 // the file's size at the last scan
+}
+
+// entry locates one record: the frame of length n at off in p.
+type entry struct {
+	p   *pack
+	off int64
+	n   int
+}
+
+// OpenCache opens (creating if needed) the cache rooted at dir and indexes
+// its packs; an empty dir selects DefaultCacheDir.
 func OpenCache(dir string) (*Cache, error) {
 	if dir == "" {
 		dir = DefaultCacheDir
@@ -39,7 +123,9 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("harness: open cache: %w", err)
 	}
-	return &Cache{dir: dir}, nil
+	c := &Cache{dir: dir, index: make(map[cacheKey]entry), packs: make(map[string]*pack)}
+	c.refreshLocked()
+	return c, nil
 }
 
 // Dir returns the cache root.
@@ -47,106 +133,198 @@ func (c *Cache) Dir() string { return c.dir }
 
 // ValidKey reports whether key has the shape Spec.Key produces: exactly 64
 // lowercase hex characters. Every cache layer — disk, remote client, and
-// the gwcached server — rejects other shapes at the boundary: a short key
-// would panic in path's key[:2] slice, and a key carrying path separators
-// could escape the cache directory.
+// the gwcached server — rejects other shapes at the boundary, so a key
+// carrying path separators never reaches a URL path or a pack record.
 func ValidKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		b := key[i]
-		if ('0' <= b && b <= '9') || ('a' <= b && b <= 'f') {
-			continue
-		}
-		return false
-	}
-	return true
-}
-
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
+	_, ok := parseKey(key)
+	return ok
 }
 
 // Get returns the cached result for key, if present and readable.
 func (c *Cache) Get(key string) (*RunResult, bool) {
-	if !ValidKey(key) {
+	k, ok := parseKey(key)
+	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
-	p := c.path(key)
-	b, err := os.ReadFile(p)
-	if err != nil {
-		c.misses.Add(1)
-		return nil, false
+	c.mu.RLock()
+	e, ok := c.index[k]
+	c.mu.RUnlock()
+	if !ok {
+		c.mu.Lock()
+		c.refreshLocked()
+		e, ok = c.index[k]
+		c.mu.Unlock()
 	}
-	var r RunResult
-	if err := json.Unmarshal(b, &r); err == nil {
-		c.hits.Add(1)
-		return &r, true
-	}
-	// Corrupt entry (interrupted writer, manual edit). A concurrent Put may
-	// have already renamed a good entry into place, so re-read before
-	// deciding: removing blindly here would delete the repaired entry, and
-	// the repaired read must count as one hit, not two misses.
-	if b2, err := os.ReadFile(p); err == nil {
-		if !bytes.Equal(b2, b) {
-			var r2 RunResult
-			if err := json.Unmarshal(b2, &r2); err == nil {
-				c.hits.Add(1)
-				return &r2, true
-			}
-			// Replaced but still undecodable: a writer is active; leave the
-			// entry for it to settle.
-		} else {
-			// Same corrupt bytes on a second look: safe to drop so the
-			// caller's resimulated Put starts clean.
-			_ = os.Remove(p)
+	if ok {
+		if r, err := e.read(key); err == nil {
+			c.hits.Add(1)
+			return r, true
 		}
+		// The record changed on disk after it was indexed. Drop it so the
+		// caller's re-Put appends a fresh copy.
+		c.mu.Lock()
+		if c.index[k] == e {
+			delete(c.index, k)
+		}
+		c.mu.Unlock()
 	}
 	c.misses.Add(1)
 	return nil, false
 }
 
-// Put stores r under key, atomically.
+// read decodes e's record, checking its frame and its key again.
+func (e entry) read(key string) (*RunResult, error) {
+	b := make([]byte, e.n)
+	if _, err := e.p.f.ReadAt(b, e.off); err != nil {
+		return nil, err
+	}
+	payload, n, err := wal.ParseFrame(b)
+	if err != nil {
+		return nil, err
+	}
+	if n != e.n || len(payload) <= keyLen || string(payload[:keyLen]) != key {
+		return nil, errors.New("record does not hold its key")
+	}
+	var r RunResult
+	if err := json.Unmarshal(payload[keyLen:], &r); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// Put stores r under key by appending it to this Cache's pack. A key that
+// is already indexed appends nothing.
 func (c *Cache) Put(key string, r *RunResult) error {
-	if !ValidKey(key) {
+	k, ok := parseKey(key)
+	if !ok {
 		return fmt.Errorf("harness: cache put: malformed key %q", key)
 	}
-	p := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("harness: cache put: %w", err)
-	}
-	b, err := json.Marshal(r)
+	js, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("harness: cache put: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("harness: cache put: %w", err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache put: %w", err)
-	}
-	// CreateTemp opens at 0600; a shared cache directory (NFS mount, the
-	// gwcached data dir) needs entries other users can read.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache put: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache put: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache put: %w", err)
+	frame := wal.AppendFrame(make([]byte, 0, wal.HeaderSize+keyLen+len(js)), append([]byte(key), js...))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.index[k]; !ok {
+		if err := c.appendLocked(k, frame); err != nil {
+			return fmt.Errorf("harness: cache put: %w", err)
+		}
 	}
 	c.puts.Add(1)
 	return nil
+}
+
+// appendLocked writes frame at the end of the own pack, creating the pack
+// on first use, and indexes it. A failed write retires the pack, so the
+// next Put starts another and no byte is written twice.
+func (c *Cache) appendLocked(k cacheKey, frame []byte) error {
+	if c.own == nil {
+		f, err := os.CreateTemp(c.dir, "*"+packExt)
+		if err != nil {
+			return err
+		}
+		// CreateTemp opens at 0600; a shared cache directory (NFS mount,
+		// the gwcached data dir) needs packs other users can read.
+		if err := f.Chmod(0o644); err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			return err
+		}
+		c.own = &pack{f: f}
+		c.packs[filepath.Base(f.Name())] = c.own
+	}
+	p := c.own
+	if _, err := p.f.WriteAt(frame, p.next); err != nil {
+		c.own = nil
+		return err
+	}
+	c.index[k] = entry{p: p, off: p.next, n: len(frame)}
+	p.next += int64(len(frame))
+	p.seen = p.next
+	return nil
+}
+
+// refreshLocked brings the index up to date with the directory: it lists
+// the directory when its mtime moved (or the last listing was racy) and
+// indexes whatever the other packs gained since the last scan.
+func (c *Cache) refreshLocked() {
+	if fi, err := os.Stat(c.dir); err == nil && (c.racy || !fi.ModTime().Equal(c.dirMod)) {
+		c.dirMod = fi.ModTime()
+		c.racy = time.Since(c.dirMod) < racyListing
+		c.listLocked()
+	}
+	for _, p := range c.packs {
+		if p != c.own {
+			c.scanLocked(p)
+		}
+	}
+}
+
+// listLocked opens the packs in the directory that the Cache does not know.
+func (c *Cache) listLocked() {
+	ents, err := os.ReadDir(c.dir)
+	if err != nil {
+		return
+	}
+	for _, de := range ents {
+		name := de.Name()
+		if !strings.HasSuffix(name, packExt) || c.packs[name] != nil {
+			continue
+		}
+		if f, err := os.Open(filepath.Join(c.dir, name)); err == nil {
+			c.packs[name] = &pack{f: f}
+		}
+	}
+}
+
+// scanLocked indexes the frames appended to p since its last scan. It stops
+// at a frame that is not whole yet — one another process is still writing,
+// or one a crash tore — and resumes there once the file grows. A whole
+// frame that fails its CRC or holds no valid key is skipped; a length
+// prefix out of range ends what can be framed.
+func (c *Cache) scanLocked(p *pack) {
+	fi, err := p.f.Stat()
+	if err != nil || fi.Size() <= p.seen {
+		return
+	}
+	p.seen = fi.Size()
+	buf := make([]byte, min(p.seen-p.next, scanChunk))
+	for p.next < p.seen {
+		b := buf[:min(int64(len(buf)), p.seen-p.next)]
+		if _, err := p.f.ReadAt(b, p.next); err != nil {
+			return
+		}
+		off := 0
+		for {
+			payload, n, err := wal.ParseFrame(b[off:])
+			if err == wal.ErrShortFrame {
+				if off == 0 {
+					// The frame at p.next is larger than the buffer, or
+					// runs past what has been written so far.
+					if p.next+int64(n) > p.seen {
+						return
+					}
+					buf = make([]byte, n)
+				}
+				break
+			}
+			if n == 0 {
+				p.next += int64(off)
+				return
+			}
+			if err == nil && len(payload) > keyLen {
+				if k, ok := parseKey(payload[:keyLen]); ok {
+					if _, dup := c.index[k]; !dup {
+						c.index[k] = entry{p: p, off: p.next + int64(off), n: n}
+					}
+				}
+			}
+			off += n
+		}
+		p.next += int64(off)
+	}
 }
 
 // CacheStats is a point-in-time snapshot of cache activity.

@@ -1,0 +1,6 @@
+//go:build !race
+
+package harness
+
+// raceEnabled reports a -race build, whose instrumentation allocates.
+const raceEnabled = false

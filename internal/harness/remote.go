@@ -28,6 +28,12 @@ const (
 	// remoteReprobe is how often a dead server is re-probed for recovery;
 	// a restarted gwcached is readopted within one period.
 	remoteReprobe = 2 * time.Second
+	// remoteIdleConns is how many idle connections a client keeps per
+	// server. It is above what one process has in flight — its Runner's
+	// jobs (one per core), a claim and a heartbeat — so a busy worker
+	// reuses connections instead of redialing: http.DefaultTransport keeps
+	// 2 per host, shared by every client in the process.
+	remoteIdleConns = 64
 	// maxEntryBytes bounds one cache entry on the wire (a RunResult is a
 	// few KB of JSON; 16 MiB is far beyond any legitimate entry).
 	maxEntryBytes = 16 << 20
@@ -74,8 +80,10 @@ type remoteTarget struct {
 type RemoteCache struct {
 	base    string // preferred (first) server, for messages and stats
 	targets []*remoteTarget
-	// client (Timeout remoteTimeout), retries, backoff and reprobe start at
-	// the constants above; only in-package tests shorten them.
+	// client (Timeout remoteTimeout, its own Transport with
+	// remoteIdleConns idle connections per server), retries, backoff and
+	// reprobe start at the constants above; only in-package tests shorten
+	// them.
 	client  *http.Client
 	retries int
 	backoff time.Duration
@@ -107,8 +115,10 @@ func NewRemoteCache(cfg RemoteConfig) (*RemoteCache, error) {
 	if len(urls) == 0 {
 		urls = []string{cfg.URL}
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = remoteIdleConns
 	c := &RemoteCache{
-		client:  &http.Client{Timeout: remoteTimeout},
+		client:  &http.Client{Timeout: remoteTimeout, Transport: tr},
 		retries: remoteRetries,
 		backoff: remoteBackoff,
 		reprobe: remoteReprobe,
@@ -132,10 +142,12 @@ func NewRemoteCache(cfg RemoteConfig) (*RemoteCache, error) {
 	return c, nil
 }
 
-// Close stops the background health prober. The client itself remains
-// usable (requests still flow), but dead servers are no longer readopted.
+// Close stops the background health prober and closes the client's idle
+// connections. The client itself remains usable (requests still flow,
+// over new connections), but dead servers are no longer readopted.
 func (c *RemoteCache) Close() {
 	c.closeOnce.Do(func() { close(c.closed) })
+	c.client.CloseIdleConnections()
 }
 
 // Degraded reports whether every configured server is currently dead and

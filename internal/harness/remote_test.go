@@ -3,9 +3,11 @@ package harness
 import (
 	"bytes"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -274,5 +276,54 @@ func TestRunExperimentCarriesRemoteStats(t *testing.T) {
 	}
 	if rep.Timing.Simulated != 3 {
 		t.Errorf("report counted %d simulated cells, want fig12's 3", rep.Timing.Simulated)
+	}
+}
+
+// TestRemoteCacheReusesConnections: 16 goroutines × 50 PUTs through one
+// client open at most 17 connections to the server — one per goroutine
+// and one to spare — where a client on http.DefaultTransport (2 idle
+// connections per host, shared by the process) redials for most requests.
+// The server holds the first 16 PUTs until all have arrived, so each
+// goroutine's first PUT has its own connection: otherwise the Transport
+// may hand a request waiting on its dial a connection that another
+// request freed, and pool the dialed one as a spare.
+func TestRemoteCacheReusesConnections(t *testing.T) {
+	const goroutines, puts = 16, 50
+	var dialed, seen atomic.Int64
+	var arrived sync.WaitGroup
+	arrived.Add(goroutines)
+	srv := NewServer(ServerConfig{Backend: NewMemCache()})
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if seen.Add(1) <= goroutines {
+			arrived.Done()
+			arrived.Wait()
+		}
+		srv.ServeHTTP(w, req)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	rc := newTimedRemote(t, RemoteConfig{URL: ts.URL}, timing{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				key := Spec{App: "stub", Scale: g*puts + i + 1, Threads: 1}.Key()
+				if err := rc.Put(key, &RunResult{App: "stub", Cycles: uint64(i + 1)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := dialed.Load(); n > goroutines+1 {
+		t.Errorf("%d PUTs opened %d connections, want at most %d", goroutines*puts, n, goroutines+1)
 	}
 }

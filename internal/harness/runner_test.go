@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -376,8 +375,9 @@ func TestRunExperimentReusesCells(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntryResimulated: a truncated/garbage cache file must be
-// treated as a miss, dropped, and replaced by a fresh simulation.
+// TestCacheCorruptEntryResimulated: a cache record whose bytes changed
+// (here into another valid result) must be treated as a miss and replaced
+// by a fresh simulation.
 func TestCacheCorruptEntryResimulated(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)
@@ -395,9 +395,7 @@ func TestCacheCorruptEntryResimulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the entry on disk, then resolve through a fresh Runner.
-	if err := os.WriteFile(c.path(spec.Key()), []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipCycles(t, onePack(t, dir), '4', '7')
 	c2, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)

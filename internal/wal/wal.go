@@ -9,13 +9,15 @@
 //
 //	[u32 payload length][u32 CRC32-C of payload][payload]
 //
-// little-endian. Replay stops at the first frame that does not parse — a
-// truncated header, a length running past EOF, or a CRC mismatch — and
-// truncates the file there: a torn tail record (the write the crash
-// interrupted) is discarded, never half-applied. The discarded record was
-// by definition never acknowledged (acknowledgement requires the append,
-// and for durability-critical records the fsync, to return), so dropping
-// it is exactly the contract the caller relies on.
+// little-endian. AppendFrame and ParseFrame are the codec; the harness's
+// result cache frames its pack files with them too. Replay stops at the
+// first frame that does not parse — a truncated header, a length running
+// past EOF, or a CRC mismatch — and truncates the file there: a torn tail
+// record (the write the crash interrupted) is discarded, never
+// half-applied. The discarded record was by definition never acknowledged
+// (acknowledgement requires the append, and for durability-critical
+// records the fsync, to return), so dropping it is exactly the contract
+// the caller relies on.
 //
 // # Compaction
 //
@@ -33,6 +35,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,7 +51,9 @@ const (
 	logName      = "wal.log"
 	snapshotName = "snapshot"
 
-	headerSize = 8
+	// HeaderSize is the length of a frame's header: the payload length
+	// and the payload's CRC32-C.
+	HeaderSize = 8
 	// maxRecordBytes bounds one record; a larger length prefix is treated
 	// as tail corruption, not an allocation request.
 	maxRecordBytes = 16 << 20
@@ -56,8 +61,49 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrClosed reports an operation on a closed store.
-var ErrClosed = errors.New("wal: store is closed")
+var (
+	// ErrClosed reports an operation on a closed store.
+	ErrClosed = errors.New("wal: store is closed")
+	// ErrShortFrame reports bytes that hold only the start of a frame: a
+	// torn tail, or a frame another writer has not finished.
+	ErrShortFrame = errors.New("wal: short frame")
+	// ErrBadFrame reports a frame whose length prefix is out of range or
+	// whose CRC does not match its payload.
+	ErrBadFrame = errors.New("wal: corrupt frame")
+)
+
+// AppendFrame appends the frame of payload to dst and returns the
+// extended slice.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
+
+// ParseFrame decodes the frame at the start of b. It returns the payload,
+// which aliases b, and n, the frame's length in bytes. On ErrShortFrame, n
+// is how many bytes b must hold to go further. On ErrBadFrame, n is the
+// length of the frame whose CRC failed, so the caller may skip it, or 0
+// when the length prefix itself is out of range and nothing after it can
+// be framed.
+func ParseFrame(b []byte) (payload []byte, n int, err error) {
+	if len(b) < HeaderSize {
+		return nil, HeaderSize, ErrShortFrame
+	}
+	size := binary.LittleEndian.Uint32(b)
+	if size == 0 || size > maxRecordBytes {
+		return nil, 0, ErrBadFrame
+	}
+	n = HeaderSize + int(size)
+	if n > len(b) {
+		return nil, n, ErrShortFrame
+	}
+	payload = b[HeaderSize:n]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, n, ErrBadFrame
+	}
+	return payload, n, nil
+}
 
 // Recovered is what Open found on disk.
 type Recovered struct {
@@ -112,12 +158,12 @@ func Open(dir string, inj *fault.Injector) (*Store, *Recovered, error) {
 	}
 	valid := int64(0)
 	for {
-		payload, n := parseFrame(raw[valid:])
-		if n == 0 {
+		payload, n, err := ParseFrame(raw[valid:])
+		if err != nil {
 			break
 		}
-		rec.Records = append(rec.Records, payload)
-		valid += n
+		rec.Records = append(rec.Records, bytes.Clone(payload))
+		valid += int64(n)
 	}
 	if torn := int64(len(raw)) - valid; torn > 0 {
 		rec.TornBytes = torn
@@ -131,26 +177,6 @@ func Open(dir string, inj *fault.Injector) (*Store, *Recovered, error) {
 		return nil, nil, fmt.Errorf("wal: seek: %w", err)
 	}
 	return &Store{dir: dir, inj: inj, log: f, size: valid}, rec, nil
-}
-
-// parseFrame decodes one frame from b, returning the payload and the total
-// frame length, or (nil, 0) when b does not start with an intact frame.
-func parseFrame(b []byte) ([]byte, int64) {
-	if len(b) < headerSize {
-		return nil, 0
-	}
-	n := binary.LittleEndian.Uint32(b)
-	sum := binary.LittleEndian.Uint32(b[4:])
-	if n == 0 || n > maxRecordBytes || int64(headerSize)+int64(n) > int64(len(b)) {
-		return nil, 0
-	}
-	payload := b[headerSize : headerSize+int(n)]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, 0
-	}
-	out := make([]byte, n)
-	copy(out, payload)
-	return out, int64(headerSize) + int64(n)
 }
 
 // Append writes one record; with sync it is also fsync'd before returning,
@@ -169,10 +195,7 @@ func (s *Store) Append(payload []byte, sync bool) error {
 	if err := s.usableLocked(); err != nil {
 		return err
 	}
-	frame := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[headerSize:], payload)
+	frame := AppendFrame(make([]byte, 0, HeaderSize+len(payload)), payload)
 
 	allowed, ferr := s.inj.Write("wal.append", len(frame))
 	if ferr != nil {

@@ -170,7 +170,7 @@ func TestCorruptionMidFileStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a byte inside the second record's payload.
-	off := headerSize + len("first") + headerSize + 3
+	off := HeaderSize + len("first") + HeaderSize + 3
 	b[off] ^= 0xff
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
@@ -376,6 +376,41 @@ func TestClosedStoreRefusesWork(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double close = %v, want nil", err)
+	}
+}
+
+// TestParseFrameLengths pins what ParseFrame's n means on each outcome:
+// the frame's length on success and on a CRC mismatch, the bytes needed on
+// a short read, and 0 when the length prefix is out of range.
+func TestParseFrameLengths(t *testing.T) {
+	frame := AppendFrame(nil, []byte("payload"))
+	bad := bytes.Clone(frame)
+	bad[len(bad)-1] ^= 1
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		n    int
+		err  error
+	}{
+		{"whole", frame, len(frame), nil},
+		{"whole, trailing bytes", append(bytes.Clone(frame), 1, 2, 3), len(frame), nil},
+		{"short header", frame[:5], HeaderSize, ErrShortFrame},
+		{"short payload", frame[:len(frame)-1], len(frame), ErrShortFrame},
+		{"bad crc", bad, len(frame), ErrBadFrame},
+		{"zero length", make([]byte, HeaderSize), 0, ErrBadFrame},
+		{"length out of range", binary.LittleEndian.AppendUint32(nil, maxRecordBytes+1), 0, ErrBadFrame},
+	} {
+		b := tc.b
+		if len(b) < HeaderSize && tc.err == ErrBadFrame {
+			b = append(b, 0, 0, 0, 0)
+		}
+		payload, n, err := ParseFrame(b)
+		if n != tc.n || err != tc.err {
+			t.Errorf("%s: n=%d err=%v, want n=%d err=%v", tc.name, n, err, tc.n, tc.err)
+		}
+		if err == nil && string(payload) != "payload" {
+			t.Errorf("%s: payload %q", tc.name, payload)
+		}
 	}
 }
 
