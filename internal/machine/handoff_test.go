@@ -316,3 +316,245 @@ func TestWarmRunAllocations(t *testing.T) {
 		t.Errorf("a warm %d-thread Run allocates %.0f objects, want <= %d", threads, got, threads)
 	}
 }
+
+// TestStoresArePosted: a store returns once it is queued, not once the
+// simulator has carried it out, so machine state read from inside the
+// kernel reflects it only after Sync.
+func TestStoresArePosted(t *testing.T) {
+	m := New(DefaultConfig())
+	a := m.AllocPadded(64)
+	var posted, synced uint64
+	m.Run(1, func(th *Thread) {
+		th.Store32(a, 7)
+		posted = m.Stats().Stores
+		th.Sync()
+		synced = m.Stats().Stores
+	})
+	if posted != 0 || synced != 1 {
+		t.Errorf("Stores read %d after Store32 and %d after Sync, want 0 and 1", posted, synced)
+	}
+	if got := m.ReadCoherent(a, 4); got != 7 {
+		t.Errorf("stored word reads %d after Run, want 7", got)
+	}
+}
+
+// TestPostedStoresAreNotRoundTrips counts coroutine switches into a kernel
+// of 2·ringCap+1 stores and one load: it is resumed at its start, once per
+// full ring and once with the load's value, not once per store. The count
+// depends only on the kernel, so it gates a slide back to a switch per
+// store.
+func TestPostedStoresAreNotRoundTrips(t *testing.T) {
+	m := New(DefaultConfig())
+	a := m.AllocPadded(64)
+	const stores = 2*ringCap + 1
+	resumes := 0
+	m.Run(1, func(th *Thread) {
+		for i := range stores {
+			th.Store32(a, uint32(i))
+		}
+		th.Load32(a)
+		resumes = th.resumes
+	})
+	if want := 1 + stores/ringCap + 1; resumes != want {
+		t.Errorf("kernel resumed %d times, want %d", resumes, want)
+	}
+}
+
+// syncedOps is a thread whose stores and scribbles are each followed by a
+// Sync when sync is set; Sync costs no simulated cycle, so the two forms of
+// a kernel must simulate identically.
+type syncedOps struct {
+	*Thread
+	sync bool
+}
+
+func (s syncedOps) settle() {
+	if s.sync {
+		s.Sync()
+	}
+}
+
+func (s syncedOps) Store32(a mem.Addr, v uint32) {
+	s.Thread.Store32(a, v)
+	s.settle()
+}
+
+// Scribble issues a scribble of width bytes.
+func (s syncedOps) Scribble(width int, a mem.Addr, v uint64) {
+	switch width {
+	case 1:
+		s.Scribble8(a, uint8(v))
+	case 2:
+		s.Scribble16(a, uint16(v))
+	case 4:
+		s.Scribble32(a, uint32(v))
+	default:
+		s.Scribble64(a, v)
+	}
+	s.settle()
+}
+
+// TestPostingMovesNoSimulatedNumber runs each kernel as written and with a
+// Sync after every store and scribble, and requires the two runs to agree
+// on cycles, every statistic (events included), energy, the utilization
+// report and the memory image.
+func TestPostingMovesNoSimulatedNumber(t *testing.T) {
+	const threads = 4
+	// word spreads each thread's stores over three blocks shared with the
+	// other threads, so posted stores miss, hit and invalidate.
+	word := func(region mem.Addr, th *Thread, i int) mem.Addr {
+		return region + mem.Addr(4*((7*th.ID()+13*i)%48))
+	}
+	// storeRun stores to each word twice in a row, so the memory image
+	// tells the order in which posted stores were applied.
+	storeRun := func(n int) func(syncedOps, mem.Addr) {
+		return func(s syncedOps, region mem.Addr) {
+			for i := range n {
+				s.Store32(word(region, s.Thread, i/2), uint32(i+s.ID()))
+			}
+		}
+	}
+	then := func(head func(syncedOps, mem.Addr), tail func(syncedOps, mem.Addr)) func(syncedOps, mem.Addr) {
+		return func(s syncedOps, region mem.Addr) {
+			head(s, region)
+			tail(s, region)
+			storeRun(2)(s, region)
+		}
+	}
+	cases := []struct {
+		name   string
+		kernel func(s syncedOps, region mem.Addr)
+	}{
+		{"shorter_than_ring", storeRun(ringCap - 1)},
+		{"ring_exactly", storeRun(ringCap)},
+		{"longer_than_ring", storeRun(3*ringCap + 1)},
+		{"compute_between", func(s syncedOps, region mem.Addr) {
+			for i := range 2*ringCap + 3 {
+				s.Compute(uint64(i % 4))
+				s.Store32(word(region, s.Thread, i), uint32(i))
+			}
+			s.Compute(9)
+		}},
+		{"then_load", then(storeRun(ringCap+2), func(s syncedOps, region mem.Addr) {
+			s.Store32(word(region, s.Thread, 1), s.Load32(word(region, s.Thread, 3))+1)
+		})},
+		{"then_fetchadd", then(storeRun(ringCap-1), func(s syncedOps, region mem.Addr) {
+			s.FetchAdd32(region+mem.Addr(4*47), 1)
+		})},
+		{"then_barrier", then(storeRun(ringCap+1), func(s syncedOps, _ mem.Addr) {
+			s.Compute(3)
+			s.Barrier()
+		})},
+		{"then_migrate", then(storeRun(2), func(s syncedOps, _ mem.Addr) {
+			if s.ID() == 0 {
+				s.Migrate(s.m.cfg.Cores - 1)
+			}
+		})},
+		{"then_sync", then(storeRun(ringCap+3), func(s syncedOps, _ mem.Addr) {
+			s.Compute(2)
+			s.Sync()
+		})},
+		{"then_return", storeRun(ringCap + 2)},
+		{"scribble_widths", func(s syncedOps, region mem.Addr) {
+			s.SetApproxDist(100) // above every width's legal maximum
+			for i := range 3 * ringCap {
+				w := 1 << (i % 4)
+				a := word(region, s.Thread, i) &^ mem.Addr(w-1)
+				s.Scribble(w, a, uint64(i)<<(4*w))
+			}
+		}},
+		{"approx_dist_between", func(s syncedOps, region mem.Addr) {
+			for i := range 2 * ringCap {
+				switch i % 3 {
+				case 0:
+					s.SetApproxDist(1000)
+				case 1:
+					s.SetApproxDist(-1)
+				}
+				s.Scribble(4, word(region, s.Thread, i), uint64(i))
+				s.Store32(word(region, s.Thread, i+1), uint32(i))
+			}
+		}},
+	}
+	run := func(protocol string, kernel func(syncedOps, mem.Addr), sync bool) string {
+		cfg := DefaultConfig()
+		cfg.Protocol = protocol
+		m := New(cfg)
+		region := m.AllocPadded(3 * 64)
+		elapsed := m.Run(threads, func(th *Thread) {
+			th.Store32(region+mem.Addr(4*th.ID()), 1) // warm up, unsynced
+			kernel(syncedOps{th, sync}, region)
+		})
+		var b strings.Builder
+		fmt.Fprintf(&b, "elapsed=%d cycles=%d energy=%+v\n", elapsed, m.Cycles(), *m.Energy())
+		for _, v := range []any{m.Stats(), m.CoreReport()} {
+			j, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(j)
+		}
+		for i := range 48 {
+			fmt.Fprintf(&b, ",%x", m.ReadCoherent(region+mem.Addr(4*i), 4))
+		}
+		return b.String()
+	}
+	for _, c := range cases {
+		for _, p := range []string{"mesi", "ghostwriter"} {
+			t.Run(c.name+"/"+p, func(t *testing.T) {
+				if posted, synced := run(p, c.kernel, false), run(p, c.kernel, true); posted != synced {
+					t.Errorf("posted run\n%s\ndiffers from synced run\n%s", posted, synced)
+				}
+			})
+		}
+	}
+}
+
+// TestPanicAfterPostedStores: a kernel that panics with stores still in its
+// ring surfaces from Run with its value, and every kernel is unwound.
+func TestPanicAfterPostedStores(t *testing.T) {
+	type boom struct{}
+	m := New(DefaultConfig())
+	a := m.AllocPadded(64)
+	base := runtime.NumGoroutine()
+	got := runRecovered(m, 3, func(th *Thread) {
+		for i := range ringCap + 2 {
+			th.Store32(a+mem.Addr(4*th.ID()), uint32(i))
+		}
+		if th.ID() == 1 {
+			panic(boom{})
+		}
+		th.Barrier()
+	})
+	if got != (boom{}) {
+		t.Errorf("Run panicked with %v, want boom{}", got)
+	}
+	waitGoroutines(t, base)
+}
+
+// benchmarkHits has 24 threads hammer one warm private block each, so an
+// op is the kernel↔engine handoff and an L1 hit, nothing else; ns/op is
+// per memory operation.
+func benchmarkHits(b *testing.B, store bool) {
+	const threads = 24
+	m := New(DefaultConfig())
+	base := m.AllocPadded(threads * 64)
+	kernel := func(n int) Kernel {
+		return func(th *Thread) {
+			a := base + mem.Addr(64*th.ID())
+			for i := range n {
+				if store {
+					th.Store32(a, uint32(i))
+				} else {
+					th.Load32(a)
+				}
+			}
+		}
+	}
+	m.Run(threads, kernel(1)) // first touch: bring each block in
+	b.ResetTimer()
+	m.Run(threads, kernel((b.N+threads-1)/threads))
+}
+
+func BenchmarkLoadHit(b *testing.B)  { benchmarkHits(b, false) }
+func BenchmarkStoreHit(b *testing.B) { benchmarkHits(b, true) }

@@ -14,7 +14,11 @@ import (
 // Kernel is the body of one simulated thread. Kernels interact with the
 // simulated machine exclusively through the Thread API; host-side state
 // must be per-thread (or read-only) for the simulation to stay
-// deterministic.
+// deterministic. A kernel may run ahead of the simulator past the stores
+// and scribbles it has posted (see Store8), but never past a request whose
+// outcome it reads, so what it observes of the machine — load and atomic
+// values, and machine state peeked after Sync — is what an in-order core
+// blocking on every operation would see.
 type Kernel func(t *Thread)
 
 type reqKind uint8
@@ -28,28 +32,37 @@ const (
 )
 
 // threadReq is one kernel→engine request, yielded by the thread's coroutine
-// and received by Machine.issue. fold carries the compute cycles
-// accumulated since the previous request (Thread.Compute is folded into the
-// next request rather than round-tripping through the engine): the engine
-// advances the core by fold cycles before applying the request, which is
-// cycle-for-cycle identical to a separate compute step.
+// or posted to its ring, and received by Machine.issue. fold carries the
+// compute cycles accumulated since the previous request (Thread.Compute is
+// folded into the next request rather than round-tripping through the
+// engine): the engine advances the core by fold cycles before applying the
+// request, which is cycle-for-cycle identical to a separate compute step.
+// The record is kept at 32 bytes, since every thread carries ringCap of
+// them: value holds a migration's target core, and d is the d-distance
+// clamped to [-1, 127], which changes no outcome (a scribble's is already
+// clamped below its width in bits, and other requests read only its sign).
 type threadReq struct {
+	addr  mem.Addr
+	value uint64
+	fold  uint64
 	kind  reqKind
 	op    coherence.OpKind
-	addr  mem.Addr
-	width int
-	value uint64
-	d     int
-	n     uint64
-	fold  uint64
+	width uint8
+	d     int8
 }
+
+// ringCap is the number of posted requests a thread holds before it yields
+// to let the engine apply them.
+const ringCap = 4
 
 // migrationCost is the charged context-switch overhead in cycles.
 const migrationCost = 200
 
 // Thread is the simulated-thread handle passed to kernels. Each thread runs
-// pinned to one core (until Migrate); memory operations block in program
-// order, exactly like the paper's in-order cores.
+// pinned to one core (until Migrate); its memory operations take effect one
+// at a time in program order, exactly like the paper's in-order blocking
+// cores. Loads and atomics return once the simulator has carried them out;
+// stores and scribbles are posted, and the kernel runs on (see Store8).
 type Thread struct {
 	id       int
 	core     int
@@ -59,6 +72,7 @@ type Thread struct {
 	pending  uint64 // kernel-side compute cycles awaiting the next request
 	barrier  bool
 	done     bool
+	head, n  uint8 // the posted requests in ring
 
 	// Per-thread utilization accounting (CoreReport).
 	ops          uint64
@@ -87,6 +101,13 @@ type Thread struct {
 	doneFn  func(uint64)
 	issueFn sim.Event
 	applyFn sim.Event
+	// ring holds the posted stores and scribbles the engine has yet to
+	// apply: n of them, the oldest at ring[head]. Machine.issue takes the
+	// next request from it and resumes the kernel only once it is empty.
+	ring [ringCap]threadReq
+	// resumes counts the coroutine switches into the kernel. It is
+	// host-side bookkeeping for the handoff's own tests, never a statistic.
+	resumes int
 }
 
 // kernelStopped is the panic that unwinds a kernel parked in yield when Run
@@ -95,10 +116,11 @@ type Thread struct {
 type kernelStopped struct{}
 
 // worker is one kernel coroutine and the thread record it serves. Its body
-// loops: run the assigned kernel, yield the done request (the kernel's
-// trailing compute folded in), and park in that yield until a later Run
-// resumes it with the next kernel. The coroutine and the three callbacks are
-// built once per worker, not once per Run.
+// loops: run the assigned kernel, hand the engine the done request (behind
+// any posted stores, the kernel's trailing compute folded in), and park in
+// that yield until a later Run resumes it with the next kernel. The
+// coroutine and the three callbacks are built once per worker, not once
+// per Run.
 type worker struct {
 	Thread
 	kernel Kernel
@@ -131,11 +153,7 @@ func newWorker() *worker {
 		}()
 		for {
 			w.kernel(t)
-			r := threadReq{kind: reqDone, fold: t.pending}
-			t.pending = 0
-			if !yield(r) {
-				return
-			}
+			t.call(reqDone, 0, 0, 0, 0)
 		}
 	})
 	t.issueFn = func() { t.m.issue(t) }
@@ -180,12 +198,69 @@ func parkWorkers(ws []*worker) {
 	}
 }
 
-// call hands one request to the engine, with the compute cycles accumulated
-// since the previous one folded in, parks the kernel until the engine has
-// carried it out, and returns its result.
-func (t *Thread) call(r threadReq) uint64 {
-	r.fold, t.pending = t.pending, 0
+// call hands one request whose outcome the kernel needs to the engine, with
+// the compute cycles accumulated since the previous one folded in, parks
+// the kernel until the engine has carried it out, and returns its result.
+// With an empty ring that is a single yield, so a load hit pays nothing
+// for the ring; otherwise the request queues behind the posted ones.
+func (t *Thread) call(kind reqKind, op coherence.OpKind, a mem.Addr, width int, v uint64) uint64 {
+	r := t.req(kind, op, a, width, v)
+	if t.n != 0 {
+		t.push(r)
+		return t.drain()
+	}
 	if !t.yield(r) {
+		panic(kernelStopped{})
+	}
+	return t.result
+}
+
+// post queues a store or scribble, whose outcome the kernel does not read,
+// and lets the kernel run on; only a full ring makes it wait for the engine.
+func (t *Thread) post(op coherence.OpKind, a mem.Addr, width int, v uint64) {
+	t.push(t.req(reqMem, op, a, width, v))
+	if t.n == ringCap {
+		t.drain()
+	}
+}
+
+// req builds a request at the core's current d-distance, with the compute
+// cycles accumulated since the previous request folded in.
+func (t *Thread) req(kind reqKind, op coherence.OpKind, a mem.Addr, width int, v uint64) threadReq {
+	d := t.ddist
+	if op == coherence.OpScribble {
+		// The compiler legality rule of §3.1: the d-distance must be
+		// strictly below the access width, otherwise any value could be
+		// scribbled ("an undesirable level of approximation").
+		d = min(d, approx.MaxLegalDistance(approx.Width(8*width)))
+	}
+	r := threadReq{
+		kind: kind, op: op, addr: a, width: uint8(width), value: v,
+		d: int8(max(min(d, 127), -1)), fold: t.pending,
+	}
+	t.pending = 0
+	return r
+}
+
+// push appends r to the ring.
+func (t *Thread) push(r threadReq) {
+	t.ring[(t.head+t.n)%ringCap] = r
+	t.n++
+}
+
+// pop removes and returns the oldest request in the ring.
+func (t *Thread) pop() threadReq {
+	r := t.ring[t.head]
+	t.head = (t.head + 1) % ringCap
+	t.n--
+	return r
+}
+
+// drain hands the engine the oldest request in the ring and parks the
+// kernel until the engine has applied all of them, returning the result of
+// the newest.
+func (t *Thread) drain() uint64 {
+	if !t.yield(t.pop()) {
 		panic(kernelStopped{})
 	}
 	return t.result
@@ -216,7 +291,7 @@ func (t *Thread) ApproxDist() int { return t.ddist }
 // forfeited from its point of view. The target core must not be running
 // another live thread. Migration charges a fixed context-switch cost.
 func (t *Thread) Migrate(core int) {
-	t.call(threadReq{kind: reqMigrate, n: uint64(core)})
+	t.call(reqMigrate, 0, 0, 0, uint64(core))
 }
 
 // Core returns the core the thread currently runs on.
@@ -231,78 +306,77 @@ func (t *Thread) Compute(n uint64) { t.pending += n }
 
 // Barrier blocks until every live thread has reached a barrier.
 func (t *Thread) Barrier() {
-	t.call(threadReq{kind: reqBarrier})
+	t.call(reqBarrier, 0, 0, 0, 0)
 }
 
-// Sync blocks until every prior operation of this thread — folded compute
-// cycles included — has taken effect in the simulator, at zero simulated
-// cost: the next operation issues on exactly the cycle it would have without
-// the Sync. A kernel only ever runs while its tile's engine waits for its
-// next request, so between Sync and the next Thread call the tile is
-// quiescent at the cycle of the Sync, which is what test kernels need to
-// peek at cache or statistics state mid-run.
+// Sync blocks until every prior operation of this thread — posted stores
+// and scribbles and folded compute cycles included — has taken effect in
+// the simulator, at zero simulated cost: the next operation issues on
+// exactly the cycle it would have without the Sync. A kernel resumed from a
+// blocking call runs while its tile's engine waits for its next request, so
+// between Sync and the next Thread call the tile is quiescent at the cycle
+// of the Sync, which is what test kernels need to peek at cache or
+// statistics state mid-run.
 func (t *Thread) Sync() {
-	t.call(threadReq{kind: reqSync})
-}
-
-func (t *Thread) mem(op coherence.OpKind, a mem.Addr, width int, v uint64) uint64 {
-	d := t.ddist
-	if op == coherence.OpScribble {
-		// The compiler legality rule of §3.1: the d-distance must be
-		// strictly below the access width, otherwise any value could be
-		// scribbled ("an undesirable level of approximation").
-		d = min(d, approx.MaxLegalDistance(approx.Width(8*width)))
-	}
-	return t.call(threadReq{kind: reqMem, op: op, addr: a, width: width, value: v, d: d})
+	t.call(reqSync, 0, 0, 0, 0)
 }
 
 // Load8 loads one byte.
-func (t *Thread) Load8(a mem.Addr) uint8 { return uint8(t.mem(coherence.OpLoad, a, 1, 0)) }
+func (t *Thread) Load8(a mem.Addr) uint8 { return uint8(t.call(reqMem, coherence.OpLoad, a, 1, 0)) }
 
 // Load16 loads a 16-bit value.
-func (t *Thread) Load16(a mem.Addr) uint16 { return uint16(t.mem(coherence.OpLoad, a, 2, 0)) }
+func (t *Thread) Load16(a mem.Addr) uint16 { return uint16(t.call(reqMem, coherence.OpLoad, a, 2, 0)) }
 
 // Load32 loads a 32-bit value.
-func (t *Thread) Load32(a mem.Addr) uint32 { return uint32(t.mem(coherence.OpLoad, a, 4, 0)) }
+func (t *Thread) Load32(a mem.Addr) uint32 { return uint32(t.call(reqMem, coherence.OpLoad, a, 4, 0)) }
 
 // Load64 loads a 64-bit value.
-func (t *Thread) Load64(a mem.Addr) uint64 { return t.mem(coherence.OpLoad, a, 8, 0) }
+func (t *Thread) Load64(a mem.Addr) uint64 { return t.call(reqMem, coherence.OpLoad, a, 8, 0) }
 
-// Store8 stores one byte.
-func (t *Thread) Store8(a mem.Addr, v uint8) { t.mem(coherence.OpStore, a, 1, uint64(v)) }
+// Store8 stores one byte. Stores and scribbles are posted: the call returns
+// as soon as the store is queued, and the kernel runs on while the
+// simulator carries it out in program order, at the cycle a blocking store
+// would have issued. The kernel waits only when the thread's next request
+// reads a value (a load or atomic), synchronizes (Barrier, Migrate, Sync),
+// or finds a ring of posted stores full; machine state (Stats, cache
+// contents) read from inside a kernel reflects a posted store only after
+// Sync.
+func (t *Thread) Store8(a mem.Addr, v uint8) { t.post(coherence.OpStore, a, 1, uint64(v)) }
 
-// Store16 stores a 16-bit value.
-func (t *Thread) Store16(a mem.Addr, v uint16) { t.mem(coherence.OpStore, a, 2, uint64(v)) }
+// Store16 stores a 16-bit value (posted, as Store8).
+func (t *Thread) Store16(a mem.Addr, v uint16) { t.post(coherence.OpStore, a, 2, uint64(v)) }
 
-// Store32 stores a 32-bit value.
-func (t *Thread) Store32(a mem.Addr, v uint32) { t.mem(coherence.OpStore, a, 4, uint64(v)) }
+// Store32 stores a 32-bit value (posted, as Store8).
+func (t *Thread) Store32(a mem.Addr, v uint32) { t.post(coherence.OpStore, a, 4, uint64(v)) }
 
-// Store64 stores a 64-bit value.
-func (t *Thread) Store64(a mem.Addr, v uint64) { t.mem(coherence.OpStore, a, 8, v) }
+// Store64 stores a 64-bit value (posted, as Store8).
+func (t *Thread) Store64(a mem.Addr, v uint64) { t.post(coherence.OpStore, a, 8, v) }
 
-// Scribble8 issues an approximate byte store (the scribble instruction).
-func (t *Thread) Scribble8(a mem.Addr, v uint8) { t.mem(coherence.OpScribble, a, 1, uint64(v)) }
+// Scribble8 issues an approximate byte store (the scribble instruction),
+// posted like a store (see Store8).
+func (t *Thread) Scribble8(a mem.Addr, v uint8) { t.post(coherence.OpScribble, a, 1, uint64(v)) }
 
-// Scribble16 issues an approximate 16-bit store.
-func (t *Thread) Scribble16(a mem.Addr, v uint16) { t.mem(coherence.OpScribble, a, 2, uint64(v)) }
+// Scribble16 issues an approximate 16-bit store (posted, as Store8).
+func (t *Thread) Scribble16(a mem.Addr, v uint16) { t.post(coherence.OpScribble, a, 2, uint64(v)) }
 
-// Scribble32 issues an approximate 32-bit store.
-func (t *Thread) Scribble32(a mem.Addr, v uint32) { t.mem(coherence.OpScribble, a, 4, uint64(v)) }
+// Scribble32 issues an approximate 32-bit store (posted, as Store8).
+func (t *Thread) Scribble32(a mem.Addr, v uint32) { t.post(coherence.OpScribble, a, 4, uint64(v)) }
 
-// Scribble64 issues an approximate 64-bit store.
-func (t *Thread) Scribble64(a mem.Addr, v uint64) { t.mem(coherence.OpScribble, a, 8, v) }
+// Scribble64 issues an approximate 64-bit store (posted, as Store8).
+func (t *Thread) Scribble64(a mem.Addr, v uint64) { t.post(coherence.OpScribble, a, 8, v) }
 
 // FetchAdd32 atomically adds delta to the 32-bit value at a and returns
 // the previous value. Atomics always use the conventional protocol —
-// synchronization data must never be approximated (§3.1).
+// synchronization data must never be approximated (§3.1) — and, since
+// their value is read, they block like loads.
 func (t *Thread) FetchAdd32(a mem.Addr, delta uint32) uint32 {
-	return uint32(t.mem(coherence.OpAtomicAdd, a, 4, uint64(delta)))
+	return uint32(t.call(reqMem, coherence.OpAtomicAdd, a, 4, uint64(delta)))
 }
 
 // FetchAdd64 atomically adds delta to the 64-bit value at a and returns
 // the previous value.
 func (t *Thread) FetchAdd64(a mem.Addr, delta uint64) uint64 {
-	return t.mem(coherence.OpAtomicAdd, a, 8, delta)
+	return t.call(reqMem, coherence.OpAtomicAdd, a, 8, delta)
 }
 
 // LoadF32 loads a float32.
@@ -439,9 +513,11 @@ const (
 	auxThreadMigrate
 )
 
-// issue resumes the thread's kernel until it yields its next request; this
-// is the strict engine ↔ kernel handoff that keeps the simulation
-// deterministic, and a direct coroutine switch on the host. The kernel
+// issue takes the thread's next request: the oldest posted one in its ring,
+// or, once the ring is empty, whatever the kernel yields when resumed — a
+// direct coroutine switch on the host. Either way the engine applies the
+// thread's requests one at a time in program order, from the same events at
+// the same cycles, which keeps the simulation deterministic. The kernel
 // returning is its done request, which its worker yields. issue runs as an
 // event of the thread's current tile, so it (and the kernel) may touch the
 // thread and the tile freely but machine-global thread state only via
@@ -449,7 +525,13 @@ const (
 // once they elapse, reproducing the timing of a separate compute step
 // exactly.
 func (m *Machine) issue(t *Thread) {
-	r, _ := t.next() // a worker's body returns only once stopped
+	var r threadReq
+	if t.n != 0 {
+		r = t.pop()
+	} else {
+		t.resumes++
+		r, _ = t.next() // a worker's body returns only once stopped
+	}
 	if r.fold > 0 {
 		t.computeCyc += sim.Cycle(r.fold)
 		t.hold = r
@@ -469,14 +551,14 @@ func (m *Machine) apply(t *Thread, r threadReq) {
 		t.op = coherence.CoreOp{
 			Kind:  r.op,
 			Addr:  r.addr,
-			Width: r.width,
+			Width: int(r.width),
 			Value: r.value,
-			DDist: r.d,
+			DDist: int(r.d),
 			Done:  t.doneFn,
 		}
 		m.l1s[t.core].Access(&t.op)
 	case reqMigrate:
-		target := int(r.n)
+		target := int(r.value)
 		if target < 0 || target >= m.cfg.Cores {
 			panic(fmt.Sprintf("machine: migration to invalid core %d", target))
 		}
@@ -486,8 +568,9 @@ func (m *Machine) apply(t *Thread, r threadReq) {
 		t.barrierSince = t.eng().Now()
 		m.clu.Stage(t.core, m.threadMergeFn, t, auxThreadBarrier)
 	case reqSync:
-		// Everything the thread issued earlier has completed (requests are
-		// applied one at a time); take its next request at the same cycle.
+		// Everything the thread issued earlier, posted stores included, has
+		// completed (requests are applied one at a time, and the Sync was
+		// queued last); take its next request at the same cycle.
 		m.issue(t)
 	case reqDone:
 		t.done = true
