@@ -360,6 +360,59 @@ func TestPostedStoresAreNotRoundTrips(t *testing.T) {
 	}
 }
 
+// TestFoldedComputeWaitsAtRingHead runs kernels whose requests carry
+// folded compute cycles, each ending in a different kind of request, and
+// pins the coroutine switches into each and its thread's compute and finish
+// cycles: a request waits out its compute at the ring head without a
+// resume of its own and issues on the cycle a separate compute step would
+// have let it.
+func TestFoldedComputeWaitsAtRingHead(t *testing.T) {
+	cases := []struct {
+		name                  string
+		kernel                func(th *Thread, a mem.Addr)
+		resumes               int
+		computeCyc, finishCyc uint64
+	}{
+		{"compute_then_load", func(th *Thread, a mem.Addr) {
+			th.Compute(5)
+			th.Load32(a)
+		}, 2, 5, 115},
+		{"full_ring_of_stores", func(th *Thread, a mem.Addr) {
+			for i := range ringCap {
+				th.Compute(uint64(3 + i))
+				th.Store32(a+mem.Addr(4*i), uint32(i))
+			}
+		}, 2, 18, 137},
+		{"compute_then_sync", func(th *Thread, _ mem.Addr) {
+			th.Compute(5)
+			th.Sync()
+		}, 2, 5, 5},
+		{"compute_then_barrier", func(th *Thread, _ mem.Addr) {
+			th.Compute(5)
+			th.Barrier()
+		}, 2, 5, 6},
+		{"compute_then_return", func(th *Thread, _ mem.Addr) {
+			th.Compute(5)
+		}, 1, 5, 5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := New(DefaultConfig())
+			a := m.AllocPadded(64)
+			resumes := 0
+			m.Run(1, func(th *Thread) {
+				c.kernel(th, a)
+				resumes = th.resumes
+			})
+			r := m.CoreReport()[0]
+			if resumes != c.resumes || r.ComputeCycles != c.computeCyc || r.FinishCycle != c.finishCyc {
+				t.Errorf("resumes %d, ComputeCycles %d, FinishCycle %d; want %d, %d, %d",
+					resumes, r.ComputeCycles, r.FinishCycle, c.resumes, c.computeCyc, c.finishCyc)
+			}
+		})
+	}
+}
+
 // syncedOps is a thread whose stores and scribbles are each followed by a
 // Sync when sync is set; Sync costs no simulated cycle, so the two forms of
 // a kernel must simulate identically.

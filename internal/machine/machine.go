@@ -85,6 +85,7 @@ func DefaultConfig() Config {
 type Machine struct {
 	cfg     Config
 	clu     *sim.Cluster
+	eng     *sim.Engine // the cluster's one engine, which every component schedules on
 	net     *noc.Network
 	l1s     []*coherence.L1
 	dirs    []*coherence.Directory
@@ -93,10 +94,10 @@ type Machine struct {
 	alloc   *mem.Allocator
 
 	// Every component counts into the one st. Energy stays per tile: tiles
-	// charge their own meters, the window barrier charges mergeMeter (link
-	// traversals), and Energy() folds them in tile order. Energy is a float
-	// sum and a 0.4 pJ scribe charge rounds differently in another order,
-	// so golden.json's last-bit energyPJ pins that order.
+	// charge their own meters, the network charges mergeMeter (router and
+	// link traversals), and Energy() folds them in tile order. Energy is a
+	// float sum and a 0.4 pJ scribe charge rounds differently in another
+	// order, so golden.json's last-bit energyPJ pins that order.
 	st         *stats.Stats
 	tileMeters []*energy.Meter
 	mergeMeter *energy.Meter
@@ -140,11 +141,12 @@ func New(cfg Config) *Machine {
 		mergeMeter: &energy.Meter{},
 		meter:      &energy.Meter{},
 	}
+	m.eng = m.clu.Tile(0)
 	m.threadMergeFn = m.threadMerge
 	for i := range m.tileMeters {
 		m.tileMeters[i] = &energy.Meter{}
 	}
-	m.net = noc.NewSharded(m.clu, cfg.NoC, m.tileMeters, nil, m.mergeMeter, m.st)
+	m.net = noc.NewSharded(m.clu, cfg.NoC, nil, nil, m.mergeMeter, m.st)
 
 	for _, n := range cfg.DirNodes {
 		m.dirNode = append(m.dirNode, noc.NodeID(n))
@@ -180,9 +182,9 @@ func New(cfg Config) *Machine {
 	pool := &coherence.MsgPool{}
 	dirAt := make(map[noc.NodeID]*coherence.Directory)
 	for i, n := range m.dirNode {
-		eng, meter := m.clu.Tile(int(n)), m.tileMeters[n]
-		ch := dram.NewChannel(eng, cfg.DRAM, m.backing, meter, m.st)
-		d := coherence.NewDirectory(i, n, eng, m.net, dirCfg, ch, meter, m.st)
+		meter := m.tileMeters[n]
+		ch := dram.NewChannel(m.eng, cfg.DRAM, m.backing, meter, m.st)
+		d := coherence.NewDirectory(i, n, m.eng, m.net, dirCfg, ch, meter, m.st)
 		d.UsePool(pool)
 		m.dirs = append(m.dirs, d)
 		dirAt[n] = d
@@ -198,7 +200,7 @@ func New(cfg Config) *Machine {
 		ProfileSimilarity: cfg.ProfileSimilarity,
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		l1 := coherence.NewL1(i, m.clu.Tile(i), m.net, l1Cfg, home, m.tileMeters[i], m.st)
+		l1 := coherence.NewL1(i, m.eng, m.net, l1Cfg, home, m.tileMeters[i], m.st)
 		l1.UsePool(pool)
 		m.l1s = append(m.l1s, l1)
 	}

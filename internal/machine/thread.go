@@ -14,11 +14,12 @@ import (
 // Kernel is the body of one simulated thread. Kernels interact with the
 // simulated machine exclusively through the Thread API; host-side state
 // must be per-thread (or read-only) for the simulation to stay
-// deterministic. A kernel may run ahead of the simulator past the stores
-// and scribbles it has posted (see Store8), but never past a request whose
-// outcome it reads, so what it observes of the machine — load and atomic
-// values, and machine state peeked after Sync — is what an in-order core
-// blocking on every operation would see.
+// deterministic. Every request a kernel makes joins its thread's one queue,
+// which the simulator applies in program order. A kernel may run ahead of
+// the simulator past the stores and scribbles it has queued (see Store8),
+// but never past a request whose outcome it reads, so what it observes of
+// the machine — load and atomic values, and machine state peeked after
+// Sync — is what an in-order core blocking on every operation would see.
 type Kernel func(t *Thread)
 
 type reqKind uint8
@@ -31,12 +32,12 @@ const (
 	reqDone
 )
 
-// threadReq is one kernel→engine request, yielded by the thread's coroutine
-// or posted to its ring, and received by Machine.issue. fold carries the
-// compute cycles accumulated since the previous request (Thread.Compute is
-// folded into the next request rather than round-tripping through the
-// engine): the engine advances the core by fold cycles before applying the
-// request, which is cycle-for-cycle identical to a separate compute step.
+// threadReq is one kernel→engine request, queued on the thread's ring and
+// applied by Machine.issue. fold carries the compute cycles accumulated
+// since the previous request (Thread.Compute is folded into the next
+// request rather than round-tripping through the engine): the request waits
+// at the ring head for fold cycles before it is applied, which is
+// cycle-for-cycle identical to a separate compute step.
 // The record is kept at 32 bytes, since every thread carries ringCap of
 // them: value holds a migration's target core, and d is the d-distance
 // clamped to [-1, 127], which changes no outcome (a scribble's is already
@@ -51,7 +52,7 @@ type threadReq struct {
 	d     int8
 }
 
-// ringCap is the number of posted requests a thread holds before it yields
+// ringCap is the number of queued requests a thread holds before it parks
 // to let the engine apply them.
 const ringCap = 4
 
@@ -72,7 +73,7 @@ type Thread struct {
 	pending  uint64 // kernel-side compute cycles awaiting the next request
 	barrier  bool
 	done     bool
-	head, n  uint8 // the posted requests in ring
+	head, n  uint8 // the queued requests in ring
 
 	// Per-thread utilization accounting (CoreReport).
 	ops          uint64
@@ -87,23 +88,18 @@ type Thread struct {
 	// no per-op allocation.
 	op       coherence.CoreOp
 	issuedAt sim.Cycle
-	// hold parks a request whose folded compute cycles are still elapsing;
-	// applyFn applies it when they have. One slot suffices: the core is
-	// blocking, so at most one request is in flight.
-	hold threadReq
-	// The kernel runs on its worker's coroutine (iter.Pull): it yields one
-	// request at a time, Machine.issue resumes it with next, and it finds
-	// the outcome of its previous request in result.
-	yield  func(threadReq) bool
-	next   func() (threadReq, bool)
+	// The kernel runs on its worker's coroutine (iter.Pull): it queues its
+	// requests in ring and parks in yield, Machine.issue resumes it with
+	// next once the ring is empty, and it finds the outcome of its last
+	// request in result.
+	yield  func(struct{}) bool
+	next   func() (struct{}, bool)
 	result uint64
 	// Callbacks bound once per worker; they reach the machine through m.
 	doneFn  func(uint64)
 	issueFn sim.Event
-	applyFn sim.Event
-	// ring holds the posted stores and scribbles the engine has yet to
-	// apply: n of them, the oldest at ring[head]. Machine.issue takes the
-	// next request from it and resumes the kernel only once it is empty.
+	// ring is the thread's one request queue: n requests the engine has yet
+	// to apply, the oldest at ring[head].
 	ring [ringCap]threadReq
 	// resumes counts the coroutine switches into the kernel. It is
 	// host-side bookkeeping for the handoff's own tests, never a statistic.
@@ -116,11 +112,10 @@ type Thread struct {
 type kernelStopped struct{}
 
 // worker is one kernel coroutine and the thread record it serves. Its body
-// loops: run the assigned kernel, hand the engine the done request (behind
-// any posted stores, the kernel's trailing compute folded in), and park in
-// that yield until a later Run resumes it with the next kernel. The
-// coroutine and the three callbacks are built once per worker, not once
-// per Run.
+// loops: run the assigned kernel, queue the done request (behind any posted
+// stores, the kernel's trailing compute folded in), and park until a later
+// Run resumes it with the next kernel. The coroutine and the two callbacks
+// are built once per worker, not once per Run.
 type worker struct {
 	Thread
 	kernel Kernel
@@ -144,7 +139,7 @@ const maxParked = 4096
 func newWorker() *worker {
 	w := &worker{}
 	t := &w.Thread
-	t.next, w.stop = iter.Pull(func(yield func(threadReq) bool) {
+	t.next, w.stop = iter.Pull(func(yield func(struct{}) bool) {
 		t.yield = yield
 		defer func() {
 			if r := recover(); r != nil && r != (kernelStopped{}) {
@@ -159,12 +154,11 @@ func newWorker() *worker {
 	t.issueFn = func() { t.m.issue(t) }
 	t.doneFn = func(v uint64) {
 		t.ops++
-		eng := t.eng()
+		eng := t.m.eng
 		t.memCycles += eng.Now() - t.issuedAt
 		t.result = v
 		eng.After(1, t.issueFn)
 	}
-	t.applyFn = func() { t.m.apply(t, t.hold) }
 	return w
 }
 
@@ -198,20 +192,12 @@ func parkWorkers(ws []*worker) {
 	}
 }
 
-// call hands one request whose outcome the kernel needs to the engine, with
-// the compute cycles accumulated since the previous one folded in, parks
-// the kernel until the engine has carried it out, and returns its result.
-// With an empty ring that is a single yield, so a load hit pays nothing
-// for the ring; otherwise the request queues behind the posted ones.
+// call queues a request whose outcome the kernel needs behind any posted
+// ones, parks the kernel until the engine has applied them all, and returns
+// the request's result.
 func (t *Thread) call(kind reqKind, op coherence.OpKind, a mem.Addr, width int, v uint64) uint64 {
-	r := t.req(kind, op, a, width, v)
-	if t.n != 0 {
-		t.push(r)
-		return t.drain()
-	}
-	if !t.yield(r) {
-		panic(kernelStopped{})
-	}
+	t.push(t.req(kind, op, a, width, v))
+	t.park()
 	return t.result
 }
 
@@ -220,7 +206,15 @@ func (t *Thread) call(kind reqKind, op coherence.OpKind, a mem.Addr, width int, 
 func (t *Thread) post(op coherence.OpKind, a mem.Addr, width int, v uint64) {
 	t.push(t.req(reqMem, op, a, width, v))
 	if t.n == ringCap {
-		t.drain()
+		t.park()
+	}
+}
+
+// park switches to the engine, which applies every queued request and
+// resumes the kernel once the ring is empty.
+func (t *Thread) park() {
+	if !t.yield(struct{}{}) {
+		panic(kernelStopped{})
 	}
 }
 
@@ -254,16 +248,6 @@ func (t *Thread) pop() threadReq {
 	t.head = (t.head + 1) % ringCap
 	t.n--
 	return r
-}
-
-// drain hands the engine the oldest request in the ring and parks the
-// kernel until the engine has applied all of them, returning the result of
-// the newest.
-func (t *Thread) drain() uint64 {
-	if !t.yield(t.pop()) {
-		panic(kernelStopped{})
-	}
-	return t.result
 }
 
 // ID returns the thread's index in [0, N).
@@ -313,9 +297,9 @@ func (t *Thread) Barrier() {
 // and scribbles and folded compute cycles included — has taken effect in
 // the simulator, at zero simulated cost: the next operation issues on
 // exactly the cycle it would have without the Sync. A kernel resumed from a
-// blocking call runs while its tile's engine waits for its next request, so
-// between Sync and the next Thread call the tile is quiescent at the cycle
-// of the Sync, which is what test kernels need to peek at cache or
+// blocking call runs while the engine waits for its next request, so
+// between Sync and the next Thread call the machine is quiescent at the
+// cycle of the Sync, which is what test kernels need to peek at cache or
 // statistics state mid-run.
 func (t *Thread) Sync() {
 	t.call(reqSync, 0, 0, 0, 0)
@@ -410,13 +394,10 @@ func (t *Thread) ScribbleF64(a mem.Addr, v float64) {
 	t.Scribble64(a, approx.Float64Bits(v))
 }
 
-// eng returns the engine of the tile a thread currently runs on.
-func (t *Thread) eng() *sim.Engine { return t.m.clu.Tile(t.core) }
-
 // Run executes kernel on nthreads simulated threads (thread i pinned to
 // core i) until all of them return, then drains in-flight protocol traffic.
 // It returns the elapsed simulated cycles. Kernels run on coroutines of the
-// engine, never concurrently with their own tile: a panic in a kernel
+// engine, never concurrently with it: a panic in a kernel
 // surfaces from Run on the caller's goroutine like any model panic. No
 // kernel outlives Run on any exit path, but its coroutine may: Run takes
 // its workers from a process-wide free list and, after a clean run, parks
@@ -464,7 +445,6 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 			next:     t.next,
 			doneFn:   t.doneFn,
 			issueFn:  t.issueFn,
-			applyFn:  t.applyFn,
 		}
 		w.kernel = kernel
 	}
@@ -475,7 +455,7 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	}
 	start := m.clu.Now()
 	for _, w := range m.workers {
-		w.eng().After(0, w.issueFn)
+		m.eng.After(0, w.issueFn)
 	}
 	m.clu.RunUntil(func() bool { return m.active == 0 })
 	// The run ends when the last thread finishes (recorded at its done
@@ -502,80 +482,65 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	return elapsed
 }
 
-// Thread-request kinds staged for the window-barrier merge. Done, barrier,
-// and migration requests touch machine-global state (the live-thread
-// count, the barrier roster, other threads' core assignments), so they
-// are applied only at the merge, in canonical order. The low aux byte
-// selects the kind; a migration target rides in the high bits.
-const (
-	auxThreadDone uint64 = iota
-	auxThreadBarrier
-	auxThreadMigrate
-)
-
-// issue takes the thread's next request: the oldest posted one in its ring,
-// or, once the ring is empty, whatever the kernel yields when resumed — a
-// direct coroutine switch on the host. Either way the engine applies the
-// thread's requests one at a time in program order, from the same events at
-// the same cycles, which keeps the simulation deterministic. The kernel
-// returning is its done request, which its worker yields. issue runs as an
-// event of the thread's current tile, so it (and the kernel) may touch the
-// thread and the tile freely but machine-global thread state only via
-// staging. A request carrying folded compute cycles is parked and applied
-// once they elapse, reproducing the timing of a separate compute step
-// exactly.
+// issue applies the thread's requests, one at a time in program order. It
+// runs as an event of the engine whenever the thread's previous request
+// has completed. The oldest request in the ring goes first; once the ring
+// is empty issue resumes the kernel — a direct coroutine switch on the
+// host — which returns when it has queued a request whose outcome it
+// needs, filled the ring, or returned (its worker then queues the done
+// request). A request carrying folded compute cycles stays at the ring
+// head: issue charges the cycles, clears the fold and comes back once they
+// have elapsed, reproducing the timing of a separate compute step exactly.
+// Done, barrier and migration requests touch machine-global state (the
+// live-thread count, the barrier roster, other threads' core assignments),
+// so they are staged and applied at the window barrier, in canonical
+// order, with the request kind in the low aux byte and a migration target
+// above it.
 func (m *Machine) issue(t *Thread) {
-	var r threadReq
-	if t.n != 0 {
-		r = t.pop()
-	} else {
-		t.resumes++
-		r, _ = t.next() // a worker's body returns only once stopped
-	}
-	if r.fold > 0 {
-		t.computeCyc += sim.Cycle(r.fold)
-		t.hold = r
-		t.eng().After(sim.Cycle(r.fold), t.applyFn)
+	for {
+		if t.n == 0 {
+			t.resumes++
+			t.next() // a worker's body returns only once stopped
+		}
+		if fold := t.ring[t.head].fold; fold > 0 {
+			t.ring[t.head].fold = 0
+			t.computeCyc += sim.Cycle(fold)
+			m.eng.After(sim.Cycle(fold), t.issueFn)
+			return
+		}
+		switch r := t.pop(); r.kind {
+		case reqMem:
+			t.issuedAt = m.eng.Now()
+			t.op = coherence.CoreOp{
+				Kind:  r.op,
+				Addr:  r.addr,
+				Width: int(r.width),
+				Value: r.value,
+				DDist: int(r.d),
+				Done:  t.doneFn,
+			}
+			m.l1s[t.core].Access(&t.op)
+		case reqMigrate:
+			target := int(r.value)
+			if target < 0 || target >= m.cfg.Cores {
+				panic(fmt.Sprintf("machine: migration to invalid core %d", target))
+			}
+			m.clu.Stage(t.core, m.threadMergeFn, t, uint64(reqMigrate)|uint64(target)<<8)
+		case reqBarrier:
+			t.barrier = true
+			t.barrierSince = m.eng.Now()
+			m.clu.Stage(t.core, m.threadMergeFn, t, uint64(reqBarrier))
+		case reqSync:
+			// Everything the thread issued earlier, posted stores included,
+			// has completed (requests are applied one at a time, and the
+			// Sync was queued last); take its next request at the same cycle.
+			continue
+		case reqDone:
+			t.done = true
+			t.finish = m.eng.Now()
+			m.clu.Stage(t.core, m.threadMergeFn, t, uint64(reqDone))
+		}
 		return
-	}
-	m.apply(t, r)
-}
-
-// apply executes a request whose folded compute cycles (if any) have
-// elapsed. It runs on the thread's current tile at the cycle the request
-// takes effect.
-func (m *Machine) apply(t *Thread, r threadReq) {
-	switch r.kind {
-	case reqMem:
-		t.issuedAt = t.eng().Now()
-		t.op = coherence.CoreOp{
-			Kind:  r.op,
-			Addr:  r.addr,
-			Width: int(r.width),
-			Value: r.value,
-			DDist: int(r.d),
-			Done:  t.doneFn,
-		}
-		m.l1s[t.core].Access(&t.op)
-	case reqMigrate:
-		target := int(r.value)
-		if target < 0 || target >= m.cfg.Cores {
-			panic(fmt.Sprintf("machine: migration to invalid core %d", target))
-		}
-		m.clu.Stage(t.core, m.threadMergeFn, t, auxThreadMigrate|uint64(target)<<8)
-	case reqBarrier:
-		t.barrier = true
-		t.barrierSince = t.eng().Now()
-		m.clu.Stage(t.core, m.threadMergeFn, t, auxThreadBarrier)
-	case reqSync:
-		// Everything the thread issued earlier, posted stores included, has
-		// completed (requests are applied one at a time, and the Sync was
-		// queued last); take its next request at the same cycle.
-		m.issue(t)
-	case reqDone:
-		t.done = true
-		t.finish = t.eng().Now()
-		m.clu.Stage(t.core, m.threadMergeFn, t, auxThreadDone)
 	}
 }
 
@@ -584,14 +549,14 @@ func (m *Machine) apply(t *Thread, r threadReq) {
 // migration-target violations) surface from Run.
 func (m *Machine) threadMerge(at sim.Cycle, arg any, aux uint64) {
 	t := arg.(*Thread)
-	switch aux & 0xff {
-	case auxThreadDone:
+	switch reqKind(aux & 0xff) {
+	case reqDone:
 		m.active--
 		m.releaseBarrier(at)
-	case auxThreadBarrier:
+	case reqBarrier:
 		m.arrived++
 		m.releaseBarrier(at)
-	case auxThreadMigrate:
+	case reqMigrate:
 		target := int(aux >> 8)
 		for _, u := range m.workers {
 			if &u.Thread != t && u.core == target && !u.done {
@@ -599,10 +564,10 @@ func (m *Machine) threadMerge(at sim.Cycle, arg any, aux uint64) {
 			}
 		}
 		t.core = target
-		// Resume on the new core's tile. The migration cost dwarfs the
-		// lookahead window (checked at construction), so the resume cycle
-		// is always at or past the merge horizon.
-		m.clu.Tile(t.core).At(at+migrationCost, t.issueFn)
+		// Resume on the new core. The migration cost dwarfs the lookahead
+		// window (checked at construction), so the resume cycle is always
+		// at or past the merge horizon.
+		m.eng.At(at+migrationCost, t.issueFn)
 	}
 }
 
@@ -622,6 +587,6 @@ func (m *Machine) releaseBarrier(at sim.Cycle) {
 		u.barrierCyc += at - u.barrierSince
 		// Schedule at the merge horizon, the first cycle of the next
 		// window; the clock still reads the last cycle of the drained one.
-		u.eng().At(m.clu.Horizon(), u.issueFn)
+		m.eng.At(m.clu.Horizon(), u.issueFn)
 	}
 }

@@ -46,14 +46,14 @@ func DefaultConfig() Config {
 	return Config{Width: 6, Height: 4, RouterDelay: 1, LinkDelay: 1, FlitBytes: 16, HeaderBytes: 8}
 }
 
-// Lookahead returns the minimum cross-tile message latency — the cheapest
-// possible hop of cfg's topology. It lower-bounds how far in the future any
-// cross-tile send can take effect, which is exactly the conservative window
-// width sim.Cluster needs. Mesh, ring, and torus hops cost one
-// router plus one link traversal; a crossbar hop crosses the switch and both
-// wire segments, so its window is RouterDelay+2·LinkDelay. Total for every
-// Topo value (unknown names get the mesh bound) so cache-key derivation
-// never panics.
+// Lookahead returns the minimum cross-tile message latency — the one hop
+// latency of cfg's topology, its HopDelay. It lower-bounds how far in the
+// future any cross-tile send can take effect, which is exactly the
+// conservative window width sim.Cluster needs. Mesh, ring, and torus hops
+// cost one router plus one link traversal; a crossbar hop crosses the
+// switch and both wire segments, so its window is RouterDelay+2·LinkDelay.
+// Total for every Topo value (unknown names get the mesh bound) so
+// cache-key derivation never panics.
 func (cfg Config) Lookahead() sim.Cycle {
 	if canonicalTopo(cfg.Topo) == "xbar" {
 		return cfg.RouterDelay + 2*cfg.LinkDelay
@@ -65,25 +65,25 @@ func (cfg Config) Lookahead() sim.Cycle {
 // (immediate mode: every Send schedules its delivery right away; only the
 // model checker uses it) or to a sim.Cluster (staged mode: cross-tile sends
 // are staged and replayed at the window barrier, where link arbitration
-// sees them in canonical (at, source tile, staging index) order).
+// sees them in canonical (at, source tile, staging index) order). Either
+// way it holds the one engine deliveries are scheduled on, taken once at
+// construction.
 type Network struct {
 	cfg      Config
 	topo     Topology
-	eng      *sim.Engine // immediate mode only
+	eng      *sim.Engine
 	handlers []Handler
 	linkFree []sim.Cycle // indexed by directed link id
 	linkBusy []sim.Cycle // cumulative flit-cycles per directed link
 	linkMsgs []uint64    // messages per directed link
 	routeBuf []int       // scratch for route()
 
-	// Immediate mode charges meter/st directly; staged mode charges the
-	// per-tile meters for local sends and the merge-phase meter/stats for
-	// link traversals (the merged totals are identical either way).
+	// Every router and link traversal is charged to meter and st, in
+	// either mode.
 	meter *energy.Meter
 	st    *stats.Stats
 
-	clu        *sim.Cluster
-	tileMeters []*energy.Meter
+	clu *sim.Cluster
 	// mergeSendFn is n.mergeSend bound once: evaluating the method value at
 	// every Stage call would allocate a closure per cross-tile send.
 	mergeSendFn sim.StagedHandler
@@ -100,20 +100,21 @@ func New(eng *sim.Engine, cfg Config, meter *energy.Meter, st *stats.Stats) *Net
 
 // NewSharded builds a network in staged mode on a tile cluster (the name
 // predates the single engine; benchmark/ imports it). Local (src == dst)
-// sends schedule directly on the engine and charge the source tile's
-// meter; cross-tile sends are staged and routed at the window barrier,
-// charging mergeMeter/linkStats. One tile meter per node is required. The
-// fourth parameter is ignored; it stays until benchmark/ stops passing it.
-func NewSharded(clu *sim.Cluster, cfg Config, tileMeters []*energy.Meter, _ []*stats.Stats, mergeMeter *energy.Meter, linkStats *stats.Stats) *Network {
+// sends schedule directly on the cluster's engine; cross-tile sends are
+// staged and routed at the window barrier. Both charge mergeMeter and
+// linkStats. The third and fourth parameters are ignored; they stay until
+// benchmark/ stops passing them. (A network charge is a whole number of
+// pJ, so where it is summed cannot move the machine's energy total.)
+func NewSharded(clu *sim.Cluster, cfg Config, _ []*energy.Meter, _ []*stats.Stats, mergeMeter *energy.Meter, linkStats *stats.Stats) *Network {
 	n := newNetwork(cfg)
 	if clu.Tiles() != n.Nodes() {
 		panic(fmt.Sprintf("noc: cluster has %d tiles for a %d-node %s", clu.Tiles(), n.Nodes(), n.topo.Name()))
 	}
-	if n.topo.Lookahead() < 1 {
+	if n.topo.HopDelay() < 1 {
 		panic("noc: staged mode needs at least one cycle of hop latency for lookahead")
 	}
 	n.clu = clu
-	n.tileMeters = tileMeters
+	n.eng = clu.Tile(0)
 	n.meter = mergeMeter
 	n.st = linkStats
 	n.mergeSendFn = n.mergeSend
@@ -198,39 +199,31 @@ func (n *Network) route(src, dst NodeID) []int {
 }
 
 // Send injects a message of payloadBytes from src to dst and schedules its
-// delivery. Local (src == dst) messages pay one router delay and consume no
-// link bandwidth. In immediate mode the returned cycle is the delivery
-// time; in staged mode a cross-tile send's delivery time is not known
-// until the window merge, so Send returns 0 for it (no production caller
-// uses the return value — the protocol reacts to deliveries, not to send
-// timestamps).
+// delivery. Local (src == dst) messages take one path in both modes: they
+// pay one router delay, consume no link bandwidth and are scheduled at
+// once. The returned cycle is the delivery time, except for a staged
+// cross-tile send, whose delivery time is not known until the window
+// merge: Send returns 0 for it (no production caller uses the return value
+// — the protocol reacts to deliveries, not to send timestamps).
 func (n *Network) Send(src, dst NodeID, payloadBytes int, payload any) sim.Cycle {
 	h := n.handlers[dst]
 	if h == nil {
 		panic(fmt.Sprintf("noc: no handler at node %d", dst))
 	}
 	flits := n.Flits(payloadBytes)
+	if src == dst {
+		t := n.eng.Now() + n.cfg.RouterDelay
+		n.meter.RouterTraversal(flits)
+		n.eng.AtArg(t, h, payload)
+		return t
+	}
 	if n.clu != nil {
-		if src == dst {
-			eng := n.clu.Tile(int(src))
-			t := eng.Now() + n.cfg.RouterDelay
-			n.tileMeters[src].RouterTraversal(flits)
-			eng.AtArg(t, h, payload)
-			return t
-		}
 		// Cross-tile: stage for the window barrier, which arbitrates links
 		// in canonical order rather than firing order.
 		n.clu.Stage(int(src), n.mergeSendFn, payload, uint64(src)|uint64(dst)<<16|uint64(flits)<<32)
 		return 0
 	}
-	t := n.eng.Now()
-	if src == dst {
-		t += n.cfg.RouterDelay
-		n.meter.RouterTraversal(flits)
-		n.eng.AtArg(t, h, payload)
-		return t
-	}
-	t = n.deliverAt(src, dst, flits, t)
+	t := n.deliverAt(src, dst, flits, n.eng.Now())
 	n.eng.AtArg(t, h, payload)
 	return t
 }
@@ -269,7 +262,7 @@ func (n *Network) mergeSend(at sim.Cycle, payload any, aux uint64) {
 	dst := NodeID(aux >> 16 & 0xffff)
 	flits := int(aux >> 32)
 	t := n.deliverAt(src, dst, flits, at)
-	n.clu.Tile(int(dst)).AtArg(t, n.handlers[dst], payload)
+	n.eng.AtArg(t, n.handlers[dst], payload)
 }
 
 // LinkUtil describes one directed link's traffic over a run.

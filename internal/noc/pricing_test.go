@@ -65,10 +65,9 @@ func pricingTraffic(nodes int) []pricedSend {
 // noc.New on a bare engine (what the model checker and the mutation matrix
 // run on) and noc.NewSharded on a sim.Cluster (what ships) price the
 // same tile-ordered traffic identically — every delivery cycle, the flit-hop
-// count, every link's occupancy, and the network energy up to the order in
-// which staged mode's per-tile meters are summed. What it does not cover is
-// same-cycle sends issued out of tile order, which immediate mode arbitrates
-// in firing order and staged mode in tile order.
+// count, every link's occupancy, and the network energy. What it does not
+// cover is same-cycle sends issued out of tile order, which immediate mode
+// arbitrates in firing order and staged mode in tile order.
 func TestImmediateAndStagedPriceAlike(t *testing.T) {
 	for _, name := range Topologies() {
 		t.Run(name, func(t *testing.T) {

@@ -20,12 +20,11 @@ import (
 //     route means src == dst.
 //   - Every link id is < NumLinks() and LinkEnds inverts it.
 //   - HopDelay is the latency a message pays per route link (router pipeline
-//     plus wire traversal).
-//   - Lookahead lower-bounds the delivery latency of any cross-node message:
-//     Lookahead() ≤ Hops(s,d)·HopDelay() for all s ≠ d. The simulator
-//     uses it as the conservative window width (DESIGN.md §12/§14),
-//     so a topology that violates the bound breaks causality, and one whose
-//     Lookahead is zero cannot be staged at all (NewSharded refuses it).
+//     plus wire traversal). A cross-node message crosses at least one link,
+//     so HopDelay lower-bounds its delivery latency; Config.Lookahead, the
+//     simulator's conservative window width (DESIGN.md §12/§14), equals
+//     it, and a topology whose HopDelay is zero cannot be staged at all
+//     (NewSharded refuses it).
 type Topology interface {
 	// Name is the registered topology name ("mesh", "ring", "torus", "xbar").
 	Name() string
@@ -42,8 +41,6 @@ type Topology interface {
 	LinkEnds(link int) (from, to NodeID)
 	// HopDelay is the per-route-link latency.
 	HopDelay() sim.Cycle
-	// Lookahead is the minimum cross-node delivery latency.
-	Lookahead() sim.Cycle
 	// Describe renders the topology for reports ("6x4 mesh, XY routing").
 	Describe() string
 }
@@ -230,9 +227,6 @@ func (t *gridTopo) Name() string        { return t.name }
 func (t *gridTopo) Nodes() int          { return t.w * t.h }
 func (t *gridTopo) NumLinks() int       { return t.w * t.h * 4 }
 func (t *gridTopo) HopDelay() sim.Cycle { return t.router + t.link }
-func (t *gridTopo) Lookahead() sim.Cycle {
-	return t.router + t.link
-}
 
 func (t *gridTopo) xy(id NodeID) (x, y int) { return t.xs[id], t.ys[id] }
 func (t *gridTopo) at(x, y int) NodeID      { return NodeID(y*t.w + x) }
@@ -329,11 +323,10 @@ type ringTopo struct {
 	link   sim.Cycle
 }
 
-func (t *ringTopo) Name() string         { return "ring" }
-func (t *ringTopo) Nodes() int           { return t.n }
-func (t *ringTopo) NumLinks() int        { return t.n * 2 }
-func (t *ringTopo) HopDelay() sim.Cycle  { return t.router + t.link }
-func (t *ringTopo) Lookahead() sim.Cycle { return t.router + t.link }
+func (t *ringTopo) Name() string        { return "ring" }
+func (t *ringTopo) Nodes() int          { return t.n }
+func (t *ringTopo) NumLinks() int       { return t.n * 2 }
+func (t *ringTopo) HopDelay() sim.Cycle { return t.router + t.link }
 
 func (t *ringTopo) Hops(src, dst NodeID) int {
 	cw := (int(dst) - int(src) + t.n) % t.n
@@ -384,11 +377,10 @@ type xbarTopo struct {
 	link   sim.Cycle
 }
 
-func (t *xbarTopo) Name() string         { return "xbar" }
-func (t *xbarTopo) Nodes() int           { return t.n }
-func (t *xbarTopo) NumLinks() int        { return t.n * t.n }
-func (t *xbarTopo) HopDelay() sim.Cycle  { return t.router + 2*t.link }
-func (t *xbarTopo) Lookahead() sim.Cycle { return t.router + 2*t.link }
+func (t *xbarTopo) Name() string        { return "xbar" }
+func (t *xbarTopo) Nodes() int          { return t.n }
+func (t *xbarTopo) NumLinks() int       { return t.n * t.n }
+func (t *xbarTopo) HopDelay() sim.Cycle { return t.router + 2*t.link }
 
 func (t *xbarTopo) Hops(src, dst NodeID) int {
 	if src == dst {

@@ -161,9 +161,9 @@ func TestTopologyXbarSingleHop(t *testing.T) {
 			t.Errorf("xbar Hops(%d,%d) = %d, want 1", pair[0], pair[1], h)
 		}
 	}
-	if topo.HopDelay() != 3 || topo.Lookahead() != 3 {
+	if topo.HopDelay() != 3 || cfg.Lookahead() != 3 {
 		t.Fatalf("xbar hop/lookahead = %d/%d, want 3/3 (router + 2 wires)",
-			topo.HopDelay(), topo.Lookahead())
+			topo.HopDelay(), cfg.Lookahead())
 	}
 	// End-to-end: a 5-flit data message crosses in 3 + 4 tail = cycle 7,
 	// regardless of how far apart the mesh would have placed the nodes.
@@ -219,9 +219,9 @@ func TestTopologyRouteChainConsistency(t *testing.T) {
 }
 
 // TestTopologyLookaheadBounds checks the staged-window contract on every
-// topology: a positive lookahead that never exceeds the cheapest possible
-// cross-node delivery, and Config.Lookahead agreeing with the model (the
-// machine derives its window width from the former).
+// topology: Config.Lookahead, the machine's window width, is the one hop
+// latency the model charges — the cheapest possible cross-node delivery —
+// and takes the Table 1 values.
 func TestTopologyLookaheadBounds(t *testing.T) {
 	for _, name := range Topologies() {
 		cfg := topoConfig(t, name, 24)
@@ -229,22 +229,16 @@ func TestTopologyLookaheadBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if topo.Lookahead() < 1 {
-			t.Errorf("%s: non-positive lookahead %d", name, topo.Lookahead())
-		}
-		if topo.Lookahead() > topo.HopDelay() {
-			t.Errorf("%s: lookahead %d exceeds a single hop %d", name, topo.Lookahead(), topo.HopDelay())
-		}
-		if cfg.Lookahead() != topo.Lookahead() {
-			t.Errorf("%s: Config.Lookahead %d != Topology.Lookahead %d",
-				name, cfg.Lookahead(), topo.Lookahead())
+		if cfg.Lookahead() != topo.HopDelay() {
+			t.Errorf("%s: Config.Lookahead %d != HopDelay %d",
+				name, cfg.Lookahead(), topo.HopDelay())
 		}
 		want := sim.Cycle(2)
 		if name == "xbar" {
 			want = 3
 		}
-		if topo.Lookahead() != want {
-			t.Errorf("%s: lookahead %d, want %d at Table 1 delays", name, topo.Lookahead(), want)
+		if cfg.Lookahead() != want {
+			t.Errorf("%s: lookahead %d, want %d at Table 1 delays", name, cfg.Lookahead(), want)
 		}
 	}
 }

@@ -36,17 +36,20 @@ const (
 	chunkSize  = 256            // free-list growth increment
 )
 
-// event is one scheduled callback. Exactly one of fn or h is set: fn for
-// closure events (At/After), h+arg for pre-bound events (AtArg/AfterArg).
-// next links wheel-slot FIFOs, far-slot stacks and the free list.
+// event is one scheduled callback, h(arg): AtArg/AfterArg store their
+// handler and argument, At/After their func value as the argument of
+// runEvent. next links wheel-slot FIFOs, far-slot stacks and the free list.
 type event struct {
 	at   Cycle
 	seq  uint64
-	fn   Event
 	h    func(any)
 	arg  any
 	next *event
 }
+
+// runEvent is the handler of every At/After event: a func value is
+// pointer-shaped, so it rides in the record's argument without allocating.
+func runEvent(fn any) { fn.(Event)() }
 
 // bucket is one wheel slot: a FIFO of events all scheduled for the same
 // cycle (within the horizon, exactly one cycle maps to each slot), so
@@ -196,7 +199,7 @@ func (e *Engine) schedule(at Cycle) *event {
 
 // At schedules fn to run at cycle at. Scheduling in the past (at < Now) is a
 // programming error and panics: hardware cannot act before the present.
-func (e *Engine) At(at Cycle, fn Event) { e.schedule(at).fn = fn }
+func (e *Engine) At(at Cycle, fn Event) { e.AtArg(at, runEvent, fn) }
 
 // After schedules fn to run delay cycles from now.
 func (e *Engine) After(delay Cycle, fn Event) { e.At(e.now+delay, fn) }
@@ -356,13 +359,9 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.at
 	e.fired++
-	fn, h, arg := ev.fn, ev.h, ev.arg
+	h, arg := ev.h, ev.arg
 	e.recycle(ev)
-	if fn != nil {
-		fn()
-	} else {
-		h(arg)
-	}
+	h(arg)
 	return true
 }
 
@@ -404,13 +403,9 @@ func (e *Engine) RunTo(deadline Cycle) {
 			e.wheelCount--
 			e.now = ev.at
 			e.fired++
-			fn, h, arg := ev.fn, ev.h, ev.arg
+			h, arg := ev.h, ev.arg
 			e.recycle(ev)
-			if fn != nil {
-				fn()
-			} else {
-				h(arg)
-			}
+			h(arg)
 			if b.head == nil {
 				break
 			}

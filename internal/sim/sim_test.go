@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOrdering(t *testing.T) {
@@ -401,6 +402,57 @@ func TestEngineScheduleAtNowAtWheelWrap(t *testing.T) {
 		}
 		if e.Now() != at {
 			t.Fatalf("at=%d: Now = %d", at, e.Now())
+		}
+	}
+}
+
+// TestEngineSchedulesWithoutAllocating: on a warm engine, scheduling and
+// firing an event allocates nothing, whether it carries a func value bound
+// once (At/After, which ride as the argument of one shared handler) or a
+// handler and a pointer argument (AtArg/AfterArg), and whether it fires
+// through RunTo or Step.
+func TestEngineSchedulesWithoutAllocating(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Errorf("event record is %d bytes, want 48", got)
+	}
+	var e Engine
+	n := 0
+	fn := func() { n++ }
+	h := func(arg any) { *arg.(*int)++ }
+	// Warm the free list past one chunk.
+	for i := range Cycle(2 * chunkSize) {
+		e.At(i, fn)
+	}
+	e.Drain(2 * chunkSize)
+	cases := []struct {
+		name     string
+		schedule func()
+	}{
+		{"At", func() { e.At(e.Now()+1, fn) }},
+		{"After", func() { e.After(2, fn) }},
+		{"AtArg", func() { e.AtArg(e.Now()+1, h, &n) }},
+		{"AfterArg", func() { e.AfterArg(2, h, &n) }},
+	}
+	fires := []struct {
+		name string
+		fire func()
+	}{
+		{"RunTo", func() { e.RunTo(e.Now() + 2) }},
+		{"Step", func() { e.Step() }},
+	}
+	for _, c := range cases {
+		for _, f := range fires {
+			before := n
+			allocs := testing.AllocsPerRun(100, func() {
+				c.schedule()
+				f.fire()
+			})
+			if allocs != 0 {
+				t.Errorf("%s fired by %s: %.2f allocations per event, want 0", c.name, f.name, allocs)
+			}
+			if n == before || e.Pending() != 0 {
+				t.Errorf("%s fired by %s: %d events fired, %d left pending", c.name, f.name, n-before, e.Pending())
+			}
 		}
 	}
 }
