@@ -64,6 +64,25 @@ func TestVariantFlagsAreGone(t *testing.T) {
 	}
 }
 
+// TestBadThreadsOrScale: a thread count outside the machine's cores or a
+// scale below 1 fails the run with one line on stderr, not a goroutine dump.
+func TestBadThreadsOrScale(t *testing.T) {
+	for _, args := range [][]string{
+		{"-app", "histogram", "-threads", "0"},
+		{"-app", "histogram", "-threads", "25"},
+		{"-app", "histogram", "-threads", "-2"},
+		{"-app", "histogram", "-nodes", "3"},
+		{"-app", "histogram", "-scale", "-1"},
+		{"-app", "pca", "-scale", "0"},
+		{"-app", "kmeans", "-scale", "0"},
+	} {
+		code, out, errs := runCmd(args...)
+		if code != 1 || out != "" || strings.Count(errs, "\n") != 1 || !strings.HasPrefix(errs, "ghostwriter: ") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 1 and one error line", args, code, out, errs)
+		}
+	}
+}
+
 // reportD8 and reportD0 are the full reports of the headline application at
 // d = 8 (ghostwriter) and d = 0 (mesi) on the Table 1 machine.
 const reportD8 = `linear_regression (Phoenix, Machine Learning) — ghostwriter, d-distance 8, 24 threads, scale 1

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	ghostwriter "ghostwriter"
 )
 
 // fastOptions keeps harness tests quick: fewer threads, test-scale inputs.
@@ -148,6 +150,40 @@ func TestTablesRender(t *testing.T) {
 func TestRunAppUnknown(t *testing.T) {
 	if _, err := NewRunner(0).RunApp("nope", fastOptions(), 0, false); err == nil {
 		t.Fatal("unknown app must error")
+	}
+}
+
+// TestSimulateRejectsBadSpec: a thread count the machine has no cores for
+// and a scale below 1 are errors that name the field, not panics deep in
+// the machine or a workload's input generator.
+func TestSimulateRejectsBadSpec(t *testing.T) {
+	for _, tc := range []struct {
+		name, field string
+		spec        Spec
+	}{
+		{"no threads", "threads", Spec{App: "histogram", Scale: 1, Threads: 0}},
+		{"a thread past the cores", "threads", Spec{App: "histogram", Scale: 1, Threads: 25}},
+		{"negative threads", "threads", Spec{App: "histogram", Scale: 1, Threads: -2}},
+		{"24 threads on 3 nodes", "threads", Spec{App: "histogram", Scale: 1, Threads: 24,
+			Config: ghostwriter.Config{Nodes: 3}}},
+		{"negative scale", "scale", Spec{App: "histogram", Scale: -1, Threads: 24}},
+		{"pca at scale 0", "scale", Spec{App: "pca", Scale: 0, Threads: 24}},
+		{"kmeans at scale 0", "scale", Spec{App: "kmeans", Scale: 0, Threads: 24}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Simulate panicked: %v", p)
+				}
+			}()
+			_, sys, err := Simulate(tc.spec)
+			if err == nil || sys != nil {
+				t.Fatalf("Simulate(%+v) = system %v, error %v; want only an error", tc.spec, sys != nil, err)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("error %q does not name %s", err, tc.field)
+			}
+		})
 	}
 }
 

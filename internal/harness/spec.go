@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 
 	ghostwriter "ghostwriter"
 	"ghostwriter/internal/machine"
@@ -101,7 +102,9 @@ func hashKey(version string, s Spec, mc machine.Config) string {
 // Simulate runs one cell and returns its result together with the system
 // it ran on, for callers that inspect the machine afterwards (ghostwriter
 // -cores/-noc). It is the single execution path: the Runner, RunApp, every
-// figure grid and the ghostwriter command all funnel through it.
+// figure grid and the ghostwriter command all funnel through it. A spec
+// the machine cannot run (an unknown app, protocol or topology, a scale
+// below 1, more threads than cores or none) is an error, not a panic.
 func Simulate(s Spec) (RunResult, *ghostwriter.System, error) {
 	f, err := workloads.Lookup(s.App)
 	if err != nil {
@@ -114,6 +117,12 @@ func Simulate(s Spec) (RunResult, *ghostwriter.System, error) {
 	}
 	if err := ghostwriter.ValidateTopology(s.Config.Topo, s.Config.Nodes); err != nil {
 		return RunResult{}, nil, err
+	}
+	if s.Scale < 1 {
+		return RunResult{}, nil, fmt.Errorf("scale %d: must be at least 1", s.Scale)
+	}
+	if cores := s.effective().MachineConfig().Cores; s.Threads < 1 || s.Threads > cores {
+		return RunResult{}, nil, fmt.Errorf("threads %d: must be 1 to %d, the machine's core count", s.Threads, cores)
 	}
 	app := f.New(s.Scale)
 	sys := ghostwriter.New(s.effective())

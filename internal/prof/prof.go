@@ -36,7 +36,9 @@ func Start(cpuPath, memPath string) (stop func(), err error) {
 		stopped = true
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
-			cpuFile.Close()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "cpu profile:", err)
+			}
 		}
 		if memPath != "" {
 			f, err := os.Create(memPath)
@@ -44,9 +46,11 @@ func Start(cpuPath, memPath string) (stop func(), err error) {
 				fmt.Fprintln(os.Stderr, "mem profile:", err)
 				return
 			}
-			defer f.Close()
 			runtime.GC() // materialize the live heap before snapshotting
 			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "mem profile:", err)
+			}
+			if err := f.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "mem profile:", err)
 			}
 		}

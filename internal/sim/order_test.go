@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Differential tests of the three-tier scheduler against a reference model
+// Differential tests of the wheel-and-heap scheduler against a reference model
 // that keeps every pending event in one list and fires the least (at, seq).
 
 // sched is the surface the tests drive; Engine and refEngine implement it.
@@ -123,12 +123,12 @@ func (r *refEngine) Drain(limit uint64) (fired uint64, drained bool) {
 }
 
 // diffDelays are the distances programs schedule and run ahead by: the
-// same cycle, the wheel, both sides of the wheel horizon and of the next
-// epoch boundaries, the GI-sweep period, both sides of the level-2 horizon,
-// and the heap.
+// same cycle, across the wheel (255–257 and 511–512 straddle bitmap-word
+// boundaries), the GI-sweep period, both sides of the wheel horizon, and
+// deep into the heap.
 var diffDelays = []Cycle{
 	0, 1, 2, 3, 100, 255, 256, 257, 300, 511, 512, 600,
-	1024, 65535, 65536, 66000, 70000, 1 << 20,
+	1024, 2047, 2048, 2049, 65536, 70000, 1 << 20,
 }
 
 // diffBudget bounds the events one program schedules.
@@ -144,8 +144,9 @@ func splitmix64(x uint64) uint64 {
 // tierCoverage records which corners of the scheduler a set of programs
 // reached on the real engine.
 type tierCoverage struct {
-	heap, far, allThree bool
-	midEpochDeadline    bool // a RunTo deadline inside the earliest far epoch, before its first event
+	heap          bool // an event in the heap
+	tie           bool // the heap head and a wheel event at one cycle
+	shortDeadline bool // a RunTo deadline short of the heap head, with the heap next to fire
 }
 
 // diffRun interprets one program against one scheduler, logging every
@@ -205,19 +206,21 @@ func (d *diffRun) observe(op string) {
 	}
 	d.log = append(d.log, fmt.Sprintf("%s: now=%d pending=%d fired=%d next=%d,%v",
 		op, now, d.s.Pending(), d.s.Fired(), at, ok))
-	if e, isEngine := d.s.(*Engine); isEngine && d.cov != nil {
-		d.cov.heap = d.cov.heap || len(e.overflow) > 0
-		d.cov.far = d.cov.far || e.farCount > 0
-		d.cov.allThree = d.cov.allThree || len(e.overflow) > 0 && e.farCount > 0 && e.wheelCount > 0
+	if e, isEngine := d.s.(*Engine); isEngine && d.cov != nil && len(e.overflow) > 0 {
+		d.cov.heap = true
+		if h := e.overflow[0].at; h < e.now+wheelSize {
+			w := e.slots[int(h)&wheelMask].head
+			d.cov.tie = d.cov.tie || w != nil && w.at == h
+		}
 	}
 }
 
 // deadline turns a program byte into a RunTo deadline ahead of the clock.
 func (d *diffRun) deadline(arg byte) Cycle {
 	dl := d.s.Now() + diffDelays[int(arg)%len(diffDelays)]
-	if e, isEngine := d.s.(*Engine); isEngine && d.cov != nil && e.farCount > 0 &&
-		dl < e.farMin && dl>>wheelBits == e.farMin>>wheelBits {
-		d.cov.midEpochDeadline = true
+	if e, isEngine := d.s.(*Engine); isEngine && d.cov != nil {
+		at, heap, _, _ := e.peek()
+		d.cov.shortDeadline = d.cov.shortDeadline || heap && dl > e.now && dl < at
 	}
 	return dl
 }
@@ -298,8 +301,9 @@ func diffProgramOn(tb testing.TB, e *Engine, seed uint64, prog []byte, cov *tier
 }
 
 // TestEngineDifferential drives random programs through the engine and the
-// model, and checks that between them they reached every tier, all three
-// at once, and a RunTo deadline inside an epoch that was not cascaded.
+// model, and checks that between them they reached the heap, a wheel/heap
+// tie at one cycle, and a RunTo deadline short of the heap head — where
+// RunTo must carry the clock to the deadline and no further.
 func TestEngineDifferential(t *testing.T) {
 	var cov tierCoverage
 	for seed := uint64(1); seed <= 300; seed++ {
@@ -308,15 +312,14 @@ func TestEngineDifferential(t *testing.T) {
 		rng.Read(prog)
 		diffProgram(t, seed, prog, &cov)
 	}
-	if !cov.heap || !cov.far || !cov.allThree || !cov.midEpochDeadline {
+	if !cov.heap || !cov.tie || !cov.shortDeadline {
 		t.Errorf("programs did not reach every corner: %+v", cov)
 	}
 }
 
 // TestEngineResetDifferential runs the same programs on one engine, rewound
-// by Reset between them: with its recycled free list, its far array already
-// allocated and its heap slice grown, it must match the model from cycle 0
-// exactly as a new engine does.
+// by Reset between them: with its recycled free list and its heap slice
+// grown, it must match the model from cycle 0 exactly as a new engine does.
 func TestEngineResetDifferential(t *testing.T) {
 	e := &Engine{}
 	for seed := uint64(1); seed <= 300; seed++ {
@@ -329,23 +332,22 @@ func TestEngineResetDifferential(t *testing.T) {
 			t.Fatalf("after Reset: now=%d fired=%d pending=%d", e.Now(), e.Fired(), e.Pending())
 		}
 	}
-	if e.far == nil || e.free == nil || cap(e.overflow) == 0 {
-		t.Errorf("the programs left no storage for Reset to keep: far=%v free=%v cap(overflow)=%d",
-			e.far != nil, e.free != nil, cap(e.overflow))
+	if e.free == nil || cap(e.overflow) == 0 {
+		t.Errorf("the programs left no storage for Reset to keep: free=%v cap(overflow)=%d",
+			e.free != nil, cap(e.overflow))
 	}
 }
 
-// TestEngineResetPendingPanics pins Reset's precondition in every tier: an
-// event left on the wheel, in a far slot or in the heap would sit at the
-// wrong distance from the rewound clock.
+// TestEngineResetPendingPanics pins Reset's precondition in both tiers: an
+// event left on the wheel or in the heap would sit at the wrong distance
+// from the rewound clock.
 func TestEngineResetPendingPanics(t *testing.T) {
 	for _, tc := range []struct {
 		tier  string
 		delay Cycle
 		held  func(e *Engine) int
 	}{
-		{"wheel", 3, func(e *Engine) int { return e.wheelCount }},
-		{"far", 1024, func(e *Engine) int { return e.farCount }},
+		{"wheel", 1024, func(e *Engine) int { return e.wheelCount }},
 		{"heap", 1 << 20, func(e *Engine) int { return len(e.overflow) }},
 	} {
 		t.Run(tc.tier, func(t *testing.T) {
@@ -376,73 +378,47 @@ func FuzzEngineOrder(f *testing.F) {
 	})
 }
 
-// TestEngineThreeTierTie pins the order at one cycle that holds a heap
-// event, a far event, and wheel events scheduled before and during the
-// cycle: oldest first, which is heap, far, wheel.
-func TestEngineThreeTierTie(t *testing.T) {
-	const target = Cycle(70000) // beyond the level-2 horizon from cycle 0
+// TestEngineTwoTierTie pins the order at one cycle that holds heap events
+// and wheel events scheduled before and during the cycle: oldest first,
+// which is every heap event, then the wheel-native ones, then what the
+// heap events scheduled for that cycle as they fired.
+func TestEngineTwoTierTie(t *testing.T) {
+	const target = Cycle(70000) // beyond the wheel horizon from cycle 0
 	var e Engine
 	var got []string
 	rec := func(s string) Event { return func() { got = append(got, s) } }
 
 	e.At(target, func() {
-		got = append(got, "heap")
+		got = append(got, "heap 1")
 		e.At(target, rec("heap's child")) // wheel tail: the youngest
 	})
 	if len(e.overflow) != 1 {
 		t.Fatalf("event at %d from cycle 0 is not in the heap", target)
 	}
 	e.At(10000, func() {
-		e.At(target, rec("far 1"))
-		e.At(target+3, rec("far, later cycle"))
-		e.At(target, rec("far 2"))
-		if e.farCount != 3 {
-			t.Errorf("events at %d from cycle %d: farCount = %d, want 3", target, e.Now(), e.farCount)
-		}
+		e.At(target, rec("heap 2"))
+		e.At(target+3, rec("heap, later cycle"))
 	})
 	e.At(target-10, func() {
 		e.At(target, rec("wheel"))
 		e.At(target+3, rec("wheel, later cycle"))
-		if e.farCount != 3 || len(e.overflow) != 1 {
-			t.Errorf("at %d: farCount = %d, heap = %d, want 3 and 1", e.Now(), e.farCount, len(e.overflow))
+		if e.wheelCount != 2 || len(e.overflow) != 3 {
+			t.Errorf("at %d: wheel %d, heap %d, want 2 and 3", e.Now(), e.wheelCount, len(e.overflow))
 		}
 	})
 	if _, drained := e.Drain(100); !drained {
 		t.Fatal("did not drain")
 	}
-	want := []string{"heap", "far 1", "far 2", "wheel", "heap's child", "far, later cycle", "wheel, later cycle"}
+	want := []string{"heap 1", "heap 2", "wheel", "heap's child", "heap, later cycle", "wheel, later cycle"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fired %q, want %q", got, want)
 	}
 }
 
-// TestEngineRunToInsideFarEpoch: a deadline that falls in the epoch of the
-// earliest far slot, before the slot's first event, must leave the slot
-// alone — cascading it would carry the clock past the deadline.
-func TestEngineRunToInsideFarEpoch(t *testing.T) {
-	var e Engine
-	var got []string
-	rec := func(s string) Event { return func() { got = append(got, fmt.Sprintf("%s@%d", s, e.Now())) } }
-	e.At(600, rec("far"))
-	e.RunTo(520)
-	next, ok := e.NextAt()
-	if e.Now() != 520 || !ok || next != 600 || len(got) != 0 || e.farCount != 1 {
-		t.Fatalf("RunTo(520): Now=%d next=%d,%v fired=%q farCount=%d; want 520, 600,true, none, 1",
-			e.Now(), next, ok, got, e.farCount)
-	}
-	e.At(600, rec("wheel"))
-	e.After(50, rec("near"))
-	e.After(256, rec("next epoch")) // 776: filed far while slot 2 is still occupied
-	e.RunTo(1000)
-	want := "[near@570 far@600 wheel@600 next epoch@776]"
-	if fmt.Sprint(got) != want || e.Now() != 1000 {
-		t.Fatalf("fired %v, Now=%d; want %s, 1000", got, e.Now(), want)
-	}
-}
-
 // TestEngineEqualDeadlineTimers is the machine's GI-sweep shape: 256
 // timers armed together, each re-arming itself 1024 cycles on, over wheel
-// traffic. They fire in arming order every period and never touch the heap.
+// traffic. They fire in arming order every period, and the wheel's horizon
+// holds them all: the heap stays empty.
 func TestEngineEqualDeadlineTimers(t *testing.T) {
 	const timers, period, periods = 256, 1024, 6
 	var e Engine
@@ -469,8 +445,8 @@ func TestEngineEqualDeadlineTimers(t *testing.T) {
 		}
 	}
 	e.At(0, hop)
-	if e.farCount != timers {
-		t.Fatalf("farCount = %d after arming, want %d", e.farCount, timers)
+	if e.wheelCount != timers+1 || len(e.overflow) != 0 {
+		t.Fatalf("after arming: wheel %d, heap %d; want %d and 0", e.wheelCount, len(e.overflow), timers+1)
 	}
 	if _, drained := e.Drain(1 << 20); !drained {
 		t.Fatal("did not drain")

@@ -225,16 +225,19 @@ func TestEngineDrainExactLimit(t *testing.T) {
 }
 
 func TestEngineWheelOverflowBoundary(t *testing.T) {
-	// Events exactly at, just below, and past the wheel horizon (level 2)
+	// Events exactly at, just below, and past the wheel horizon (the heap)
 	// interleave correctly with near events, preserving (cycle, seq) order.
 	var e Engine
 	var got []Cycle
 	rec := func() { got = append(got, e.Now()) }
 	e.At(wheelSize-1, rec) // last wheel-resident cycle
-	e.At(wheelSize, rec)   // first level-2 cycle
+	e.At(wheelSize, rec)   // first heap cycle
 	e.At(wheelSize+1, rec)
 	e.At(3*wheelSize+7, rec) // far future
 	e.At(0, rec)
+	if e.wheelCount != 2 || len(e.overflow) != 3 {
+		t.Fatalf("wheel %d, heap %d; want 2 and 3", e.wheelCount, len(e.overflow))
+	}
 	e.Drain(100)
 	want := []Cycle{0, wheelSize - 1, wheelSize, wheelSize + 1, 3*wheelSize + 7}
 	if len(got) != len(want) {
@@ -248,12 +251,12 @@ func TestEngineWheelOverflowBoundary(t *testing.T) {
 }
 
 func TestEngineOverflowWheelSameCycleOrder(t *testing.T) {
-	// A level-2 event and a later-inserted wheel-resident event at the same
-	// cycle must fire in insertion (seq) order: the cascaded one first.
+	// A heap event and a later-inserted wheel-resident event at the same
+	// cycle must fire in insertion (seq) order: the heap one first.
 	var e Engine
 	const target = Cycle(2 * wheelSize)
 	var got []string
-	e.At(target, func() { got = append(got, "overflow") }) // far: level 2
+	e.At(target, func() { got = append(got, "overflow") }) // beyond the horizon: the heap
 	var step func()
 	step = func() {
 		if e.Now() == target-10 {
@@ -344,8 +347,8 @@ func TestEngineFiredCounter(t *testing.T) {
 	}
 }
 
-// TestEngineRecycleStress drives enough schedule/fire cycles through both
-// wheel levels to exercise free-list recycling under interleaved load.
+// TestEngineRecycleStress drives enough schedule/fire cycles through the
+// wheel and the heap to exercise free-list recycling under interleaved load.
 func TestEngineRecycleStress(t *testing.T) {
 	var e Engine
 	rng := rand.New(rand.NewSource(42))
