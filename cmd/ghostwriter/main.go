@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -62,6 +63,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if *bound > math.MaxUint32 {
+		fmt.Fprintf(stderr, "ghostwriter: -bound %d: must be at most %d\n", *bound, uint32(math.MaxUint32))
 		return 2
 	}
 	if *proto != "" {

@@ -75,11 +75,22 @@ func TestBadThreadsOrScale(t *testing.T) {
 		{"-app", "histogram", "-scale", "-1"},
 		{"-app", "pca", "-scale", "0"},
 		{"-app", "kmeans", "-scale", "0"},
+		{"-app", "histogram", "-scale", "100000000000"}, // input past the address space
 	} {
 		code, out, errs := runCmd(args...)
 		if code != 1 || out != "" || strings.Count(errs, "\n") != 1 || !strings.HasPrefix(errs, "ghostwriter: ") {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 1 and one error line", args, code, out, errs)
 		}
+	}
+}
+
+// TestBoundBeyondUint32: the monitor counts hidden writes in 32 bits, so a
+// -bound past that is a usage error — cut to 32 bits, 4294967297 would run
+// as a bound of 1.
+func TestBoundBeyondUint32(t *testing.T) {
+	code, out, errs := runCmd("-app", "linear_regression", "-bound", "4294967297")
+	if code != 2 || out != "" || strings.Count(errs, "\n") != 1 || !strings.HasPrefix(errs, "ghostwriter: -bound 4294967297") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 2 and one line naming -bound", code, out, errs)
 	}
 }
 

@@ -71,6 +71,10 @@ func realMain(args []string) int {
 		fmt.Fprintln(os.Stderr, `gwcached: -wal names the write-ahead-log directory; dispatch is always journaled, so "off" is not a mode`)
 		return 2
 	}
+	if *reap <= 0 {
+		fmt.Fprintf(os.Stderr, "gwcached: -reap %v: the reaper period must be positive\n", *reap)
+		return 2
+	}
 	cache, err := harness.OpenCache(*dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gwcached:", err)

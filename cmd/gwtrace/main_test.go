@@ -45,3 +45,30 @@ func TestBadThreadCounts(t *testing.T) {
 		t.Errorf("32 threads on a 64-node torus: exit %d, stderr %q", code, errs)
 	}
 }
+
+// TestLargeDistanceClamps: a -d past int8 replays like -d 64, the widest
+// distance a 32-bit scribble uses, instead of wrapping (128 read as "leave
+// the scribe alone", 200 as a negative d, 300 as 44). Only the header,
+// which echoes the flag, differs.
+func TestLargeDistanceClamps(t *testing.T) {
+	replay := func(d string) (header, rest string) {
+		t.Helper()
+		code, out, errs := runCmd("-gen", "migratory", "-threads", "8", "-rounds", "50", "-replay", "-", "-d", d)
+		if code != 0 || errs != "" {
+			t.Fatalf("-d %s: exit %d, stderr %q", d, code, errs)
+		}
+		_, out, _ = strings.Cut(out, "\n") // the "generated" line
+		header, rest, _ = strings.Cut(out, "\n")
+		return header, rest
+	}
+	_, want := replay("64")
+	if !strings.Contains(want, "GS=399") {
+		t.Fatalf("-d 64 replay lost its GS entries:\n%s", want)
+	}
+	for _, d := range []string{"127", "128", "200", "300"} {
+		header, rest := replay(d)
+		if header != "replayed under ghostwriter (d="+d+"): 602 cycles" || rest != want {
+			t.Errorf("-d %s:\n%s\n%s\nwant it to replay like -d 64:\n%s", d, header, rest, want)
+		}
+	}
+}

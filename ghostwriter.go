@@ -161,10 +161,7 @@ func (c Config) MachineConfig() machine.Config {
 			if c.Cores == 0 {
 				// One core per node: a grown interconnect runs fully
 				// populated (capped at the protocol's sharer-set width).
-				mc.Cores = geo.NodeCount()
-				if mc.Cores > coherence.MaxCores {
-					mc.Cores = coherence.MaxCores
-				}
+				mc.Cores = min(geo.Nodes, coherence.MaxCores)
 			}
 		}
 	}

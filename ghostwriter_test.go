@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	ghostwriter "ghostwriter"
+	"ghostwriter/internal/coherence"
+	"ghostwriter/internal/dram"
+	"ghostwriter/internal/noc"
+	"ghostwriter/internal/sim"
 )
 
 func TestDefaultsMatchTable1(t *testing.T) {
@@ -19,6 +23,25 @@ func TestDefaultsMatchTable1(t *testing.T) {
 	}
 	if ghostwriter.Baseline.String() == ghostwriter.Ghostwriter.String() {
 		t.Error("protocol names must differ")
+	}
+	// Table 1's fixed timing is constants, not configuration.
+	for _, c := range []struct {
+		name      string
+		got, want sim.Cycle
+	}{
+		{"router delay", noc.RouterDelay, 1},
+		{"link delay", noc.LinkDelay, 1},
+		{"flit bytes", noc.FlitBytes, 16},
+		{"header bytes", noc.HeaderBytes, 8},
+		{"L1 hit latency", coherence.L1HitLatency, 2},
+		{"directory latency", coherence.DirLatency, 6},
+		{"L2 latency", coherence.L2Latency, 10},
+		{"DRAM access latency", dram.AccessLatency, 100},
+		{"DRAM channel occupancy", dram.Occupancy, 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -644,11 +644,11 @@ type issuedStep struct {
 func newHarness(cfg Config, reach *Reach) *harness {
 	h := &harness{cfg: cfg, reach: reach, eng: &sim.Engine{}, st: &stats.Stats{}, meter: &energy.Meter{}, back: mem.New()}
 	h.net = noc.New(h.eng, noc.DefaultConfig(), h.meter, h.st)
-	h.ch = dram.NewChannel(h.eng, dram.DefaultConfig(), h.back, h.meter, h.st)
+	h.ch = dram.NewChannel(h.eng, h.back, h.meter, h.st)
 	pool := &coherence.MsgPool{}
 	h.dir = coherence.NewDirectory(0, dirNode, h.eng, h.net, coherence.DirConfig{
-		Latency: 6, L2Latency: 10, BlockSize: 64,
-		Proto: cfg.Protocol,
+		BlockSize: 64,
+		Proto:     cfg.Protocol,
 		OnMissing: func(s proto.DirState, ev proto.Event) {
 			h.missing = append(h.missing, fmt.Sprintf("dir: %v/%v", s, ev))
 		},
@@ -659,9 +659,8 @@ func newHarness(cfg Config, reach *Reach) *harness {
 	for i := 0; i < cfg.Cores; i++ {
 		i := i
 		l1 := coherence.NewL1(i, h.eng, h.net, coherence.L1Config{
-			Cache:      cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64},
-			HitLatency: 2,
-			Proto:      cfg.Protocol,
+			Cache: cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64},
+			Proto: cfg.Protocol,
 			OnMissing: func(s cache.State, ev proto.Event) {
 				h.missing = append(h.missing, fmt.Sprintf("l1 %d: %v/%v", i, proto.L1StateName(s), ev))
 			},

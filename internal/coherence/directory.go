@@ -14,10 +14,14 @@ import (
 	"ghostwriter/internal/stats"
 )
 
+// Table 1's directory timing.
+const (
+	DirLatency sim.Cycle = 6  // directory lookup/update
+	L2Latency  sim.Cycle = 10 // L2 bank access
+)
+
 // DirConfig parametrizes a directory controller and its co-located L2 bank.
 type DirConfig struct {
-	Latency   sim.Cycle // directory lookup/update latency
-	L2Latency sim.Cycle // Table 1: 10 cycles
 	BlockSize int
 	// CapacityBlocks bounds the L2 bank's data capacity (Table 1:
 	// 128 kB x cores / banks worth of blocks). When a DRAM fill would
@@ -420,7 +424,7 @@ func (d *Directory) HandleMsg(m *Msg) {
 func (d *Directory) begin(e *dirLine, m *Msg) {
 	e.busy = true
 	e.cur = m
-	d.eng.AfterArg(d.cfg.Latency, d.dispatchFn, e)
+	d.eng.AfterArg(DirLatency, d.dispatchFn, e)
 }
 
 // dispatchLine adapts dispatch to the engine's argument-passing form.
@@ -637,7 +641,7 @@ func (d *Directory) withData(e *dirLine) {
 	if e.hasData {
 		d.meter.L2Access()
 		d.st.L2Accesses++
-		d.eng.AfterArg(d.cfg.L2Latency, d.grantFn, e)
+		d.eng.AfterArg(L2Latency, d.grantFn, e)
 		return
 	}
 	d.ensureSpace(e)

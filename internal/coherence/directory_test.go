@@ -152,7 +152,7 @@ func panicText(f func()) (msg string) {
 // request with a nil dereference.
 func TestNewDirectoryNilProtoPanics(t *testing.T) {
 	msg := panicText(func() {
-		NewDirectory(0, 5, &sim.Engine{}, nil, DirConfig{Latency: 6, L2Latency: 10, BlockSize: 64}, nil, nil, nil)
+		NewDirectory(0, 5, &sim.Engine{}, nil, DirConfig{BlockSize: 64}, nil, nil, nil)
 	})
 	if !strings.Contains(msg, "DirConfig.Proto") {
 		t.Fatalf("NewDirectory with a nil Proto panicked with %q, want a message naming DirConfig.Proto", msg)

@@ -45,11 +45,13 @@ type CoreOp struct {
 	Done func(value uint64)
 }
 
+// L1HitLatency is Table 1's L1 hit time.
+const L1HitLatency sim.Cycle = 2
+
 // L1Config parametrizes an L1 controller.
 type L1Config struct {
-	Cache      cache.Config
-	HitLatency sim.Cycle // Table 1: 2 cycles
-	GITimeout  sim.Cycle // Table 1: 1024 cycles; 0 disables the sweep
+	Cache     cache.Config
+	GITimeout sim.Cycle // Table 1: 1024 cycles; 0 disables the sweep
 	// Proto is the transition-table protocol the controller interprets.
 	// Required: machine.New resolves the name, the checker holds a table.
 	Proto *proto.Protocol
@@ -436,7 +438,7 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 	case proto.AClearUpgInv:
 		l.upgradeInvalidated = false
 	case proto.ACompleteHitLoad:
-		l.complete(l.cfg.HitLatency, b.ReadWord(l.arr.Offset(l.cur.Addr), l.cur.Width))
+		l.complete(L1HitLatency, b.ReadWord(l.arr.Offset(l.cur.Addr), l.cur.Width))
 	case proto.ACompleteFillLoad:
 		l.complete(1, b.ReadWord(l.arr.Offset(l.cur.Addr), l.cur.Width))
 	case proto.ACompleteWrite:
@@ -600,7 +602,7 @@ func (l *L1) writeHit(op *CoreOp, b *cache.Block) {
 	l.meter.L1Write()
 	v := l.applyWrite(op, b)
 	l.arr.Touch(op.Addr)
-	l.complete(l.cfg.HitLatency, v)
+	l.complete(L1HitLatency, v)
 }
 
 // allocFrame obtains a frame for addr, running the eviction transaction for

@@ -23,7 +23,6 @@ func sweepL1(t *testing.T, giTimeout sim.Cycle, adaptive bool) *L1 {
 	net := noc.New(eng, noc.DefaultConfig(), meter, st)
 	l := NewL1(0, eng, net, L1Config{
 		Cache:             cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64},
-		HitLatency:        2,
 		GITimeout:         giTimeout,
 		Proto:             proto.MustLookup("ghostwriter"),
 		AdaptiveGITimeout: adaptive,

@@ -12,22 +12,18 @@ import (
 	"ghostwriter/internal/stats"
 )
 
-// Config sets the DRAM timing model.
-type Config struct {
+// The DRAM timing, approximating DDR3-1600 behind a 1 GHz CMP.
+const (
 	// AccessLatency is the cycles from request to data for an idle channel
 	// (row activate + CAS + transfer at a 1 GHz core clock).
-	AccessLatency sim.Cycle
+	AccessLatency sim.Cycle = 100
 	// Occupancy is the cycles a channel stays busy per access (data burst).
-	Occupancy sim.Cycle
-}
-
-// DefaultConfig approximates DDR3-1600 behind a 1 GHz CMP.
-func DefaultConfig() Config { return Config{AccessLatency: 100, Occupancy: 16} }
+	Occupancy sim.Cycle = 16
+)
 
 // Channel is one memory channel backed by the simulated physical memory.
 // Each directory home owns a channel.
 type Channel struct {
-	cfg   Config
 	eng   *sim.Engine
 	mem   *mem.Memory
 	free  sim.Cycle
@@ -53,8 +49,8 @@ type read struct {
 }
 
 // NewChannel builds a channel over the shared backing memory.
-func NewChannel(eng *sim.Engine, cfg Config, backing *mem.Memory, meter *energy.Meter, st *stats.Stats) *Channel {
-	c := &Channel{cfg: cfg, eng: eng, mem: backing, meter: meter, st: st}
+func NewChannel(eng *sim.Engine, backing *mem.Memory, meter *energy.Meter, st *stats.Stats) *Channel {
+	c := &Channel{eng: eng, mem: backing, meter: meter, st: st}
 	c.readFn = c.finishRead
 	return c
 }
@@ -113,8 +109,8 @@ func (c *Channel) schedule() sim.Cycle {
 	if c.free > start {
 		start = c.free
 	}
-	c.free = start + c.cfg.Occupancy
+	c.free = start + Occupancy
 	c.meter.DRAMAccess()
 	c.st.DRAMAccesses++
-	return start + c.cfg.AccessLatency
+	return start + AccessLatency
 }

@@ -15,7 +15,7 @@ func newChannel() (*sim.Engine, *Channel, *mem.Memory, *stats.Stats, *energy.Met
 	backing := mem.New()
 	st := &stats.Stats{}
 	m := &energy.Meter{}
-	return eng, NewChannel(eng, DefaultConfig(), backing, m, st), backing, st, m
+	return eng, NewChannel(eng, backing, m, st), backing, st, m
 }
 
 func TestReadLatency(t *testing.T) {
@@ -28,8 +28,8 @@ func TestReadLatency(t *testing.T) {
 	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
 		t.Fatalf("read %v", got)
 	}
-	if at != DefaultConfig().AccessLatency {
-		t.Fatalf("completion at %d, want %d", at, DefaultConfig().AccessLatency)
+	if at != AccessLatency {
+		t.Fatalf("completion at %d, want %d", at, AccessLatency)
 	}
 }
 
@@ -40,9 +40,8 @@ func TestChannelOccupancySerializes(t *testing.T) {
 		ch.ReadBlock(mem.Addr(i*64), make([]byte, 64), func(any) { times = append(times, eng.Now()) }, nil)
 	}
 	eng.Drain(10)
-	cfg := DefaultConfig()
 	for i, at := range times {
-		want := cfg.AccessLatency + sim.Cycle(i)*cfg.Occupancy
+		want := AccessLatency + sim.Cycle(i)*Occupancy
 		if at != want {
 			t.Errorf("access %d completed at %d, want %d", i, at, want)
 		}

@@ -5,6 +5,9 @@ import (
 	"io"
 
 	ghostwriter "ghostwriter"
+	"ghostwriter/internal/coherence"
+	"ghostwriter/internal/dram"
+	"ghostwriter/internal/noc"
 	"ghostwriter/internal/stats"
 	"ghostwriter/internal/workloads"
 )
@@ -264,8 +267,8 @@ func Table1(w io.Writer, opt Options) {
 	fmt.Fprintf(w, "Table 1 — simulation configuration\n")
 	fmt.Fprintf(w, "%-12s %d in-order cores, blocking, 1 op/issue\n", "Cores", mc.Cores)
 	fmt.Fprintf(w, "%-12s private %dkB D-cache, %d-way, %dB blocks, tree PLRU, %d-cycle hit\n",
-		"L1", mc.L1.SizeBytes>>10, mc.L1.Ways, mc.L1.BlockSize, mc.L1HitLatency)
-	fmt.Fprintf(w, "%-12s shared banks at directory homes, %d-cycle access\n", "L2", mc.L2Latency)
+		"L1", mc.L1.SizeBytes>>10, mc.L1.Ways, mc.L1.BlockSize, coherence.L1HitLatency)
+	fmt.Fprintf(w, "%-12s shared banks at directory homes, %d-cycle access\n", "L2", coherence.L2Latency)
 	fmt.Fprintf(w, "%-12s Ghostwriter over MESI directory; GI timeout %d cycles\n",
 		"Coherence", mc.GITimeout)
 	netDesc := "invalid topology"
@@ -273,10 +276,10 @@ func Table1(w io.Writer, opt Options) {
 		netDesc = topo.Describe()
 	}
 	fmt.Fprintf(w, "%-12s %s, %d-cycle router, %d-cycle link, %d directories at nodes %v\n",
-		"Network", netDesc, mc.NoC.RouterDelay, mc.NoC.LinkDelay,
+		"Network", netDesc, noc.RouterDelay, noc.LinkDelay,
 		len(mc.DirNodes), mc.DirNodes)
 	fmt.Fprintf(w, "%-12s %d-cycle access latency, %d-cycle channel occupancy\n",
-		"DRAM", mc.DRAM.AccessLatency, mc.DRAM.Occupancy)
+		"DRAM", dram.AccessLatency, dram.Occupancy)
 }
 
 // Table2 prints the benchmark suite (the paper's Table 2).
@@ -444,7 +447,7 @@ func (r *Runner) TopologyGrid(w io.Writer, opt Options) ([]TopologyRow, error) {
 	}
 	nodes := opt.Nodes
 	if nodes == 0 {
-		nodes = ghostwriter.Config{}.MachineConfig().NoC.NodeCount()
+		nodes = ghostwriter.Config{}.MachineConfig().NoC.Nodes
 	}
 	fmt.Fprintf(w, "Topology ablation — within-topology gains at d=%d (%d nodes)\n", topoGridDist, nodes)
 	fmt.Fprintf(w, "%-18s %-7s %12s %12s %12s %12s %10s\n",

@@ -155,7 +155,9 @@ func TestRunAppUnknown(t *testing.T) {
 
 // TestSimulateRejectsBadSpec: a thread count the machine has no cores for
 // and a scale below 1 are errors that name the field, not panics deep in
-// the machine or a workload's input generator.
+// the machine or a workload's input generator. A scale whose input the
+// host cannot hold is an error that names the app: histogram's 3·96·96·scale
+// pixel bytes fail make's length check before anything is allocated.
 func TestSimulateRejectsBadSpec(t *testing.T) {
 	for _, tc := range []struct {
 		name, field string
@@ -169,6 +171,7 @@ func TestSimulateRejectsBadSpec(t *testing.T) {
 		{"negative scale", "scale", Spec{App: "histogram", Scale: -1, Threads: 24}},
 		{"pca at scale 0", "scale", Spec{App: "pca", Scale: 0, Threads: 24}},
 		{"kmeans at scale 0", "scale", Spec{App: "kmeans", Scale: 0, Threads: 24}},
+		{"histogram past the address space", "histogram", Spec{App: "histogram", Scale: 100_000_000_000, Threads: 24}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

@@ -104,8 +104,10 @@ func hashKey(version string, s Spec, mc machine.Config) string {
 // -cores/-noc). It is the single execution path: the Runner, RunApp, every
 // figure grid and the ghostwriter command all funnel through it. A spec
 // the machine cannot run (an unknown app, protocol or topology, a scale
-// below 1, more threads than cores or none) is an error, not a panic.
-func Simulate(s Spec) (RunResult, *ghostwriter.System, error) {
+// below 1 or too large for the host, more threads than cores or none) is an
+// error, not a panic: a panic raised while the cell is built or run comes
+// back as an error that names the app.
+func Simulate(s Spec) (res RunResult, sys *ghostwriter.System, err error) {
 	f, err := workloads.Lookup(s.App)
 	if err != nil {
 		return RunResult{}, nil, err
@@ -124,8 +126,13 @@ func Simulate(s Spec) (RunResult, *ghostwriter.System, error) {
 	if cores := s.effective().MachineConfig().Cores; s.Threads < 1 || s.Threads > cores {
 		return RunResult{}, nil, fmt.Errorf("threads %d: must be 1 to %d, the machine's core count", s.Threads, cores)
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			res, sys, err = RunResult{}, nil, fmt.Errorf("%s: simulation panicked: %v", s.App, p)
+		}
+	}()
 	app := f.New(s.Scale)
-	sys := ghostwriter.New(s.effective())
+	sys = ghostwriter.New(s.effective())
 	d := s.DDist
 	if d == 0 {
 		d = -1 // baseline: scribbles execute as conventional stores

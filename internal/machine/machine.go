@@ -31,17 +31,11 @@ type Config struct {
 	// default.
 	NoC noc.Config
 
-	L1           cache.Config
-	L1HitLatency sim.Cycle
-
-	DirLatency sim.Cycle
-	L2Latency  sim.Cycle
-	DirNodes   []int // mesh nodes hosting a directory + L2 bank
+	L1       cache.Config
+	DirNodes []int // mesh nodes hosting a directory + L2 bank
 	// L2PerCoreBytes sizes the shared L2 (Table 1: 128 kB per core); the
 	// total is split evenly across the directory banks. 0 = unbounded.
 	L2PerCoreBytes int
-
-	DRAM dram.Config
 
 	// Protocol names a registered coherence transition table
 	// (internal/coherence/proto.Names): "mesi" is the baseline of the
@@ -60,24 +54,25 @@ type Config struct {
 }
 
 // DefaultConfig mirrors Table 1 of the paper: 24 in-order cores at 1 GHz,
-// private 32 kB 2-way L1s with 64 B blocks and 2-cycle hits, shared L2 at
-// 10 cycles, a 6x4 mesh with 1-cycle routers and links, 4 directory
-// controllers at the mesh corners, and a 1024-cycle GI timeout.
+// private 32 kB 2-way L1s with 64 B blocks, a 6x4 mesh, 4 directory
+// controllers at the mesh corners, and a 1024-cycle GI timeout. Table 1's
+// fixed timing is constants in noc, coherence and dram.
 func DefaultConfig() Config {
 	return Config{
 		Cores:          24,
 		NoC:            noc.DefaultConfig(),
 		L1:             cache.Config{SizeBytes: 32 << 10, Ways: 2, BlockSize: 64},
-		L1HitLatency:   2,
-		DirLatency:     6,
-		L2Latency:      10,
 		L2PerCoreBytes: 128 << 10,
 		DirNodes:       []int{0, 5, 18, 23}, // the 6x4 mesh corners
-		DRAM:           dram.DefaultConfig(),
 		Protocol:       "mesi",
 		GITimeout:      1024,
 	}
 }
+
+// Migration resumes land migrationCost after their stage cycle, which must
+// reach the window horizon: the widest lookahead, the crossbar hop, may not
+// exceed it, or this constant expression underflows and the build fails.
+const _ = migrationCost - (noc.RouterDelay + 2*noc.LinkDelay)
 
 // Machine is one simulated CMP instance. Build with New, load inputs with
 // the allocator and WriteBacking, run kernels with Run, then read results
@@ -118,22 +113,16 @@ func New(cfg Config) *Machine {
 	if cfg.Cores <= 0 || cfg.Cores > coherence.MaxCores {
 		panic(fmt.Sprintf("machine: unsupported core count %d", cfg.Cores))
 	}
-	if cfg.Cores > cfg.NoC.NodeCount() {
+	nodes := cfg.NoC.Nodes
+	if cfg.Cores > nodes {
 		panic("machine: more cores than interconnect nodes")
 	}
 	if len(cfg.DirNodes) == 0 {
 		panic("machine: no directory nodes")
 	}
-	nodes := cfg.NoC.NodeCount()
-	lookahead := cfg.NoC.Lookahead()
-	if lookahead > migrationCost {
-		// The merge phase schedules migration resumes at stage-cycle +
-		// migrationCost and relies on that landing at or past the horizon.
-		panic(fmt.Sprintf("machine: NoC lookahead %d exceeds the migration cost %d", lookahead, migrationCost))
-	}
 	m := &Machine{
 		cfg:        cfg,
-		clu:        sim.NewCluster(nodes, lookahead, 0),
+		clu:        sim.NewCluster(nodes, cfg.NoC.Lookahead(), 0),
 		backing:    mem.New(),
 		alloc:      mem.NewAllocator(0x1_0000, cfg.L1.BlockSize),
 		st:         &stats.Stats{},
@@ -168,8 +157,6 @@ func New(cfg Config) *Machine {
 	}
 
 	dirCfg := coherence.DirConfig{
-		Latency:   cfg.DirLatency,
-		L2Latency: cfg.L2Latency,
 		BlockSize: cfg.L1.BlockSize,
 		Proto:     prot,
 	}
@@ -183,7 +170,7 @@ func New(cfg Config) *Machine {
 	dirAt := make(map[noc.NodeID]*coherence.Directory)
 	for i, n := range m.dirNode {
 		meter := m.tileMeters[n]
-		ch := dram.NewChannel(m.eng, cfg.DRAM, m.backing, meter, m.st)
+		ch := dram.NewChannel(m.eng, m.backing, meter, m.st)
 		d := coherence.NewDirectory(i, n, m.eng, m.net, dirCfg, ch, meter, m.st)
 		d.UsePool(pool)
 		m.dirs = append(m.dirs, d)
@@ -192,7 +179,6 @@ func New(cfg Config) *Machine {
 
 	l1Cfg := coherence.L1Config{
 		Cache:             cfg.L1,
-		HitLatency:        cfg.L1HitLatency,
 		GITimeout:         cfg.GITimeout,
 		Proto:             prot,
 		ErrorBound:        cfg.ErrorBound,

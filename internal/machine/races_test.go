@@ -204,24 +204,24 @@ func TestDeterminismUnderPressure(t *testing.T) {
 func TestConfigFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	meshes := []struct {
-		w, h int
-		dirs []int
+		nodes int // folded into a 6x4, 4x2, 2x2 or 3x3 mesh
+		dirs  []int
 	}{
-		{6, 4, []int{0, 5, 18, 23}},
-		{4, 2, []int{0, 7}},
-		{2, 2, []int{0, 3}},
-		{3, 3, []int{0, 4, 8}}, // a home count that is no power of two
+		{24, []int{0, 5, 18, 23}},
+		{8, []int{0, 7}},
+		{4, []int{0, 3}},
+		{9, []int{0, 4, 8}}, // a home count that is no power of two
 	}
 	tables := proto.Names()
 	for trial := 0; trial < 12; trial++ {
 		mesh := meshes[rng.Intn(len(meshes))]
-		cores := 2 + rng.Intn(mesh.w*mesh.h-1)
+		cores := 2 + rng.Intn(mesh.nodes-1)
 		ways := 1 << rng.Intn(3)       // 1, 2, 4
 		sets := 1 << (1 + rng.Intn(4)) // 2..16
 		blockSize := 64
 		cfg := DefaultConfig()
 		cfg.Cores = cores
-		cfg.NoC.Width, cfg.NoC.Height = mesh.w, mesh.h
+		cfg.NoC.Nodes = mesh.nodes
 		cfg.DirNodes = mesh.dirs
 		cfg.L1 = cache.Config{SizeBytes: sets * ways * blockSize, Ways: ways, BlockSize: blockSize}
 		cfg.L2PerCoreBytes = (1 + rng.Intn(4)) * blockSize
@@ -252,8 +252,8 @@ func TestConfigFuzz(t *testing.T) {
 			}
 		})
 		if err := m.CheckInvariants(strict); err != nil {
-			t.Fatalf("trial %d (%s, cores=%d mesh=%dx%d ways=%d sets=%d): %v",
-				trial, cfg.Protocol, cores, mesh.w, mesh.h, ways, sets, err)
+			t.Fatalf("trial %d (%s, cores=%d mesh nodes=%d ways=%d sets=%d): %v",
+				trial, cfg.Protocol, cores, mesh.nodes, ways, sets, err)
 		}
 	}
 }

@@ -20,7 +20,7 @@ func topoMachineConfig(tb testing.TB, topo string, nodes int) Config {
 	}
 	cfg.NoC = geo
 	cfg.DirNodes = noc.DefaultHomes(geo, len(cfg.DirNodes))
-	cfg.Cores = geo.NodeCount()
+	cfg.Cores = geo.Nodes
 	if cfg.Cores > coherence.MaxCores {
 		cfg.Cores = coherence.MaxCores
 	}

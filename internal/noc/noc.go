@@ -2,12 +2,13 @@
 // Geometry, routing, and per-hop latency live behind the pluggable Topology
 // interface (topology.go): the default is the paper's 2D mesh with XY
 // dimension-order routing, 1-cycle routers and 1-cycle links; a bidirectional
-// ring, a wraparound torus, and a single-hop crossbar are registered beside
-// it. The Network flit engine is topology-independent: messages are
-// segmented into flits and serialized per directed link (one flit per link
-// per cycle), so a message's delivery time accounts for the topology's
-// per-hop latency at every route link plus queueing behind earlier traffic,
-// which is how coherence-traffic reduction turns into speedup.
+// ring (the one-row torus), a wraparound torus, and a single-hop crossbar
+// are registered beside it. The Network flit engine is topology-independent:
+// messages are segmented into flits and serialized per directed link (one
+// flit per link per cycle), so a message's delivery time accounts for the
+// topology's per-hop latency at every route link plus queueing behind
+// earlier traffic, which is how coherence-traffic reduction turns into
+// speedup.
 package noc
 
 import (
@@ -26,39 +27,42 @@ type NodeID int
 // Handler receives a delivered message payload at a node.
 type Handler func(payload any)
 
-// Config describes the interconnect geometry and timing.
+// Table 1's interconnect timing, the same on every topology.
+const (
+	RouterDelay sim.Cycle = 1 // per-hop router pipeline latency
+	LinkDelay   sim.Cycle = 1 // per-hop wire latency
+	FlitBytes             = 16
+	HeaderBytes           = 8 // per message
+)
+
+// Every hop costs at least a cycle (staged mode's lookahead window is one
+// hop wide, DESIGN.md §12) and a flit carries at least a byte: otherwise
+// these constant expressions underflow sim.Cycle and the build fails.
+const _, _ = RouterDelay + LinkDelay - 1, sim.Cycle(FlitBytes - 1)
+
+// Config describes the interconnect: a topology and its node count.
 type Config struct {
 	// Topo names the topology ("mesh", "ring", "torus", "xbar"). Empty
 	// selects the mesh.
-	Topo          string
-	Width, Height int // grid dimensions for mesh/torus (paper: 6x4 = 24 nodes)
-	// Nodes is the node count for topologies without grid geometry (ring,
-	// xbar); 0 defers to Width×Height.
-	Nodes       int
-	RouterDelay sim.Cycle // per-hop router pipeline latency (paper: 1)
-	LinkDelay   sim.Cycle // per-hop link latency (paper: 1)
-	FlitBytes   int       // flit width in bytes (16)
-	HeaderBytes int       // per-message header (8)
+	Topo string
+	// Nodes is the node count. Mesh and torus fold it into the most square
+	// grid (24 → 6x4, the paper's Table 1 shape); the ring is the one-row
+	// torus.
+	Nodes int
 }
 
-// DefaultConfig returns the Table 1 mesh: 6x4, 1-cycle router, 1-cycle link.
-func DefaultConfig() Config {
-	return Config{Width: 6, Height: 4, RouterDelay: 1, LinkDelay: 1, FlitBytes: 16, HeaderBytes: 8}
-}
+// DefaultConfig returns the Table 1 interconnect: the 24-node (6x4) mesh.
+func DefaultConfig() Config { return Config{Nodes: 24} }
 
 // Lookahead returns the minimum cross-tile message latency — the one hop
-// latency of cfg's topology, its HopDelay. It lower-bounds how far in the
-// future any cross-tile send can take effect, which is exactly the
-// conservative window width sim.Cluster needs. Mesh, ring, and torus hops
-// cost one router plus one link traversal; a crossbar hop crosses the
-// switch and both wire segments, so its window is RouterDelay+2·LinkDelay.
-// Total for every Topo value (unknown names get the mesh bound) so
-// cache-key derivation never panics.
+// latency of cfg's topology, its HopDelay — which is exactly the
+// conservative window width sim.Cluster needs. Total for every Topo value
+// (unknown names get the mesh bound) so cache-key derivation never panics.
 func (cfg Config) Lookahead() sim.Cycle {
 	if canonicalTopo(cfg.Topo) == "xbar" {
-		return cfg.RouterDelay + 2*cfg.LinkDelay
+		return xbarHop
 	}
-	return cfg.RouterDelay + cfg.LinkDelay
+	return gridHop
 }
 
 // Network is an interconnect bound either to a bare simulation engine
@@ -69,7 +73,6 @@ func (cfg Config) Lookahead() sim.Cycle {
 // way it holds the one engine deliveries are scheduled on, taken once at
 // construction.
 type Network struct {
-	cfg      Config
 	topo     Topology
 	eng      *sim.Engine
 	handlers []Handler
@@ -110,9 +113,6 @@ func NewSharded(clu *sim.Cluster, cfg Config, _ []*energy.Meter, _ []*stats.Stat
 	if clu.Tiles() != n.Nodes() {
 		panic(fmt.Sprintf("noc: cluster has %d tiles for a %d-node %s", clu.Tiles(), n.Nodes(), n.topo.Name()))
 	}
-	if n.topo.HopDelay() < 1 {
-		panic("noc: staged mode needs at least one cycle of hop latency for lookahead")
-	}
 	n.clu = clu
 	n.eng = clu.Tile(0)
 	n.meter = mergeMeter
@@ -122,13 +122,9 @@ func NewSharded(clu *sim.Cluster, cfg Config, _ []*energy.Meter, _ []*stats.Stat
 }
 
 func newNetwork(cfg Config) *Network {
-	if cfg.FlitBytes <= 0 {
-		panic("noc: non-positive flit size")
-	}
 	topo := cfg.mustTopology()
 	links := topo.NumLinks()
 	return &Network{
-		cfg:      cfg,
 		topo:     topo,
 		handlers: make([]Handler, topo.Nodes()),
 		linkFree: make([]sim.Cycle, links),
@@ -182,12 +178,7 @@ func (n *Network) Hops(src, dst NodeID) int { return n.topo.Hops(src, dst) }
 
 // Flits returns the number of flits a payload of the given size occupies.
 func (n *Network) Flits(payloadBytes int) int {
-	total := payloadBytes + n.cfg.HeaderBytes
-	f := (total + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes
-	if f < 1 {
-		f = 1
-	}
-	return f
+	return max(1, (payloadBytes+HeaderBytes+FlitBytes-1)/FlitBytes)
 }
 
 // route returns the topology's route as a sequence of directed-link ids. The
@@ -212,7 +203,7 @@ func (n *Network) Send(src, dst NodeID, payloadBytes int, payload any) sim.Cycle
 	}
 	flits := n.Flits(payloadBytes)
 	if src == dst {
-		t := n.eng.Now() + n.cfg.RouterDelay
+		t := n.eng.Now() + RouterDelay
 		n.meter.RouterTraversal(flits)
 		n.eng.AtArg(t, h, payload)
 		return t

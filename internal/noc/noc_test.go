@@ -217,25 +217,6 @@ func TestTopLinks(t *testing.T) {
 	}
 }
 
-// TestWindowZeroLookaheadStagedGuard pins the staged-mode construction
-// guard by name: a config whose hop latency sums to zero has no lookahead
-// window at all, and NewSharded must refuse it loudly rather than build a
-// mesh whose cross-tile sends would land inside the current window.
-func TestWindowZeroLookaheadStagedGuard(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RouterDelay, cfg.LinkDelay = 0, 0
-	clu := sim.NewCluster(cfg.Width*cfg.Height, 1, 1)
-	defer func() {
-		r := recover()
-		msg, ok := r.(string)
-		if !ok || msg != "noc: staged mode needs at least one cycle of hop latency for lookahead" {
-			t.Errorf("panic %v, want the named zero-lookahead guard", r)
-		}
-	}()
-	NewSharded(clu, cfg, nil, nil, nil, nil)
-	t.Error("NewSharded accepted a zero-lookahead config")
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v

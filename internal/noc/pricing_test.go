@@ -72,7 +72,7 @@ func TestImmediateAndStagedPriceAlike(t *testing.T) {
 	for _, name := range Topologies() {
 		t.Run(name, func(t *testing.T) {
 			cfg := topoConfig(t, name, 24)
-			nodes := cfg.NodeCount()
+			nodes := cfg.Nodes
 			sends := pricingTraffic(nodes)
 
 			// run issues every send from an event on its source tile's engine

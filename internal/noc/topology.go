@@ -2,7 +2,7 @@ package noc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ghostwriter/internal/sim"
@@ -23,8 +23,8 @@ import (
 //     plus wire traversal). A cross-node message crosses at least one link,
 //     so HopDelay lower-bounds its delivery latency; Config.Lookahead, the
 //     simulator's conservative window width (DESIGN.md §12/§14), equals
-//     it, and a topology whose HopDelay is zero cannot be staged at all
-//     (NewSharded refuses it).
+//     it. It is at least one cycle by construction (the assertions beside
+//     the Table 1 constants in noc.go).
 type Topology interface {
 	// Name is the registered topology name ("mesh", "ring", "torus", "xbar").
 	Name() string
@@ -71,34 +71,35 @@ func ParseTopology(name string) (string, error) {
 
 // Topology constructs cfg's topology model, validating the geometry.
 func (cfg Config) Topology() (Topology, error) {
-	name := canonicalTopo(cfg.Topo)
-	n := cfg.NodeCount()
-	if n < 1 || n > maxNodes {
-		return nil, fmt.Errorf("noc: node count %d out of range [1, %d]", n, maxNodes)
+	n := cfg.Nodes
+	if err := checkNodes(n); err != nil {
+		return nil, err
 	}
-	switch name {
-	case "mesh", "torus":
-		w, h := cfg.Width, cfg.Height
-		if w <= 0 || h <= 0 {
-			// Geometry given only as a node count: fold it into the most
-			// square grid (24 → 6x4, the paper's Table 1 shape).
+	switch name := canonicalTopo(cfg.Topo); name {
+	case "mesh", "torus", "ring":
+		w, h := n, 1 // the ring is the one-row torus
+		if name != "ring" {
 			w, h = squarest(n)
 		}
-		g := &gridTopo{name: name, w: w, h: h, wrap: name == "torus",
-			router: cfg.RouterDelay, link: cfg.LinkDelay}
-		coords := make([]int, 2*w*h) // both tables in one allocation
-		g.xs, g.ys = coords[:w*h:w*h], coords[w*h:]
+		g := &gridTopo{name: name, w: w, h: h, wrap: name != "mesh"}
+		coords := make([]int, 2*n) // both tables in one allocation
+		g.xs, g.ys = coords[:n:n], coords[n:]
 		for id := range g.xs {
 			g.xs[id], g.ys[id] = id%w, id/w
 		}
 		return g, nil
-	case "ring":
-		return &ringTopo{n: n, router: cfg.RouterDelay, link: cfg.LinkDelay}, nil
 	case "xbar":
-		return &xbarTopo{n: n, router: cfg.RouterDelay, link: cfg.LinkDelay}, nil
+		return &xbarTopo{n: n}, nil
 	}
 	return nil, fmt.Errorf("noc: unknown topology %q (registered: %s)",
 		cfg.Topo, strings.Join(Topologies(), ", "))
+}
+
+func checkNodes(n int) error {
+	if n < 1 || n > maxNodes {
+		return fmt.Errorf("noc: node count %d out of range [1, %d]", n, maxNodes)
+	}
+	return nil
 }
 
 // maxNodes bounds a topology's size: staged-mode sends pack src and dst into
@@ -114,15 +115,6 @@ func (cfg Config) mustTopology() Topology {
 	return t
 }
 
-// NodeCount returns the node count cfg describes without building the
-// topology: the explicit Nodes override if set, else Width×Height.
-func (cfg Config) NodeCount() int {
-	if cfg.Nodes > 0 {
-		return cfg.Nodes
-	}
-	return cfg.Width * cfg.Height
-}
-
 // squarest factors n into the most square w×h grid with w ≥ h.
 func squarest(n int) (w, h int) {
 	for h = 1; (h+1)*(h+1) <= n; h++ {
@@ -135,35 +127,24 @@ func squarest(n int) (w, h int) {
 	return n / h, h
 }
 
-// Geometry returns the Config for a named topology at a node count, with the
-// Table 1 timing defaults. An empty name selects the mesh; nodes 0 keeps the
-// default 24. Geometry("mesh", 24) is exactly DefaultConfig(), so naming the
-// default-size mesh derives the same machine configuration as naming no
-// topology.
+// Geometry returns the Config for a named topology at a node count. An
+// empty name selects the mesh; nodes 0 keeps the default 24. Geometry("mesh",
+// 24) is exactly DefaultConfig(), so naming the default-size mesh derives
+// the same machine configuration as naming no topology.
 func Geometry(name string, nodes int) (Config, error) {
-	cfg := DefaultConfig()
 	canonical, err := ParseTopology(name)
 	if err != nil {
 		return Config{}, err
 	}
-	if nodes == 0 {
-		nodes = cfg.Width * cfg.Height
-	}
-	if nodes < 1 || nodes > maxNodes {
-		return Config{}, fmt.Errorf("noc: node count %d out of range [1, %d]", nodes, maxNodes)
-	}
-	switch canonical {
-	case "mesh", "torus":
-		// Grid geometry lives in Width×Height; the mesh keeps Topo empty, as
-		// DefaultConfig does.
-		cfg.Width, cfg.Height = squarest(nodes)
-		if canonical == "torus" {
-			cfg.Topo = "torus"
-		}
-	default:
-		cfg.Topo = canonical
-		cfg.Width, cfg.Height = 0, 0
+	cfg := DefaultConfig()
+	if nodes != 0 {
 		cfg.Nodes = nodes
+	}
+	if err := checkNodes(cfg.Nodes); err != nil {
+		return Config{}, err
+	}
+	if canonical != "mesh" { // the mesh keeps Topo empty, as DefaultConfig does
+		cfg.Topo = canonical
 	}
 	return cfg, nil
 }
@@ -173,31 +154,15 @@ func Geometry(name string, nodes int) (Config, error) {
 // mesh), evenly spaced nodes for ring and crossbar. Degenerate geometries
 // (fewer distinct corners or nodes than k) return fewer homes.
 func DefaultHomes(cfg Config, k int) []int {
-	n := cfg.NodeCount()
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
+	n := cfg.Nodes
+	k = max(1, min(k, n))
 	switch canonicalTopo(cfg.Topo) {
 	case "mesh", "torus":
-		w, h := cfg.Width, cfg.Height
-		if w <= 0 || h <= 0 {
-			w, h = squarest(n)
-		}
-		var homes []int
-		for _, c := range []int{0, w - 1, (h - 1) * w, h*w - 1} {
-			dup := false
-			for _, o := range homes {
-				dup = dup || o == c
-			}
-			if !dup && len(homes) < k {
-				homes = append(homes, c)
-			}
-		}
-		sort.Ints(homes)
-		return homes
+		w, h := squarest(n)
+		homes := []int{0, w - 1, (h - 1) * w, h*w - 1}
+		slices.Sort(homes)
+		homes = slices.Compact(homes)
+		return homes[:min(k, len(homes))]
 	default:
 		homes := make([]int, 0, k)
 		for i := 0; i < k; i++ {
@@ -207,18 +172,25 @@ func DefaultHomes(cfg Config, k int) []int {
 	}
 }
 
-// gridTopo is the 2D grid family: the paper's XY mesh, and the torus variant
-// with wraparound links. Link ids preserve the historical mesh layout —
-// node*4 + direction (0=+x, 1=-x, 2=+y, 3=-y) — so the extracted mesh is
-// bit-for-bit the pre-topology network.
+// gridTopo is the 2D grid family: the paper's XY mesh, the torus variant
+// with wraparound links, and the ring — the one-row torus (w = n, h = 1),
+// whose exact half-way ties route the positive way like the torus's. Link
+// ids preserve the historical mesh layout — node*4 + direction (0=+x, 1=-x,
+// 2=+y, 3=-y) — so the extracted mesh is bit-for-bit the pre-topology
+// network.
 type gridTopo struct {
 	name   string
 	w, h   int
 	wrap   bool
 	xs, ys []int // node id → grid coordinates, so routing divides nothing
-	router sim.Cycle
-	link   sim.Cycle
 }
+
+// A grid hop crosses one router and one link; a crossbar hop crosses the
+// switch and both wire segments.
+const (
+	gridHop = RouterDelay + LinkDelay
+	xbarHop = RouterDelay + 2*LinkDelay
+)
 
 // dirDelta maps a direction index to its coordinate step.
 var dirDelta = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
@@ -226,7 +198,7 @@ var dirDelta = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
 func (t *gridTopo) Name() string        { return t.name }
 func (t *gridTopo) Nodes() int          { return t.w * t.h }
 func (t *gridTopo) NumLinks() int       { return t.w * t.h * 4 }
-func (t *gridTopo) HopDelay() sim.Cycle { return t.router + t.link }
+func (t *gridTopo) HopDelay() sim.Cycle { return gridHop }
 
 func (t *gridTopo) xy(id NodeID) (x, y int) { return t.xs[id], t.ys[id] }
 func (t *gridTopo) at(x, y int) NodeID      { return NodeID(y*t.w + x) }
@@ -308,79 +280,26 @@ func (t *gridTopo) LinkEnds(link int) (from, to NodeID) {
 }
 
 func (t *gridTopo) Describe() string {
-	if t.wrap {
+	switch {
+	case t.name == "ring":
+		return fmt.Sprintf("%d-node bidirectional ring, shortest-way routing", t.w)
+	case t.wrap:
 		return fmt.Sprintf("%dx%d torus, wraparound XY routing", t.w, t.h)
 	}
 	return fmt.Sprintf("%dx%d mesh, XY routing", t.w, t.h)
-}
-
-// ringTopo is a bidirectional ring with shortest-way routing. Link ids are
-// node*2 + direction (0 = clockwise/+1, 1 = counter-clockwise/-1); exact
-// half-way ties route clockwise.
-type ringTopo struct {
-	n      int
-	router sim.Cycle
-	link   sim.Cycle
-}
-
-func (t *ringTopo) Name() string        { return "ring" }
-func (t *ringTopo) Nodes() int          { return t.n }
-func (t *ringTopo) NumLinks() int       { return t.n * 2 }
-func (t *ringTopo) HopDelay() sim.Cycle { return t.router + t.link }
-
-func (t *ringTopo) Hops(src, dst NodeID) int {
-	cw := (int(dst) - int(src) + t.n) % t.n
-	if ccw := t.n - cw; cw != 0 && ccw < cw {
-		return ccw
-	}
-	return cw
-}
-
-func (t *ringTopo) Route(buf []int, src, dst NodeID) []int {
-	cw := (int(dst) - int(src) + t.n) % t.n
-	if cw == 0 {
-		return buf
-	}
-	dir, step, hops := 0, 1, cw
-	if ccw := t.n - cw; ccw < cw {
-		dir, step, hops = 1, -1, ccw
-	}
-	cur := int(src)
-	for ; hops > 0; hops-- {
-		buf = append(buf, cur*2+dir)
-		cur = (cur + step + t.n) % t.n
-	}
-	return buf
-}
-
-func (t *ringTopo) LinkEnds(link int) (from, to NodeID) {
-	from = NodeID(link / 2)
-	step := 1
-	if link%2 == 1 {
-		step = -1
-	}
-	return from, NodeID((int(from) + step + t.n) % t.n)
-}
-
-func (t *ringTopo) Describe() string {
-	return fmt.Sprintf("%d-node bidirectional ring, shortest-way routing", t.n)
 }
 
 // xbarTopo is a single-hop crossbar — the idealized-network ablation. Every
 // (src, dst) pair has a dedicated directed link (id src*n + dst), so there
 // is no path contention, only per-pair serialization. The one hop crosses
 // the router and two wire segments (input and output side of the switch),
-// so its latency — and the staged window width — is RouterDelay+2·LinkDelay.
-type xbarTopo struct {
-	n      int
-	router sim.Cycle
-	link   sim.Cycle
-}
+// so its latency — and the staged window width — is xbarHop.
+type xbarTopo struct{ n int }
 
 func (t *xbarTopo) Name() string        { return "xbar" }
 func (t *xbarTopo) Nodes() int          { return t.n }
 func (t *xbarTopo) NumLinks() int       { return t.n * t.n }
-func (t *xbarTopo) HopDelay() sim.Cycle { return t.router + 2*t.link }
+func (t *xbarTopo) HopDelay() sim.Cycle { return xbarHop }
 
 func (t *xbarTopo) Hops(src, dst NodeID) int {
 	if src == dst {

@@ -22,6 +22,12 @@ type PatternConfig struct {
 	Scribble bool
 }
 
+// scribeOp opens every thread: it programs the scribe with DDist clamped to
+// [-1, 127] as the machine clamps it, so a d past int8 does not wrap.
+func (c PatternConfig) scribeOp() Op {
+	return Op{DDist: int8(max(min(c.DDist, 127), -1))}
+}
+
 // storeKind picks the configured store flavour.
 func (c PatternConfig) storeKind() coherence.OpKind {
 	if c.Scribble {
@@ -36,7 +42,7 @@ func (c PatternConfig) storeKind() coherence.OpKind {
 func Migratory(c PatternConfig) *Trace {
 	t := &Trace{Threads: make([][]Op, c.Threads)}
 	for id := 0; id < c.Threads; id++ {
-		ops := []Op{{DDist: int8(c.DDist), Width: 0}}
+		ops := []Op{c.scribeOp()}
 		addr := c.Base + mem.Addr(4*id)
 		for r := 0; r < c.Rounds; r++ {
 			ops = append(ops,
@@ -54,7 +60,7 @@ func Migratory(c PatternConfig) *Trace {
 func ProducerConsumer(c PatternConfig) *Trace {
 	t := &Trace{Threads: make([][]Op, c.Threads)}
 	for id := 0; id < c.Threads; id++ {
-		ops := []Op{{DDist: int8(c.DDist), Width: 0}}
+		ops := []Op{c.scribeOp()}
 		for r := 0; r < c.Rounds; r++ {
 			if id == 0 {
 				ops = append(ops, Op{
@@ -83,7 +89,7 @@ func FalseSharing(c PatternConfig) *Trace {
 	const slots = 16 // 4-byte words per 64 B block
 	t := &Trace{Threads: make([][]Op, c.Threads)}
 	for id := 0; id < c.Threads; id++ {
-		ops := []Op{{DDist: int8(c.DDist), Width: 0}}
+		ops := []Op{c.scribeOp()}
 		addr := c.Base + mem.Addr(64*(id/slots)+4*(id%slots))
 		for r := 0; r < c.Rounds; r++ {
 			ops = append(ops,
@@ -105,7 +111,7 @@ func FalseSharing(c PatternConfig) *Trace {
 func PathologicalSharing(c PatternConfig) *Trace {
 	t := &Trace{Threads: make([][]Op, c.Threads)}
 	for id := 0; id < c.Threads; id++ {
-		ops := []Op{{DDist: int8(c.DDist), Width: 0}}
+		ops := []Op{c.scribeOp()}
 		for r := 0; r < c.Rounds; r++ {
 			ops = append(ops,
 				Op{Kind: coherence.OpLoad, Addr: c.Base, Width: 4, Gap: c.Gap, DDist: NoDistChange},
@@ -124,7 +130,7 @@ func Random(c PatternConfig, seed int64, spanBytes int) *Trace {
 	t := &Trace{Threads: make([][]Op, c.Threads)}
 	for id := 0; id < c.Threads; id++ {
 		r := rand.New(rand.NewSource(seed + int64(id)))
-		ops := []Op{{DDist: int8(c.DDist), Width: 0}}
+		ops := []Op{c.scribeOp()}
 		for k := 0; k < c.Rounds; k++ {
 			addr := c.Base + mem.Addr(4*(r.Intn(spanBytes/4)))
 			switch r.Intn(3) {
