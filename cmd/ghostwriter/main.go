@@ -47,7 +47,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		proto   = fs.String("protocol", "", "coherence protocol table: "+strings.Join(ptable.Names(), "|")+" (empty = d-distance decides)")
 		topo    = fs.String("topo", "", "interconnect topology: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
 		nodes   = fs.Int("nodes", 0, "interconnect node count (0 = the Table 1 24; mesh/torus fold it into the most square grid)")
-		timeout = fs.Uint64("gi-timeout", 1024, "GI timeout period in cycles")
+		timeout = fs.Uint64("gi-timeout", 1024, "GI timeout period in cycles (positive)")
 		list    = fs.Bool("list", false, "list available benchmarks")
 		config  = fs.Bool("config", false, "print the simulated configuration and exit")
 		tables  = fs.Bool("tables", false, "print the selected protocol's transition tables as markdown and exit")
@@ -63,6 +63,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if *timeout == 0 {
+		fmt.Fprintln(stderr, "ghostwriter: -gi-timeout 0: the GI sweep period must be positive")
 		return 2
 	}
 	if *bound > math.MaxUint32 {

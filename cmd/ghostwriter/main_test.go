@@ -94,6 +94,16 @@ func TestBoundBeyondUint32(t *testing.T) {
 	}
 }
 
+// TestZeroGITimeout: a zero GITimeout selects the default period, so
+// -gi-timeout 0 is a usage error rather than a run with the 1024-cycle
+// sweep.
+func TestZeroGITimeout(t *testing.T) {
+	code, out, errs := runCmd("-app", "linear_regression", "-gi-timeout", "0")
+	if code != 2 || out != "" || strings.Count(errs, "\n") != 1 || !strings.HasPrefix(errs, "ghostwriter: -gi-timeout 0") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 2 and one line naming -gi-timeout", code, out, errs)
+	}
+}
+
 // reportD8 and reportD0 are the full reports of the headline application at
 // d = 8 (ghostwriter) and d = 0 (mesi) on the Table 1 machine.
 const reportD8 = `linear_regression (Phoenix, Machine Learning) — ghostwriter, d-distance 8, 24 threads, scale 1

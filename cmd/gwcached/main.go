@@ -61,7 +61,7 @@ func realMain(args []string) int {
 		addr     = fs.String("addr", ":8344", "listen address")
 		dir      = fs.String("dir", harness.DefaultCacheDir, "cache data directory")
 		walDir   = fs.String("wal", "", `write-ahead-log directory for the dispatch lease table (default "<dir>/wal")`)
-		leaseTTL = fs.Duration("lease-ttl", harness.DefaultLeaseTTL, "work-dispatch lease duration (heartbeats renew it)")
+		leaseTTL = fs.Duration("lease-ttl", harness.DefaultLeaseTTL, "work-dispatch lease duration, positive (heartbeats renew it)")
 		reap     = fs.Duration("reap", 5*time.Second, "expired-lease reaper period")
 		drain    = fs.Duration("drain", 10*time.Second, "shutdown drain timeout for in-flight requests")
 		quiet    = fs.Bool("q", false, "suppress the per-request log")
@@ -73,6 +73,10 @@ func realMain(args []string) int {
 	}
 	if *reap <= 0 {
 		fmt.Fprintf(os.Stderr, "gwcached: -reap %v: the reaper period must be positive\n", *reap)
+		return 2
+	}
+	if *leaseTTL <= 0 {
+		fmt.Fprintf(os.Stderr, "gwcached: -lease-ttl %v: a lease must last a positive time\n", *leaseTTL)
 		return 2
 	}
 	cache, err := harness.OpenCache(*dir)

@@ -371,17 +371,18 @@ func TestWalOffIsAUsageError(t *testing.T) {
 	}
 }
 
-// TestNonPositiveReapIsAUsageError: the reaper ticks every -reap, and a
-// ticker needs a positive period, so -reap 0 or a negative period exits 2
-// before the cache is opened instead of serving until the reaper panics.
-func TestNonPositiveReapIsAUsageError(t *testing.T) {
-	for _, reap := range []string{"0", "-1s"} {
+// TestNonPositiveReapOrLeaseTTLIsAUsageError: the reaper ticks every
+// -reap, and a ticker needs a positive period; a lease needs a positive
+// -lease-ttl. A non-positive value of either exits 2 before the cache is
+// opened instead of serving with some other period.
+func TestNonPositiveReapOrLeaseTTLIsAUsageError(t *testing.T) {
+	for _, args := range [][]string{{"-reap", "0"}, {"-reap", "-1s"}, {"-lease-ttl", "0"}, {"-lease-ttl", "-1s"}} {
 		dir := filepath.Join(t.TempDir(), "cache")
-		if code := realMain([]string{"-addr", "127.0.0.1:0", "-dir", dir, "-q", "-reap", reap}); code != 2 {
-			t.Fatalf("gwcached -reap %s exited %d, want 2", reap, code)
+		if code := realMain(append([]string{"-addr", "127.0.0.1:0", "-dir", dir, "-q"}, args...)); code != 2 {
+			t.Fatalf("gwcached %v exited %d, want 2", args, code)
 		}
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
-			t.Errorf("gwcached -reap %s created %s", reap, dir)
+			t.Errorf("gwcached %v created %s", args, dir)
 		}
 	}
 }

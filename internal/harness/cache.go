@@ -1,11 +1,14 @@
 package harness
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,6 +25,12 @@ const (
 	packExt = ".pack"
 	// keyLen is the length of a key, which opens every record's payload.
 	keyLen = 64
+	// recordTag follows the key in every record this format writes. A
+	// JSON-era record has '{' there.
+	recordTag = 1
+	// headLen is the length of what precedes a record's fields: the key,
+	// the tag and the 8-byte layout stamp.
+	headLen = keyLen + 1 + 8
 	// scanChunk is how much of a pack one read takes while indexing.
 	scanChunk = 1 << 20
 	// racyListing is how close to the directory's mtime a listing must
@@ -37,13 +46,18 @@ const (
 //	<dir>/<unique>.pack
 //
 // Each record is one write-ahead-log frame (package wal), [u32 length]
-// [u32 CRC32-C][payload], whose payload is the 64-byte key followed by the
-// RunResult as JSON. The key is Spec.Key() — a SHA-256 over the code
-// version, the workload spec, and the full machine configuration. There is
-// no invalidation logic: a cell that would simulate differently
-// necessarily has a different key (codeVersion covers code changes), so
-// stale entries are simply never read again. Deleting the directory is
-// always safe.
+// [u32 CRC32-C][payload]. The payload is the 64-byte key, recordTag, the
+// 8-byte layout stamp, and then the RunResult's stored fields in
+// declaration order: integers as varints, a float64 as its 8
+// little-endian IEEE bits, a string length-prefixed (see resultLayout).
+// The key is Spec.Key() — a SHA-256 over the code version, the workload
+// spec, and the full machine configuration. There is no invalidation
+// logic: a cell that would simulate differently necessarily has a
+// different key (codeVersion covers code changes), so stale entries are
+// simply never read again. A record whose tag or stamp is not this
+// build's — one a build with other RunResult fields wrote, or a JSON-era
+// one — is never indexed, so its cell resimulates once and its fresh copy
+// serves from then on. Deleting the directory is always safe.
 //
 // Each Cache appends to one pack of its own, created on its first Put, so
 // a warm replay creates no file, and no pack is ever written by two
@@ -183,14 +197,10 @@ func (e entry) read(key string) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n != e.n || len(payload) <= keyLen || string(payload[:keyLen]) != key {
+	if n != e.n || len(payload) < keyLen || string(payload[:keyLen]) != key {
 		return nil, errors.New("record does not hold its key")
 	}
-	var r RunResult
-	if err := json.Unmarshal(payload[keyLen:], &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	return decodeRecord(payload)
 }
 
 // Put stores r under key by appending it to this Cache's pack. A key that
@@ -200,11 +210,7 @@ func (c *Cache) Put(key string, r *RunResult) error {
 	if !ok {
 		return fmt.Errorf("harness: cache put: malformed key %q", key)
 	}
-	js, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("harness: cache put: %w", err)
-	}
-	frame := wal.AppendFrame(make([]byte, 0, wal.HeaderSize+keyLen+len(js)), append([]byte(key), js...))
+	frame := encodeRecord(key, r)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.index[k]; !ok {
@@ -282,8 +288,8 @@ func (c *Cache) listLocked() {
 // scanLocked indexes the frames appended to p since its last scan. It stops
 // at a frame that is not whole yet — one another process is still writing,
 // or one a crash tore — and resumes there once the file grows. A whole
-// frame that fails its CRC or holds no valid key is skipped; a length
-// prefix out of range ends what can be framed.
+// frame that fails its CRC, holds no valid key, or was written in another
+// layout is skipped; a length prefix out of range ends what can be framed.
 func (c *Cache) scanLocked(p *pack) {
 	fi, err := p.f.Stat()
 	if err != nil || fi.Size() <= p.seen {
@@ -314,7 +320,7 @@ func (c *Cache) scanLocked(p *pack) {
 				p.next += int64(off)
 				return
 			}
-			if err == nil && len(payload) > keyLen {
+			if err == nil && thisLayout(payload) {
 				if k, ok := parseKey(payload[:keyLen]); ok {
 					if _, dup := c.index[k]; !dup {
 						c.index[k] = entry{p: p, off: p.next + int64(off), n: n}
@@ -325,6 +331,226 @@ func (c *Cache) scanLocked(p *pack) {
 		}
 		p.next += int64(off)
 	}
+}
+
+// resultLayout is how a record stores a RunResult, and resultStamp is the
+// hash of its field names, kinds and array lengths. Both are worked out once,
+// by reflection, so a build that adds, drops, renames or retypes a stored
+// field writes a stamp no other build indexes.
+var resultLayout, resultStamp = newLayout(reflect.TypeFor[RunResult]())
+
+// codecKind is how a layout stores one value.
+type codecKind uint8
+
+const (
+	storeStruct codecKind = iota
+	storeArray
+	storeInt    // binary.PutVarint
+	storeUint   // binary.PutUvarint
+	storeFloat  // 8 little-endian IEEE bytes
+	storeString // varint length, then the bytes
+)
+
+// layout is the stored shape of one value of RunResult: a leaf, an array
+// of elem, or a struct of fields.
+type layout struct {
+	kind   codecKind
+	elem   *layout
+	fields []storedField
+}
+
+// storedField is a struct field a record stores: the field's index in its
+// struct, and its layout.
+type storedField struct {
+	index int
+	*layout
+}
+
+// newLayout derives t's layout and its stamp. A struct stores its exported
+// fields except those tagged json:"-" (RunResult.Window), the same fields
+// JSON carries.
+func newLayout(t reflect.Type) (*layout, uint64) {
+	var desc strings.Builder
+	l := describe(t, &desc)
+	h := fnv.New64a()
+	h.Write([]byte(desc.String()))
+	return l, h.Sum64()
+}
+
+// describe builds t's layout and writes what its stamp covers to desc. A
+// kind no layout stores is a bug in a RunResult field's type.
+func describe(t reflect.Type, desc *strings.Builder) *layout {
+	l := &layout{kind: storeStruct}
+	switch k := t.Kind(); {
+	case k == reflect.Struct:
+		desc.WriteString("{")
+		for i := range t.NumField() {
+			f := t.Field(i)
+			if !f.IsExported() || f.Tag.Get("json") == "-" {
+				continue
+			}
+			desc.WriteString(f.Name + " ")
+			l.fields = append(l.fields, storedField{i, describe(f.Type, desc)})
+			desc.WriteString(";")
+		}
+		desc.WriteString("}")
+		return l
+	case k == reflect.Array:
+		fmt.Fprintf(desc, "[%d]", t.Len())
+		l.kind, l.elem = storeArray, describe(t.Elem(), desc)
+		return l
+	case reflect.Int <= k && k <= reflect.Int64:
+		l.kind = storeInt
+	case reflect.Uint <= k && k <= reflect.Uint64:
+		l.kind = storeUint
+	case k == reflect.Float64:
+		l.kind = storeFloat
+	case k == reflect.String:
+		l.kind = storeString
+	default:
+		panic("harness: RunResult holds a " + t.String() + ", which the cache record cannot store")
+	}
+	desc.WriteString(t.Kind().String())
+	return l
+}
+
+// size is how many bytes put writes for v.
+func (l *layout) size(v reflect.Value) int {
+	var varint [binary.MaxVarintLen64]byte
+	switch l.kind {
+	case storeStruct:
+		n := 0
+		for _, f := range l.fields {
+			n += f.size(v.Field(f.index))
+		}
+		return n
+	case storeArray:
+		n := 0
+		for i := range v.Len() {
+			n += l.elem.size(v.Index(i))
+		}
+		return n
+	case storeInt:
+		return binary.PutVarint(varint[:], v.Int())
+	case storeUint:
+		return binary.PutUvarint(varint[:], v.Uint())
+	case storeFloat:
+		return 8
+	default:
+		return binary.PutUvarint(varint[:], uint64(v.Len())) + v.Len()
+	}
+}
+
+// put encodes v at the start of b, which holds at least size(v) bytes,
+// and returns how many bytes it wrote.
+func (l *layout) put(b []byte, v reflect.Value) int {
+	switch l.kind {
+	case storeStruct:
+		n := 0
+		for _, f := range l.fields {
+			n += f.put(b[n:], v.Field(f.index))
+		}
+		return n
+	case storeArray:
+		n := 0
+		for i := range v.Len() {
+			n += l.elem.put(b[n:], v.Index(i))
+		}
+		return n
+	case storeInt:
+		return binary.PutVarint(b, v.Int())
+	case storeUint:
+		return binary.PutUvarint(b, v.Uint())
+	case storeFloat:
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v.Float()))
+		return 8
+	default:
+		n := binary.PutUvarint(b, uint64(v.Len()))
+		return n + copy(b[n:], v.String())
+	}
+}
+
+// get decodes the start of b into v and returns the bytes after it. It
+// fails on a value that runs past b or does not fit v's type.
+func (l *layout) get(b []byte, v reflect.Value) ([]byte, bool) {
+	ok := true
+	switch l.kind {
+	case storeStruct:
+		for _, f := range l.fields {
+			if b, ok = f.get(b, v.Field(f.index)); !ok {
+				return nil, false
+			}
+		}
+		return b, true
+	case storeArray:
+		for i := range v.Len() {
+			if b, ok = l.elem.get(b, v.Index(i)); !ok {
+				return nil, false
+			}
+		}
+		return b, true
+	case storeInt:
+		x, n := binary.Varint(b)
+		if n <= 0 || v.OverflowInt(x) {
+			return nil, false
+		}
+		v.SetInt(x)
+		return b[n:], true
+	case storeUint:
+		x, n := binary.Uvarint(b)
+		if n <= 0 || v.OverflowUint(x) {
+			return nil, false
+		}
+		v.SetUint(x)
+		return b[n:], true
+	case storeFloat:
+		if len(b) < 8 {
+			return nil, false
+		}
+		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		return b[8:], true
+	default:
+		x, n := binary.Uvarint(b)
+		if n <= 0 || x > uint64(len(b)-n) {
+			return nil, false
+		}
+		v.SetString(string(b[n : n+int(x)]))
+		return b[n+int(x):], true
+	}
+}
+
+// encodeRecord returns the frame that stores r under key, built in one
+// buffer of its final size.
+func encodeRecord(key string, r *RunResult) []byte {
+	v := reflect.ValueOf(r).Elem()
+	frame := make([]byte, wal.HeaderSize+headLen+resultLayout.size(v))
+	payload := frame[wal.HeaderSize:]
+	copy(payload, key)
+	payload[keyLen] = recordTag
+	binary.LittleEndian.PutUint64(payload[keyLen+1:], resultStamp)
+	resultLayout.put(payload[headLen:], v)
+	// The payload already sits where AppendFrame would copy it, so framing
+	// writes the header in place and needs no second buffer.
+	return wal.AppendFrame(frame[:0], payload)
+}
+
+// thisLayout reports whether payload is a record in this build's layout.
+func thisLayout(payload []byte) bool {
+	return len(payload) >= headLen && payload[keyLen] == recordTag &&
+		binary.LittleEndian.Uint64(payload[keyLen+1:]) == resultStamp
+}
+
+// decodeRecord decodes the RunResult stored in payload. A record in
+// another layout, a body cut short, and bytes left after it all fail.
+func decodeRecord(payload []byte) (*RunResult, error) {
+	if !thisLayout(payload) {
+		return nil, errors.New("record is not in this build's layout")
+	}
+	r := new(RunResult)
+	if rest, ok := resultLayout.get(payload[headLen:], reflect.ValueOf(r).Elem()); !ok || len(rest) != 0 {
+		return nil, errors.New("record body does not decode")
+	}
+	return r, nil
 }
 
 // CacheStats is a point-in-time snapshot of cache activity.

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -67,30 +69,31 @@ func onePack(t *testing.T, dir string) string {
 	return packs[0]
 }
 
-// record is the frame Put appends for r under key.
-func record(t *testing.T, key string, r *RunResult) []byte {
-	t.Helper()
-	js, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wal.AppendFrame(nil, append([]byte(key), js...))
-}
-
-// flipCycles rewrites the first occurrence of `"Cycles":from` in the pack
-// at path to `"Cycles":to`, a change that still decodes as JSON, so only
-// the frame's CRC can tell it from a record a Put wrote.
-func flipCycles(t *testing.T, path string, from, to byte) {
+// flipCycles finds the record for key in the pack at path and rewrites its
+// encoded Cycles from from to to, leaving the frame's header as it was. The
+// result still decodes, so only the frame's CRC can tell it from a record
+// a Put wrote.
+func flipCycles(t *testing.T, path, key string, from, to uint64) {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := bytes.Index(b, []byte(`"Cycles":`+string(from)))
-	if at < 0 {
-		t.Fatalf("no Cycles %c in %s", from, path)
+	at := bytes.Index(b, []byte(key))
+	if at < wal.HeaderSize {
+		t.Fatalf("no record for %.8s… in %s", key, path)
 	}
-	b[at+len(`"Cycles":`)] = to
+	payload := b[at : at+int(binary.LittleEndian.Uint32(b[at-wal.HeaderSize:]))]
+	r, err := decodeRecord(payload)
+	if err != nil || r.Cycles != from {
+		t.Fatalf("no Cycles %d in %s: record %+v (%v)", from, path, r, err)
+	}
+	r.Cycles = to
+	flipped := encodeRecord(key, r)[wal.HeaderSize:]
+	if len(flipped) != len(payload) {
+		t.Fatalf("Cycles %d encodes in another length than %d", to, from)
+	}
+	copy(payload, flipped)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func TestCacheCorruptEntrySingleMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := onePack(t, dir)
-	flipCycles(t, path, '9', '8')
+	flipCycles(t, path, key, 9, 8)
 	corrupt, _ := os.ReadFile(path)
 	if _, ok := c.Get(key); ok {
 		t.Fatal("corrupt entry reported a hit")
@@ -190,7 +193,7 @@ func TestCacheRepairedEntryNotDeleted(t *testing.T) {
 	if err := c.Put(key, &RunResult{Cycles: 5}); err != nil {
 		t.Fatal(err)
 	}
-	flipCycles(t, onePack(t, dir), '5', '7')
+	flipCycles(t, onePack(t, dir), key, 5, 7)
 	var lost atomic.Bool
 	done := make(chan struct{})
 	go func() {
@@ -239,7 +242,7 @@ func TestCacheFlippedByteIsAMiss(t *testing.T) {
 	if err := c.Put(other, &RunResult{Cycles: 6}); err != nil {
 		t.Fatal(err)
 	}
-	flipCycles(t, onePack(t, dir), '5', '7')
+	flipCycles(t, onePack(t, dir), key, 5, 7)
 	reopened, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -267,9 +270,9 @@ func TestCacheTornTailLeftInPlace(t *testing.T) {
 	}
 	var whole []byte
 	for i, k := range keys[:2] {
-		whole = append(whole, record(t, k, &RunResult{Cycles: uint64(i + 1)})...)
+		whole = append(whole, encodeRecord(k, &RunResult{Cycles: uint64(i + 1)})...)
 	}
-	last := record(t, keys[2], &RunResult{Cycles: 3})
+	last := encodeRecord(keys[2], &RunResult{Cycles: 3})
 	path := filepath.Join(dir, "writer"+packExt)
 	torn := append(bytes.Clone(whole), last[:len(last)/2]...)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
@@ -330,31 +333,118 @@ func TestCacheSeesOtherInstancePuts(t *testing.T) {
 	}
 }
 
-// fillNumbers sets every integer and float reachable in v to a
-// simulation-sized value, so a sample result encodes like a real one.
+// TestCacheReadsOnlyWholeRecordsOfThisLayout: a frame whose CRC holds is
+// still a miss when its payload is not exactly one record in this build's
+// layout — a body cut short, a byte after it, a value too large for its
+// field, another stamp, or JSON where the tag goes.
+func TestCacheReadsOnlyWholeRecordsOfThisLayout(t *testing.T) {
+	key := Spec{App: "stub", Scale: 7, Threads: 1}.Key()
+	good := encodeRecord(key, &RunResult{App: "stub", Cycles: 7, ErrorPct: 0.5})[wal.HeaderSize:]
+	if r, err := decodeRecord(good); err != nil || r.Cycles != 7 {
+		t.Fatalf("decodeRecord(a record Put writes) = %+v, %v", r, err)
+	}
+	// Metric, a uint8, follows App ("stub") and an empty Suite.
+	metric := headLen + 1 + len("stub") + 1
+	js, err := json.Marshal(RunResult{App: "stub", Cycles: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string][]byte{
+		"short body":     good[:len(good)-1],
+		"trailing byte":  append(bytes.Clone(good), 0),
+		"uint8 overflow": append(append(bytes.Clone(good[:metric]), 0xac, 0x02), good[metric+1:]...),
+		"other stamp":    append(append(bytes.Clone(good[:keyLen+1]), ^good[keyLen+1]), good[keyLen+2:]...),
+		"JSON-era":       append([]byte(key), js...),
+	}
+	for name, payload := range bad {
+		if r, err := decodeRecord(payload); err == nil {
+			t.Errorf("%s: decodeRecord = %+v, want an error", name, r)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "bad"+packExt), wal.AppendFrame(nil, payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := c.Get(key); ok {
+			t.Errorf("%s: Get hit %+v", name, r)
+		}
+		closePacks(c)
+	}
+}
+
+// fillNumbers sets every integer, float and string reachable in v to a
+// simulation-sized value, each leaf its own, so a sample result encodes
+// like a real one and a decoder that swaps two leaves reads wrong values.
 func fillNumbers(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if v.Type().Field(i).IsExported() {
-				fillNumbers(v.Field(i))
+	leaf := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		leaf++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					fill(v.Field(i))
+				}
 			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Int, reflect.Int64, reflect.Int32:
+			v.SetInt(int64(4844 + leaf))
+		case reflect.Uint, reflect.Uint64, reflect.Uint32, reflect.Uint8:
+			x := uint64(10485 + leaf)
+			if v.OverflowUint(x) {
+				x %= 1 << v.Type().Bits()
+			}
+			v.SetUint(x)
+		case reflect.Float64:
+			v.SetFloat(1329.25 + float64(leaf))
+		case reflect.String:
+			v.SetString(fmt.Sprint("leaf-", leaf))
 		}
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			fillNumbers(v.Index(i))
+	}
+	fill(v)
+}
+
+// TestCacheRoundTripsEveryLeaf: every stored leaf of a RunResult comes
+// back from a Get as it was put, on the same Cache and on a reopened one;
+// Window is not stored, so a hit reports it zero.
+func TestCacheRoundTripsEveryLeaf(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r RunResult
+	fillNumbers(reflect.ValueOf(&r).Elem())
+	if r.Window == (RunResult{}).Window || r.Metric == 0 || r.Suite == "" {
+		t.Fatalf("fillNumbers left leaves zero: %+v", r)
+	}
+	key := Spec{App: "stub", Scale: 6, Threads: 1}.Key()
+	if err := c.Put(key, &r); err != nil {
+		t.Fatal(err)
+	}
+	want := r
+	want.Window = RunResult{}.Window
+	reopened, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cache := range map[string]*Cache{"same": c, "reopened": reopened} {
+		if got, ok := cache.Get(key); !ok || !reflect.DeepEqual(*got, want) {
+			t.Errorf("%s cache: Get = %+v/%v, want %+v", name, got, ok, want)
 		}
-	case reflect.Int, reflect.Int64, reflect.Int32:
-		v.SetInt(4844)
-	case reflect.Uint, reflect.Uint64, reflect.Uint32:
-		v.SetUint(10485)
-	case reflect.Float64:
-		v.SetFloat(1329.25)
 	}
 }
 
 // TestCacheAllocations pins what one Get and one Put allocate for a
-// RunResult of about 1 KB of JSON. The sweep and fleet_wal benchmark
+// RunResult the size of a real one (about 1 KB as JSON). A hit allocates
+// the read buffer, the result and its two strings. The sweep and fleet_wal benchmark
 // workloads gate allocs_per_memop at 3 %, so an index or a refresh that
 // starts allocating per call must fail here first.
 func TestCacheAllocations(t *testing.T) {
@@ -366,9 +456,8 @@ func TestCacheAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &RunResult{App: "linear_regression", Suite: "phoenix", DDist: 8, Threads: 24, Cycles: 29315, ErrorPct: 0.25}
-	for _, v := range []reflect.Value{reflect.ValueOf(&r.Stats).Elem(), reflect.ValueOf(&r.Energy).Elem()} {
-		fillNumbers(v)
-	}
+	fillNumbers(reflect.ValueOf(&r.Stats).Elem())
+	fillNumbers(reflect.ValueOf(&r.Energy).Elem())
 	if js, _ := json.Marshal(r); len(js) < 900 || len(js) > 1200 {
 		t.Fatalf("sample result is %d bytes of JSON, want about 1 KB", len(js))
 	}
@@ -399,7 +488,7 @@ func TestCacheAllocations(t *testing.T) {
 	for _, pin := range []struct {
 		name      string
 		got, want float64
-	}{{"Put", put, 4}, {"Get hit", get, 11}, {"Get miss", miss, 9}} {
+	}{{"Put", put, 4}, {"Get hit", get, 4}, {"Get miss", miss, 9}} {
 		if pin.got > pin.want {
 			t.Errorf("%s allocates %.0f objects, pinned at %.0f", pin.name, pin.got, pin.want)
 		}
@@ -417,10 +506,13 @@ func closePacks(c *Cache) {
 }
 
 // FuzzCacheOpen: whatever bytes a pack holds, OpenCache must not panic;
-// every Get hit must equal a result whose framed JSON, under that key, is
-// in the file; and a following Put/Get must round-trip, on the same Cache
-// and on a reopened one. Seeds under testdata/fuzz/FuzzCacheOpen hold a
-// clean pack, a torn header, a bad CRC and a length running past EOF.
+// every Get hit must equal a result that a whole frame in the file holds
+// under that key, as decodeRecord reads it; and a following Put/Get must
+// round-trip, on the same Cache and on a reopened one. Seeds under
+// testdata/fuzz/FuzzCacheOpen hold a clean binary pack (seed-clean-binary,
+// stamped with the layout of its day), and JSON-era packs: a clean one, a
+// torn header, a bad CRC and a length running past EOF. No JSON frame
+// decodes, so those yield no hit.
 func FuzzCacheOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
@@ -444,9 +536,11 @@ func FuzzCacheOpen(f *testing.F) {
 			}
 			key := string(raw[i+wal.HeaderSize : i+wal.HeaderSize+keyLen])
 			keys[key] = true
-			var r RunResult
-			if err == nil && json.Unmarshal(payload[keyLen:], &r) == nil {
-				framed[key] = append(framed[key], r)
+			if err != nil {
+				continue
+			}
+			if r, err := decodeRecord(payload); err == nil {
+				framed[key] = append(framed[key], *r)
 			}
 		}
 		written := func(key string, r *RunResult) bool {

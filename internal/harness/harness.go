@@ -63,9 +63,10 @@ type RunResult struct {
 	// Window holds the run's window-scheduling counters. It is excluded
 	// from JSON deliberately: the values describe how the run was driven,
 	// so they must not change cache entries, cache keys, or determinism
-	// fingerprints — all of which are derived from this struct's JSON
-	// form. Cache hits therefore report a zero Window, which is accurate:
-	// a hit drained no windows.
+	// fingerprints — the last two are derived from this struct's JSON
+	// form, and a cache record stores the fields JSON carries. Cache hits
+	// therefore report a zero Window, which is accurate: a hit drained no
+	// windows.
 	Window ghostwriter.WindowStats `json:"-"`
 }
 

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ghostwriter/internal/wal"
 	"ghostwriter/internal/workloads"
 )
 
@@ -395,7 +398,7 @@ func TestCacheCorruptEntryResimulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the entry on disk, then resolve through a fresh Runner.
-	flipCycles(t, onePack(t, dir), '4', '7')
+	flipCycles(t, onePack(t, dir), spec.Key(), 42, 72)
 	c2, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -408,5 +411,47 @@ func TestCacheCorruptEntryResimulated(t *testing.T) {
 	}
 	if res.Cycles != 42 || r2.Simulated() != 1 {
 		t.Errorf("corrupt entry not resimulated: cycles=%d simulated=%d", res.Cycles, r2.Simulated())
+	}
+}
+
+// TestJSONEraRecordResimulatesOnce: a pack written before records were
+// binary holds the key followed by the RunResult as JSON. It is never
+// indexed, so its cell simulates once, and the binary copy that run puts
+// serves every later Runner: two lifetimes cost one simulation.
+func TestJSONEraRecordResimulatesOnce(t *testing.T) {
+	dir := t.TempDir()
+	spec := Spec{App: "stub", Scale: 1, Threads: 1}
+	js, err := json.Marshal(RunResult{App: "stub", Cycles: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := wal.AppendFrame(nil, append([]byte(spec.Key()), js...))
+	if err := os.WriteFile(filepath.Join(dir, "json-era"+packExt), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var executions atomic.Uint64
+	execute := func(s Spec) (RunResult, error) {
+		executions.Add(1)
+		return RunResult{App: "stub", Cycles: 42}, nil
+	}
+	for life := 1; life <= 2; life++ {
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &Runner{Jobs: 1, Cache: c, execute: execute}
+		res, err := r.RunSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cycles != 42 {
+			t.Errorf("lifetime %d: cycles %d, want the resimulated 42", life, res.Cycles)
+		}
+		if want := uint64(2 - life); r.Simulated() != want {
+			t.Errorf("lifetime %d simulated %d cells, want %d", life, r.Simulated(), want)
+		}
+	}
+	if n := executions.Load(); n != 1 {
+		t.Errorf("two lifetimes over a JSON-era record simulated %d times, want 1", n)
 	}
 }
