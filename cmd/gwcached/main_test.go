@@ -20,7 +20,7 @@ const testKey = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcde
 
 // TestServerRoundTripOnDisk exercises the full binary wiring: the handler
 // built over a real on-disk cache, fronted by the request logger, must
-// store a PUT and serve it back on GET.
+// store a client's PUT and serve it back on GET.
 func TestServerRoundTripOnDisk(t *testing.T) {
 	cache, err := harness.OpenCache(t.TempDir())
 	if err != nil {
@@ -31,30 +31,19 @@ func TestServerRoundTripOnDisk(t *testing.T) {
 	defer log.SetOutput(io.Discard)
 	ts := httptest.NewServer(logRequests(harness.NewServer(harness.ServerConfig{Backend: cache})))
 	defer ts.Close()
+	rc, err := harness.NewRemoteCache(harness.RemoteConfig{URL: ts.URL, Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
 
 	want := harness.RunResult{App: "stub", Cycles: 1234}
-	body, _ := json.Marshal(&want)
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/cell/"+testKey, bytes.NewReader(body))
-	resp, err := ts.Client().Do(req)
-	if err != nil {
+	if err := rc.Put(testKey, &want); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT status = %d, want 204", resp.StatusCode)
-	}
-
-	resp, err = ts.Client().Get(ts.URL + "/v1/cell/" + testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got harness.RunResult
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got.App != want.App || got.Cycles != want.Cycles {
-		t.Errorf("GET returned %+v, want %+v", got, want)
+	got, ok := rc.Get(testKey)
+	if !ok || got.App != want.App || got.Cycles != want.Cycles {
+		t.Errorf("GET returned %+v/%v, want %+v", got, ok, want)
 	}
 	if s := cache.Stats(); s.Puts != 1 || s.Hits != 1 {
 		t.Errorf("cache stats %+v, want 1 put / 1 hit", s)

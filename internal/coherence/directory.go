@@ -762,7 +762,7 @@ func (d *Directory) evictLine(va mem.Addr, v *dirLine, waiter *dirLine) {
 	v.busy = true
 	d.st.L2Recalls++
 	finish := func(data []byte) {
-		d.dram.WriteBlock(va, data, nil) // copies data, which may be v's buffer
+		d.dram.WriteBlock(va, data) // copies data, which may be v's buffer
 		d.releaseData(v)
 		d.dead = append(d.dead, va)
 		v.state = dirInvalid

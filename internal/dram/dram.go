@@ -88,18 +88,12 @@ func (c *Channel) finishRead(arg any) {
 	done(doneArg)
 }
 
-// WriteBlock schedules a block write (an L2 victim writeback); done, if
-// non-nil, runs at completion.
-func (c *Channel) WriteBlock(addr mem.Addr, data []byte, done func()) {
+// WriteBlock schedules a block write (an L2 victim writeback) of a copy of
+// data, which lands in memory at the completion cycle.
+func (c *Channel) WriteBlock(addr mem.Addr, data []byte) {
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	at := c.schedule()
-	c.eng.At(at, func() {
-		c.mem.Write(addr, buf)
-		if done != nil {
-			done()
-		}
-	})
+	c.eng.At(c.schedule(), func() { c.mem.Write(addr, buf) })
 }
 
 // schedule accounts one access: queue behind the channel, charge energy,

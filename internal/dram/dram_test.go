@@ -51,35 +51,27 @@ func TestChannelOccupancySerializes(t *testing.T) {
 func TestWriteBlock(t *testing.T) {
 	eng, ch, backing, _, _ := newChannel()
 	src := []byte{9, 8, 7}
-	done := false
-	ch.WriteBlock(0x40, src, func() { done = true })
+	ch.WriteBlock(0x40, src)
 	src[0] = 0 // the channel must have captured a copy
-	eng.Drain(10)
-	if !done {
-		t.Fatal("write completion not signalled")
-	}
 	buf := make([]byte, 3)
+	backing.Read(0x40, buf)
+	if !bytes.Equal(buf, []byte{0, 0, 0}) {
+		t.Fatalf("backing holds %v before the write completes, want zeros", buf)
+	}
+	eng.Drain(10)
+	if eng.Now() != AccessLatency {
+		t.Errorf("write completed at %d, want %d", eng.Now(), AccessLatency)
+	}
 	backing.Read(0x40, buf)
 	if !bytes.Equal(buf, []byte{9, 8, 7}) {
 		t.Fatalf("backing holds %v, want snapshot at call time", buf)
 	}
 }
 
-func TestWriteNilDone(t *testing.T) {
-	eng, ch, backing, _, _ := newChannel()
-	ch.WriteBlock(0, []byte{5}, nil)
-	eng.Drain(10)
-	buf := make([]byte, 1)
-	backing.Read(0, buf)
-	if buf[0] != 5 {
-		t.Fatal("write with nil done lost")
-	}
-}
-
 func TestAccounting(t *testing.T) {
 	eng, ch, _, st, m := newChannel()
 	ch.ReadBlock(0, make([]byte, 64), func(any) {}, nil)
-	ch.WriteBlock(64, make([]byte, 64), nil)
+	ch.WriteBlock(64, make([]byte, 64))
 	eng.Drain(10)
 	if st.DRAMAccesses != 2 {
 		t.Errorf("DRAMAccesses = %d, want 2", st.DRAMAccesses)

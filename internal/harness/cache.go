@@ -54,10 +54,10 @@ const (
 // spec, and the full machine configuration. There is no invalidation
 // logic: a cell that would simulate differently necessarily has a
 // different key (codeVersion covers code changes), so stale entries are
-// simply never read again. A record whose tag or stamp is not this
+// simply never read again. A pack whose records' tag or stamp is not this
 // build's — one a build with other RunResult fields wrote, or a JSON-era
-// one — is never indexed, so its cell resimulates once and its fresh copy
-// serves from then on. Deleting the directory is always safe.
+// one — is passed over, so its cells resimulate once and their fresh
+// copies serve from then on. Deleting the directory is always safe.
 //
 // Each Cache appends to one pack of its own, created on its first Put, so
 // a warm replay creates no file, and no pack is ever written by two
@@ -171,9 +171,12 @@ func (c *Cache) Get(key string) (*RunResult, bool) {
 		c.mu.Unlock()
 	}
 	if ok {
-		if r, err := e.read(key); err == nil {
-			c.hits.Add(1)
-			return r, true
+		b := make([]byte, e.n)
+		if _, err := e.p.f.ReadAt(b, e.off); err == nil {
+			if r, err := readRecord(key, b); err == nil {
+				c.hits.Add(1)
+				return r, true
+			}
 		}
 		// The record changed on disk after it was indexed. Drop it so the
 		// caller's re-Put appends a fresh copy.
@@ -185,22 +188,6 @@ func (c *Cache) Get(key string) (*RunResult, bool) {
 	}
 	c.misses.Add(1)
 	return nil, false
-}
-
-// read decodes e's record, checking its frame and its key again.
-func (e entry) read(key string) (*RunResult, error) {
-	b := make([]byte, e.n)
-	if _, err := e.p.f.ReadAt(b, e.off); err != nil {
-		return nil, err
-	}
-	payload, n, err := wal.ParseFrame(b)
-	if err != nil {
-		return nil, err
-	}
-	if n != e.n || len(payload) < keyLen || string(payload[:keyLen]) != key {
-		return nil, errors.New("record does not hold its key")
-	}
-	return decodeRecord(payload)
 }
 
 // Put stores r under key by appending it to this Cache's pack. A key that
@@ -288,8 +275,9 @@ func (c *Cache) listLocked() {
 // scanLocked indexes the frames appended to p since its last scan. It stops
 // at a frame that is not whole yet — one another process is still writing,
 // or one a crash tore — and resumes there once the file grows. A whole
-// frame that fails its CRC, holds no valid key, or was written in another
-// layout is skipped; a length prefix out of range ends what can be framed.
+// frame that fails its CRC or holds no valid key is skipped; a length
+// prefix out of range ends what can be framed. The first CRC-clean frame
+// in another layout passes over everything the pack holds so far.
 func (c *Cache) scanLocked(p *pack) {
 	fi, err := p.f.Stat()
 	if err != nil || fi.Size() <= p.seen {
@@ -320,7 +308,13 @@ func (c *Cache) scanLocked(p *pack) {
 				p.next += int64(off)
 				return
 			}
-			if err == nil && thisLayout(payload) {
+			if err == nil && !thisLayout(payload) {
+				// A pack has one writer, so one layout: the rest of it
+				// is foreign too.
+				p.next = p.seen
+				return
+			}
+			if err == nil {
 				if k, ok := parseKey(payload[:keyLen]); ok {
 					if _, dup := c.index[k]; !dup {
 						c.index[k] = entry{p: p, off: p.next + int64(off), n: n}
@@ -540,11 +534,18 @@ func thisLayout(payload []byte) bool {
 		binary.LittleEndian.Uint64(payload[keyLen+1:]) == resultStamp
 }
 
-// decodeRecord decodes the RunResult stored in payload. A record in
-// another layout, a body cut short, and bytes left after it all fail.
-func decodeRecord(payload []byte) (*RunResult, error) {
-	if !thisLayout(payload) {
-		return nil, errors.New("record is not in this build's layout")
+// readRecord decodes b, which must be exactly one whole, CRC-clean frame
+// holding a record of key in this build's layout: a frame cut short, a
+// byte after it, another key, another layout and a body that does not
+// decode all fail. It is the one way a RunResult is read: from a pack, a
+// PUT body and a GET answer.
+func readRecord(key string, b []byte) (*RunResult, error) {
+	payload, n, err := wal.ParseFrame(b)
+	switch {
+	case err != nil:
+		return nil, err
+	case n != len(b) || !thisLayout(payload) || string(payload[:keyLen]) != key:
+		return nil, errors.New("not one record of its key in this build's layout")
 	}
 	r := new(RunResult)
 	if rest, ok := resultLayout.get(payload[headLen:], reflect.ValueOf(r).Elem()); !ok || len(rest) != 0 {

@@ -84,7 +84,7 @@ func flipCycles(t *testing.T, path, key string, from, to uint64) {
 		t.Fatalf("no record for %.8s… in %s", key, path)
 	}
 	payload := b[at : at+int(binary.LittleEndian.Uint32(b[at-wal.HeaderSize:]))]
-	r, err := decodeRecord(payload)
+	r, err := readRecord(key, b[at-wal.HeaderSize:at+len(payload)])
 	if err != nil || r.Cycles != from {
 		t.Fatalf("no Cycles %d in %s: record %+v (%v)", from, path, r, err)
 	}
@@ -340,8 +340,8 @@ func TestCacheSeesOtherInstancePuts(t *testing.T) {
 func TestCacheReadsOnlyWholeRecordsOfThisLayout(t *testing.T) {
 	key := Spec{App: "stub", Scale: 7, Threads: 1}.Key()
 	good := encodeRecord(key, &RunResult{App: "stub", Cycles: 7, ErrorPct: 0.5})[wal.HeaderSize:]
-	if r, err := decodeRecord(good); err != nil || r.Cycles != 7 {
-		t.Fatalf("decodeRecord(a record Put writes) = %+v, %v", r, err)
+	if r, err := readRecord(key, wal.AppendFrame(nil, good)); err != nil || r.Cycles != 7 {
+		t.Fatalf("readRecord(a record Put writes) = %+v, %v", r, err)
 	}
 	// Metric, a uint8, follows App ("stub") and an empty Suite.
 	metric := headLen + 1 + len("stub") + 1
@@ -357,8 +357,8 @@ func TestCacheReadsOnlyWholeRecordsOfThisLayout(t *testing.T) {
 		"JSON-era":       append([]byte(key), js...),
 	}
 	for name, payload := range bad {
-		if r, err := decodeRecord(payload); err == nil {
-			t.Errorf("%s: decodeRecord = %+v, want an error", name, r)
+		if r, err := readRecord(key, wal.AppendFrame(nil, payload)); err == nil {
+			t.Errorf("%s: readRecord = %+v, want an error", name, r)
 		}
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "bad"+packExt), wal.AppendFrame(nil, payload), 0o644); err != nil {
@@ -370,6 +370,39 @@ func TestCacheReadsOnlyWholeRecordsOfThisLayout(t *testing.T) {
 		}
 		if r, ok := c.Get(key); ok {
 			t.Errorf("%s: Get hit %+v", name, r)
+		}
+		closePacks(c)
+	}
+}
+
+// TestCachePassesOverForeignPack: a pack has one writer, so one layout.
+// Once a scan meets a whole, CRC-clean frame in another layout it indexes
+// nothing more of that pack, not even a record of this layout behind it;
+// a frame whose CRC fails is damage, not another layout, and is skipped.
+func TestCachePassesOverForeignPack(t *testing.T) {
+	key := Spec{App: "stub", Scale: 7, Threads: 1}.Key()
+	js, err := json.Marshal(RunResult{App: "stub", Cycles: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := wal.AppendFrame(nil, append([]byte(Spec{App: "old"}.Key()), js...))
+	crcBad := bytes.Clone(foreign)
+	crcBad[wal.HeaderSize] ^= 1
+	record := encodeRecord(key, &RunResult{App: "stub", Cycles: 7})
+	for name, tc := range map[string]struct {
+		lead []byte
+		hit  bool
+	}{"JSON-era": {foreign, false}, "CRC-bad": {crcBad, true}} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "old"+packExt), append(bytes.Clone(tc.lead), record...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(key); ok != tc.hit {
+			t.Errorf("%s frame ahead of a record: Get hit = %v, want %v", name, ok, tc.hit)
 		}
 		closePacks(c)
 	}
@@ -507,7 +540,7 @@ func closePacks(c *Cache) {
 
 // FuzzCacheOpen: whatever bytes a pack holds, OpenCache must not panic;
 // every Get hit must equal a result that a whole frame in the file holds
-// under that key, as decodeRecord reads it; and a following Put/Get must
+// under that key, as readRecord reads it; and a following Put/Get must
 // round-trip, on the same Cache and on a reopened one. Seeds under
 // testdata/fuzz/FuzzCacheOpen hold a clean binary pack (seed-clean-binary,
 // stamped with the layout of its day), and JSON-era packs: a clean one, a
@@ -530,7 +563,7 @@ func FuzzCacheOpen(f *testing.F) {
 		keys := make(map[string]bool)
 		framed := make(map[string][]RunResult)
 		for i := range raw {
-			payload, n, err := wal.ParseFrame(raw[i:])
+			_, n, err := wal.ParseFrame(raw[i:])
 			if err == wal.ErrShortFrame || n <= wal.HeaderSize+keyLen {
 				continue
 			}
@@ -539,7 +572,7 @@ func FuzzCacheOpen(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if r, err := decodeRecord(payload); err == nil {
+			if r, err := readRecord(key, raw[i:i+n]); err == nil {
 				framed[key] = append(framed[key], *r)
 			}
 		}

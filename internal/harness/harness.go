@@ -70,9 +70,9 @@ type RunResult struct {
 	Window ghostwriter.WindowStats `json:"-"`
 }
 
-// IsZero reports whether r is the all-zero RunResult — what decoding `{}`
-// yields. No simulation produces one (App is always set), so cache layers
-// treat a zero result as a client bug and refuse to publish it.
+// IsZero reports whether r is the all-zero RunResult — what a record of
+// the zero value holds. No simulation produces one (App is always set), so
+// cache layers treat a zero result as a client bug and refuse to publish it.
 func (r *RunResult) IsZero() bool {
 	return reflect.DeepEqual(*r, RunResult{})
 }

@@ -34,8 +34,8 @@ const (
 	// reuses connections instead of redialing: http.DefaultTransport keeps
 	// 2 per host, shared by every client in the process.
 	remoteIdleConns = 64
-	// maxEntryBytes bounds one cache entry on the wire (a RunResult is a
-	// few KB of JSON; 16 MiB is far beyond any legitimate entry).
+	// maxEntryBytes bounds one cache entry on the wire (a record is a few
+	// hundred bytes; 16 MiB is far beyond any legitimate entry).
 	maxEntryBytes = 16 << 20
 )
 
@@ -63,7 +63,7 @@ type remoteTarget struct {
 }
 
 // RemoteCache is a CacheBackend backed by one or more gwcached servers:
-// GET/PUT /v1/cell/<key> with JSON RunResult bodies, plus the fleet
+// GET/PUT /v1/cell/<key> with record bodies (see Cache), plus the fleet
 // dispatch RPCs. Every request takes one path, send: the servers are tried
 // one at a time in preference order, each through a full retry cycle
 // (exponential backoff plus jitter), and the first answer wins. A request
@@ -285,13 +285,13 @@ func (c *RemoteCache) Get(key string) (*RunResult, bool) {
 	}
 	switch status {
 	case http.StatusOK:
-		var r RunResult
-		if err := json.Unmarshal(body, &r); err != nil {
+		r, err := readRecord(key, body)
+		if err != nil {
 			c.errs.Add(1)
 			return nil, false
 		}
 		c.hits.Add(1)
-		return &r, true
+		return r, true
 	case http.StatusNotFound:
 		c.misses.Add(1)
 		return nil, false
@@ -318,16 +318,12 @@ func (c *RemoteCache) CompleteWork(key string, r *RunResult) error {
 	return c.putCell("complete", key, r, true)
 }
 
-// putCell marshals r and PUTs it under key; op names the caller in errors.
+// putCell PUTs r's record under key; op names the caller in errors.
 func (c *RemoteCache) putCell(op, key string, r *RunResult, patient bool) error {
 	if !ValidKey(key) {
 		return fmt.Errorf("harness: %s: malformed key %q", op, key)
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("harness: %s: %w", op, err)
-	}
-	body, status, err := c.send(http.MethodPut, "/v1/cell/"+key, b, patient)
+	body, status, err := c.send(http.MethodPut, "/v1/cell/"+key, encodeRecord(key, r), patient)
 	if err != nil {
 		return fmt.Errorf("harness: %s: %w", op, err)
 	}
@@ -386,9 +382,6 @@ func (c *RemoteCache) roundTrip(method string, t *remoteTarget, path string, bod
 		req, err := http.NewRequest(method, endpoint, reqBody)
 		if err != nil {
 			return nil, 0, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := c.client.Do(req)
 		if err == nil {

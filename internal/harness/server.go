@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"log"
 	"net/http"
 	"sync/atomic"
@@ -157,7 +158,7 @@ type HeartbeatResponse struct {
 // NewServer builds the gwcached handler from cfg: a content-addressed
 // key→result store over cfg.Backend —
 //
-//	GET  /v1/cell/<key>  → 200 + RunResult JSON, or 404
+//	GET  /v1/cell/<key>  → 200 + the RunResult's record, or 404
 //	PUT  /v1/cell/<key>  → 204 on store, 400 on malformed key/body
 //	GET  /v1/stats       → backend counters (zeros when it tracks none)
 //	GET  /healthz        → load-balancer probe
@@ -170,18 +171,20 @@ type HeartbeatResponse struct {
 //	POST /v1/heartbeat  → renew leases mid-simulation
 //	GET  /v1/sweep      → sweep status counters
 //
-// plus the drain gate and the fault-injection middleware. Keys are
-// validated to the Spec.Key() shape and PUT bodies must decode as a
-// non-empty RunResult, so no client can plant undecodable or all-zero
-// results the fleet would then trust. Completion has no endpoint of its
-// own: the idempotent PUT both stores the result and marks the cell done,
-// so at-least-once execution (a lease can expire and redispatch a cell
-// still being simulated) converges on exactly-once-observable results.
-// The handler persists the WAL on the three boundaries a client acts on:
-// a submission is acknowledged only once its cells are durable, a claim
-// only once its leases are (so a restarted server re-grants rather than
-// double-dispatches them), and a completion only once its record is — the
-// property that makes kill -9 lose nothing.
+// plus the drain gate and the fault-injection middleware. A cell body is
+// the record a pack stores (see Cache). Keys are validated to the
+// Spec.Key() shape and a PUT body must be one record of the URL's key in
+// this build's layout holding a non-empty RunResult, so no client can plant
+// undecodable, misfiled, zero-filled or all-zero results the fleet would
+// then trust. Completion has no endpoint of its own: the idempotent PUT
+// both stores the result and marks the cell done, so at-least-once
+// execution (a lease can expire and redispatch a cell still being
+// simulated) converges on exactly-once-observable results. The handler
+// persists the WAL on the three boundaries a client acts on: a submission
+// is acknowledged only once its cells are durable, a claim only once its
+// leases are (so a restarted server re-grants rather than double-dispatches
+// them), and a completion only once its record is — the property that makes
+// kill -9 lose nothing.
 func NewServer(cfg ServerConfig) http.Handler {
 	backend := cfg.Backend
 	d := cfg.Durable
@@ -216,7 +219,8 @@ func NewServer(cfg ServerConfig) http.Handler {
 			http.Error(w, "not found", http.StatusNotFound)
 			return
 		}
-		writeJSONResponse(w, r)
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(encodeRecord(key, r))
 	})
 	mux.HandleFunc("PUT /v1/cell/{key}", func(w http.ResponseWriter, req *http.Request) {
 		key := req.PathValue("key")
@@ -224,17 +228,17 @@ func NewServer(cfg ServerConfig) http.Handler {
 			http.Error(w, "malformed key", http.StatusBadRequest)
 			return
 		}
-		var r RunResult
-		dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxEntryBytes))
-		if err := dec.Decode(&r); err != nil {
-			http.Error(w, "body is not a RunResult: "+err.Error(), http.StatusBadRequest)
+		b, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxEntryBytes))
+		r, rerr := readRecord(key, b)
+		if err = errors.Join(err, rerr); err != nil {
+			http.Error(w, "body is not a record of this key: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		if r.IsZero() {
 			http.Error(w, "empty RunResult", http.StatusBadRequest)
 			return
 		}
-		if err := backend.Put(key, &r); err != nil {
+		if err := backend.Put(key, r); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"iter"
+	"strings"
 	"sync"
 
 	"ghostwriter/internal/approx"
@@ -396,14 +397,16 @@ func (t *Thread) ScribbleF64(a mem.Addr, v float64) {
 
 // Run executes kernel on nthreads simulated threads (thread i pinned to
 // core i) until all of them return, then drains in-flight protocol traffic.
-// It returns the elapsed simulated cycles. Kernels run on coroutines of the
-// engine, never concurrently with it: a panic in a kernel
-// surfaces from Run on the caller's goroutine like any model panic. No
-// kernel outlives Run on any exit path, but its coroutine may: Run takes
-// its workers from a process-wide free list and, after a clean run, parks
-// them there again with neither kernel nor machine attached, so a cell
-// pays for no coroutine set-up. On a panic path every worker Run took is
-// stopped, which unwinds its kernel, and none is parked.
+// It returns the elapsed simulated cycles. A run whose event queue drains
+// while a thread is still live — a protocol that lost a message — panics
+// naming each live thread. Kernels run on coroutines of the engine, never
+// concurrently with it: a panic in a kernel surfaces from Run on the
+// caller's goroutine like any model panic. No kernel outlives Run on any
+// exit path, but its coroutine may: Run takes its workers from a
+// process-wide free list and, after a clean run, parks them there again
+// with neither kernel nor machine attached, so a cell pays for no
+// coroutine set-up. On a panic path every worker Run took is stopped,
+// which unwinds its kernel, and none is parked.
 func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	if nthreads <= 0 || nthreads > m.cfg.Cores {
 		panic(fmt.Sprintf("machine: %d threads on %d cores", nthreads, m.cfg.Cores))
@@ -457,7 +460,9 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	for _, w := range m.workers {
 		m.eng.After(0, w.issueFn)
 	}
-	m.clu.RunUntil(func() bool { return m.active == 0 })
+	if !m.clu.RunUntil(func() bool { return m.active == 0 }) {
+		panic(m.stuck())
+	}
 	// The run ends when the last thread finishes (recorded at its done
 	// request); the drain below only retires in-flight protocol stragglers
 	// and disarmed GI sweeps, whose event timestamps must not count as
@@ -480,6 +485,27 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	m.st.Cycles = uint64(end)
 	m.st.Events = m.clu.Fired()
 	return elapsed
+}
+
+// stuck describes the live threads of a run whose event queue drained:
+// nothing is left to wake them. A thread not at a barrier is waiting on its
+// outstanding memory operation.
+func (m *Machine) stuck() string {
+	var live []string
+	for _, w := range m.workers {
+		switch t := &w.Thread; {
+		case t.done:
+		case t.barrier:
+			live = append(live, fmt.Sprintf("thread %d on core %d waits at a barrier", t.id, t.core))
+		default:
+			state := "absent"
+			if blk := m.l1s[t.core].Array().Lookup(t.op.Addr); blk != nil {
+				state = blk.State.String()
+			}
+			live = append(live, fmt.Sprintf("thread %d on core %d waits on %#x (L1 state %s)", t.id, t.core, uint64(t.op.Addr), state))
+		}
+	}
+	return "machine: event queue drained with live threads: " + strings.Join(live, "; ")
 }
 
 // issue applies the thread's requests, one at a time in program order. It
