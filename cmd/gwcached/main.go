@@ -14,8 +14,9 @@
 //
 // Workers lease batches of cells (POST /v1/claim), renew mid-simulation
 // (POST /v1/heartbeat), and complete by the idempotent PUT /v1/cell/<key>.
-// A reaper returns expired leases to the queue, so cells held by a crashed
-// or partitioned worker are re-dispatched automatically.
+// An expired lease returns to the queue the next time the table is read —
+// by any submission, claim, heartbeat or status request — so cells held by
+// a crashed or partitioned worker are re-dispatched automatically.
 //
 // The dispatcher's lease table is always journaled to a write-ahead log in
 // the -wal directory (default <dir>/wal) and fsynced on every acknowledged
@@ -62,17 +63,12 @@ func realMain(args []string) int {
 		dir      = fs.String("dir", harness.DefaultCacheDir, "cache data directory")
 		walDir   = fs.String("wal", "", `write-ahead-log directory for the dispatch lease table (default "<dir>/wal")`)
 		leaseTTL = fs.Duration("lease-ttl", harness.DefaultLeaseTTL, "work-dispatch lease duration, positive (heartbeats renew it)")
-		reap     = fs.Duration("reap", 5*time.Second, "expired-lease reaper period")
 		drain    = fs.Duration("drain", 10*time.Second, "shutdown drain timeout for in-flight requests")
 		quiet    = fs.Bool("q", false, "suppress the per-request log")
 	)
 	fs.Parse(args)
 	if *walDir == "off" {
 		fmt.Fprintln(os.Stderr, `gwcached: -wal names the write-ahead-log directory; dispatch is always journaled, so "off" is not a mode`)
-		return 2
-	}
-	if *reap <= 0 {
-		fmt.Fprintf(os.Stderr, "gwcached: -reap %v: the reaper period must be positive\n", *reap)
 		return 2
 	}
 	if *leaseTTL <= 0 {
@@ -98,9 +94,9 @@ func realMain(args []string) int {
 		return 1
 	}
 	if stats.Cells > 0 || stats.TornBytes > 0 {
-		log.Printf("gwcached: recovered %d cell(s) from WAL (%d pending, %d leased, %d done; %d record(s), %d snapshot cell(s), %d backfilled, %d torn byte(s) discarded)",
+		log.Printf("gwcached: recovered %d cell(s) from WAL (%d pending, %d leased, %d done; %d record(s), %d backfilled, %d torn byte(s) discarded)",
 			stats.Cells, stats.Pending, stats.Leased, stats.Done,
-			stats.Records, stats.SnapshotCells, stats.Backfilled, stats.TornBytes)
+			stats.Records, stats.Backfilled, stats.TornBytes)
 	}
 	// Flush and close the journal after the drain, so the last in-flight
 	// completions are durable before the process exits.
@@ -122,23 +118,6 @@ func realMain(args []string) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// The reaper returns crashed workers' leases to the queue even while no
-	// claim traffic arrives to reap them lazily, keeping /v1/sweep honest.
-	go func() {
-		t := time.NewTicker(*reap)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				if n := disp.Reap(); n > 0 {
-					log.Printf("gwcached: requeued %d expired lease(s)", n)
-				}
-			}
-		}
-	}()
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()

@@ -360,12 +360,11 @@ func TestWalOffIsAUsageError(t *testing.T) {
 	}
 }
 
-// TestNonPositiveReapOrLeaseTTLIsAUsageError: the reaper ticks every
-// -reap, and a ticker needs a positive period; a lease needs a positive
-// -lease-ttl. A non-positive value of either exits 2 before the cache is
-// opened instead of serving with some other period.
-func TestNonPositiveReapOrLeaseTTLIsAUsageError(t *testing.T) {
-	for _, args := range [][]string{{"-reap", "0"}, {"-reap", "-1s"}, {"-lease-ttl", "0"}, {"-lease-ttl", "-1s"}} {
+// TestNonPositiveLeaseTTLIsAUsageError: a lease needs a positive
+// -lease-ttl. A non-positive one exits 2 before the cache is opened
+// instead of serving with some other period.
+func TestNonPositiveLeaseTTLIsAUsageError(t *testing.T) {
+	for _, args := range [][]string{{"-lease-ttl", "0"}, {"-lease-ttl", "-1s"}} {
 		dir := filepath.Join(t.TempDir(), "cache")
 		if code := realMain(append([]string{"-addr", "127.0.0.1:0", "-dir", dir, "-q"}, args...)); code != 2 {
 			t.Fatalf("gwcached %v exited %d, want 2", args, code)

@@ -88,7 +88,8 @@ type dispatchCell struct {
 // pending cells, renew their leases by heartbeat, and complete cells
 // implicitly by publishing results (the PUT /v1/cell path calls Complete).
 // Leases that expire — crashed worker, network partition, a stall longer
-// than the TTL — are returned to the queue by the reaper, so every cell is
+// than the TTL — are returned to the queue wherever the table is read
+// (Submit, Claim, Heartbeat and Status all reap first), so every cell is
 // eventually simulated by *some* worker: at-least-once execution, made
 // exactly-once-observable by the content-addressed store.
 //
@@ -130,12 +131,12 @@ func (dd *DurableDispatcher) Journal() *Journal { return dd.journal }
 // apply is the lease table's only transition: it changes the cell r names
 // and the counters as r says, journals r, and reports whether r changed
 // anything. The live methods make a record only for a transition they have
-// decided is legal; replay may offer one that no longer is — a duplicate
-// left by a crash mid-compaction or a retried publish — and apply ignores
-// it, so replay is idempotent and monotone toward done. Callers hold dd.mu.
+// decided is legal; replay may offer one that no longer is — the
+// duplicate completion of a retried publish — and apply ignores it, so
+// replay is idempotent and monotone toward done. Callers hold dd.mu.
 func (dd *DurableDispatcher) apply(r walRecord) bool {
 	var c *dispatchCell
-	if r.T != recSubmit {
+	if r.T != recSubmit && r.T != recReclaims {
 		if c = dd.cells[r.Key]; c == nil {
 			return false
 		}
@@ -169,6 +170,11 @@ func (dd *DurableDispatcher) apply(r walRecord) bool {
 		c.queued = dd.queue.PushBack(c)
 		dd.leased--
 		dd.reclaims++
+	case recReclaims:
+		if r.N <= dd.reclaims {
+			return false
+		}
+		dd.reclaims = r.N
 	case recComplete:
 		switch c.state {
 		case stateDone:
@@ -197,9 +203,11 @@ func (dd *DurableDispatcher) apply(r walRecord) bool {
 // already tracked are left untouched, so duplicate submissions (every
 // worker host running with -submit, say) are harmless. Cells whose key is
 // malformed or does not match their Spec are rejected and counted.
+// Expired leases are reaped first, as on every read of the table.
 func (dd *DurableDispatcher) Submit(items []WorkItem, cached func(key string) bool) SubmitSummary {
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
+	dd.reapLocked()
 	var sum SubmitSummary
 	for _, it := range items {
 		switch {
@@ -249,7 +257,7 @@ func (dd *DurableDispatcher) Claim(worker string, max int) ([]WorkItem, SweepSta
 //
 // Renewals are deliberately not records: journaling every renewal would
 // bloat the log, and losing one merely shortens a recovered lease to its
-// last journaled expiry (the reaper then requeues it, which is safe).
+// last journaled expiry (the next read then requeues it, which is safe).
 func (dd *DurableDispatcher) Heartbeat(worker string, keys []string) (renewed, lost []string) {
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
@@ -278,16 +286,6 @@ func (dd *DurableDispatcher) Complete(key string) bool {
 	return dd.apply(walRecord{T: recComplete, Key: key})
 }
 
-// Reap returns every expired lease to the pending queue and reports how
-// many it reclaimed. Claims and heartbeats reap lazily as well, so a
-// background reaper is an operational nicety (status accuracy, prompt
-// requeue while no worker is claiming), not a correctness requirement.
-func (dd *DurableDispatcher) Reap() int {
-	dd.mu.Lock()
-	defer dd.mu.Unlock()
-	return dd.reapLocked()
-}
-
 // Status returns the sweep's current counters.
 func (dd *DurableDispatcher) Status() SweepStatus {
 	dd.mu.Lock()
@@ -296,7 +294,8 @@ func (dd *DurableDispatcher) Status() SweepStatus {
 	return dd.statusLocked()
 }
 
-func (dd *DurableDispatcher) reapLocked() int {
+// reapLocked returns every expired lease to the pending queue.
+func (dd *DurableDispatcher) reapLocked() {
 	now := dd.now()
 	// Collect expired leases first, then requeue in (expiry, key) order:
 	// iterating the cell map directly would requeue in map order, handing a
@@ -317,7 +316,6 @@ func (dd *DurableDispatcher) reapLocked() int {
 	for _, c := range expired {
 		dd.apply(walRecord{T: recExpire, Key: c.item.Key})
 	}
-	return len(expired)
 }
 
 func (dd *DurableDispatcher) statusLocked() SweepStatus {

@@ -253,14 +253,14 @@ func TestDispatcherClaimBatching(t *testing.T) {
 	}
 }
 
-// TestDispatcherReapCompleteSameTick pins the Complete-vs-reaper race at
+// TestDispatcherReapCompleteSameTick pins the Complete-vs-reap race at
 // one deterministic clock tick, in both interleavings. Whichever side wins,
 // the cell ends done exactly once: done=1, pending=0, no double count, and
 // the loser's Complete reports no state change.
 func TestDispatcherReapCompleteSameTick(t *testing.T) {
-	// Interleaving 1: the result PUT (Complete) lands first, the reaper
-	// fires in the same tick. The completed cell must not be reclaimed back
-	// to pending.
+	// Interleaving 1: the result PUT (Complete) lands first, a reap (here
+	// Status) runs in the same tick. The completed cell must not be
+	// reclaimed back to pending.
 	d, now := newManualDispatcher(t, 50*time.Millisecond)
 	d.Submit(manifestItems(1), nil)
 	one, _ := d.Claim("w1", 1)
@@ -269,8 +269,8 @@ func TestDispatcherReapCompleteSameTick(t *testing.T) {
 	if !d.Complete(key) {
 		t.Fatal("completion at expiry tick rejected")
 	}
-	if n := d.Reap(); n != 0 {
-		t.Fatalf("reaper reclaimed %d done cells, want 0", n)
+	if n := d.Status().Reclaims; n != 0 {
+		t.Fatalf("reap reclaimed %d done cells, want 0", n)
 	}
 	st := d.Status()
 	if st.Done != 1 || st.Pending != 0 || st.Leased != 0 || st.Reclaims != 0 {
@@ -278,16 +278,16 @@ func TestDispatcherReapCompleteSameTick(t *testing.T) {
 	}
 	checkInvariant(t, st)
 
-	// Interleaving 2: the reaper fires first in the tick, then the worker's
-	// Complete arrives. The reclaim moves the cell to pending; Complete
+	// Interleaving 2: a reap (Status) runs first in the tick, then the
+	// worker's Complete arrives. The reclaim moves the cell to pending; Complete
 	// finishes it from there — once.
 	d, now = newManualDispatcher(t, 50*time.Millisecond)
 	d.Submit(manifestItems(1), nil)
 	one, _ = d.Claim("w1", 1)
 	key = one[0].Key
 	*now = now.Add(60 * time.Millisecond)
-	if n := d.Reap(); n != 1 {
-		t.Fatalf("reaper reclaimed %d cells, want 1", n)
+	if n := d.Status().Reclaims; n != 1 {
+		t.Fatalf("reap reclaimed %d cells, want 1", n)
 	}
 	if !d.Complete(key) {
 		t.Fatal("completion of a reclaimed-pending cell rejected")
@@ -324,7 +324,7 @@ func TestDispatcherReapCompleteSameTick(t *testing.T) {
 	checkInvariant(t, st)
 }
 
-// TestDispatcherReapRequeueDeterministic pins the reaper's requeue order:
+// TestDispatcherReapRequeueDeterministic pins the reap's requeue order:
 // a mass expiry returns cells to the queue sorted by (expiry, key), never
 // in map-iteration order, so crash recovery dispatches identically on
 // every run.
@@ -348,7 +348,7 @@ func TestDispatcherReapRequeueDeterministic(t *testing.T) {
 		want = append(want, keys...)
 	}
 
-	if n := d.Reap(); n != 6 {
+	if n := d.Status().Reclaims; n != 6 {
 		t.Fatalf("reaped %d, want 6", n)
 	}
 	got, _ := d.Claim("w3", 6)

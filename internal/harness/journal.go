@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -15,9 +14,9 @@ import (
 )
 
 // DefaultCompactEvery is how many WAL records accumulate before Persist
-// folds them into a compaction image. Compaction rewrites the whole lease
-// table, so it is amortized over many appends; the threshold only bounds
-// replay time and log size, never correctness.
+// compacts the log. Compaction rewrites the whole lease table, so it is
+// amortized over many appends; the threshold only bounds replay time and
+// log size, never correctness.
 const DefaultCompactEvery = 4096
 
 // WAL record payloads, one JSON object per record. The single-letter type
@@ -28,11 +27,12 @@ const (
 	recLease    = "l" // a pending cell was leased to Worker until Exp
 	recExpire   = "x" // a lease expired and the cell was requeued
 	recComplete = "c" // a cell completed (result stored)
+	recReclaims = "r" // the reclaim counter is at least N (compaction only)
 )
 
 // walRecord is one transition of the lease table (see
 // DurableDispatcher.apply): the unit the WAL journals, replay applies, and
-// a compaction image is made of.
+// a compacted log is made of.
 type walRecord struct {
 	T      string    `json:"t"`
 	Key    string    `json:"k,omitempty"`
@@ -40,15 +40,7 @@ type walRecord struct {
 	Exp    int64     `json:"e,omitempty"` // lease expiry, unix milliseconds
 	Done   bool      `json:"d,omitempty"`
 	Item   *WorkItem `json:"i,omitempty"`
-}
-
-// walImage is the compaction image: the records that rebuild the current
-// table through apply — one submit per cell, the pending cells first and
-// in dispatch order, each leased cell's submit followed by its lease —
-// plus the reclaim counter, which no record carries.
-type walImage struct {
-	Records  []walRecord `json:"records"`
-	Reclaims uint64      `json:"reclaims,omitempty"`
+	N      uint64    `json:"n,omitempty"` // the reclaim count of an "r" record
 }
 
 // Journal writes the dispatcher's records to a WAL. Appends are buffered
@@ -115,29 +107,40 @@ func (dd *DurableDispatcher) Persist() error {
 	return nil
 }
 
-// Compact folds the WAL into an image of the current lease table. The
-// dispatcher lock is held across the image and the truncate, so no
-// transition can be journaled after the image yet truncated with the old
-// log.
+// Compact replaces the WAL with the records that rebuild the current
+// lease table. The dispatcher lock is held across the image and the swap,
+// so no transition can be journaled after the image into the log it
+// replaces.
 func (dd *DurableDispatcher) Compact() error {
 	dd.mu.Lock()
 	defer dd.mu.Unlock()
-	b, err := json.Marshal(dd.imageLocked())
-	if err != nil {
-		return fmt.Errorf("harness: journal image: %w", err)
+	img := dd.imageLocked()
+	recs := make([][]byte, len(img))
+	for i, r := range img {
+		b, err := json.Marshal(r)
+		if err != nil {
+			return fmt.Errorf("harness: journal image: %w", err)
+		}
+		recs[i] = b
 	}
-	return dd.journal.store.Compact(b)
+	return dd.journal.store.Compact(recs)
 }
 
 // Close flushes and closes the journal. The dispatcher remains usable in
 // memory but no further transitions are made durable.
 func (dd *DurableDispatcher) Close() error { return dd.journal.Close() }
 
-// imageLocked captures the lease table as a walImage; callers hold dd.mu.
-func (dd *DurableDispatcher) imageLocked() walImage {
-	img := walImage{Records: make([]walRecord, 0, len(dd.cells)+dd.leased), Reclaims: dd.reclaims}
+// imageLocked returns the records that rebuild the lease table through
+// apply: the reclaim counter, then one submit per cell, the pending cells
+// first and in dispatch order, each leased cell's submit followed by its
+// lease. Callers hold dd.mu.
+func (dd *DurableDispatcher) imageLocked() []walRecord {
+	img := make([]walRecord, 0, 1+len(dd.cells)+dd.leased)
+	if dd.reclaims > 0 {
+		img = append(img, walRecord{T: recReclaims, N: dd.reclaims})
+	}
 	submit := func(c *dispatchCell) {
-		img.Records = append(img.Records, walRecord{T: recSubmit, Item: &c.item, Done: c.state == stateDone})
+		img = append(img, walRecord{T: recSubmit, Item: &c.item, Done: c.state == stateDone})
 	}
 	for e := dd.queue.Front(); e != nil; e = e.Next() {
 		submit(e.Value.(*dispatchCell))
@@ -153,7 +156,7 @@ func (dd *DurableDispatcher) imageLocked() walImage {
 		c := dd.cells[k]
 		submit(c)
 		if c.state == stateLeased {
-			img.Records = append(img.Records, walRecord{T: recLease, Key: k, Worker: c.worker, Exp: c.expiry.UnixMilli()})
+			img = append(img, walRecord{T: recLease, Key: k, Worker: c.worker, Exp: c.expiry.UnixMilli()})
 		}
 	}
 	return img
@@ -161,10 +164,8 @@ func (dd *DurableDispatcher) imageLocked() walImage {
 
 // RecoveryStats summarizes what OpenDurableDispatcher rebuilt.
 type RecoveryStats struct {
-	// SnapshotCells is how many cells the compaction image held; Records
-	// is how many log records followed it on disk.
-	SnapshotCells int `json:"snapshotCells"`
-	Records       int `json:"records"`
+	// Records is how many records the log held.
+	Records int `json:"records"`
 	// TornBytes counts discarded tail bytes of an interrupted append.
 	TornBytes int64 `json:"tornBytes,omitempty"`
 	// Cells/Pending/Leased/Done describe the rebuilt lease table.
@@ -179,17 +180,17 @@ type RecoveryStats struct {
 }
 
 // OpenDurableDispatcher opens (creating if needed) the WAL in dir and
-// rebuilds the lease table it describes by applying the compaction image's
-// records and then the log's, in order, through the same apply the live
-// table uses — so the rebuilt table equals the one that wrote the WAL,
-// pending-queue order included, up to heartbeat renewals (which are not
-// journaled). ttl <= 0 selects DefaultLeaseTTL. cached, when non-nil, is
-// the result store's membership test: any rebuilt cell that is not done
-// but whose result is already stored is marked done — the belt-and-braces
-// guarantee that a completion whose WAL record was lost (torn tail, failed
-// fsync) is never re-dispatched. The rebuilt state is compacted
-// immediately, so restart cost is proportional to the table, not the
-// history. inj threads fault injection into the WAL's file operations.
+// rebuilds the lease table it describes by applying its records, in
+// order, through the same apply the live table uses — so the rebuilt
+// table equals the one that wrote the WAL, pending-queue order included,
+// up to heartbeat renewals (which are not journaled). ttl <= 0 selects
+// DefaultLeaseTTL. cached, when non-nil, is the result store's membership
+// test: any rebuilt cell that is not done but whose result is already
+// stored is marked done — the belt-and-braces guarantee that a completion
+// whose WAL record was lost (torn tail, failed fsync) is never
+// re-dispatched. The rebuilt state is compacted immediately, so restart
+// cost is proportional to the table, not the history. inj threads fault
+// injection into the WAL's file operations.
 func OpenDurableDispatcher(dir string, ttl time.Duration, inj *fault.Injector, cached func(key string) bool) (*DurableDispatcher, RecoveryStats, error) {
 	store, rec, err := wal.Open(dir, inj)
 	if err != nil {
@@ -200,22 +201,6 @@ func OpenDurableDispatcher(dir string, ttl time.Duration, inj *fault.Injector, c
 	}
 	dd := &DurableDispatcher{ttl: ttl, now: time.Now, cells: make(map[string]*dispatchCell), queue: list.New()}
 	stats := RecoveryStats{Records: len(rec.Records), TornBytes: rec.TornBytes}
-	if rec.Snapshot != nil {
-		// An image written by another format must fail loudly: a plain
-		// Unmarshal would skip its unknown fields and rebuild an empty table.
-		var img walImage
-		dec := json.NewDecoder(bytes.NewReader(rec.Snapshot))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&img); err != nil {
-			store.Close()
-			return nil, stats, fmt.Errorf(`harness: %s holds a WAL snapshot that is not a lease-record image {"records":[…],"reclaims":n} (a WAL written by an older build needs a fresh -wal directory): %w`, dir, err)
-		}
-		for _, r := range img.Records {
-			dd.apply(r)
-		}
-		dd.reclaims = img.Reclaims
-		stats.SnapshotCells = len(dd.cells)
-	}
 	for _, b := range rec.Records {
 		var r walRecord
 		if err := json.Unmarshal(b, &r); err != nil {
@@ -233,7 +218,7 @@ func OpenDurableDispatcher(dir string, ttl time.Duration, inj *fault.Injector, c
 	st := dd.statusLocked()
 	stats.Cells, stats.Pending, stats.Leased, stats.Done = st.Total, st.Pending, st.Leased, st.Done
 
-	if len(rec.Records) > 0 || rec.Snapshot != nil {
+	if len(rec.Records) > 0 {
 		if err := dd.Compact(); err != nil {
 			fmt.Fprintf(os.Stderr, "harness: startup compaction failed (state remains in the WAL): %v\n", err)
 		}

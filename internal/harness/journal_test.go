@@ -2,15 +2,17 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"ghostwriter/internal/fault"
-	"ghostwriter/internal/wal"
 )
 
 // openDurable opens a DurableDispatcher in dir with a long TTL (so real-
@@ -124,10 +126,8 @@ func TestDurableDispatcherRecoversAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestDurableRecoveryDuplicatedCompletion: a crash between compaction's
-// rename and truncate leaves the same completion both in the snapshot and
-// in the log — and retried publishes append it twice anyway. Replay must
-// count it once.
+// TestDurableRecoveryDuplicatedCompletion: retried publishes journal the
+// same completion more than once. Replay must count it once.
 func TestDurableRecoveryDuplicatedCompletion(t *testing.T) {
 	dir := t.TempDir()
 	items := manifestItems(3)
@@ -168,14 +168,14 @@ func TestDurableRecoveryDuplicatedCompletion(t *testing.T) {
 }
 
 // TestDurableCompactionEquivalence: the same transition history recovered
-// through a snapshot must be indistinguishable from the raw log — same
+// from a compacted log must be indistinguishable from the raw log — same
 // counters, same per-cell states, same dispatch order of the remainder.
 func TestDurableCompactionEquivalence(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	items := manifestItems(8)
 
 	// Drive the identical sequence on both; compact only A (repeatedly, so
-	// snapshot-plus-tail is exercised too, not just snapshot-only).
+	// a compacted log with a tail is exercised too, not just a bare image).
 	drive := func(dir string, compact bool) SweepStatus {
 		dd, _ := openDurable(t, dir, nil, nil)
 		defer dd.Close()
@@ -192,7 +192,7 @@ func TestDurableCompactionEquivalence(t *testing.T) {
 				t.Fatalf("compact mid-sweep: %v", err)
 			}
 		}
-		// Post-snapshot tail: another claim and completion.
+		// Post-compaction tail: another claim and completion.
 		c2, _ := dd.Claim("w2", 2)
 		dd.Complete(c2[0].Key)
 		if err := dd.Persist(); err != nil {
@@ -206,20 +206,17 @@ func TestDurableCompactionEquivalence(t *testing.T) {
 		t.Fatalf("pre-recovery divergence: %+v vs %+v", stA, stB)
 	}
 
-	ddA, statsA := openDurable(t, dirA, nil, nil)
+	if ents, err := os.ReadDir(dirA); err != nil || len(ents) != 1 || ents[0].Name() != "wal.log" {
+		t.Fatalf("compacted WAL directory holds %v (%v), want wal.log alone", ents, err)
+	}
+	ddA, _ := openDurable(t, dirA, nil, nil)
 	defer ddA.Close()
-	ddB, statsB := openDurable(t, dirB, nil, nil)
+	ddB, _ := openDurable(t, dirB, nil, nil)
 	defer ddB.Close()
-	if statsA.SnapshotCells == 0 {
-		t.Error("compacted WAL recovered without a snapshot")
-	}
-	if statsB.SnapshotCells != 0 {
-		t.Error("never-compacted WAL grew a snapshot")
-	}
 	sA, sB := ddA.Status(), ddB.Status()
 	checkInvariant(t, sA)
 	if sA != sB || sA != stA {
-		t.Fatalf("recovered states diverge: snapshot %+v, log %+v, original %+v", sA, sB, stA)
+		t.Fatalf("recovered states diverge: compacted %+v, log %+v, original %+v", sA, sB, stA)
 	}
 	oA := drainKeys(ddA, "wx")
 	oB := drainKeys(ddB, "wx")
@@ -233,40 +230,33 @@ func TestDurableCompactionEquivalence(t *testing.T) {
 	}
 }
 
-// TestDurableCrashDuringCompaction: a compaction that dies between
-// installing the snapshot and truncating the log leaves both the snapshot
-// and the full pre-compaction log on disk. Recovery replays the log over
-// the snapshot; idempotent transitions make the double-application a no-op.
+// TestDurableCrashDuringCompaction: a compaction that dies at either of
+// its steps — before the temp file is written, or after its fsync but
+// before the rename — leaves the old log whole, and the table reopened
+// from it equals the live one exactly, the reclaim count and the dispatch
+// order included.
 func TestDurableCrashDuringCompaction(t *testing.T) {
-	dir := t.TempDir()
-	items := manifestItems(5)
-	inj := fault.New(fault.Rule{Point: "wal.truncate", N: 1, Kind: fault.Fail})
-
-	dd, _ := openDurable(t, dir, inj, nil)
-	dd.Submit(items, nil)
-	claimed, _ := dd.Claim("w1", 2)
-	dd.Complete(claimed[0].Key)
-	if err := dd.Persist(); err != nil {
-		t.Fatal(err)
-	}
-	before := dd.Status()
-	if err := dd.Compact(); err == nil {
-		t.Fatal("compaction with an injected truncate failure reported success")
-	}
-	dd.Close()
-
-	dd2, stats := openDurable(t, dir, nil, nil)
-	defer dd2.Close()
-	if stats.SnapshotCells != 5 || stats.Records == 0 {
-		t.Fatalf("recovery stats %+v, want the installed snapshot plus the untrimmed log", stats)
-	}
-	st := dd2.Status()
-	checkInvariant(t, st)
-	if st != before {
-		t.Fatalf("recovered status %+v, want %+v", st, before)
-	}
-	if dd2.Complete(claimed[0].Key) {
-		t.Error("snapshot+log double-application resurrected a completed cell")
+	for _, point := range []string{"wal.compact", "wal.rename"} {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := fault.New(fault.Rule{Point: point, N: 1, Kind: fault.Fail})
+			dd, _ := openDurable(t, dir, inj, nil)
+			now := time.Unix(1_700_000_000, 0)
+			dd.now = func() time.Time { return now }
+			dd.Submit(manifestItems(4), nil)
+			dd.Claim("w1", 1)
+			now = now.Add(2 * time.Hour) // past the TTL
+			if st := dd.Status(); st.Reclaims != 1 {
+				t.Fatalf("status %+v, want the lease reclaimed once", st)
+			}
+			if err := dd.Persist(); err != nil {
+				t.Fatal(err)
+			}
+			if err := dd.Compact(); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("compaction = %v, want the injected %s failure", err, point)
+			}
+			reopenEqual(t, dd, dir)
+		})
 	}
 }
 
@@ -316,7 +306,7 @@ func TestDurableLeaseExpiryReplays(t *testing.T) {
 	dd.Submit(items, nil)
 	dd.Claim("w1", 1)
 	now = now.Add(2 * time.Hour) // past the TTL
-	if n := dd.Reap(); n != 1 {
+	if n := dd.Status().Reclaims; n != 1 {
 		t.Fatalf("reaped %d leases, want 1", n)
 	}
 	if err := dd.Persist(); err != nil {
@@ -432,7 +422,7 @@ func TestDurableReplayKeepsDispatchOrder(t *testing.T) {
 	dd.Submit(items, nil)
 	claimed, _ := dd.Claim("w1", 1)
 	now = now.Add(2 * time.Hour) // past the TTL
-	if n := dd.Reap(); n != 1 {
+	if n := dd.Status().Reclaims; n != 1 {
 		t.Fatalf("reaped %d leases, want 1", n)
 	}
 	if err := dd.Persist(); err != nil {
@@ -504,44 +494,31 @@ func TestDurablePersistCompacts(t *testing.T) {
 	reopenEqual(t, dd, dir)
 }
 
-// TestDurableRefusesOlderSnapshot: a WAL whose snapshot has the shape an
-// older build wrote — {"cells","queue","reclaims"} — fails to open with an
-// error naming the expected format; it never rebuilds an empty table.
+// TestDurableRefusesOlderSnapshot: older builds compacted into a separate
+// snapshot file and kept only later records in wal.log; a directory
+// holding one fails to open with an error naming the file, and never
+// rebuilds the partial table its log alone describes.
 func TestDurableRefusesOlderSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	it := manifestItems(1)[0]
-	old, err := json.Marshal(map[string]any{
-		"cells":    []map[string]any{{"item": it, "state": 0}},
-		"queue":    []string{it.Key},
-		"reclaims": 1,
-	})
-	if err != nil {
+	old := filepath.Join(dir, "snapshot")
+	if err := os.WriteFile(old, []byte(`{"records":[],"reclaims":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store, _, err := wal.Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Compact(old); err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
 	dd, _, err := OpenDurableDispatcher(dir, time.Hour, nil, nil)
 	if err == nil {
 		dd.Close()
 		t.Fatalf("an older build's snapshot opened as %+v", dd.Status())
 	}
-	for _, want := range []string{"lease-record image", "fresh -wal directory", `"cells"`} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %s", err, want)
-		}
+	if !strings.Contains(err.Error(), old) {
+		t.Errorf("error %q does not name %s", err, old)
 	}
 }
 
 // FuzzLeaseReplay is the differential test of the journal: a script of
 // submits (with and without a cached probe), claims of 1–4 cells, clock
-// advances in whole milliseconds followed by a reap, completions and
-// compactions runs against a journaled table on a manual clock, and the
+// advances in whole milliseconds followed by a Status (which reaps),
+// completions and compactions — some made to fail at wal.compact or
+// wal.rename — runs against a journaled table on a manual clock, and the
 // table recovered from its WAL must equal the live one (reopenEqual).
 // Heartbeats are left out: renewals are not journaled by design.
 func FuzzLeaseReplay(f *testing.F) {
@@ -556,8 +533,28 @@ func FuzzLeaseReplay(f *testing.F) {
 		if len(script) > 512 {
 			script = script[:512]
 		}
+		// An op-4 pair compacts; arg%3 == 1 makes that compaction fail at
+		// wal.compact and 2 at wal.rename. The fresh table never compacts
+		// on its own, so the rules can be counted out before it runs.
+		var rules []fault.Rule
+		var compacts, renames uint64
+		for i := 0; i+1 < len(script); i += 2 {
+			if script[i]%5 != 4 {
+				continue
+			}
+			compacts++
+			switch script[i+1] % 3 {
+			case 1:
+				rules = append(rules, fault.Rule{Point: "wal.compact", N: compacts, Kind: fault.Fail})
+			case 2:
+				renames++
+				rules = append(rules, fault.Rule{Point: "wal.rename", N: renames, Kind: fault.Fail})
+			default:
+				renames++
+			}
+		}
 		dir := t.TempDir()
-		dd, _, err := OpenDurableDispatcher(dir, 100*time.Millisecond, nil, nil)
+		dd, _, err := OpenDurableDispatcher(dir, 100*time.Millisecond, fault.New(rules...), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,12 +578,12 @@ func FuzzLeaseReplay(f *testing.F) {
 				dd.Claim(fmt.Sprintf("w%d", arg%3), 1+int(arg>>2)%4)
 			case 2:
 				now = now.Add(time.Duration(arg) * time.Millisecond)
-				dd.Reap()
+				dd.Status()
 			case 3:
 				dd.Complete(pool[int(arg)%len(pool)].Key)
 			case 4:
-				if err := dd.Compact(); err != nil {
-					t.Fatal(err)
+				if err := dd.Compact(); (err != nil) != (arg%3 != 0) || (err != nil && !errors.Is(err, fault.ErrInjected)) {
+					t.Fatalf("compaction with arg %d: %v", arg, err)
 				}
 			}
 		}

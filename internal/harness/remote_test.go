@@ -2,10 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -325,5 +329,110 @@ func TestRemoteCacheReusesConnections(t *testing.T) {
 	wg.Wait()
 	if n := dialed.Load(); n > goroutines+1 {
 		t.Errorf("%d PUTs opened %d connections, want at most %d", goroutines*puts, n, goroutines+1)
+	}
+}
+
+// FuzzRemoteResponses: whatever a server answers — any status a gwcached
+// can send, with any body — the client neither panics nor invents an
+// answer. Get hits exactly when a 200 body is one valid record of its key;
+// Put and CompleteWork succeed exactly on a 2xx; a dispatch RPC returns
+// the value its 2xx body decodes to with no error, ErrNoDispatcher on a
+// 404 and an error otherwise; and a 2xx body that does not decode counts
+// in RemoteStats.Errors.
+func FuzzRemoteResponses(f *testing.F) {
+	spec := Spec{App: "stub", Scale: 1, Threads: 1}
+	key := spec.Key()
+	res := &RunResult{App: "stub", Cycles: 7}
+	claim, err := json.Marshal(ClaimResponse{Items: []WorkItem{{Key: key, Spec: spec}}, TTLMS: 90_000})
+	if err != nil {
+		f.Fatal(err)
+	}
+	huge, err := json.Marshal(ClaimResponse{TTLMS: math.MaxInt64 - 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	const ops = 7
+	statuses := [...]int{200, 204, 400, 404, 500, 503}
+	for i, body := range [][]byte{encodeRecord(key, res), claim, []byte("null"), claim[:len(claim)/2], huge} {
+		for op := range uint8(ops) {
+			f.Add(uint8(0), op, body)
+			f.Add(uint8(1+(i+int(op))%(len(statuses)-1)), op, body)
+		}
+	}
+	f.Fuzz(func(t *testing.T, st, op uint8, body []byte) {
+		status := statuses[int(st)%len(statuses)]
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.WriteHeader(status)
+			w.Write(body) // dropped on a 204
+		}))
+		defer srv.Close()
+		if status == http.StatusNoContent {
+			body = nil
+		}
+		rc := newTimedRemote(t, RemoteConfig{URL: srv.URL}, timing{timeout: 2 * time.Second, retries: 1, backoff: time.Microsecond})
+		ok2xx := status/100 == 2
+		switch op % ops {
+		case 0:
+			before := rc.errs.Load()
+			got, hit := rc.Get(key)
+			want, err := readRecord(key, body)
+			if status == http.StatusOK && err != nil && rc.errs.Load() == before {
+				t.Fatalf("an undecodable 200 body did not count as an error")
+			}
+			if valid := status == http.StatusOK && err == nil; hit != valid {
+				t.Fatalf("Get on %d hit=%v, want %v", status, hit, valid)
+			}
+			if hit && !reflect.DeepEqual(got, want) {
+				t.Fatalf("Get returned %+v, the body holds %+v", got, want)
+			}
+		case 1:
+			if err := rc.Put(key, res); (err == nil) != ok2xx {
+				t.Fatalf("Put on %d: %v", status, err)
+			}
+		case 2:
+			if err := rc.CompleteWork(key, res); (err == nil) != ok2xx {
+				t.Fatalf("CompleteWork on %d: %v", status, err)
+			}
+		case 3:
+			checkDispatch(t, rc, status, body, func() (SubmitResponse, error) { return rc.SubmitSweep([]WorkItem{{Key: key, Spec: spec}}) })
+		case 4:
+			checkDispatch(t, rc, status, body, func() (ClaimResponse, error) { return rc.ClaimWork("w1", 2) })
+		case 5:
+			checkDispatch(t, rc, status, body, func() (HeartbeatResponse, error) { return rc.HeartbeatWork("w1", []string{key}) })
+		case 6:
+			checkDispatch(t, rc, status, body, rc.SweepStatus)
+		}
+	})
+}
+
+// checkDispatch runs one dispatch RPC against a server that answered
+// status with body, and fails unless the call returned what
+// FuzzRemoteResponses requires of it.
+func checkDispatch[T any](t *testing.T, rc *RemoteCache, status int, body []byte, call func() (T, error)) {
+	t.Helper()
+	before := rc.errs.Load()
+	got, err := call()
+	var want T
+	switch {
+	case status == http.StatusNotFound:
+		if !errors.Is(err, ErrNoDispatcher) {
+			t.Fatalf("a 404 returned %v, want ErrNoDispatcher", err)
+		}
+	case status/100 != 2:
+		if err == nil {
+			t.Fatalf("a %d returned %+v and no error", status, got)
+		}
+	case json.Unmarshal(body, &want) == nil:
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("a %d body decoding to %+v returned %+v, %v", status, want, got, err)
+		}
+	default:
+		if err == nil {
+			t.Fatalf("an undecodable %d body returned %+v and no error", status, got)
+		}
+		if rc.errs.Load() == before {
+			t.Fatalf("an undecodable %d body did not count as an error", status)
+		}
 	}
 }

@@ -219,7 +219,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) []CellResult {
 	}
 	var (
 		wg    sync.WaitGroup
-		done  atomic.Int64
+		done  int // cells finished, counted by progress under r.mu
 		start = time.Now()
 		idx   = make(chan int)
 	)
@@ -229,7 +229,7 @@ func (r *Runner) RunContext(ctx context.Context, jobs []Job) []CellResult {
 			defer wg.Done()
 			for i := range idx {
 				out[i] = r.runCell(jobs[i])
-				r.progress(int(done.Add(1)), len(jobs), start)
+				r.progress(&done, len(jobs), start)
 			}
 		}()
 	}
@@ -378,29 +378,30 @@ func (r *Runner) timingLog(from int) []CellTiming {
 // order the grids were submitted.
 func (r *Runner) CellTimings() []CellTiming { return r.timingLog(0) }
 
-// progress emits the ticker line: completed/total, percent, elapsed, ETA,
-// and the simulated/cached split. It ends with \r so the line overwrites
-// itself, and a final newline once the grid completes.
-func (r *Runner) progress(done, total int, start time.Time) {
+// progress counts one more finished cell in *done and emits the ticker
+// line: completed/total, percent, elapsed, ETA, and the simulated/cached
+// split. It starts with \r so the line overwrites itself, and ends with a
+// newline once the grid completes. The count is taken under the lock that
+// orders the writes, so the lines count up and the newline comes last.
+func (r *Runner) progress(done *int, total int, start time.Time) {
 	if r.Progress == nil {
 		return
 	}
-	elapsed := time.Since(start)
-	var eta time.Duration
-	if done > 0 {
-		eta = elapsed / time.Duration(done) * time.Duration(total-done)
-	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	*done++
+	n := *done
+	elapsed := time.Since(start)
+	eta := elapsed / time.Duration(n) * time.Duration(total-n)
 	fmt.Fprintf(r.Progress, "\rsweep %d/%d (%d%%) · elapsed %s · eta %s · %d simulated · %d cached ",
-		done, total, done*100/total, elapsed.Round(time.Second), eta.Round(time.Second),
+		n, total, n*100/total, elapsed.Round(time.Second), eta.Round(time.Second),
 		r.simulated.Load(), r.cacheHits.Load())
 	if f := r.failures.Load(); f > 0 {
 		fmt.Fprintf(r.Progress, "· %d failed ", f)
 	}
-	if done == total {
+	if n == total {
 		fmt.Fprintln(r.Progress)
 	}
-	r.mu.Unlock()
 }
 
 // firstErr returns the first cell error in grid order, wrapped with its

@@ -322,18 +322,31 @@ func TestRunnerFailedCellsNotCountedSimulated(t *testing.T) {
 	}
 }
 
-// TestRunnerProgressLine: the ticker reaches 100% and terminates the line.
+// TestRunnerProgressLine: the ticker counts every cell once, in order, and
+// ends the line exactly once, after 100%. Workers finish cells
+// concurrently, so the grid runs many times: a count taken outside the
+// lock that orders the writes once let a stale "1/3" land after the
+// final newline.
 func TestRunnerProgressLine(t *testing.T) {
-	var buf bytes.Buffer
-	r := &Runner{Jobs: 2, Progress: &buf}
-	r.execute = func(s Spec) (RunResult, error) { return RunResult{}, nil }
-	r.Run(stubJobs(3))
-	out := buf.String()
-	if !strings.Contains(out, "3/3 (100%)") {
-		t.Errorf("progress output never reached 100%%: %q", out)
-	}
-	if !strings.HasSuffix(out, "\n") {
-		t.Errorf("progress output does not end the line: %q", out)
+	const cells = 3
+	for run := 0; run < 2000; run++ {
+		var buf bytes.Buffer
+		r := &Runner{Jobs: cells, Progress: &buf}
+		r.execute = func(s Spec) (RunResult, error) { return RunResult{}, nil }
+		r.Run(stubJobs(cells))
+		out := buf.String()
+		if strings.Count(out, "\n") != 1 || !strings.HasSuffix(out, "\n") {
+			t.Fatalf("run %d: progress output does not end in exactly one newline: %q", run, out)
+		}
+		lines := strings.Split(strings.TrimPrefix(out, "\r"), "\r")
+		if len(lines) != cells {
+			t.Fatalf("run %d: %d progress lines for %d cells: %q", run, len(lines), cells, out)
+		}
+		for i, line := range lines {
+			if want := fmt.Sprintf("sweep %d/%d ", i+1, cells); !strings.HasPrefix(line, want) {
+				t.Fatalf("run %d: progress line %d is %q, want it to start %q", run, i, line, want)
+			}
+		}
 	}
 }
 

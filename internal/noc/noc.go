@@ -154,28 +154,6 @@ func (n *Network) Register(id NodeID, h Handler) {
 	n.handlers[id] = h
 }
 
-// gridWidth returns the grid width for the coordinate accessors: topologies
-// without grid geometry read as a 1-row strip.
-func (n *Network) gridWidth() int {
-	if g, ok := n.topo.(*gridTopo); ok {
-		return g.w
-	}
-	return n.topo.Nodes()
-}
-
-// XY returns the grid coordinates of a node (mesh/torus; other topologies
-// read as a single row).
-func (n *Network) XY(id NodeID) (x, y int) {
-	w := n.gridWidth()
-	return int(id) % w, int(id) / w
-}
-
-// NodeAt returns the node at grid coordinates (x, y).
-func (n *Network) NodeAt(x, y int) NodeID { return NodeID(y*n.gridWidth() + x) }
-
-// Hops returns the route length between two nodes.
-func (n *Network) Hops(src, dst NodeID) int { return n.topo.Hops(src, dst) }
-
 // Flits returns the number of flits a payload of the given size occupies.
 func (n *Network) Flits(payloadBytes int) int {
 	return max(1, (payloadBytes+HeaderBytes+FlitBytes-1)/FlitBytes)

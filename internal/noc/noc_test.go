@@ -21,21 +21,25 @@ func TestGeometry(t *testing.T) {
 	if n.Nodes() != 24 {
 		t.Fatalf("Nodes = %d, want 24", n.Nodes())
 	}
-	x, y := n.XY(0)
-	if x != 0 || y != 0 {
+	g := n.topo.(*gridTopo)
+	if g.w != 6 || g.h != 4 {
+		t.Fatalf("grid %dx%d, want 6x4", g.w, g.h)
+	}
+	if g.xs[0] != 0 || g.ys[0] != 0 {
 		t.Fatal("node 0 should be at origin")
 	}
-	x, y = n.XY(23)
-	if x != 5 || y != 3 {
-		t.Fatalf("node 23 at (%d,%d), want (5,3)", x, y)
+	if g.xs[23] != 5 || g.ys[23] != 3 {
+		t.Fatalf("node 23 at (%d,%d), want (5,3)", g.xs[23], g.ys[23])
 	}
-	if n.NodeAt(5, 3) != 23 {
-		t.Fatal("NodeAt inverse broken")
+	for id := range g.xs {
+		if g.ys[id]*g.w+g.xs[id] != id {
+			t.Fatalf("node %d at (%d,%d) is not row-major", id, g.xs[id], g.ys[id])
+		}
 	}
-	if n.Hops(0, 23) != 8 {
-		t.Fatalf("Hops(0,23) = %d, want 8", n.Hops(0, 23))
+	if h := n.topo.Hops(0, 23); h != 8 {
+		t.Fatalf("Hops(0,23) = %d, want 8", h)
 	}
-	if n.Hops(7, 7) != 0 {
+	if n.topo.Hops(7, 7) != 0 {
 		t.Fatal("self hops must be 0")
 	}
 }
@@ -148,13 +152,12 @@ func TestPayloadIntegrityAndOrder(t *testing.T) {
 // routes are symmetric in length.
 func TestHopsProperty(t *testing.T) {
 	_, n, _, _ := newNet()
+	g := n.topo.(*gridTopo)
 	f := func(a, b uint8) bool {
 		s := NodeID(int(a) % n.Nodes())
 		d := NodeID(int(b) % n.Nodes())
-		sx, sy := n.XY(s)
-		dx, dy := n.XY(d)
-		man := abs(sx-dx) + abs(sy-dy)
-		return n.Hops(s, d) == man && n.Hops(d, s) == man
+		man := abs(g.xs[s]-g.xs[d]) + abs(g.ys[s]-g.ys[d])
+		return n.topo.Hops(s, d) == man && n.topo.Hops(d, s) == man
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -179,7 +182,7 @@ func TestDeliveryNeverBeatsLatencyBound(t *testing.T) {
 		}
 		flits := n.Flits(int(size))
 		at := n.Send(src, dst, int(size), nil)
-		bound := sim.Cycle(n.Hops(src, dst)*2 + flits - 1)
+		bound := sim.Cycle(n.topo.Hops(src, dst)*2 + flits - 1)
 		return at >= bound
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -114,7 +114,7 @@ func TestImmediateAndStagedPriceAlike(t *testing.T) {
 					t.Fatalf("send %d (%d→%d, %d B at cycle %d): delivered at %d immediate, %d staged",
 						i, s.src, s.dst, s.bytes, s.at, imAt[i], stAt[i])
 				}
-				if s.src != s.dst && imAt[i] > s.at+sim.Cycle(im.Hops(s.src, s.dst))*im.topo.HopDelay()+sim.Cycle(im.Flits(s.bytes)-1) {
+				if s.src != s.dst && imAt[i] > s.at+sim.Cycle(im.topo.Hops(s.src, s.dst))*im.topo.HopDelay()+sim.Cycle(im.Flits(s.bytes)-1) {
 					queued++
 				}
 			}

@@ -262,7 +262,7 @@ func TestTopologyEnergyPerRouteLink(t *testing.T) {
 			}
 			n.Send(0, 13, 64, "d") // 5 flits
 			eng.Drain(100)
-			wantHops := uint64(n.Hops(0, 13) * 5)
+			wantHops := uint64(n.topo.Hops(0, 13) * 5)
 			if st.FlitHops != wantHops {
 				t.Fatalf("FlitHops = %d, want %d", st.FlitHops, wantHops)
 			}
@@ -304,7 +304,7 @@ func TestTopologyDescribe(t *testing.T) {
 }
 
 // TestTopologyLargeGrids builds the grown meshes the sweep recipes use and
-// spot-checks their geometry end-to-end through the Network accessors.
+// spot-checks their geometry end-to-end through the Network's topology.
 func TestTopologyLargeGrids(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -320,14 +320,14 @@ func TestTopologyLargeGrids(t *testing.T) {
 			}
 			w, _ := squarest(cfg.Nodes)
 			last := NodeID(c.nodes - 1)
-			if x, y := n.XY(last); x != w-1 || y != c.nodes/w-1 {
-				t.Fatalf("corner at (%d,%d)", x, y)
+			if g := n.topo.(*gridTopo); g.xs[last] != w-1 || g.ys[last] != c.nodes/w-1 {
+				t.Fatalf("corner at (%d,%d)", g.xs[last], g.ys[last])
 			}
 			wantCorner := 2 * (w - 1) // square grid: (w-1)+(h-1)
 			if c.name == "torus" {
 				wantCorner = 2 // wraparound: one seam hop per axis
 			}
-			if h := n.Hops(0, last); h != wantCorner {
+			if h := n.topo.Hops(0, last); h != wantCorner {
 				t.Fatalf("corner-to-corner hops = %d, want %d", h, wantCorner)
 			}
 		})

@@ -1,7 +1,6 @@
-// Package wal is a minimal write-ahead log for the durable gwcached: an
-// append-only file of length-prefixed, CRC32-C-framed records paired with a
-// point-in-time snapshot, so a process can rebuild its in-memory state
-// after a crash by loading the snapshot and replaying the tail.
+// Package wal is a minimal write-ahead log for the durable gwcached: one
+// append-only file, wal.log, of length-prefixed, CRC32-C-framed records,
+// from which a process rebuilds its in-memory state after a crash.
 //
 // # Frame format
 //
@@ -21,16 +20,16 @@
 //
 // # Compaction
 //
-// Compact(snapshot) writes the snapshot to a temp file, fsyncs, renames it
-// over the snapshot file (atomic on POSIX), and only then truncates the
-// log. A crash at any point leaves a recoverable pair: before the rename,
-// the old snapshot plus the full log; after the rename but before the
-// truncate, the new snapshot plus a log whose records may duplicate state
-// already in the snapshot — which is why replay must be idempotent (the
-// harness's dispatch records are).
+// Compact(records) frames the records into a temp file in the same
+// directory, fsyncs it, renames it over wal.log (atomic on POSIX), fsyncs
+// the directory so the rename itself is durable, and appends to the new
+// file from then on. A crash at any point leaves one whole log: the old
+// one before the rename, the new one after it. No record is replayed
+// twice.
 //
 // All file operations consult an optional fault.Injector (points
-// "wal.append", "wal.sync", "wal.compact", "wal.truncate"), so crash and
+// "wal.append", "wal.sync", "wal.compact" before the temp file is written,
+// and "wal.rename" between its fsync and the rename), so crash and
 // torn-write schedules are reproducible tests instead of power cuts.
 package wal
 
@@ -48,8 +47,13 @@ import (
 )
 
 const (
-	logName      = "wal.log"
-	snapshotName = "snapshot"
+	logName = "wal.log"
+	// tmpName is the compaction's temp file, renamed over logName. A
+	// crash can leave one behind; the next compaction truncates it.
+	tmpName = logName + ".tmp"
+	// oldSnapshotName is the file older builds compacted into, beside a
+	// log that held only the records after it.
+	oldSnapshotName = "snapshot"
 
 	// HeaderSize is the length of a frame's header: the payload length
 	// and the payload's CRC32-C.
@@ -107,45 +111,38 @@ func ParseFrame(b []byte) (payload []byte, n int, err error) {
 
 // Recovered is what Open found on disk.
 type Recovered struct {
-	// Snapshot is the last compacted snapshot, nil when none was written.
-	Snapshot []byte
-	// Records are the log records appended after Snapshot, in order. A
-	// record may duplicate state already in Snapshot if a crash interrupted
-	// a compaction between the snapshot rename and the log truncate; replay
-	// must be idempotent.
+	// Records are the log's intact records, in order.
 	Records [][]byte
 	// TornBytes is how many trailing bytes were discarded as a torn or
 	// corrupt tail record; zero on a clean log.
 	TornBytes int64
 }
 
-// Store is the snapshot + log pair rooted in one directory. It is safe for
+// Store is the log file rooted in one directory. It is safe for
 // concurrent use; appends are serialized.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
 	inj    *fault.Injector
 	log    *os.File
-	size   int64 // length of the valid framed prefix of the log
-	dirty  bool  // appended records not yet fsync'd
+	dirty  bool // appended records not yet fsync'd
 	since  uint64
 	broken error // a failed append left an unframed tail; the store is dead
 }
 
 // Open opens (creating if needed) the store in dir and scans it: the
-// returned Recovered holds the snapshot and every intact log record, and
-// the log file is truncated after the last intact record so new appends
-// continue a well-framed stream. inj may be nil.
+// returned Recovered holds every intact log record, and the log file is
+// truncated after the last intact record so new appends continue a
+// well-framed stream. A directory holding an older build's snapshot file
+// is refused: its log alone is only the tail of that state. inj may be
+// nil.
 func Open(dir string, inj *fault.Injector) (*Store, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
-	rec := &Recovered{}
-	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
-	if err == nil {
-		rec.Snapshot = snap
-	} else if !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("wal: open snapshot: %w", err)
+	old := filepath.Join(dir, oldSnapshotName)
+	if _, err := os.Lstat(old); err == nil {
+		return nil, nil, fmt.Errorf("wal: %s was written by an older build that kept its state in two files; move the directory away and start from a fresh one", old)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -156,6 +153,7 @@ func Open(dir string, inj *fault.Injector) (*Store, *Recovered, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: scan log: %w", err)
 	}
+	rec := &Recovered{}
 	valid := int64(0)
 	for {
 		payload, n, err := ParseFrame(raw[valid:])
@@ -176,7 +174,14 @@ func Open(dir string, inj *fault.Injector) (*Store, *Recovered, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: seek: %w", err)
 	}
-	return &Store{dir: dir, inj: inj, log: f, size: valid}, rec, nil
+	return &Store{dir: dir, inj: inj, log: f}, rec, nil
+}
+
+func checkSize(payload []byte) error {
+	if len(payload) == 0 || len(payload) > maxRecordBytes {
+		return fmt.Errorf("wal: record size %d out of range", len(payload))
+	}
+	return nil
 }
 
 // Append writes one record; with sync it is also fsync'd before returning,
@@ -187,8 +192,8 @@ func Open(dir string, inj *fault.Injector) (*Store, *Recovered, error) {
 // not break the store: the frame is intact, and a later successful sync
 // (or the retried, idempotent record) makes it durable.
 func (s *Store) Append(payload []byte, sync bool) error {
-	if len(payload) == 0 || len(payload) > maxRecordBytes {
-		return fmt.Errorf("wal: append: record size %d out of range", len(payload))
+	if err := checkSize(payload); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,7 +218,6 @@ func (s *Store) Append(payload []byte, sync bool) error {
 		s.broken = fmt.Errorf("wal: append: %w", err)
 		return s.broken
 	}
-	s.size += int64(len(frame))
 	s.since++
 	s.dirty = true
 	if sync {
@@ -261,12 +265,20 @@ func (s *Store) Appends() uint64 {
 	return s.since
 }
 
-// Compact durably replaces the store's contents with snapshot: the
-// snapshot is written to a temp file, fsync'd, atomically renamed into
-// place, and only then is the log truncated. A failure between the rename
-// and the truncate leaves records in the log that are already reflected in
-// the snapshot; replay must tolerate the duplication (see package doc).
-func (s *Store) Compact(snapshot []byte) error {
+// Compact durably replaces the log with records (see package doc). A
+// failure before the rename leaves the old log in place and in use. Once
+// the rename is done the store appends to the new log; if the directory
+// fsync then fails, the rename may not survive a power cut, so the store
+// is marked broken rather than let later appends land in a file a reboot
+// could discard.
+func (s *Store) Compact(records [][]byte) error {
+	var buf []byte
+	for _, r := range records {
+		if err := checkSize(r); err != nil {
+			return err
+		}
+		buf = AppendFrame(buf, r)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.usableLocked(); err != nil {
@@ -275,50 +287,44 @@ func (s *Store) Compact(snapshot []byte) error {
 	if err := s.inj.Op("wal.compact"); err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	dst := filepath.Join(s.dir, snapshotName)
-	tmp, err := os.CreateTemp(s.dir, snapshotName+"-*.tmp")
+	tmp, err := os.OpenFile(filepath.Join(s.dir, tmpName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	if _, err := tmp.Write(snapshot); err != nil {
+	_, err = tmp.Write(buf)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		err = s.inj.Op("wal.rename")
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(s.dir, logName))
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("wal: compact: %w", err)
+	s.log.Close()
+	s.log, s.since, s.dirty = tmp, 0, false
+	if err := syncDir(s.dir); err != nil {
+		s.broken = fmt.Errorf("wal: compact: sync directory: %w", err)
+		return s.broken
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	// The snapshot now owns all state; losing the log tail is safe, and a
-	// crash before the truncate merely replays idempotent duplicates.
-	if err := s.inj.Op("wal.truncate"); err != nil {
-		return fmt.Errorf("wal: compact truncate: %w", err)
-	}
-	if err := s.log.Truncate(0); err != nil {
-		return fmt.Errorf("wal: compact truncate: %w", err)
-	}
-	if _, err := s.log.Seek(0, 0); err != nil {
-		return fmt.Errorf("wal: compact truncate: %w", err)
-	}
-	if err := s.log.Sync(); err != nil {
-		return fmt.Errorf("wal: compact truncate: %w", err)
-	}
-	s.size, s.since, s.dirty = 0, 0, false
 	return nil
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close fsyncs unsynced appends and closes the log file. The store is

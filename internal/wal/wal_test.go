@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"ghostwriter/internal/fault"
@@ -58,13 +60,13 @@ func wantRecords(t *testing.T, rec *Recovered, want ...string) {
 }
 
 // TestAppendReplayRoundTrip: records come back in order across a reopen,
-// with no snapshot and no torn bytes.
+// with no torn bytes.
 func TestAppendReplayRoundTrip(t *testing.T) {
 	s, rec, err := Open(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Snapshot != nil || len(rec.Records) != 0 || rec.TornBytes != 0 {
+	if len(rec.Records) != 0 || rec.TornBytes != 0 {
 		t.Fatalf("fresh dir recovered %+v, want empty", rec)
 	}
 	appendAll(t, s, "alpha", "beta", "gamma")
@@ -184,20 +186,39 @@ func TestCorruptionMidFileStopsReplay(t *testing.T) {
 	wantRecords(t, rec, "first")
 }
 
-// TestCompactSnapshotAndTail: after a compaction, reopen returns the
-// snapshot plus only the records appended after it.
-func TestCompactSnapshotAndTail(t *testing.T) {
-	s, _, err := Open(t.TempDir(), nil)
+// dirHolds fails unless dir holds exactly the files named.
+func dirHolds(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s holds %q, want %q", dir, got, want)
+	}
+}
+
+// TestCompactReplacesLogWhole: after a compaction the directory holds only
+// wal.log, and reopen returns the compacted records followed by those
+// appended after them — none of the records the compaction replaced.
+func TestCompactReplacesLogWhole(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, s, "a", "b", "c")
-	if err := s.Compact([]byte("snapshot-of-abc")); err != nil {
+	if err := s.Compact([][]byte{[]byte("ab"), []byte("c")}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Appends(); got != 0 {
 		t.Errorf("Appends after compact = %d, want 0", got)
 	}
+	dirHolds(t, dir, logName)
 	appendAll(t, s, "d", "e")
 	if got := s.Appends(); got != 2 {
 		t.Errorf("Appends = %d, want 2", got)
@@ -205,54 +226,52 @@ func TestCompactSnapshotAndTail(t *testing.T) {
 
 	s2, rec := reopen(t, s)
 	defer s2.Close()
-	if !bytes.Equal(rec.Snapshot, []byte("snapshot-of-abc")) {
-		t.Errorf("snapshot = %q", rec.Snapshot)
-	}
-	wantRecords(t, rec, "d", "e")
+	wantRecords(t, rec, "ab", "c", "d", "e")
 }
 
-// TestCrashBetweenSnapshotAndTruncate: if the process dies after the
-// snapshot rename but before the log truncate, reopen sees the new
-// snapshot AND the full pre-compaction log — the duplication replay must
-// tolerate. The injector fails "wal.truncate" to freeze that exact moment.
-func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
-	dir := t.TempDir()
-	inj := fault.New(fault.Rule{Point: "wal.truncate", N: 1, Kind: fault.Fail})
-	s, _, err := Open(dir, inj)
-	if err != nil {
-		t.Fatal(err)
+// TestCrashAtEachCompactStep: a compaction that dies before its temp file
+// is written (wal.compact) or after the temp file's fsync but before the
+// rename (wal.rename) changes nothing on disk but the temp file, which is
+// gone; the old log stays in use and reopens whole, with no record twice.
+func TestCrashAtEachCompactStep(t *testing.T) {
+	for _, point := range []string{"wal.compact", "wal.rename"} {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := fault.New(fault.Rule{Point: point, N: 1, Kind: fault.Fail})
+			s, _, err := Open(dir, inj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll(t, s, "a", "b")
+			if err := s.Compact([][]byte{[]byte("ab")}); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("compact error = %v, want injected", err)
+			}
+			dirHolds(t, dir, logName)
+			appendAll(t, s, "c")
+			s2, rec := reopen(t, s)
+			defer s2.Close()
+			wantRecords(t, rec, "a", "b", "c")
+		})
 	}
-	appendAll(t, s, "a", "b")
-	if err := s.Compact([]byte("snap-ab")); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("compact error = %v, want the injected truncate failure", err)
-	}
-	s2, rec := reopen(t, s)
-	defer s2.Close()
-	if !bytes.Equal(rec.Snapshot, []byte("snap-ab")) {
-		t.Errorf("snapshot = %q, want the renamed snap-ab", rec.Snapshot)
-	}
-	wantRecords(t, rec, "a", "b") // duplicates of snapshot state, by design
 }
 
-// TestCrashBeforeSnapshotRename: a compaction that dies before the rename
-// changes nothing — old snapshot (none) and full log survive.
-func TestCrashBeforeSnapshotRename(t *testing.T) {
+// TestOpenRefusesOlderSnapshot: older builds compacted into a separate
+// snapshot file and kept only the records after it in the log, so a
+// directory holding one is refused by name rather than half-replayed.
+func TestOpenRefusesOlderSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	inj := fault.New(fault.Rule{Point: "wal.compact", N: 1, Kind: fault.Fail})
-	s, _, err := Open(dir, inj)
-	if err != nil {
+	old := filepath.Join(dir, "snapshot")
+	if err := os.WriteFile(old, []byte(`{"records":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	appendAll(t, s, "a", "b")
-	if err := s.Compact([]byte("snap")); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("compact error = %v, want injected", err)
+	s, _, err := Open(dir, nil)
+	if err == nil {
+		s.Close()
+		t.Fatal("a directory with an older build's snapshot opened")
 	}
-	s2, rec := reopen(t, s)
-	defer s2.Close()
-	if rec.Snapshot != nil {
-		t.Errorf("snapshot = %q, want none", rec.Snapshot)
+	if !strings.Contains(err.Error(), old) {
+		t.Errorf("error %q does not name %s", err, old)
 	}
-	wantRecords(t, rec, "a", "b")
 }
 
 // TestInjectedShortWriteBreaksStoreUntilReopen: a torn append leaves the
@@ -371,7 +390,7 @@ func TestClosedStoreRefusesWork(t *testing.T) {
 	if err := s.Append([]byte("x"), false); !errors.Is(err, ErrClosed) {
 		t.Errorf("append after close = %v, want ErrClosed", err)
 	}
-	if err := s.Compact([]byte("s")); !errors.Is(err, ErrClosed) {
+	if err := s.Compact([][]byte{[]byte("s")}); !errors.Is(err, ErrClosed) {
 		t.Errorf("compact after close = %v, want ErrClosed", err)
 	}
 	if err := s.Close(); err != nil {
