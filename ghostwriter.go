@@ -242,6 +242,10 @@ func (s *System) Cycles() uint64 { return s.m.Cycles() }
 // WindowStats returns the window-scheduling counters accumulated so far.
 func (s *System) WindowStats() WindowStats { return s.m.WindowStats() }
 
+// Resumes returns the coroutine switches into kernels accumulated so far:
+// host-side, like WindowStats, and never part of Stats or a cached result.
+func (s *System) Resumes() uint64 { return s.m.Resumes() }
+
 // ReadCoherent returns the system-wide coherent value at a (hidden GS/GI
 // updates excluded, per §3.5).
 func (s *System) ReadCoherent(a Addr, width int) uint64 { return s.m.ReadCoherent(a, width) }

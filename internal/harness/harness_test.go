@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
 	ghostwriter "ghostwriter"
+	"ghostwriter/internal/workloads"
 )
 
 // fastOptions keeps harness tests quick: fewer threads, test-scale inputs.
@@ -290,5 +292,39 @@ func TestScaleTrendStable(t *testing.T) {
 		if p.ErrorPct8 > 1 {
 			t.Errorf("scale %d: error %.3f%% too high", p.Scale, p.ErrorPct8)
 		}
+	}
+}
+
+// constWriter is an App whose thread 0 stores to a word that thread 1 then
+// loads with LoadConst8, breaking the constant-load contract.
+type constWriter struct{ word ghostwriter.Addr }
+
+func (c *constWriter) Prepare(sys *ghostwriter.System) { c.word = sys.AllocPadded(64) }
+func (c *constWriter) Kernel(t *ghostwriter.Thread) {
+	if t.ID() == 0 {
+		t.Store32(c.word, 0x2a)
+	}
+	t.Barrier()
+	if t.ID() == 1 {
+		t.LoadConst8(c.word)
+	}
+}
+func (c *constWriter) Output(*ghostwriter.System) []float64 { return nil }
+func (c *constWriter) Golden() []float64                    { return nil }
+func (c *constWriter) SetDDist(int)                         {}
+
+// TestSimulateReportsAWrittenConstant: a constant load of a word the run
+// wrote makes Simulate return the machine's message, which names the
+// thread, core, address and both values, as an error and no result.
+func TestSimulateReportsAWrittenConstant(t *testing.T) {
+	app := &constWriter{}
+	defer func(l func(string) (workloads.Factory, error)) { lookupApp = l }(lookupApp)
+	lookupApp = func(name string) (workloads.Factory, error) {
+		return workloads.Factory{Name: name, New: func(int) workloads.App { return app }}, nil
+	}
+	_, sys, err := Simulate(Spec{App: "const_writer", Scale: 1, Threads: 2})
+	want := fmt.Sprintf("const_writer: simulation panicked: machine: thread 1 on core 1 loaded %#x as a constant: it read 0x0, but the word holds 0x2a", uint64(app.word))
+	if sys != nil || err == nil || err.Error() != want {
+		t.Errorf("Simulate = system %v, error %v; want only the error %q", sys != nil, err, want)
 	}
 }

@@ -99,6 +99,10 @@ func hashKey(version string, s Spec, mc machine.Config) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// lookupApp resolves a spec's app name; a test substitutes a kernel that
+// breaks a Thread API contract, to see Simulate report it.
+var lookupApp = workloads.Lookup
+
 // Simulate runs one cell and returns its result together with the system
 // it ran on, for callers that inspect the machine afterwards (ghostwriter
 // -cores/-noc). It is the single execution path: the Runner, RunApp, every
@@ -108,7 +112,7 @@ func hashKey(version string, s Spec, mc machine.Config) string {
 // error, not a panic: a panic raised while the cell is built or run comes
 // back as an error that names the app.
 func Simulate(s Spec) (res RunResult, sys *ghostwriter.System, err error) {
-	f, err := workloads.Lookup(s.App)
+	f, err := lookupApp(s.App)
 	if err != nil {
 		return RunResult{}, nil, err
 	}

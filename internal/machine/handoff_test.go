@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -367,6 +368,12 @@ func TestPostedStoresAreNotRoundTrips(t *testing.T) {
 // resume of its own and issues on the cycle a separate compute step would
 // have let it.
 func TestFoldedComputeWaitsAtRingHead(t *testing.T) {
+	// A full ring of stores carries 3+i compute cycles before store i. Its
+	// first store misses and its thread issues again 110 cycles later, as
+	// after compute_then_load's load; every later store hits and issues 3
+	// cycles on (the 2-cycle hit and the cycle to the next issue).
+	ringCompute := uint64(3*ringCap + ringCap*(ringCap-1)/2)
+	ringFinish := ringCompute + 110 + 3*(ringCap-1)
 	cases := []struct {
 		name                  string
 		kernel                func(th *Thread, a mem.Addr)
@@ -382,7 +389,7 @@ func TestFoldedComputeWaitsAtRingHead(t *testing.T) {
 				th.Compute(uint64(3 + i))
 				th.Store32(a+mem.Addr(4*i), uint32(i))
 			}
-		}, 2, 18, 137},
+		}, 2, ringCompute, ringFinish},
 		{"compute_then_sync", func(th *Thread, _ mem.Addr) {
 			th.Compute(5)
 			th.Sync()
@@ -414,16 +421,21 @@ func TestFoldedComputeWaitsAtRingHead(t *testing.T) {
 }
 
 // syncedOps is a thread whose stores and scribbles are each followed by a
-// Sync when sync is set; Sync costs no simulated cycle, so the two forms of
-// a kernel must simulate identically.
+// Sync when sync is set, and by a call of read when it is set; Sync costs
+// no simulated cycle, so the two forms of a kernel must simulate
+// identically.
 type syncedOps struct {
 	*Thread
 	sync bool
+	read func(*Thread)
 }
 
 func (s syncedOps) settle() {
 	if s.sync {
 		s.Sync()
+	}
+	if s.read != nil {
+		s.read(s.Thread)
 	}
 }
 
@@ -447,12 +459,19 @@ func (s syncedOps) Scribble(width int, a mem.Addr, v uint64) {
 	s.settle()
 }
 
-// TestPostingMovesNoSimulatedNumber runs each kernel as written and with a
-// Sync after every store and scribble, and requires the two runs to agree
-// on cycles, every statistic (events included), energy, the utilization
-// report and the memory image.
-func TestPostingMovesNoSimulatedNumber(t *testing.T) {
-	const threads = 4
+// postingThreads is the thread count of postingCases' runs.
+const postingThreads = 4
+
+// postingCase is one kernel of postingCases, which stores and scribbles to
+// a region of 48 words.
+type postingCase struct {
+	name   string
+	kernel func(s syncedOps, region mem.Addr)
+}
+
+// postingCases are kernels whose stores and scribbles sit in the thread's
+// ring before each kind of request and each kind of ring fill.
+func postingCases() []postingCase {
 	// word spreads each thread's stores over three blocks shared with the
 	// other threads, so posted stores miss, hit and invalidate.
 	word := func(region mem.Addr, th *Thread, i int) mem.Addr {
@@ -474,10 +493,7 @@ func TestPostingMovesNoSimulatedNumber(t *testing.T) {
 			storeRun(2)(s, region)
 		}
 	}
-	cases := []struct {
-		name   string
-		kernel func(s syncedOps, region mem.Addr)
-	}{
+	return []postingCase{
 		{"shorter_than_ring", storeRun(ringCap - 1)},
 		{"ring_exactly", storeRun(ringCap)},
 		{"longer_than_ring", storeRun(3*ringCap + 1)},
@@ -529,37 +545,161 @@ func TestPostingMovesNoSimulatedNumber(t *testing.T) {
 			}
 		}},
 	}
-	run := func(protocol string, kernel func(syncedOps, mem.Addr), sync bool) string {
-		cfg := DefaultConfig()
-		cfg.Protocol = protocol
-		m := New(cfg)
-		region := m.AllocPadded(3 * 64)
-		elapsed := m.Run(threads, func(th *Thread) {
-			th.Store32(region+mem.Addr(4*th.ID()), 1) // warm up, unsynced
-			kernel(syncedOps{th, sync}, region)
-		})
-		var b strings.Builder
-		fmt.Fprintf(&b, "elapsed=%d cycles=%d energy=%+v\n", elapsed, m.Cycles(), *m.Energy())
-		for _, v := range []any{m.Stats(), m.CoreReport()} {
-			j, err := json.Marshal(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.Write(j)
-		}
-		for i := range 48 {
-			fmt.Fprintf(&b, ",%x", m.ReadCoherent(region+mem.Addr(4*i), 4))
-		}
-		return b.String()
+}
+
+// postingRun runs kernel on postingThreads threads under protocol, with a
+// Sync after every store and scribble when sync is set. When load is set,
+// a second region of 32 preloaded words, which nothing writes, is read
+// with it ringCap+1 times before the kernel and once after every store and
+// scribble, alternating byte and float32 reads. It returns cycles, every
+// statistic, energy, the utilization report, the memory image and the
+// values each thread's reads returned.
+func postingRun(t *testing.T, protocol string, kernel func(syncedOps, mem.Addr), sync bool, load func(th *Thread, a mem.Addr, f32 bool) uint64) string {
+	cfg := DefaultConfig()
+	cfg.Protocol = protocol
+	m := New(cfg)
+	region := m.AllocPadded(3 * 64)
+	consts := m.AllocPadded(2 * 64)
+	for i := range 32 {
+		m.WriteBackingUint(consts+mem.Addr(4*i), 4, splitmix64(uint64(i))>>32)
 	}
-	for _, c := range cases {
+	var reads [postingThreads]uint64
+	var read func(*Thread)
+	if load != nil {
+		var n [postingThreads]int
+		read = func(th *Thread) {
+			id, i := th.ID(), n[th.ID()]
+			n[id]++
+			a := consts + mem.Addr(4*((7*id+5*i)%32))
+			if i%2 == 0 {
+				a += mem.Addr(i / 2 % 4)
+			}
+			reads[id] = 31*reads[id] + load(th, a, i%2 == 1)
+		}
+	}
+	elapsed := m.Run(postingThreads, func(th *Thread) {
+		th.Store32(region+mem.Addr(4*th.ID()), 1) // warm up, unsynced
+		if read != nil {
+			for range ringCap + 1 {
+				read(th)
+			}
+		}
+		kernel(syncedOps{th, sync, read}, region)
+	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "elapsed=%d cycles=%d energy=%+v\n", elapsed, m.Cycles(), *m.Energy())
+	for _, v := range []any{m.Stats(), m.CoreReport()} {
+		j, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(j)
+	}
+	for i := range 48 {
+		fmt.Fprintf(&b, ",%x", m.ReadCoherent(region+mem.Addr(4*i), 4))
+	}
+	fmt.Fprintf(&b, "\nreads=%x", reads)
+	return b.String()
+}
+
+// TestPostingMovesNoSimulatedNumber runs each kernel as written and with a
+// Sync after every store and scribble, and requires the two runs to agree
+// on cycles, every statistic (events included), energy, the utilization
+// report and the memory image.
+func TestPostingMovesNoSimulatedNumber(t *testing.T) {
+	for _, c := range postingCases() {
 		for _, p := range []string{"mesi", "ghostwriter"} {
 			t.Run(c.name+"/"+p, func(t *testing.T) {
-				if posted, synced := run(p, c.kernel, false), run(p, c.kernel, true); posted != synced {
+				if posted, synced := postingRun(t, p, c.kernel, false, nil), postingRun(t, p, c.kernel, true, nil); posted != synced {
 					t.Errorf("posted run\n%s\ndiffers from synced run\n%s", posted, synced)
 				}
 			})
 		}
+	}
+}
+
+// TestConstLoadsMoveNoSimulatedNumber runs each kernel of
+// TestPostingMovesNoSimulatedNumber reading a preloaded region between its
+// stores, once with LoadConst8/LoadConstF32 and once with Load8/LoadF32,
+// and requires the two runs to agree on cycles, every statistic (events
+// included), energy, the utilization report, the memory image and the
+// values read.
+func TestConstLoadsMoveNoSimulatedNumber(t *testing.T) {
+	constLoad := func(th *Thread, a mem.Addr, f32 bool) uint64 {
+		if f32 {
+			return uint64(math.Float32bits(th.LoadConstF32(a)))
+		}
+		return uint64(th.LoadConst8(a))
+	}
+	plainLoad := func(th *Thread, a mem.Addr, f32 bool) uint64 {
+		if f32 {
+			return uint64(math.Float32bits(th.LoadF32(a)))
+		}
+		return uint64(th.Load8(a))
+	}
+	for _, c := range postingCases() {
+		for _, p := range []string{"mesi", "ghostwriter"} {
+			t.Run(c.name+"/"+p, func(t *testing.T) {
+				if posted, plain := postingRun(t, p, c.kernel, false, constLoad), postingRun(t, p, c.kernel, false, plainLoad); posted != plain {
+					t.Errorf("constant-load run\n%s\ndiffers from plain-load run\n%s", posted, plain)
+				}
+			})
+		}
+	}
+}
+
+// TestConstLoadsAreNotRoundTrips counts coroutine switches into a kernel
+// of 2·ringCap+1 constant loads and one load: it is resumed at its start,
+// once per full ring and once with the load's value, as for posted stores.
+// Machine.Resumes reports the same count after Run.
+func TestConstLoadsAreNotRoundTrips(t *testing.T) {
+	m := New(DefaultConfig())
+	a := m.AllocPadded(64)
+	const loads = 2*ringCap + 1
+	resumes := 0
+	m.Run(1, func(th *Thread) {
+		for i := range loads {
+			th.LoadConst8(a + mem.Addr(i))
+		}
+		th.Load32(a)
+		resumes = th.resumes
+	})
+	if want := 1 + loads/ringCap + 1; resumes != want || m.Resumes() != uint64(want) {
+		t.Errorf("kernel resumed %d times, Machine.Resumes %d; want %d", resumes, m.Resumes(), want)
+	}
+}
+
+// TestConstLoadOfAWrittenWordPanics: a constant load of a word another
+// thread has stored to is caught at its completion. Run panics naming the
+// thread, its core, the address, the value the kernel took and the value
+// the core loaded, and every kernel is unwound.
+func TestConstLoadOfAWrittenWordPanics(t *testing.T) {
+	for _, load := range []struct {
+		name string
+		fn   func(th *Thread, a mem.Addr)
+	}{
+		{"LoadConst8", func(th *Thread, a mem.Addr) { th.LoadConst8(a) }},
+		{"LoadConstF32", func(th *Thread, a mem.Addr) { th.LoadConstF32(a) }},
+	} {
+		t.Run(load.name, func(t *testing.T) {
+			m := New(DefaultConfig())
+			a := m.AllocPadded(64)
+			base := runtime.NumGoroutine()
+			got := runRecovered(m, 2, func(th *Thread) {
+				if th.ID() == 0 {
+					th.Store32(a, 0x2a)
+				}
+				th.Barrier()
+				if th.ID() == 1 {
+					load.fn(th, a)
+				}
+			})
+			want := fmt.Sprintf("machine: thread 1 on core 1 loaded %#x as a constant: it read 0x0, but the word holds 0x2a", uint64(a))
+			if got != want {
+				t.Errorf("Run panicked with %v, want %q", got, want)
+			}
+			waitGoroutines(t, base)
+		})
 	}
 }
 
@@ -585,10 +725,19 @@ func TestPanicAfterPostedStores(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// hitOp is the memory operation benchmarkHits repeats.
+type hitOp int
+
+const (
+	loadHit hitOp = iota
+	storeHit
+	constLoadHit
+)
+
 // benchmarkHits has 24 threads hammer one warm private block each, so an
 // op is the kernel↔engine handoff and an L1 hit, nothing else; ns/op is
 // per memory operation.
-func benchmarkHits(b *testing.B, store bool) {
+func benchmarkHits(b *testing.B, op hitOp) {
 	const threads = 24
 	m := New(DefaultConfig())
 	base := m.AllocPadded(threads * 64)
@@ -596,9 +745,12 @@ func benchmarkHits(b *testing.B, store bool) {
 		return func(th *Thread) {
 			a := base + mem.Addr(64*th.ID())
 			for i := range n {
-				if store {
+				switch op {
+				case storeHit:
 					th.Store32(a, uint32(i))
-				} else {
+				case constLoadHit:
+					th.LoadConstF32(a)
+				default:
 					th.Load32(a)
 				}
 			}
@@ -609,5 +761,6 @@ func benchmarkHits(b *testing.B, store bool) {
 	m.Run(threads, kernel((b.N+threads-1)/threads))
 }
 
-func BenchmarkLoadHit(b *testing.B)  { benchmarkHits(b, false) }
-func BenchmarkStoreHit(b *testing.B) { benchmarkHits(b, true) }
+func BenchmarkLoadHit(b *testing.B)      { benchmarkHits(b, loadHit) }
+func BenchmarkStoreHit(b *testing.B)     { benchmarkHits(b, storeHit) }
+func BenchmarkConstLoadHit(b *testing.B) { benchmarkHits(b, constLoadHit) }

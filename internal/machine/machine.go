@@ -102,6 +102,7 @@ type Machine struct {
 	report  []CoreUtil // the last Run's per-thread accounting
 	active  int
 	arrived int
+	resumes uint64 // coroutine switches into kernels, summed over finished Runs
 	// threadMergeFn is m.threadMerge bound once: evaluating the method value
 	// at every Stage call would allocate a closure per barrier, migration
 	// and thread exit.
@@ -302,6 +303,12 @@ func (m *Machine) Cycles() uint64 { return uint64(m.clu.Now()) }
 // how the run was driven, not what it computed, so they must never enter
 // Stats, a fingerprint, or a cached result.
 func (m *Machine) WindowStats() sim.WindowStats { return m.clu.WindowStats() }
+
+// Resumes returns the number of coroutine switches into kernels over every
+// Run since construction: the kernel↔engine handoffs the host paid for.
+// Like WindowStats it describes how the run was driven, not what it
+// computed, so it must never enter Stats, a fingerprint, or a cached result.
+func (m *Machine) Resumes() uint64 { return m.resumes }
 
 // dirFor returns the home directory object for a block address.
 func (m *Machine) dirFor(a mem.Addr) *coherence.Directory {

@@ -21,6 +21,8 @@ import (
 // but never past a request whose outcome it reads, so what it observes of
 // the machine — load and atomic values, and machine state peeked after
 // Sync — is what an in-order core blocking on every operation would see.
+// A load of a word that no thread writes during the run may be declared
+// constant (see LoadConst8); the kernel then runs past it too.
 type Kernel func(t *Thread)
 
 type reqKind uint8
@@ -31,6 +33,7 @@ const (
 	reqMigrate
 	reqSync
 	reqDone
+	reqConst // a load of a word declared constant, carrying its value
 )
 
 // threadReq is one kernel→engine request, queued on the thread's ring and
@@ -40,9 +43,10 @@ const (
 // at the ring head for fold cycles before it is applied, which is
 // cycle-for-cycle identical to a separate compute step.
 // The record is kept at 32 bytes, since every thread carries ringCap of
-// them: value holds a migration's target core, and d is the d-distance
-// clamped to [-1, 127], which changes no outcome (a scribble's is already
-// clamped below its width in bits, and other requests read only its sign).
+// them: value holds a store's value, a constant load's preloaded value or
+// a migration's target core, and d is the d-distance clamped to [-1, 127],
+// which changes no outcome (a scribble's is already clamped below its
+// width in bits, and other requests read only its sign).
 type threadReq struct {
 	addr  mem.Addr
 	value uint64
@@ -54,8 +58,9 @@ type threadReq struct {
 }
 
 // ringCap is the number of queued requests a thread holds before it parks
-// to let the engine apply them.
-const ringCap = 4
+// to let the engine apply them. Of 4, 8 and 16, 16 ran cell_hits fastest
+// (EXPERIMENTS.md); it costs 512 bytes per thread.
+const ringCap = 16
 
 // migrationCost is the charged context-switch overhead in cycles.
 const migrationCost = 200
@@ -64,7 +69,8 @@ const migrationCost = 200
 // pinned to one core (until Migrate); its memory operations take effect one
 // at a time in program order, exactly like the paper's in-order blocking
 // cores. Loads and atomics return once the simulator has carried them out;
-// stores and scribbles are posted, and the kernel runs on (see Store8).
+// stores, scribbles and constant loads are posted, and the kernel runs on
+// (see Store8 and LoadConst8).
 type Thread struct {
 	id       int
 	core     int
@@ -98,6 +104,7 @@ type Thread struct {
 	result uint64
 	// Callbacks bound once per worker; they reach the machine through m.
 	doneFn  func(uint64)
+	constFn func(uint64) // doneFn of a constant load, which checks its value
 	issueFn sim.Event
 	// ring is the thread's one request queue: n requests the engine has yet
 	// to apply, the oldest at ring[head].
@@ -159,6 +166,16 @@ func newWorker() *worker {
 		t.memCycles += eng.Now() - t.issuedAt
 		t.result = v
 		eng.After(1, t.issueFn)
+	}
+	// A constant load's op carries the value the kernel took at its push (a
+	// load ignores Value), so a word the run did write fails here, loudly,
+	// instead of letting the kernel compute on a value the core never saw.
+	t.constFn = func(v uint64) {
+		if v != t.op.Value {
+			panic(fmt.Sprintf("machine: thread %d on core %d loaded %#x as a constant: it read %#x, but the word holds %#x",
+				t.id, t.core, uint64(t.op.Addr), t.op.Value, v))
+		}
+		t.doneFn(v)
 	}
 	return w
 }
@@ -318,6 +335,34 @@ func (t *Thread) Load32(a mem.Addr) uint32 { return uint32(t.call(reqMem, cohere
 // Load64 loads a 64-bit value.
 func (t *Thread) Load64(a mem.Addr) uint64 { return t.call(reqMem, coherence.OpLoad, a, 8, 0) }
 
+// loadConst takes the width-byte word at a from the backing store, queues
+// a load of it that carries the value, and returns the value; like post,
+// it waits for the engine only when the ring is full.
+func (t *Thread) loadConst(a mem.Addr, width int) uint64 {
+	v := t.m.backing.ReadUint(a, width)
+	t.push(t.req(reqConst, coherence.OpLoad, a, width, v))
+	if t.n == ringCap {
+		t.park()
+	}
+	return v
+}
+
+// LoadConst8 loads one byte that no thread writes during the run: the
+// kernel's own input, preloaded before Run and only ever read. The value
+// is known when the kernel asks for it, so the load is posted like a store
+// (see Store8) and the kernel runs on, while the simulator carries out
+// exactly the load Load8 would, at the same cycle. At its completion the
+// simulator compares what the core loaded with the value the kernel took;
+// a word the run did write makes Run panic, naming the thread, its core,
+// the address and both values.
+func (t *Thread) LoadConst8(a mem.Addr) uint8 { return uint8(t.loadConst(a, 1)) }
+
+// LoadConstF32 loads a float32 that no thread writes during the run
+// (posted and checked, as LoadConst8).
+func (t *Thread) LoadConstF32(a mem.Addr) float32 {
+	return approx.Float32FromBits(t.loadConst(a, 4))
+}
+
 // Store8 stores one byte. Stores and scribbles are posted: the call returns
 // as soon as the store is queued, and the kernel runs on while the
 // simulator carries it out in program order, at the cycle a blocking store
@@ -425,6 +470,7 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 				BarrierCycles: uint64(w.barrierCyc),
 				FinishCycle:   uint64(w.finish),
 			})
+			m.resumes += uint64(w.resumes)
 		}
 		if clean {
 			parkWorkers(m.workers)
@@ -447,6 +493,7 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 			yield:    t.yield,
 			next:     t.next,
 			doneFn:   t.doneFn,
+			constFn:  t.constFn,
 			issueFn:  t.issueFn,
 		}
 		w.kernel = kernel
@@ -535,7 +582,7 @@ func (m *Machine) issue(t *Thread) {
 			return
 		}
 		switch r := t.pop(); r.kind {
-		case reqMem:
+		case reqMem, reqConst:
 			t.issuedAt = m.eng.Now()
 			t.op = coherence.CoreOp{
 				Kind:  r.op,
@@ -544,6 +591,9 @@ func (m *Machine) issue(t *Thread) {
 				Value: r.value,
 				DDist: int(r.d),
 				Done:  t.doneFn,
+			}
+			if r.kind == reqConst {
+				t.op.Done = t.constFn
 			}
 			m.l1s[t.core].Access(&t.op)
 		case reqMigrate:

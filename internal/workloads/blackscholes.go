@@ -68,6 +68,8 @@ func (b *BlackScholes) SetDDist(d int) { b.ddist = d }
 
 // Prepare implements App.
 func (b *BlackScholes) Prepare(sys *ghostwriter.System) {
+	// The four option arrays are never written: the kernel loads them with
+	// LoadConstF32.
 	load := func(vals []float32) ghostwriter.Addr {
 		a := sys.Alloc(4*len(vals), 64)
 		for i, v := range vals {
@@ -89,10 +91,10 @@ func (b *BlackScholes) Kernel(t *ghostwriter.Thread) {
 	lo, hi := span(b.n, t.ID(), t.N())
 	mine := b.counts + ghostwriter.Addr(4*t.ID())
 	for i := lo; i < hi; i++ {
-		s := t.LoadF32(b.sAddr + ghostwriter.Addr(4*i))
-		k := t.LoadF32(b.kAddr + ghostwriter.Addr(4*i))
-		v := t.LoadF32(b.vAddr + ghostwriter.Addr(4*i))
-		tt := t.LoadF32(b.tAddr + ghostwriter.Addr(4*i))
+		s := t.LoadConstF32(b.sAddr + ghostwriter.Addr(4*i))
+		k := t.LoadConstF32(b.kAddr + ghostwriter.Addr(4*i))
+		v := t.LoadConstF32(b.vAddr + ghostwriter.Addr(4*i))
+		tt := t.LoadConstF32(b.tAddr + ghostwriter.Addr(4*i))
 		t.Compute(bsComputeCycles)
 		t.ScribbleF32(b.out+ghostwriter.Addr(4*i), callPrice(s, k, v, tt))
 		if (i-lo)%64 == 63 {

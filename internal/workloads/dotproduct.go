@@ -45,6 +45,7 @@ func (d *DotProduct) SetDDist(dd int) { d.ddist = dd }
 
 // Prepare implements App.
 func (d *DotProduct) Prepare(sys *ghostwriter.System) {
+	// a and b are never written: the kernel loads them with LoadConst8.
 	d.aAddr = sys.Alloc(d.n, 64)
 	sys.Preload(d.aAddr, d.a)
 	d.bAddr = sys.Alloc(d.n, 64)
@@ -66,8 +67,8 @@ func (d *DotProduct) Kernel(t *ghostwriter.Thread) {
 		// Listing 2: accumulate in a register, store once.
 		var sum uint32
 		for i := lo; i < hi; i++ {
-			av := uint32(t.Load8(d.aAddr + ghostwriter.Addr(i)))
-			bv := uint32(t.Load8(d.bAddr + ghostwriter.Addr(i)))
+			av := uint32(t.LoadConst8(d.aAddr + ghostwriter.Addr(i)))
+			bv := uint32(t.LoadConst8(d.bAddr + ghostwriter.Addr(i)))
 			sum += av * bv
 		}
 		t.Store32(mine, sum)
@@ -80,8 +81,8 @@ func (d *DotProduct) Kernel(t *ghostwriter.Thread) {
 	// stale coherent value, permanently dropping the hidden updates — the
 	// mechanism behind Fig. 12's error growth with the timeout period.
 	for i := lo; i < hi; i++ {
-		av := uint32(t.Load8(d.aAddr + ghostwriter.Addr(i)))
-		bv := uint32(t.Load8(d.bAddr + ghostwriter.Addr(i)))
+		av := uint32(t.LoadConst8(d.aAddr + ghostwriter.Addr(i)))
+		bv := uint32(t.LoadConst8(d.bAddr + ghostwriter.Addr(i)))
 		cur := t.Load32(mine)
 		t.Scribble32(mine, cur+av*bv)
 	}

@@ -52,6 +52,7 @@ func (h *Histogram) SetDDist(d int) { h.ddist = d }
 
 // Prepare implements App.
 func (h *Histogram) Prepare(sys *ghostwriter.System) {
+	// The pixels are never written: the kernel loads them with LoadConst8.
 	h.pixAddr = sys.Alloc(len(h.pixels), 64)
 	sys.Preload(h.pixAddr, h.pixels)
 	// One shared allocation holding all threads' bin banks back to back,
@@ -70,9 +71,9 @@ func (h *Histogram) Kernel(t *ghostwriter.Thread) {
 	lo, hi := span(h.w*h.h, t.ID(), t.N())
 	for p := lo; p < hi; p++ {
 		base := h.pixAddr + ghostwriter.Addr(3*p)
-		r := int(t.Load8(base))
-		g := int(t.Load8(base + 1))
-		b := int(t.Load8(base + 2))
+		r := int(t.LoadConst8(base))
+		g := int(t.LoadConst8(base + 1))
+		b := int(t.LoadConst8(base + 2))
 		for c, v := range [3]int{r, 256 + g, 512 + b} {
 			_ = c
 			bin := mine + ghostwriter.Addr(4*v)

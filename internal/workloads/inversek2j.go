@@ -73,6 +73,8 @@ func (k *InverseK2J) SetDDist(d int) { k.ddist = d }
 
 // Prepare implements App.
 func (k *InverseK2J) Prepare(sys *ghostwriter.System) {
+	// The x and y targets are never written: the kernel loads them with
+	// LoadConstF32.
 	load := func(vals []float32) ghostwriter.Addr {
 		a := sys.Alloc(4*len(vals), 64)
 		for i, v := range vals {
@@ -92,8 +94,8 @@ func (k *InverseK2J) Kernel(t *ghostwriter.Thread) {
 	lo, hi := span(k.n, t.ID(), t.N())
 	mine := k.counts + ghostwriter.Addr(4*t.ID())
 	for i := lo; i < hi; i++ {
-		x := t.LoadF32(k.xAddr + ghostwriter.Addr(4*i))
-		y := t.LoadF32(k.yAddr + ghostwriter.Addr(4*i))
+		x := t.LoadConstF32(k.xAddr + ghostwriter.Addr(4*i))
+		y := t.LoadConstF32(k.yAddr + ghostwriter.Addr(4*i))
 		t.Compute(ikComputeCycles)
 		t1, t2 := ik2j(x, y)
 		t.ScribbleF32(k.out+ghostwriter.Addr(8*i), t1)

@@ -195,6 +195,7 @@ func (j *JPEG) SetDDist(d int) { j.ddist = d }
 // Prepare implements App.
 func (j *JPEG) Prepare(sys *ghostwriter.System) {
 	tw, th := j.tiles()
+	// The pixels are never written: the kernel loads them with LoadConst8.
 	j.pixAddr = sys.Alloc(len(j.pixels), 64)
 	sys.Preload(j.pixAddr, j.pixels)
 	j.coeffAddr = sys.Alloc(jpegRecordSize*tw*th, 4)
@@ -213,7 +214,7 @@ func (j *JPEG) Kernel(t *ghostwriter.Thread) {
 			var pix [64]float64
 			for y := 0; y < 8; y++ {
 				for x := 0; x < 8; x++ {
-					pix[y*8+x] = float64(t.Load8(j.pixAddr +
+					pix[y*8+x] = float64(t.LoadConst8(j.pixAddr +
 						ghostwriter.Addr((ty*8+y)*j.w+tx*8+x)))
 				}
 			}

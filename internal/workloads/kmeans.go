@@ -115,6 +115,8 @@ func (km *KMeans) SetDDist(d int) { km.ddist = d }
 
 // Prepare implements App.
 func (km *KMeans) Prepare(sys *ghostwriter.System) {
+	// The points are never written: the kernel loads them with LoadConst8.
+	// The centroids are rewritten by thread 0 between iterations.
 	km.ptsAddr = sys.Alloc(len(km.pts), 64)
 	sys.Preload(km.ptsAddr, km.pts)
 	km.sumStride = 8 * km.k * km.dim
@@ -164,8 +166,8 @@ func (km *KMeans) Kernel(t *ghostwriter.Thread) {
 		sums := make([]uint64, km.k*km.dim)
 		cnts := make([]uint32, km.k)
 		for i := lo; i < hi; i++ {
-			px := int(t.Load8(km.ptsAddr + ghostwriter.Addr(i*2)))
-			py := int(t.Load8(km.ptsAddr + ghostwriter.Addr(i*2+1)))
+			px := int(t.LoadConst8(km.ptsAddr + ghostwriter.Addr(i*2)))
+			py := int(t.LoadConst8(km.ptsAddr + ghostwriter.Addr(i*2+1)))
 			t.Compute(uint64(4 * km.k)) // distance arithmetic
 			j := km.nearest(cent, px, py)
 			sums[j*km.dim] += uint64(px)

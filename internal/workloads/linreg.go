@@ -94,6 +94,7 @@ func (l *LinearRegression) Prepare(sys *ghostwriter.System) {
 		pts[2*i] = l.xs[i]
 		pts[2*i+1] = l.ys[i]
 	}
+	// The points are never written: the kernel loads them with LoadConst8.
 	l.ptsAddr = sys.Alloc(len(pts), 64)
 	sys.Preload(l.ptsAddr, pts)
 	// The packed struct array: 56 B stride deliberately mis-tiles the 64 B
@@ -135,8 +136,8 @@ func (l *LinearRegression) Kernel(t *ghostwriter.Thread) {
 	nElems := l.args + ghostwriter.Addr(lregStride*t.ID()+8*lregFields)
 	var acc [lregFields]uint64
 	for i := lo; uint64(i-lo) < t.Load64(nElems); i++ {
-		x := uint64(t.Load8(l.ptsAddr + ghostwriter.Addr(2*i)))
-		y := uint64(t.Load8(l.ptsAddr + ghostwriter.Addr(2*i+1)))
+		x := uint64(t.LoadConst8(l.ptsAddr + ghostwriter.Addr(2*i)))
+		y := uint64(t.LoadConst8(l.ptsAddr + ghostwriter.Addr(2*i+1)))
 		for f, delta := range [lregFields]uint64{x, x * x, y, y * y, x * y} {
 			acc[f] += delta
 			t.Scribble64(l.field(t.ID(), f), acc[f])

@@ -77,6 +77,8 @@ func (p *PCA) SetDDist(d int) { p.ddist = d }
 
 // Prepare implements App.
 func (p *PCA) Prepare(sys *ghostwriter.System) {
+	// The matrix is never written: the kernel loads it with LoadConst8.
+	// The means are written in phase 1 and read with Load32 in phase 2.
 	p.matAddr = sys.Alloc(len(p.m), 64)
 	sys.Preload(p.matAddr, p.m)
 	p.meanAddr = sys.Alloc(4*p.rows, 4)
@@ -91,7 +93,7 @@ func (p *PCA) Kernel(t *ghostwriter.Thread) {
 	for i := lo; i < hi; i++ {
 		sum := uint32(0)
 		for k := 0; k < p.cols; k++ {
-			sum += uint32(t.Load8(p.matAddr + ghostwriter.Addr(i*p.cols+k)))
+			sum += uint32(t.LoadConst8(p.matAddr + ghostwriter.Addr(i*p.cols+k)))
 		}
 		// Means feed phase 2's arithmetic for every pair, so a careful
 		// programmer leaves them precise (§3.1 advises against annotating
@@ -108,8 +110,8 @@ func (p *PCA) Kernel(t *ghostwriter.Thread) {
 		mj := int64(int32(t.Load32(p.meanAddr + ghostwriter.Addr(4*j))))
 		var acc int64
 		for k := 0; k < p.cols; k++ {
-			vi := int64(t.Load8(p.matAddr + ghostwriter.Addr(i*p.cols+k)))
-			vj := int64(t.Load8(p.matAddr + ghostwriter.Addr(j*p.cols+k)))
+			vi := int64(t.LoadConst8(p.matAddr + ghostwriter.Addr(i*p.cols+k)))
+			vj := int64(t.LoadConst8(p.matAddr + ghostwriter.Addr(j*p.cols+k)))
 			acc += (vi - mi) * (vj - mj)
 		}
 		t.Scribble64(p.covAddr+ghostwriter.Addr(8*pi), uint64(acc))

@@ -65,6 +65,7 @@ func (s *Sobel) SetDDist(d int) { s.ddist = d }
 
 // Prepare implements App.
 func (s *Sobel) Prepare(sys *ghostwriter.System) {
+	// The pixels are never written: the kernel loads them with LoadConst8.
 	s.pixAddr = sys.Alloc(len(s.pixels), 64)
 	sys.Preload(s.pixAddr, s.pixels)
 	s.outAddr = sys.Alloc(s.w*s.h, 4)
@@ -87,7 +88,7 @@ func (s *Sobel) Kernel(t *ghostwriter.Thread) {
 		}
 		for x := 1; x < s.w-1; x++ {
 			at := func(ax, ay int) int {
-				return int(t.Load8(s.pixAddr + ghostwriter.Addr(ay*s.w+ax)))
+				return int(t.LoadConst8(s.pixAddr + ghostwriter.Addr(ay*s.w+ax)))
 			}
 			t.Compute(14) // the 3x3 convolution + sqrt
 			t.Scribble8(s.outAddr+ghostwriter.Addr(y*s.w+x), sobelAt(at, x, y))
