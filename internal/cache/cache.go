@@ -317,12 +317,6 @@ func (c *Cache) Install(b *Block, a mem.Addr, st State, data []byte) {
 	c.Touch(a)
 }
 
-// Evict clears frame b entirely (tag and all).
-func (c *Cache) Evict(b *Block) {
-	b.Valid = false
-	b.State = Invalid
-}
-
 // ForEach calls fn for every valid frame, in deterministic set/way order.
 func (c *Cache) ForEach(fn func(setIndex int, b *Block)) {
 	for i := range c.blocks {

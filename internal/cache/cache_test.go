@@ -62,9 +62,9 @@ func TestInvalidTagPresent(t *testing.T) {
 	if got := c.Lookup(a); got == nil || got.State != Invalid {
 		t.Fatal("invalidated block must remain visible with its tag")
 	}
-	c.Evict(b)
+	b.Valid = false // the frame loses its tag
 	if c.Lookup(a) != nil {
-		t.Fatal("evicted block must be absent")
+		t.Fatal("a frame without a valid tag must be absent")
 	}
 }
 
@@ -154,7 +154,7 @@ func TestAddrOfInverse(t *testing.T) {
 				found = true
 			}
 		})
-		c.Evict(b)
+		b.Valid = false
 		return found && got == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -244,10 +244,10 @@ func TestFramesGetDataOnFirstInstall(t *testing.T) {
 	}
 
 	buf := &b.Data[0]
-	c.Evict(b)
+	b.Valid = false // the frame loses its tag
 	other := a + 256*64*2 // same set, different tag
 	if v := c.VictimWay(other); v != b {
-		t.Fatal("the evicted frame should be the victim")
+		t.Fatal("the untagged frame should be the victim")
 	}
 	c.Install(b, other, Modified, nil)
 	if &b.Data[0] != buf {

@@ -86,10 +86,13 @@ type L1Config struct {
 // network-facing protocol engine. The paper keeps all Ghostwriter changes
 // local to the L1 level; so does this implementation.
 //
-// The controller interprets its protocol's transition table: each core op
-// or network message becomes a proto.Event, the block's state (or Absent)
-// selects the rule list, and the first rule whose guards pass fires — its
-// Next state is applied, then its action primitives run in order.
+// The controller interprets its protocol's transition table: each core op,
+// network message, victim choice and GI sweep visit becomes a proto.Event,
+// the block's state (or Absent) selects the rule list, and the first rule
+// whose guards pass fires — its Next state is applied, then its action
+// primitives run in order. dispatch is the only code that changes the state
+// of a block already in the array; installAndRequest's Install of a new tag
+// is the one other write.
 //
 // The controller is blocking (one core op, one eviction at a time), so all
 // transaction context lives in flat fields instead of per-transaction
@@ -108,9 +111,9 @@ type L1 struct {
 	home  func(mem.Addr) noc.NodeID
 	pool  *MsgPool
 
-	// giBlocks counts frames currently in GI — a census maintained at
-	// every state change so the periodic sweep can skip scanning the whole
-	// array (the dominant sweep cost) whenever nothing is in GI.
+	// giBlocks counts frames currently in GI — a census setState maintains
+	// at every state change so the periodic sweep can skip scanning the
+	// whole array (the dominant sweep cost) whenever nothing is in GI.
 	giBlocks int
 
 	cur                *CoreOp
@@ -122,8 +125,9 @@ type L1 struct {
 	stopped            bool
 	curTimeout         sim.Cycle
 
-	// The single outstanding eviction transaction, and the install+request
-	// it defers (also used directly on silent evictions).
+	// The single outstanding eviction transaction (evAddr is the victim's
+	// address while its Replace is dispatched), and the install+request it
+	// defers (also run directly on an empty frame or a silent reclaim).
 	evActive   bool
 	evAddr     mem.Addr
 	fillVictim *cache.Block
@@ -234,9 +238,10 @@ func (l *L1) Busy() bool { return l.cur != nil || l.evActive }
 // quiescence this must be false; the model checker asserts it.
 func (l *L1) HasDeferredFwd() bool { return l.pendingFwd != nil }
 
-// giSweep implements the periodic GI timeout: every GITimeout cycles all GI
-// blocks revert to I, forfeiting their hidden updates (§3.2). The tag and
-// the (now once again merely stale) data stay in the frame.
+// giSweep implements the periodic GI timeout: every GITimeout cycles it
+// dispatches Timeout on each GI block, and the table's GI/Timeout row
+// reverts it to I, forfeiting its hidden updates (§3.2). The period, fixed
+// or adaptive, is the sweep's own policy.
 func (l *L1) giSweep() {
 	if l.stopped {
 		return
@@ -245,12 +250,10 @@ func (l *L1) giSweep() {
 	if l.giBlocks > 0 {
 		l.arr.ForEach(func(si int, b *cache.Block) {
 			if b.State == cache.GI {
-				b.State = cache.Invalid
-				l.st.GITimeouts++
+				l.dispatch(proto.EvTimeout, b)
 				swept++
 			}
 		})
-		l.giBlocks = 0
 	}
 	if l.cfg.AdaptiveGITimeout {
 		switch {
@@ -333,8 +336,7 @@ func (l *L1) dispatch(ev proto.Event, b *cache.Block) {
 }
 
 // setState writes a block's new state while maintaining the GI census.
-// Every state change outside the sweep itself must go through here (or
-// adjust giBlocks explicitly) or the sweep's skip check goes stale.
+// dispatch is its only caller (TestBlockStateChangesOnlyInDispatch).
 func (l *L1) setState(b *cache.Block, next cache.State) {
 	if b.State == cache.GI {
 		l.giBlocks--
@@ -377,6 +379,10 @@ func (l *L1) evalGuard(g proto.Guard, b *cache.Block) bool {
 		return l.curMsg.Grant == GrantS
 	case proto.GGrantIsM:
 		return l.curMsg.Grant == GrantM
+	case proto.GInvAfterFill:
+		inv := l.invAfterFill
+		l.invAfterFill = false
+		return inv
 	}
 	panic(fmt.Sprintf("l1 %d: unknown guard %v", l.id, g))
 }
@@ -425,6 +431,8 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 		l.st.ScribbleFallbacks++
 	case proto.ACountGSInv:
 		l.st.GSInvalidations++
+	case proto.ACountGITimeout:
+		l.st.GITimeouts++
 	case proto.AMeterRead:
 		l.meter.L1Read()
 	case proto.AMeterTag:
@@ -459,6 +467,10 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 		l.allocFrame(l.cur.Addr, cache.ISD, GETS)
 	case proto.AAllocGETX:
 		l.allocFrame(l.cur.Addr, cache.IMD, GETX)
+	case proto.ASendPUTM, proto.ASendPUTE, proto.ASendPUTS:
+		l.sendPut(a, b)
+	case proto.AReclaim:
+		l.installAndRequest()
 	case proto.AAckInv:
 		ack := l.pool.Get()
 		ack.Type, ack.Addr, ack.From, ack.ToDir = InvAck, l.curMsg.Addr, l.id, true
@@ -469,8 +481,8 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 		l.upgradeInvalidated = true
 	case proto.AMarkInvAfterFill:
 		// Our GETS was granted (we are on the sharer list) but the data is
-		// still in flight from a remote owner; the fill will complete the
-		// load with the granted value and then drop to Invalid.
+		// still in flight from a remote owner; the fill's invAfterFill rule
+		// completes the load with the granted value and drops to Invalid.
 		l.invAfterFill = true
 	case proto.ARecallData:
 		// Surrender an owned block so the L2 home can evict its line
@@ -497,13 +509,6 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 		}
 		copy(b.Data, l.curMsg.Data)
 		l.meter.L1Write()
-	case proto.AInvAfterFill:
-		if l.invAfterFill {
-			// The block was invalidated between grant and fill; the load
-			// still completes with the granted (then-coherent) value.
-			l.setState(b, cache.Invalid)
-			l.invAfterFill = false
-		}
 	case proto.AUnblock:
 		l.sendUnblock(l.curMsg.Addr)
 	case proto.AAssertUpgValid:
@@ -514,10 +519,14 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 			panic(fmt.Sprintf("l1 %d: UpgAck after invalidation", l.id))
 		}
 	case proto.AServeDeferred:
-		if l.pendingFwd != nil {
-			f := l.pendingFwd
+		// Replay the forward the fill overtook through the table, now that
+		// the block is owned.
+		if f := l.pendingFwd; f != nil {
 			l.pendingFwd = nil
-			l.serveFwd(f, b)
+			fill := l.curMsg
+			l.curMsg = f
+			l.dispatch(eventOf(f.Type), b)
+			l.curMsg = fill
 			l.pool.Put(f)
 		}
 	case proto.AFinishEviction:
@@ -605,59 +614,47 @@ func (l *L1) writeHit(op *CoreOp, b *cache.Block) {
 	l.complete(L1HitLatency, v)
 }
 
-// allocFrame obtains a frame for addr, running the eviction transaction for
-// a dirty/tracked victim first, then installs the tag in newState and sends
-// req for the block. The deferred install rides in the fill* fields (the L1
-// is blocking, so at most one is pending).
+// allocFrame obtains a frame for addr, installs the tag in newState and
+// sends req for the block. An empty frame is claimed at once; a valid
+// victim is handed to the table as Replace, whose row either puts the copy
+// back (the install waits for the PutAck) or reclaims the frame. The
+// deferred install rides in the fill* fields (the L1 is blocking, so at
+// most one is pending).
 func (l *L1) allocFrame(addr mem.Addr, newState cache.State, req MsgType) {
 	v := l.arr.VictimWay(addr)
-	l.fillVictim = v
-	l.fillAddr = addr
-	l.fillState = newState
-	l.fillReq = req
-	if !v.Valid || v.State == cache.Invalid || v.State == cache.GI {
-		// Empty frame, an invalid block (the directory does not track it),
-		// or a GI block (also untracked; its hidden updates are forfeited,
-		// §3.5): silent eviction.
+	l.fillVictim, l.fillAddr, l.fillState, l.fillReq = v, addr, newState, req
+	if !v.Valid {
 		l.installAndRequest()
 		return
 	}
-	vaddr := l.arr.AddrOf(l.arr.SetIndex(addr), v)
-	prior := v.State
-	v.State = cache.EVA
-	l.evActive = true
-	l.evAddr = vaddr
+	l.evAddr = l.arr.AddrOf(l.arr.SetIndex(addr), v)
+	l.dispatch(proto.EvReplace, v)
+}
+
+// sendPut opens the eviction transaction for the victim at evAddr: the PUT
+// action a names goes to its home directory, carrying the data for PUTM.
+func (l *L1) sendPut(a proto.Action, b *cache.Block) {
 	m := l.pool.Get()
-	m.Addr, m.From, m.ToDir = vaddr, l.id, true
-	switch prior {
-	case cache.Modified:
+	m.Addr, m.From, m.ToDir = l.evAddr, l.id, true
+	switch a {
+	case proto.ASendPUTM:
 		m.Type = PUTM
-		m.Data = append(m.Data[:0], v.Data...)
-	case cache.Exclusive:
+		m.Data = append(m.Data[:0], b.Data...)
+	case proto.ASendPUTE:
 		m.Type = PUTE
-	case cache.Shared:
-		m.Type = PUTS
-	case cache.GS:
-		// Still on the sharer list; hidden updates are forfeited (§3.5).
-		m.Type = PUTS
 	default:
-		panic(fmt.Sprintf("l1 %d: evicting state %v", l.id, prior))
+		m.Type = PUTS
 	}
-	l.send(l.home(vaddr), m)
+	l.evActive = true
+	l.send(l.home(l.evAddr), m)
 }
 
 // installAndRequest claims the chosen victim frame for the pending fill and
-// sends its request to the home directory.
+// sends its request to the home directory. The victim has already left its
+// state through its Replace row (or the frame was empty), so the GI census
+// needs no adjustment here: the new tag is installed in IS_D or IM_D.
 func (l *L1) installAndRequest() {
-	if l.fillVictim.Valid && l.fillVictim.State == cache.GI {
-		// A GI victim leaves the census when its frame is reclaimed.
-		l.giBlocks--
-	}
-	l.arr.Evict(l.fillVictim)
 	l.arr.Install(l.fillVictim, l.fillAddr, l.fillState, nil)
-	if l.fillState == cache.GI {
-		l.giBlocks++
-	}
 	l.fillVictim = nil
 	l.sendReq(l.fillReq, l.fillAddr)
 }
@@ -704,8 +701,9 @@ func (l *L1) HandleMsg(m *Msg) {
 
 // serveFwd answers a forwarded request from our owned copy: data goes
 // cache-to-cache to the requestor, plus the protocol's completion message
-// to the directory. Each outbound message gets its own copy of the block —
-// pooled Data buffers must never be shared between two in-flight messages.
+// to the directory; the forward's row names the copy's next state. Each
+// outbound message gets its own copy of the block — pooled Data buffers
+// must never be shared between two in-flight messages.
 func (l *L1) serveFwd(m *Msg, b *cache.Block) {
 	l.meter.L1Read()
 	c2c := l.pool.Get()
@@ -718,16 +716,10 @@ func (l *L1) serveFwd(m *Msg, b *cache.Block) {
 		wb.Type, wb.Addr, wb.From, wb.ToDir = DataToDir, m.Addr, l.id, true
 		wb.Data = append(wb.Data[:0], b.Data...)
 		l.send(l.home(m.Addr), wb)
-		if b.State != cache.EVA {
-			l.setState(b, cache.Shared)
-		}
 		return
 	}
 	c2c.Grant = GrantM
 	l.send(noc.NodeID(m.Requestor), c2c)
-	if b.State != cache.EVA {
-		l.setState(b, cache.Invalid)
-	}
 }
 
 // sendUnblock releases the home directory's per-block busy state after a

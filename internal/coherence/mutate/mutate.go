@@ -122,7 +122,7 @@ func semanticAction(a proto.Action) bool {
 		proto.ACountStoreMiss, proto.ACountStoresOnS, proto.ACountStoresOnI,
 		proto.ACountServicedGS, proto.ACountServicedGI, proto.ACountGSEntry,
 		proto.ACountGIEntry, proto.ACountFallback, proto.ACountGSInv,
-		proto.AMeterRead, proto.AMeterTag, proto.AMeterWrite,
+		proto.ACountGITimeout, proto.AMeterRead, proto.AMeterTag, proto.AMeterWrite,
 		proto.ATouch:
 		return false
 	}

@@ -246,16 +246,20 @@ func TestPruneMatchesFullGrid(t *testing.T) {
 // grid is depth 3 with an unbounded L2: a block enters GS or GI on a
 // schedule's last step at the earliest, so the resident rows of the paper's
 // own two states are all here, next to the capacity recalls and the races
-// that need a fourth step or a second block in flight. Under gw-msi a cold
-// load is granted S, so the E rows go unused while GS residency starts a
-// step earlier and its rows are reached.
+// that need a fourth step or a second block in flight. The eviction stages
+// replace only the E or M copy one core loaded or stored (an S, I, GS or GI
+// victim needs a second core's step first), and no stage arms the GI sweep
+// that dispatches Timeout. Under gw-msi a cold load is granted S, so the E
+// rows go unused while GS residency starts a step earlier and its rows are
+// reached.
 //
-// Row coverage overstates two variants: their extra rule sits in a row the
-// grid dispatches but never fires there, so its mutants are equivalent
-// unseen too. mesi-mig's migratory grant (DM/GETS r0) needs the detector to
-// see two read-then-write generations, which depth 3 cannot build; the stale
-// loads' hit rule (I/Load r0) needs a load inside an approximate region, and
-// checker loads carry d-distance -1.
+// Row coverage overstates three rules: each sits in a row the grid
+// dispatches but never fires there, so its mutants are equivalent unseen
+// too. mesi-mig's migratory grant (DM/GETS r0) needs the detector to see two
+// read-then-write generations, which depth 3 cannot build; the stale loads'
+// hit rule (I/Load r0) needs a load inside an approximate region, and
+// checker loads carry d-distance -1; the IS_D fills' invAfterFill rule (r0)
+// needs the IS_D/Inv race, which no stage reaches.
 var neverDispatched = map[string]string{
 	"mesi":        neverMESI,
 	"mesi-mig":    neverMESI,
@@ -264,25 +268,25 @@ var neverDispatched = map[string]string{
 	"gw-stale":    neverGhostwriter,
 	"gw-resident": neverGhostwriter,
 	"gw-escalate": neverGhostwriter,
-	"gw-noGI": "E/RecallOwn M/RecallOwn GS/Load GS/Store GS/Scribble GS/Inv" +
+	"gw-noGI": "I/Replace S/Replace E/RecallOwn M/RecallOwn GS/Load GS/Store GS/Scribble GS/Inv GS/Replace" +
 		" IS_D/Inv IM_D/FwdGETS IM_D/FwdGETX" +
 		" SM_A/Inv SM_A/FwdGETS SM_A/FwdGETX SM_A/DataM SM_A/DataC2C" +
 		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
 		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS",
-	"gw-msi": "E/Load E/Store E/Scribble E/RecallOwn E/FwdGETS E/FwdGETX M/RecallOwn" +
-		" GI/Load GI/Store GI/Scribble IS_D/Inv IS_D/DataE IM_D/FwdGETS IM_D/FwdGETX" +
+	"gw-msi": "I/Replace E/Load E/Store E/Scribble E/RecallOwn E/FwdGETS E/FwdGETX E/Replace M/RecallOwn" +
+		" GS/Replace GI/Load GI/Store GI/Scribble GI/Replace GI/Timeout IS_D/Inv IS_D/DataE IM_D/FwdGETS IM_D/FwdGETX" +
 		" SM_A/FwdGETS SM_A/FwdGETX SM_A/DataM" +
 		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
 		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTE DS/PUTM DM/PUTS DM/PUTE",
 }
 
 const (
-	neverMESI = "E/RecallOwn M/RecallOwn IS_D/Inv IM_D/FwdGETS IM_D/FwdGETX" +
+	neverMESI = "I/Replace S/Replace E/RecallOwn M/RecallOwn IS_D/Inv IM_D/FwdGETS IM_D/FwdGETX" +
 		" SM_A/Inv SM_A/FwdGETS SM_A/FwdGETX SM_A/DataM SM_A/DataC2C" +
 		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
 		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS"
-	neverGhostwriter = "E/RecallOwn M/RecallOwn GS/Load GS/Store GS/Scribble GS/Inv" +
-		" GI/Load GI/Store GI/Scribble IS_D/Inv IM_D/FwdGETS IM_D/FwdGETX" +
+	neverGhostwriter = "I/Replace S/Replace E/RecallOwn M/RecallOwn GS/Load GS/Store GS/Scribble GS/Inv GS/Replace" +
+		" GI/Load GI/Store GI/Scribble GI/Replace GI/Timeout IS_D/Inv IM_D/FwdGETS IM_D/FwdGETX" +
 		" SM_A/Inv SM_A/FwdGETS SM_A/FwdGETX SM_A/DataM SM_A/DataC2C" +
 		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
 		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS"

@@ -22,9 +22,10 @@ import (
 )
 
 // Event is a protocol input: a core-side memory operation, a network
-// message arriving at an L1, or a request dispatched at a directory.
-// L1 events come first (EvLoad..EvPutAck), directory events last
-// (EvGETS..EvPUTM); the two tables are indexed by their own range.
+// message arriving at an L1, a controller-side event of the L1 itself, or a
+// request dispatched at a directory. L1 events come first
+// (EvLoad..EvTimeout), directory events last (EvGETS..EvPUTM); the two
+// tables are indexed by their own range.
 type Event uint8
 
 // Protocol events.
@@ -44,6 +45,10 @@ const (
 	EvDataC2C
 	EvUpgAck
 	EvPutAck
+	// Controller-side L1 events: a miss claims a valid victim frame
+	// (Replace), and the periodic GI sweep visits a GI block (Timeout).
+	EvReplace
+	EvTimeout
 	// Directory request events (UPGRADE is kept distinct from GETX so the
 	// table states explicitly that they share rows).
 	EvGETS
@@ -91,6 +96,10 @@ func (e Event) String() string {
 		return "UpgAck"
 	case EvPutAck:
 		return "PutAck"
+	case EvReplace:
+		return "Replace"
+	case EvTimeout:
+		return "Timeout"
 	case EvGETS:
 		return "GETS"
 	case EvGETX:
@@ -153,6 +162,9 @@ const (
 	GGrantIsS
 	// GGrantIsM: the arriving data message grants Modified.
 	GGrantIsM
+	// GInvAfterFill: an Inv overtook the data of the pending GETS
+	// (AMarkInvAfterFill). Impure: reading the mark consumes it.
+	GInvAfterFill
 
 	NumGuards
 )
@@ -172,6 +184,8 @@ func (g Guard) String() string {
 		return "grant=S"
 	case GGrantIsM:
 		return "grant=M"
+	case GInvAfterFill:
+		return "invAfterFill"
 	}
 	return fmt.Sprintf("Guard(%d)", uint8(g))
 }
@@ -197,6 +211,7 @@ const (
 	ACountGIEntry
 	ACountFallback
 	ACountGSInv
+	ACountGITimeout
 	// Energy meter.
 	AMeterRead
 	AMeterTag
@@ -220,6 +235,12 @@ const (
 	ASendUPGRADE
 	AAllocGETS
 	AAllocGETX
+	// Replacement: the eviction PUTs (for the victim at the L1's evAddr)
+	// and the silent reclaim of an untracked victim's frame.
+	ASendPUTM
+	ASendPUTE
+	ASendPUTS
+	AReclaim
 	// Invalidation / recall / forward handling.
 	AAckInv
 	AMarkUpgInvalidated
@@ -229,7 +250,6 @@ const (
 	ADeferFwd
 	// Fills and transaction completion.
 	AFill
-	AInvAfterFill
 	AUnblock
 	AAssertUpgValid
 	AServeDeferred
@@ -265,6 +285,8 @@ func (a Action) String() string {
 		return "cnt:fallback"
 	case ACountGSInv:
 		return "cnt:gsInv"
+	case ACountGITimeout:
+		return "cnt:giTimeout"
 	case AMeterRead:
 		return "meter:read"
 	case AMeterTag:
@@ -299,6 +321,14 @@ func (a Action) String() string {
 		return "alloc+GETS"
 	case AAllocGETX:
 		return "alloc+GETX"
+	case ASendPUTM:
+		return "send:PUTM"
+	case ASendPUTE:
+		return "send:PUTE"
+	case ASendPUTS:
+		return "send:PUTS"
+	case AReclaim:
+		return "reclaim"
 	case AAckInv:
 		return "send:InvAck"
 	case AMarkUpgInvalidated:
@@ -313,8 +343,6 @@ func (a Action) String() string {
 		return "deferFwd"
 	case AFill:
 		return "fill"
-	case AInvAfterFill:
-		return "invAfterFill"
 	case AUnblock:
 		return "send:Unblock"
 	case AAssertUpgValid:

@@ -46,3 +46,36 @@ func TestMarkdownGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestDesignExcerptIsRendered pins DESIGN.md §4.2's hand-typed excerpt of
+// the ghostwriter table to the table itself: every row shown there must be
+// a line of Markdown(ghostwriter), so an edited rule cannot leave the
+// design document describing the old one.
+func TestDesignExcerptIsRendered(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n### 4.2 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §4.2")
+	}
+	sec, _, _ = strings.Cut(sec, "\n### ")
+	rendered := map[string]bool{}
+	for _, line := range strings.Split(Markdown(MustLookup("ghostwriter")), "\n") {
+		rendered[line] = true
+	}
+	rows := 0
+	for _, line := range strings.Split(sec, "\n") {
+		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| State |") {
+			continue
+		}
+		rows++
+		if !rendered[line] {
+			t.Errorf("DESIGN.md §4.2 shows a row the ghostwriter table does not have:\n%s", line)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("DESIGN.md §4.2 shows no table rows")
+	}
+}

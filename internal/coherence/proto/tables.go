@@ -217,9 +217,16 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 		}
 		mark(why, EvRecallOwn, states...)
 	}
+	// The owner serves a forward from its copy: a read downgrades it to a
+	// sharer, a write invalidates it. Mid-eviction (EV_A) the PUT in flight
+	// settles the copy, so the state stays.
 	for _, ev := range []Event{EvFwdGETS, EvFwdGETX} {
-		row(cache.Modified, ev, tr(Stay, AServeFwd))
-		row(cache.Exclusive, ev, tr(Stay, AServeFwd))
+		next := cache.Shared
+		if ev == EvFwdGETX {
+			next = cache.Invalid
+		}
+		row(cache.Modified, ev, tr(next, AServeFwd))
+		row(cache.Exclusive, ev, tr(next, AServeFwd))
 		row(cache.EVA, ev, tr(Stay, AServeFwd))
 		row(cache.IMD, ev, tr(Stay, ADeferFwd))
 		row(cache.SMA, ev, tr(Stay, ADeferFwd))
@@ -235,12 +242,18 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 	}
 
 	// Fills, upgrade acks, put acks: answers to the single outstanding
-	// transaction.
-	fillLoad := []Action{AFill, AInvAfterFill, ATouch, AUnblock, ACompleteFillLoad}
+	// transaction. A shared fill that an Inv overtook (IS_D/Inv marked it)
+	// still completes the load with the granted, then-coherent value, and
+	// drops the block. Only a grant that lists the reader as a sharer can
+	// be overtaken (DataS, or DataC2C from a downgraded owner): DataE makes
+	// it the owner, and the directory never invalidates an owner (E/Inv,
+	// M/Inv above), so IS_D/DataE has no such rule.
+	fillLoad := []Action{AFill, ATouch, AUnblock, ACompleteFillLoad}
 	fillWrite := []Action{AFill, AApplyWrite, ATouch, AUnblock, ACompleteWrite, AServeDeferred}
-	row(cache.ISD, EvDataS, tr(cache.Shared, fillLoad...))
+	invFill := trg(g(GInvAfterFill), cache.Invalid, fillLoad...)
+	row(cache.ISD, EvDataS, invFill, tr(cache.Shared, fillLoad...))
 	row(cache.ISD, EvDataE, tr(cache.Exclusive, fillLoad...))
-	row(cache.ISD, EvDataC2C,
+	row(cache.ISD, EvDataC2C, invFill,
 		trg(g(GGrantIsS), cache.Shared, fillLoad...),
 		trg(g(GGrantIsM), cache.Modified, fillLoad...)) // migratory grant to a read
 	row(cache.IMD, EvDataM, tr(cache.Modified, fillWrite...))
@@ -271,6 +284,34 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 	others(EvDataC2C, "cache-to-cache data answers the outstanding miss (IS_D/IM_D/SM_A)", cache.ISD, cache.IMD, cache.SMA)
 	others(EvUpgAck, "UpgAck answers an outstanding UPGRADE (SM_A)", cache.SMA)
 	others(EvPutAck, "PutAck answers the outstanding eviction PUT (EV_A)", cache.EVA)
+
+	// ---- Controller-side events -------------------------------------------
+
+	// Replace: a miss dispatches it on the valid victim of its set. A copy
+	// the directory tracks (owned or listed) is put back and waits in EV_A
+	// for the PutAck; an Invalid or GI copy is untracked, so its frame is
+	// reclaimed silently (a GI victim forfeits its hidden updates, §3.5).
+	row(cache.Modified, EvReplace, tr(cache.EVA, ASendPUTM))
+	row(cache.Exclusive, EvReplace, tr(cache.EVA, ASendPUTE))
+	row(cache.Shared, EvReplace, tr(cache.EVA, ASendPUTS))
+	reclaim := tr(cache.Invalid, AReclaim)
+	row(cache.Invalid, EvReplace, reclaim)
+	if gs {
+		row(cache.GS, EvReplace, tr(cache.EVA, ASendPUTS)) // still listed; hidden updates forfeited
+	}
+	if gi {
+		row(cache.GI, EvReplace, reclaim)
+	}
+	mark("an empty frame is claimed without a dispatch", EvReplace, Absent)
+	mark("the L1 is blocking: when a miss picks a victim no other transaction is open",
+		EvReplace, cache.ISD, cache.IMD, cache.SMA, cache.EVA)
+
+	// Timeout: the periodic sweep reverts every GI block to I, forfeiting
+	// its hidden updates (§3.2); tag and stale data stay in the frame.
+	if gi {
+		row(cache.GI, EvTimeout, tr(cache.Invalid, ACountGITimeout))
+	}
+	others(EvTimeout, "the GI sweep dispatches Timeout only on GI blocks", cache.GI)
 
 	// Every remaining hole must be a disabled approximate state.
 	for si := 0; si < NumL1States; si++ {

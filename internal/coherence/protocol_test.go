@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"ghostwriter/internal/cache"
@@ -257,4 +258,18 @@ func TestRigGITimeoutSweepIsPeriodic(t *testing.T) {
 	}
 	r.l1s[1].Stop()
 	r.eng.Drain(100_000)
+}
+
+// TestNewL1NilProtoPanics: an L1 resolves no protocol name itself
+// (machine.New does), so a config without a table must fail at
+// construction with a message that names the field.
+func TestNewL1NilProtoPanics(t *testing.T) {
+	msg := panicText(func() {
+		NewL1(0, &sim.Engine{}, nil, L1Config{
+			Cache: cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64},
+		}, func(mem.Addr) noc.NodeID { return 5 }, nil, nil)
+	})
+	if !strings.Contains(msg, "L1Config.Proto") {
+		t.Fatalf("NewL1 with a nil Proto panicked with %q, want a message naming L1Config.Proto", msg)
+	}
 }
