@@ -244,7 +244,7 @@ func TestFramesGetDataOnFirstInstall(t *testing.T) {
 	}
 
 	buf := &b.Data[0]
-	b.Valid = false // the frame loses its tag
+	b.Valid = false       // the frame loses its tag
 	other := a + 256*64*2 // same set, different tag
 	if v := c.VictimWay(other); v != b {
 		t.Fatal("the untagged frame should be the victim")

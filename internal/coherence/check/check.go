@@ -28,9 +28,8 @@
 //     returns it exactly; a mixed schedule's load may diverge from the
 //     coherent word only via a GS copy within d or a GI copy.
 //  7. Liveness: every schedule drains to quiescence within the step budget
-//     (no livelock), no L1 retains a deferred forward at quiescence, and a
-//     protocol panic is reported as a violation rather than crashing the
-//     sweep.
+//     (no livelock), and a protocol panic is reported as a violation
+//     rather than crashing the sweep.
 //  8. Clean exclusivity: an Exclusive copy's word equals the backing L2
 //     line — E is granted fresh and never written (a store moves to M), so
 //     a dirty word in E is a writeback waiting to be silently lost.
@@ -299,12 +298,13 @@ func (c Config) schedule(idx int, steps []Step) {
 // one (see harness.reset), so each schedule's outcome is a pure function of
 // its index. Rewinding needs a quiesced machine, which only a
 // violation-free run guarantees — a failed schedule may leave pending
-// events, a busy line or a deferred forward — so after any violation the
-// worker drops its testbed and takes another. Once every worker is done the
-// caller folds the fingerprints and merges the chunks in index order, up to
-// the violation cap, so the Result is the one a single loop over the
-// indices returns, at any core count. A panic outside a schedule's run (a
-// nil Protocol, say) surfaces on the caller once every worker has stopped.
+// events, a busy line or a message out of the pool — so after any
+// violation the worker drops its testbed and takes another. Once every
+// worker is done the caller folds the fingerprints and merges the chunks in
+// index order, up to the violation cap, so the Result is the one a single
+// loop over the indices returns, at any core count. A panic outside a
+// schedule's run (a nil Protocol, say) surfaces on the caller once every
+// worker has stopped.
 func Explore(cfg Config) Result {
 	if cfg.MaxViolations == 0 {
 		cfg.MaxViolations = 8
@@ -624,8 +624,8 @@ type harness struct {
 	// copy it must have installed.
 	prevGS, prevGI uint64
 	// spoiled marks a testbed whose last schedule failed: it may hold
-	// pending events, a busy line or a deferred forward, so it is never
-	// rewound or parked.
+	// pending events, a busy line or a message a half-run dispatch never
+	// recycled, so it is never rewound or parked.
 	spoiled bool
 }
 
@@ -703,14 +703,14 @@ func (h *harness) seed() {
 }
 
 // reset rewinds a testbed whose last schedule ran violation-free — so the
-// event queue is empty, the directory quiesced, no L1 busy or holding a
-// deferred forward — to the state newHarness leaves, keeping every
-// allocation. Equality with a new testbed holds per component: the engine
-// is back at cycle 0 with its counters zeroed, every link and the DRAM
-// channel free at cycle 0, backing memory zero but for the seeds, every
-// cache frame empty over zeroed data with cleared PLRU bits, every
-// transaction field of the controllers zero, no directory line tracked, and
-// the statistics and energy the components share zeroed.
+// event queue is empty, the directory quiesced with no request retained,
+// no L1 busy, and every message back in the pool — to the state newHarness
+// leaves, keeping every allocation. Equality with a new testbed holds per
+// component: the engine is back at cycle 0 with its counters zeroed, every
+// link and the DRAM channel free at cycle 0, backing memory zero but for
+// the seeds, every cache frame empty over zeroed data with cleared PLRU
+// bits, every transaction field of the controllers zero, no directory line
+// tracked, and the statistics and energy the components share zeroed.
 func (h *harness) reset() {
 	if h.spoiled {
 		panic("check: rewinding a testbed whose last schedule failed")
@@ -1044,9 +1044,6 @@ func (h *harness) checkQuiescent() *Violation {
 	for c, l1 := range h.l1s {
 		if l1.Busy() {
 			return fail("core %d still busy after the queue drained", c)
-		}
-		if l1.HasDeferredFwd() {
-			return fail("core %d retains a deferred forward at quiescence", c)
 		}
 	}
 	for ai, a := range h.cfg.Addrs {

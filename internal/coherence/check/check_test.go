@@ -160,10 +160,6 @@ var seededBugs = []struct {
 	{"lost-writeback", func(bug *proto.Protocol) {
 		bug.L1[cache.Exclusive][proto.EvStore][0].Next = proto.Stay
 	}},
-	{"stuck-deferred-forward", func(bug *proto.Protocol) {
-		bug.L1[cache.Modified][proto.EvFwdGETS][0].Actions =
-			[]proto.Action{proto.AServeFwd, proto.ADeferFwd}
-	}},
 	{"phantom-sharer", func(bug *proto.Protocol) {
 		rules := bug.Dir.Rules(proto.DirShared, proto.EvPUTS)
 		bug.Dir[proto.DirShared][proto.EvPUTS-proto.EvGETS] = rules[1:] // keep only the stale-ack rule
@@ -307,22 +303,6 @@ func TestSeededBugLostWriteback(t *testing.T) {
 			{Core: 0, Op: Load, Addr: 2},  // evict a0 via dataless PUTE
 		},
 		"value", "want last store")
-}
-
-// TestSeededBugStuckDeferredForward makes (M, FwdGETS) both serve and
-// retain the forward: the requestor is answered, the directory's
-// transaction completes, the machine quiesces — but the owner's deferred
-// slot holds the message forever, poisoning the next rule that touches it.
-// The pre-existing invariants audit only states and words, so this leak was
-// invisible; the no-stuck-pending check (new invariant: liveness) fails it.
-func TestSeededBugStuckDeferredForward(t *testing.T) {
-	bug := seededBug("stuck-deferred-forward")
-	wantViolation(t, seqCfg(bug, 2),
-		[]Step{
-			{Core: 0, Op: Store, Addr: 0}, // c0 owns a0 in M
-			{Core: 1, Op: Load, Addr: 0},  // FwdGETS to c0: serves AND retains
-		},
-		"invariant", "deferred forward")
 }
 
 // TestSeededBugPhantomSharer drops the (DS, PUTS) drop-sharer rule: the

@@ -100,7 +100,7 @@ func ParkedAreClean(t *testing.T) {
 		for i, h := range free {
 			busy := false
 			for _, l1 := range h.l1s {
-				busy = busy || l1.Busy() || l1.HasDeferredFwd()
+				busy = busy || l1.Busy()
 			}
 			if h.spoiled || busy || h.eng.Pending() != 0 || !h.dir.Quiesced() {
 				t.Errorf("parked %d-core testbed #%d is not clean: spoiled %v, L1 busy %v, %d events pending, directory quiesced %v",

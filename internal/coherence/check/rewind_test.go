@@ -172,18 +172,18 @@ func TestReachOfSeqMixed(t *testing.T) {
 	t.Fatal("the kill grid has no seq-mixed stage")
 }
 
-// TestRewindAfterViolation covers the other half of the testbed's
-// lifecycle: a failed schedule may leave events pending, a line busy or a
-// forward deferred, so a worker drops its testbed and takes another. Every
-// seeded bug's exploration of every grid config — violations in order with
-// their schedules, kinds and details, coverage counters, reach, fingerprint
-// — must equal the exploration that builds a new testbed for every schedule
-// in one loop, at 1, 2 and 4 workers, and with the violation cap at 1, 2, 8
-// and out of reach. A cap inside the space lands mid-chunk, so the merge
-// must cut the chunk that reached it at exactly that schedule, however far
-// its worker ran past it. (Depth 3 is too shallow to catch every bug —
-// check_test.go's demonstrations do that — but most make an exploration
-// both fail and pass, so the drop and the rewinds that follow it run.)
+// TestRewindAfterViolation covers the other half of the testbed's lifecycle:
+// a failed schedule may leave events pending, a line busy or a message out
+// of the pool, so a worker drops its testbed and takes another. Every seeded
+// bug's exploration of every grid config — violations in order with their
+// schedules, kinds and details, coverage counters, reach, fingerprint — must
+// equal the exploration that builds a new testbed for every schedule in one
+// loop, at 1, 2 and 4 workers, and with the violation cap at 1, 2, 8 and out
+// of reach. A cap inside the space lands mid-chunk, so the merge must cut
+// the chunk that reached it at exactly that schedule, however far its worker
+// ran past it. (Depth 3 is too shallow to catch every bug — check_test.go's
+// demonstrations do that — but most make an exploration both fail and pass,
+// so the drop and the rewinds that follow it run.)
 func TestRewindAfterViolation(t *testing.T) {
 	mixed := 0 // explorations with failing and passing schedules
 	for _, bugName := range check.SeededBugNames() {

@@ -119,9 +119,7 @@ type L1 struct {
 	cur                *CoreOp
 	curMsg             *Msg // the message being dispatched (nil for core ops)
 	actVal             uint64
-	invAfterFill       bool
 	upgradeInvalidated bool
-	pendingFwd         *Msg
 	stopped            bool
 	curTimeout         sim.Cycle
 
@@ -179,8 +177,7 @@ func (l *L1) Reset() {
 	l.arr.Reset()
 	l.giBlocks = 0
 	l.cur, l.curMsg, l.actVal = nil, nil, 0
-	l.invAfterFill, l.upgradeInvalidated = false, false
-	l.pendingFwd = nil
+	l.upgradeInvalidated = false
 	l.stopped = true
 	l.curTimeout = l.cfg.GITimeout
 	l.evActive, l.evAddr = false, 0
@@ -195,7 +192,7 @@ func (l *L1) SetProtocol(p *proto.Protocol) {
 	if p == nil {
 		panic("coherence: L1.SetProtocol: protocol is nil")
 	}
-	if l.Busy() || l.pendingFwd != nil || l.giBlocks > 0 {
+	if l.Busy() || l.giBlocks > 0 {
 		panic(fmt.Sprintf("l1 %d: SetProtocol on a controller that was not reset", l.id))
 	}
 	l.proto, l.cfg.Proto = p, p
@@ -232,11 +229,6 @@ func (l *L1) ID() int { return l.id }
 
 // Busy reports whether a core operation is outstanding.
 func (l *L1) Busy() bool { return l.cur != nil || l.evActive }
-
-// HasDeferredFwd reports whether the controller is retaining a deferred
-// forward (one it must serve once its in-flight fill arrives). At
-// quiescence this must be false; the model checker asserts it.
-func (l *L1) HasDeferredFwd() bool { return l.pendingFwd != nil }
 
 // giSweep implements the periodic GI timeout: every GITimeout cycles it
 // dispatches Timeout on each GI block, and the table's GI/Timeout row
@@ -379,10 +371,6 @@ func (l *L1) evalGuard(g proto.Guard, b *cache.Block) bool {
 		return l.curMsg.Grant == GrantS
 	case proto.GGrantIsM:
 		return l.curMsg.Grant == GrantM
-	case proto.GInvAfterFill:
-		inv := l.invAfterFill
-		l.invAfterFill = false
-		return inv
 	}
 	panic(fmt.Sprintf("l1 %d: unknown guard %v", l.id, g))
 }
@@ -479,11 +467,6 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 		// Our UPGRADE raced with this invalidating transaction; the
 		// directory will answer our (now stale) UPGRADE with data.
 		l.upgradeInvalidated = true
-	case proto.AMarkInvAfterFill:
-		// Our GETS was granted (we are on the sharer list) but the data is
-		// still in flight from a remote owner; the fill's invAfterFill rule
-		// completes the load with the granted value and drops to Invalid.
-		l.invAfterFill = true
 	case proto.ARecallData:
 		// Surrender an owned block so the L2 home can evict its line
 		// (inclusive-hierarchy recall). The tag is kept, per the paper's
@@ -495,14 +478,6 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 		l.send(l.home(l.curMsg.Addr), r)
 	case proto.AServeFwd:
 		l.serveFwd(l.curMsg, b)
-	case proto.ADeferFwd:
-		// We have just been made owner but our data grant is still in
-		// flight; defer until the fill completes. The directory is busy on
-		// this block until we respond, so at most one forward can stack.
-		if l.pendingFwd != nil {
-			panic(fmt.Sprintf("l1 %d: second pending forward", l.id))
-		}
-		l.pendingFwd = l.curMsg
 	case proto.AFill:
 		if l.cur == nil {
 			panic(fmt.Sprintf("l1 %d: stray fill %v for %#x", l.id, l.curMsg.Type, l.curMsg.Addr))
@@ -517,17 +492,6 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 		}
 		if l.upgradeInvalidated {
 			panic(fmt.Sprintf("l1 %d: UpgAck after invalidation", l.id))
-		}
-	case proto.AServeDeferred:
-		// Replay the forward the fill overtook through the table, now that
-		// the block is owned.
-		if f := l.pendingFwd; f != nil {
-			l.pendingFwd = nil
-			fill := l.curMsg
-			l.curMsg = f
-			l.dispatch(eventOf(f.Type), b)
-			l.curMsg = fill
-			l.pool.Put(f)
 		}
 	case proto.AFinishEviction:
 		if !l.evActive || l.evAddr != l.curMsg.Addr {
@@ -687,15 +651,11 @@ func eventOf(t MsgType) proto.Event {
 }
 
 // HandleMsg processes one network message addressed to this L1 and, as the
-// receiver, recycles it — unless the handler retained it (a forward
-// deferred until the in-flight fill arrives).
+// receiver, recycles it: no row keeps a message past its dispatch.
 func (l *L1) HandleMsg(m *Msg) {
 	l.curMsg = m
 	l.dispatch(eventOf(m.Type), l.arr.Lookup(m.Addr))
 	l.curMsg = nil
-	if l.pendingFwd == m {
-		return // retained; freed after the fill serves it
-	}
 	l.pool.Put(m)
 }
 

@@ -152,10 +152,9 @@ type Msg struct {
 // test rigs that build controllers directly working unchanged.
 //
 // Ownership discipline: the receiver frees. A controller that finishes
-// handling a message Puts it back — except messages it retains (a
-// directory's in-progress request lives until finish(); an L1's deferred
-// forward lives until the fill serves it), which are Put at the retention
-// point's end.
+// handling a message Puts it back — except the one retention: a
+// directory's in-progress request lives until finish(), which Puts it.
+// An L1 recycles every message it handles.
 type MsgPool struct {
 	free *Msg
 }

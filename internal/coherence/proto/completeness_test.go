@@ -49,6 +49,31 @@ func TestTableCompleteness(t *testing.T) {
 	}
 }
 
+// TestBlockingDirectoryRacesAreAllowlisted: the directory holds a line busy
+// until the requestor's Unblock, so no table has a row for an Inv reaching
+// IS_D or a forward reaching IM_D or SM_A; every table allowlists the five
+// pairs with that reason, and a message that broke the rule would fail as a
+// missing transition instead of being absorbed.
+func TestBlockingDirectoryRacesAreAllowlisted(t *testing.T) {
+	const why = "the directory holds the line busy until this requestor's Unblock, which only its fill sends"
+	pairs := []L1Key{
+		{State: cache.ISD, Event: EvInv},
+		{State: cache.IMD, Event: EvFwdGETS},
+		{State: cache.IMD, Event: EvFwdGETX},
+		{State: cache.SMA, Event: EvFwdGETS},
+		{State: cache.SMA, Event: EvFwdGETX},
+	}
+	for _, name := range Names() {
+		p := MustLookup(name)
+		for _, k := range pairs {
+			if got := p.L1Unreachable[k]; got != why || p.L1[k.State][k.Event] != nil {
+				t.Errorf("%s: %s/%v is allowlisted as %q, want %q and no row",
+					name, L1StateName(k.State), k.Event, got, why)
+			}
+		}
+	}
+}
+
 // TestAllowlistKeysInRange rejects allowlist entries that name pairs outside
 // the tables' index space (a directory event in the L1 allowlist, a state
 // past Absent): such an entry can never pair with a table hole, so it would

@@ -162,9 +162,6 @@ const (
 	GGrantIsS
 	// GGrantIsM: the arriving data message grants Modified.
 	GGrantIsM
-	// GInvAfterFill: an Inv overtook the data of the pending GETS
-	// (AMarkInvAfterFill). Impure: reading the mark consumes it.
-	GInvAfterFill
 
 	NumGuards
 )
@@ -184,8 +181,6 @@ func (g Guard) String() string {
 		return "grant=S"
 	case GGrantIsM:
 		return "grant=M"
-	case GInvAfterFill:
-		return "invAfterFill"
 	}
 	return fmt.Sprintf("Guard(%d)", uint8(g))
 }
@@ -244,15 +239,12 @@ const (
 	// Invalidation / recall / forward handling.
 	AAckInv
 	AMarkUpgInvalidated
-	AMarkInvAfterFill
 	ARecallData
 	AServeFwd
-	ADeferFwd
 	// Fills and transaction completion.
 	AFill
 	AUnblock
 	AAssertUpgValid
-	AServeDeferred
 	AFinishEviction
 
 	NumActions
@@ -333,22 +325,16 @@ func (a Action) String() string {
 		return "send:InvAck"
 	case AMarkUpgInvalidated:
 		return "markUpgInv"
-	case AMarkInvAfterFill:
-		return "markInvAfterFill"
 	case ARecallData:
 		return "send:RecallData"
 	case AServeFwd:
 		return "serveFwd"
-	case ADeferFwd:
-		return "deferFwd"
 	case AFill:
 		return "fill"
 	case AUnblock:
 		return "send:Unblock"
 	case AAssertUpgValid:
 		return "assertUpgValid"
-	case AServeDeferred:
-		return "serveDeferred"
 	case AFinishEviction:
 		return "finishEviction"
 	}

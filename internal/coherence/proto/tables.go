@@ -180,17 +180,20 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 
 	// ---- Network-side events ----------------------------------------------
 
+	// The directory is blocking, so no other transaction on a line reaches
+	// a requestor still waiting for its grant: no row handles that race.
+	const unblocked = "the directory holds the line busy until this requestor's Unblock, which only its fill sends"
+
 	// Inv: the directory invalidates listed sharers. A GS copy loses its
 	// hidden updates (back to system-wide coherency); SM_A marks its raced
-	// upgrade stale; IS_D completes the in-flight fill then drops;
-	// EV_A just acknowledges (the PUT is in flight).
+	// upgrade stale; EV_A just acknowledges (the PUT is in flight).
 	row(cache.Shared, EvInv, tr(cache.Invalid, AAckInv))
 	if gs {
 		row(cache.GS, EvInv, tr(cache.Invalid, ACountGSInv, AAckInv))
 	}
 	row(cache.SMA, EvInv, tr(Stay, AMarkUpgInvalidated, AAckInv))
-	row(cache.ISD, EvInv, tr(Stay, AMarkInvAfterFill, AAckInv))
 	row(cache.EVA, EvInv, tr(Stay, AAckInv))
+	mark(unblocked, EvInv, cache.ISD)
 	mark("untracked: the directory only invalidates listed sharers",
 		EvInv, Absent, cache.Invalid)
 	mark("the owner is reclaimed by FwdGETX or RecallOwn, never Inv",
@@ -228,9 +231,8 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 		row(cache.Modified, ev, tr(next, AServeFwd))
 		row(cache.Exclusive, ev, tr(next, AServeFwd))
 		row(cache.EVA, ev, tr(Stay, AServeFwd))
-		row(cache.IMD, ev, tr(Stay, ADeferFwd))
-		row(cache.SMA, ev, tr(Stay, ADeferFwd))
-		why := "forwards target the recorded owner: M/E, EV_A mid-eviction, or IM_D/SM_A awaiting the ownership grant"
+		mark(unblocked, ev, cache.IMD, cache.SMA)
+		why := "forwards target the recorded owner: M/E, or EV_A mid-eviction"
 		states := []cache.State{Absent, cache.Invalid, cache.Shared, cache.ISD}
 		if gs {
 			states = append(states, cache.GS)
@@ -242,18 +244,13 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 	}
 
 	// Fills, upgrade acks, put acks: answers to the single outstanding
-	// transaction. A shared fill that an Inv overtook (IS_D/Inv marked it)
-	// still completes the load with the granted, then-coherent value, and
-	// drops the block. Only a grant that lists the reader as a sharer can
-	// be overtaken (DataS, or DataC2C from a downgraded owner): DataE makes
-	// it the owner, and the directory never invalidates an owner (E/Inv,
-	// M/Inv above), so IS_D/DataE has no such rule.
+	// transaction. Each fill sends the Unblock that frees the line at the
+	// directory.
 	fillLoad := []Action{AFill, ATouch, AUnblock, ACompleteFillLoad}
-	fillWrite := []Action{AFill, AApplyWrite, ATouch, AUnblock, ACompleteWrite, AServeDeferred}
-	invFill := trg(g(GInvAfterFill), cache.Invalid, fillLoad...)
-	row(cache.ISD, EvDataS, invFill, tr(cache.Shared, fillLoad...))
+	fillWrite := []Action{AFill, AApplyWrite, ATouch, AUnblock, ACompleteWrite}
+	row(cache.ISD, EvDataS, tr(cache.Shared, fillLoad...))
 	row(cache.ISD, EvDataE, tr(cache.Exclusive, fillLoad...))
-	row(cache.ISD, EvDataC2C, invFill,
+	row(cache.ISD, EvDataC2C,
 		trg(g(GGrantIsS), cache.Shared, fillLoad...),
 		trg(g(GGrantIsM), cache.Modified, fillLoad...)) // migratory grant to a read
 	row(cache.IMD, EvDataM, tr(cache.Modified, fillWrite...))

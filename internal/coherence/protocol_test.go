@@ -260,6 +260,88 @@ func TestRigGITimeoutSweepIsPeriodic(t *testing.T) {
 	r.eng.Drain(100_000)
 }
 
+// TestL1RejectsRacesTheDirectoryBlocks: the directory holds a line busy
+// until the requestor's Unblock, which only its fill sends, so no Inv
+// reaches an L1 waiting in IS_D and no forward reaches one waiting in IM_D
+// or SM_A. Such a message is a missing transition, not a race to absorb: it
+// panics, or with OnMissing set it is reported as that pair, the L1 keeps
+// no part of it, and the outstanding transaction completes as if it had
+// never come.
+func TestL1RejectsRacesTheDirectoryBlocks(t *testing.T) {
+	const a = mem.Addr(0x40)
+	// waiting leaves core 0 with an op outstanding on a in state want; the
+	// flag it returns is set when that op completes.
+	waiting := func(t *testing.T, r *rig, want cache.State) *bool {
+		t.Helper()
+		kind := OpStore
+		switch want {
+		case cache.ISD:
+			kind = OpLoad
+		case cache.SMA:
+			r.do(t, 0, OpLoad, a, 4, 0, -1)
+			r.do(t, 1, OpLoad, a, 4, 0, -1) // both share a
+		}
+		done := new(bool)
+		r.l1s[0].Access(&CoreOp{Kind: kind, Addr: a, Width: 4, Value: 9, DDist: -1,
+			Done: func(uint64) { *done = true }})
+		if st := r.state(0, a); st != want {
+			t.Fatalf("setup left core 0 in %v, want %v", proto.L1StateName(st), proto.L1StateName(want))
+		}
+		return done
+	}
+	for _, c := range []struct {
+		state cache.State
+		msg   MsgType
+	}{
+		{cache.ISD, Inv},
+		{cache.IMD, FwdGETS},
+		{cache.IMD, FwdGETX},
+		{cache.SMA, FwdGETS},
+		{cache.SMA, FwdGETX},
+	} {
+		pair := proto.L1StateName(c.state) + "/" + eventOf(c.msg).String()
+		t.Run(pair, func(t *testing.T) {
+			r := newRig(t, 2, true)
+			waiting(t, r, c.state)
+			msg := panicText(func() {
+				r.l1s[0].HandleMsg(&Msg{Type: c.msg, Addr: a, Requestor: 1})
+			})
+			want := "no " + eventOf(c.msg).String() + " transition in state " + proto.L1StateName(c.state)
+			if !strings.Contains(msg, want) {
+				t.Fatalf("delivering %v panicked with %q, want %q", c.msg, msg, want)
+			}
+
+			r = newRig(t, 2, true)
+			done := waiting(t, r, c.state)
+			var missing []string
+			r.l1s[0].cfg.OnMissing = func(s cache.State, ev proto.Event) {
+				missing = append(missing, proto.L1StateName(s)+"/"+ev.String())
+			}
+			pool := &MsgPool{}
+			r.l1s[0].UsePool(pool)
+			m := pool.Get()
+			m.Type, m.Addr, m.Requestor = c.msg, a, 1
+			r.l1s[0].HandleMsg(m)
+			if len(missing) != 1 || missing[0] != pair {
+				t.Fatalf("OnMissing reported %v, want [%s]", missing, pair)
+			}
+			if pool.Get() != m {
+				t.Fatal("the L1 kept the message instead of recycling it")
+			}
+			if st := r.state(0, a); st != c.state {
+				t.Fatalf("the message moved core 0 to %v", proto.L1StateName(st))
+			}
+			if !r.eng.RunUntil(func() bool { return *done }) {
+				t.Fatal("the outstanding op never completed")
+			}
+			r.settle(400)
+			if !r.dir.Quiesced() || len(missing) != 1 {
+				t.Fatalf("directory quiesced %v, missing pairs %v", r.dir.Quiesced(), missing)
+			}
+		})
+	}
+}
+
 // TestNewL1NilProtoPanics: an L1 resolves no protocol name itself
 // (machine.New does), so a config without a table must fail at
 // construction with a message that names the field.
