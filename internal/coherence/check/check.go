@@ -691,12 +691,14 @@ func newHarness(cfg Config, reach *Reach) *harness {
 	return h
 }
 
-// seed writes each address's initial value to backing memory and starts
-// the write log and the last-store record from it.
+// seed writes each address's initial value and its block's canary to
+// backing memory and starts the write log and the last-store record from
+// the value.
 func (h *harness) seed() {
 	for ai, a := range h.cfg.Addrs {
 		v := baseValue(ai)
 		h.back.WriteUint(a, 4, v)
+		h.back.WriteUint(a+canaryOffset, 4, canary(ai))
 		h.written[ai] = append(h.written[ai][:0], v)
 		h.expected[ai] = v
 	}
@@ -737,6 +739,14 @@ func (h *harness) reset() {
 // baseValue spaces the addresses' value bands far apart (bit 24 and up), so
 // a word that leaks across addresses fails the membership invariant.
 func baseValue(ai int) uint64 { return uint64(ai+1) << 24 }
+
+// Every op is a 4-byte access at offset 0, so the op's word alone would let
+// a copy that lost the rest of its block (a dropped fill) pass every audit.
+// Each block also holds a canary at canaryOffset that no op writes and
+// every readable copy must hold: nonzero and distinct per address.
+const canaryOffset = 32
+
+func canary(ai int) uint64 { return baseValue(ai) | 0xA5 }
 
 // value picks the step's operand: near values share the band's high bits
 // (within any d >= 3 of the base), far values flip bit 12+ (outside any
@@ -1092,15 +1102,22 @@ func (h *harness) backingWord(a mem.Addr) uint64 {
 	return h.back.ReadUint(a, 4)
 }
 
-// checkWord audits one cached copy's data: any readable word must be a
-// value the schedule wrote there, coherent copies must equal the coherent
-// word, and a GS copy (whose residency re-runs the comparator unless the
-// table is Resident) must stay within d-distance of it.
+// checkWord audits one cached copy's data: any readable copy must hold its
+// block's canary, its word must be a value the schedule wrote there,
+// coherent copies must equal the coherent word, and a GS copy (whose
+// residency re-runs the comparator unless the table is Resident) must stay
+// within d-distance of it.
 func (h *harness) checkWord(ai int, a mem.Addr, c int, b *cache.Block) *Violation {
 	if !b.State.ReadableLocally() {
 		return nil
 	}
-	w := b.ReadWord(h.l1s[c].Array().Offset(a), 4)
+	off := h.l1s[c].Array().Offset(a)
+	if got := b.ReadWord(off+canaryOffset, 4); got != canary(ai) {
+		return &Violation{Kind: "invariant", Detail: fmt.Sprintf(
+			"core %d a%d (%v): canary %#x at offset %d, want %#x: the copy does not hold the block",
+			c, ai, b.State, got, canaryOffset, canary(ai))}
+	}
+	w := b.ReadWord(off, 4)
 	if !h.member(ai, w) {
 		return &Violation{Kind: "invariant", Detail: fmt.Sprintf(
 			"core %d a%d (%v): word %#x was never written to this address", c, ai, b.State, w)}

@@ -162,7 +162,7 @@ var seededBugs = []struct {
 	}},
 	{"phantom-sharer", func(bug *proto.Protocol) {
 		rules := bug.Dir.Rules(proto.DirShared, proto.EvPUTS)
-		bug.Dir[proto.DirShared][proto.EvPUTS-proto.EvGETS] = rules[1:] // keep only the stale-ack rule
+		bug.Dir[proto.DirShared][proto.EvPUTS-proto.EvGETS] = rules[len(rules)-1:] // keep only the stale-ack rule
 	}},
 	{"dirty-exclusive", func(bug *proto.Protocol) {
 		bug.L1[cache.Modified][proto.EvLoad][0].Next = cache.Exclusive
@@ -305,7 +305,7 @@ func TestSeededBugLostWriteback(t *testing.T) {
 		"value", "want last store")
 }
 
-// TestSeededBugPhantomSharer drops the (DS, PUTS) drop-sharer rule: the
+// TestSeededBugPhantomSharer drops the (DS, PUTS) drop-sharer rules: the
 // eviction is acknowledged but the evictor stays on the sharer list. The
 // pre-existing agreement invariant only checked one direction (every S/GS
 // copy is listed), so a list entry with no copy behind it passed; the

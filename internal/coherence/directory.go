@@ -45,14 +45,6 @@ type DirConfig struct {
 	OnDispatch func(s proto.DirState, ev proto.Event)
 }
 
-// The directory's view of a block is a proto.DirState; the short aliases
-// keep the controller readable.
-const (
-	dirInvalid = proto.DirInvalid // no tracked copies
-	dirShared  = proto.DirShared  // one or more read-only copies (incl. hidden GS)
-	dirOwned   = proto.DirOwned   // one owner in E or M
-)
-
 // dirLine is the directory entry plus L2 data for one block. The directory
 // is blocking: one transaction per block at a time, with later requests
 // queued FIFO.
@@ -73,9 +65,9 @@ type dirLine struct {
 	upgradeOK   bool           // cur is an UPGRADE from a core still on the sharer list
 	needUnblock bool           // awaiting the requestor's Unblock
 	needData    bool           // awaiting the owner's DataToDir writeback
-	// recallDone receives the owner's surrendered data during an
-	// L2-capacity recall of this line.
-	recallDone func(data []byte)
+	// waiter is the line whose fetch waits for this victim line's
+	// eviction to make room in the L2 bank.
+	waiter *dirLine
 
 	// Migratory-sharing detector state (run only under a table with a
 	// DGMigratory rule): lastReader is the core whose GETS opened the
@@ -109,8 +101,10 @@ type Directory struct {
 	// DRAM channel calls with the line it has just filled.
 	grantFn func(any)
 	fillFn  func(any)
-	// ownFn is grantOwnership bound once, for a line's onAcksDone.
-	ownFn func(*dirLine)
+	// ownFn is grantOwnership bound once, for a line's onAcksDone; evictFn
+	// evicts a line with its own data, for an eviction's last InvAck.
+	ownFn   func(*dirLine)
+	evictFn func(*dirLine)
 	// bufs holds the block buffers of lines that lost their data — a
 	// capacity victim's, every line's at Reset — for the next fills to read
 	// into, so a bank at capacity and a rewound directory fill without
@@ -121,7 +115,7 @@ type Directory struct {
 	slab []byte
 	// resident lists the addresses whose lines were filled into the L2
 	// bank, in fill order, and clock is the index the eviction scan last
-	// stopped at, walking it round-robin. A line that evictLine empties
+	// stopped at, walking it round-robin. A line that an eviction empties
 	// stays listed until the next ensureSpace compacts the list; dead
 	// records those addresses, so a list with nothing to drop costs
 	// nothing. Compaction shifts entries under clock without adjusting it.
@@ -157,6 +151,7 @@ func NewDirectory(id int, node noc.NodeID, eng *sim.Engine, net *noc.Network,
 	d.grantFn = d.grantLine
 	d.fillFn = d.fillLine
 	d.ownFn = d.grantOwnership
+	d.evictFn = func(e *dirLine) { d.evict(e, e.data) }
 	d.detect = readsGuard(cfg.Proto, proto.DGMigratory)
 	return d
 }
@@ -319,7 +314,7 @@ func (d *Directory) line(a mem.Addr) *dirLine {
 // authoritative) or was never cached here.
 func (d *Directory) Peek(a mem.Addr) (data []byte, ok bool) {
 	e := d.lines.get(a)
-	if e == nil || !e.hasData || e.state == dirOwned {
+	if e == nil || !e.hasData || e.state == proto.DirOwned {
 		return nil, false
 	}
 	return e.data, true
@@ -339,7 +334,7 @@ func (d *Directory) LineData(a mem.Addr) (data []byte, ok bool) {
 
 // Owner returns the owning L1 id for a block, or -1.
 func (d *Directory) Owner(a mem.Addr) int {
-	if e := d.lines.get(a); e != nil && e.state == dirOwned {
+	if e := d.lines.get(a); e != nil && e.state == proto.DirOwned {
 		return e.owner
 	}
 	return -1
@@ -347,7 +342,7 @@ func (d *Directory) Owner(a mem.Addr) int {
 
 // Sharers returns the sharer set for a block.
 func (d *Directory) Sharers(a mem.Addr) SharerSet {
-	if e := d.lines.get(a); e != nil && e.state == dirShared {
+	if e := d.lines.get(a); e != nil && e.state == proto.DirShared {
 		return e.sharers
 	}
 	return SharerSet{}
@@ -427,10 +422,14 @@ func (d *Directory) begin(e *dirLine, m *Msg) {
 	d.eng.AfterArg(DirLatency, d.dispatchFn, e)
 }
 
-// dispatchLine adapts dispatch to the engine's argument-passing form.
+// dispatchLine adapts dispatch to the engine's argument-passing form. The
+// directory access is charged here, per request: an eviction, which
+// evictLine dispatches directly, is charged none.
 func (d *Directory) dispatchLine(arg any) {
 	e := arg.(*dirLine)
-	d.dispatch(e, e.cur)
+	d.meter.DirAccess()
+	d.st.DirAccesses++
+	d.dispatch(e, dirEventOf(e.cur.Type))
 }
 
 // dirEventOf maps a request message type to its directory protocol event.
@@ -452,14 +451,14 @@ func dirEventOf(t MsgType) proto.Event {
 	panic(fmt.Sprintf("coherence: no directory event for message %v", t))
 }
 
-// dispatch interprets the protocol's directory table for the request: the
-// line's state selects the rule list and the first rule whose guards pass
-// fires. Grant actions that need block data run their tails after the
-// asynchronous L2/DRAM fetch, exactly like the hand-written controller.
-func (d *Directory) dispatch(e *dirLine, m *Msg) {
-	d.meter.DirAccess()
-	d.st.DirAccesses++
-	ev := dirEventOf(m.Type)
+// dispatch interprets the protocol's directory table for ev on the busy
+// line e (its cur is the request, or an Evict's victim record): the first
+// rule of the state's list whose guards pass fires, its Next becomes the
+// line's state — nowhere else changes it — and its actions run in order.
+// Nothing reads a busy line's state (DESIGN.md §4.2), so a grant still waiting
+// for its data is a busy line already in the state the grant makes.
+func (d *Directory) dispatch(e *dirLine, ev proto.Event) {
+	m := e.cur
 	if d.cfg.OnDispatch != nil {
 		d.cfg.OnDispatch(e.state, ev)
 	}
@@ -486,9 +485,7 @@ func (d *Directory) dispatch(e *dirLine, m *Msg) {
 		if !ok {
 			continue
 		}
-		if t.Next != proto.DirStay {
-			e.state = t.Next
-		}
+		e.state = t.Next
 		for _, a := range t.Actions {
 			d.runAction(a, e, m)
 		}
@@ -511,6 +508,8 @@ func (d *Directory) evalGuard(g proto.DirGuard, e *dirLine, m *Msg) bool {
 		return e.owner == m.From
 	case proto.DGFromListed:
 		return e.sharers.Has(m.From)
+	case proto.DGOnlySharer:
+		return e.sharers == SharerSetOf(m.From)
 	}
 	panic(fmt.Sprintf("dir %d: unknown guard %v", d.id, g))
 }
@@ -567,21 +566,28 @@ func (d *Directory) runAction(a proto.DirAction, e *dirLine, m *Msg) {
 		others.ForEach(func(id int) { d.sendCtl(id, Inv, a, from) })
 	case proto.DDropSharer:
 		e.sharers.Del(m.From)
-		if e.sharers.None() {
-			e.state = dirInvalid
-		}
 	case proto.DWriteback:
 		// Dirty writeback into the L2 bank.
 		e.data = append(e.data[:0], m.Data...)
 		e.hasData = true
 		d.meter.L2Access()
 		d.st.L2Accesses++
-	case proto.DClearOwner:
-		e.state = dirInvalid
-		e.owner = -1
 	case proto.DPutAckFinish:
 		d.sendCtl(m.From, PutAck, m.Addr, m.From)
 		d.finish(e)
+	case proto.DEvict:
+		d.evict(e, e.data)
+	case proto.DInvEvict:
+		// Invalidate every sharer and collect acks; the last one evicts.
+		e.pendingAck = e.sharers.Count()
+		e.onAcksDone = d.evictFn
+		a := m.Addr
+		e.sharers.ForEach(func(id int) { d.sendCtl(id, Inv, a, -1) })
+		e.sharers = SharerSet{}
+	case proto.DRecallEvict:
+		// The owner's copy is authoritative: its RecallData evicts
+		// (handleRecallData).
+		d.sendCtl(e.owner, RecallOwn, m.Addr, -1)
 	default:
 		panic(fmt.Sprintf("dir %d: unknown action %v", d.id, a))
 	}
@@ -597,7 +603,6 @@ func (d *Directory) grantOwnership(e *dirLine) {
 	} else {
 		d.replyData(m.From, DataM, e, m.Addr)
 	}
-	e.state = dirOwned
 	e.owner = m.From
 	e.sharers = SharerSet{}
 	e.needUnblock = true
@@ -612,7 +617,7 @@ func (d *Directory) finish(e *dirLine) {
 	e.onAcksDone = nil
 	e.needUnblock = false
 	e.needData = false
-	e.recallDone = nil
+	e.waiter = nil
 	if len(e.queue) > 0 {
 		// Pop by copying down, so the slice keeps its capacity for the
 		// line's next burst of queued requests.
@@ -693,15 +698,12 @@ func (d *Directory) grantLine(arg any) {
 	switch e.grant {
 	case proto.DGrantFreshS:
 		d.replyData(m.From, DataS, e, m.Addr)
-		e.state = dirShared
 		e.sharers = SharerSetOf(m.From)
 	case proto.DGrantFreshE:
 		d.replyData(m.From, DataE, e, m.Addr)
-		e.state = dirOwned
 		e.owner = m.From
 	case proto.DGrantFreshM:
 		d.replyData(m.From, DataM, e, m.Addr)
-		e.state = dirOwned
 		e.owner = m.From
 	case proto.DGrantSharedS:
 		d.replyData(m.From, DataS, e, m.Addr)
@@ -711,8 +713,8 @@ func (d *Directory) grantLine(arg any) {
 }
 
 // ensureSpace evicts one victim line if the bank is at capacity, then
-// fetches e's block. Victims with cached copies are recalled first: sharers
-// are invalidated, an owner surrenders its (possibly dirty) data. Victims
+// fetches e's block; the victim's Evict row recalls its cached copies first
+// (sharers invalidate, an owner surrenders its possibly dirty data). Victims
 // that are busy (mid-transaction) are skipped; if nothing is evictable the
 // bank briefly overflows rather than deadlocking.
 func (d *Directory) ensureSpace(e *dirLine) {
@@ -740,7 +742,7 @@ func (d *Directory) ensureSpace(e *dirLine) {
 	d.fetch(e)
 }
 
-// compactResident drops from the resident list the lines evictLine has
+// compactResident drops from the resident list the lines evictions have
 // emptied since the last call, keeping the order of the rest. A line a
 // writeback refilled in the meantime holds data again and stays listed.
 func (d *Directory) compactResident() {
@@ -755,40 +757,28 @@ func (d *Directory) compactResident() {
 	d.dead = d.dead[:0]
 }
 
-// evictLine recalls all cached copies of the victim, writes its data back
-// to DRAM, drops it from the bank, and then fetches the block of the line
-// that was waiting for the space.
+// evictLine empties the victim line v at va for waiter's fetch: the victim
+// goes busy with a record of its address as its current request, and its
+// Evict row recalls the cached copies and writes the block back (evict).
 func (d *Directory) evictLine(va mem.Addr, v *dirLine, waiter *dirLine) {
 	v.busy = true
+	v.waiter = waiter
+	v.cur = d.pool.Get()
+	v.cur.Type, v.cur.Addr = RecallOwn, va
 	d.st.L2Recalls++
-	finish := func(data []byte) {
-		d.dram.WriteBlock(va, data) // copies data, which may be v's buffer
-		d.releaseData(v)
-		d.dead = append(d.dead, va)
-		v.state = dirInvalid
-		v.owner = -1
-		v.sharers = SharerSet{}
-		d.finish(v) // unbusy and restart anything queued on the victim
-		d.fetch(waiter)
-	}
-	switch v.state {
-	case dirInvalid:
-		finish(v.data)
-	case dirShared:
-		sharers := v.sharers
-		v.pendingAck = sharers.Count()
-		data := v.data
-		v.onAcksDone = func(*dirLine) { finish(data) }
-		sharers.ForEach(func(id int) { d.sendCtl(id, Inv, va, -1) })
-	case dirOwned:
-		// The owner's copy is authoritative; RecallData completes the
-		// eviction (handled in handleRecallData via the line's cur).
-		v.cur = d.pool.Get()
-		v.cur.Type, v.cur.Addr = RecallOwn, va
-		v.onAcksDone = nil
-		d.sendCtl(v.owner, RecallOwn, va, -1)
-		v.recallDone = func(data []byte) { finish(data) }
-	}
+	d.dispatch(v, proto.EvEvict)
+}
+
+// evict completes the victim's eviction once its copies are recalled:
+// data, the coherent block, goes back to DRAM, the line leaves the bank and
+// goes idle, and the waiter's fetch starts.
+func (d *Directory) evict(v *dirLine, data []byte) {
+	va, waiter := v.cur.Addr, v.waiter
+	d.dram.WriteBlock(va, data) // copies data, which may be v's buffer
+	d.releaseData(v)
+	d.dead = append(d.dead, va)
+	d.finish(v) // unbusy and restart anything queued on the victim
+	d.fetch(waiter)
 }
 
 // replyData sends a data grant to an L1 from the L2 copy.
@@ -845,22 +835,18 @@ func (d *Directory) handleDataToDir(e *dirLine, m *Msg) {
 	e.hasData = true
 	d.meter.L2Access()
 	d.st.L2Accesses++
-	e.state = dirShared
 	e.sharers = SharerSetOf(m.From, e.cur.From)
-	e.owner = -1
 	e.needData = false
 	d.maybeFinish(e)
 }
 
 // handleRecallData completes an L2-capacity recall: the owner surrendered
-// its (authoritative) copy.
+// its (authoritative) copy, which the eviction writes back.
 func (d *Directory) handleRecallData(e *dirLine, m *Msg) {
-	if !e.busy || e.recallDone == nil {
+	if !e.busy || e.waiter == nil {
 		panic(fmt.Sprintf("dir %d: stray RecallData for %#x", d.id, m.Addr))
 	}
-	done := e.recallDone
-	e.recallDone = nil
-	done(append([]byte(nil), m.Data...))
+	d.evict(e, m.Data)
 }
 
 func (d *Directory) handleUnblock(e *dirLine, m *Msg) {

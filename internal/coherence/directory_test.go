@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/sim"
 )
@@ -109,7 +110,7 @@ func TestDirectoryResetReusesLines(t *testing.T) {
 			r.dir.lines.n, r.dir.resident, r.dir.clock, r.dir.dead)
 	}
 	for _, a := range addrs {
-		if _, ok := r.dir.LineData(a); ok || r.dir.State(a) != dirInvalid || r.dir.Owner(a) != -1 {
+		if _, ok := r.dir.LineData(a); ok || r.dir.State(a) != proto.DirInvalid || r.dir.Owner(a) != -1 {
 			t.Fatalf("after Reset the directory still knows %#x", a)
 		}
 	}
@@ -122,7 +123,7 @@ func TestDirectoryResetReusesLines(t *testing.T) {
 		if got != want {
 			t.Fatalf("line %d after Reset is not the line created %d-th before it", i, i)
 		}
-		if got.owner != -1 || got.state != dirInvalid || got.hasData || got.data != nil || got.busy || got.cur != nil {
+		if got.owner != -1 || got.state != proto.DirInvalid || got.hasData || got.data != nil || got.busy || got.cur != nil {
 			t.Fatalf("reused line %d is not cleared: %+v", i, *got)
 		}
 	}

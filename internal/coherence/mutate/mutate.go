@@ -29,7 +29,7 @@ const (
 	// dispatch of that pair into a missing transition.
 	OpDropRow Op = iota
 	// OpSwapNext replaces one rule's next state with another stable state
-	// (or Stay).
+	// (or, in the L1 table, Stay).
 	OpSwapNext
 	// OpDelAction deletes one semantic action from a rule.
 	OpDelAction
@@ -135,25 +135,24 @@ func mutableDirGuard(g proto.DirGuard) bool { return g != proto.DGMigratory }
 // swapTargets are the next-state candidates for OpSwapNext: the stable
 // states plus Stay. A typo'd transient target dies trivially (transient at
 // quiescence); restricting to stable states keeps the matrix focused on
-// mutants that plausibly survive.
+// mutants that plausibly survive. Every directory rule names its Next, so
+// the directory's candidates are its three states.
 var swapTargets = []cache.State{
 	cache.Invalid, cache.Shared, cache.Exclusive, cache.Modified,
 	cache.GS, cache.GI, proto.Stay,
 }
 
 var dirSwapTargets = []proto.DirState{
-	proto.DirInvalid, proto.DirShared, proto.DirOwned, proto.DirStay,
+	proto.DirInvalid, proto.DirShared, proto.DirOwned,
 }
 
 // sharerSubs maps each directory sharer-bookkeeping action to a
 // wrong-but-plausible substitute for OpCorruptSharer.
 var sharerSubs = map[proto.DirAction]proto.DirAction{
 	proto.DGrantSharedS: proto.DGrantFreshS, // reset the list instead of appending
-	proto.DDropSharer:   proto.DClearOwner,  // drop the whole line instead of one sharer
 	proto.DInvAndGrant:  proto.DGrantFreshM, // grant ownership without invalidating sharers
 	proto.DFwdGETSOwner: proto.DGrantFreshS, // serve stale L2 data instead of the owner's copy
 	proto.DFwdGETXOwner: proto.DGrantFreshM, // hand out a second M copy from stale L2 data
-	proto.DClearOwner:   proto.DDropSharer,  // treat the owner record as a sharer bit
 }
 
 // Enumerate returns every mutation of p, in a deterministic order (L1 table
@@ -241,22 +240,13 @@ func enumerateL1Rule(si, ei, ri int, r proto.Transition) []Mutation {
 
 func enumerateDirRule(si, ei, ri int, r proto.DirTransition) []Mutation {
 	var ms []Mutation
-	eff := r.Next
-	if eff == proto.DirStay {
-		eff = proto.DirState(si)
-	}
 	for _, nxt := range dirSwapTargets {
-		effN := nxt
-		if effN == proto.DirStay {
-			effN = proto.DirState(si)
+		if nxt != r.Next {
+			ms = append(ms, Mutation{Op: OpSwapNext, Dir: true, S: si, E: ei, R: ri, Arg: int(nxt)})
 		}
-		if nxt == r.Next || effN == eff {
-			continue
-		}
-		ms = append(ms, Mutation{Op: OpSwapNext, Dir: true, S: si, E: ei, R: ri, Arg: int(nxt)})
 	}
 	conflict := proto.DirInvalid
-	if eff == proto.DirInvalid {
+	if r.Next == proto.DirInvalid {
 		conflict = proto.DirOwned
 	}
 	ms = append(ms, Mutation{Op: OpDupConflict, Dir: true, S: si, E: ei, R: ri, Arg: int(conflict)})
@@ -381,16 +371,14 @@ func validL1Next(s cache.State) bool {
 	return s == proto.Stay || int(s) < proto.NumL1States-1 // Absent is not settable
 }
 
-func validDirNext(s proto.DirState) bool {
-	return s == proto.DirStay || s < proto.NumDirStates
-}
+func validDirNext(s proto.DirState) bool { return s < proto.NumDirStates }
 
 // Describe renders m against its original protocol, e.g.
 // "l1 GS/Scribble r0: next GS->I" or "dir DS/PUTS r1: drop action drop sharer".
 func (m Mutation) Describe(p *proto.Protocol) string {
 	if m.Dir {
 		row := fmt.Sprintf("dir %v/%v", proto.DirState(m.S), proto.Event(m.E)+proto.EvGETS)
-		return describe(m, row, p.Dir[m.S][m.E], dirNextName)
+		return describe(m, row, p.Dir[m.S][m.E], proto.DirState.String)
 	}
 	row := fmt.Sprintf("l1 %s/%v", proto.L1StateName(cache.State(m.S)), proto.Event(m.E))
 	return describe(m, row, p.L1[m.S][m.E], l1NextName)
@@ -447,13 +435,6 @@ func l1NextName(s cache.State) string {
 		return "stay"
 	}
 	return proto.L1StateName(s)
-}
-
-func dirNextName(s proto.DirState) string {
-	if s == proto.DirStay {
-		return "stay"
-	}
-	return s.String()
 }
 
 // Decode interprets data as a mutation program: each 7-byte chunk is

@@ -245,8 +245,9 @@ func TestPruneMatchesFullGrid(t *testing.T) {
 // grid dispatches — every mutant there classifies as equivalent unseen. The
 // grid is depth 3 with an unbounded L2: a block enters GS or GI on a
 // schedule's last step at the earliest, so the resident rows of the paper's
-// own two states are all here, next to the capacity recalls and the races
-// that need a fourth step or a second block in flight. The eviction stages
+// own two states are all here, next to the capacity recalls (the L1's
+// RecallOwn rows, the directory's Evict rows) and the races that need a
+// fourth step or a second block in flight. The eviction stages
 // replace only the E or M copy one core loaded or stored (an S, I, GS or GI
 // victim needs a second core's step first), and no stage arms the GI sweep
 // that dispatches Timeout. Under gw-msi a cold load is granted S, so the E
@@ -270,23 +271,23 @@ var neverDispatched = map[string]string{
 	"gw-noGI": "I/Replace S/Replace E/RecallOwn M/RecallOwn GS/Load GS/Store GS/Scribble GS/Inv GS/Replace" +
 		" SM_A/Inv SM_A/DataM SM_A/DataC2C" +
 		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
-		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS",
+		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DI/Evict DS/PUTS DS/PUTE DS/PUTM DS/Evict DM/UPGRADE DM/PUTS DM/Evict",
 	"gw-msi": "I/Replace E/Load E/Store E/Scribble E/RecallOwn E/FwdGETS E/FwdGETX E/Replace M/RecallOwn" +
 		" GS/Replace GI/Load GI/Store GI/Scribble GI/Replace GI/Timeout IS_D/DataE SM_A/DataM" +
 		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
-		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTE DS/PUTM DM/PUTS DM/PUTE",
+		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DI/Evict DS/PUTE DS/PUTM DS/Evict DM/PUTS DM/PUTE DM/Evict",
 }
 
 const (
 	neverMESI = "I/Replace S/Replace E/RecallOwn M/RecallOwn" +
 		" SM_A/Inv SM_A/DataM SM_A/DataC2C" +
 		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
-		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS"
+		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DI/Evict DS/PUTS DS/PUTE DS/PUTM DS/Evict DM/UPGRADE DM/PUTS DM/Evict"
 	neverGhostwriter = "I/Replace S/Replace E/RecallOwn M/RecallOwn GS/Load GS/Store GS/Scribble GS/Inv GS/Replace" +
 		" GI/Load GI/Store GI/Scribble GI/Replace GI/Timeout" +
 		" SM_A/Inv SM_A/DataM SM_A/DataC2C" +
 		" EV_A/Inv EV_A/RecallOwn EV_A/FwdGETS EV_A/FwdGETX" +
-		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DS/PUTS DS/PUTE DS/PUTM DM/UPGRADE DM/PUTS"
+		" DI/UPGRADE DI/PUTS DI/PUTE DI/PUTM DI/Evict DS/PUTS DS/PUTE DS/PUTM DS/Evict DM/UPGRADE DM/PUTS DM/Evict"
 )
 
 // TestResidentIsDeclared: the ghostwriter mutant that drops GS/Scribble's

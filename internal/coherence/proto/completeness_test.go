@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"fmt"
 	"testing"
 
 	"ghostwriter/internal/cache"
@@ -154,7 +155,7 @@ func TestTableStructure(t *testing.T) {
 					t.Errorf("%s: empty rule list (covered but unexecutable)", at())
 				}
 				for ri, r := range rules {
-					if r.Next != DirStay && int(r.Next) >= int(NumDirStates) {
+					if r.Next >= NumDirStates {
 						t.Errorf("%s rule %d: next state %d out of range", at(), ri, r.Next)
 					}
 					for _, g := range r.Guards {
@@ -178,6 +179,54 @@ func TestTableStructure(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// grantNext is the state each directory action that grants, forwards or
+// evicts leaves its line in: an ownership grant or a forwarded write DM, a
+// read grant or a forwarded read DS, an eviction DI.
+var grantNext = map[DirAction]DirState{
+	DGrantFreshE: DirOwned, DGrantFreshM: DirOwned, DFwdGETXOwner: DirOwned,
+	DMigratoryGrant: DirOwned, DInvAndGrant: DirOwned,
+	DGrantFreshS: DirShared, DGrantSharedS: DirShared, DFwdGETSOwner: DirShared,
+	DEvict: DirInvalid, DInvEvict: DirInvalid, DRecallEvict: DirInvalid,
+}
+
+// grantNextErrs lists the directory rules of p whose Next is not the state
+// one of their actions leaves the line in.
+func grantNextErrs(p *Protocol) []string {
+	var errs []string
+	for si := range p.Dir {
+		for ei, rules := range p.Dir[si] {
+			for ri, r := range rules {
+				for _, a := range r.Actions {
+					if want, ok := grantNext[a]; ok && r.Next != want {
+						errs = append(errs, fmt.Sprintf("dir %v/%v r%d: %v leaves %v, Next is %v",
+							DirState(si), EvGETS+Event(ei), ri, a, want, r.Next))
+					}
+				}
+			}
+		}
+	}
+	return errs
+}
+
+// TestGrantActionsImplyNext checks every directory rule's Next against its
+// grant, forward or evict action without running the table. It is the only
+// check on the rows no checker sweep dispatches — DI/UPGRADE, DM/UPGRADE
+// and the Evict rows (the checker's L2 is unbounded) — so it is shown to
+// fire on a hand-made bad table too.
+func TestGrantActionsImplyNext(t *testing.T) {
+	for _, name := range Names() {
+		for _, e := range grantNextErrs(MustLookup(name)) {
+			t.Errorf("%s: %s", name, e)
+		}
+	}
+	bad := MustLookup("ghostwriter").Clone()
+	bad.Dir[DirInvalid][EvUPGRADE-EvGETS][0].Next = DirShared
+	want := "dir DI/UPGRADE r0: grant M leaves DM, Next is DS"
+	if got := grantNextErrs(bad); len(got) != 1 || got[0] != want {
+		t.Errorf("lint of a table with DI/UPGRADE -> DS = %q, want [%q]", got, want)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 
 // Event is a protocol input: a core-side memory operation, a network
 // message arriving at an L1, a controller-side event of the L1 itself, or a
-// request dispatched at a directory. L1 events come first
-// (EvLoad..EvTimeout), directory events last (EvGETS..EvPUTM); the two
+// request or eviction dispatched at a directory. L1 events come first
+// (EvLoad..EvTimeout), directory events last (EvGETS..EvEvict); the two
 // tables are indexed by their own range.
 type Event uint8
 
@@ -57,6 +57,9 @@ const (
 	EvPUTS
 	EvPUTE
 	EvPUTM
+	// Controller-side directory event: a fill into a full L2 bank evicts a
+	// victim line.
+	EvEvict
 
 	NumEvents
 )
@@ -112,6 +115,8 @@ func (e Event) String() string {
 		return "PUTE"
 	case EvPUTM:
 		return "PUTM"
+	case EvEvict:
+		return "Evict"
 	}
 	return fmt.Sprintf("Event(%d)", uint8(e))
 }
@@ -344,7 +349,7 @@ func (a Action) String() string {
 // Rule is one guarded table rule over one side's state, guard and action
 // enums. Within a (state, event) entry rules are tried in order; the first
 // whose guards all pass — and whose NegGuards all fail — fires. Next is
-// applied before the actions run (the side's Stay sentinel keeps the state).
+// applied before the actions run (the L1's Stay sentinel keeps the state).
 type Rule[S, G, A ~uint8] struct {
 	Guards []G
 	// NegGuards are guards that must evaluate false for the rule to fire.
@@ -398,11 +403,6 @@ const (
 	NumDirStates
 )
 
-// DirStay is the sentinel Next value meaning the transition keeps the
-// directory state (or defers the change to an action that runs after an
-// asynchronous data fetch).
-const DirStay DirState = 0xFF
-
 // String names the directory state.
 func (s DirState) String() string {
 	switch s {
@@ -429,6 +429,8 @@ const (
 	DGOwnerIsFrom
 	// DGFromListed: the requestor is on the sharer list.
 	DGFromListed
+	// DGOnlySharer: the requestor is the only entry on the sharer list.
+	DGOnlySharer
 
 	NumDirGuards
 )
@@ -442,13 +444,16 @@ func (g DirGuard) String() string {
 		return "owner=req"
 	case DGFromListed:
 		return "req listed"
+	case DGOnlySharer:
+		return "req only sharer"
 	}
 	return fmt.Sprintf("DirGuard(%d)", uint8(g))
 }
 
-// DirAction is a named directory primitive. Grant actions that need block
-// data run their tail (reply + bookkeeping) after the L2/DRAM fetch
-// completes, exactly like the hand-written controller did.
+// DirAction is a named directory primitive. The rule's Next is the line's
+// state from the dispatch on; grant actions that need block data send the
+// reply and record the requestor after the L2/DRAM fetch completes, and the
+// line stays busy until then.
 type DirAction uint8
 
 // Directory actions.
@@ -477,15 +482,18 @@ const (
 	// DInvAndGrant: invalidate every other sharer, then grant ownership —
 	// UpgAck for a still-valid UPGRADE, DataM otherwise.
 	DInvAndGrant
-	// DDropSharer removes the requestor from the sharer list (to DI when
-	// it was the last).
+	// DDropSharer removes the requestor from the sharer list.
 	DDropSharer
 	// DWriteback absorbs a PUTM's dirty data into the L2 bank.
 	DWriteback
-	// DClearOwner drops the ownership record (to DI).
-	DClearOwner
 	// DPutAckFinish acknowledges a PUT and completes the transaction.
 	DPutAckFinish
+	// DEvict writes an L2 victim's block back to DRAM, drops the line from
+	// the bank and starts the fetch waiting for the space; DInvEvict first
+	// invalidates every sharer, DRecallEvict first recalls the owner's copy.
+	DEvict
+	DInvEvict
+	DRecallEvict
 
 	NumDirActions
 )
@@ -517,10 +525,14 @@ func (a DirAction) String() string {
 		return "drop sharer"
 	case DWriteback:
 		return "writeback"
-	case DClearOwner:
-		return "clear owner"
 	case DPutAckFinish:
 		return "PutAck+finish"
+	case DEvict:
+		return "evict"
+	case DInvEvict:
+		return "inv sharers+evict"
+	case DRecallEvict:
+		return "recall owner+evict"
 	}
 	return fmt.Sprintf("DirAction(%d)", uint8(a))
 }

@@ -33,18 +33,14 @@ func Markdown(p *Protocol) string {
 	fmt.Fprintf(&b, "\n%d unreachable (state, event) pairs allowlisted with reasons.\n", len(p.L1Unreachable))
 
 	fmt.Fprintf(&b, "\n### Protocol `%s` — directory table\n\n", p.Name)
-	b.WriteString("| State | Request | Guards | Next | Actions |\n")
+	b.WriteString("| State | Event | Guards | Next | Actions |\n")
 	b.WriteString("|---|---|---|---|---|\n")
 	for si := 0; si < int(NumDirStates); si++ {
 		for ev := EvGETS; ev < NumEvents; ev++ {
 			s := DirState(si)
 			for _, r := range p.Dir.Rules(s, ev) {
-				next := "·"
-				if r.Next != DirStay {
-					next = r.Next.String()
-				}
 				fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n",
-					s, ev, guardList(r.Guards, r.NegGuards), next, actionList(r.Actions))
+					s, ev, guardList(r.Guards, r.NegGuards), r.Next, actionList(r.Actions))
 			}
 		}
 	}

@@ -43,12 +43,12 @@ func init() {
 		L1Unreachable: noGIUn, DirUnreachable: dirUn})
 
 	msi := variant(gw, "gw-msi")
-	msi.Dir[DirInvalid][EvGETS-EvGETS] = []DirTransition{dtr(DGrantFreshS)}
+	msi.Dir[DirInvalid][EvGETS-EvGETS] = []DirTransition{dtr(DirShared, DGrantFreshS)}
 	Register(msi)
 
 	mig := variant(mesi, "mesi-mig")
 	mig.Dir[DirOwned][EvGETS-EvGETS] = append([]DirTransition{
-		dtrg(dg(DGMigratory), DAssertNotOwner, DMigratoryGrant),
+		dtrg(dg(DGMigratory), DirOwned, DAssertNotOwner, DMigratoryGrant),
 	}, mig.Dir[DirOwned][EvGETS-EvGETS]...)
 	Register(mig)
 
@@ -331,15 +331,15 @@ func buildL1(gs, gi bool) (L1Table, map[L1Key]string) {
 	return t, un
 }
 
-// dtr builds an unguarded directory rule; dtrg a guarded one. Directory
-// state changes live inside the actions (several run after an asynchronous
-// L2/DRAM fetch), so Next is always DirStay.
-func dtr(actions ...DirAction) DirTransition {
-	return DirTransition{Next: DirStay, Actions: actions}
+// dtr builds an unguarded directory rule; dtrg a guarded one. Next is the
+// line's state from the dispatch on: a grant waiting for its L2/DRAM fetch
+// is a busy line already in the state the grant makes.
+func dtr(next DirState, actions ...DirAction) DirTransition {
+	return DirTransition{Next: next, Actions: actions}
 }
 
-func dtrg(guards []DirGuard, actions ...DirAction) DirTransition {
-	return DirTransition{Guards: guards, Next: DirStay, Actions: actions}
+func dtrg(guards []DirGuard, next DirState, actions ...DirAction) DirTransition {
+	return DirTransition{Guards: guards, Next: next, Actions: actions}
 }
 
 func dg(guards ...DirGuard) []DirGuard { return guards }
@@ -353,34 +353,40 @@ func buildDir() (DirTable, map[DirKey]string) {
 		t[s][ev-EvGETS] = rules
 	}
 
-	row(DirInvalid, EvGETS, dtr(DGrantFreshE))
-	row(DirShared, EvGETS, dtr(DGrantSharedS))
-	row(DirOwned, EvGETS, dtr(DAssertNotOwner, DFwdGETSOwner))
+	row(DirInvalid, EvGETS, dtr(DirOwned, DGrantFreshE))
+	row(DirShared, EvGETS, dtr(DirShared, DGrantSharedS))
+	row(DirOwned, EvGETS, dtr(DirShared, DAssertNotOwner, DFwdGETSOwner))
 
 	for _, ev := range []Event{EvGETX, EvUPGRADE} {
-		row(DirInvalid, ev, dtr(DNoteWrite, DGrantFreshM))
-		row(DirShared, ev, dtr(DNoteWrite, DInvAndGrant))
-		row(DirOwned, ev, dtr(DNoteWrite, DAssertNotOwner, DFwdGETXOwner))
+		row(DirInvalid, ev, dtr(DirOwned, DNoteWrite, DGrantFreshM))
+		row(DirShared, ev, dtr(DirOwned, DNoteWrite, DInvAndGrant))
+		row(DirOwned, ev, dtr(DirOwned, DNoteWrite, DAssertNotOwner, DFwdGETXOwner))
 	}
 
 	// PUTs from states that no longer match are stale (the copy was
-	// reclaimed or ownership moved on mid-flight): just acknowledge.
-	staleAck := dtr(DPutAckFinish)
-	dropListed := dtrg(dg(DGFromListed), DDropSharer, DPutAckFinish)
-	row(DirInvalid, EvPUTS, staleAck)
-	row(DirShared, EvPUTS, dropListed, staleAck)
-	row(DirOwned, EvPUTS, staleAck)
-	row(DirInvalid, EvPUTE, staleAck)
-	row(DirShared, EvPUTE, dropListed, staleAck)
+	// reclaimed or ownership moved on mid-flight): just acknowledge. A
+	// listed sharer's PUT leaves DS only when it drops the last entry.
+	for _, ev := range []Event{EvPUTS, EvPUTE, EvPUTM} {
+		row(DirInvalid, ev, dtr(DirInvalid, DPutAckFinish))
+		row(DirShared, ev, // a PUTM here: evictor downgraded mid-eviction; data already via DataToDir
+			dtrg(dg(DGOnlySharer), DirInvalid, DDropSharer, DPutAckFinish),
+			dtrg(dg(DGFromListed), DirShared, DDropSharer, DPutAckFinish),
+			dtr(DirShared, DPutAckFinish))
+	}
+	row(DirOwned, EvPUTS, dtr(DirOwned, DPutAckFinish))
 	row(DirOwned, EvPUTE,
-		dtrg(dg(DGOwnerIsFrom), DClearOwner, DPutAckFinish),
-		staleAck)
-	row(DirInvalid, EvPUTM, staleAck)
-	row(DirShared, EvPUTM, dropListed, staleAck) // evictor downgraded mid-eviction; data already via DataToDir
+		dtrg(dg(DGOwnerIsFrom), DirInvalid, DPutAckFinish),
+		dtr(DirOwned, DPutAckFinish))
 	row(DirOwned, EvPUTM,
-		dtrg(dg(DGOwnerIsFrom), DWriteback, DClearOwner, DPutAckFinish),
-		staleAck)
+		dtrg(dg(DGOwnerIsFrom), DirInvalid, DWriteback, DPutAckFinish),
+		dtr(DirOwned, DPutAckFinish))
 
-	// The directory table is total: every (state, request) pair has a row.
+	// Evict: a fill into a full L2 bank empties a victim line, recalling
+	// its cached copies first (the hierarchy is inclusive).
+	row(DirInvalid, EvEvict, dtr(DirInvalid, DEvict))
+	row(DirShared, EvEvict, dtr(DirInvalid, DInvEvict))
+	row(DirOwned, EvEvict, dtr(DirInvalid, DRecallEvict))
+
+	// The directory table is total: every (state, event) pair has a row.
 	return t, map[DirKey]string{}
 }

@@ -235,6 +235,41 @@ func TestRigEvictionWritesBackThroughPUTM(t *testing.T) {
 	}
 }
 
+// TestRigLastSharerPUTLeavesDI: a listed sharer's PUTS keeps the line in
+// DS while another sharer is left, and the last sharer's PUTS takes it to
+// DI (DS/PUTS's "req only sharer" rule). No kill-grid sweep dispatches
+// DS/PUTS under mesi, so this is that rule's cover.
+func TestRigLastSharerPUTLeavesDI(t *testing.T) {
+	r := newRig(t, 2, false)
+	const a, stride = mem.Addr(0), mem.Addr(2 * 64) // the rig L1 has 2 sets x 2 ways
+	r.do(t, 0, OpLoad, a, 4, 0, -1)
+	r.do(t, 1, OpLoad, a, 4, 0, -1) // both share a
+	if r.dir.State(a) != proto.DirShared || r.dir.Sharers(a) != SharerSetOf(0, 1) {
+		t.Fatalf("setup: directory %v with sharers %v, want DS {0 1}", r.dir.State(a), r.dir.Sharers(a).IDs())
+	}
+	// evict fills the victim's set at core id with two other blocks; a is
+	// the set's least recently used, so it leaves with a PUTS.
+	evict := func(id int, first mem.Addr) {
+		r.do(t, id, OpLoad, first, 4, 0, -1)
+		r.do(t, id, OpLoad, first+stride, 4, 0, -1)
+		if r.state(id, a) != cache.State(255) {
+			t.Fatalf("core %d still holds a", id)
+		}
+	}
+	evict(0, stride)
+	if r.dir.State(a) != proto.DirShared || r.dir.Sharers(a) != SharerSetOf(1) {
+		t.Fatalf("after the first PUTS: directory %v with sharers %v, want DS {1}",
+			r.dir.State(a), r.dir.Sharers(a).IDs())
+	}
+	evict(1, 3*stride)
+	if r.dir.State(a) != proto.DirInvalid {
+		t.Fatalf("after the last PUTS: directory %v, want DI", r.dir.State(a))
+	}
+	if !r.dir.Quiesced() {
+		t.Fatal("directory not quiesced")
+	}
+}
+
 func TestRigGITimeoutSweepIsPeriodic(t *testing.T) {
 	r := newRig(t, 2, true)
 	r.l1s[1].StartSweep()

@@ -9,15 +9,19 @@ import (
 	"testing"
 )
 
-// TestBlockStateChangesOnlyInDispatch holds the L1 to its transition table:
-// the decision "which state does a block go to" is a table row, so no code
-// in this package may change an existing block's state except through
-// (*L1).dispatch, which applies a rule's Next with setState. It scans the
-// package's non-test files and fails on
+// TestBlockStateChangesOnlyInDispatch holds both controllers to their
+// transition tables: the decision "which state does a block go to" is a
+// table row, so no code in this package may change a cached block's state
+// except through (*L1).dispatch, which applies a rule's Next with setState,
+// nor a directory line's state except in (*Directory).dispatch, which
+// applies a rule's Next itself. It scans the package's non-test files and
+// fails on
 //
 //   - an assignment to a State field anywhere but setState (cache.Block's is
-//     the package's only State field; the directory keeps a lowercase one),
-//   - a setState call anywhere but dispatch,
+//     the package's only State field),
+//   - an assignment to a state field anywhere but (*Directory).dispatch
+//     (dirLine's is the package's only one),
+//   - a setState call anywhere but (*L1).dispatch,
 //   - a call of the cache's Install, except the one with which
 //     installAndRequest claims a frame for a new tag (the victim has
 //     already left its state through its Replace row).
@@ -50,13 +54,16 @@ func TestBlockStateChangesOnlyInDispatch(t *testing.T) {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						if isStateField(lhs) && in != "(*L1).setState" {
+						switch {
+						case isField(lhs, "State") && in != "(*L1).setState":
 							flag(n, "assigns a block's State")
+						case isField(lhs, "state") && in != "(*Directory).dispatch":
+							flag(n, "assigns a directory line's state")
 						}
 					}
 				case *ast.IncDecStmt:
-					if isStateField(n.X) {
-						flag(n, "steps a block's State")
+					if isField(n.X, "State") || isField(n.X, "state") {
+						flag(n, "steps a state")
 					}
 				case *ast.CallExpr:
 					var callee string
@@ -78,7 +85,7 @@ func TestBlockStateChangesOnlyInDispatch(t *testing.T) {
 		}
 	}
 	if len(sites) > 0 {
-		t.Fatalf("block state changes outside (*L1).dispatch — make each a table row:\n  %s",
+		t.Fatalf("state changes outside the controllers' dispatch — make each a table row:\n  %s",
 			strings.Join(sites, "\n  "))
 	}
 }
@@ -99,8 +106,8 @@ func funcName(fn *ast.FuncDecl) string {
 	return fn.Name.Name
 }
 
-// isStateField reports whether e is a selector of a field named State.
-func isStateField(e ast.Expr) bool {
+// isField reports whether e is a selector of a field named name.
+func isField(e ast.Expr, name string) bool {
 	sel, ok := e.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "State"
+	return ok && sel.Sel.Name == name
 }
