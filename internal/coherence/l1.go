@@ -96,8 +96,9 @@ type L1Config struct {
 //
 // The controller is blocking (one core op, one eviction at a time), so all
 // transaction context lives in flat fields instead of per-transaction
-// closures, and the recurring callbacks (completion, GI sweep) are bound
-// once at construction.
+// closures, and the completion callback is bound once at construction.
+// The GI sweep's timer is the machine's one Sweeper; the controller keeps
+// only the visit and its period.
 type L1 struct {
 	id    int
 	node  noc.NodeID
@@ -113,15 +114,22 @@ type L1 struct {
 
 	// giBlocks counts frames currently in GI — a census setState maintains
 	// at every state change so the periodic sweep can skip scanning the
-	// whole array (the dominant sweep cost) whenever nothing is in GI.
+	// whole array (the dominant sweep cost) whenever nothing is in GI. The
+	// Sweeper timing the controller, if any, keeps the sum over all of its
+	// controllers, so a fixed-period sweep of a machine with nothing in GI
+	// visits none of them.
 	giBlocks int
+	sweeper  *Sweeper
 
 	cur                *CoreOp
 	curMsg             *Msg // the message being dispatched (nil for core ops)
 	actVal             uint64
 	upgradeInvalidated bool
-	stopped            bool
-	curTimeout         sim.Cycle
+
+	// The GI sweep's period, fixed or adapted, and the link that files
+	// this controller in its Sweeper group.
+	curTimeout sim.Cycle
+	sweepNext  *L1
 
 	// The single outstanding eviction transaction (evAddr is the victim's
 	// address while its Replace is dispatched), and the install+request it
@@ -137,9 +145,8 @@ type L1 struct {
 	pendingDone func(uint64)
 	pendingVal  uint64
 
-	// Callbacks bound once so rescheduling never allocates.
+	// Callback bound once so rescheduling never allocates.
 	completeFn sim.Event
-	sweepFn    sim.Event
 }
 
 // NewL1 builds an L1 controller. The L1's id doubles as its NoC node id.
@@ -161,24 +168,21 @@ func NewL1(id int, eng *sim.Engine, net *noc.Network, cfg L1Config,
 		proto: cfg.Proto,
 		home:  home,
 	}
-	l.stopped = true
 	l.curTimeout = cfg.GITimeout
 	l.completeFn = l.fireComplete
-	l.sweepFn = l.giSweep
 	return l
 }
 
 // Reset returns a quiesced controller (no core op, eviction or completion
-// in flight, sweep timer not pending) to its just-constructed state: an
-// empty array, every transaction field zeroed, the sweep stopped at the
-// configured period. Wiring, configuration and the bound callbacks are
+// in flight, no sweep armed) to its just-constructed state: an empty
+// array, every transaction field zeroed, the sweep period back at the
+// configured one. Wiring, configuration and the bound callbacks are
 // kept.
 func (l *L1) Reset() {
 	l.arr.Reset()
-	l.giBlocks = 0
+	l.countGI(-l.giBlocks)
 	l.cur, l.curMsg, l.actVal = nil, nil, 0
 	l.upgradeInvalidated = false
-	l.stopped = true
 	l.curTimeout = l.cfg.GITimeout
 	l.evActive, l.evAddr = false, 0
 	l.fillVictim, l.fillAddr, l.fillState, l.fillReq = nil, 0, 0, 0
@@ -206,20 +210,6 @@ func (l *L1) UsePool(p *MsgPool) { l.pool = p }
 // CurrentGITimeout returns the controller's (possibly adapted) sweep period.
 func (l *L1) CurrentGITimeout() sim.Cycle { return l.curTimeout }
 
-// StartSweep arms the periodic GI timeout (a no-op for protocols without
-// GI). The machine arms it at the start of a run and stops it at the end so
-// the event queue can drain.
-func (l *L1) StartSweep() {
-	if l.cfg.GITimeout == 0 || !l.stopped || !l.proto.HasGI() {
-		return
-	}
-	l.stopped = false
-	l.eng.After(l.curTimeout, l.sweepFn)
-}
-
-// Stop halts the periodic GI sweep so the event queue can drain after a run.
-func (l *L1) Stop() { l.stopped = true }
-
 // Array exposes the underlying cache array (used by the coherent-view
 // reader and the invariant checker).
 func (l *L1) Array() *cache.Cache { return l.arr }
@@ -230,14 +220,13 @@ func (l *L1) ID() int { return l.id }
 // Busy reports whether a core operation is outstanding.
 func (l *L1) Busy() bool { return l.cur != nil || l.evActive }
 
-// giSweep implements the periodic GI timeout: every GITimeout cycles it
-// dispatches Timeout on each GI block, and the table's GI/Timeout row
+// sweep is one visit of the periodic GI timeout (the Sweeper times it):
+// it dispatches Timeout on each GI block, and the table's GI/Timeout row
 // reverts it to I, forfeiting its hidden updates (§3.2). The period, fixed
-// or adaptive, is the sweep's own policy.
-func (l *L1) giSweep() {
-	if l.stopped {
-		return
-	}
+// or adaptive, is the controller's own policy; the Sweeper re-arms the
+// controller at the period this leaves, and sweep reports whether it
+// changed.
+func (l *L1) sweep() (adapted bool) {
 	swept := 0
 	if l.giBlocks > 0 {
 		l.arr.ForEach(func(si int, b *cache.Block) {
@@ -247,21 +236,23 @@ func (l *L1) giSweep() {
 			}
 		})
 	}
-	if l.cfg.AdaptiveGITimeout {
-		switch {
-		case swept >= 2 && l.curTimeout > l.cfg.GITimeout/8:
-			// Many residencies discarded at once: bound per-residency loss
-			// by sweeping more often.
-			l.curTimeout /= 2
-		case swept == 0 && l.curTimeout < 4*l.cfg.GITimeout:
-			// Nothing hidden: back off to recover traffic savings.
-			l.curTimeout *= 2
-		}
-		if l.curTimeout < 1 {
-			l.curTimeout = 1
-		}
+	if !l.cfg.AdaptiveGITimeout {
+		return false
 	}
-	l.eng.After(l.curTimeout, l.sweepFn)
+	was := l.curTimeout
+	switch {
+	case swept >= 2 && l.curTimeout > l.cfg.GITimeout/8:
+		// Many residencies discarded at once: bound per-residency loss
+		// by sweeping more often.
+		l.curTimeout /= 2
+	case swept == 0 && l.curTimeout < 4*l.cfg.GITimeout:
+		// Nothing hidden: back off to recover traffic savings.
+		l.curTimeout *= 2
+	}
+	if l.curTimeout < 1 {
+		l.curTimeout = 1
+	}
+	return l.curTimeout != was
 }
 
 // Access presents one core operation. The L1 must be idle.
@@ -331,12 +322,20 @@ func (l *L1) dispatch(ev proto.Event, b *cache.Block) {
 // dispatch is its only caller (TestBlockStateChangesOnlyInDispatch).
 func (l *L1) setState(b *cache.Block, next cache.State) {
 	if b.State == cache.GI {
-		l.giBlocks--
+		l.countGI(-1)
 	}
 	if next == cache.GI {
-		l.giBlocks++
+		l.countGI(1)
 	}
 	b.State = next
+}
+
+// countGI moves the GI census, the controller's and its Sweeper's, by d.
+func (l *L1) countGI(d int) {
+	l.giBlocks += d
+	if l.sweeper != nil {
+		l.sweeper.resident += d
+	}
 }
 
 // ruleFires evaluates a rule's guards in order, short-circuiting — guard

@@ -36,7 +36,6 @@ func newSweepL1(p *proto.Protocol, giTimeout sim.Cycle, adaptive bool,
 		OnMissing:         onMissing,
 	}, func(mem.Addr) noc.NodeID { return 5 }, meter, st)
 	l.UsePool(&coherence.MsgPool{})
-	l.StartSweep()
 	return l, st
 }
 
@@ -165,4 +164,70 @@ func TestGITimeoutMutantsFailTheSweep(t *testing.T) {
 		t.Fatal("no GI/Timeout mutant enumerated")
 	}
 	t.Logf("%d GI/Timeout mutants killed by the sweep", killed)
+}
+
+// sweepMachine builds n idle ghostwriter L1s on one engine and a Sweeper
+// over them.
+func sweepMachine(n int, adaptive bool) (*sim.Engine, []*coherence.L1, *coherence.Sweeper) {
+	eng := &sim.Engine{}
+	st := &stats.Stats{}
+	meter := &energy.Meter{}
+	net := noc.New(eng, noc.DefaultConfig(), meter, st)
+	var l1s []*coherence.L1
+	for i := range n {
+		l := coherence.NewL1(i, eng, net, coherence.L1Config{
+			Cache:             cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64},
+			GITimeout:         1024,
+			Proto:             proto.MustLookup("ghostwriter"),
+			AdaptiveGITimeout: adaptive,
+		}, func(mem.Addr) noc.NodeID { return 5 }, meter, st)
+		l.UsePool(&coherence.MsgPool{})
+		l1s = append(l1s, l)
+	}
+	return eng, l1s, coherence.NewSweeper(eng, l1s)
+}
+
+// TestSweeperOneEventPerPeriod: with a fixed period the sweeper fires one
+// event per period for all its L1s and visits each of them, and once
+// stopped its pending event fires as a no-op.
+func TestSweeperOneEventPerPeriod(t *testing.T) {
+	eng, l1s, sw := sweepMachine(4, false)
+	l1s[0].PutGI(2)
+	l1s[3].PutGI(1)
+	sw.Start()
+	eng.RunTo(3*1024 + 1)
+	if got := eng.Fired(); got != 3 || sw.Armed() != 1 {
+		t.Fatalf("%d events fired in three periods with %d armed, want 3 and 1", got, sw.Armed())
+	}
+	for i, l := range l1s {
+		if l.GIBlocks() != 0 {
+			t.Errorf("L1 %d still holds %d GI blocks", i, l.GIBlocks())
+		}
+	}
+	sw.Stop()
+	if fired, drained := eng.Drain(10); fired != 1 || !drained || sw.Armed() != 0 {
+		t.Fatalf("Drain after Stop fired %d (drained %v, %d armed), want one no-op", fired, drained, sw.Armed())
+	}
+}
+
+// TestSweeperGroupsByPeriod: under the adaptive policy a busy L1 halves
+// its period and idle ones double theirs, so one firing re-arms two
+// groups; the sweeper never arms more events than it has L1s.
+func TestSweeperGroupsByPeriod(t *testing.T) {
+	eng, l1s, sw := sweepMachine(4, true)
+	l1s[1].PutGI(2)
+	sw.Start()
+	eng.RunTo(1024)
+	if sw.Armed() != 2 {
+		t.Fatalf("%d groups armed after the first sweep, want 2 (512 and 2048 cycles)", sw.Armed())
+	}
+	if got := []sim.Cycle{l1s[0].CurrentGITimeout(), l1s[1].CurrentGITimeout()}; got[0] != 2048 || got[1] != 512 {
+		t.Fatalf("periods %v, want [2048 512]", got)
+	}
+	eng.RunTo(1024 + 512)
+	if got := eng.Fired(); got != 2 || sw.Armed() != 2 {
+		t.Fatalf("%d events fired with %d armed, want 2 and 2", got, sw.Armed())
+	}
+	sw.Stop()
+	eng.Drain(10)
 }

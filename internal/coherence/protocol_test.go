@@ -272,7 +272,8 @@ func TestRigLastSharerPUTLeavesDI(t *testing.T) {
 
 func TestRigGITimeoutSweepIsPeriodic(t *testing.T) {
 	r := newRig(t, 2, true)
-	r.l1s[1].StartSweep()
+	sw := NewSweeper(r.eng, r.l1s[1:])
+	sw.Start()
 	// Build an I-with-tag copy at core 1.
 	r.do(t, 1, OpLoad, 0x140, 4, 0, -1)
 	r.do(t, 0, OpStore, 0x140, 4, 200, -1) // invalidates core 1
@@ -291,7 +292,7 @@ func TestRigGITimeoutSweepIsPeriodic(t *testing.T) {
 	if r.st.GITimeouts == 0 {
 		t.Fatal("timeout counter not bumped")
 	}
-	r.l1s[1].Stop()
+	sw.Stop()
 	r.eng.Drain(100_000)
 }
 

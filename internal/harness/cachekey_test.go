@@ -161,10 +161,10 @@ func TestCacheKeyCodeVersion(t *testing.T) {
 // existing cache entry (safe) but, much worse, it can mean a key field was
 // REMOVED, which would let different configurations collide. Verify the
 // change is deliberate, confirm the field-sensitivity tests still pass, and
-// update the hashes (printed on failure). Last re-pinned when Table 1's
-// fixed timing became constants and the interconnect a topology plus a node
-// count: machine.Config's JSON went from 24 leaves to 13, and no simulated
-// result moved, so codeVersion stayed.
+// update the hashes (printed on failure). Last re-pinned when codeVersion
+// went to gw-sim-v3: the GI sweep became one machine-level timer, which
+// fires fewer events, and a cached RunResult carries Stats.Events. Nothing
+// else simulated moved.
 var goldenKeys = []struct {
 	name string
 	spec func() Spec
@@ -175,14 +175,14 @@ var goldenKeys = []struct {
 		spec: func() Spec {
 			return specFor("histogram", Options{Scale: 1, Threads: 24}, 0, false)
 		},
-		want: "08bf97fbc8074a003e51e934198152bb09b85cc5dd8ee88c4176c9966ba61ed7",
+		want: "09d0724b227c83fa3311ef6f07062c2b2e78a45b8982efdedefead06c2b8c64c",
 	},
 	{
 		name: "linear_regression-d8-t24",
 		spec: func() Spec {
 			return specFor("linear_regression", Options{Scale: 1, Threads: 24}, 8, false)
 		},
-		want: "faaac52b85d0a50caf6c09c93f59ce2a8ae8fd80f2daf7fbc5684837cc670f41",
+		want: "5e0af3c399777898bf408cede44fdaea9d2ea795419bb0d7adf9d4854889309a",
 	},
 	{
 		name: "bad_dot_product-d4-timeout512",
@@ -191,7 +191,7 @@ var goldenKeys = []struct {
 			s.Config.GITimeout = 512
 			return s
 		},
-		want: "2af19068b2d4ee1d8e84e1a71c87e621a72e2a964743ef78f89628006757740d",
+		want: "5a946aeb4233d74a64818ac98f361e50f93960033707fbe67e135caf9ffddd1a",
 	},
 	{
 		// A named protocol table: both the spec's protocol field and the
@@ -202,7 +202,7 @@ var goldenKeys = []struct {
 			s.Config.Protocol = ghostwriter.GWNoGI
 			return s
 		},
-		want: "477ffbb1ebfbacf6723208f710a6bf4d315edecb8df6d365073561fc4a9b2007",
+		want: "b0c02a96ea6652ed0d47befea211a33da2a840d4a32c68f2a42a993b18276d6e",
 	},
 }
 

@@ -25,24 +25,26 @@ func resultFingerprint(t *testing.T, res RunResult) string {
 // 0a96c2e on the shared-wheel engine, the last commit that also had a
 // windowed one (which produced the same values at 2, 4 and 8 shards). A
 // cell that never scribbles runs the same under mesi and gw-noGI.
+// The ghostwriter values moved only in Stats.Events when the GI sweep
+// became one machine-level timer (EXPERIMENTS.md, "One GI-sweep timer").
 var ablationPins = map[string]string{
 	"protocols histogram mesi":                "93f6aebfb9ef349ea331c634131ec3f4c3bd113caa7383827ad2965b7164cd83",
-	"protocols histogram ghostwriter":         "a6e314bddf24ee2ea9864716c1d0d14227cd7dc7fa1be567524d03a74e94e3d9",
+	"protocols histogram ghostwriter":         "dac58e0de8eb633578ce3748a4dc63f7709d54fbfc15ab45448c8c4c6ef10aa1",
 	"protocols histogram gw-noGI":             "93f6aebfb9ef349ea331c634131ec3f4c3bd113caa7383827ad2965b7164cd83",
 	"protocols linear_regression mesi":        "cb1e3eaa7c43d1ece9ef4d715574965cc04865f143626861c933f2d16655a0c8",
-	"protocols linear_regression ghostwriter": "33efffda95983f6eea8d61b144ed2667972085710141f56bdbcbbf6bbdeaf791",
+	"protocols linear_regression ghostwriter": "f9328fbad5c97a74b83a8be5d395acd2068a2e7d2ec898403c06f5771ca14897",
 	"protocols linear_regression gw-noGI":     "f7be48711bc4f432ed140ea40aaf6d6a47dafdb240b7d483b9a766e2e7737a12",
 	"protocols pca mesi":                      "7de546bae4db31d1457b6b118c19000645b6f54c50201a6a48d709258ad27bee",
-	"protocols pca ghostwriter":               "8ac2172c6e71165fe50b08fea78761bdfd97422a9335dcf663b2a31becc4b848",
+	"protocols pca ghostwriter":               "b153ec5eee57f21bd0aaf6f3b254076ba57797de6839f9e1753d0beb3e667cf3",
 	"protocols pca gw-noGI":                   "ad73f28cf26327cd3efb4ac6e21e88931d343494daf4e9fcfc478527495821a6",
 	"protocols blackscholes mesi":             "dd8807a4df5b2564a3ed12872ddb3cbbf2db19d2e1ac77fc9096c507e8681fce",
-	"protocols blackscholes ghostwriter":      "0cab057b5361131b4a94e070050457c4f5949654010c1a6bed2192c709bea1c4",
+	"protocols blackscholes ghostwriter":      "4c625d2146546e736f800db702cb46e9dfcc8cc09977aecd70eb009c3508d2cf",
 	"protocols blackscholes gw-noGI":          "dd8807a4df5b2564a3ed12872ddb3cbbf2db19d2e1ac77fc9096c507e8681fce",
 	"protocols inversek2j mesi":               "64de67bcc3f9c7a54c80ea409314473fbcf31366734342ca7503a829f6f5ce61",
-	"protocols inversek2j ghostwriter":        "b1ca94e9b261bf2d8232192d1cae289b08557d4005825a3da2bc212e17b58a00",
+	"protocols inversek2j ghostwriter":        "73afa3c8c92b955dcd9ccc8adf0e26983a4e63781814f3eeb6954295809b4c1d",
 	"protocols inversek2j gw-noGI":            "879cf89cf9b06c0776eef8939737593165ab0c18eb1a71380ef5a6127b219a8e",
 	"protocols jpeg mesi":                     "71a036f960e1a20862314a2620a587ae96f61b1360dc614cbf4e36376a24a5cb",
-	"protocols jpeg ghostwriter":              "ead75030a56c50b7fd02d84f56dd445852e3ecfa2dd61528632de393fe0f34c9",
+	"protocols jpeg ghostwriter":              "b35f343037e2f202223d9823dcd7c8c8d32e93a52865ab25974261d424a920ba",
 	"protocols jpeg gw-noGI":                  "4608975f6a9d604e3e34ddd43ff47bb6278ab905f89732f9d3d9f1c8c7f6a6fb",
 }
 

@@ -16,7 +16,7 @@ import (
 // whenever a change alters simulation results (protocol semantics, timing
 // model, workload inputs, quality metrics) so stale cached cells are never
 // reused across incompatible code.
-const codeVersion = "gw-sim-v2"
+const codeVersion = "gw-sim-v3"
 
 // Spec fully describes one evaluation cell: which application to run, at
 // what scale and thread count, with which d-distance, and under which

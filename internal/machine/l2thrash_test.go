@@ -85,14 +85,16 @@ func thrashFingerprint(tb testing.TB, protocol string, l2Blocks int) string {
 // (recorded by running this file on that commit). A victim chosen in a
 // different order moves the cycle count and the recall counters, so equal
 // fingerprints mean the same victims in the same order.
+// The ghostwriter values moved only in Stats.Events when the GI sweep
+// became one machine-level timer (EXPERIMENTS.md, "One GI-sweep timer").
 func TestShardL2ThrashVictimOrder(t *testing.T) {
 	pinned := map[string]string{
 		"mesi/l2=2":        "32af9bc30909661842ec75ad869f253beb7db2ee2cb8854e81cc8f4b017fba96",
 		"mesi/l2=3":        "8fad91750113ec2cb43f7e8a988814bcae5c63e624df726daba515d772cbd2d7",
 		"mesi/l2=4":        "a24649793f6c46a0143b723984dd52a526c17ef29fad4fcc77ce6d203bc7ab95",
-		"ghostwriter/l2=2": "a2f7dea43f59e3addb5b95e6503f0634dd82f9749dccd6c0b90299589fd2f196",
-		"ghostwriter/l2=3": "2fe9ced6a166e21b01d29098725d70f89036cb8fb5f586e8d9d6f8aa1eea24cd",
-		"ghostwriter/l2=4": "9007bb3751a5bc4b43406090b7a9756827211fbf4667579e3140e809c4191878",
+		"ghostwriter/l2=2": "cbd3122eedc7aea3aa449495fb69721382277b861165bf3b178beb40e893db3f",
+		"ghostwriter/l2=3": "40bd81a0fdb7fcba6adf2aa4765e9b495552d1ed4443f695e49b794cbc6a4b67",
+		"ghostwriter/l2=4": "096a4f3687aebfd3bb08bf2215b6007ac75f37031c9a008ae37e29fe7b8155c6",
 	}
 	for _, p := range []string{"mesi", "ghostwriter"} {
 		for _, l2Blocks := range []int{2, 3, 4} {

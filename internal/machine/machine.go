@@ -83,6 +83,7 @@ type Machine struct {
 	eng     *sim.Engine // the cluster's one engine, which every component schedules on
 	net     *noc.Network
 	l1s     []*coherence.L1
+	sweep   *coherence.Sweeper // the GI timeout of every L1
 	dirs    []*coherence.Directory
 	dirNode []noc.NodeID
 	backing *mem.Memory
@@ -191,6 +192,8 @@ func New(cfg Config) *Machine {
 		l1.UsePool(pool)
 		m.l1s = append(m.l1s, l1)
 	}
+	m.sweep = coherence.NewSweeper(m.eng, m.l1s)
+	m.sweep.AfterVisit = m.sweepVisited
 
 	// One handler per mesh node dispatches to the co-located components.
 	for n := 0; n < m.net.Nodes(); n++ {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ghostwriter/internal/mem"
+	"ghostwriter/internal/sim"
 )
 
 // shardProtocols are the registered tables the fingerprint pins sweep —
@@ -44,7 +45,7 @@ func configFingerprint(tb testing.TB, cfg Config, seed uint64, ddist int) string
 
 	const (
 		threads = 8
-		blocks  = 32
+		blocks  = scribbleBlocks
 		ops     = 300
 	)
 	region := m.AllocPadded(blocks * 64)
@@ -85,7 +86,19 @@ func configFingerprint(tb testing.TB, cfg Config, seed uint64, ddist int) string
 	if err := m.CheckInvariants(false); err != nil {
 		tb.Fatal(err)
 	}
+	return machineFingerprint(tb, m, elapsed, region)
+}
 
+// scribbleBlocks is the size of the scribble kernel's region in blocks.
+const scribbleBlocks = 32
+
+// machineFingerprint hashes everything observable of a run over the
+// region's scribbleBlocks blocks: elapsed cycles, the merged stats and
+// energy, the per-thread utilization report, and the region's coherent
+// image.
+func machineFingerprint(tb testing.TB, m *Machine, elapsed uint64, region mem.Addr) string {
+	tb.Helper()
+	const blocks = scribbleBlocks
 	var b strings.Builder
 	fmt.Fprintf(&b, "elapsed=%d cycles=%d\n", elapsed, m.Cycles())
 	stj, err := json.Marshal(m.Stats())
@@ -112,10 +125,12 @@ func configFingerprint(tb testing.TB, cfg Config, seed uint64, ddist int) string
 // at commit 0a96c2e on the shared-wheel engine, the last commit that also
 // had a windowed one, which produced the same values at 2, 4 and 8 shards:
 // they are the proof that deleting it moved nothing.
+// The ghostwriter values moved only in Stats.Events when the GI sweep
+// became one machine-level timer (EXPERIMENTS.md, "One GI-sweep timer").
 func TestShardDeterminismScribbleTraffic(t *testing.T) {
 	pinned := map[string]string{
 		"mesi":        "6575c98153bb2dad6d834c92e3ca53f6b05eb4c3e40113769a507d44f57116fb",
-		"ghostwriter": "b8dd59e26e0b44c2d3f24a615bea9699bfce6943a84aadc43b251b9225fafb42",
+		"ghostwriter": "40be7eaeab9c61ff55e8730bf9e333552ea8c2f4f8f9687bdd67e85c7c6249fa",
 		"gw-noGI":     "b8789e683de2533e1a829b7a6d93eca4019afa44151ee4216bb042607bac2c26",
 	}
 	for _, p := range shardProtocols {
@@ -125,6 +140,58 @@ func TestShardDeterminismScribbleTraffic(t *testing.T) {
 				t.Errorf("fingerprint %s, want %s", got, pinned[p])
 			}
 		})
+	}
+}
+
+// TestAdaptiveSweepFingerprint pins an adaptive-GI run whose L1s run at
+// different sweep periods, so the sweep's events fall apart into several
+// groups at several cycles. Pairs of threads share four blocks: one stores
+// to them and the other scribbles back and loads them, each pair at its
+// own pace, so every scribbler keeps resurrecting GI residencies that only
+// the sweep ends, at its own rate. The pin hashes everything but
+// Stats.Events and was recorded with a sweep timer per L1: it holds the
+// one machine-level sweep to the same visits, at the same places among the
+// other events.
+func TestAdaptiveSweepFingerprint(t *testing.T) {
+	const pinned = "6a1c151b743c55dcafe28615e821f6026433fe8f5327dc1f6b099cfd4933d770"
+	cfg := DefaultConfig()
+	cfg.Protocol = "ghostwriter"
+	cfg.GITimeout = 256
+	cfg.AdaptiveGITimeout = true
+	m := New(cfg)
+	region := m.AllocPadded(scribbleBlocks * 64)
+	periods := map[sim.Cycle]bool{} // as thread 1 sees them halfway
+	elapsed := m.Run(8, func(th *Thread) {
+		th.SetApproxDist(8)
+		pair := th.ID() / 2
+		base := region + mem.Addr(64*4*pair)
+		for i := 0; i < 300; i++ {
+			if th.ID() == 1 && i == 150 {
+				for c := range cfg.Cores {
+					periods[m.L1(c).CurrentGITimeout()] = true
+				}
+			}
+			blk := base + mem.Addr(64*(i%4))
+			if th.ID()%2 == 0 {
+				th.Store32(blk, uint32(i))
+				th.Compute(uint64(pair * 5))
+				continue
+			}
+			th.Scribble32(blk+4, 7)
+			th.Compute(uint64(6 + pair*7))
+			th.Load32(blk + mem.Addr(4*(i%2)))
+		}
+		th.Barrier()
+	})
+	if len(periods) < 3 {
+		t.Fatalf("the L1s run at %d distinct sweep periods halfway (%v), want at least 3", len(periods), periods)
+	}
+	if m.Stats().GITimeouts == 0 {
+		t.Fatal("no GI block timed out")
+	}
+	m.Stats().Events = 0
+	if got := machineFingerprint(t, m, elapsed, region); got != pinned {
+		t.Errorf("fingerprint %s, want %s", got, pinned)
 	}
 }
 

@@ -442,15 +442,15 @@ func (t *Thread) ScribbleF64(a mem.Addr, v float64) {
 
 // Run executes kernel on nthreads simulated threads (thread i pinned to
 // core i) until all of them return, then drains in-flight protocol traffic.
-// It returns the elapsed simulated cycles. A run whose event queue drains
-// while a thread is still live — a protocol that lost a message — panics
-// naming each live thread. Kernels run on coroutines of the engine, never
-// concurrently with it: a panic in a kernel surfaces from Run on the
-// caller's goroutine like any model panic. No kernel outlives Run on any
-// exit path, but its coroutine may: Run takes its workers from a
-// process-wide free list and, after a clean run, parks them there again
-// with neither kernel nor machine attached, so a cell pays for no
-// coroutine set-up. On a panic path every worker Run took is stopped,
+// It returns the elapsed simulated cycles. A run in which a thread is still
+// live when nothing but the GI sweep is left to fire — a protocol that lost
+// a message — panics naming each live thread. Kernels run on coroutines
+// of the engine, never concurrently with it: a panic in a kernel surfaces
+// from Run on the caller's goroutine like any model panic. No kernel
+// outlives Run on any exit path, but its coroutine may: Run takes its
+// workers from a process-wide free list and, after a clean run, parks them
+// there again with neither kernel nor machine attached, so a cell pays for
+// no coroutine set-up. On a panic path every worker Run took is stopped,
 // which unwinds its kernel, and none is parked.
 func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	if nthreads <= 0 || nthreads > m.cfg.Cores {
@@ -500,29 +500,25 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	}
 	m.active = nthreads
 	m.arrived = 0
-	for _, l := range m.l1s {
-		l.StartSweep()
-	}
+	m.sweep.Start()
 	start := m.clu.Now()
 	for _, w := range m.workers {
 		m.eng.After(0, w.issueFn)
 	}
 	if !m.clu.RunUntil(func() bool { return m.active == 0 }) {
-		panic(m.stuck())
+		panic(m.stuck("event queue drained"))
 	}
 	// The run ends when the last thread finishes (recorded at its done
 	// request); the drain below only retires in-flight protocol stragglers
-	// and disarmed GI sweeps, whose event timestamps must not count as
-	// execution time.
+	// and the disarmed GI sweep's groups, whose event timestamps must not
+	// count as execution time.
 	var end sim.Cycle
 	for _, w := range m.workers {
 		if w.finish > end {
 			end = w.finish
 		}
 	}
-	for _, l := range m.l1s {
-		l.Stop()
-	}
+	m.sweep.Stop()
 	if _, drained := m.clu.Drain(100_000_000); !drained {
 		panic("machine: protocol failed to drain after run")
 	}
@@ -534,10 +530,10 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	return elapsed
 }
 
-// stuck describes the live threads of a run whose event queue drained:
-// nothing is left to wake them. A thread not at a barrier is waiting on its
+// stuck describes the live threads of a run that nothing is left to wake,
+// for the given reason. A thread not at a barrier is waiting on its
 // outstanding memory operation.
-func (m *Machine) stuck() string {
+func (m *Machine) stuck(why string) string {
 	var live []string
 	for _, w := range m.workers {
 		switch t := &w.Thread; {
@@ -552,7 +548,18 @@ func (m *Machine) stuck() string {
 			live = append(live, fmt.Sprintf("thread %d on core %d waits on %#x (L1 state %s)", t.id, t.core, uint64(t.op.Addr), state))
 		}
 	}
-	return "machine: event queue drained with live threads: " + strings.Join(live, "; ")
+	return "machine: " + why + " with live threads: " + strings.Join(live, "; ")
+}
+
+// sweepVisited runs after each GI sweep visit and ends a run the sweep
+// alone keeps going. A visit sends and schedules nothing, so once the armed
+// sweep groups are all that is pending and nothing is staged, no event can
+// wake a live thread: the machine is deadlocked, and without this check the
+// sweep would re-arm forever.
+func (m *Machine) sweepVisited() {
+	if m.active > 0 && m.clu.Pending() == m.sweep.Armed() {
+		panic(m.stuck("only GI sweeps are pending"))
+	}
 }
 
 // issue applies the thread's requests, one at a time in program order. It

@@ -34,13 +34,15 @@ func topoMachineConfig(tb testing.TB, topo string, nodes int) Config {
 // crossbar's 3-cycle lookahead vs 2 for the others. Recorded at commit
 // 0a96c2e on the shared-wheel engine, where the windowed engine agreed at
 // 2, 4 and 8 shards. The mesh is the Table 1 machine, so its value is
-// TestShardDeterminismScribbleTraffic's ghostwriter one.
+// TestShardDeterminismScribbleTraffic's ghostwriter one. Every value here
+// and below moved only in Stats.Events when the GI sweep became one
+// machine-level timer (EXPERIMENTS.md, "One GI-sweep timer").
 func TestTopologyShardDeterminism(t *testing.T) {
 	pinned := map[string]string{
-		"mesh":  "b8dd59e26e0b44c2d3f24a615bea9699bfce6943a84aadc43b251b9225fafb42",
-		"ring":  "d9c7c46edd2d6400abcaac785f57834b00b1c1ef851d0dbe817ddad3e26fe3e6",
-		"torus": "9dbdc62728d6cae8d8ac5379930f5d44a6dff944efaf9446f4f7ab9a76d78978",
-		"xbar":  "85748cacfa87f20cb7e8b318c69b65cec592bbfc8287f989ad97b10bf1682394",
+		"mesh":  "40be7eaeab9c61ff55e8730bf9e333552ea8c2f4f8f9687bdd67e85c7c6249fa",
+		"ring":  "86eafb9de828141fbe2fcaca4a183ae9cd11c9890fddfac52c8d2252e560f6f0",
+		"torus": "d72da04d931cf50db3d937c4d5a6ec5fdd00b3822d2955f553d4b67e0e2aee9c",
+		"xbar":  "bac9e1bf3da18c5a64e12651dfa31a9659bf3551f9eb61207e7436c1041ee25c",
 	}
 	for _, name := range noc.Topologies() {
 		name := name
@@ -66,8 +68,8 @@ func TestTopologyShardDeterminism(t *testing.T) {
 // engine and the SharerSet-widened directory past the paper's 24 tiles.
 func TestTopologyShardDeterminismGrownGrids(t *testing.T) {
 	pinned := map[string]string{
-		"mesh":  "3278305e0e1d58d76b4e946967466b2fa58f72556cfc8160c9ee6270790746b2",
-		"torus": "382ac619fe0c495684f34e56c0699fbb618575921e24b8c78d5314bcdea99650",
+		"mesh":  "8b9f6776f0f2e501f557dfe0ccf68da209bbda4c00f4420a032252a9b2126b40",
+		"torus": "89f84d463375a88da263c52bcf4994fdc82c2ab69a830774e24e33588db01ebd",
 	}
 	for _, name := range []string{"mesh", "torus"} {
 		name := name

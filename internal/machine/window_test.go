@@ -87,10 +87,12 @@ func windowEdgeFingerprint(tb testing.TB, protocol string, seed uint64) string {
 // TestWindowEdgeFingerprintAcrossShards pins the window-edge kernel's
 // fingerprint per protocol (seed 0xB0DA), recorded at commit 0a96c2e on the
 // shared-wheel engine, where the windowed engine agreed at 2 and 4 shards.
+// The ghostwriter values moved only in Stats.Events when the GI sweep
+// became one machine-level timer (EXPERIMENTS.md, "One GI-sweep timer").
 func TestWindowEdgeFingerprintAcrossShards(t *testing.T) {
 	pinned := map[string]string{
 		"mesi":        "133eae517dcc0fa364760a817c11218c1c8214434e851b88fea598eb24d1a5a6",
-		"ghostwriter": "b14104cf16f515e99067d518ca5dfe88810fb290786c611e15047e922779c2e9",
+		"ghostwriter": "34380ea680fee8aaba788d174b7ccf8ed33ed6f3c996e3d6f5fa742ae3d50866",
 		"gw-noGI":     "a44c329824d09638b57b11530826dea5b472848387f1cf30f0738055be174803",
 	}
 	for _, p := range shardProtocols {

@@ -99,6 +99,10 @@ func (c *Cluster) Now() Cycle {
 // follow-up events on the first legal cycle.
 func (c *Cluster) Horizon() Cycle { return c.horizon }
 
+// Pending reports the events scheduled and the cross-tile effects staged
+// that have not yet fired or been applied.
+func (c *Cluster) Pending() int { return c.eng.Pending() + len(c.box) }
+
 // Fired returns the total events fired.
 func (c *Cluster) Fired() uint64 { return c.eng.Fired() }
 
@@ -130,30 +134,28 @@ func (c *Cluster) Stage(tile int, h StagedHandler, arg any, aux uint64) {
 	c.box = append(c.box, staged{at: c.eng.Now(), tile: int32(tile), h: h, arg: arg, aux: aux})
 }
 
-// stepFast drains one lookahead window — one RunTo — and replays its
-// barrier if anything was staged. merged reports whether a barrier ran (the
-// only transitions where cross-tile state changes); idle reports a fully
-// drained cluster (nothing fired, nothing merged).
-func (c *Cluster) stepFast() (merged, idle bool) {
+// stepFast drains one lookahead window from h, the queue's front as last
+// peeked (h.ok must hold), and replays its barrier if anything was staged.
+// It returns the front after the drain, peeked once by the drain's last
+// scan, and whether a barrier ran (the only transitions where cross-tile
+// state changes). The barrier's handlers schedule, so a merged window's
+// front is stale and the caller peeks again.
+func (c *Cluster) stepFast(h front) (next front, merged bool) {
 	e := &c.eng
-	next, ok := e.NextAt()
-	if !ok {
-		return false, true
-	}
-	if next >= c.base+c.lookahead {
+	if h.at >= c.base+c.lookahead {
 		// Skip empty windows: jump to the grid-aligned window containing
 		// the earliest event. The grid is anchored at cycle 0 in multiples
 		// of the lookahead, so the jump target is independent of history.
 		// Most often that is the very next window, which needs no division.
-		if next < c.base+2*c.lookahead {
+		if h.at < c.base+2*c.lookahead {
 			c.base += c.lookahead
 		} else {
-			c.base = next / c.lookahead * c.lookahead
+			c.base = h.at / c.lookahead * c.lookahead
 		}
 	}
 	end := c.base + c.lookahead
 	f0 := e.fired
-	e.RunTo(end - 1)
+	next = e.runTo(h, end-1)
 	fired := e.fired - f0
 	c.windows++
 	c.events += fired
@@ -167,7 +169,7 @@ func (c *Cluster) stepFast() (merged, idle bool) {
 		merged = true
 	}
 	c.base = end
-	return merged, false
+	return next, merged
 }
 
 // mergeFast applies the staging buffer in (at, source tile, staging index)
@@ -211,14 +213,12 @@ func (c *Cluster) Align() {
 // where its value can flip. It returns true if the predicate was satisfied.
 func (c *Cluster) RunUntil(done func() bool) bool {
 	for !done() {
-		for {
-			merged, idle := c.stepFast()
-			if idle {
+		h := c.eng.peek()
+		for merged := false; !merged; {
+			if !h.ok {
 				return done()
 			}
-			if merged {
-				break
-			}
+			h, merged = c.stepFast(h)
 		}
 	}
 	return true
@@ -229,13 +229,14 @@ func (c *Cluster) RunUntil(done func() bool) bool {
 // returns the events fired and whether it fully drained.
 func (c *Cluster) Drain(limit uint64) (fired uint64, drained bool) {
 	start := c.events
-	for {
-		_, idle := c.stepFast()
-		if idle {
-			return c.events - start, true
+	for h := c.eng.peek(); h.ok; {
+		var merged bool
+		if h, merged = c.stepFast(h); merged {
+			h = c.eng.peek()
 		}
 		if f := c.events - start; f > limit {
 			return f, false
 		}
 	}
+	return c.events - start, true
 }

@@ -10,6 +10,13 @@ import (
 // Differential tests of the wheel-and-heap scheduler against a reference model
 // that keeps every pending event in one list and fires the least (at, seq).
 
+// NextAt is what the tests observe of the engine's peek: the cycle of the
+// next event to fire, and whether one is pending.
+func (e *Engine) NextAt() (Cycle, bool) {
+	h := e.peek()
+	return h.at, h.ok
+}
+
 // sched is the surface the tests drive; Engine and refEngine implement it.
 type sched interface {
 	Now() Cycle
@@ -219,8 +226,8 @@ func (d *diffRun) observe(op string) {
 func (d *diffRun) deadline(arg byte) Cycle {
 	dl := d.s.Now() + diffDelays[int(arg)%len(diffDelays)]
 	if e, isEngine := d.s.(*Engine); isEngine && d.cov != nil {
-		at, heap, _, _ := e.peek()
-		d.cov.shortDeadline = d.cov.shortDeadline || heap && dl > e.now && dl < at
+		h := e.peek()
+		d.cov.shortDeadline = d.cov.shortDeadline || h.heap && dl > e.now && dl < h.at
 	}
 	return dl
 }
@@ -244,9 +251,20 @@ func (d *diffRun) run(prog []byte) {
 			d.observe(fmt.Sprintf("RunTo(%d)", dl))
 		case 5:
 			dl := d.deadline(arg)
-			// The window scheduler's shape: drain, then peek the next cycle.
-			d.s.RunTo(dl)
-			next, ok := d.s.NextAt()
+			// The window scheduler's shape: drain from the front peeked
+			// last time, then keep the front the drain stopped at.
+			var next Cycle
+			var ok bool
+			if e, isEngine := d.s.(*Engine); isEngine {
+				h := e.runTo(e.peek(), dl)
+				if p := e.peek(); p != h {
+					d.tb.Errorf("runTo(%d) stopped at front %+v, peek says %+v", dl, h, p)
+				}
+				next, ok = h.at, h.ok
+			} else {
+				d.s.RunTo(dl)
+				next, ok = d.s.NextAt()
+			}
 			d.observe(fmt.Sprintf("RunTo(%d);NextAt=%d,%v", dl, next, ok))
 		case 6:
 			fired, drained := d.s.Drain(uint64(arg % 32))
@@ -415,10 +433,11 @@ func TestEngineTwoTierTie(t *testing.T) {
 	}
 }
 
-// TestEngineEqualDeadlineTimers is the machine's GI-sweep shape: 256
-// timers armed together, each re-arming itself 1024 cycles on, over wheel
-// traffic. They fire in arming order every period, and the wheel's horizon
-// holds them all: the heap stays empty.
+// TestEngineEqualDeadlineTimers is the shape the GI sweep had with a timer
+// per L1: 256 timers armed together, each re-arming itself 1024 cycles on,
+// over wheel traffic. They fire in arming order every period (the order
+// coherence.Sweeper keeps with one event in their place), and the wheel's
+// horizon holds them all: the heap stays empty.
 func TestEngineEqualDeadlineTimers(t *testing.T) {
 	const timers, period, periods = 256, 1024, 6
 	var e Engine

@@ -191,9 +191,18 @@ func firstSet(occ *[wheelWords]uint64, start int) int {
 	panic("sim: wheel count/bitmap mismatch")
 }
 
-// peek locates the next event to fire without touching any state: its
-// cycle, whether it heads the heap, and otherwise its wheel slot; ok is
-// false when nothing is pending.
+// front is a peeked queue position: the next event's cycle, and whether it
+// heads the heap or else which wheel slot holds it; ok is false when
+// nothing is pending. It stays the queue's front until something is
+// scheduled.
+type front struct {
+	at   Cycle
+	slot int
+	heap bool
+	ok   bool
+}
+
+// peek locates the next event to fire without touching any state.
 //
 // Wheel events always lie in [now, now+wheelSize): at ≥ now because events
 // fire in order, at < now+wheelSize because the horizon only tightens as
@@ -201,22 +210,16 @@ func firstSet(occ *[wheelWords]uint64, start int) int {
 // slot therefore equals at-now, so the first occupied slot holds the
 // minimum cycle. A tie goes to the heap, whose records are always older
 // (see the Engine comment).
-func (e *Engine) peek() (at Cycle, heap bool, slot int, ok bool) {
+func (e *Engine) peek() front {
+	var h front
 	if e.wheelCount > 0 {
-		slot = firstSet(&e.occ, int(e.now)&wheelMask)
-		at, ok = e.slots[slot].head.at, true
+		h.slot = firstSet(&e.occ, int(e.now)&wheelMask)
+		h.at, h.ok = e.slots[h.slot].head.at, true
 	}
-	if len(e.overflow) > 0 && (!ok || e.overflow[0].at <= at) {
-		at, heap, ok = e.overflow[0].at, true, true
+	if len(e.overflow) > 0 && (!h.ok || e.overflow[0].at <= h.at) {
+		h.at, h.heap, h.ok = e.overflow[0].at, true, true
 	}
-	return at, heap, slot, ok
-}
-
-// NextAt peeks the cycle of the next event to fire without firing it. The
-// window scheduler in Cluster uses it to skip empty lookahead windows.
-func (e *Engine) NextAt() (Cycle, bool) {
-	at, _, _, ok := e.peek()
-	return at, ok
+	return h
 }
 
 // take removes and returns the head of wheel slot slot.
@@ -245,14 +248,13 @@ func (e *Engine) fire(ev *event) {
 // Step fires the next event, advancing the clock to its cycle. It reports
 // whether an event was fired (false when the queue is empty).
 func (e *Engine) Step() bool {
-	_, heap, slot, ok := e.peek()
-	switch {
-	case !ok:
+	switch h := e.peek(); {
+	case !h.ok:
 		return false
-	case heap:
+	case h.heap:
 		e.fire(e.popOverflow())
 	default:
-		e.fire(e.take(slot))
+		e.fire(e.take(h.slot))
 	}
 	return true
 }
@@ -260,40 +262,45 @@ func (e *Engine) Step() bool {
 // RunTo fires every event scheduled at or before deadline, then advances
 // the clock to deadline. Events scheduled later stay queued. Use this to
 // let in-flight activity settle for a bounded window without chasing
-// periodic self-rescheduling events. It takes one queue scan per cycle
-// (Step via NextAt would take two per event); the window scheduler in
-// Cluster drains each window through it.
-func (e *Engine) RunTo(deadline Cycle) {
-	for {
-		at, heap, slot, ok := e.peek()
-		if !ok || at > deadline {
-			if deadline > e.now {
-				e.now = deadline
-			}
-			return
-		}
-		if heap {
+// periodic self-rescheduling events.
+func (e *Engine) RunTo(deadline Cycle) { e.runTo(e.peek(), deadline) }
+
+// runTo is RunTo from h, the queue's front as last peeked, and returns the
+// front it stopped at: one queue scan per cycle fired, and the last one is
+// the window scheduler's next front (Cluster.stepFast), valid until
+// something is scheduled.
+func (e *Engine) runTo(h front, deadline Cycle) front {
+	for h.ok && h.at <= deadline {
+		if h.heap {
 			// Rare: nothing the machine schedules reaches past the wheel.
 			e.fire(e.popOverflow())
+			h = e.peek()
 			continue
 		}
 		// Fire the slot's whole bucket without rescanning: within the
 		// horizon exactly one cycle maps to each slot, so every event here
-		// — including ones a callback appends mid-loop — is at cycle at,
+		// — including ones a callback appends mid-loop — is at cycle h.at,
 		// and the heap cannot interleave (its events at this cycle fired
 		// first, and a callback files heap events only at or beyond
 		// now+wheelSize). The loop body is fire, inlined by hand: the
 		// compiler will not (it is over the inlining budget), and this loop
 		// fires nearly every event a machine runs.
-		for e.slots[slot].head != nil {
-			ev := e.take(slot)
+		for e.slots[h.slot].head != nil {
+			ev := e.take(h.slot)
 			e.now = ev.at
 			e.fired++
-			h, arg := ev.h, ev.arg
+			fn, arg := ev.h, ev.arg
 			e.recycle(ev)
-			h(arg)
+			fn(arg)
 		}
+		h = e.peek()
 	}
+	// Moving the clock up to deadline keeps h the front: every pending
+	// event lies past deadline.
+	if deadline > e.now {
+		e.now = deadline
+	}
+	return h
 }
 
 // RunUntil fires events until the predicate returns true or the queue

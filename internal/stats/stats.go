@@ -50,6 +50,9 @@ type Stats struct {
 	// Events is the total number of discrete events the engine fired over
 	// the run, drain included (set by the machine; the events/sec
 	// denominator of throughput figures and part of every fingerprint).
+	// It counts how the schedule was driven as well as what it did: the GI
+	// sweep fires one event per armed group of L1s, not one per L1, so a
+	// change of driving alone moves it and nothing else.
 	Events uint64
 
 	// Msgs counts coherence messages injected into the NoC, by class.

@@ -41,3 +41,29 @@ func TestResumesPerMemop(t *testing.T) {
 		})
 	}
 }
+
+// TestEventsPerMemop caps the engine events fired per memory operation on
+// a cell where the GI sweep dominates them: histogram at d = 8 under
+// ghostwriter on the 128-node torus, one thread per node, scale 1 (the
+// torus256 benchmark cell's shape at half the nodes, and half the test
+// time). Like resumes, the count depends only on the simulator, so it
+// gates on any host. A sweep timer per L1 fired 9.13 events per memop
+// here (14.81 on 256 nodes); one sweep event per period for the whole
+// machine fires 6.51 (7.77).
+func TestEventsPerMemop(t *testing.T) {
+	const nodes, ceiling = 128, 8.0
+	f, err := Lookup("histogram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := f.New(1)
+	sys := ghostwriter.New(ghostwriter.Config{Protocol: ghostwriter.Ghostwriter, Topo: "torus", Nodes: nodes})
+	app.SetDDist(8)
+	app.Prepare(sys)
+	sys.Run(nodes, app.Kernel)
+	st := sys.Stats()
+	memops := st.Loads + st.Stores + st.Scribbles
+	if got := float64(st.Events) / float64(memops); got > ceiling {
+		t.Errorf("%d events over %d memops = %.2f per memop, ceiling %.1f", st.Events, memops, got, ceiling)
+	}
+}
