@@ -62,7 +62,6 @@ import (
 	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/coherence/proto"
-	"ghostwriter/internal/dram"
 	"ghostwriter/internal/energy"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/noc"
@@ -565,7 +564,7 @@ const stepLimit = 200_000
 
 // dirNode places the directory on a corner of the default 6x4 mesh, away
 // from the core nodes (ids 0..cores-1).
-const dirNode = noc.NodeID(5)
+const dirNode = 5
 
 // harness is one testbed: real controllers on a real mesh, plus the
 // checker's write log and missing-transition recorder.
@@ -576,8 +575,8 @@ type harness struct {
 	reach  *Reach
 	eng    *sim.Engine
 	net    *noc.Network
-	ch     *dram.Channel
-	dir    *coherence.Directory
+	fab    *coherence.Fabric
+	dir    *coherence.Directory // the fabric's one directory
 	l1s    []*coherence.L1
 	st     *stats.Stats
 	meter  *energy.Meter
@@ -636,50 +635,36 @@ type issuedStep struct {
 }
 
 // newHarness builds a testbed whose controllers mark every table row they
-// dispatch in reach. The controllers share one message pool, as a machine's
-// do: a quiesced testbed has handed every message back, so a rewound one
-// sends from the pool instead of allocating, and a testbed dropped after a
-// violation takes its pool — and whatever a half-run schedule left out of
-// it — along.
+// dispatch in reach. coherence.NewFabric wires it as it wires a machine, so
+// the controllers share one message pool: a quiesced testbed has handed
+// every message back, so a rewound one sends from the pool instead of
+// allocating, and a testbed dropped after a violation takes its pool — and
+// whatever a half-run schedule left out of it — along.
 func newHarness(cfg Config, reach *Reach) *harness {
 	h := &harness{cfg: cfg, reach: reach, eng: &sim.Engine{}, st: &stats.Stats{}, meter: &energy.Meter{}, back: mem.New()}
 	h.net = noc.New(h.eng, noc.DefaultConfig(), h.meter, h.st)
-	h.ch = dram.NewChannel(h.eng, h.back, h.meter, h.st)
-	pool := &coherence.MsgPool{}
-	h.dir = coherence.NewDirectory(0, dirNode, h.eng, h.net, coherence.DirConfig{
-		BlockSize: 64,
-		Proto:     cfg.Protocol,
-		OnMissing: func(s proto.DirState, ev proto.Event) {
-			h.missing = append(h.missing, fmt.Sprintf("dir: %v/%v", s, ev))
-		},
-		OnDispatch: func(s proto.DirState, ev proto.Event) { h.reach.Dir[s][ev-proto.EvGETS] = true },
-	}, h.ch, h.meter, h.st)
-	h.dir.UsePool(pool)
-	home := func(mem.Addr) noc.NodeID { return dirNode }
-	for i := 0; i < cfg.Cores; i++ {
-		i := i
-		l1 := coherence.NewL1(i, h.eng, h.net, coherence.L1Config{
+	meters := slices.Repeat([]*energy.Meter{h.meter}, h.net.Nodes()) // every tile charges the one meter
+	h.fab = coherence.NewFabric(h.eng, h.net, h.back, meters, h.st, coherence.FabricConfig{
+		Cores:    cfg.Cores,
+		DirNodes: []int{dirNode},
+		Proto:    cfg.Protocol,
+		L1: coherence.L1Config{
 			Cache: cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64},
-			Proto: cfg.Protocol,
-			OnMissing: func(s cache.State, ev proto.Event) {
-				h.missing = append(h.missing, fmt.Sprintf("l1 %d: %v/%v", i, proto.L1StateName(s), ev))
+			OnMissing: func(id int, s cache.State, ev proto.Event) {
+				h.missing = append(h.missing, fmt.Sprintf("l1 %d: %v/%v", id, proto.L1StateName(s), ev))
 			},
 			OnDispatch: func(s cache.State, ev proto.Event) { h.reach.L1[s][ev] = true },
-		}, home, h.meter, h.st)
-		l1.UsePool(pool)
-		h.l1s = append(h.l1s, l1)
+		},
+		Dir: coherence.DirConfig{
+			OnMissing: func(s proto.DirState, ev proto.Event) {
+				h.missing = append(h.missing, fmt.Sprintf("dir: %v/%v", s, ev))
+			},
+			OnDispatch: func(s proto.DirState, ev proto.Event) { h.reach.Dir[s][ev-proto.EvGETS] = true },
+		},
+	})
+	h.dir, h.l1s = h.fab.Dirs[0], h.fab.L1s
+	for i := range h.l1s {
 		h.doneFns = append(h.doneFns, func(val uint64) { h.opDone(i, val) })
-	}
-	for node := 0; node < h.net.Nodes(); node++ {
-		node := noc.NodeID(node)
-		h.net.Register(node, func(p any) {
-			m := p.(*coherence.Msg)
-			if m.ToDir {
-				h.dir.HandleMsg(m)
-				return
-			}
-			h.l1s[int(node)].HandleMsg(m)
-		})
 	}
 	h.written = make([][]uint64, len(cfg.Addrs))
 	h.expected = make([]uint64, len(cfg.Addrs))
@@ -705,8 +690,8 @@ func (h *harness) seed() {
 }
 
 // reset rewinds a testbed whose last schedule ran violation-free — so the
-// event queue is empty, the directory quiesced with no request retained,
-// no L1 busy, and every message back in the pool — to the state newHarness
+// event queue is empty, the fabric quiesced with no request retained, and
+// every message back in the pool — to the state newHarness
 // leaves, keeping every allocation. Equality with a new testbed holds per
 // component: the engine is back at cycle 0 with its counters zeroed, every
 // link and the DRAM channel free at cycle 0, backing memory zero but for
@@ -719,7 +704,6 @@ func (h *harness) reset() {
 	}
 	h.eng.Reset()
 	h.net.Reset()
-	h.ch.Reset()
 	h.back.Reset()
 	h.dir.Reset()
 	for _, l1 := range h.l1s {
@@ -1048,13 +1032,8 @@ func (h *harness) checkQuiescent() *Violation {
 	if len(h.missing) > 0 {
 		return &Violation{Kind: "missing-transition", Detail: strings.Join(h.missing, ", ")}
 	}
-	if !h.dir.Quiesced() {
-		return fail("directory still busy after the queue drained")
-	}
-	for c, l1 := range h.l1s {
-		if l1.Busy() {
-			return fail("core %d still busy after the queue drained", c)
-		}
+	if !h.fab.Quiesced() {
+		return fail("a controller is still busy after the queue drained")
 	}
 	for ai, a := range h.cfg.Addrs {
 		if err := coherence.AuditBlock(h.l1s, h.dir, a); err != nil {

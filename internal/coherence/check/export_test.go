@@ -98,13 +98,9 @@ func ParkedAreClean(t *testing.T) {
 	defer testbeds.Unlock()
 	for cores, free := range testbeds.free {
 		for i, h := range free {
-			busy := false
-			for _, l1 := range h.l1s {
-				busy = busy || l1.Busy()
-			}
-			if h.spoiled || busy || h.eng.Pending() != 0 || !h.dir.Quiesced() {
-				t.Errorf("parked %d-core testbed #%d is not clean: spoiled %v, L1 busy %v, %d events pending, directory quiesced %v",
-					cores, i, h.spoiled, busy, h.eng.Pending(), h.dir.Quiesced())
+			if h.spoiled || h.eng.Pending() != 0 || !h.fab.Quiesced() {
+				t.Errorf("parked %d-core testbed #%d is not clean: spoiled %v, %d events pending, quiesced %v",
+					cores, i, h.spoiled, h.eng.Pending(), h.fab.Quiesced())
 			}
 		}
 	}

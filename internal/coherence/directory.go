@@ -22,17 +22,11 @@ const (
 
 // DirConfig parametrizes a directory controller and its co-located L2 bank.
 type DirConfig struct {
-	BlockSize int
 	// CapacityBlocks bounds the L2 bank's data capacity (Table 1:
 	// 128 kB x cores / banks worth of blocks). When a DRAM fill would
 	// overflow it, the bank evicts a victim line, recalling any L1 copies
 	// first (inclusive hierarchy). 0 means unbounded.
 	CapacityBlocks int
-	// Proto is the transition-table protocol the directory interprets for
-	// request dispatch. Required, not defaulted (the base protocols share
-	// one directory table: the Ghostwriter states are invisible at the
-	// directory).
-	Proto *proto.Protocol
 	// OnMissing, when set, replaces the panic on a (state, request) pair
 	// with no table entry: the event is recorded and the request dropped,
 	// leaving the line busy — the model checker surfaces the resulting
@@ -90,6 +84,7 @@ type Directory struct {
 	st    *stats.Stats
 	cfg   DirConfig
 	proto *proto.Protocol
+	bs    int // the block size, the L1's
 	dram  *dram.Channel
 	pool  *MsgPool
 	lines lineTable
@@ -123,18 +118,18 @@ type Directory struct {
 	clock    int
 	dead     []mem.Addr
 
-	// detect runs the migratory-sharing detector: NewDirectory sets it when
+	// detect runs the migratory-sharing detector: newDirectory sets it when
 	// some rule of the table reads DGMigratory, the only reader of what the
 	// detector learns.
 	detect bool
 }
 
-// NewDirectory builds a directory at the given mesh node, backed by a DRAM
-// channel for blocks not present in its L2 bank.
-func NewDirectory(id int, node noc.NodeID, eng *sim.Engine, net *noc.Network,
-	cfg DirConfig, ch *dram.Channel, meter *energy.Meter, st *stats.Stats) *Directory {
-	if cfg.Proto == nil {
-		panic("coherence: NewDirectory: DirConfig.Proto is nil")
+// newDirectory builds a directory of fc at the given mesh node, backed by a
+// DRAM channel for blocks not present in its L2 bank.
+func newDirectory(id int, node noc.NodeID, eng *sim.Engine, net *noc.Network, fc FabricConfig,
+	ch *dram.Channel, meter *energy.Meter, st *stats.Stats, pool *MsgPool) *Directory {
+	if fc.Proto == nil {
+		panic("coherence: newDirectory: FabricConfig.Proto is nil")
 	}
 	d := &Directory{
 		id:    id,
@@ -143,16 +138,18 @@ func NewDirectory(id int, node noc.NodeID, eng *sim.Engine, net *noc.Network,
 		net:   net,
 		meter: meter,
 		st:    st,
-		cfg:   cfg,
-		proto: cfg.Proto,
+		cfg:   fc.Dir,
+		proto: fc.Proto,
+		bs:    fc.L1.Cache.BlockSize,
 		dram:  ch,
+		pool:  pool,
 	}
 	d.dispatchFn = d.dispatchLine
 	d.grantFn = d.grantLine
 	d.fillFn = d.fillLine
 	d.ownFn = d.grantOwnership
 	d.evictFn = func(e *dirLine) { d.evict(e, e.data) }
-	d.detect = readsGuard(cfg.Proto, proto.DGMigratory)
+	d.detect = readsGuard(d.proto, proto.DGMigratory)
 	return d
 }
 
@@ -272,9 +269,11 @@ func (t *lineTable) grow() {
 
 // Reset returns a quiesced directory (no transaction in flight, no DRAM
 // access pending) to its just-constructed state: no line tracked, an empty
-// L2 bank. Wiring, configuration and the line storage are kept, the lines'
-// block buffers among it: they go to the next fills.
+// L2 bank, its DRAM channel free at cycle 0. Wiring, configuration and the
+// line storage are kept, the lines' block buffers among it: they go to the
+// next fills.
 func (d *Directory) Reset() {
+	d.dram.Reset()
 	for _, e := range d.lines.all[:d.lines.n] {
 		d.releaseData(e)
 	}
@@ -285,7 +284,7 @@ func (d *Directory) Reset() {
 }
 
 // SetProtocol makes the directory interpret p from its next request on,
-// with the migratory detector run as NewDirectory would run it for p. It is
+// with the migratory detector run as newDirectory would run it for p. It is
 // legal only on a reset directory (see Reset): no line is tracked, so no
 // detector state or transaction of the old table carries over.
 func (d *Directory) SetProtocol(p *proto.Protocol) {
@@ -295,14 +294,9 @@ func (d *Directory) SetProtocol(p *proto.Protocol) {
 	if d.lines.n != 0 {
 		panic(fmt.Sprintf("directory %d: SetProtocol with %d lines tracked", d.id, d.lines.n))
 	}
-	d.proto, d.cfg.Proto = p, p
+	d.proto = p
 	d.detect = readsGuard(p, proto.DGMigratory)
 }
-
-// UsePool makes the directory draw its outbound messages from p (shared
-// machine-wide; see MsgPool for the ownership discipline). Without a pool
-// every message is a fresh allocation.
-func (d *Directory) UsePool(p *MsgPool) { d.pool = p }
 
 func (d *Directory) line(a mem.Addr) *dirLine {
 	return d.lines.getOrCreate(a)
@@ -359,6 +353,15 @@ func (d *Directory) State(a mem.Addr) proto.DirState {
 	return proto.DirInvalid
 }
 
+// Node returns the interconnect node the directory sits at.
+func (d *Directory) Node() noc.NodeID { return d.node }
+
+// Busy reports whether a transaction on a's block is in flight or queued.
+func (d *Directory) Busy(a mem.Addr) bool {
+	e := d.lines.get(a)
+	return e != nil && (e.busy || len(e.queue) > 0)
+}
+
 // Quiesced reports whether no transaction is in flight at this directory.
 func (d *Directory) Quiesced() bool {
 	for _, e := range d.lines.all {
@@ -374,7 +377,7 @@ func (d *Directory) send(dst noc.NodeID, m *Msg) {
 	d.st.AddMsg(m.Type.Class())
 	size := 0
 	if m.Type.CarriesData() {
-		size = d.cfg.BlockSize
+		size = d.bs
 	}
 	d.net.Send(d.node, dst, size, m)
 }
@@ -658,7 +661,7 @@ func (d *Directory) withData(e *dirLine) {
 // line left in bufs or the next of the slab, so a fill allocates only when
 // it opens a new chunk.
 func (d *Directory) fetch(e *dirLine) {
-	bs := d.cfg.BlockSize
+	bs := d.bs
 	if n := len(d.bufs); n > 0 {
 		e.data, d.bufs = d.bufs[n-1], d.bufs[:n-1]
 	} else {
@@ -684,8 +687,8 @@ func (d *Directory) fillLine(arg any) {
 // releaseData empties the line's L2 entry, keeping its block buffer — if it
 // ever got one — for a later fill.
 func (d *Directory) releaseData(e *dirLine) {
-	if cap(e.data) >= d.cfg.BlockSize {
-		d.bufs = append(d.bufs, e.data[:d.cfg.BlockSize])
+	if cap(e.data) >= d.bs {
+		d.bufs = append(d.bufs, e.data[:d.bs])
 	}
 	e.data, e.hasData = nil, false
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence/proto"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/sim"
@@ -153,9 +154,11 @@ func panicText(f func()) (msg string) {
 // request with a nil dereference.
 func TestNewDirectoryNilProtoPanics(t *testing.T) {
 	msg := panicText(func() {
-		NewDirectory(0, 5, &sim.Engine{}, nil, DirConfig{BlockSize: 64}, nil, nil, nil)
+		newDirectory(0, 5, &sim.Engine{}, nil, FabricConfig{
+			L1: L1Config{Cache: cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64}},
+		}, nil, nil, nil, nil)
 	})
-	if !strings.Contains(msg, "DirConfig.Proto") {
-		t.Fatalf("NewDirectory with a nil Proto panicked with %q, want a message naming DirConfig.Proto", msg)
+	if !strings.Contains(msg, "FabricConfig.Proto") {
+		t.Fatalf("newDirectory with a nil Proto panicked with %q, want a message naming FabricConfig.Proto", msg)
 	}
 }

@@ -1,9 +1,23 @@
 package coherence
 
 import (
+	"slices"
+
 	"ghostwriter/internal/cache"
+	"ghostwriter/internal/energy"
 	"ghostwriter/internal/mem"
+	"ghostwriter/internal/noc"
+	"ghostwriter/internal/sim"
+	"ghostwriter/internal/stats"
 )
+
+// NewMeshFabric wires cfg over a default 6x4 mesh on eng, every tile
+// charging one meter.
+func NewMeshFabric(eng *sim.Engine, back *mem.Memory, st *stats.Stats, cfg FabricConfig) *Fabric {
+	meter := &energy.Meter{}
+	net := noc.New(eng, noc.DefaultConfig(), meter, st)
+	return NewFabric(eng, net, back, slices.Repeat([]*energy.Meter{meter}, net.Nodes()), st, cfg)
+}
 
 // SweepGI runs one visit of the GI sweep now, as its Sweeper would.
 func (l *L1) SweepGI() { l.sweep() }

@@ -52,9 +52,6 @@ const L1HitLatency sim.Cycle = 2
 type L1Config struct {
 	Cache     cache.Config
 	GITimeout sim.Cycle // Table 1: 1024 cycles; 0 disables the sweep
-	// Proto is the transition-table protocol the controller interprets.
-	// Required: machine.New resolves the name, the checker holds a table.
-	Proto *proto.Protocol
 	// ErrorBound caps the hidden writes absorbed during one GS/GI
 	// residency (§3.5's error-bounding extension, after Rumba-style
 	// runtime monitors): when a block has absorbed ErrorBound writes, the
@@ -72,10 +69,10 @@ type L1Config struct {
 	// coherence state (the Fig. 2 methodology).
 	ProfileSimilarity bool
 	// OnMissing, when set, replaces the panic on a (state, event) pair
-	// with no table entry: the event is recorded and dropped. The model
-	// checker uses it to turn silent protocol holes into detectable
-	// deadlocks instead of crashes.
-	OnMissing func(s cache.State, ev proto.Event)
+	// with no table entry: the event is recorded, with the L1's id, and
+	// dropped. The model checker uses it to turn silent protocol holes into
+	// detectable deadlocks instead of crashes.
+	OnMissing func(id int, s cache.State, ev proto.Event)
 	// OnDispatch, when set, observes every table lookup: the (state, event)
 	// row about to be interpreted, defined or not. Like OnMissing it belongs
 	// to the model checker, which records the rows a sweep reaches.
@@ -109,8 +106,7 @@ type L1 struct {
 	arr   *cache.Cache
 	cfg   L1Config
 	proto *proto.Protocol
-	home  func(mem.Addr) noc.NodeID
-	pool  *MsgPool
+	fab   *Fabric // its home map and message pool
 
 	// giBlocks counts frames currently in GI — a census setState maintains
 	// at every state change so the periodic sweep can skip scanning the
@@ -149,12 +145,12 @@ type L1 struct {
 	completeFn sim.Event
 }
 
-// NewL1 builds an L1 controller. The L1's id doubles as its NoC node id.
-// home maps a block address to its directory's node.
-func NewL1(id int, eng *sim.Engine, net *noc.Network, cfg L1Config,
-	home func(mem.Addr) noc.NodeID, meter *energy.Meter, st *stats.Stats) *L1 {
-	if cfg.Proto == nil {
-		panic("coherence: NewL1: L1Config.Proto is nil")
+// newL1 builds f's L1 controller id, configured by fc. The L1's id
+// doubles as its NoC node id.
+func newL1(id int, eng *sim.Engine, net *noc.Network, fc FabricConfig,
+	f *Fabric, meter *energy.Meter, st *stats.Stats) *L1 {
+	if fc.Proto == nil {
+		panic("coherence: newL1: FabricConfig.Proto is nil")
 	}
 	l := &L1{
 		id:    id,
@@ -163,12 +159,12 @@ func NewL1(id int, eng *sim.Engine, net *noc.Network, cfg L1Config,
 		net:   net,
 		meter: meter,
 		st:    st,
-		arr:   cache.New(cfg.Cache),
-		cfg:   cfg,
-		proto: cfg.Proto,
-		home:  home,
+		arr:   cache.New(fc.L1.Cache),
+		cfg:   fc.L1,
+		proto: fc.Proto,
+		fab:   f,
 	}
-	l.curTimeout = cfg.GITimeout
+	l.curTimeout = fc.L1.GITimeout
 	l.completeFn = l.fireComplete
 	return l
 }
@@ -199,13 +195,8 @@ func (l *L1) SetProtocol(p *proto.Protocol) {
 	if l.Busy() || l.giBlocks > 0 {
 		panic(fmt.Sprintf("l1 %d: SetProtocol on a controller that was not reset", l.id))
 	}
-	l.proto, l.cfg.Proto = p, p
+	l.proto = p
 }
-
-// UsePool makes the controller draw its outbound messages from p (shared
-// machine-wide; see MsgPool for the ownership discipline). Without a pool
-// every message is a fresh allocation.
-func (l *L1) UsePool(p *MsgPool) { l.pool = p }
 
 // CurrentGITimeout returns the controller's (possibly adapted) sweep period.
 func (l *L1) CurrentGITimeout() sim.Cycle { return l.curTimeout }
@@ -312,7 +303,7 @@ func (l *L1) dispatch(ev proto.Event, b *cache.Block) {
 		return
 	}
 	if l.cfg.OnMissing != nil {
-		l.cfg.OnMissing(s, ev)
+		l.cfg.OnMissing(l.id, s, ev)
 		return
 	}
 	panic(fmt.Sprintf("l1 %d: no %v transition in state %v", l.id, ev, proto.L1StateName(s)))
@@ -459,9 +450,9 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 	case proto.AReclaim:
 		l.installAndRequest()
 	case proto.AAckInv:
-		ack := l.pool.Get()
+		ack := l.fab.pool.Get()
 		ack.Type, ack.Addr, ack.From, ack.ToDir = InvAck, l.curMsg.Addr, l.id, true
-		l.send(l.home(l.curMsg.Addr), ack)
+		l.send(l.fab.Home(l.curMsg.Addr).node, ack)
 	case proto.AMarkUpgInvalidated:
 		// Our UPGRADE raced with this invalidating transaction; the
 		// directory will answer our (now stale) UPGRADE with data.
@@ -471,10 +462,10 @@ func (l *L1) runAction(a proto.Action, b *cache.Block) {
 		// (inclusive-hierarchy recall). The tag is kept, per the paper's
 		// I-state convention.
 		l.meter.L1Read()
-		r := l.pool.Get()
+		r := l.fab.pool.Get()
 		r.Type, r.Addr, r.From, r.ToDir = RecallData, l.curMsg.Addr, l.id, true
 		r.Data = append(r.Data[:0], b.Data...)
-		l.send(l.home(l.curMsg.Addr), r)
+		l.send(l.fab.Home(l.curMsg.Addr).node, r)
 	case proto.AServeFwd:
 		l.serveFwd(l.curMsg, b)
 	case proto.AFill:
@@ -534,9 +525,9 @@ func (l *L1) send(dst noc.NodeID, m *Msg) {
 // sendReq sends a request for the current op's block to its home directory.
 func (l *L1) sendReq(t MsgType, a mem.Addr) {
 	base := l.arr.BlockBase(a)
-	m := l.pool.Get()
+	m := l.fab.pool.Get()
 	m.Type, m.Addr, m.From, m.ToDir = t, base, l.id, true
-	l.send(l.home(base), m)
+	l.send(l.fab.Home(base).node, m)
 }
 
 // boundExceeded applies the §3.5 drift monitor: it counts one more hidden
@@ -597,7 +588,7 @@ func (l *L1) allocFrame(addr mem.Addr, newState cache.State, req MsgType) {
 // sendPut opens the eviction transaction for the victim at evAddr: the PUT
 // action a names goes to its home directory, carrying the data for PUTM.
 func (l *L1) sendPut(a proto.Action, b *cache.Block) {
-	m := l.pool.Get()
+	m := l.fab.pool.Get()
 	m.Addr, m.From, m.ToDir = l.evAddr, l.id, true
 	switch a {
 	case proto.ASendPUTM:
@@ -609,7 +600,7 @@ func (l *L1) sendPut(a proto.Action, b *cache.Block) {
 		m.Type = PUTS
 	}
 	l.evActive = true
-	l.send(l.home(l.evAddr), m)
+	l.send(l.fab.Home(l.evAddr).node, m)
 }
 
 // installAndRequest claims the chosen victim frame for the pending fill and
@@ -655,7 +646,7 @@ func (l *L1) HandleMsg(m *Msg) {
 	l.curMsg = m
 	l.dispatch(eventOf(m.Type), l.arr.Lookup(m.Addr))
 	l.curMsg = nil
-	l.pool.Put(m)
+	l.fab.pool.Put(m)
 }
 
 // serveFwd answers a forwarded request from our owned copy: data goes
@@ -665,16 +656,16 @@ func (l *L1) HandleMsg(m *Msg) {
 // must never be shared between two in-flight messages.
 func (l *L1) serveFwd(m *Msg, b *cache.Block) {
 	l.meter.L1Read()
-	c2c := l.pool.Get()
+	c2c := l.fab.pool.Get()
 	c2c.Type, c2c.Addr, c2c.From, c2c.Requestor = DataC2C, m.Addr, l.id, m.Requestor
 	c2c.Data = append(c2c.Data[:0], b.Data...)
 	if m.Type == FwdGETS {
 		c2c.Grant = GrantS
 		l.send(noc.NodeID(m.Requestor), c2c)
-		wb := l.pool.Get()
+		wb := l.fab.pool.Get()
 		wb.Type, wb.Addr, wb.From, wb.ToDir = DataToDir, m.Addr, l.id, true
 		wb.Data = append(wb.Data[:0], b.Data...)
-		l.send(l.home(m.Addr), wb)
+		l.send(l.fab.Home(m.Addr).node, wb)
 		return
 	}
 	c2c.Grant = GrantM
@@ -684,7 +675,7 @@ func (l *L1) serveFwd(m *Msg, b *cache.Block) {
 // sendUnblock releases the home directory's per-block busy state after a
 // grant has been installed.
 func (l *L1) sendUnblock(a mem.Addr) {
-	m := l.pool.Get()
+	m := l.fab.pool.Get()
 	m.Type, m.Addr, m.From, m.ToDir = Unblock, a, l.id, true
-	l.send(l.home(a), m)
+	l.send(l.fab.Home(a).node, m)
 }

@@ -8,35 +8,31 @@ import (
 	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/coherence/mutate"
 	"ghostwriter/internal/coherence/proto"
-	"ghostwriter/internal/energy"
 	"ghostwriter/internal/mem"
-	"ghostwriter/internal/noc"
 	"ghostwriter/internal/sim"
 	"ghostwriter/internal/stats"
 )
 
 // sweepL1 builds an idle ghostwriter L1 whose GI sweep can be driven
-// directly, without a directory (the sweep never sends messages).
+// directly (the sweep never sends messages).
 func sweepL1(t *testing.T, giTimeout sim.Cycle, adaptive bool) (*coherence.L1, *stats.Stats) {
 	t.Helper()
-	return newSweepL1(proto.MustLookup("ghostwriter"), giTimeout, adaptive, nil)
+	_, l1s, st := sweepFabric(proto.MustLookup("ghostwriter"), 1, giTimeout, adaptive, nil)
+	return l1s[0], st
 }
 
-func newSweepL1(p *proto.Protocol, giTimeout sim.Cycle, adaptive bool,
-	onMissing func(cache.State, proto.Event)) (*coherence.L1, *stats.Stats) {
-	eng := &sim.Engine{}
-	st := &stats.Stats{}
-	meter := &energy.Meter{}
-	net := noc.New(eng, noc.DefaultConfig(), meter, st)
-	l := coherence.NewL1(0, eng, net, coherence.L1Config{
-		Cache:             cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64},
-		GITimeout:         giTimeout,
-		Proto:             p,
-		AdaptiveGITimeout: adaptive,
-		OnMissing:         onMissing,
-	}, func(mem.Addr) noc.NodeID { return 5 }, meter, st)
-	l.UsePool(&coherence.MsgPool{})
-	return l, st
+// sweepFabric builds n idle L1s (and their directory, at node 5) under p.
+func sweepFabric(p *proto.Protocol, n int, giTimeout sim.Cycle, adaptive bool,
+	onMissing func(int, cache.State, proto.Event)) (*sim.Engine, []*coherence.L1, *stats.Stats) {
+	eng, st := &sim.Engine{}, &stats.Stats{}
+	f := coherence.NewMeshFabric(eng, mem.New(), st, coherence.FabricConfig{Cores: n, DirNodes: []int{5}, Proto: p,
+		L1: coherence.L1Config{
+			Cache:             cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64},
+			GITimeout:         giTimeout,
+			AdaptiveGITimeout: adaptive,
+			OnMissing:         onMissing,
+		}})
+	return eng, f.L1s, st
 }
 
 // TestGISweepAdaptiveHalvesToFloor pins the lower clamp: busy sweeps (>= 2
@@ -116,9 +112,10 @@ func TestGISweepFixedWithoutAdaptive(t *testing.T) {
 // I, take it out of the GI census and count it in GITimeouts.
 func sweepFault(p *proto.Protocol) string {
 	missing := ""
-	l, st := newSweepL1(p, 1024, false, func(s cache.State, ev proto.Event) {
+	_, l1s, st := sweepFabric(p, 1, 1024, false, func(_ int, s cache.State, ev proto.Event) {
 		missing = fmt.Sprintf("no %s/%v row", proto.L1StateName(s), ev)
 	})
+	l := l1s[0]
 	const n = 2
 	l.PutGI(n)
 	l.SweepGI()
@@ -169,21 +166,7 @@ func TestGITimeoutMutantsFailTheSweep(t *testing.T) {
 // sweepMachine builds n idle ghostwriter L1s on one engine and a Sweeper
 // over them.
 func sweepMachine(n int, adaptive bool) (*sim.Engine, []*coherence.L1, *coherence.Sweeper) {
-	eng := &sim.Engine{}
-	st := &stats.Stats{}
-	meter := &energy.Meter{}
-	net := noc.New(eng, noc.DefaultConfig(), meter, st)
-	var l1s []*coherence.L1
-	for i := range n {
-		l := coherence.NewL1(i, eng, net, coherence.L1Config{
-			Cache:             cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64},
-			GITimeout:         1024,
-			Proto:             proto.MustLookup("ghostwriter"),
-			AdaptiveGITimeout: adaptive,
-		}, func(mem.Addr) noc.NodeID { return 5 }, meter, st)
-		l.UsePool(&coherence.MsgPool{})
-		l1s = append(l1s, l)
-	}
+	eng, l1s, _ := sweepFabric(proto.MustLookup("ghostwriter"), n, 1024, adaptive, nil)
 	return eng, l1s, coherence.NewSweeper(eng, l1s)
 }
 

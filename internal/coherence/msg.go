@@ -146,10 +146,8 @@ type Msg struct {
 }
 
 // MsgPool recycles Msg records. A pool is only ever touched from the
-// goroutine that runs its engine — the machine has one engine and gives it
-// one pool — so the free list needs no locking.
-// A nil *MsgPool is valid and degrades to plain allocation, which keeps
-// test rigs that build controllers directly working unchanged.
+// goroutine that runs its engine — every Fabric has one engine and one
+// pool — so the free list needs no locking.
 //
 // Ownership discipline: the receiver frees. A controller that finishes
 // handling a message Puts it back — except the one retention: a
@@ -165,9 +163,6 @@ const msgChunk = 64
 // Get returns a zeroed message (its Data buffer keeps prior capacity). An
 // empty free list grows a chunk at a time, as the engine's event list does.
 func (p *MsgPool) Get() *Msg {
-	if p == nil {
-		return &Msg{}
-	}
 	if p.free == nil {
 		chunk := make([]Msg, msgChunk)
 		for i := range chunk[:msgChunk-1] {
@@ -182,10 +177,10 @@ func (p *MsgPool) Get() *Msg {
 }
 
 // Put recycles a handled message, zeroing its fields but retaining the
-// Data buffer's capacity for the next data-carrying sender. Nil-safe in
-// both the pool and the message.
+// Data buffer's capacity for the next data-carrying sender. A nil message
+// is ignored.
 func (p *MsgPool) Put(m *Msg) {
-	if p == nil || m == nil {
+	if m == nil {
 		return
 	}
 	d := m.Data

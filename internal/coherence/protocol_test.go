@@ -6,8 +6,6 @@ import (
 
 	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence/proto"
-	"ghostwriter/internal/dram"
-	"ghostwriter/internal/energy"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/noc"
 	"ghostwriter/internal/sim"
@@ -20,7 +18,7 @@ import (
 // behaviour).
 type rig struct {
 	eng  *sim.Engine
-	net  *noc.Network
+	fab  *Fabric
 	dir  *Directory
 	l1s  []*L1
 	st   *stats.Stats
@@ -30,38 +28,14 @@ type rig struct {
 // newRig builds cores 0..n-1 with a directory at node 5 (a 6x4 corner).
 func newRig(t *testing.T, n int, gw bool) *rig {
 	t.Helper()
-	r := &rig{eng: &sim.Engine{}, st: &stats.Stats{}, back: mem.New()}
-	meter := &energy.Meter{}
-	r.net = noc.New(r.eng, noc.DefaultConfig(), meter, r.st)
-	dirNode := noc.NodeID(5)
-	ch := dram.NewChannel(r.eng, r.back, meter, r.st)
 	prot := proto.MustLookup("mesi")
 	if gw {
 		prot = proto.MustLookup("ghostwriter")
 	}
-	r.dir = NewDirectory(0, dirNode, r.eng, r.net, DirConfig{
-		BlockSize: 64,
-		Proto:     prot,
-	}, ch, meter, r.st)
-	home := func(mem.Addr) noc.NodeID { return dirNode }
-	for i := 0; i < n; i++ {
-		r.l1s = append(r.l1s, NewL1(i, r.eng, r.net, L1Config{
-			Cache:     cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64},
-			GITimeout: 4096,
-			Proto:     prot,
-		}, home, meter, r.st))
-	}
-	for node := 0; node < r.net.Nodes(); node++ {
-		node := noc.NodeID(node)
-		r.net.Register(node, func(p any) {
-			m := p.(*Msg)
-			if m.ToDir {
-				r.dir.HandleMsg(m)
-				return
-			}
-			r.l1s[int(node)].HandleMsg(m)
-		})
-	}
+	r := &rig{eng: &sim.Engine{}, st: &stats.Stats{}, back: mem.New()}
+	r.fab = NewMeshFabric(r.eng, r.back, r.st, FabricConfig{Cores: n, DirNodes: []int{5}, Proto: prot,
+		L1: L1Config{Cache: cache.Config{SizeBytes: 4 * 64, Ways: 2, BlockSize: 64}, GITimeout: 4096}})
+	r.dir, r.l1s = r.fab.Dirs[0], r.fab.L1s
 	return r
 }
 
@@ -350,11 +324,10 @@ func TestL1RejectsRacesTheDirectoryBlocks(t *testing.T) {
 			r = newRig(t, 2, true)
 			done := waiting(t, r, c.state)
 			var missing []string
-			r.l1s[0].cfg.OnMissing = func(s cache.State, ev proto.Event) {
+			r.l1s[0].cfg.OnMissing = func(_ int, s cache.State, ev proto.Event) {
 				missing = append(missing, proto.L1StateName(s)+"/"+ev.String())
 			}
-			pool := &MsgPool{}
-			r.l1s[0].UsePool(pool)
+			pool := &r.fab.pool
 			m := pool.Get()
 			m.Type, m.Addr, m.Requestor = c.msg, a, 1
 			r.l1s[0].HandleMsg(m)
@@ -383,11 +356,68 @@ func TestL1RejectsRacesTheDirectoryBlocks(t *testing.T) {
 // construction with a message that names the field.
 func TestNewL1NilProtoPanics(t *testing.T) {
 	msg := panicText(func() {
-		NewL1(0, &sim.Engine{}, nil, L1Config{
-			Cache: cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64},
-		}, func(mem.Addr) noc.NodeID { return 5 }, nil, nil)
+		newL1(0, &sim.Engine{}, nil, FabricConfig{
+			L1: L1Config{Cache: cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64}},
+		}, nil, nil, nil)
 	})
-	if !strings.Contains(msg, "L1Config.Proto") {
-		t.Fatalf("NewL1 with a nil Proto panicked with %q, want a message naming L1Config.Proto", msg)
+	if !strings.Contains(msg, "FabricConfig.Proto") {
+		t.Fatalf("newL1 with a nil Proto panicked with %q, want a message naming FabricConfig.Proto", msg)
+	}
+}
+
+// TestNewFabricNilProtoPanics: the fabric resolves no protocol name itself
+// (machine.New does), so a config without a table must fail at
+// construction of its first controller with a message that names the field, not at the first
+// request with a nil dereference.
+func TestNewFabricNilProtoPanics(t *testing.T) {
+	msg := panicText(func() {
+		NewMeshFabric(&sim.Engine{}, mem.New(), &stats.Stats{}, FabricConfig{Cores: 1, DirNodes: []int{5},
+			L1: L1Config{Cache: cache.Config{SizeBytes: 8 * 64, Ways: 2, BlockSize: 64}}})
+	})
+	if !strings.Contains(msg, "FabricConfig.Proto") {
+		t.Fatalf("NewFabric with a nil Proto panicked with %q, want a message naming FabricConfig.Proto", msg)
+	}
+}
+
+// TestFabricMisroutePanics: a directory message at a node without a
+// directory, or an L1 message at a node without a core, panics naming the
+// node instead of reaching a controller it is not for.
+func TestFabricMisroutePanics(t *testing.T) {
+	for node, want := range map[noc.NodeID]string{
+		1: "directory message at non-home node 1", // a core's node
+		7: "L1 message at coreless node 7",
+	} {
+		r := newRig(t, 2, false)
+		msg := panicText(func() {
+			r.l1s[0].net.Send(0, node, 0, &Msg{Type: Inv, ToDir: node == 1})
+			r.eng.Drain(1000)
+		})
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic %q, want %q", msg, want)
+		}
+	}
+}
+
+// TestFabricHomeMap: with one to four homes (three takes the modulo branch)
+// Home(a) is Dirs[(a/block) % n], and an L1 miss's request is handled by
+// that directory and no other.
+func TestFabricHomeMap(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		eng := &sim.Engine{}
+		f := NewMeshFabric(eng, mem.New(), &stats.Stats{}, FabricConfig{Cores: 1, DirNodes: []int{5, 11, 17, 23}[:n],
+			Proto: proto.MustLookup("mesi"), L1: L1Config{Cache: cache.Config{SizeBytes: 64 * 64, Ways: 2, BlockSize: 64}}})
+		for b := 0; b < 8; b++ {
+			a := mem.Addr(64 * b)
+			if got := f.Home(a + 60); got != f.Dirs[b%n] {
+				t.Fatalf("%d homes: block %d maps to directory %d, want %d", n, b, got.id, b%n)
+			}
+			f.L1s[0].Access(&CoreOp{Kind: OpLoad, Addr: a, Width: 4, DDist: -1, Done: func(uint64) {}})
+			eng.Drain(100_000)
+			for i, d := range f.Dirs {
+				if tracked := d.State(a) != proto.DirInvalid; tracked != (i == b%n) {
+					t.Fatalf("%d homes: after block %d's miss directory %d tracks it: %v", n, b, i, tracked)
+				}
+			}
+		}
 	}
 }

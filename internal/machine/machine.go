@@ -8,12 +8,10 @@ package machine
 
 import (
 	"fmt"
-	"math/bits"
 
 	"ghostwriter/internal/cache"
 	"ghostwriter/internal/coherence"
 	"ghostwriter/internal/coherence/proto"
-	"ghostwriter/internal/dram"
 	"ghostwriter/internal/energy"
 	"ghostwriter/internal/mem"
 	"ghostwriter/internal/noc"
@@ -82,10 +80,8 @@ type Machine struct {
 	clu     *sim.Cluster
 	eng     *sim.Engine // the cluster's one engine, which every component schedules on
 	net     *noc.Network
-	l1s     []*coherence.L1
+	fab     *coherence.Fabric  // the L1s, directories and DRAM channels
 	sweep   *coherence.Sweeper // the GI timeout of every L1
-	dirs    []*coherence.Directory
-	dirNode []noc.NodeID
 	backing *mem.Memory
 	alloc   *mem.Allocator
 
@@ -139,85 +135,26 @@ func New(cfg Config) *Machine {
 	}
 	m.net = noc.NewSharded(m.clu, cfg.NoC, nil, nil, m.mergeMeter, m.st)
 
-	for _, n := range cfg.DirNodes {
-		m.dirNode = append(m.dirNode, noc.NodeID(n))
-	}
-	// Blocks interleave across the homes. The block size is a power of two
-	// (cache.New checks), so the block number is a shift; the home index is
-	// a mask when the home count is one too.
-	shift := uint(bits.TrailingZeros(uint(cfg.L1.BlockSize)))
-	nd := uint64(len(m.dirNode))
-	home := func(a mem.Addr) noc.NodeID { return m.dirNode[(uint64(a)>>shift)%nd] }
-	if nd&(nd-1) == 0 {
-		home = func(a mem.Addr) noc.NodeID { return m.dirNode[(uint64(a)>>shift)&(nd-1)] }
-	}
-
 	prot, ok := proto.Lookup(cfg.Protocol)
 	if !ok {
 		panic(fmt.Sprintf("machine: unknown protocol %q (registered: %v)",
 			cfg.Protocol, proto.Names()))
 	}
-
-	dirCfg := coherence.DirConfig{
-		BlockSize: cfg.L1.BlockSize,
-		Proto:     prot,
-	}
-	if cfg.L2PerCoreBytes > 0 {
-		dirCfg.CapacityBlocks = cfg.L2PerCoreBytes * cfg.Cores / len(cfg.DirNodes) / cfg.L1.BlockSize
-	}
-	// One message pool for the machine: every component runs on the one
-	// engine, the receiver frees, so what the directories hand out comes
-	// back to where they draw from and the free list needs no locking.
-	pool := &coherence.MsgPool{}
-	dirAt := make(map[noc.NodeID]*coherence.Directory)
-	for i, n := range m.dirNode {
-		meter := m.tileMeters[n]
-		ch := dram.NewChannel(m.eng, m.backing, meter, m.st)
-		d := coherence.NewDirectory(i, n, m.eng, m.net, dirCfg, ch, meter, m.st)
-		d.UsePool(pool)
-		m.dirs = append(m.dirs, d)
-		dirAt[n] = d
-	}
-
-	l1Cfg := coherence.L1Config{
-		Cache:             cfg.L1,
-		GITimeout:         cfg.GITimeout,
-		Proto:             prot,
-		ErrorBound:        cfg.ErrorBound,
-		AdaptiveGITimeout: cfg.AdaptiveGITimeout,
-		ProfileSimilarity: cfg.ProfileSimilarity,
-	}
-	for i := 0; i < cfg.Cores; i++ {
-		l1 := coherence.NewL1(i, m.eng, m.net, l1Cfg, home, m.tileMeters[i], m.st)
-		l1.UsePool(pool)
-		m.l1s = append(m.l1s, l1)
-	}
-	m.sweep = coherence.NewSweeper(m.eng, m.l1s)
+	m.fab = coherence.NewFabric(m.eng, m.net, m.backing, m.tileMeters, m.st, coherence.FabricConfig{
+		Cores:    cfg.Cores,
+		DirNodes: cfg.DirNodes,
+		Proto:    prot,
+		L1: coherence.L1Config{
+			Cache:             cfg.L1,
+			GITimeout:         cfg.GITimeout,
+			ErrorBound:        cfg.ErrorBound,
+			AdaptiveGITimeout: cfg.AdaptiveGITimeout,
+			ProfileSimilarity: cfg.ProfileSimilarity,
+		},
+		Dir: coherence.DirConfig{CapacityBlocks: cfg.L2PerCoreBytes * cfg.Cores / len(cfg.DirNodes) / cfg.L1.BlockSize},
+	})
+	m.sweep = coherence.NewSweeper(m.eng, m.fab.L1s)
 	m.sweep.AfterVisit = m.sweepVisited
-
-	// One handler per mesh node dispatches to the co-located components.
-	for n := 0; n < m.net.Nodes(); n++ {
-		node := noc.NodeID(n)
-		l1 := (*coherence.L1)(nil)
-		if n < cfg.Cores {
-			l1 = m.l1s[n]
-		}
-		d := dirAt[node]
-		m.net.Register(node, func(payload any) {
-			msg := payload.(*coherence.Msg)
-			if msg.ToDir {
-				if d == nil {
-					panic(fmt.Sprintf("machine: directory message at non-home node %d", node))
-				}
-				d.HandleMsg(msg)
-				return
-			}
-			if l1 == nil {
-				panic(fmt.Sprintf("machine: L1 message at coreless node %d", node))
-			}
-			l1.HandleMsg(msg)
-		})
-	}
 	return m
 }
 
@@ -241,7 +178,7 @@ func (m *Machine) WriteBackingUint(a mem.Addr, width int, v uint64) {
 
 // L1 returns core i's cache controller (used by tests and the invariant
 // checker to inspect protocol state).
-func (m *Machine) L1(i int) *coherence.L1 { return m.l1s[i] }
+func (m *Machine) L1(i int) *coherence.L1 { return m.fab.L1s[i] }
 
 // CoreUtil is one thread's utilization breakdown over the last Run.
 type CoreUtil struct {
@@ -313,12 +250,6 @@ func (m *Machine) WindowStats() sim.WindowStats { return m.clu.WindowStats() }
 // computed, so it must never enter Stats, a fingerprint, or a cached result.
 func (m *Machine) Resumes() uint64 { return m.resumes }
 
-// dirFor returns the home directory object for a block address.
-func (m *Machine) dirFor(a mem.Addr) *coherence.Directory {
-	idx := int(uint64(a)/uint64(m.cfg.L1.BlockSize)) % len(m.dirs)
-	return m.dirs[idx]
-}
-
 // ReadCoherent returns the system-wide coherent value at a: the owner's
 // copy if a cache owns the block, else the L2 home's copy, else DRAM.
 // Hidden GS/GI updates are invisible, exactly as the paper specifies
@@ -326,9 +257,9 @@ func (m *Machine) dirFor(a mem.Addr) *coherence.Directory {
 // returns to coherency).
 func (m *Machine) ReadCoherent(a mem.Addr, width int) uint64 {
 	base := mem.Addr(uint64(a) &^ uint64(m.cfg.L1.BlockSize-1))
-	d := m.dirFor(base)
+	d := m.fab.Home(base)
 	if owner := d.Owner(base); owner >= 0 {
-		arr := m.l1s[owner].Array()
+		arr := m.fab.L1s[owner].Array()
 		if b := arr.Lookup(base); b != nil &&
 			(b.State == cache.Modified || b.State == cache.Exclusive || b.State == cache.EVA) {
 			return b.ReadWord(arr.Offset(a), width)

@@ -714,13 +714,13 @@ func TestCheckInvariantsIsTheCheckersAudit(t *testing.T) {
 		}
 		restore()
 	}
-	e := m.l1s[0].Array().Lookup(a)
+	e := m.fab.L1s[0].Array().Lookup(a)
 	if e == nil || e.State != cache.Exclusive {
 		t.Fatalf("core 0 holds %#x as %+v, want Exclusive", a, e)
 	}
 	plant("dirty exclusive", "dirty data in a clean state",
 		func() { e.Data[0] ^= 0xFF }, func() { e.Data[0] ^= 0xFF })
-	s := m.l1s[1].Array().Lookup(a + 64)
+	s := m.fab.L1s[1].Array().Lookup(a + 64)
 	if s == nil || s.State != cache.Shared {
 		t.Fatalf("core 1 holds %#x as %+v, want Shared", a+64, s)
 	}

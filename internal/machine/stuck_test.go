@@ -54,16 +54,23 @@ func runLossy(p *proto.Protocol) (x uint64, msg string) {
 	return x, fmt.Sprintf("Run returned %d cycles with a thread still waiting", cycles)
 }
 
+// stuckStorer names runLossy's storer as a stuck run must: its L1 waits in
+// SM_A for the lost ack, and its block's home directory (one of four,
+// interleaved) has recorded it as owner and holds the line busy.
+func stuckStorer(x uint64) string {
+	return fmt.Sprintf("thread 0 on core 0 waits on %#x (L1 state SM_A; home directory at node %d: DM, line busy true)",
+		x, DefaultConfig().DirNodes[x/64%4])
+}
+
 // TestRunPanicsOnStuckThread: a protocol whose S/Inv row forgets to ack
 // leaves the storer waiting for an ack that never comes. The event queue
 // drains with that thread still live, and Run panics naming the thread,
-// its core, its address and the L1 state there instead of returning a
-// partial cycle count.
+// its core, its address, the L1 state there and its home directory's node,
+// state and busy line instead of returning a partial cycle count.
 func TestRunPanicsOnStuckThread(t *testing.T) {
 	x, msg := runLossy(lossyInv("mesi"))
-	want := fmt.Sprintf("thread 0 on core 0 waits on %#x", x)
-	if !strings.Contains(msg, want) || !strings.Contains(msg, "SM_A") {
-		t.Errorf("panic %q, want it to name %q and the L1 state SM_A", msg, want)
+	if want := stuckStorer(x); !strings.Contains(msg, want) {
+		t.Errorf("panic %q, want it to name %q", msg, want)
 	}
 }
 
@@ -88,9 +95,8 @@ func TestRunPanicsOnGIArmedDeadlock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run still sweeping after 10 s: the GI-armed deadlock hangs")
 	}
-	want := fmt.Sprintf("thread 0 on core 0 waits on %#x", got.x)
-	if !strings.Contains(got.msg, "only GI sweeps are pending") ||
-		!strings.Contains(got.msg, want) || !strings.Contains(got.msg, "SM_A") {
-		t.Errorf("panic %q, want the GI-sweep deadlock naming %q and the L1 state SM_A", got.msg, want)
+	want := stuckStorer(got.x)
+	if !strings.Contains(got.msg, "only GI sweeps are pending") || !strings.Contains(got.msg, want) {
+		t.Errorf("panic %q, want the GI-sweep deadlock naming %q", got.msg, want)
 	}
 }

@@ -532,7 +532,8 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 
 // stuck describes the live threads of a run that nothing is left to wake,
 // for the given reason. A thread not at a barrier is waiting on its
-// outstanding memory operation.
+// outstanding memory operation: the message names its L1 state and its
+// home directory's node, state and whether the line is busy there.
 func (m *Machine) stuck(why string) string {
 	var live []string
 	for _, w := range m.workers {
@@ -541,11 +542,14 @@ func (m *Machine) stuck(why string) string {
 		case t.barrier:
 			live = append(live, fmt.Sprintf("thread %d on core %d waits at a barrier", t.id, t.core))
 		default:
-			state := "absent"
-			if blk := m.l1s[t.core].Array().Lookup(t.op.Addr); blk != nil {
+			arr := m.fab.L1s[t.core].Array()
+			state, base := "absent", arr.BlockBase(t.op.Addr)
+			if blk := arr.Lookup(base); blk != nil {
 				state = blk.State.String()
 			}
-			live = append(live, fmt.Sprintf("thread %d on core %d waits on %#x (L1 state %s)", t.id, t.core, uint64(t.op.Addr), state))
+			d := m.fab.Home(base)
+			live = append(live, fmt.Sprintf("thread %d on core %d waits on %#x (L1 state %s; home directory at node %d: %v, line busy %t)",
+				t.id, t.core, uint64(t.op.Addr), state, d.Node(), d.State(base), d.Busy(base)))
 		}
 	}
 	return "machine: " + why + " with live threads: " + strings.Join(live, "; ")
@@ -602,7 +606,7 @@ func (m *Machine) issue(t *Thread) {
 			if r.kind == reqConst {
 				t.op.Done = t.constFn
 			}
-			m.l1s[t.core].Access(&t.op)
+			m.fab.L1s[t.core].Access(&t.op)
 		case reqMigrate:
 			target := int(r.value)
 			if target < 0 || target >= m.cfg.Cores {
